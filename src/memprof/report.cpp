@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <utility>
 
 #include "core/sample_log.hpp"
 #include "support/format.hpp"
@@ -15,7 +17,8 @@ ObjectReport build_object_report(const os::Vfs& vfs, const std::string& sample_d
   for (const core::VmRegistration& reg : regs) {
     if (reg.obj_map_dir.empty()) continue;
     ObjectIndexLoad load = load_object_index(vfs, reg.obj_map_dir, reg.pid);
-    for (const ObjectMapFile& file : load.files) out.sites.ingest(reg.pid, file);
+    for (ObjectMapFile& file : load.files)
+      out.sites.ingest("", reg.pid, std::make_shared<const ObjectMapFile>(std::move(file)));
     indexes.emplace(reg.pid, std::move(load.index));
   }
 

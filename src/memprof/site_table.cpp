@@ -2,35 +2,105 @@
 
 namespace viprof::memprof {
 
+namespace {
+
+void add_counts(SiteStats& to, const SiteStats& from) {
+  to.alloc_objects += from.alloc_objects;
+  to.alloc_bytes += from.alloc_bytes;
+  to.dead_objects += from.dead_objects;
+  to.dead_bytes += from.dead_bytes;
+}
+
+}  // namespace
+
 SiteStats& SiteTable::site(hw::Pid pid, std::uint32_t idx) {
   SiteStats& s = sites_[{pid, idx}];
   if (s.name.empty()) s.name = site_symbol(idx);
   return s;
 }
 
-void SiteTable::ingest(const std::string& scope, hw::Pid pid,
-                       const ObjectMapFile& file) {
-  ++maps_ingested_;
-  if (file.truncated) ++maps_truncated_;
-  for (const SiteName& sn : file.sites) {
-    SiteStats& s = site(pid, sn.site);
-    // Lexicographic-min among dictionary names: within a session every
-    // intact map carries the same dictionary, and across sessions that
-    // share a pid the winner is the same no matter which scope folds
-    // first — fold order never shows in the rendered bytes.
-    if (s.name == site_symbol(sn.site) || sn.name < s.name) s.name = sn.name;
+void SiteTable::adopt_name(hw::Pid pid, std::uint32_t idx, const std::string& name) {
+  SiteStats& s = site(pid, idx);
+  // Lexicographic-min among dictionary names: within a session every
+  // intact map carries the same dictionary, and across sessions that
+  // share a pid the winner is the same no matter which scope folds
+  // first — fold order never shows in the rendered bytes.
+  if (s.name == site_symbol(idx) || name < s.name) s.name = name;
+}
+
+void SiteTable::index(Partition& part) {
+  if (part.indexed) return;
+  for (const auto& map : part.maps) {
+    for (const ObjectMapEntry& e : map->objects) part.seen_alloc.insert(e.obj_id);
+    for (const ObjectDeath& d : map->dead) part.seen_dead.insert(d.obj_id);
   }
+  part.indexed = true;
+}
+
+void SiteTable::charge(Partition& part, hw::Pid pid, const ObjectMapFile& file) {
+  // Accumulate per site first: one table lookup per site, not per object.
+  std::map<std::uint32_t, SiteStats> delta;
   for (const ObjectMapEntry& e : file.objects) {
-    if (!seen_alloc_.insert({scope, pid, e.obj_id}).second) continue;
-    SiteStats& s = site(pid, e.site);
-    ++s.alloc_objects;
-    s.alloc_bytes += e.size;
+    if (!part.seen_alloc.insert(e.obj_id).second) continue;
+    SiteStats& d = delta[e.site];
+    ++d.alloc_objects;
+    d.alloc_bytes += e.size;
   }
-  for (const ObjectDeath& d : file.dead) {
-    if (!seen_dead_.insert({scope, pid, d.obj_id}).second) continue;
-    SiteStats& s = site(pid, d.site);
-    ++s.dead_objects;
-    s.dead_bytes += d.size;
+  for (const ObjectDeath& dead : file.dead) {
+    if (!part.seen_dead.insert(dead.obj_id).second) continue;
+    SiteStats& d = delta[dead.site];
+    ++d.dead_objects;
+    d.dead_bytes += dead.size;
+  }
+  for (const auto& [idx, d] : delta) {
+    add_counts(part.charges[idx], d);
+    add_counts(site(pid, idx), d);
+  }
+}
+
+void SiteTable::ingest(const std::string& scope, hw::Pid pid,
+                       std::shared_ptr<const ObjectMapFile> file) {
+  ++maps_ingested_;
+  if (file->truncated) ++maps_truncated_;
+  for (const SiteName& sn : file->sites) adopt_name(pid, sn.site, sn.name);
+  Partition& part = partitions_[{scope, pid}];
+  index(part);
+  charge(part, pid, *file);
+  part.maps.push_back(std::move(file));
+}
+
+void SiteTable::merge(const SiteTable& other) {
+  if (&other == this) {
+    const SiteTable copy = other;
+    merge(copy);
+    return;
+  }
+  maps_ingested_ += other.maps_ingested_;
+  maps_truncated_ += other.maps_truncated_;
+  for (const auto& [key, theirs] : other.sites_) {
+    // A fallback name carries no dictionary knowledge; the site still exists.
+    if (theirs.name == site_symbol(key.second))
+      site(key.first, key.second);
+    else
+      adopt_name(key.first, key.second, theirs.name);
+  }
+  for (const auto& [key, theirs] : other.partitions_) {
+    const hw::Pid pid = key.second;
+    auto [it, fresh] = partitions_.try_emplace(key);
+    Partition& mine = it->second;
+    if (fresh) {
+      // The maps are shared read-only; the seen-sets are replayed from them
+      // only if this partition is ever folded into again.
+      mine.maps = theirs.maps;
+      mine.charges = theirs.charges;
+      for (const auto& [idx, c] : theirs.charges) add_counts(site(pid, idx), c);
+      continue;
+    }
+    index(mine);
+    for (const auto& map : theirs.maps) {
+      charge(mine, pid, *map);
+      mine.maps.push_back(map);
+    }
   }
 }
 

@@ -9,12 +9,20 @@
 // maps are folded. Both the online server and the offline resolver build
 // this table from the same file bytes, which is what makes the rendered
 // per-site rows byte-identical across ingest paths.
+//
+// The dedup state is partitioned by (scope, pid): each partition keeps its
+// own obj_id seen-sets, per-site charges, and shared read-only references
+// to the maps it folded. merge() adopts a partition the target lacks in
+// O(sites) — counts and map references, no per-object work — and falls back
+// to an exact per-object union only when both sides hold the same partition.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "hw/types.hpp"
@@ -23,7 +31,7 @@
 namespace viprof::memprof {
 
 struct SiteStats {
-  std::string name;  // first dictionary name seen; "site#<idx>" fallback
+  std::string name;  // lexicographic-min dictionary name; "site#<idx>" fallback
   std::uint64_t alloc_objects = 0;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t dead_objects = 0;
@@ -47,11 +55,22 @@ class SiteTable {
   /// obj_id). `scope` names the session the map tree belongs to — obj_ids
   /// are per-session, so two sessions that happen to share a pid must not
   /// dedup against each other (and must total the same no matter which
-  /// folds first).
-  void ingest(const std::string& scope, hw::Pid pid, const ObjectMapFile& file);
+  /// folds first). The table keeps `file` alive as a read-only reference.
+  void ingest(const std::string& scope, hw::Pid pid,
+              std::shared_ptr<const ObjectMapFile> file);
+  void ingest(const std::string& scope, hw::Pid pid, const ObjectMapFile& file) {
+    ingest(scope, pid, std::make_shared<const ObjectMapFile>(file));
+  }
 
   /// Single-session fold (the offline report path): empty scope.
   void ingest(hw::Pid pid, const ObjectMapFile& file) { ingest("", pid, file); }
+
+  /// Adds `other` into this table: the result equals one table that
+  /// ingested every map of both, in any order, with map counts summed per
+  /// fold. A partition this table lacks costs O(its sites); one both hold
+  /// is unioned per object, so merging the same partition twice charges
+  /// nothing twice.
+  void merge(const SiteTable& other);
 
   /// Sites keyed by (pid, site), ordered — deterministic render order.
   const std::map<std::pair<hw::Pid, std::uint32_t>, SiteStats>& sites() const {
@@ -65,27 +84,24 @@ class SiteTable {
   std::uint64_t maps_truncated() const { return maps_truncated_; }
 
  private:
-  struct Key {
-    std::string scope;
-    hw::Pid pid;
-    std::uint64_t obj_id;
-    bool operator==(const Key& o) const {
-      return pid == o.pid && obj_id == o.obj_id && scope == o.scope;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      return std::hash<std::string>{}(k.scope) ^
-             static_cast<std::size_t>((static_cast<std::uint64_t>(k.pid) << 48) ^
-                                      k.obj_id * 0x9e3779b97f4a7c15ull);
-    }
+  struct Partition {
+    std::vector<std::shared_ptr<const ObjectMapFile>> maps;  // every map folded
+    std::map<std::uint32_t, SiteStats> charges;  // this partition's share (no names)
+    // obj_id seen-sets. A partition adopted by merge() arrives without
+    // them; they are replayed from `maps` before its next per-object fold.
+    bool indexed = false;
+    std::unordered_set<std::uint64_t> seen_alloc, seen_dead;
   };
 
   SiteStats& site(hw::Pid pid, std::uint32_t site);
+  void adopt_name(hw::Pid pid, std::uint32_t site, const std::string& name);
+  static void index(Partition& part);
+  /// Charges `file`'s first sightings and first deaths to `part` and to the
+  /// table-wide per-site totals.
+  void charge(Partition& part, hw::Pid pid, const ObjectMapFile& file);
 
   std::map<std::pair<hw::Pid, std::uint32_t>, SiteStats> sites_;
-  std::unordered_set<Key, KeyHash> seen_alloc_;
-  std::unordered_set<Key, KeyHash> seen_dead_;
+  std::map<std::pair<std::string, hw::Pid>, Partition> partitions_;
   std::uint64_t maps_ingested_ = 0;
   std::uint64_t maps_truncated_ = 0;
 };

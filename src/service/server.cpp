@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "core/code_map.hpp"
-#include "memprof/object_map.hpp"
 #include "memprof/report.hpp"
 #include "memprof/resolve.hpp"
 #include "service/query.hpp"
@@ -361,11 +360,9 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
         if (r.pid == pid) { reg = &r; break; }
       if (reg == nullptr || reg->obj_map_dir.empty()) continue;
       const std::string dir = reg->obj_map_dir;
-      obj.pins_[pid] = cache_.get(
-          session->id() + "#obj", pid, ceiling, [session, dir, pid = pid]() {
-            std::lock_guard<std::mutex> lock(session->world_mu_);
-            return memprof::load_object_index(session->world_, dir, pid).index;
-          });
+      obj.pins_[pid] =
+          cache_.get(session->id() + "#obj", pid, ceiling,
+                     [session, dir, pid = pid]() { return session->object_index(dir, pid); });
     }
     const std::uint64_t resolve_t0 = support::monotonic_ns();
     core::RowMemo combined_memo;

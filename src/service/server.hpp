@@ -116,6 +116,7 @@ class ProfileServer {
   ///   top N [--session S] [--event time|dmiss]
   ///   since-epoch K [--session S] [--top N]
   ///   arcs N [--session S]
+  ///   memprof N [--session S] — allocation-site table, O(sites + profile)
   ///   snapshot
   ///   stats [--json]       — live telemetry snapshot (text table / JSON)
   ///   trace                — the server's span ring as Chrome trace JSON

@@ -25,6 +25,20 @@ std::optional<hw::Pid> pid_from_map_path(const std::string& path) {
   return pid;
 }
 
+/// "<dir>/<pid>/omap.<E>" → (dir, pid): exactly the partition whose
+/// load_object_index(dir, pid) listing the file falls in.
+std::optional<std::pair<std::string, hw::Pid>> object_map_key(const std::string& path) {
+  const std::size_t last = path.rfind('/');
+  if (last == std::string::npos || path.compare(last + 1, 5, "omap.") != 0)
+    return std::nullopt;
+  const auto pid = pid_from_map_path(path);
+  const std::size_t prev = last == 0 ? std::string::npos : path.rfind('/', last - 1);
+  if (!pid || prev == std::string::npos ||
+      path.compare(prev + 1, last - prev - 1, std::to_string(*pid)) != 0)
+    return std::nullopt;
+  return std::make_pair(path.substr(0, prev), *pid);
+}
+
 }  // namespace
 
 SessionStats ServerSession::stats() const {
@@ -66,10 +80,37 @@ std::uint64_t ServerSession::registration_version() const {
   return table_.version();
 }
 
+std::vector<core::VmRegistration> ServerSession::registrations() const {
+  std::lock_guard<std::mutex> lock(reg_mu_);
+  return table_.all();
+}
+
+os::Vfs ServerSession::world() const {
+  std::lock_guard<std::mutex> lock(world_mu_);
+  return world_;
+}
+
 void ServerSession::store_file(const std::string& path, std::string bytes) {
+  const std::uint64_t t0 = support::monotonic_ns();
+  const auto omap = object_map_key(path);
+  std::shared_ptr<const memprof::ObjectMapFile> map;
+  if (omap) {
+    // The file-name epoch is the salvage hint, exactly as load_object_index
+    // uses it, so the kept map equals what a full reload would parse.
+    const auto hint = memprof::ObjectMapFile::epoch_from_path(path);
+    map = std::make_shared<const memprof::ObjectMapFile>(
+        memprof::ObjectMapFile::salvage(bytes, hint.value_or(0)).file);
+  }
   {
     std::lock_guard<std::mutex> lock(world_mu_);
     world_.write(path, std::move(bytes));
+  }
+  // Folded before the ceiling moves: a batch pinned at this epoch finds
+  // the map among the kept ones.
+  if (omap) {
+    fold_object_map(*omap, path, std::move(map));
+    if (fold_us_ != nullptr)
+      fold_us_->add(static_cast<double>(support::monotonic_ns() - t0) / 1000.0);
   }
   const auto epoch = core::CodeMapFile::epoch_from_path(path);
   const auto pid = epoch ? pid_from_map_path(path) : std::nullopt;
@@ -81,11 +122,34 @@ void ServerSession::store_file(const std::string& path, std::string bytes) {
   files_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void ServerSession::fold_object_map(const PartitionKey& key, const std::string& path,
+                                    std::shared_ptr<const memprof::ObjectMapFile> map) {
+  bool refold = false;
+  {
+    std::lock_guard<support::TracedMutex> lock(sites_mu_);
+    ObjectPartition& part = object_parts_[key];
+    if (part.maps.insert_or_assign(path, map).second) {
+      part.sites.ingest(id_, key.second, std::move(map));
+    } else {
+      // Re-streamed path: the old map's charges cannot be taken back out
+      // of the fold, so rebuild the partition from the kept maps.
+      memprof::SiteTable rebuilt;
+      for (const auto& [kept_path, kept] : part.maps) rebuilt.ingest(id_, key.second, kept);
+      part.sites = std::move(rebuilt);
+      refold = true;
+    }
+  }
+  if (maps_folded_ != nullptr) maps_folded_->inc();
+  if (refold && refolds_ != nullptr) refolds_->inc();
+}
+
 const core::ArchiveResolver* ServerSession::resolver() {
+  if (const auto* ready = resolver_ready_.load(std::memory_order_acquire)) return ready;
   std::lock_guard<std::mutex> lock(world_mu_);
   if (!resolver_ && world_.exists("archive/manifest")) {
     resolver_ = std::make_unique<core::ArchiveResolver>(
         world_, "archive", /*vm_aware=*/true, /*load_jit_maps=*/false);
+    resolver_ready_.store(resolver_.get(), std::memory_order_release);
   }
   return resolver_.get();
 }
@@ -137,19 +201,28 @@ std::vector<core::CallArc> ServerSession::ranked_arcs() const {
 }
 
 void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
-  std::vector<core::VmRegistration> regs;
-  {
-    std::lock_guard<std::mutex> lock(reg_mu_);
-    regs = table_.all();
-  }
-  std::lock_guard<std::mutex> lock(world_mu_);
+  const std::vector<core::VmRegistration> regs = registrations();
+  std::lock_guard<support::TracedMutex> lock(sites_mu_);
   for (const core::VmRegistration& reg : regs) {
     if (reg.obj_map_dir.empty()) continue;
-    memprof::ObjectIndexLoad load =
-        memprof::load_object_index(world_, reg.obj_map_dir, reg.pid);
-    for (const memprof::ObjectMapFile& file : load.files)
-      sites.ingest(id_, reg.pid, file);
+    const auto it = object_parts_.find({reg.obj_map_dir, reg.pid});
+    if (it != object_parts_.end()) sites.merge(it->second.sites);
   }
+}
+
+core::CodeMapIndex ServerSession::object_index(const std::string& dir,
+                                               hw::Pid pid) const {
+  std::vector<std::shared_ptr<const memprof::ObjectMapFile>> maps;
+  {
+    std::lock_guard<support::TracedMutex> lock(sites_mu_);
+    const auto it = object_parts_.find({dir, pid});
+    if (it != object_parts_.end())
+      for (const auto& [path, map] : it->second.maps) maps.push_back(map);
+  }
+  core::CodeMapIndex index;
+  for (const auto& map : maps) index.add(map->to_code_map());
+  index.prepare();
+  return index;
 }
 
 ServerSession::FlushDelta ServerSession::take_flush() {

@@ -6,8 +6,19 @@
 // bounded batch queue toward the ingest workers, and the rolling
 // aggregates. Locks, never nested with each other:
 //   ingest_mu_   — parsers, epoch ceilings, enqueue sequencing (receiver)
-//   world_mu_    — the VFS and the lazily built resolver (receiver + workers)
+//   world_mu_    — the VFS; the resolver's one-time construction (receiver +
+//                  first worker; afterwards workers read it lock-free)
+//   reg_mu_      — the registration table (receiver + queries)
+//   sites_mu_    — object-map partitions: kept salvaged maps and their
+//                  allocation-site tables (receiver, queries, "#obj" loader)
 //   stripe locks — one per aggregation stripe (workers + queries)
+//
+// Object maps are folded once, on arrival (DESIGN.md §15): store_file
+// salvages an omap.<E> file outside every lock, then folds it into the
+// SiteTable of its (obj_dir, pid) partition under sites_mu_. A `memprof`
+// query merges the registered partitions — no parse, no world_mu_ — and
+// the "#obj" index loader projects the kept maps instead of re-reading the
+// world.
 //
 // Aggregation is striped (DESIGN.md §14): a batch lands on stripe
 // (apply_seq % stripes) and folds into that stripe's order-recovering
@@ -103,9 +114,13 @@ class ServerSession {
       stripes_.push_back(std::make_unique<Stripe>());
     if (telemetry != nullptr) {
       ingest_mu_.attach(*telemetry);
+      sites_mu_.attach(*telemetry);
       for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
       queue_.instrument(&telemetry->gauge("service.queue.depth"),
                         &telemetry->histogram("service.queue.depth_hist", 0.0, 1.0, 64));
+      maps_folded_ = &telemetry->counter("service.memprof.maps_folded");
+      refolds_ = &telemetry->counter("service.memprof.refolds");
+      fold_us_ = &telemetry->histogram("service.memprof.fold_us", 0.0, 250.0, 64);
     }
   }
 
@@ -128,12 +143,21 @@ class ServerSession {
   std::uint64_t registration_version() const;
 
   /// Stores a streamed file in the session world; code-map paths bump the
-  /// owning pid's epoch ceiling.
+  /// owning pid's epoch ceiling. An object map (`<dir>/<pid>/omap.<E>`) is
+  /// salvaged here, once, and folded into its (dir, pid) site partition;
+  /// re-streaming a path rebuilds that partition from the kept maps.
   void store_file(const std::string& path, std::string bytes);
+
+  /// Accepted VM registrations, in table order.
+  std::vector<core::VmRegistration> registrations() const;
+
+  /// Copy of the streamed world (the full-reload path's input).
+  os::Vfs world() const;
 
   /// The session's resolver, built from the streamed archive manifest on
   /// first use (jit maps stay external — workers resolve through the
-  /// shared cache). nullptr until the manifest has been streamed.
+  /// shared cache), then read lock-free. nullptr until the manifest has
+  /// been streamed.
   const core::ArchiveResolver* resolver();
 
   /// Combined rolling profile, per-event profiles merged in canonical
@@ -146,10 +170,15 @@ class ServerSession {
   /// Rolling cross-layer call graph (arc list copy).
   std::vector<core::CallArc> ranked_arcs() const;
 
-  /// Folds the allocation-site table derived from every streamed object
-  /// map of every registered VM into `sites` (additive across sessions;
-  /// per-(pid, obj_id) dedup makes re-folds idempotent).
+  /// Merges the site partition of every registered VM's object maps into
+  /// `sites` (additive across sessions; per-(pid, obj_id) dedup makes
+  /// re-folds idempotent). O(sites): the maps were folded on arrival.
   void fold_object_sites(memprof::SiteTable& sites) const;
+
+  /// Epoch index over the object maps streamed so far under (dir, pid),
+  /// projected from the kept salvaged maps — the same index
+  /// memprof::load_object_index builds from the world, without a re-parse.
+  core::CodeMapIndex object_index(const std::string& dir, hw::Pid pid) const;
 
   /// Everything applied since the previous take_flush(): the increment the
   /// persistent profile store ingests as one interval (DESIGN.md §11).
@@ -214,14 +243,33 @@ class ServerSession {
   std::map<hw::Pid, std::uint64_t> ceilings_;
   std::uint64_t next_enqueue_seq_ = 0;
 
+  /// The object maps of one (obj_dir, pid): salvaged once on arrival and
+  /// kept by path (the world's listing order), plus their folded sites.
+  struct ObjectPartition {
+    std::map<std::string, std::shared_ptr<const memprof::ObjectMapFile>> maps;
+    memprof::SiteTable sites;
+  };
+  using PartitionKey = std::pair<std::string, hw::Pid>;  // (obj_dir, pid)
+
+  void fold_object_map(const PartitionKey& key, const std::string& path,
+                       std::shared_ptr<const memprof::ObjectMapFile> map);
+
   // ---- streamed world (world_mu_)
   mutable std::mutex world_mu_;
   os::Vfs world_;
-  std::unique_ptr<core::ArchiveResolver> resolver_;
+  std::unique_ptr<core::ArchiveResolver> resolver_;  // built once, never replaced
+  std::atomic<const core::ArchiveResolver*> resolver_ready_{nullptr};
 
   // ---- registrations (own lock; consulted from receiver and queries)
   mutable std::mutex reg_mu_;
   core::RegistrationTable table_;
+
+  // ---- object-map site partitions (sites_mu_, a leaf lock)
+  mutable support::TracedMutex sites_mu_{"service.session.sites"};
+  std::map<PartitionKey, ObjectPartition> object_parts_;
+  support::Counter* maps_folded_ = nullptr;  // null without telemetry
+  support::Counter* refolds_ = nullptr;
+  support::LatencyHistogram* fold_us_ = nullptr;
 
   // ---- ingest queue (self-locked)
   support::BoundedQueue<Batch> queue_;

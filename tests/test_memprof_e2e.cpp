@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -96,6 +97,75 @@ void replay(service::ProfileServer& server, const RecordedMemprof& run,
   service::ReplayClient client(run.vfs(), id, *conn,
                                service::ReplayOptions{128, nullptr, {}});
   ASSERT_TRUE(client.run());
+}
+
+/// The full-reload fold, kept as the oracle for fold-at-arrival: re-salvage
+/// every object map of every registered VM from the session's streamed
+/// world as it stands right now.
+void reload_sites(const service::ServerSession& session, SiteTable& sites) {
+  const os::Vfs world = session.world();
+  for (const core::VmRegistration& reg : session.registrations()) {
+    if (reg.obj_map_dir.empty()) continue;
+    for (const ObjectMapFile& file : load_object_index(world, reg.obj_map_dir, reg.pid).files)
+      sites.ingest(session.id(), reg.pid, file);
+  }
+}
+
+std::string reload_memprof(service::ProfileServer& server, const std::string& id,
+                           std::size_t top) {
+  const std::shared_ptr<service::ServerSession> session = server.session(id);
+  SiteTable sites;
+  reload_sites(*session, sites);
+  return render_memprof(sites, session->merged_profile(), top);
+}
+
+/// Records every frame a client emits, so a test can deliver them one by one.
+class FrameRecorder final : public service::Transport {
+ public:
+  bool send(const std::string& bytes) override {
+    frames.push_back(bytes);
+    return true;
+  }
+  void close() override {}
+  bool is_closed() const override { return false; }
+
+  std::vector<std::string> frames;
+};
+
+std::vector<std::string> object_map_paths(const RecordedMemprof& run) {
+  return run.vfs().list("obj_maps/" + std::to_string(run.regs().at(0).pid) + "/omap.");
+}
+
+/// The session's "reg ..." line from the recorded archive manifest.
+std::string manifest_reg_line(const RecordedMemprof& run) {
+  const std::string prefix = "reg " + std::to_string(run.regs().at(0).pid) + " ";
+  std::istringstream in(*run.vfs().read("archive/manifest"));
+  std::string line;
+  while (std::getline(in, line))
+    if (line.rfind(prefix, 0) == 0) return line;
+  return "";
+}
+
+/// Streams `id`'s registration line and every object map of `run` over a
+/// fresh connection: no manifest, no samples.
+void stream_object_maps(service::ProfileServer& server, const RecordedMemprof& run,
+                        const std::string& id) {
+  auto conn = server.connect(id + "-maps");
+  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, id)));
+  ASSERT_TRUE(
+      conn->send(service::encode_frame(service::FrameType::kRegisterVm, manifest_reg_line(run))));
+  for (const std::string& path : object_map_paths(run))
+    ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kFile,
+                                                 path + "\n" + *run.vfs().read(path))));
+}
+
+std::uint64_t counter(service::ProfileServer& server, const std::string& name) {
+  return server.telemetry().snapshot().counter(name);
+}
+
+/// Everything above the "object maps:" footer line.
+std::string without_footer(const std::string& rendered) {
+  return rendered.substr(0, rendered.rfind("object maps:"));
 }
 
 TEST(MemprofE2E, SessionHasSamplesSpanningGcMoves) {
@@ -194,6 +264,154 @@ TEST(MemprofE2E, FederatedMemprofMatchesSingleServerAtAnyShardCount) {
     fleet::Federator federator(router);
     EXPECT_EQ(federator.query("memprof 25"), oracle) << shard_count << " shards";
   }
+}
+
+// Fold at arrival (DESIGN.md §15): after every single frame of the stream,
+// the incrementally folded answer equals a full reload of the server's
+// world at that moment, and each streamed object map is folded once.
+TEST(MemprofE2E, FoldAtArrivalMatchesFullReloadAfterEveryFrame) {
+  const RecordedMemprof run = record_memprof_session(0xf01d);
+  FrameRecorder recorded;
+  service::ReplayClient client(run.vfs(), "mem-frames", recorded,
+                               service::ReplayOptions{128, nullptr, {}});
+  ASSERT_TRUE(client.run());
+
+  service::ProfileServer server;
+  auto conn = server.connect("mem-frames");
+  std::size_t checked = 0;
+  for (const std::string& frame : recorded.frames) {
+    ASSERT_TRUE(conn->send(frame));
+    if (!server.session("mem-frames")) continue;  // hello / before open
+    server.drain();
+    ASSERT_EQ(server.query("memprof 20 --session mem-frames"),
+              reload_memprof(server, "mem-frames", 20))
+        << "after frame " << checked;
+    ++checked;
+  }
+  EXPECT_GT(checked, object_map_paths(run).size());
+  EXPECT_EQ(server.query("memprof 20 --session mem-frames"), offline_memprof(run, 20));
+
+  EXPECT_EQ(counter(server, "service.memprof.maps_folded"), object_map_paths(run).size());
+  EXPECT_EQ(counter(server, "service.memprof.refolds"), 0u);
+  const std::string stats = server.query("stats");
+  for (const char* metric : {"service.memprof.maps_folded", "service.memprof.refolds",
+                             "service.memprof.fold_us", "lock.service.session.sites"})
+    EXPECT_NE(stats.find(metric), std::string::npos) << metric;
+}
+
+TEST(MemprofE2E, RestreamedObjectMapRebuildsItsPartition) {
+  const RecordedMemprof run = record_memprof_session(0xbee);
+  service::ProfileServer server;
+  replay(server, run, "mem-re");
+  server.drain();
+  const std::string before = server.query("memprof 25 --session mem-re");
+  ASSERT_EQ(before, reload_memprof(server, "mem-re", 25));
+  const std::vector<std::string> maps = object_map_paths(run);
+  ASSERT_GE(maps.size(), 2u);
+
+  auto conn = server.connect("mem-re-again");
+  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, "mem-re")));
+  const auto restream = [&](const std::string& path, const std::string& bytes) {
+    ASSERT_TRUE(conn->send(
+        service::encode_frame(service::FrameType::kFile, path + "\n" + bytes)));
+  };
+
+  // Identical bytes: the rebuilt partition is the same table.
+  restream(maps[0], *run.vfs().read(maps[0]));
+  EXPECT_EQ(server.query("memprof 25 --session mem-re"), before);
+  EXPECT_EQ(counter(server, "service.memprof.refolds"), 1u);
+
+  // Different bytes (a torn copy): the new map replaces the old one.
+  const std::string bytes = *run.vfs().read(maps[1]);
+  restream(maps[1], bytes.substr(0, bytes.size() / 2));
+  const std::string after = server.query("memprof 25 --session mem-re");
+  EXPECT_EQ(after, reload_memprof(server, "mem-re", 25));
+  EXPECT_NE(after.find(std::to_string(maps.size()) + " ingested, 1 truncated"),
+            std::string::npos)
+      << after;
+  EXPECT_EQ(counter(server, "service.memprof.refolds"), 2u);
+  EXPECT_EQ(counter(server, "service.memprof.maps_folded"), maps.size() + 2);
+}
+
+TEST(MemprofE2E, ObjectMapsBeforeRegistrationAndForRejectedPids) {
+  const RecordedMemprof run = record_memprof_session(0x51);
+  const std::vector<std::string> maps = object_map_paths(run);
+  service::ProfileServer server;
+  auto conn = server.connect("mem-early");
+  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, "mem-early")));
+  const auto send_map = [&](const std::string& path, const std::string& bytes) {
+    ASSERT_TRUE(conn->send(
+        service::encode_frame(service::FrameType::kFile, path + "\n" + bytes)));
+  };
+
+  // Maps that arrive before their VM registers are folded, not reported.
+  for (const std::string& path : maps) send_map(path, *run.vfs().read(path));
+  const std::string unregistered = server.query("memprof 25 --session mem-early");
+  EXPECT_EQ(unregistered, reload_memprof(server, "mem-early", 25));
+  EXPECT_NE(unregistered.find("object maps: 0 ingested"), std::string::npos);
+
+  ASSERT_TRUE(conn->send(
+      service::encode_frame(service::FrameType::kRegisterVm, manifest_reg_line(run))));
+  const std::string registered = server.query("memprof 25 --session mem-early");
+  EXPECT_EQ(registered, reload_memprof(server, "mem-early", 25));
+  EXPECT_NE(registered.find("object maps: " + std::to_string(maps.size()) + " ingested"),
+            std::string::npos)
+      << registered;
+
+  // A rejected registration (empty heap range) never reports its maps.
+  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kRegisterVm,
+                                               "reg 4242 2000 1000 0 0 - - obj_maps")));
+  send_map(ObjectMapFile::path_for("obj_maps", 4242, 0), *run.vfs().read(maps[0]));
+  EXPECT_EQ(server.query("memprof 25 --session mem-early"), registered);
+  EXPECT_EQ(server.query("memprof 25 --session mem-early"),
+            reload_memprof(server, "mem-early", 25));
+  EXPECT_EQ(counter(server, "service.memprof.maps_folded"), maps.size() + 1);
+}
+
+// The federator seeing one session through two shards: its partitions meet
+// in one table and union per object, so every site row equals the single
+// server's, while the map footer sums per fold — exactly what a full reload
+// over both shards' worlds renders.
+TEST(MemprofE2E, FederatedMemprofUnionsOneSessionAliveOnTwoShards) {
+  const RecordedMemprof a = record_memprof_session(0x51);
+  const RecordedMemprof b = record_memprof_session(0x52);
+  service::ProfileServer single;
+  replay(single, a, "mem-a");
+  replay(single, b, "mem-b");
+  single.drain();
+  const std::string oracle = single.query("memprof 25");
+
+  os::Vfs fleet_vfs;
+  fleet::FleetConfig config;
+  config.shards = 2;
+  fleet::Router router(fleet_vfs, config);
+  const fleet::SessionOutcome routed = router.ingest(a.vfs(), "mem-a");
+  ASSERT_TRUE(routed.completed);
+  ASSERT_TRUE(router.ingest(b.vfs(), "mem-b").completed);
+  std::string twin;
+  for (const std::string& name : router.shard_names())
+    if (name != routed.shard) twin = name;
+  ASSERT_FALSE(twin.empty());
+  stream_object_maps(*router.server(twin), a, "mem-a");
+
+  fleet::Federator federator(router);
+  const std::string federated = federator.query("memprof 25");
+  EXPECT_EQ(without_footer(federated), without_footer(oracle));
+  const std::size_t maps = object_map_paths(a).size() * 2 + object_map_paths(b).size();
+  EXPECT_NE(federated.find("object maps: " + std::to_string(maps) + " ingested"),
+            std::string::npos)
+      << federated;
+
+  SiteTable sites;
+  core::Profile merged;
+  for (const std::string& name : router.shard_names()) {
+    service::ProfileServer* server = router.server(name);
+    for (const std::string& id : server->session_ids()) {
+      reload_sites(*server->session(id), sites);
+      merged.merge(server->session(id)->merged_profile());
+    }
+  }
+  EXPECT_EQ(federated, render_memprof(sites, merged, 25));
 }
 
 }  // namespace

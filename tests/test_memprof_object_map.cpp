@@ -175,6 +175,25 @@ TEST(SiteTable, IngestIsIdempotentPerObject) {
   EXPECT_EQ(s1.alloc_bytes, 1024u + 32768u);
   EXPECT_EQ(s1.live_bytes(), 1024u + 32768u);
   EXPECT_EQ(table.name_of(101, 1), "Hot.alloc:3");
+
+  // merge: adopting the partition, then meeting it again (a federated query
+  // seeing the session through two shards) charges nothing twice; only the
+  // map counts sum per fold. A later ingest into the adopted partition
+  // still dedups against the maps it came with.
+  SiteTable merged;
+  merged.merge(table);
+  merged.merge(table);
+  merged.ingest(101, map6);
+  EXPECT_EQ(merged.maps_ingested(), 7u);
+  ASSERT_EQ(merged.sites().size(), sites.size());
+  for (const auto& [key, stats] : sites) {
+    const SiteStats& m = merged.sites().at(key);
+    EXPECT_EQ(m.name, stats.name);
+    EXPECT_EQ(m.alloc_objects, stats.alloc_objects);
+    EXPECT_EQ(m.alloc_bytes, stats.alloc_bytes);
+    EXPECT_EQ(m.dead_objects, stats.dead_objects);
+    EXPECT_EQ(m.dead_bytes, stats.dead_bytes);
+  }
 }
 
 TEST(SiteTable, DictionaryFallbackNamesLostSites) {

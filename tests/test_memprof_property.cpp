@@ -5,17 +5,21 @@
 // epoch index (resolve_object over the code-map projection) must agree
 // exactly with a naive backward walk over the object-map files themselves,
 // including every crash-aware refusal. Runs under TSan in the sanitizer CI
-// stage: the shared prepared index is probed from several threads.
+// stage: the shared prepared index is probed from several threads. The
+// same schedules feed the SiteTable merge property: any split of the maps
+// over tables, merged in any order, equals one table that ingests them all.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/code_map.hpp"
 #include "memprof/object_map.hpp"
 #include "memprof/resolve.hpp"
+#include "memprof/site_table.hpp"
 #include "support/rng.hpp"
 
 namespace viprof::memprof {
@@ -254,6 +258,100 @@ TEST(MemprofResolveProperty, ConcurrentResolutionMatchesSerial) {
   EXPECT_EQ(merged.untracked, serial.untracked);
   EXPECT_EQ(merged.backward_steps, serial.backward_steps);
 }
+
+void expect_same_sites(const SiteTable& got, const SiteTable& want, std::uint64_t seed) {
+  ASSERT_EQ(got.sites().size(), want.sites().size()) << "seed=" << seed;
+  for (const auto& [key, w] : want.sites()) {
+    const auto it = got.sites().find(key);
+    ASSERT_NE(it, got.sites().end()) << "pid=" << key.first << " site=" << key.second;
+    const SiteStats& g = it->second;
+    EXPECT_EQ(g.name, w.name) << "seed=" << seed;
+    EXPECT_EQ(g.alloc_objects, w.alloc_objects) << "seed=" << seed;
+    EXPECT_EQ(g.alloc_bytes, w.alloc_bytes) << "seed=" << seed;
+    EXPECT_EQ(g.dead_objects, w.dead_objects) << "seed=" << seed;
+    EXPECT_EQ(g.dead_bytes, w.dead_bytes) << "seed=" << seed;
+  }
+}
+
+// SiteTable::merge is an order-free, idempotent union (DESIGN.md §15). Maps
+// of two sessions that share pids (lost and torn maps included) are split
+// over several tables, some maps fed to two tables, then the tables are
+// merged in a random tree — some merged twice or into themselves, some
+// folded into again after adopting a partition. The result must have the
+// sites() of one table that ingests every map once, and the map counts of
+// one table that ingests every map as often as the merges fed it.
+class SiteTableMergeProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SiteTableMergeProperty, AnySplitAnyMergeOrderEqualsOneTable) {
+  const std::uint64_t seed = GetParam();
+  support::Xoshiro256 rng(seed * 0x51ab + 3);
+  struct Fed {
+    std::string scope;
+    hw::Pid pid;
+    ObjectMapFile file;
+  };
+  std::vector<Fed> maps;
+  for (const std::string scope : {"sess-a", "sess-b"}) {
+    for (const hw::Pid pid : {7u, 9u}) {
+      const Schedule s = random_schedule(rng, 2 + rng.below(8));
+      for (const auto& [epoch, file] : s.kept) {
+        Fed fed{scope, pid, file};
+        // Per-session names: the lexicographic-min winner must not depend
+        // on which table saw which session first.
+        for (SiteName& sn : fed.file.sites) sn.name += "." + scope;
+        maps.push_back(std::move(fed));
+      }
+    }
+  }
+  ASSERT_FALSE(maps.empty());
+
+  struct Part {
+    SiteTable table;
+    std::vector<std::size_t> fed;  // indices into `maps`, with multiplicity
+  };
+  const auto feed = [&](Part& part, std::size_t m) {
+    part.table.ingest(maps[m].scope, maps[m].pid, maps[m].file);
+    part.fed.push_back(m);
+  };
+  const auto absorb = [](Part& into, const Part& from) {
+    into.table.merge(from.table);
+    into.fed.insert(into.fed.end(), from.fed.begin(), from.fed.end());
+  };
+  std::vector<Part> pool(1 + rng.below(5));
+  for (std::size_t m = 0; m < maps.size(); ++m) {
+    feed(pool[rng.below(pool.size())], m);
+    if (rng.below(4) == 0) feed(pool[rng.below(pool.size())], m);  // duplicate partition
+  }
+  while (pool.size() > 1) {
+    const std::size_t i = rng.below(pool.size());
+    std::size_t j = rng.below(pool.size() - 1);
+    if (j >= i) ++j;
+    absorb(pool[i], pool[j]);
+    if (rng.below(4) == 0) absorb(pool[i], pool[j]);  // the same partitions again
+    if (rng.below(8) == 0) {
+      const std::vector<std::size_t> fed = pool[i].fed;
+      pool[i].table.merge(pool[i].table);
+      pool[i].fed.insert(pool[i].fed.end(), fed.begin(), fed.end());
+    }
+    if (rng.below(3) == 0) feed(pool[i], rng.below(maps.size()));
+    pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(j));
+  }
+
+  SiteTable once;
+  for (const Fed& m : maps) once.ingest(m.scope, m.pid, m.file);
+  std::vector<std::size_t> order = pool[0].fed;
+  for (std::size_t k = order.size(); k > 1; --k) std::swap(order[k - 1], order[rng.below(k)]);
+  SiteTable replayed;
+  for (const std::size_t m : order) replayed.ingest(maps[m].scope, maps[m].pid, maps[m].file);
+
+  expect_same_sites(pool[0].table, once, seed);
+  expect_same_sites(replayed, once, seed);
+  EXPECT_EQ(pool[0].table.maps_ingested(), replayed.maps_ingested());
+  EXPECT_EQ(pool[0].table.maps_truncated(), replayed.maps_truncated());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SiteTableMergeProperty,
+                         ::testing::Range<std::uint64_t>(0, 24));
 
 }  // namespace
 }  // namespace viprof::memprof
