@@ -1,11 +1,12 @@
 // ABL4 microbenchmarks: offline resolution throughput — epoch code-map
-// search (flattened index vs the legacy backward walk), RVM.map parsing,
-// and an end-to-end resolve+aggregate pipeline measurement over a logged
-// session. These are the post-processing costs the paper deliberately
-// accepts to keep the online path cheap.
+// search (flattened index vs the legacy backward walk), RVM.map and
+// sample-log parsing, and an end-to-end resolve+aggregate pipeline
+// measurement over a logged session. These are the post-processing costs
+// the paper deliberately accepts to keep the online path cheap.
 //
 // Emits BENCH_resolve.json (harness schema) with the e2e throughput at
-// 1/2/4 worker threads; the renders are checked byte-identical across
+// 1/2/4/8 worker threads, plus sample_log_parse (ns per line) when
+// BM_SampleLogParse ran; the renders are checked byte-identical across
 // thread counts before anything is written.
 #include <benchmark/benchmark.h>
 
@@ -25,6 +26,7 @@
 #include "core/sample_log.hpp"
 #include "jvm/boot_image.hpp"
 #include "os/loader.hpp"
+#include "support/arena.hpp"
 #include "support/format.hpp"
 #include "support/rng.hpp"
 
@@ -142,6 +144,48 @@ void BM_RvmMapParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
 BENCHMARK(BM_RvmMapParse)->Arg(256)->Arg(4096);
+
+// ns per line of the last BM_SampleLogParse run; 0 when it was filtered out.
+double g_sample_log_parse_ns = 0.0;
+
+void BM_SampleLogParse(benchmark::State& state) {
+  // One batch of writer output as the service receives it, decoded into a
+  // pre-reserved arena vector the way ProfileServer::handle_batch does.
+  constexpr std::size_t kLines = 4096;
+  os::Vfs vfs;
+  core::SampleLogWriter writer(vfs, "s");
+  support::Xoshiro256 rng(0x5a3e);
+  for (std::size_t n = 0; n < kLines; ++n) {
+    core::LoggedSample s;
+    s.pc = 0x6000'0000 + rng.below(1 << 24);
+    s.caller_pc = 0x0804'8000 + rng.below(1 << 16);
+    s.mode = rng.below(10) == 0 ? hw::CpuMode::kKernel : hw::CpuMode::kUser;
+    s.pid = 1000 + static_cast<hw::Pid>(rng.below(4));
+    s.epoch = n / 64;
+    s.cycle = n * 9000;
+    writer.append(hw::EventKind::kGlobalPowerEvents, s);
+  }
+  writer.flush();
+  const std::string blob =
+      *vfs.read(core::SampleLogWriter::path_for("s", hw::EventKind::kGlobalPowerEvents));
+  support::Arena arena;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    support::ArenaVector<core::LoggedSample> out(arena);
+    out.reserve(kLines);
+    core::SampleStreamParser parser;
+    parser.parse_into(blob, out);
+    benchmark::DoNotOptimize(out.data());
+    arena.reset();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  g_sample_log_parse_ns =
+      elapsed.count() / static_cast<double>(state.iterations() * kLines);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kLines));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
+}
+BENCHMARK(BM_SampleLogParse);
 
 // --- End-to-end resolve+aggregate throughput -------------------------------
 //
@@ -308,6 +352,13 @@ bool run_e2e() {
   }
   if (!identical) return false;
   std::printf("  renders byte-identical across thread counts\n");
+  if (g_sample_log_parse_ns > 0.0) {
+    bench::BenchRecord record;
+    record.name = "sample_log_parse";
+    record.iterations = 1;
+    record.ns_per_op = g_sample_log_parse_ns;  // per line
+    records.push_back(std::move(record));
+  }
   bench::write_bench_json("resolve", records);
   return true;
 }

@@ -7,6 +7,7 @@
 #include "core/rvm_map.hpp"
 #include "support/check.hpp"
 #include "support/format.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::core {
 
@@ -77,6 +78,26 @@ void write_archive(const os::Machine& machine, const RegistrationTable& table,
   vfs.write(manifest_path(prefix), std::move(out));
 }
 
+std::optional<VmRegistration> parse_reg_line(std::string_view line) {
+  std::string_view tag, map_path, jit_dir, obj_dir;
+  std::uint64_t pid = 0;
+  VmRegistration reg;
+  if (!support::scan_token(line, tag) || tag != "reg" || !support::scan_u64(line, pid) ||
+      pid > 0xffffffffu || !support::scan_hex64(line, reg.heap_lo) ||
+      !support::scan_hex64(line, reg.heap_hi) ||
+      !support::scan_hex64(line, reg.boot_base) ||
+      !support::scan_u64(line, reg.boot_size) || !support::scan_token(line, map_path) ||
+      !support::scan_token(line, jit_dir))
+    return std::nullopt;
+  support::scan_token(line, obj_dir);
+  const auto dir = [](std::string_view d) { return d == "-" ? "" : std::string(d); };
+  reg.pid = static_cast<hw::Pid>(pid);
+  reg.boot_map_path = dir(map_path);
+  reg.jit_map_dir = dir(jit_dir);
+  reg.obj_map_dir = dir(obj_dir);
+  return reg;
+}
+
 ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
                                  bool vm_aware, bool load_jit_maps)
     : vm_aware_(vm_aware) {
@@ -133,18 +154,8 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
       ls >> image >> base_hex >> size;
       const Range range{image, std::stoull(base_hex, nullptr, 16), size};
       (tag == "kernel" ? kernel_ : hypervisor_) = range;
-    } else if (tag == "reg") {
-      VmRegistration reg;
-      std::string lo_hex, hi_hex, boot_hex, map_path, jit_dir, obj_dir;
-      ls >> reg.pid >> lo_hex >> hi_hex >> boot_hex >> reg.boot_size >> map_path >>
-          jit_dir >> obj_dir;  // obj_dir absent in pre-memprof archives
-      reg.heap_lo = std::stoull(lo_hex, nullptr, 16);
-      reg.heap_hi = std::stoull(hi_hex, nullptr, 16);
-      reg.boot_base = std::stoull(boot_hex, nullptr, 16);
-      reg.boot_map_path = map_path == "-" ? "" : map_path;
-      reg.jit_map_dir = jit_dir == "-" ? "" : jit_dir;
-      reg.obj_map_dir = (obj_dir == "-" || obj_dir.empty()) ? "" : obj_dir;
-      registrations_.push_back(reg);
+    } else if (const auto reg = parse_reg_line(line)) {
+      registrations_.push_back(*reg);
     }
   }
   for (auto& [pid, proc] : processes_) {

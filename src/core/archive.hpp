@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +30,11 @@ namespace viprof::core {
 /// file; RVM.map / code maps / sample logs are already files).
 void write_archive(const os::Machine& machine, const RegistrationTable& table,
                    os::Vfs& vfs, const std::string& prefix);
+
+/// One manifest "reg <pid> <heap_lo> <heap_hi> <boot_base> <boot_size> <map|->
+/// <dir|-> [<obj_dir|->]" line (hex addresses; older archives lack the
+/// object-map dir); nullopt when malformed. Every reader of the line uses it.
+std::optional<VmRegistration> parse_reg_line(std::string_view line);
 
 /// Pluggable provider of epoch code-map indexes, consulted on the JIT
 /// resolution path in place of the resolver's internally loaded maps. The

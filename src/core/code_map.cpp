@@ -40,18 +40,6 @@ bool parse_header_line(std::string_view line, std::uint64_t& epoch,
          support::at_end(line);
 }
 
-// Trailer "crc XXXXXXXX" (at most 8 hex digits) with nothing after.
-bool parse_crc_line(std::string_view line, std::uint32_t& crc) {
-  std::uint64_t value = 0;
-  if (!support::scan_lit(line, "crc") ||
-      !support::scan_hex64(line, value, /*max_digits=*/8) ||
-      !support::at_end(line)) {
-    return false;
-  }
-  crc = static_cast<std::uint32_t>(value);
-  return true;
-}
-
 }  // namespace
 
 std::string CodeMapFile::serialize() const {
@@ -124,7 +112,7 @@ CodeMapFile::Recovery CodeMapFile::salvage(const std::string& contents,
       consumed += line.size() + 1;
       continue;
     }
-    if (parse_crc_line(line, crc_read)) {
+    if (support::scan_crc_line(line, crc_read)) {
       saw_crc = true;
       crc_covers = consumed;
       consumed += line.size() + 1;

@@ -1,11 +1,81 @@
 #include "core/sample_log.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "support/arena.hpp"
-#include "support/format.hpp"
+#include "support/hash.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::core {
+
+namespace {
+
+/// A hex field; a bare "0x" is malformed, not a 0 followed by an 'x'.
+bool scan_hex_field(std::string_view& text, std::uint64_t& out) {
+  support::skip_ws(text);
+  if (text.size() >= 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X') &&
+      (text.size() == 2 || support::hex_value(text[2]) < 0))
+    return false;
+  return support::scan_hex64(text, out);
+}
+
+/// Verifies and decodes one line (terminator stripped). The crc must be
+/// exactly 8 hex digits after the last space and must match the body before
+/// any field is trusted; the body must hold exactly seven fields.
+bool decode_sample_line(std::string_view line, std::uint64_t& seq, LoggedSample& out) {
+  if (line.size() < 10) return false;
+  const std::size_t crc_at = line.size() - 8;
+  if (line[crc_at - 1] != ' ') return false;
+  std::uint32_t crc = 0;
+  for (std::size_t i = crc_at; i < line.size(); ++i) {
+    const int digit = support::hex_value(line[i]);
+    if (digit < 0) return false;
+    crc = crc << 4 | static_cast<std::uint32_t>(digit);
+  }
+  std::string_view body = line.substr(0, crc_at - 1);
+  return support::fnv1a(body.data(), body.size()) == crc &&
+         scan_sample_fields(body, seq, out) && support::at_end(body);
+}
+
+}  // namespace
+
+std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& s,
+                                    char (&buf)[kMaxSampleLine]) {
+  char* p = buf;
+  const auto field = [&p, &buf](std::uint64_t value, int base) {
+    p = std::to_chars(p, buf + kMaxSampleLine, value, base).ptr;
+    *p++ = ' ';
+  };
+  field(seq, 10);
+  field(s.pc, 16);
+  field(s.caller_pc, 16);
+  *p++ = "ukh"[static_cast<std::size_t>(s.mode)];  // CpuMode: user, kernel, hypervisor
+  *p++ = ' ';
+  field(s.pid, 10);
+  field(s.epoch, 10);
+  field(s.cycle, 10);
+  const std::uint32_t crc = support::fnv1a(buf, static_cast<std::size_t>(p - buf - 1));
+  for (int shift = 28; shift >= 0; shift -= 4)
+    *p++ = "0123456789abcdef"[crc >> shift & 0xf];
+  *p++ = '\n';
+  return {buf, static_cast<std::size_t>(p - buf)};
+}
+
+bool scan_sample_fields(std::string_view& text, std::uint64_t& seq, LoggedSample& out) {
+  std::uint64_t pid = 0;
+  if (!support::scan_u64(text, seq) || !scan_hex_field(text, out.pc) ||
+      !scan_hex_field(text, out.caller_pc))
+    return false;
+  support::skip_ws(text);
+  if (text.empty() || text.front() == '\0') return false;
+  out.mode = text.front() == 'k'   ? hw::CpuMode::kKernel
+             : text.front() == 'h' ? hw::CpuMode::kHypervisor
+                                   : hw::CpuMode::kUser;
+  text.remove_prefix(1);
+  if (!support::scan_u64(text, pid) || pid > 0xffffffffu) return false;
+  out.pid = static_cast<hw::Pid>(pid);
+  return support::scan_u64(text, out.epoch) && support::scan_u64(text, out.cycle);
+}
 
 std::string SampleLogWriter::path_for(const std::string& dir, hw::EventKind event) {
   return dir + "/" + hw::to_string(event) + ".samples";
@@ -13,22 +83,8 @@ std::string SampleLogWriter::path_for(const std::string& dir, hw::EventKind even
 
 void SampleLogWriter::append(hw::EventKind event, const LoggedSample& s) {
   const std::size_t i = hw::event_index(event);
-  char buf[192];
-  const int body = std::snprintf(
-      buf, sizeof buf, "%llu %llx %llx %c %u %llu %llu",
-      static_cast<unsigned long long>(next_seq_[i]++),
-      static_cast<unsigned long long>(s.pc),
-      static_cast<unsigned long long>(s.caller_pc),
-      s.mode == hw::CpuMode::kKernel
-          ? 'k'
-          : (s.mode == hw::CpuMode::kHypervisor ? 'h' : 'u'),
-      s.pid,
-      static_cast<unsigned long long>(s.epoch),
-      static_cast<unsigned long long>(s.cycle));
-  const std::uint32_t crc = support::fnv1a(buf, static_cast<std::size_t>(body));
-  std::snprintf(buf + body, sizeof buf - static_cast<std::size_t>(body), " %08x\n",
-                crc);
-  pending_[i] += buf;
+  char buf[kMaxSampleLine];
+  pending_[i] += format_sample_line(next_seq_[i]++, s, buf);
   ++pending_records_[i];
   ++written_[i];
 }
@@ -100,69 +156,34 @@ std::vector<LoggedSample> SampleLogReader::read(const os::Vfs& vfs,
 
 template <typename Sink>
 void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    const bool unterminated = nl == std::string_view::npos;
-    if (unterminated) nl = text.size();
-    const std::size_t len = nl - pos;
-
-    // Verify the frame: "<seq> <pc> <caller> <mode> <pid> <epoch> <cycle> <crc>"
-    // where <crc> is FNV-1a over everything before its separating space.
-    bool ok = !unterminated && len >= 10;
-    unsigned long long seq = 0, pc = 0, caller = 0, epoch = 0, cycle = 0;
-    unsigned pid = 0, crc_read = 0;
-    char mode = 'u';
-    if (ok) {
-      const std::size_t last_space = text.rfind(' ', nl - 1);
-      ok = last_space != std::string_view::npos && last_space > pos &&
-           nl - last_space - 1 == 8;
-      if (ok) {
-        const std::string body(text.substr(pos, last_space - pos));
-        const std::string crc_text(text.substr(last_space + 1, 8));
-        char extra = 0;
-        ok = std::sscanf(body.c_str(), "%llu %llx %llx %c %u %llu %llu %c", &seq,
-                         &pc, &caller, &mode, &pid, &epoch, &cycle, &extra) == 7 &&
-             std::sscanf(crc_text.c_str(), "%8x", &crc_read) == 1 &&
-             support::fnv1a(body) == crc_read;
-      }
-    }
-
-    if (!ok) {
-      // Torn or overwritten bytes: resynchronise at the next newline. The
-      // checksum makes accepting a *wrong* record vanishingly unlikely, so
-      // skipping is safe — the damage is counted, never mis-parsed.
-      status_.corrupt = true;
-      ++status_.discarded_lines;
-      status_.discarded_bytes += len + (unterminated ? 0 : 1);
-      pos = nl + (unterminated ? 0 : 1);
-      if (unterminated) break;
-      continue;
-    }
-
-    if (seq < next_expected_) {
+  // Torn or overwritten bytes: resynchronise at the next newline. The
+  // checksum makes accepting a *wrong* record vanishingly unlikely, so
+  // skipping is safe — the damage is counted, never mis-parsed. An
+  // unterminated tail is damage too.
+  const auto discard = [this](std::size_t bytes) {
+    status_.corrupt = true;
+    ++status_.discarded_lines;
+    status_.discarded_bytes += bytes;
+  };
+  support::LineCursor lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
+    std::uint64_t seq = 0;
+    LoggedSample s;
+    if (!decode_sample_line(line, seq, s)) {
+      discard(line.size() + 1);
+    } else if (seq < next_expected_) {
       // A replayed batch that had partially landed: drop the duplicate.
       ++status_.duplicate_records;
-      pos = nl + 1;
-      continue;
+    } else {
+      if (seq > next_expected_) status_.missing_records += seq - next_expected_;
+      next_expected_ = seq + 1;
+      status_.max_seq = seq;
+      out.push_back(s);
+      ++status_.valid;
     }
-    if (seq > next_expected_) status_.missing_records += seq - next_expected_;
-    next_expected_ = seq + 1;
-    status_.max_seq = seq;
-
-    LoggedSample s;
-    s.pc = pc;
-    s.caller_pc = caller;
-    s.mode = mode == 'k' ? hw::CpuMode::kKernel
-             : mode == 'h' ? hw::CpuMode::kHypervisor
-                           : hw::CpuMode::kUser;
-    s.pid = pid;
-    s.epoch = epoch;
-    s.cycle = cycle;
-    out.push_back(s);
-    ++status_.valid;
-    pos = nl + 1;
   }
+  if (!lines.tail().empty()) discard(lines.tail().size());
 
   if (status_.corrupt) status_.salvaged = status_.valid;
 }
@@ -184,7 +205,7 @@ std::vector<LoggedSample> SampleLogReader::read_checked(const os::Vfs& vfs,
     return out;
   }
   SampleStreamParser parser;
-  parser.parse(*contents, out);
+  parser.parse_into(*contents, out);
   status = parser.status();
   return out;
 }

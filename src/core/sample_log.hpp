@@ -35,6 +35,21 @@ struct LoggedSample {
   std::uint64_t cycle = 0;
 };
 
+/// The sample-line codec, the one place that knows the line grammar
+///   "<seq> <pc:hex> <caller:hex> <mode:u|k|h> <pid> <epoch> <cycle> <crc:%08x>\n"
+/// where <crc> is FNV-1a over everything before its separating space. No
+/// call allocates; kMaxSampleLine bounds one line.
+inline constexpr std::size_t kMaxSampleLine = 128;
+
+/// Writes one framed line into `buf`; returns it as a view into `buf`.
+std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& sample,
+                                    char (&buf)[kMaxSampleLine]);
+
+/// Scans the seven fields off the front of `text` and advances past them,
+/// skipping whitespace before each; what follows is the caller's to judge.
+/// Refuses a sign, a value too wide for its field or a bare "0x".
+bool scan_sample_fields(std::string_view& text, std::uint64_t& seq, LoggedSample& out);
+
 /// Outcome of one flush() call over all per-event files.
 struct LogFlushResult {
   std::uint64_t write_errors = 0;     // appends rejected (batch retained)
@@ -116,15 +131,10 @@ struct SampleLogReadStatus {
 /// is treated as damage (counted, discarded), exactly as at end-of-file.
 class SampleStreamParser {
  public:
-  /// Parses every line in `text`, appending verified samples to `out`.
-  void parse(std::string_view text, std::vector<LoggedSample>& out) {
-    parse_into(text, out);
-  }
-
-  /// Container-generic variant — `Sink` needs push_back(LoggedSample).
-  /// The service decodes batches into arena-backed vectors through this;
-  /// verification, salvage and sequence accounting are the exact same code
-  /// path as the file reader. Explicitly instantiated in sample_log.cpp
+  /// Parses every line in `text`, appending verified samples to `out`;
+  /// `Sink` needs push_back(LoggedSample). The file reader and the service's
+  /// arena-backed batch decode share this one code path for verification,
+  /// salvage and sequence accounting. Explicitly instantiated in sample_log.cpp
   /// for std::vector<LoggedSample> and support::ArenaVector<LoggedSample>.
   template <typename Sink>
   void parse_into(std::string_view text, Sink& out);

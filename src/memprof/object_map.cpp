@@ -69,17 +69,6 @@ bool parse_header_line(std::string_view line, std::uint64_t& epoch,
          support::at_end(line);
 }
 
-bool parse_crc_line(std::string_view line, std::uint32_t& crc) {
-  std::uint64_t value = 0;
-  if (!support::scan_lit(line, "crc") ||
-      !support::scan_hex64(line, value, /*max_digits=*/8) ||
-      !support::at_end(line)) {
-    return false;
-  }
-  crc = static_cast<std::uint32_t>(value);
-  return true;
-}
-
 }  // namespace
 
 std::string site_symbol(std::uint32_t site) {
@@ -173,7 +162,7 @@ ObjectMapFile::Recovery ObjectMapFile::salvage(const std::string& contents,
       consumed += line.size() + 1;
       continue;
     }
-    if (parse_crc_line(line, crc_read)) {
+    if (support::scan_crc_line(line, crc_read)) {
       saw_crc = true;
       crc_covers = consumed;
       consumed += line.size() + 1;

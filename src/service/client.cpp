@@ -1,33 +1,19 @@
 #include "service/client.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
+#include "core/archive.hpp"
 #include "core/code_map.hpp"
 #include "core/sample_log.hpp"
 #include "memprof/object_map.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::service {
 
 namespace {
 
 constexpr const char* kManifestPath = "archive/manifest";
-
-/// pid (token 4) and epoch (token 5) of one raw sample-log line; the
-/// client only peeks at these two fields to drive map announcement — the
-/// server does the real verification.
-bool peek_pid_epoch(const std::string& line, hw::Pid& pid, std::uint64_t& epoch) {
-  unsigned long long seq, pc, caller, e, cycle;
-  unsigned p;
-  char mode;
-  if (std::sscanf(line.c_str(), "%llu %llx %llx %c %u %llu %llu", &seq, &pc, &caller,
-                  &mode, &p, &e, &cycle) != 7)
-    return false;
-  pid = p;
-  epoch = e;
-  return true;
-}
 
 }  // namespace
 
@@ -74,39 +60,48 @@ bool ReplayClient::stream_event_log(hw::EventKind event) {
   const auto raw = world_.read(core::SampleLogWriter::path_for("samples", event));
   if (!raw) return true;  // event not recorded
 
-  const std::string header_prefix =
-      "batch " + std::string(hw::to_string(event)) + " ";
-  std::string body;
+  const std::string header_prefix = "batch " + std::string(hw::to_string(event)) + " ";
+  const std::string_view log = *raw;
+  std::size_t batch_from = 0, batch_to = 0;  // the batch is log[batch_from, batch_to)
   std::size_t body_lines = 0;
   std::map<hw::Pid, std::uint64_t> needed;  // per-pid max epoch in this batch
 
   auto flush = [&]() -> bool {
     if (body_lines == 0) return true;
     if (!announce_maps(needed)) return false;
-    if (!send(FrameType::kSampleBatch,
-              header_prefix + std::to_string(body_lines) + "\n" + body))
-      return false;
+    std::string payload = header_prefix + std::to_string(body_lines) + "\n";
+    payload.append(log.substr(batch_from, batch_to - batch_from));
+    // An unterminated tail (a torn final write) still goes out, newline-
+    // terminated: the server's parser is the one to judge it.
+    if (payload.back() != '\n') payload += '\n';
+    if (!send(FrameType::kSampleBatch, payload)) return false;
     ++batches_sent_;
     records_sent_ += body_lines;
-    body.clear();
+    batch_from = batch_to;
     body_lines = 0;
     needed.clear();
     return true;
   };
 
-  std::istringstream in(*raw);
-  std::string line;
-  while (std::getline(in, line)) {
-    hw::Pid pid = 0;
-    std::uint64_t epoch = 0;
-    if (peek_pid_epoch(line, pid, epoch)) {
-      auto [it, inserted] = needed.emplace(pid, epoch);
-      if (!inserted) it->second = std::max(it->second, epoch);
+  // Only pid and epoch are peeked, to drive map announcement; the server
+  // does the real verification.
+  auto add_line = [&](std::string_view line) -> bool {
+    const auto end = static_cast<std::size_t>(line.data() + line.size() - log.data());
+    std::uint64_t seq = 0;
+    core::LoggedSample sample;
+    if (core::scan_sample_fields(line, seq, sample)) {
+      auto [it, inserted] = needed.emplace(sample.pid, sample.epoch);
+      if (!inserted) it->second = std::max(it->second, sample.epoch);
     }
-    body += line;
-    body += '\n';
-    if (++body_lines >= options_.batch_records && !flush()) return false;
-  }
+    batch_to = std::min(end + 1, log.size());  // its newline, if it has one
+    return ++body_lines < options_.batch_records || flush();
+  };
+
+  support::LineCursor cursor(log);
+  std::string_view line;
+  while (cursor.next(line))
+    if (!add_line(line)) return false;
+  if (!cursor.tail().empty() && !add_line(cursor.tail())) return false;
   return flush();
 }
 
@@ -125,33 +120,23 @@ bool ReplayClient::run() {
       if (line.rfind("reg ", 0) != 0) continue;
       if (!send(FrameType::kRegisterVm, line)) return false;
 
-      std::istringstream ls(line);
-      std::string tag, lo, hi, boot, map_path, jit_dir;
-      std::uint64_t boot_size;
+      const auto reg = core::parse_reg_line(line);
+      if (!reg) continue;
       VmInfo vm;
-      ls >> tag >> vm.pid >> lo >> hi >> boot >> boot_size >> map_path >> jit_dir;
-      if (ls.fail()) continue;
-      if (map_path != "-") boot_maps.push_back(map_path);
-      if (jit_dir != "-") {
-        vm.jit_map_dir = jit_dir;
-        const std::string prefix = jit_dir + "/" + std::to_string(vm.pid) + "/";
-        for (const std::string& path : world_.list(prefix)) {
-          const auto epoch = core::CodeMapFile::epoch_from_path(path);
-          if (epoch) vm.pending_maps.emplace_back(*epoch, path);
-        }
-      }
-      // Optional 8th token (absent in old manifests): the object-map dir.
-      // Object maps announce on the same epoch schedule as code maps — a
-      // batch referencing epoch E needs both maps of E on the server first.
-      std::string obj_dir;
-      ls >> obj_dir;
-      if (!obj_dir.empty() && obj_dir != "-") {
-        const std::string prefix = obj_dir + "/" + std::to_string(vm.pid) + "/";
-        for (const std::string& path : world_.list(prefix)) {
-          const auto epoch = memprof::ObjectMapFile::epoch_from_path(path);
-          if (epoch) vm.pending_maps.emplace_back(*epoch, path);
-        }
-      }
+      vm.pid = reg->pid;
+      if (!reg->boot_map_path.empty()) boot_maps.push_back(reg->boot_map_path);
+      // Object maps (absent in old manifests) announce on the same epoch
+      // schedule as code maps — a batch referencing epoch E needs both maps
+      // of E on the server first.
+      const std::string pid_dir = "/" + std::to_string(vm.pid) + "/";
+      if (!reg->jit_map_dir.empty())
+        for (const std::string& path : world_.list(reg->jit_map_dir + pid_dir))
+          if (const auto epoch = core::CodeMapFile::epoch_from_path(path))
+            vm.pending_maps.emplace_back(*epoch, path);
+      if (!reg->obj_map_dir.empty())
+        for (const std::string& path : world_.list(reg->obj_map_dir + pid_dir))
+          if (const auto epoch = memprof::ObjectMapFile::epoch_from_path(path))
+            vm.pending_maps.emplace_back(*epoch, path);
       std::sort(vm.pending_maps.begin(), vm.pending_maps.end());
       vms_.push_back(std::move(vm));
     }

@@ -57,7 +57,6 @@ class ReplayClient {
  private:
   struct VmInfo {
     hw::Pid pid = 0;
-    std::string jit_map_dir;
     // Unsent epoch maps, ascending; announced once their epoch is needed.
     std::vector<std::pair<std::uint64_t, std::string>> pending_maps;
   };

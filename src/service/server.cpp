@@ -29,32 +29,6 @@ std::optional<hw::EventKind> event_from(const std::string& name) {
   return std::nullopt;
 }
 
-/// "reg <pid> <heap_lo> <heap_hi> <boot_base> <boot_size> <map|-> <dir|->
-/// [<obj_dir|->]", hex ranges — the archive manifest line format. The
-/// object-map dir is a trailing addition; lines from older archives simply
-/// lack it.
-std::optional<core::VmRegistration> parse_reg_line(const std::string& line) {
-  std::istringstream ls(line);
-  std::string tag, lo_hex, hi_hex, boot_hex, map_path, jit_dir;
-  core::VmRegistration reg;
-  ls >> tag >> reg.pid >> lo_hex >> hi_hex >> boot_hex >> reg.boot_size >> map_path >>
-      jit_dir;
-  if (ls.fail() || tag != "reg") return std::nullopt;
-  try {
-    reg.heap_lo = std::stoull(lo_hex, nullptr, 16);
-    reg.heap_hi = std::stoull(hi_hex, nullptr, 16);
-    reg.boot_base = std::stoull(boot_hex, nullptr, 16);
-  } catch (...) {
-    return std::nullopt;
-  }
-  reg.boot_map_path = map_path == "-" ? "" : map_path;
-  reg.jit_map_dir = jit_dir == "-" ? "" : jit_dir;
-  std::string obj_dir;
-  ls >> obj_dir;
-  reg.obj_map_dir = (obj_dir.empty() || obj_dir == "-") ? "" : obj_dir;
-  return reg;
-}
-
 /// The per-batch view of the shared code-map cache: shared_ptr pins built
 /// once per batch, so eviction under a running worker is harmless.
 class PinnedJitSource final : public core::JitIndexSource {
@@ -185,7 +159,7 @@ void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
         reply(conn, FrameType::kError, "register-vm: no session open");
         return;
       }
-      const auto reg = parse_reg_line(std::string(frame.payload));
+      const auto reg = core::parse_reg_line(frame.payload);
       if (!reg) {
         reply(conn, FrameType::kError,
               "register-vm: unparseable: " + std::string(frame.payload));

@@ -8,7 +8,8 @@
 // presents, and must never be trusted), plus field scanners matching the
 // formats the writers emit. Numeric scanners skip leading spaces like
 // sscanf's conversions do, so canonical and whitespace-padded files parse
-// identically to the old sscanf loops.
+// identically to the old sscanf loops; they refuse a sign or an overflow,
+// which sscanf took and no writer emits.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +62,15 @@ inline bool scan_lit(std::string_view& s, std::string_view lit) {
 }
 
 /// Unsigned decimal; needs at least one digit. Skips leading whitespace.
+/// Fails on overflow.
 inline bool scan_u64(std::string_view& s, std::uint64_t& out) {
   skip_ws(s);
   std::size_t i = 0;
   std::uint64_t v = 0;
   while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    v = v * 10 + static_cast<std::uint64_t>(s[i] - '0');
+    const auto digit = static_cast<std::uint64_t>(s[i] - '0');
+    if (v > (~std::uint64_t{0} - digit) / 10) return false;
+    v = v * 10 + digit;
     ++i;
   }
   if (i == 0) return false;
@@ -84,7 +88,7 @@ inline int hex_value(char c) {
 
 /// Unsigned hex with optional 0x/0X prefix; needs at least one digit.
 /// `max_digits` (0 = unlimited) bounds the digits consumed, mirroring
-/// sscanf's %8x field width for the crc trailer.
+/// sscanf's %8x field width for the crc trailer. Fails on overflow.
 inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
                        std::size_t max_digits = 0) {
   skip_ws(s);
@@ -97,6 +101,7 @@ inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
   std::uint64_t v = 0;
   while (i < t.size() && hex_value(t[i]) >= 0 &&
          (max_digits == 0 || i < max_digits)) {
+    if (v >> 60 != 0) return false;
     v = (v << 4) | static_cast<std::uint64_t>(hex_value(t[i]));
     ++i;
   }
@@ -104,6 +109,15 @@ inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
   t.remove_prefix(i);
   s = t;
   out = v;
+  return true;
+}
+
+/// A file's "crc XXXXXXXX" trailer line (at most 8 hex digits), nothing after.
+inline bool scan_crc_line(std::string_view line, std::uint32_t& crc) {
+  std::uint64_t value = 0;
+  if (!scan_lit(line, "crc") || !scan_hex64(line, value, 8) || !at_end(line))
+    return false;
+  crc = static_cast<std::uint32_t>(value);
   return true;
 }
 

@@ -157,5 +157,35 @@ TEST(VfsDisk, PrefixedExport) {
   fs::remove_all(dir);
 }
 
+TEST(ArchiveRegLine, ParsesCurrentAndPreMemprofLines) {
+  const auto reg = parse_reg_line("reg 42 0x60000000 0x68000000 0x40000000 4096 "
+                                  "boot/RVM.map jit_maps obj_maps");
+  ASSERT_TRUE(reg.has_value());
+  EXPECT_EQ(reg->pid, 42u);
+  EXPECT_EQ(reg->heap_lo, 0x60000000u);
+  EXPECT_EQ(reg->heap_hi, 0x68000000u);
+  EXPECT_EQ(reg->boot_base, 0x40000000u);
+  EXPECT_EQ(reg->boot_size, 4096u);
+  EXPECT_EQ(reg->boot_map_path, "boot/RVM.map");
+  EXPECT_EQ(reg->jit_map_dir, "jit_maps");
+  EXPECT_EQ(reg->obj_map_dir, "obj_maps");
+
+  // "-" means absent; the object-map dir may be missing altogether.
+  const auto old = parse_reg_line("reg 7 10 20 30 0 - jit_maps");
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->heap_lo, 0x10u);
+  EXPECT_EQ(old->boot_map_path, "");
+  EXPECT_EQ(old->obj_map_dir, "");
+  EXPECT_EQ(parse_reg_line("reg 7 10 20 30 0 - - -")->jit_map_dir, "");
+}
+
+TEST(ArchiveRegLine, RejectsMalformedLines) {
+  EXPECT_FALSE(parse_reg_line("reg 7 10 20 30 0 -").has_value());  // no jit dir
+  EXPECT_FALSE(parse_reg_line("regx 7 10 20 30 0 - -").has_value());
+  EXPECT_FALSE(parse_reg_line("reg 4294967296 10 20 30 0 - -").has_value());
+  EXPECT_FALSE(parse_reg_line("reg 7 zz 20 30 0 - -").has_value());
+  EXPECT_FALSE(parse_reg_line("vma 7 10 20 30 0 - -").has_value());
+}
+
 }  // namespace
 }  // namespace viprof::core

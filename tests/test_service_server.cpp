@@ -4,10 +4,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/sample_log.hpp"
 #include "service/client.hpp"
 #include "service/query.hpp"
 #include "service/scenario.hpp"
 #include "service/server.hpp"
+#include "support/hash.hpp"
 
 namespace viprof::service {
 namespace {
@@ -256,6 +258,49 @@ TEST(ProfileServer, CallGraphAccumulatesArcs) {
   EXPECT_EQ(arcs[0].caller_symbol, "main");
   for (std::size_t i = 1; i < arcs.size(); ++i)
     EXPECT_GE(arcs[i - 1].count, arcs[i].count);
+}
+
+/// Concatenates every frame a ReplayClient emits, in order.
+class WireRecorder final : public Transport {
+ public:
+  bool send(const std::string& bytes) override {
+    wire += bytes;
+    return true;
+  }
+  void close() override {}
+  bool is_closed() const override { return false; }
+
+  std::string wire;
+};
+
+std::uint64_t replay_wire_digest(const os::Vfs& world) {
+  WireRecorder recorder;
+  ReplayClient client(world, "s", recorder, ReplayOptions{128, nullptr, {}});
+  EXPECT_TRUE(client.run());
+  return support::fnv1a64(recorder.wire);
+}
+
+// The replay client's frames are pinned byte for byte: the lines it relays,
+// the batch boundaries and the order in which it announces code maps. The
+// digests were taken from the sscanf/getline client this one replaced.
+TEST(ReplayClientWire, FramesAreByteIdenticalForASeededSession) {
+  ScenarioConfig config = small_scenario();
+  config.seed = 0x3e13;
+  auto scenario = record_scenario(config);
+  EXPECT_EQ(replay_wire_digest(scenario->vfs()), 0xb7cd7d471b9e350eull);
+}
+
+TEST(ReplayClientWire, TornUnterminatedTailIsRelayedNewlineTerminated) {
+  ScenarioConfig config = small_scenario();
+  config.seed = 0x3e13;
+  auto scenario = record_scenario(config);
+  const std::string path =
+      core::SampleLogWriter::path_for("samples", hw::EventKind::kGlobalPowerEvents);
+  std::string log = *scenario->vfs().read(path);
+  log.resize(log.size() - 23);  // the final write tore mid-line
+  ASSERT_NE(log.back(), '\n');
+  scenario->vfs().write(path, log);
+  EXPECT_EQ(replay_wire_digest(scenario->vfs()), 0xf20efe1c77a2326bull);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Single-pass scanner helpers: these replace the istringstream + sscanf
 // parse loops, so the tests pin the sscanf-isms callers depend on —
 // leading-whitespace skipping, %8x-style digit caps, and a LineCursor
-// that refuses to yield an unterminated tail.
+// that refuses to yield an unterminated tail — and the two places they
+// are deliberately stricter: no sign, no overflow.
 #include <gtest/gtest.h>
 
 #include <string_view>
@@ -46,6 +47,33 @@ TEST(ScanU64Test, RejectsNonDigits) {
   std::uint64_t v = 0;
   EXPECT_FALSE(scan_u64(s, v));
   EXPECT_EQ(s, "x42");  // untouched on failure
+}
+
+TEST(ScanU64Test, OverflowFailsInsteadOfWrapping) {
+  // sscanf saturated and the old loop wrapped; neither value is the text's.
+  std::uint64_t v = 0;
+  std::string_view s = "18446744073709551615 x";
+  ASSERT_TRUE(scan_u64(s, v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  s = "18446744073709551616";
+  EXPECT_FALSE(scan_u64(s, v));
+  s = "0000000000000000000000000042";  // long, but in range
+  ASSERT_TRUE(scan_u64(s, v));
+  EXPECT_EQ(v, 42u);
+  s = "+42";  // no sign, unlike sscanf
+  EXPECT_FALSE(scan_u64(s, v));
+}
+
+TEST(ScanHex64Test, OverflowFailsInsteadOfWrapping) {
+  std::uint64_t v = 0;
+  std::string_view s = "ffffffffffffffff";
+  ASSERT_TRUE(scan_hex64(s, v));
+  EXPECT_EQ(v, ~std::uint64_t{0});
+  s = "10000000000000000";
+  EXPECT_FALSE(scan_hex64(s, v));
+  s = "00000000000000000000abc";
+  ASSERT_TRUE(scan_hex64(s, v));
+  EXPECT_EQ(v, 0xabcu);
 }
 
 TEST(ScanHex64Test, OptionalPrefixAndCase) {
