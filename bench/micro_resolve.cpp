@@ -1,12 +1,14 @@
 // ABL4 microbenchmarks: offline resolution throughput — epoch code-map
 // search (flattened index vs the legacy backward walk), RVM.map and
-// sample-log parsing, and an end-to-end resolve+aggregate pipeline
-// measurement over a logged session. These are the post-processing costs
-// the paper deliberately accepts to keep the online path cheap.
+// sample-log parsing, a profile fold + top-20 render, and an end-to-end
+// resolve+aggregate pipeline measurement over a logged session. These are
+// the post-processing costs the paper deliberately accepts to keep the
+// online path cheap.
 //
 // Emits BENCH_resolve.json (harness schema) with the e2e throughput at
 // 1/2/4/8 worker threads, plus sample_log_parse (ns per line) when
-// BM_SampleLogParse ran; the renders are checked byte-identical across
+// BM_SampleLogParse ran and profile_fold_render (ns per folded row) when
+// BM_ProfileFoldRender ran; the renders are checked byte-identical across
 // thread counts before anything is written.
 #include <benchmark/benchmark.h>
 
@@ -187,6 +189,45 @@ void BM_SampleLogParse(benchmark::State& state) {
 }
 BENCHMARK(BM_SampleLogParse);
 
+// ns per folded row of the last BM_ProfileFoldRender run; 0 when filtered out.
+double g_profile_fold_render_ns = 0.0;
+
+void BM_ProfileFoldRender(benchmark::State& state) {
+  // A history-window query: fold N interval profiles over an overlapping
+  // symbol pool in order, then render the top 20 — the store's and the
+  // fleet's per-query work.
+  const auto intervals = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kRowsPerInterval = 256;
+  const std::vector<hw::EventKind> events = {hw::EventKind::kGlobalPowerEvents,
+                                             hw::EventKind::kBsqCacheReference};
+  support::Xoshiro256 rng(0xf01d);
+  std::vector<core::Profile> parts(intervals);
+  std::size_t rows = 0;
+  for (core::Profile& part : parts) {
+    for (std::size_t i = 0; i < kRowsPerInterval; ++i) {
+      core::Resolution res;
+      res.image = rng.below(4) == 0 ? "libc.so.6" : "RVM.map";
+      res.symbol = "com.example.workload.Parser" + std::to_string(rng.below(1024)) +
+                   ".process";
+      res.domain = core::SampleDomain::kJit;
+      part.add(events[rng.below(2)], res, 1 + rng.below(64));
+    }
+    rows += part.row_count();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    core::Profile merged;
+    for (const core::Profile& part : parts) merged.merge(part);
+    benchmark::DoNotOptimize(merged.render(events, 20));
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  g_profile_fold_render_ns =
+      elapsed.count() / static_cast<double>(state.iterations() * rows);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * rows));
+}
+BENCHMARK(BM_ProfileFoldRender)->Arg(64);
+
 // --- End-to-end resolve+aggregate throughput -------------------------------
 //
 // Builds a full resolver scenario (kernel, executable, libraries, boot
@@ -357,6 +398,13 @@ bool run_e2e() {
     record.name = "sample_log_parse";
     record.iterations = 1;
     record.ns_per_op = g_sample_log_parse_ns;  // per line
+    records.push_back(std::move(record));
+  }
+  if (g_profile_fold_render_ns > 0.0) {
+    bench::BenchRecord record;
+    record.name = "profile_fold_render";
+    record.iterations = 1;
+    record.ns_per_op = g_profile_fold_render_ns;  // per folded row
     records.push_back(std::move(record));
   }
   bench::write_bench_json("resolve", records);

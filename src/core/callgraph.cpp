@@ -1,29 +1,29 @@
 #include "core/callgraph.hpp"
 
-#include <algorithm>
-
 #include "support/format.hpp"
 
 namespace viprof::core {
 
-std::size_t CallGraph::arc_slot(const CallArc& like) {
-  std::string key;
-  key.reserve(like.caller_image.size() + like.caller_symbol.size() +
-              like.callee_image.size() + like.callee_symbol.size() + 3);
-  key += like.caller_image;
-  key += '\0';
-  key += like.caller_symbol;
-  key += '\0';
-  key += like.callee_image;
-  key += '\0';
-  key += like.callee_symbol;
-  const auto [it, inserted] = index_.try_emplace(std::move(key), arcs_.size());
+std::size_t CallGraph::arc_slot(std::uint64_t hash, std::string_view caller_image,
+                                std::string_view caller_symbol,
+                                std::string_view callee_image,
+                                std::string_view callee_symbol,
+                                SampleDomain caller_domain, SampleDomain callee_domain) {
+  const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
+    const CallArc& a = arcs_[i];
+    return a.caller_symbol == caller_symbol && a.callee_symbol == callee_symbol &&
+           a.caller_image == caller_image && a.callee_image == callee_image;
+  });
   if (inserted) {
-    CallArc arc = like;
-    arc.count = 0;
-    arcs_.push_back(std::move(arc));
+    CallArc& arc = arcs_.emplace_back();
+    arc.caller_image = caller_image;
+    arc.caller_symbol = caller_symbol;
+    arc.callee_image = callee_image;
+    arc.callee_symbol = callee_symbol;
+    arc.caller_domain = caller_domain;
+    arc.callee_domain = callee_domain;
   }
-  return it->second;
+  return id;
 }
 
 void CallGraph::add(const LoggedSample& sample) {
@@ -45,32 +45,29 @@ void CallGraph::add_resolved(const Resolution& caller, const Resolution& callee,
 }
 
 std::size_t CallGraph::arc_index(const Resolution& caller, const Resolution& callee) {
-  CallArc like;
-  like.caller_image = caller.image;
-  like.caller_symbol = caller.symbol;
-  like.callee_image = callee.image;
-  like.callee_symbol = callee.symbol;
-  like.caller_domain = caller.domain;
-  like.callee_domain = callee.domain;
-  return arc_slot(like);
+  return arc_slot(arc_hash(caller.image, caller.symbol, callee.image, callee.symbol),
+                  caller.image, caller.symbol, callee.image, callee.symbol, caller.domain,
+                  callee.domain);
 }
 
-void CallGraph::add_arc(const CallArc& arc) {
-  arcs_[arc_slot(arc)].count += arc.count;
-  samples_ += arc.count;
+void CallGraph::add_arc(const CallArc& arc, std::uint64_t hash) {
+  bump_arc(arc_slot(arc, hash), arc.count);
 }
 
 void CallGraph::merge(const CallGraph& other) {
   samples_ += other.samples_;
-  for (const CallArc& src : other.arcs_) {
-    arc_for(src).count += src.count;
+  for (std::size_t a = 0; a < other.arcs_.size(); ++a) {
+    const CallArc& src = other.arcs_[a];
+    arcs_[arc_slot(src, other.arc_hash_of(a))].count += src.count;
   }
 }
 
 std::vector<CallArc> CallGraph::ranked() const {
-  std::vector<CallArc> out = arcs_;
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CallArc& a, const CallArc& b) { return a.count > b.count; });
+  std::vector<CallArc> out;
+  out.reserve(arcs_.size());
+  for (const std::uint32_t a :
+       rank_top(arcs_.size(), arcs_.size(), [&](std::size_t i) { return arcs_[i].count; }))
+    out.push_back(arcs_[a]);
   return out;
 }
 
@@ -83,13 +80,12 @@ std::vector<CallArc> CallGraph::cross_layer_arcs() const {
 
 std::string CallGraph::render(std::size_t top_n) const {
   support::TextTable table({"Samples", "Caller", "->", "Callee"});
-  std::size_t emitted = 0;
-  for (const CallArc& arc : ranked()) {
-    if (emitted >= top_n) break;
+  for (const std::uint32_t a :
+       rank_top(arcs_.size(), top_n, [&](std::size_t i) { return arcs_[i].count; })) {
+    const CallArc& arc = arcs_[a];
     table.add_row({std::to_string(arc.count),
                    arc.caller_image + ":" + arc.caller_symbol, "->",
                    arc.callee_image + ":" + arc.callee_symbol});
-    ++emitted;
   }
   return table.render();
 }

@@ -10,10 +10,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/resolver.hpp"
+#include "core/row_index.hpp"
 #include "core/sample_log.hpp"
 #include "hw/event.hpp"
 
@@ -55,12 +56,13 @@ class CallGraph {
   void add_resolved(const Resolution& caller, const Resolution& callee,
                     std::uint64_t count);
 
-  /// Folds one finished arc — `arc.count` samples in a single lookup. Used
-  /// by the striped aggregator's order recovery (SeqCallGraph::ordered).
-  void add_arc(const CallArc& arc);
+  /// Folds one finished arc — `arc.count` samples in a single lookup;
+  /// `hash` must be arc_hash() of its four names. Used by the striped
+  /// aggregator's order recovery (SeqCallGraph::ordered).
+  void add_arc(const CallArc& arc, std::uint64_t hash);
 
   /// Interning API mirroring Profile::row_index/bump: intern the arc slot
-  /// once, then bump repeats without rebuilding the 4-part key string.
+  /// once, then bump repeats without rehashing the four endpoint names.
   /// arc_index() + bump_arc() == add_resolved().
   std::size_t arc_index(const Resolution& caller, const Resolution& callee);
   void bump_arc(std::size_t arc, std::uint64_t count = 1) {
@@ -73,7 +75,7 @@ class CallGraph {
   /// Profile::merge.
   void merge(const CallGraph& other);
 
-  /// Arcs sorted by count (descending).
+  /// Arcs sorted by count (descending), ties in first-insertion order.
   std::vector<CallArc> ranked() const;
 
   /// Only arcs whose endpoints are in different domains.
@@ -83,16 +85,27 @@ class CallGraph {
   std::uint64_t total_samples() const { return samples_; }
   const std::vector<CallArc>& arcs() const { return arcs_; }
 
+  /// arc_hash() of arc `arc`, cached at insertion.
+  std::uint64_t arc_hash_of(std::size_t arc) const {
+    return index_.hash(static_cast<std::uint32_t>(arc));
+  }
+
   std::string render(std::size_t top_n) const;
 
  private:
-  std::size_t arc_slot(const CallArc& like);
-  CallArc& arc_for(const CallArc& like) { return arcs_[arc_slot(like)]; }
+  std::size_t arc_slot(std::uint64_t hash, std::string_view caller_image,
+                       std::string_view caller_symbol, std::string_view callee_image,
+                       std::string_view callee_symbol, SampleDomain caller_domain,
+                       SampleDomain callee_domain);
+  std::size_t arc_slot(const CallArc& like, std::uint64_t hash) {
+    return arc_slot(hash, like.caller_image, like.caller_symbol, like.callee_image,
+                    like.callee_symbol, like.caller_domain, like.callee_domain);
+  }
 
   const Resolver* resolver_ = nullptr;
   std::vector<CallArc> arcs_;
-  /// NUL-joined endpoint names -> index into arcs_.
-  std::unordered_map<std::string, std::size_t> index_;
+  /// The four endpoint names -> index into arcs_.
+  RowIndex index_;
   std::uint64_t samples_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "core/report.hpp"
 
-#include <algorithm>
-
 #include "support/format.hpp"
 
 namespace viprof::core {
@@ -18,41 +16,64 @@ const char* event_column_title(hw::EventKind event) {
   return "?";
 }
 
-std::size_t Profile::row_slot(const std::string& image, const std::string& symbol,
-                              SampleDomain domain) {
-  std::string key;
-  key.reserve(image.size() + symbol.size() + 1);
-  key += image;
-  key += '\0';
-  key += symbol;
-  const auto [it, inserted] = index_.try_emplace(std::move(key), rows_.size());
+std::size_t Profile::row_slot(std::uint64_t hash, std::string_view image,
+                              std::string_view symbol, SampleDomain domain) {
+  const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
+    return rows_[i].image == image && rows_[i].symbol == symbol;
+  });
   if (inserted) {
-    ProfileRow row;
+    ProfileRow& row = rows_.emplace_back();
     row.image = image;
     row.symbol = symbol;
     row.domain = domain;
-    rows_.push_back(std::move(row));
   }
-  return it->second;
+  return id;
+}
+
+const ProfileRow* Profile::find_hashed(std::uint64_t hash, std::string_view image,
+                                       std::string_view symbol) const {
+  const std::uint32_t id = index_.find(hash, [&](std::uint32_t i) {
+    return rows_[i].image == image && rows_[i].symbol == symbol;
+  });
+  return id == RowIndex::kNone ? nullptr : &rows_[id];
 }
 
 std::size_t Profile::row_index(const Resolution& res) {
-  return row_slot(res.image, res.symbol, res.domain);
+  return row_slot(row_hash(res.image, res.symbol), res.image, res.symbol, res.domain);
 }
 
 void Profile::add(hw::EventKind event, const Resolution& res, std::uint64_t count) {
-  totals_[hw::event_index(event)] += count;
-  row_for(res.image, res.symbol, res.domain).counts[hw::event_index(event)] += count;
+  bump(row_index(res), event, count);
+}
+
+void Profile::add_row(const ProfileRow& row, std::uint64_t hash) {
+  ProfileRow& dst = rows_[row_slot(hash, row.image, row.symbol, row.domain)];
+  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) {
+    dst.counts[i] += row.counts[i];
+    totals_[i] += row.counts[i];
+  }
 }
 
 void Profile::merge(const Profile& other) {
-  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) totals_[i] += other.totals_[i];
-  for (const ProfileRow& src : other.rows_) {
-    ProfileRow& dst = row_for(src.image, src.symbol, src.domain);
-    for (std::size_t i = 0; i < hw::kEventKindCount; ++i) {
-      dst.counts[i] += src.counts[i];
+  if (rows_.empty()) {
+    rows_ = other.rows_;
+    index_ = other.index_;
+  } else {
+    for (std::size_t r = 0; r < other.rows_.size(); ++r) {
+      const ProfileRow& src = other.rows_[r];
+      ProfileRow& dst =
+          rows_[row_slot(other.row_hash_of(r), src.image, src.symbol, src.domain)];
+      for (std::size_t i = 0; i < hw::kEventKindCount; ++i) dst.counts[i] += src.counts[i];
     }
   }
+  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) totals_[i] += other.totals_[i];
+}
+
+void Profile::merge(Profile&& other) {
+  if (!rows_.empty()) return merge(static_cast<const Profile&>(other));
+  rows_ = std::move(other.rows_);
+  index_ = std::move(other.index_);
+  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) totals_[i] += other.totals_[i];
 }
 
 double Profile::percent(const ProfileRow& row, hw::EventKind event) const {
@@ -62,11 +83,12 @@ double Profile::percent(const ProfileRow& row, hw::EventKind event) const {
 }
 
 std::vector<ProfileRow> Profile::ranked(hw::EventKind primary) const {
-  std::vector<ProfileRow> out = rows_;
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const ProfileRow& a, const ProfileRow& b) {
-                     return a.count(primary) > b.count(primary);
-                   });
+  std::vector<ProfileRow> out;
+  out.reserve(rows_.size());
+  for (const std::uint32_t r : rank_top(rows_.size(), rows_.size(), [&](std::size_t i) {
+         return rows_[i].count(primary);
+       }))
+    out.push_back(rows_[r]);
   return out;
 }
 
@@ -77,15 +99,8 @@ std::uint64_t Profile::domain_total(SampleDomain domain, hw::EventKind event) co
   return total;
 }
 
-const ProfileRow* Profile::find(const std::string& image,
-                                const std::string& symbol) const {
-  std::string key;
-  key.reserve(image.size() + symbol.size() + 1);
-  key += image;
-  key += '\0';
-  key += symbol;
-  const auto it = index_.find(key);
-  return it == index_.end() ? nullptr : &rows_[it->second];
+const ProfileRow* Profile::find(std::string_view image, std::string_view symbol) const {
+  return find_hashed(row_hash(image, symbol), image, symbol);
 }
 
 std::string Profile::render(const std::vector<hw::EventKind>& events,
@@ -96,55 +111,58 @@ std::string Profile::render(const std::vector<hw::EventKind>& events,
   headers.push_back("Symbol name");
   support::TextTable table(std::move(headers));
 
-  const auto rows = ranked(events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0]);
-  std::size_t emitted = 0;
-  for (const ProfileRow& row : rows) {
-    if (emitted >= top_n) break;
+  const hw::EventKind primary =
+      events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0];
+  for (const std::uint32_t r : rank_top(rows_.size(), top_n, [&](std::size_t i) {
+         return rows_[i].count(primary);
+       })) {
+    const ProfileRow& row = rows_[r];
     std::vector<std::string> cells;
     for (hw::EventKind e : events) cells.push_back(support::fixed(percent(row, e), 4));
     cells.push_back(row.image);
     cells.push_back(row.symbol);
     table.add_row(std::move(cells));
-    ++emitted;
   }
   return table.render();
 }
 
 std::string render_diff(const Profile& before, const Profile& after,
                         hw::EventKind event, std::size_t top_n) {
+  // Candidate order: `after` rows, then rows only `before` has — the tie
+  // order the ranking preserves.
   struct Mover {
     std::int64_t delta;
     std::uint64_t from, to;
     const ProfileRow* row;
   };
   std::vector<Mover> movers;
-  for (const ProfileRow& row : after.rows()) {
-    const ProfileRow* prev = before.find(row.image, row.symbol);
+  for (std::size_t r = 0; r < after.rows_.size(); ++r) {
+    const ProfileRow& row = after.rows_[r];
+    const ProfileRow* prev = before.find_hashed(after.row_hash_of(r), row.image, row.symbol);
     const std::uint64_t from = prev ? prev->count(event) : 0;
     const std::uint64_t to = row.count(event);
     if (from != to)
       movers.push_back({static_cast<std::int64_t>(to) - static_cast<std::int64_t>(from),
                         from, to, &row});
   }
-  for (const ProfileRow& row : before.rows()) {
-    if (after.find(row.image, row.symbol) != nullptr) continue;
+  for (std::size_t r = 0; r < before.rows_.size(); ++r) {
+    const ProfileRow& row = before.rows_[r];
+    if (after.find_hashed(before.row_hash_of(r), row.image, row.symbol) != nullptr)
+      continue;
     const std::uint64_t from = row.count(event);
     if (from != 0)
       movers.push_back({-static_cast<std::int64_t>(from), from, 0, &row});
   }
-  std::stable_sort(movers.begin(), movers.end(), [](const Mover& x, const Mover& y) {
-    const std::int64_t ax = x.delta < 0 ? -x.delta : x.delta;
-    const std::int64_t ay = y.delta < 0 ? -y.delta : y.delta;
-    return ax > ay;
-  });
 
   support::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
-  std::size_t emitted = 0;
-  for (const Mover& m : movers) {
-    if (emitted++ >= top_n) break;
-    table.add_row({(m.delta > 0 ? "+" : "") + std::to_string(m.delta),
-                   std::to_string(m.from), std::to_string(m.to), m.row->image,
-                   m.row->symbol});
+  for (const std::uint32_t m : rank_top(movers.size(), top_n, [&](std::size_t i) {
+         const std::int64_t d = movers[i].delta;
+         return static_cast<std::uint64_t>(d < 0 ? -d : d);
+       })) {
+    const Mover& mv = movers[m];
+    table.add_row({(mv.delta > 0 ? "+" : "") + std::to_string(mv.delta),
+                   std::to_string(mv.from), std::to_string(mv.to), mv.row->image,
+                   mv.row->symbol});
   }
   return table.render();
 }

@@ -11,10 +11,11 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "core/resolver.hpp"
+#include "core/row_index.hpp"
 #include "hw/event.hpp"
 
 namespace viprof::core {
@@ -31,10 +32,12 @@ struct ProfileRow {
 /// Column header the paper uses for each event.
 const char* event_column_title(hw::EventKind event);
 
-/// Aggregation is hash-based: rows are interned in an unordered_map keyed
-/// on (image, symbol), so add() is O(1) amortised instead of a linear row
-/// scan, while rows_ preserves first-insertion order — ranked() and
-/// render() output is unchanged.
+/// Aggregation is hash-based: rows_ holds the rows in first-insertion
+/// order and a string-free RowIndex maps (image, symbol) to a row, so add()
+/// is O(1) amortised, and find() and the merge of an already-present row
+/// allocate nothing. Every ranking (ranked(), render(), render_diff()) is
+/// ordered by count descending, ties in first-insertion order; render()
+/// and render_diff() only partially sort, up to their top_n.
 class Profile {
  public:
   void add(hw::EventKind event, const Resolution& res, std::uint64_t count = 1);
@@ -42,8 +45,16 @@ class Profile {
   /// Adds every row and total of `other` into this profile. Merging
   /// per-shard profiles in shard order reproduces the serial profile
   /// exactly (row order included): a row's first-occurrence shard is the
-  /// shard of its globally first sample.
+  /// shard of its globally first sample. Into an empty profile, merge
+  /// adopts `other` whole — copied, or moved from an rvalue.
   void merge(const Profile& other);
+  void merge(Profile&& other);
+
+  /// Folds one finished row — all its counts, into the row and the totals —
+  /// in a single lookup. `hash` must be row_hash(row.image, row.symbol);
+  /// a new row takes `row.domain`. Used by the striped aggregator's order
+  /// recovery (SeqProfile::ordered).
+  void add_row(const ProfileRow& row, std::uint64_t hash);
 
   std::uint64_t total(hw::EventKind event) const {
     return totals_[hw::event_index(event)];
@@ -51,20 +62,21 @@ class Profile {
 
   double percent(const ProfileRow& row, hw::EventKind event) const;
 
-  /// Rows sorted by the count of `primary` (descending).
+  /// Rows sorted by the count of `primary` (descending), ties in
+  /// first-insertion order.
   std::vector<ProfileRow> ranked(hw::EventKind primary) const;
 
   /// Sum of counts of `event` over rows in `domain`.
   std::uint64_t domain_total(SampleDomain domain, hw::EventKind event) const;
 
   /// Row for an exact (image, symbol), if present.
-  const ProfileRow* find(const std::string& image, const std::string& symbol) const;
+  const ProfileRow* find(std::string_view image, std::string_view symbol) const;
 
   /// Interning API for hot aggregation loops (service ingest, resolve
   /// shards): intern the row slot once, then bump() repeats without
-  /// rebuilding the "image\0symbol" hash key per sample. Indices stay
-  /// valid across later add()s (rows are never removed). bump() maintains
-  /// totals exactly as add() does: row_index() + bump() == add().
+  /// hashing the row's names per sample. Indices stay valid across later
+  /// add()s (rows are never removed). bump() maintains totals exactly as
+  /// add() does: row_index() + bump() == add().
   std::size_t row_index(const Resolution& res);
   void bump(std::size_t row, hw::EventKind event, std::uint64_t count = 1) {
     totals_[hw::event_index(event)] += count;
@@ -78,17 +90,24 @@ class Profile {
   std::size_t row_count() const { return rows_.size(); }
   const std::vector<ProfileRow>& rows() const { return rows_; }
 
- private:
-  std::size_t row_slot(const std::string& image, const std::string& symbol,
-                       SampleDomain domain);
-  ProfileRow& row_for(const std::string& image, const std::string& symbol,
-                      SampleDomain domain) {
-    return rows_[row_slot(image, symbol, domain)];
+  /// row_hash() of row `row`, cached at insertion: lets a fold of this
+  /// profile into another skip rehashing the row's names.
+  std::uint64_t row_hash_of(std::size_t row) const {
+    return index_.hash(static_cast<std::uint32_t>(row));
   }
 
+ private:
+  friend std::string render_diff(const Profile&, const Profile&, hw::EventKind,
+                                 std::size_t);
+
+  std::size_t row_slot(std::uint64_t hash, std::string_view image,
+                       std::string_view symbol, SampleDomain domain);
+  const ProfileRow* find_hashed(std::uint64_t hash, std::string_view image,
+                                std::string_view symbol) const;
+
   std::vector<ProfileRow> rows_;
-  /// "image\0symbol" -> index into rows_ (symbols never contain NUL).
-  std::unordered_map<std::string, std::size_t> index_;
+  /// (image, symbol) -> index into rows_.
+  RowIndex index_;
   std::uint64_t totals_[hw::kEventKindCount] = {};
 };
 

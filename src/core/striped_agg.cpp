@@ -6,33 +6,36 @@ namespace viprof::core {
 
 namespace {
 
-std::string row_key(const std::string& image, const std::string& symbol) {
-  std::string key;
-  key.reserve(image.size() + symbol.size() + 1);
-  key += image;
-  key += '\0';
-  key += symbol;
-  return key;
-}
-
 bool before(std::uint64_t seq_a, std::uint32_t idx_a, std::uint64_t seq_b,
             std::uint32_t idx_b) {
   return seq_a != seq_b ? seq_a < seq_b : idx_a < idx_b;
+}
+
+/// Positions of `items` in (seq, idx) order — the serial insertion order.
+template <typename Item>
+std::vector<std::uint32_t> serial_order(const std::vector<Item>& items) {
+  std::vector<std::uint32_t> order(items.size());
+  for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return before(items[a].seq, items[a].idx, items[b].seq, items[b].idx);
+  });
+  return order;
 }
 
 }  // namespace
 
 // ------------------------------------------------------------- SeqProfile
 
-void SeqProfile::fold_row(const ProfileRow& src, std::uint64_t seq,
+void SeqProfile::fold_row(const ProfileRow& src, std::uint64_t hash, std::uint64_t seq,
                           std::uint32_t idx) {
-  const auto [it, inserted] =
-      index_.try_emplace(row_key(src.image, src.symbol), rows_.size());
+  const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
+    return rows_[i].row.image == src.image && rows_[i].row.symbol == src.symbol;
+  });
   if (inserted) {
     rows_.push_back(SeqRow{src, seq, idx});
     return;
   }
-  SeqRow& dst = rows_[it->second];
+  SeqRow& dst = rows_[id];
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e) dst.row.counts[e] += src.counts[e];
   if (before(seq, idx, dst.seq, dst.idx)) {
     // The incoming occurrence is serially earlier: it defines the row's
@@ -44,56 +47,39 @@ void SeqProfile::fold_row(const ProfileRow& src, std::uint64_t seq,
 }
 
 void SeqProfile::fold(std::uint64_t seq, const Profile& partial) {
-  std::uint32_t idx = 0;
-  for (const ProfileRow& src : partial.rows()) fold_row(src, seq, idx++);
+  const std::vector<ProfileRow>& rows = partial.rows();
+  for (std::uint32_t i = 0; i < rows.size(); ++i)
+    fold_row(rows[i], partial.row_hash_of(i), seq, i);
 }
 
 void SeqProfile::fold(const SeqProfile& other) {
-  for (const SeqRow& src : other.rows_) fold_row(src.row, src.seq, src.idx);
+  for (std::uint32_t i = 0; i < other.rows_.size(); ++i) {
+    const SeqRow& src = other.rows_[i];
+    fold_row(src.row, other.index_.hash(i), src.seq, src.idx);
+  }
 }
 
 Profile SeqProfile::ordered() const {
-  std::vector<const SeqRow*> order;
-  order.reserve(rows_.size());
-  for (const SeqRow& r : rows_) order.push_back(&r);
-  std::sort(order.begin(), order.end(), [](const SeqRow* a, const SeqRow* b) {
-    return before(a->seq, a->idx, b->seq, b->idx);
-  });
   Profile out;
-  for (const SeqRow* r : order) {
-    Resolution res;
-    res.image = r->row.image;
-    res.symbol = r->row.symbol;
-    res.domain = r->row.domain;
-    const std::size_t slot = out.row_index(res);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
-      if (r->row.counts[e] != 0)
-        out.bump(slot, hw::kAllEventKinds[e], r->row.counts[e]);
-    }
-  }
+  for (const std::uint32_t i : serial_order(rows_))
+    out.add_row(rows_[i].row, index_.hash(i));
   return out;
 }
 
 // ----------------------------------------------------------- SeqCallGraph
 
-void SeqCallGraph::fold_arc(const CallArc& src, std::uint64_t seq,
+void SeqCallGraph::fold_arc(const CallArc& src, std::uint64_t hash, std::uint64_t seq,
                             std::uint32_t idx) {
-  std::string key;
-  key.reserve(src.caller_image.size() + src.caller_symbol.size() +
-              src.callee_image.size() + src.callee_symbol.size() + 3);
-  key += src.caller_image;
-  key += '\0';
-  key += src.caller_symbol;
-  key += '\0';
-  key += src.callee_image;
-  key += '\0';
-  key += src.callee_symbol;
-  const auto [it, inserted] = index_.try_emplace(std::move(key), arcs_.size());
+  const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
+    const CallArc& a = arcs_[i].arc;
+    return a.caller_symbol == src.caller_symbol && a.callee_symbol == src.callee_symbol &&
+           a.caller_image == src.caller_image && a.callee_image == src.callee_image;
+  });
   if (inserted) {
     arcs_.push_back(SeqArc{src, seq, idx});
     return;
   }
-  SeqArc& dst = arcs_[it->second];
+  SeqArc& dst = arcs_[id];
   dst.arc.count += src.count;
   if (before(seq, idx, dst.seq, dst.idx)) {
     dst.seq = seq;
@@ -104,23 +90,21 @@ void SeqCallGraph::fold_arc(const CallArc& src, std::uint64_t seq,
 }
 
 void SeqCallGraph::fold(std::uint64_t seq, const CallGraph& partial) {
-  std::uint32_t idx = 0;
-  for (const CallArc& src : partial.arcs()) fold_arc(src, seq, idx++);
+  const std::vector<CallArc>& arcs = partial.arcs();
+  for (std::uint32_t i = 0; i < arcs.size(); ++i)
+    fold_arc(arcs[i], partial.arc_hash_of(i), seq, i);
 }
 
 void SeqCallGraph::fold(const SeqCallGraph& other) {
-  for (const SeqArc& src : other.arcs_) fold_arc(src.arc, src.seq, src.idx);
+  for (std::uint32_t i = 0; i < other.arcs_.size(); ++i) {
+    const SeqArc& src = other.arcs_[i];
+    fold_arc(src.arc, other.index_.hash(i), src.seq, src.idx);
+  }
 }
 
 CallGraph SeqCallGraph::ordered() const {
-  std::vector<const SeqArc*> order;
-  order.reserve(arcs_.size());
-  for (const SeqArc& a : arcs_) order.push_back(&a);
-  std::sort(order.begin(), order.end(), [](const SeqArc* a, const SeqArc* b) {
-    return before(a->seq, a->idx, b->seq, b->idx);
-  });
   CallGraph out;
-  for (const SeqArc* a : order) out.add_arc(a->arc);
+  for (const std::uint32_t i : serial_order(arcs_)) out.add_arc(arcs_[i].arc, index_.hash(i));
   return out;
 }
 

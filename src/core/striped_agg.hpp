@@ -16,7 +16,7 @@
 // RowMemo is the batched-interning half of the same hot path: within one
 // batch (or resolve shard), repeated symbols are bumped through a cached
 // row index keyed on the resolution's stable identity, skipping
-// Profile::add's per-sample key-string build; the shared table is touched
+// Profile::add's per-sample name hashing; the shared table is touched
 // once per distinct row per batch, not once per sample.
 #pragma once
 
@@ -28,6 +28,7 @@
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
 #include "core/resolver.hpp"
+#include "core/row_index.hpp"
 #include "core/sample_log.hpp"
 #include "hw/event.hpp"
 
@@ -58,11 +59,12 @@ class SeqProfile {
     std::uint32_t idx = 0;  // insertion index within that batch
   };
 
-  void fold_row(const ProfileRow& src, std::uint64_t seq, std::uint32_t idx);
+  void fold_row(const ProfileRow& src, std::uint64_t hash, std::uint64_t seq,
+                std::uint32_t idx);
 
   std::vector<SeqRow> rows_;
-  /// "image\0symbol" -> index into rows_ (same key scheme as Profile).
-  std::unordered_map<std::string, std::size_t> index_;
+  /// (image, symbol) -> index into rows_, hashed as in Profile.
+  RowIndex index_;
 };
 
 /// CallGraph counterpart: arcs carry (seq, idx) provenance; ordered()
@@ -83,10 +85,12 @@ class SeqCallGraph {
     std::uint32_t idx = 0;
   };
 
-  void fold_arc(const CallArc& src, std::uint64_t seq, std::uint32_t idx);
+  void fold_arc(const CallArc& src, std::uint64_t hash, std::uint64_t seq,
+                std::uint32_t idx);
 
   std::vector<SeqArc> arcs_;
-  std::unordered_map<std::string, std::size_t> index_;
+  /// The four endpoint names -> index into arcs_, hashed as in CallGraph.
+  RowIndex index_;
 };
 
 /// Per-batch (or per-shard) memo from a resolution's stable identity —

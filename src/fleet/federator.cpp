@@ -1,5 +1,6 @@
 #include "fleet/federator.hpp"
 
+#include <functional>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -69,15 +70,15 @@ std::string stored_sessions_table(const std::vector<store::ProfileStore*>& store
   return table.render();
 }
 
-/// Shared "top"/"diff" verb handling; `sessions_text` is the
-/// caller-specific "sessions" answer.
+/// Shared "top"/"diff" verb handling; `sessions_table` builds the
+/// caller-specific "sessions" answer, only when that verb is asked.
 std::string dispatch_query(const std::vector<store::ProfileStore*>& stores,
                            const std::string& text,
-                           const std::string& sessions_text) {
+                           const std::function<std::string()>& sessions_table) {
   std::istringstream in(text);
   std::string verb;
   in >> verb;
-  if (verb == "sessions") return sessions_text;
+  if (verb == "sessions") return sessions_table();
   if (verb == "top") {
     std::size_t top = 20;
     in >> top;
@@ -262,7 +263,7 @@ std::string Federator::query(const std::string& text) const {
     }
     out = memprof::render_memprof(sites, merged, top);
   } else {
-    out = dispatch_query(partitions(), text, sessions_table());
+    out = dispatch_query(partitions(), text, [this] { return sessions_table(); });
   }
   router_->telemetry().spans().record("fleet.query", "fleet", t0,
                                       support::monotonic_ns());
@@ -367,7 +368,8 @@ std::string OfflineFleet::query(const std::string& text) const {
       return "error: no telemetry exported (run viprof_fleet serve first)\n";
     return support::merge_chrome_traces(inputs);
   }
-  return dispatch_query(partitions(), text, stored_sessions_table(partitions()));
+  const std::vector<store::ProfileStore*> stores = partitions();
+  return dispatch_query(stores, text, [&stores] { return stored_sessions_table(stores); });
 }
 
 }  // namespace viprof::fleet

@@ -384,8 +384,8 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
   // Batched interning (DESIGN.md §14): repeated symbols inside one batch
-  // bump cached row/arc indices; the partials' tables see one key-string
-  // build per distinct row, not one per sample.
+  // bump cached row/arc indices; the partials' tables see one name hash
+  // and lookup per distinct row, not one per sample.
   core::RowMemo combined_memo;
   std::map<std::uint64_t, core::RowMemo> epoch_memos;
   core::Profile* epoch_profile = nullptr;
