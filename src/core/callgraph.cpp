@@ -1,5 +1,7 @@
 #include "core/callgraph.hpp"
 
+#include <tuple>
+
 #include "support/format.hpp"
 
 namespace viprof::core {
@@ -22,6 +24,11 @@ std::size_t CallGraph::arc_slot(std::uint64_t hash, std::string_view caller_imag
     arc.callee_symbol = callee_symbol;
     arc.caller_domain = caller_domain;
     arc.callee_domain = callee_domain;
+  } else {
+    // The lower domain wins, in any fold order.
+    CallArc& arc = arcs_[id];
+    if (caller_domain < arc.caller_domain) arc.caller_domain = caller_domain;
+    if (callee_domain < arc.callee_domain) arc.callee_domain = callee_domain;
   }
   return id;
 }
@@ -50,10 +57,6 @@ std::size_t CallGraph::arc_index(const Resolution& caller, const Resolution& cal
                   callee.domain);
 }
 
-void CallGraph::add_arc(const CallArc& arc, std::uint64_t hash) {
-  bump_arc(arc_slot(arc, hash), arc.count);
-}
-
 void CallGraph::merge(const CallGraph& other) {
   samples_ += other.samples_;
   for (std::size_t a = 0; a < other.arcs_.size(); ++a) {
@@ -62,12 +65,20 @@ void CallGraph::merge(const CallGraph& other) {
   }
 }
 
+std::vector<std::uint32_t> CallGraph::rank(std::size_t top_n) const {
+  const auto names = [&](std::size_t i) {
+    const CallArc& a = arcs_[i];
+    return std::tie(a.caller_image, a.caller_symbol, a.callee_image, a.callee_symbol);
+  };
+  return rank_top(
+      arcs_.size(), top_n, [&](std::size_t i) { return arcs_[i].count; },
+      [&](std::size_t a, std::size_t b) { return names(a) < names(b); });
+}
+
 std::vector<CallArc> CallGraph::ranked() const {
   std::vector<CallArc> out;
   out.reserve(arcs_.size());
-  for (const std::uint32_t a :
-       rank_top(arcs_.size(), arcs_.size(), [&](std::size_t i) { return arcs_[i].count; }))
-    out.push_back(arcs_[a]);
+  for (const std::uint32_t a : rank(arcs_.size())) out.push_back(arcs_[a]);
   return out;
 }
 
@@ -80,8 +91,7 @@ std::vector<CallArc> CallGraph::cross_layer_arcs() const {
 
 std::string CallGraph::render(std::size_t top_n) const {
   support::TextTable table({"Samples", "Caller", "->", "Callee"});
-  for (const std::uint32_t a :
-       rank_top(arcs_.size(), top_n, [&](std::size_t i) { return arcs_[i].count; })) {
+  for (const std::uint32_t a : rank(top_n)) {
     const CallArc& arc = arcs_[a];
     table.add_row({std::to_string(arc.count),
                    arc.caller_image + ":" + arc.caller_symbol, "->",

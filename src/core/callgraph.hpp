@@ -56,11 +56,6 @@ class CallGraph {
   void add_resolved(const Resolution& caller, const Resolution& callee,
                     std::uint64_t count);
 
-  /// Folds one finished arc — `arc.count` samples in a single lookup;
-  /// `hash` must be arc_hash() of its four names. Used by the striped
-  /// aggregator's order recovery (SeqCallGraph::ordered).
-  void add_arc(const CallArc& arc, std::uint64_t hash);
-
   /// Interning API mirroring Profile::row_index/bump: intern the arc slot
   /// once, then bump repeats without rehashing the four endpoint names.
   /// arc_index() + bump_arc() == add_resolved().
@@ -71,11 +66,13 @@ class CallGraph {
   }
 
   /// Adds every arc (and the sample count) of `other` into this graph.
-  /// Shard-order merging reproduces the serial arc order, as with
-  /// Profile::merge.
+  /// Commutative, as Profile::merge: an endpoint that arrives with two
+  /// domains keeps the lower SampleDomain, so graphs merged in any order
+  /// rank the same arcs with the same domains.
   void merge(const CallGraph& other);
 
-  /// Arcs sorted by count (descending), ties in first-insertion order.
+  /// Arcs sorted by count (descending), ties by the four endpoint names
+  /// (caller image, caller symbol, callee image, callee symbol).
   std::vector<CallArc> ranked() const;
 
   /// Only arcs whose endpoints are in different domains.
@@ -101,6 +98,8 @@ class CallGraph {
     return arc_slot(hash, like.caller_image, like.caller_symbol, like.callee_image,
                     like.callee_symbol, like.caller_domain, like.callee_domain);
   }
+  /// Arc positions of the first `top_n` arcs in ranked() order.
+  std::vector<std::uint32_t> rank(std::size_t top_n) const;
 
   const Resolver* resolver_ = nullptr;
   std::vector<CallArc> arcs_;

@@ -61,13 +61,11 @@ std::string CodeMapFile::serialize() const {
 }
 
 std::optional<CodeMapFile> CodeMapFile::parse(const std::string& contents) {
+  // Strict parse accepts only fully verified files. A `truncated` marker
+  // written by fsck is fine: the rewritten file carries its own header
+  // count and crc, so it verifies as intact while keeping the flag.
   const Recovery r = salvage(contents, 0);
-  if (!r.intact && !(r.header_ok && r.file.truncated &&
-                     r.file.entries.size() == r.entries_expected)) {
-    // Strict parse accepts only fully verified files; a `truncated` marker
-    // written by fsck is fine as long as the file itself checks out.
-    return std::nullopt;
-  }
+  if (!r.intact) return std::nullopt;
   return r.file;
 }
 

@@ -1,5 +1,7 @@
 #include "core/report.hpp"
 
+#include <tuple>
+
 #include "support/format.hpp"
 
 namespace viprof::core {
@@ -26,6 +28,8 @@ std::size_t Profile::row_slot(std::uint64_t hash, std::string_view image,
     row.image = image;
     row.symbol = symbol;
     row.domain = domain;
+  } else if (domain < rows_[id].domain) {
+    rows_[id].domain = domain;  // the lower domain wins, in any fold order
   }
   return id;
 }
@@ -44,14 +48,6 @@ std::size_t Profile::row_index(const Resolution& res) {
 
 void Profile::add(hw::EventKind event, const Resolution& res, std::uint64_t count) {
   bump(row_index(res), event, count);
-}
-
-void Profile::add_row(const ProfileRow& row, std::uint64_t hash) {
-  ProfileRow& dst = rows_[row_slot(hash, row.image, row.symbol, row.domain)];
-  for (std::size_t i = 0; i < hw::kEventKindCount; ++i) {
-    dst.counts[i] += row.counts[i];
-    totals_[i] += row.counts[i];
-  }
 }
 
 void Profile::merge(const Profile& other) {
@@ -82,13 +78,19 @@ double Profile::percent(const ProfileRow& row, hw::EventKind event) const {
   return 100.0 * static_cast<double>(row.count(event)) / static_cast<double>(total);
 }
 
+std::vector<std::uint32_t> Profile::rank(hw::EventKind primary, std::size_t top_n) const {
+  const auto names = [&](std::size_t i) {
+    return std::tie(rows_[i].image, rows_[i].symbol);
+  };
+  return rank_top(
+      rows_.size(), top_n, [&](std::size_t i) { return rows_[i].count(primary); },
+      [&](std::size_t a, std::size_t b) { return names(a) < names(b); });
+}
+
 std::vector<ProfileRow> Profile::ranked(hw::EventKind primary) const {
   std::vector<ProfileRow> out;
   out.reserve(rows_.size());
-  for (const std::uint32_t r : rank_top(rows_.size(), rows_.size(), [&](std::size_t i) {
-         return rows_[i].count(primary);
-       }))
-    out.push_back(rows_[r]);
+  for (const std::uint32_t r : rank(primary, rows_.size())) out.push_back(rows_[r]);
   return out;
 }
 
@@ -113,9 +115,7 @@ std::string Profile::render(const std::vector<hw::EventKind>& events,
 
   const hw::EventKind primary =
       events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0];
-  for (const std::uint32_t r : rank_top(rows_.size(), top_n, [&](std::size_t i) {
-         return rows_[i].count(primary);
-       })) {
+  for (const std::uint32_t r : rank(primary, top_n)) {
     const ProfileRow& row = rows_[r];
     std::vector<std::string> cells;
     for (hw::EventKind e : events) cells.push_back(support::fixed(percent(row, e), 4));
@@ -128,8 +128,6 @@ std::string Profile::render(const std::vector<hw::EventKind>& events,
 
 std::string render_diff(const Profile& before, const Profile& after,
                         hw::EventKind event, std::size_t top_n) {
-  // Candidate order: `after` rows, then rows only `before` has — the tie
-  // order the ranking preserves.
   struct Mover {
     std::int64_t delta;
     std::uint64_t from, to;
@@ -155,10 +153,17 @@ std::string render_diff(const Profile& before, const Profile& after,
   }
 
   support::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
-  for (const std::uint32_t m : rank_top(movers.size(), top_n, [&](std::size_t i) {
-         const std::int64_t d = movers[i].delta;
-         return static_cast<std::uint64_t>(d < 0 ? -d : d);
-       })) {
+  const auto magnitude = [&](std::size_t i) {
+    const std::int64_t d = movers[i].delta;
+    return static_cast<std::uint64_t>(d < 0 ? -d : d);
+  };
+  // Every mover is a distinct (image, symbol), so the tie rule is total.
+  const auto names = [&](std::size_t i) {
+    return std::tie(movers[i].row->image, movers[i].row->symbol);
+  };
+  for (const std::uint32_t m :
+       rank_top(movers.size(), top_n, magnitude,
+                [&](std::size_t a, std::size_t b) { return names(a) < names(b); })) {
     const Mover& mv = movers[m];
     table.add_row({(mv.delta > 0 ? "+" : "") + std::to_string(mv.delta),
                    std::to_string(mv.from), std::to_string(mv.to), mv.row->image,

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/resolver.hpp"
@@ -32,29 +33,23 @@ struct ProfileRow {
 /// Column header the paper uses for each event.
 const char* event_column_title(hw::EventKind event);
 
-/// Aggregation is hash-based: rows_ holds the rows in first-insertion
-/// order and a string-free RowIndex maps (image, symbol) to a row, so add()
-/// is O(1) amortised, and find() and the merge of an already-present row
-/// allocate nothing. Every ranking (ranked(), render(), render_diff()) is
-/// ordered by count descending, ties in first-insertion order; render()
-/// and render_diff() only partially sort, up to their top_n.
+/// Aggregation is hash-based: a string-free RowIndex maps (image, symbol)
+/// to a row, so add() is O(1) amortised, and find() and the merge of an
+/// already-present row allocate nothing. Every ranking (ranked(), render(),
+/// render_diff()) is ordered by count descending, ties by (image, symbol)
+/// ascending; render() and render_diff() only partially sort, up to their
+/// top_n. A row that arrives with two domains keeps the lower SampleDomain.
+/// Together these make every fold commutative: profiles merged in any
+/// order, or built from samples in any order, rank and render the same
+/// bytes. Only rows() exposes the (insertion) order of the rows.
 class Profile {
  public:
   void add(hw::EventKind event, const Resolution& res, std::uint64_t count = 1);
 
-  /// Adds every row and total of `other` into this profile. Merging
-  /// per-shard profiles in shard order reproduces the serial profile
-  /// exactly (row order included): a row's first-occurrence shard is the
-  /// shard of its globally first sample. Into an empty profile, merge
-  /// adopts `other` whole — copied, or moved from an rvalue.
+  /// Adds every row and total of `other` into this profile. Into an empty
+  /// profile, merge adopts `other` whole — copied, or moved from an rvalue.
   void merge(const Profile& other);
   void merge(Profile&& other);
-
-  /// Folds one finished row — all its counts, into the row and the totals —
-  /// in a single lookup. `hash` must be row_hash(row.image, row.symbol);
-  /// a new row takes `row.domain`. Used by the striped aggregator's order
-  /// recovery (SeqProfile::ordered).
-  void add_row(const ProfileRow& row, std::uint64_t hash);
 
   std::uint64_t total(hw::EventKind event) const {
     return totals_[hw::event_index(event)];
@@ -62,8 +57,8 @@ class Profile {
 
   double percent(const ProfileRow& row, hw::EventKind event) const;
 
-  /// Rows sorted by the count of `primary` (descending), ties in
-  /// first-insertion order.
+  /// Rows sorted by the count of `primary` (descending), ties by
+  /// (image, symbol).
   std::vector<ProfileRow> ranked(hw::EventKind primary) const;
 
   /// Sum of counts of `event` over rows in `domain`.
@@ -102,6 +97,8 @@ class Profile {
 
   std::size_t row_slot(std::uint64_t hash, std::string_view image,
                        std::string_view symbol, SampleDomain domain);
+  /// Row positions of the first `top_n` rows in ranked(primary) order.
+  std::vector<std::uint32_t> rank(hw::EventKind primary, std::size_t top_n) const;
   const ProfileRow* find_hashed(std::uint64_t hash, std::string_view image,
                                 std::string_view symbol) const;
 
@@ -112,10 +109,56 @@ class Profile {
 };
 
 /// Regression table between two profiles: rows whose `event` count changed,
-/// ranked by |delta| descending (ties keep `after`-then-`before` row order,
-/// so equally-built profiles render byte-identically). Used by the service
-/// snapshot diff and the store's window-vs-window queries.
+/// ranked by |delta| descending, ties by (image, symbol). Used by the
+/// service snapshot diff and the store's window-vs-window queries.
 std::string render_diff(const Profile& before, const Profile& after,
                         hw::EventKind event, std::size_t top_n);
+
+/// Per-batch (or per-shard) memo from a resolution's stable identity —
+/// (domain, pid, sample epoch, symbol_base) — to its interned row index in
+/// one target Profile: repeated symbols are bumped through the cached row
+/// index, skipping Profile::add's per-sample name hashing. Only resolutions
+/// with symbol_size != 0 are memoised: the unresolved degradation bins all
+/// report base 0, so they always take the exact add() path. A memo is valid
+/// for exactly one Profile and one batch; start a fresh one per batch.
+class RowMemo {
+ public:
+  void add(Profile& out, hw::EventKind event, hw::Pid pid, std::uint64_t epoch,
+           const Resolution& res, std::uint64_t count = 1) {
+    if (res.symbol_size == 0) {
+      out.add(event, res, count);
+      return;
+    }
+    const Key key{res.symbol_base, epoch, pid, static_cast<std::uint8_t>(res.domain)};
+    const auto [it, inserted] = map_.try_emplace(key, 0);
+    if (inserted) it->second = out.row_index(res);
+    out.bump(it->second, event, count);
+  }
+
+  void clear() { map_.clear(); }
+
+ private:
+  struct Key {
+    hw::Address base = 0;
+    std::uint64_t epoch = 0;
+    hw::Pid pid = 0;
+    std::uint8_t domain = 0;
+
+    bool operator==(const Key& o) const {
+      return base == o.base && epoch == o.epoch && pid == o.pid && domain == o.domain;
+    }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      std::uint64_t h = k.base * 0x9e3779b97f4a7c15ull;
+      h ^= (k.epoch + 0x7f4a7c15u) * 0xc2b2ae3d27d4eb4full;
+      h ^= (static_cast<std::uint64_t>(k.pid) << 8 | k.domain) * 0x165667b19e3779f9ull;
+      h ^= h >> 29;
+      return static_cast<std::size_t>(h);
+    }
+  };
+
+  std::unordered_map<Key, std::size_t, KeyHash> map_;
+};
 
 }  // namespace viprof::core

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <thread>
-
-#include "core/striped_agg.hpp"
+#include <utility>
 
 namespace viprof::core {
 
@@ -51,9 +50,10 @@ ResolveStats ResolvePipeline::aggregate_profile(
       memo.add(parts[k], event, s.pid, s.epoch, fn(s, stats[k]));
     }
   });
-  // Shard-order merge: deterministic, reproduces the serial row order.
+  // Merges commute (DESIGN.md §9): the shards fold in any order into the
+  // same ranking as the serial loop.
   for (std::size_t k = 0; k < shards; ++k) {
-    out.merge(parts[k]);
+    out.merge(std::move(parts[k]));
     total.merge(stats[k]);
   }
   return total;

@@ -5,9 +5,9 @@
 // makes the offline resolve→aggregate step scale with host cores without
 // changing a byte of output: samples are partitioned into contiguous
 // shards, each worker resolves its shard into a private Profile/CallGraph
-// and ResolveStats, and the partials are merged in shard order — which
-// reproduces the serial first-occurrence row order exactly (a row's first
-// shard is the shard of its globally first sample).
+// and ResolveStats, and the partials are merged. Merges are commutative
+// sums and every table ranks in one canonical order (count, then names),
+// so the rendered output equals the serial loop's at any thread count.
 #pragma once
 
 #include <cstddef>

@@ -1,15 +1,17 @@
 // One string-free row index for every profile fold (DESIGN.md §9).
 //
-// Profile, CallGraph, SeqProfile and SeqCallGraph keep their rows in a
-// vector in first-insertion order; RowIndex maps a row's names to its
-// position in that vector without ever building a key string. It is an
-// open-addressing table of uint32 row ids plus one cached 64-bit hash per
-// row. Equality is decided by the owning container — the caller passes a
-// predicate that compares its own row `id` against the probe's names — so
-// a lookup hit allocates nothing, and a fold of one container into another
-// reuses the source row's cached hash instead of rehashing its names.
+// Profile and CallGraph keep their rows in a vector; RowIndex maps a row's
+// names to its position in that vector without ever building a key
+// string. It is an open-addressing table of uint32 row ids plus one cached
+// 64-bit hash per row. Equality is decided by the owning container — the
+// caller passes a predicate that compares its own row `id` against the
+// probe's names — so a lookup hit allocates nothing, and a fold of one
+// container into another reuses the source row's cached hash instead of
+// rehashing its names.
 //
-// rank_top() is the one ranking helper every top-N table goes through.
+// rank_top() is the one ranking helper every top-N table goes through. Its
+// order depends on the rows' counts and names only, never on where a row
+// sits in the vector, so folds may run in any order.
 #pragma once
 
 #include <algorithm>
@@ -88,11 +90,12 @@ class RowIndex {
 };
 
 /// Positions in [0, n) of the first min(top_n, n) rows ranked by `key(i)`
-/// descending, ties by position ascending — exactly the prefix a
-/// stable_sort of all n rows by key descending would produce, at the cost
-/// of a partial sort.
-template <typename Key>
-std::vector<std::uint32_t> rank_top(std::size_t n, std::size_t top_n, Key&& key) {
+/// descending, ties by `tie_less(i, j)` — the prefix a full sort of all n
+/// rows in that order would produce, at the cost of a partial sort. The
+/// callers pass a tie rule on the rows' names, which makes the order total.
+template <typename Key, typename TieLess>
+std::vector<std::uint32_t> rank_top(std::size_t n, std::size_t top_n, Key&& key,
+                                    TieLess&& tie_less) {
   struct Entry {
     std::uint64_t key;
     std::uint32_t pos;
@@ -100,8 +103,8 @@ std::vector<std::uint32_t> rank_top(std::size_t n, std::size_t top_n, Key&& key)
   std::vector<Entry> entries(n);
   for (std::size_t i = 0; i < n; ++i)
     entries[i] = {static_cast<std::uint64_t>(key(i)), static_cast<std::uint32_t>(i)};
-  const auto before = [](const Entry& a, const Entry& b) {
-    return a.key != b.key ? a.key > b.key : a.pos < b.pos;
+  const auto before = [&](const Entry& a, const Entry& b) {
+    return a.key != b.key ? a.key > b.key : tie_less(a.pos, b.pos);
   };
   const std::size_t k = std::min(top_n, n);
   if (k == n) std::sort(entries.begin(), entries.end(), before);

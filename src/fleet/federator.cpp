@@ -54,11 +54,10 @@ core::Profile gather_profile(const std::vector<store::ProfileStore*>& stores,
 }
 
 core::Profile gather_merged(const std::vector<store::ProfileStore*>& stores) {
-  // Globally ascending session-id order — exactly the fold order of a
-  // single server's session map, the byte-identity anchor.
+  // One whole-store window per partition: the fold commutes, so no
+  // per-session order is needed for the single-server bytes.
   core::Profile out;
-  for (const store::ProfileStore::StoredSession& ss : gather_sessions(stores))
-    out.merge(gather_profile(stores, ss.session));
+  for (store::ProfileStore* s : stores) out.merge(s->window_profile(store::WindowSpec{}));
   return out;
 }
 
@@ -242,8 +241,8 @@ std::string Federator::query(const std::string& text) const {
   } else if (verb == "memprof") {
     // Allocation-site tables need the shards' live session worlds (object
     // maps are session files, not stored profile rows), so this verb
-    // gathers from alive servers. render_memprof reads the profile through
-    // point lookups only, so the shard fold order never shows in the bytes.
+    // gathers from alive servers; the merge commutes, so the shard order
+    // never shows in the bytes.
     std::size_t top = 20;
     in >> top;
     std::string word;

@@ -2,12 +2,11 @@
 //
 // Every completed session lives in exactly one shard partition (the router
 // flushes at terminal success only), so a federated answer is a fold over
-// partitions: gather each session's stored profile, merge in globally
-// ascending session-id order — the same order a single ProfileServer's
-// "top" query folds its session map — and render. That makes the federated
-// report byte-identical to a single-server run over the same sessions, and
-// it works uniformly whether a shard's process is alive, circuit-broken,
-// or dead with its partition re-opened through recovery.
+// partitions: merge each partition's stored profile and render. Merges
+// commute and every table ranks in one canonical order, so the federated
+// report is byte-identical to a single-server run over the same sessions,
+// whether a shard's process is alive, circuit-broken, or dead with its
+// partition re-opened through recovery.
 //
 // Federator answers over a live Router; OfflineFleet answers over an
 // exported fleet directory (manifest + partitions), the shape
@@ -37,8 +36,7 @@ class Federator {
   /// One session's stored profile, from whichever partition holds it.
   core::Profile session_profile(const std::string& id) const;
 
-  /// Fold of every stored session in ascending id order — the single
-  /// server "top" merge order.
+  /// Fold of every stored session — the single server "top" answer.
   core::Profile merged_profile() const;
 
   std::string render_top(const std::vector<hw::EventKind>& events,

@@ -15,8 +15,8 @@
 //   end
 //   crc <8 hex digits>
 //
-// Row order is the profile's first-insertion order, so a profile rebuilt
-// from its snapshot renders byte-identically to the live one.
+// Rows carry their names, counts and domain, so a profile rebuilt from its
+// snapshot renders byte-identically to the live one.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@ namespace viprof::service {
 
 struct SessionSnapshot {
   std::string id;
-  core::Profile profile;  // merged over events in canonical order
+  core::Profile profile;  // merged over events
   std::map<std::uint64_t, core::Profile> epochs;
 };
 

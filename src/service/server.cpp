@@ -308,7 +308,6 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   Batch& batch = *item;
 
   BatchResult result;
-  result.event = batch.event;
   result.records = batch.samples.size();
 
   const core::ArchiveResolver* resolver = session->resolver();

@@ -10,9 +10,10 @@
 // session's bounded queue; a shared ThreadPool resolves batches
 // concurrently through the RCU-snapshot code-map cache and folds each into
 // one of the session's aggregation stripes in whatever order workers
-// finish. Order-recovering accumulators (DESIGN.md §14) make the online
-// aggregate byte-identical to offline viprof_report over the same logs, at
-// any thread count, stripe count and interleaving (DESIGN.md §10).
+// finish. Merges commute and every table ranks in one canonical order
+// (DESIGN.md §14), so the online aggregate renders byte-identical to
+// offline viprof_report over the same logs, at any thread count, stripe
+// count and interleaving (DESIGN.md §10).
 //
 // Overload: with kBackpressure a full queue blocks the sender (slow server
 // slows its clients); with kDropNewest the batch is dropped and *counted*
@@ -134,8 +135,8 @@ class ProfileServer {
 
   /// Flushes each session's delta since the last flush into `store` as one
   /// interval profile at tick [tick, tick]. Sessions are visited in id
-  /// order; merging a session's flush intervals in tick order reproduces
-  /// its full profile exactly (DESIGN.md §11). Returns intervals ingested.
+  /// order; merging a session's flush intervals, in any order, reproduces
+  /// its full profile (DESIGN.md §11). Returns intervals ingested.
   std::size_t flush_to_store(store::ProfileStore& store, std::uint64_t tick);
 
   /// Flushes one session's delta (same semantics as flush_to_store, which

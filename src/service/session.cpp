@@ -155,49 +155,41 @@ const core::ArchiveResolver* ServerSession::resolver() {
 }
 
 core::Profile ServerSession::merged_profile() const {
-  core::SeqProfile combined[hw::kEventKindCount];
+  core::Profile merged;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
-      combined[e].fold(stripe->event_profiles[e]);
+    merged.merge(stripe->profile);
   }
-  core::Profile merged;
-  for (hw::EventKind event : hw::kAllEventKinds)
-    merged.merge(combined[hw::event_index(event)].ordered());
   return merged;
 }
 
 core::Profile ServerSession::profile_since_epoch(std::uint64_t since) const {
-  std::map<std::uint64_t, core::SeqProfile> combined;
+  core::Profile merged;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (const auto& [epoch, partial] : stripe->epoch_profiles)
-      if (epoch >= since) combined[epoch].fold(partial);
+    for (auto it = stripe->epoch_profiles.lower_bound(since);
+         it != stripe->epoch_profiles.end(); ++it)
+      merged.merge(it->second);
   }
-  core::Profile merged;
-  for (const auto& [epoch, partial] : combined) merged.merge(partial.ordered());
   return merged;
 }
 
 std::map<std::uint64_t, core::Profile> ServerSession::epoch_profiles() const {
-  std::map<std::uint64_t, core::SeqProfile> combined;
+  std::map<std::uint64_t, core::Profile> out;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (const auto& [epoch, partial] : stripe->epoch_profiles)
-      combined[epoch].fold(partial);
+    for (const auto& [epoch, partial] : stripe->epoch_profiles) out[epoch].merge(partial);
   }
-  std::map<std::uint64_t, core::Profile> out;
-  for (const auto& [epoch, partial] : combined) out.emplace(epoch, partial.ordered());
   return out;
 }
 
 std::vector<core::CallArc> ServerSession::ranked_arcs() const {
-  core::SeqCallGraph combined;
+  core::CallGraph merged;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    combined.fold(stripe->graph);
+    merged.merge(stripe->graph);
   }
-  return combined.ordered().ranked();
+  return merged.ranked();
 }
 
 void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
@@ -226,15 +218,12 @@ core::CodeMapIndex ServerSession::object_index(const std::string& dir,
 }
 
 ServerSession::FlushDelta ServerSession::take_flush() {
-  core::SeqProfile combined[hw::kEventKindCount];
   FlushDelta delta;
   std::uint64_t lo = ~0ull, hi = 0;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
-      combined[e].fold(stripe->pending_event[e]);
-      stripe->pending_event[e] = core::SeqProfile{};
-    }
+    delta.profile.merge(std::move(stripe->pending));
+    stripe->pending = core::Profile{};
     lo = std::min(lo, stripe->pending_epoch_lo);
     hi = std::max(hi, stripe->pending_epoch_hi);
     delta.records += stripe->pending_records;
@@ -248,10 +237,6 @@ ServerSession::FlushDelta ServerSession::take_flush() {
     delta.epoch_lo = lo;
     delta.epoch_hi = hi;
   }
-  // Canonical event order, same as merged_profile(): differently-timed
-  // flushes of the same stream fold back to the same row order.
-  for (hw::EventKind event : hw::kAllEventKinds)
-    delta.profile.merge(combined[hw::event_index(event)].ordered());
   return delta;
 }
 
@@ -259,17 +244,16 @@ void ServerSession::apply(std::uint64_t apply_seq, BatchResult result) {
   Stripe& stripe = *stripes_[apply_seq % stripes_.size()];
   {
     std::lock_guard<support::TracedMutex> lock(stripe.mu);
-    const std::size_t e = hw::event_index(result.event);
-    stripe.event_profiles[e].fold(apply_seq, result.partial);
-    stripe.pending_event[e].fold(apply_seq, result.partial);
-    stripe.pending_records += result.records;
+    stripe.profile.merge(result.partial);
     if (result.partial.row_count() != 0) stripe.pending_any = true;
-    for (const auto& [epoch, partial] : result.epoch_partial) {
-      stripe.epoch_profiles[epoch].fold(apply_seq, partial);
+    stripe.pending.merge(std::move(result.partial));
+    stripe.pending_records += result.records;
+    for (auto& [epoch, partial] : result.epoch_partial) {
+      stripe.epoch_profiles[epoch].merge(std::move(partial));
       stripe.pending_epoch_lo = std::min(stripe.pending_epoch_lo, epoch);
       stripe.pending_epoch_hi = std::max(stripe.pending_epoch_hi, epoch);
     }
-    stripe.graph.fold(apply_seq, result.arcs);
+    stripe.graph.merge(result.arcs);
   }
   records_ingested_.fetch_add(result.records, std::memory_order_relaxed);
   batches_applied_.fetch_add(1, std::memory_order_relaxed);

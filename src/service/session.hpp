@@ -21,16 +21,15 @@
 // world.
 //
 // Aggregation is striped (DESIGN.md §14): a batch lands on stripe
-// (apply_seq % stripes) and folds into that stripe's order-recovering
-// SeqProfile/SeqCallGraph accumulators under the stripe's own lock, so
-// concurrent workers only collide when their sequence numbers share a
-// stripe. There is no reorder buffer and no apply-order requirement —
-// every row remembers its first-occurrence (seq, idx), and queries merge
-// the stripes and sort that provenance back into the exact serial order.
-// The online answer stays byte-identical to offline viprof_report at any
-// thread count, stripe count and worker interleaving. Every stripe lock
-// shares the TracedMutex name "service.session.agg", so the PR 7
-// contention evidence reads on the same key before and after.
+// (apply_seq % stripes) and merges into that stripe's plain Profile and
+// CallGraph under the stripe's own lock, so concurrent workers only
+// collide when their sequence numbers share a stripe. There is no reorder
+// buffer and no apply-order requirement: merges are commutative sums and
+// every table ranks in one canonical order (count, then names), so queries
+// just merge the stripes. The online answer stays byte-identical to
+// offline viprof_report at any thread count, stripe count and worker
+// interleaving. Every stripe lock shares the TracedMutex name
+// "service.session.agg", so contention evidence reads on one key.
 //
 // Counters (SessionStats) are plain atomics: stats() composes a snapshot
 // without stopping ingest.
@@ -50,7 +49,6 @@
 #include "core/registration.hpp"
 #include "core/report.hpp"
 #include "core/sample_log.hpp"
-#include "core/striped_agg.hpp"
 #include "memprof/site_table.hpp"
 #include "support/arena.hpp"
 #include "support/bounded_queue.hpp"
@@ -76,7 +74,6 @@ struct Batch {
 /// shared-table fold per distinct row, not per sample) and handed to
 /// apply() in any order.
 struct BatchResult {
-  hw::EventKind event = hw::EventKind::kGlobalPowerEvents;
   core::Profile partial;
   std::map<std::uint64_t, core::Profile> epoch_partial;
   core::CallGraph arcs;  // resolver-less partial graph
@@ -160,14 +157,13 @@ class ServerSession {
   /// been streamed.
   const core::ArchiveResolver* resolver();
 
-  /// Combined rolling profile, per-event profiles merged in canonical
-  /// event order (matches offline single-profile aggregation row order).
+  /// Combined rolling profile: every stripe's per-event profiles merged.
   core::Profile merged_profile() const;
 
   /// Merge of the per-epoch profiles with epoch >= `since`.
   core::Profile profile_since_epoch(std::uint64_t since) const;
 
-  /// Rolling cross-layer call graph (arc list copy).
+  /// Rolling cross-layer call graph, arcs in CallGraph::ranked() order.
   std::vector<core::CallArc> ranked_arcs() const;
 
   /// Merges the site partition of every registered VM's object maps into
@@ -183,7 +179,7 @@ class ServerSession {
   /// Everything applied since the previous take_flush(): the increment the
   /// persistent profile store ingests as one interval (DESIGN.md §11).
   struct FlushDelta {
-    core::Profile profile;  // per-event deltas merged in canonical event order
+    core::Profile profile;  // every event's delta, merged
     std::uint64_t epoch_lo = 0, epoch_hi = 0;  // epochs seen in the delta
     std::uint64_t records = 0;
     bool any = false;
@@ -191,14 +187,16 @@ class ServerSession {
 
   /// Returns and clears the accumulated delta. A batch folds into exactly
   /// one stripe's pending state, so every batch lands in exactly one
-  /// flush interval; consecutive intervals merged back together reproduce
-  /// the session's full profile exactly (order recovery makes the cut
-  /// points irrelevant).
+  /// flush interval; the intervals merged back together, in any order,
+  /// reproduce the session's full profile.
   FlushDelta take_flush();
 
-  /// Copies of the per-epoch profiles (snapshot serialisation), each in
-  /// recovered serial order.
+  /// Copies of the per-epoch profiles (snapshot serialisation).
   std::map<std::uint64_t, core::Profile> epoch_profiles() const;
+
+  /// Merges `result` into stripe (apply_seq % stripes). Called by the
+  /// ingest workers under no other lock; any order, any interleaving.
+  void apply(std::uint64_t apply_seq, BatchResult result);
 
   std::uint64_t ingested_records() const {
     return records_ingested_.load(std::memory_order_relaxed);
@@ -216,23 +214,19 @@ class ServerSession {
  private:
   friend class ProfileServer;
 
-  /// One aggregation stripe: order-recovering accumulators plus the
-  /// pending flush delta, under the stripe's own lock.
+  /// One aggregation stripe: the rolling aggregates plus the pending
+  /// flush delta, under the stripe's own lock.
   struct Stripe {
     mutable support::TracedMutex mu{"service.session.agg"};
-    core::SeqProfile event_profiles[hw::kEventKindCount];
-    std::map<std::uint64_t, core::SeqProfile> epoch_profiles;
-    core::SeqCallGraph graph;
+    core::Profile profile;
+    std::map<std::uint64_t, core::Profile> epoch_profiles;
+    core::CallGraph graph;
     // Flush accumulation since the last take_flush().
-    core::SeqProfile pending_event[hw::kEventKindCount];
+    core::Profile pending;
     std::uint64_t pending_epoch_lo = ~0ull, pending_epoch_hi = 0;  // lo>hi: none
     std::uint64_t pending_records = 0;
     bool pending_any = false;
   };
-
-  /// Folds `result` into stripe (apply_seq % stripes). Called by workers
-  /// under no other lock; any order, any interleaving.
-  void apply(std::uint64_t apply_seq, BatchResult result);
 
   const std::string id_;
   std::atomic<std::uint64_t> trace_id_{0};

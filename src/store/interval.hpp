@@ -5,13 +5,14 @@
 // store keeps history by persisting *interval profiles* — each one the
 // aggregate the server flushed for a (session, pid) over a tick range and
 // the epoch range that was live during it. Queries fold intervals back
-// together with Profile::merge, so the canonical fold order below is what
-// makes every answer byte-identical however the intervals are physically
-// arranged (unsealed, sealed, or compacted — DESIGN.md §11).
+// together with Profile::merge. The fold is commutative, so every answer is
+// byte-identical however the intervals are physically arranged (unsealed,
+// sealed, or compacted — DESIGN.md §11) and in whatever order they fold.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "core/report.hpp"
 
@@ -22,31 +23,17 @@ struct IntervalProfile {
   std::uint64_t pid = 0;
   std::uint64_t tick_lo = 0, tick_hi = 0;    // inclusive tick range
   std::uint64_t epoch_lo = 0, epoch_hi = 0;  // epochs live during the range
-  /// Store-assigned ingest sequence number; globally unique, so the
-  /// canonical order below is total. A compacted interval keeps the
-  /// smallest first_seq of its constituents.
+  /// Store-assigned ingest sequence number: the interval's age stamp, which
+  /// orders segments for retention and manifest rebuild. A compacted
+  /// interval keeps the smallest first_seq of its constituents. Queries
+  /// never look at it.
   std::uint64_t first_seq = 0;
   core::Profile profile;
 };
 
-/// Two intervals with the same merge key may be folded into one by the
-/// compactor (Profile::merge in first_seq order).
-inline bool same_merge_key(const IntervalProfile& a, const IntervalProfile& b) {
-  return a.tick_lo == b.tick_lo && a.tick_hi == b.tick_hi && a.pid == b.pid &&
-         a.session == b.session;
-}
-
-/// Canonical query order: (session, pid, tick_lo, tick_hi, first_seq).
-/// first_seq is unique, so this is a strict total order; equal-merge-key
-/// intervals sort adjacent in ingest order, which is exactly the order the
-/// compactor folds them — hence queries over compacted segments reproduce
-/// the uncompacted fold byte for byte.
-inline bool canonical_less(const IntervalProfile& a, const IntervalProfile& b) {
-  if (a.session != b.session) return a.session < b.session;
-  if (a.pid != b.pid) return a.pid < b.pid;
-  if (a.tick_lo != b.tick_lo) return a.tick_lo < b.tick_lo;
-  if (a.tick_hi != b.tick_hi) return a.tick_hi < b.tick_hi;
-  return a.first_seq < b.first_seq;
+/// The compactor folds intervals with equal merge keys into one.
+inline auto merge_key(const IntervalProfile& iv) {
+  return std::tie(iv.session, iv.pid, iv.tick_lo, iv.tick_hi);
 }
 
 }  // namespace viprof::store

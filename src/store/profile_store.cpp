@@ -228,9 +228,8 @@ std::size_t ProfileStore::compact(support::ThreadPool* pool) {
   if (!open_ || killed_) return 0;
 
   // Plan deterministically, before any parallelism: maximal consecutive
-  // runs of small sealed segments (consecutive in ingest order — their
-  // first_seq spans are contiguous, so merging a run can never reorder the
-  // canonical fold), chunked to the fan-in.
+  // runs of small sealed segments (consecutive in ingest order, so the
+  // segments' seq spans stay ordered for retention), chunked to the fan-in.
   const std::uint64_t small_limit =
       static_cast<std::uint64_t>(config_.seal_after_intervals) * config_.compact_fanin;
   struct Job {
@@ -272,16 +271,17 @@ std::size_t ProfileStore::compact(support::ThreadPool* pool) {
     std::vector<const IntervalProfile*> ivs;
     for (std::size_t s = j.begin; s < j.end; ++s)
       for (const IntervalProfile& iv : sealed_[s].intervals) ivs.push_back(&iv);
-    std::sort(ivs.begin(), ivs.end(),
-              [](const IntervalProfile* a, const IntervalProfile* b) {
-                return canonical_less(*a, *b);
-              });
-    // Fold equal-merge-key neighbours in first_seq order; the merged
-    // interval keeps the smallest first_seq, so later query sorts put it
-    // exactly where its first constituent used to sit.
+    // Group by merge key and fold each group; the fold commutes, so only
+    // the key decides what merges. The stable sort keeps the output bytes
+    // a function of the inputs, and a group's first member carries its
+    // smallest first_seq, which the merged interval keeps as its age.
+    std::stable_sort(ivs.begin(), ivs.end(),
+                     [](const IntervalProfile* a, const IntervalProfile* b) {
+                       return merge_key(*a) < merge_key(*b);
+                     });
     std::vector<IntervalProfile> merged;
     for (const IntervalProfile* iv : ivs) {
-      if (!merged.empty() && same_merge_key(merged.back(), *iv)) {
+      if (!merged.empty() && merge_key(merged.back()) == merge_key(*iv)) {
         merged.back().profile.merge(iv->profile);
         merged.back().epoch_lo = std::min(merged.back().epoch_lo, iv->epoch_lo);
         merged.back().epoch_hi = std::max(merged.back().epoch_hi, iv->epoch_hi);
@@ -383,10 +383,6 @@ void ProfileStore::collect_window_locked(
   if (active_)
     for (const IntervalProfile& iv : active_->intervals)
       if (in_window(iv, w)) out.push_back(&iv);
-  std::sort(out.begin(), out.end(),
-            [](const IntervalProfile* a, const IntervalProfile* b) {
-              return canonical_less(*a, *b);
-            });
 }
 
 core::Profile ProfileStore::window_profile_locked(const WindowSpec& w) const {
@@ -415,8 +411,7 @@ std::string ProfileStore::render_series(const WindowSpec& w, const std::string& 
   std::lock_guard<support::TracedMutex> lock(mu_);
   std::vector<const IntervalProfile*> ivs;
   collect_window_locked(w, ivs);
-  // Per-tick folds; map keeps the output in ascending tick order while the
-  // fold *within* each tick keeps the canonical order.
+  // Per-tick folds; the map keeps the output in ascending tick order.
   std::map<std::pair<std::uint64_t, std::uint64_t>, core::Profile> ticks;
   for (const IntervalProfile* iv : ivs)
     ticks[{iv->tick_lo, iv->tick_hi}].merge(iv->profile);

@@ -18,10 +18,11 @@
 // re-opening a fresh ProfileStore over the same Vfs replays the manifest,
 // salvages segments, and accounts every lost interval and row exactly.
 //
-// Query model: answers are folds of interval profiles in the canonical
-// order (interval.hpp), so a window query renders byte-identical whether
-// its intervals sit in the unsealed segment, sealed segments, or compacted
-// ones — the determinism anchor asserted by the `store` ctest label.
+// Query model: answers are folds of interval profiles, and the fold is
+// commutative (interval.hpp), so a window query renders byte-identical
+// whether its intervals sit in the unsealed segment, sealed segments, or
+// compacted ones — the determinism anchor asserted by the `store` ctest
+// label.
 #pragma once
 
 #include <cstdint>
@@ -122,7 +123,7 @@ class ProfileStore {
   /// further work (discard it and re-open to model the process restart).
   bool killed() const;
 
-  // -- Queries (all answers fold intervals in canonical order) --
+  // -- Queries (all answers are commutative folds of intervals) --
 
   /// Aggregate profile over every interval contained in the window.
   core::Profile window_profile(const WindowSpec& w) const;

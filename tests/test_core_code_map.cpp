@@ -175,6 +175,41 @@ TEST(CodeMapFile, TruncatedMarkerRoundTripsThroughReserialization) {
   EXPECT_TRUE(index.epoch_truncated(4));
 }
 
+TEST(CodeMapFile, StrictParseRejectsCrcMismatchWithFullEntryCount) {
+  // One changed byte in a symbol keeps every line well-formed and the
+  // entry count exact; only the crc trailer can tell.
+  std::string bytes =
+      map_of(6, {{0x1000, 100, "a.b.c"}, {0x2000, 100, "d.e.f"}}).serialize();
+  const std::size_t at = bytes.find("a.b.c");
+  ASSERT_NE(at, std::string::npos);
+  bytes[at] = 'z';
+
+  const auto r = CodeMapFile::salvage(bytes, 0);
+  EXPECT_FALSE(r.intact);
+  EXPECT_EQ(r.file.entries.size(), r.entries_expected);
+  EXPECT_FALSE(CodeMapFile::parse(bytes).has_value());
+}
+
+TEST(CodeMapFile, FsckRewrittenTruncatedMapParses) {
+  // fsck salvages a torn map and rewrites what it kept: a fresh header
+  // count and crc over the kept entries, plus the `truncated` marker.
+  const CodeMapFile original = map_of(
+      8, {{0x1000, 100, "a"}, {0x2000, 100, "b"}, {0x3000, 100, "c"}});
+  std::string torn = original.serialize();
+  torn.resize(torn.find("0x3000"));
+  const auto r = CodeMapFile::salvage(torn, 0);
+  ASSERT_FALSE(r.intact);
+  ASSERT_EQ(r.file.entries.size(), 2u);
+
+  const std::string rewritten = r.file.serialize();
+  EXPECT_TRUE(CodeMapFile::salvage(rewritten, 0).intact);
+  const auto parsed = CodeMapFile::parse(rewritten);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->truncated);
+  ASSERT_EQ(parsed->entries.size(), 2u);
+  EXPECT_EQ(parsed->entries[1].symbol, "b");
+}
+
 TEST(CodeMapFile, EpochFromPath) {
   EXPECT_EQ(CodeMapFile::epoch_from_path(CodeMapFile::path_for("jit_maps", 42, 17)),
             17u);

@@ -8,10 +8,10 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
-#include "core/striped_agg.hpp"
 
 namespace {
 
@@ -89,17 +89,18 @@ TEST(ProfileAlloc, CallGraphAndStripedFoldsOfPresentRowsAllocateNothing) {
   CallGraph graph;
   for (std::size_t i = 0; i < 100; ++i) graph.add_resolved(res(i), res(i + 1), i + 1);
   const CallGraph again = graph;
-  const Profile partial = profile(100, 1);
-  SeqProfile seq;
-  seq.fold(0, partial);
+  // A service stripe folds each batch partial by move (ServerSession::apply).
+  Profile stripe = profile(100, 1);
+  Profile partial = profile(100, 1);
 
   const std::uint64_t before = g_news.load();
   graph.merge(again);
-  seq.fold(1, partial);
+  stripe.merge(std::move(partial));
   const std::uint64_t after = g_news.load();
 
   EXPECT_EQ(graph.total_arcs(), 100u);
-  EXPECT_EQ(seq.row_count(), 100u);
+  EXPECT_EQ(stripe.row_count(), 100u);
+  EXPECT_EQ(stripe.total(kDmiss), 200u);
   EXPECT_EQ(after - before, 0u) << "heap allocations folding already-present rows";
 }
 

@@ -1,9 +1,10 @@
-// Differential test for the bounded top-N rank (DESIGN.md §9). The full
-// stable_sort ranking that ranked(), render(), render_diff() and
-// CallGraph::render() used before rank_top() is kept below verbatim as the
-// oracle; on seeded profiles and call graphs with heavy count ties, zero
-// counts and before-only diff rows, every top_n from 0 to SIZE_MAX must
-// render byte-equal to it. merge(Profile&&) must equal merge(const Profile&).
+// Differential test for the bounded top-N rank (DESIGN.md §9). The oracles
+// below rank with a full std::sort under the canonical order — count
+// descending, ties by (image, symbol) for profile rows and diff movers and
+// by the four endpoint names for arcs; on seeded profiles and call graphs
+// with heavy count ties, zero counts and before-only diff rows, every
+// top_n from 0 to SIZE_MAX must render byte-equal to them.
+// merge(Profile&&) must equal merge(const Profile&).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/callgraph.hpp"
@@ -28,10 +30,10 @@ constexpr auto kDmiss = hw::EventKind::kBsqCacheReference;
 
 std::vector<ProfileRow> oracle_ranked(const Profile& p, hw::EventKind primary) {
   std::vector<ProfileRow> out = p.rows();
-  std::stable_sort(out.begin(), out.end(),
-                   [&](const ProfileRow& a, const ProfileRow& b) {
-                     return a.count(primary) > b.count(primary);
-                   });
+  std::sort(out.begin(), out.end(), [&](const ProfileRow& a, const ProfileRow& b) {
+    if (a.count(primary) != b.count(primary)) return a.count(primary) > b.count(primary);
+    return std::tie(a.image, a.symbol) < std::tie(b.image, b.symbol);
+  });
   return out;
 }
 
@@ -80,10 +82,11 @@ std::string oracle_render_diff(const Profile& before, const Profile& after,
     if (from != 0)
       movers.push_back({-static_cast<std::int64_t>(from), from, 0, &row});
   }
-  std::stable_sort(movers.begin(), movers.end(), [](const Mover& x, const Mover& y) {
+  std::sort(movers.begin(), movers.end(), [](const Mover& x, const Mover& y) {
     const std::int64_t ax = x.delta < 0 ? -x.delta : x.delta;
     const std::int64_t ay = y.delta < 0 ? -y.delta : y.delta;
-    return ax > ay;
+    if (ax != ay) return ax > ay;
+    return std::tie(x.row->image, x.row->symbol) < std::tie(y.row->image, y.row->symbol);
   });
 
   support::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
@@ -99,8 +102,11 @@ std::string oracle_render_diff(const Profile& before, const Profile& after,
 
 std::vector<CallArc> oracle_arcs_ranked(const CallGraph& g) {
   std::vector<CallArc> out = g.arcs();
-  std::stable_sort(out.begin(), out.end(),
-                   [](const CallArc& a, const CallArc& b) { return a.count > b.count; });
+  std::sort(out.begin(), out.end(), [](const CallArc& a, const CallArc& b) {
+    if (a.count != b.count) return a.count > b.count;
+    return std::tie(a.caller_image, a.caller_symbol, a.callee_image, a.callee_symbol) <
+           std::tie(b.caller_image, b.caller_symbol, b.callee_image, b.callee_symbol);
+  });
   return out;
 }
 
@@ -184,7 +190,7 @@ void expect_same_profile(const Profile& a, const Profile& b) {
 
 // ------------------------------------------------------------------ tests
 
-TEST(RankDifferential, ProfileRankedAndRenderMatchStableSort) {
+TEST(RankDifferential, ProfileRankedAndRenderMatchCanonicalSort) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::Xoshiro256 rng(seed);
     const Profile p = random_profile(rng, 10 + rng.below(200), 1 + rng.below(60));
@@ -210,7 +216,7 @@ TEST(RankDifferential, EmptyProfileRendersHeaderOnly) {
   EXPECT_TRUE(p.ranked(kTime).empty());
 }
 
-TEST(RankDifferential, RenderDiffMatchesStableSort) {
+TEST(RankDifferential, RenderDiffMatchesCanonicalSort) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::Xoshiro256 rng(seed * 7 + 3);
     const std::uint64_t symbols = 1 + rng.below(50);
@@ -233,7 +239,7 @@ TEST(RankDifferential, RenderDiffMatchesStableSort) {
   }
 }
 
-TEST(RankDifferential, CallGraphRankedAndRenderMatchStableSort) {
+TEST(RankDifferential, CallGraphRankedAndRenderMatchCanonicalSort) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     support::Xoshiro256 rng(seed * 13 + 1);
     const CallGraph g = random_graph(rng, rng.below(250), 1 + rng.below(12));
@@ -241,8 +247,13 @@ TEST(RankDifferential, CallGraphRankedAndRenderMatchStableSort) {
     const std::vector<CallArc> want = oracle_arcs_ranked(g);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].caller_symbol, want[i].caller_symbol);
-      EXPECT_EQ(got[i].callee_symbol, want[i].callee_symbol);
+      EXPECT_EQ(std::tie(got[i].caller_image, got[i].caller_symbol, got[i].callee_image,
+                         got[i].callee_symbol),
+                std::tie(want[i].caller_image, want[i].caller_symbol, want[i].callee_image,
+                         want[i].callee_symbol))
+          << "seed " << seed << " arc " << i;
+      EXPECT_EQ(got[i].caller_domain, want[i].caller_domain);
+      EXPECT_EQ(got[i].callee_domain, want[i].callee_domain);
       EXPECT_EQ(got[i].count, want[i].count);
     }
     for (std::size_t top : top_ns(g.arcs().size(), rng))

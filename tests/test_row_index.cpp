@@ -1,8 +1,8 @@
 // Edge cases and a seeded property test for core::RowIndex, the
-// string-free row index behind Profile, CallGraph, SeqProfile and
-// SeqCallGraph (DESIGN.md §9). The reference models below intern through a
-// std::map keyed on the names themselves; row order, counts, totals and
-// domains must match them exactly.
+// string-free row index behind Profile and CallGraph (DESIGN.md §9). The
+// reference models below intern through a std::map keyed on the names
+// themselves; row order, counts, totals and domains must match them
+// exactly, and a shuffled fold must match them row for row.
 #include "core/row_index.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
-#include "core/striped_agg.hpp"
 #include "support/rng.hpp"
 
 namespace viprof::core {
@@ -62,13 +61,13 @@ TEST(RowIndex, NamesTheOldSeparatorJoinedStayDistinct) {
   ASSERT_EQ(g.total_arcs(), 5u);
   EXPECT_EQ(g.arcs()[0].count, 2u);
 
-  SeqProfile sp;
+  Profile folded;
   Profile part;
   part.add(kTime, res("ab", "c"));
   part.add(kTime, res("a", "bc"));
-  sp.fold(0, part);
-  sp.fold(1, part);
-  EXPECT_EQ(sp.row_count(), 2u);
+  folded.merge(part);
+  folded.merge(part);
+  EXPECT_EQ(folded.row_count(), 2u);
 }
 
 TEST(RowIndex, EmptyImageAndSymbolAreOrdinaryNames) {
@@ -145,6 +144,8 @@ TEST(RowIndex, CollidingHashesFallBackToEquality) {
 }
 
 TEST(RowIndex, RankTopIsTheStableSortPrefix) {
+  // With ties broken by position, rank_top is the stable_sort prefix; the
+  // profiles pass a name rule instead, which the same code path sorts by.
   support::Xoshiro256 rng(5);
   for (int round = 0; round < 50; ++round) {
     std::vector<std::uint64_t> keys(rng.below(60));
@@ -155,7 +156,8 @@ TEST(RowIndex, RankTopIsTheStableSortPrefix) {
                      [&](std::uint32_t a, std::uint32_t b) { return keys[a] > keys[b]; });
     for (std::size_t top = 0; top <= keys.size() + 1; ++top) {
       const std::vector<std::uint32_t> got =
-          rank_top(keys.size(), top, [&](std::size_t i) { return keys[i]; });
+          rank_top(keys.size(), top, [&](std::size_t i) { return keys[i]; },
+                   [](std::size_t a, std::size_t b) { return a < b; });
       ASSERT_EQ(got.size(), std::min(top, keys.size()));
       EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin()));
     }
@@ -165,7 +167,8 @@ TEST(RowIndex, RankTopIsTheStableSortPrefix) {
 // ------------------------------------------------------ reference models
 
 /// Profile interned through a std::map on the names: the semantics every
-/// Profile must keep (first add fixes a row's position and domain).
+/// Profile must keep (first add fixes a row's position; a row keeps the
+/// lowest domain it arrives with).
 struct RefProfile {
   std::map<std::pair<std::string, std::string>, std::size_t> index;
   std::vector<ProfileRow> rows;
@@ -181,7 +184,9 @@ struct RefProfile {
       r.domain = domain;
       rows.push_back(std::move(r));
     }
-    return rows[it->second];
+    ProfileRow& r = rows[it->second];
+    r.domain = std::min(r.domain, domain);
+    return r;
   }
   void add(hw::EventKind e, const Resolution& r, std::uint64_t count) {
     row(r.image, r.symbol, r.domain).counts[hw::event_index(e)] += count;
@@ -217,7 +222,10 @@ struct RefGraph {
       a.callee_domain = callee.domain;
       arcs.push_back(std::move(a));
     }
-    arcs[it->second].count += count;
+    CallArc& a = arcs[it->second];
+    a.caller_domain = std::min(a.caller_domain, caller.domain);
+    a.callee_domain = std::min(a.callee_domain, callee.domain);
+    a.count += count;
     samples += count;
   }
 };
@@ -315,7 +323,7 @@ TEST(RowIndexProperty, CallGraphMatchesMapReference) {
   }
 }
 
-TEST(RowIndexProperty, SeqProfileOrderedMatchesSerialMapReference) {
+TEST(RowIndexProperty, ShuffledMergeMatchesSerialMapReference) {
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     support::Xoshiro256 rng(seed * 11 + 7);
     // Batches in sequence order; the serial reference adds them in order.
@@ -330,16 +338,26 @@ TEST(RowIndexProperty, SeqProfileOrderedMatchesSerialMapReference) {
         ref.add(e, r, count);
       }
     }
-    // Fold them out of order across two stripes, then combine.
+    // Fold them out of order across two stripes, then combine: the rows
+    // may sit in any order, but each must equal its reference row.
     std::vector<std::size_t> order(batches.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     for (std::size_t i = order.size(); i > 1; --i) std::swap(order[i - 1], order[rng.below(i)]);
-    SeqProfile stripes[2];
-    for (std::size_t i : order) stripes[rng.below(2)].fold(i, batches[i]);
-    SeqProfile combined;
-    combined.fold(stripes[1]);
-    combined.fold(stripes[0]);
-    expect_profile(combined.ordered(), ref);
+    Profile stripes[2];
+    for (std::size_t i : order) stripes[rng.below(2)].merge(batches[i]);
+    Profile combined;
+    combined.merge(stripes[1]);
+    combined.merge(stripes[0]);
+    ASSERT_EQ(combined.row_count(), ref.rows.size());
+    for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
+      EXPECT_EQ(combined.total(hw::kAllEventKinds[e]), ref.totals[e]) << "event " << e;
+    for (const ProfileRow& want : ref.rows) {
+      const ProfileRow* got = combined.find(want.image, want.symbol);
+      ASSERT_NE(got, nullptr) << want.image << "|" << want.symbol;
+      EXPECT_EQ(got->domain, want.domain) << want.image << "|" << want.symbol;
+      for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
+        EXPECT_EQ(got->counts[e], want.counts[e]) << want.image << "|" << want.symbol;
+    }
   }
 }
 
