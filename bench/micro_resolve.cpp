@@ -1,14 +1,15 @@
 // ABL4 microbenchmarks: offline resolution throughput — epoch code-map
-// search (flattened index vs the legacy backward walk), RVM.map and
-// sample-log parsing, a profile fold + top-20 render, and an end-to-end
-// resolve+aggregate pipeline measurement over a logged session. These are
+// search (flattened index vs the legacy backward walk), the flattened
+// index's build, RVM.map and sample-log parsing, a profile fold + top-20
+// render, and an end-to-end resolve+aggregate pipeline measurement over a logged session. These are
 // the post-processing costs the paper deliberately accepts to keep the
 // online path cheap.
 //
 // Emits BENCH_resolve.json (harness schema) with the e2e throughput at
-// 1/2/4/8 worker threads, plus sample_log_parse (ns per line) when
-// BM_SampleLogParse ran and profile_fold_render (ns per folded row) when
-// BM_ProfileFoldRender ran; the renders are checked byte-identical across
+// 1/2/4/8 worker threads, plus index.build.{obj,jit} (ns per map entry of
+// CodeMapIndex::prepare()) when BM_IndexBuild ran, sample_log_parse (ns per
+// line) when BM_SampleLogParse ran and profile_fold_render (ns per folded
+// row) when BM_ProfileFoldRender ran; the renders are checked byte-identical across
 // thread counts before anything is written.
 #include <benchmark/benchmark.h>
 
@@ -146,6 +147,61 @@ void BM_RvmMapParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
 BENCHMARK(BM_RvmMapParse)->Arg(256)->Arg(4096);
+
+// ns per entry of the last BM_IndexBuild run per shape; 0 when filtered out.
+double g_index_build_ns[2] = {0.0, 0.0};
+constexpr const char* kIndexBuildShapes[2] = {"obj", "jit"};
+
+// The maps prepare() flattens, in two shapes: an object-map-shaped index
+// (4 epochs x 17k small objects, a third of which a moving GC relocates
+// each epoch) and a JIT-shaped one (40 epochs x 600 method bodies placed
+// over a rotating slice of a shared code region).
+std::vector<core::CodeMapFile> index_build_maps(int shape) {
+  const std::uint64_t epochs = shape == 0 ? 4 : 40;
+  const std::uint64_t per_epoch = shape == 0 ? 17'000 : 600;
+  support::Xoshiro256 rng(0xb01d + static_cast<std::uint64_t>(shape));
+  std::vector<core::CodeMapFile> maps(epochs);
+  for (std::uint64_t e = 0; e < epochs; ++e) {
+    maps[e].epoch = e;
+    for (std::uint64_t i = 0; i < per_epoch; ++i) {
+      core::CodeMapEntry entry;
+      if (shape == 0) {
+        const bool moved = e > 0 && rng.below(3) == 0;
+        entry.address = 0x4000'0000 + (moved ? 0x100'0000 * e : 0) + i * 0x100;
+        entry.size = 0x10 + rng.below(0xf0);
+        entry.symbol = "site" + std::to_string(i % 97);
+      } else {
+        entry.address = 0x6000'0000 + ((e * 53 + i * 7) % 2048) * 0x800 + (e % 4) * 0x40;
+        entry.size = 0x200 + rng.below(0x600);
+        entry.symbol = "app.K" + std::to_string(i / 16) + ".m" + std::to_string(i);
+      }
+      maps[e].entries.push_back(std::move(entry));
+    }
+  }
+  return maps;
+}
+
+void BM_IndexBuild(benchmark::State& state) {
+  const int shape = static_cast<int>(state.range(0));
+  const std::vector<core::CodeMapFile> maps = index_build_maps(shape);
+  std::uint64_t entries = 0;
+  double ns = 0.0;
+  for (auto _ : state) {
+    // Only prepare() is timed: not the adds, not the destruction.
+    core::CodeMapIndex index;
+    for (const core::CodeMapFile& map : maps) index.add(map);
+    entries = index.total_entries();
+    const auto start = std::chrono::steady_clock::now();
+    index.prepare();
+    const std::chrono::duration<double, std::nano> elapsed =
+        std::chrono::steady_clock::now() - start;
+    ns += elapsed.count();
+    state.SetIterationTime(elapsed.count() * 1e-9);
+  }
+  g_index_build_ns[shape] = ns / static_cast<double>(state.iterations() * entries);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * entries));
+}
+BENCHMARK(BM_IndexBuild)->Arg(0)->Arg(1)->UseManualTime();
 
 // ns per line of the last BM_SampleLogParse run; 0 when it was filtered out.
 double g_sample_log_parse_ns = 0.0;
@@ -393,6 +449,14 @@ bool run_e2e() {
   }
   if (!identical) return false;
   std::printf("  renders byte-identical across thread counts\n");
+  for (int shape = 0; shape < 2; ++shape) {
+    if (g_index_build_ns[shape] <= 0.0) continue;
+    bench::BenchRecord record;
+    record.name = std::string("index.build.") + kIndexBuildShapes[shape];
+    record.iterations = 1;
+    record.ns_per_op = g_index_build_ns[shape];  // per map entry
+    records.push_back(std::move(record));
+  }
   if (g_sample_log_parse_ns > 0.0) {
     bench::BenchRecord record;
     record.name = "sample_log_parse";

@@ -49,7 +49,7 @@ echo "=== [2/4] benchmark smoke (BENCH_resolve/service/store/fleet/memprof.json)
  rm -f BENCH_resolve.json BENCH_service.json BENCH_store.json \
        BENCH_fleet.json BENCH_memprof.json &&
  VIPROF_QUICK=1 ./bench/micro_resolve \
-   --benchmark_filter='BM_CodeMapResolveBackward|BM_RvmMapParse|BM_SampleLogParse|BM_ProfileFoldRender' &&
+   --benchmark_filter='BM_CodeMapResolveBackward|BM_IndexBuild|BM_RvmMapParse|BM_SampleLogParse|BM_ProfileFoldRender' &&
  test -s BENCH_resolve.json &&
  VIPROF_QUICK=1 ./bench/micro_service &&
  test -s BENCH_service.json &&

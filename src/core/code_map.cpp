@@ -304,40 +304,84 @@ void CodeMapIndex::build_flat() const {
     }
   };
 
-  for (const auto& [epoch, map] : maps_) {
-    each_segment(map, [this](hw::Address lo, hw::Address hi, const CodeMapEntry*) {
-      bounds_.push_back(lo);
-      bounds_.push_back(hi);
-    });
+  // Borders: each map's segments are disjoint and address-sorted, so each
+  // map appends one sorted run; adjacent runs are then merged pairwise,
+  // O(n log k) for k maps instead of a full sort.
+  bounds_.reserve(2 * total_entries_);
+  {
+    std::vector<std::size_t> runs;  // start of each run in bounds_, then the end
+    runs.reserve(maps_.size() + 1);
+    for (const auto& [epoch, map] : maps_) {
+      runs.push_back(bounds_.size());
+      each_segment(map, [this](hw::Address lo, hw::Address hi, const CodeMapEntry*) {
+        bounds_.push_back(lo);
+        bounds_.push_back(hi);
+      });
+    }
+    runs.push_back(bounds_.size());
+    const auto at = [this](std::size_t i) {
+      return bounds_.begin() + static_cast<std::ptrdiff_t>(i);
+    };
+    while (runs.size() > 2) {
+      std::size_t kept = 0;
+      std::size_t r = 0;
+      for (; r + 2 < runs.size(); r += 2) {
+        std::inplace_merge(at(runs[r]), at(runs[r + 1]), at(runs[r + 2]));
+        runs[kept++] = runs[r];
+      }
+      if (r + 2 == runs.size()) runs[kept++] = runs[r];  // odd run: next round
+      runs[kept++] = runs.back();
+      runs.resize(kept);
+    }
   }
-  std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
 
-  const std::size_t slots = bounds_.empty() ? 0 : bounds_.size() - 1;
-  std::vector<std::vector<Version>> per_slot(slots);
-  std::uint32_t ord = 0;
-  for (const auto& [epoch, map] : maps_) {
-    const std::uint64_t e = epoch;
-    each_segment(map, [&](hw::Address lo, hw::Address hi, const CodeMapEntry* entry) {
-      const std::size_t j0 = static_cast<std::size_t>(
-          std::lower_bound(bounds_.begin(), bounds_.end(), lo) - bounds_.begin());
-      const std::size_t j1 = static_cast<std::size_t>(
-          std::lower_bound(bounds_.begin(), bounds_.end(), hi) - bounds_.begin());
-      for (std::size_t j = j0; j < j1; ++j) {
-        per_slot[j].push_back(Version{e, ord, entry});
-      }
-    });
-    ++ord;
-  }
+  // Versions, in two passes over the same segments in ascending-epoch
+  // order: count per elementary slot, then place at each slot's cursor, so
+  // every slot's list comes out epoch-ascending with no per-slot container.
+  // Within one map the segments ascend, so each border search gallops on
+  // from the previous one: O(log gap) rather than O(log n) per segment.
+  const auto seek = [this](std::size_t from, hw::Address x) {
+    const std::size_t n = bounds_.size();
+    if (from >= n || bounds_[from] >= x) return from;
+    std::size_t lo = from;  // bounds_[lo] < x
+    std::size_t step = 1;
+    while (lo + step < n && bounds_[lo + step] < x) {
+      lo += step;
+      step *= 2;
+    }
+    const auto first = bounds_.begin() + static_cast<std::ptrdiff_t>(lo + 1);
+    const auto last = bounds_.begin() + static_cast<std::ptrdiff_t>(std::min(lo + step, n));
+    return static_cast<std::size_t>(std::lower_bound(first, last, x) - bounds_.begin());
+  };
+  const auto each_cover = [this, &each_segment, &seek](const auto& fn) {
+    std::uint32_t ord = 0;
+    for (const auto& [epoch, map] : maps_) {
+      std::size_t from = 0;
+      each_segment(map, [&](hw::Address lo, hw::Address hi, const CodeMapEntry* entry) {
+        const std::size_t j0 = seek(from, lo);
+        from = seek(j0, hi);
+        fn(j0, from, Version{entry, ord});
+      });
+      ++ord;
+    }
+  };
 
-  slot_of_.reserve(slots + 1);
-  slot_of_.push_back(0);
-  std::size_t total = 0;
-  for (const auto& vs : per_slot) total += vs.size();
-  versions_.reserve(total);
-  for (auto& vs : per_slot) {
-    versions_.insert(versions_.end(), vs.begin(), vs.end());
-    slot_of_.push_back(versions_.size());
+  const std::size_t slots = bounds_.empty() ? 0 : bounds_.size() - 1;
+  slot_of_.assign(slots + 1, 0);
+  each_cover([this](std::size_t j0, std::size_t j1, const Version&) {
+    for (std::size_t j = j0; j < j1; ++j) ++slot_of_[j + 1];
+  });
+  for (std::size_t j = 0; j < slots; ++j) slot_of_[j + 1] += slot_of_[j];
+  versions_.resize(slot_of_[slots]);
+  // slot_of_[j] is slot j's fill cursor; once filled it holds slot j+1's
+  // start, and shifting right by one restores the offsets.
+  each_cover([this](std::size_t j0, std::size_t j1, const Version& v) {
+    for (std::size_t j = j0; j < j1; ++j) versions_[slot_of_[j]++] = v;
+  });
+  if (slots > 0) {
+    std::copy_backward(slot_of_.begin(), slot_of_.end() - 2, slot_of_.end() - 1);
+    slot_of_[0] = 0;
   }
 }
 
@@ -352,7 +396,7 @@ const CodeMapIndex::Version* CodeMapIndex::flat_find(hw::Address pc,
   const auto end = versions_.begin() + static_cast<std::ptrdiff_t>(slot_of_[j + 1]);
   const auto it = std::upper_bound(
       begin, end, epoch,
-      [](std::uint64_t q, const Version& v) { return q < v.epoch; });
+      [this](std::uint64_t q, const Version& v) { return q < epochs_[v.ord]; });
   if (it == begin) return nullptr;  // interval unoccupied at or before `epoch`
   return &*(it - 1);
 }
@@ -366,7 +410,7 @@ std::optional<CodeMapIndex::Hit> CodeMapIndex::resolve(hw::Address pc,
   // `epoch` down to the hit, so the reported depth is an ord distance.
   const auto top = std::upper_bound(epochs_.begin(), epochs_.end(), epoch);
   const auto top_ord = static_cast<std::uint32_t>(top - epochs_.begin() - 1);
-  return Hit{v->entry->symbol, v->epoch, top_ord - v->ord + 1, v->entry->address,
+  return Hit{v->entry->symbol, epochs_[v->ord], top_ord - v->ord + 1, v->entry->address,
              v->entry->size};
 }
 
@@ -398,15 +442,15 @@ CodeMapIndex::Lookup CodeMapIndex::lookup(hw::Address pc, std::uint64_t epoch) c
   // The walk stops at whichever poison epoch it meets first (the highest
   // one) on the way down from `epoch` — but only if that is *above* the
   // hit; a hit inside a truncated map is still a hit (verified checksum).
-  const std::uint64_t floor = v != nullptr ? v->epoch : 0;
-  const bool gap_aborts = gap != kNoGap && (v == nullptr || gap > floor);
-  const bool trunc_aborts = has_trunc && (v == nullptr || trunc > floor);
+  const std::uint64_t found = v != nullptr ? epochs_[v->ord] : 0;
+  const bool gap_aborts = gap != kNoGap && (v == nullptr || gap > found);
+  const bool trunc_aborts = has_trunc && (v == nullptr || trunc > found);
   if (!gap_aborts && !trunc_aborts) {
     if (v != nullptr) {
       // All integer epochs in [hit, query] have maps (no gap above the
       // hit), so the walk depth is the plain epoch distance.
-      out.hit = Hit{v->entry->symbol, v->epoch,
-                    static_cast<std::uint32_t>(epoch - v->epoch + 1),
+      out.hit = Hit{v->entry->symbol, found,
+                    static_cast<std::uint32_t>(epoch - found + 1),
                     v->entry->address, v->entry->size};
     } else {
       out.miss = JitLookupMiss::kNotFound;  // reached epoch 0 intact

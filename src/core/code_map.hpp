@@ -24,6 +24,14 @@
 // keeping kMissingEpochMap/kTruncatedMap outcomes bit-identical to the
 // walk; resolve_walkback()/lookup_walkback() keep the original algorithms
 // as the property-test oracle.
+//
+// Build cost: the view is a compressed-sparse-row layout (one flat version
+// array plus per-interval offsets) written directly, with no per-interval
+// container. Each map's segments form one sorted run of borders; the runs
+// merge pairwise (O(n log k) for k maps), then two passes over the segments
+// in ascending-epoch order count versions per interval and place them.
+// prepare() therefore allocates a constant number of times, whatever the
+// entry count, and holds no transient state past its return.
 #pragma once
 
 #include <atomic>
@@ -189,13 +197,12 @@ class CodeMapIndex {
     bool truncated = false;
   };
 
-  /// One occupant change of an elementary address interval: from `epoch`
-  /// on (until a newer version of the same interval), samples in the
+  /// One occupant change of an elementary address interval: from map
+  /// `ord` on (until a newer version of the same interval), samples in the
   /// interval attribute to `entry`.
   struct Version {
-    std::uint64_t epoch = 0;
-    std::uint32_t ord = 0;  // index of `epoch` among loaded map epochs
     const CodeMapEntry* entry = nullptr;
+    std::uint32_t ord = 0;  // index of the map's epoch in epochs_
   };
 
   const CodeMapEntry* find_in(const EpochMap& map, hw::Address pc) const;

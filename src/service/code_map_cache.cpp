@@ -2,6 +2,11 @@
 
 namespace viprof::service {
 
+CodeMapCache::~CodeMapCache() {
+  // No reader can be in flight once the owner destroys the cache.
+  delete snapshot_.load(std::memory_order_acquire);
+}
+
 CodeMapCache::IndexPtr CodeMapCache::get(const std::string& session, hw::Pid pid,
                                          std::uint64_t ceiling,
                                          const Builder& build) {
@@ -14,22 +19,29 @@ CodeMapCache::IndexPtr CodeMapCache::get(const std::string& session, hw::Pid pid
   key += std::to_string(ceiling);
 
   // Lock-free fast path: resolve against the current immutable snapshot.
+  // Counting in before the (seq_cst) load is what lets a writer that sees
+  // no readers after its (seq_cst) store free the tables it replaced.
   {
-    const TablePtr table = snapshot_.load(std::memory_order_acquire);
+    readers_.fetch_add(1, std::memory_order_seq_cst);
+    const Table* table = snapshot_.load(std::memory_order_seq_cst);
     const auto it = table->entries.find(key);
+    IndexPtr hit;
     if (it != table->entries.end()) {
       it->second->last_used.store(
           tick_.fetch_add(1, std::memory_order_relaxed) + 1,
           std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second->index;
+      hit = it->second->index;
     }
+    readers_.fetch_sub(1, std::memory_order_release);
+    if (hit) return hit;
   }
 
   // Miss: writers serialize; re-check under the lock so concurrent misses
-  // on one key build once.
+  // on one key build once. Only writers store the snapshot, so the lock
+  // orders this load after every install.
   std::lock_guard<support::TracedMutex> lock(mu_);
-  const TablePtr table = snapshot_.load(std::memory_order_acquire);
+  const Table* table = snapshot_.load(std::memory_order_relaxed);
   const auto it = table->entries.find(key);
   if (it != table->entries.end()) {
     it->second->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -48,7 +60,7 @@ CodeMapCache::IndexPtr CodeMapCache::get(const std::string& session, hw::Pid pid
 
   // Copy-on-write install: copy the shared_ptr map (entries themselves are
   // shared), evict down to capacity, insert, swap the snapshot.
-  auto next = std::make_shared<Table>(*table);
+  auto next = std::make_unique<Table>(*table);
   while (next->entries.size() >= capacity_) {
     auto victim = next->entries.begin();
     std::uint64_t oldest = ~0ull;
@@ -64,7 +76,12 @@ CodeMapCache::IndexPtr CodeMapCache::get(const std::string& session, hw::Pid pid
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
   next->entries.emplace(std::move(key), std::move(entry));
-  snapshot_.store(TablePtr(std::move(next)), std::memory_order_release);
+  snapshot_.store(next.release(), std::memory_order_seq_cst);
+  retired_.emplace_back(table);
+  // Zero readers now means every reader that loaded a retired table has
+  // counted out (its release pairs with this acquire); later ones load
+  // the new snapshot.
+  if (readers_.load(std::memory_order_seq_cst) == 0) retired_.clear();
   return index;
 }
 

@@ -8,15 +8,21 @@
 // Through PR 7 this was an LRU map under one mutex, and the TracedMutex
 // evidence showed workers queueing on it for what is overwhelmingly a
 // read-only lookup. The read path is now lock-free: the table lives in an
-// immutable snapshot behind std::atomic<std::shared_ptr>, hits load the
-// snapshot, find their entry and return the pin without ever taking
-// `service.map_cache`. Writers (misses) still serialize on the mutex —
-// concurrent misses on one key build once, as before — and install an
-// updated copy-on-write snapshot with a single atomic store. Entries are
-// shared between snapshot generations, so a swap costs one map copy of
-// shared_ptrs, never an index rebuild. Eviction is least-recently-used by
-// an atomic access tick that hits bump wait-free; a pin handed out keeps
-// its index alive across any later eviction.
+// immutable snapshot behind a std::atomic<const Table*>, hits count
+// themselves in `readers_`, load the snapshot, find their entry and return
+// the pin without ever taking `service.map_cache`. Writers (misses) still
+// serialize on the mutex — concurrent misses on one key build once, as
+// before — and install an updated copy-on-write snapshot with a single
+// atomic store. The replaced table is retired, and retired tables are freed
+// under the writer mutex once the reader count is seen at zero (every
+// reader that could hold one has left; later readers load the new
+// pointer). Plain atomics and mutexes only, so ThreadSanitizer models the
+// whole protocol — unlike libstdc++'s std::atomic<std::shared_ptr>, whose
+// lock bit in the pointer word it cannot see. Entries are shared between
+// snapshot generations, so a swap costs one map copy of shared_ptrs, never
+// an index rebuild. Eviction is least-recently-used by an atomic access
+// tick that hits bump wait-free; a pin handed out keeps its index alive
+// across any later eviction.
 #pragma once
 
 #include <atomic>
@@ -26,6 +32,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "core/code_map.hpp"
 #include "support/telemetry.hpp"
@@ -39,9 +46,10 @@ class CodeMapCache {
   using Builder = std::function<core::CodeMapIndex()>;
 
   explicit CodeMapCache(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {
-    snapshot_.store(std::make_shared<const Table>(), std::memory_order_release);
-  }
+      : capacity_(capacity == 0 ? 1 : capacity), snapshot_(new Table) {}
+  ~CodeMapCache();
+  CodeMapCache(const CodeMapCache&) = delete;
+  CodeMapCache& operator=(const CodeMapCache&) = delete;
 
   /// Publishes the writer mutex's contention metrics. Steady-state reads
   /// never touch it, so lock.service.map_cache.wait_ns now records only
@@ -79,11 +87,14 @@ class CodeMapCache {
   struct Table {
     std::unordered_map<std::string, std::shared_ptr<Entry>> entries;
   };
-  using TablePtr = std::shared_ptr<const Table>;
 
   const std::size_t capacity_;
-  std::atomic<TablePtr> snapshot_;
+  std::atomic<const Table*> snapshot_;
+  /// Hits between counting in and out; writers free retired tables only
+  /// when they see it at zero.
+  std::atomic<std::uint64_t> readers_{0};
   mutable support::TracedMutex mu_{"service.map_cache"};  // writers only
+  std::vector<std::unique_ptr<const Table>> retired_;   // guarded by mu_
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};

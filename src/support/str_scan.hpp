@@ -10,8 +10,16 @@
 // sscanf's conversions do, so canonical and whitespace-padded files parse
 // identically to the old sscanf loops; they refuse a sign or an overflow,
 // which sscanf took and no writer emits.
+//
+// Every file-to-index path (sample logs, code maps, object maps, RVM.map,
+// the archive's registrations) runs through these few loops, so they are kept branch-light:
+// hex digits and whitespace classify by one table or mask lookup per byte,
+// and decimal/hex overflow is the carry of __builtin_{mul,add}_overflow
+// instead of a division per digit. The accept set is pinned against the
+// earlier compare-chain scanners by tests/test_support_str_scan.cpp.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -40,8 +48,29 @@ class LineCursor {
   std::string_view rest_;
 };
 
+namespace detail {
+
+/// Bit c set for each whitespace byte c < 64: ' ', \t, \v, \f, \r.
+inline constexpr std::uint64_t kSpaceMask =
+    (1ull << ' ') | (1ull << '\t') | (1ull << '\v') | (1ull << '\f') | (1ull << '\r');
+
+/// Digit value of every byte, -1 for non-hex-digits (non-ASCII included).
+inline constexpr std::array<std::int8_t, 256> kHexValue = [] {
+  std::array<std::int8_t, 256> t{};
+  for (auto& v : t) v = -1;
+  for (int c = 0; c < 10; ++c) t['0' + c] = static_cast<std::int8_t>(c);
+  for (int c = 0; c < 6; ++c) {
+    t['a' + c] = static_cast<std::int8_t>(10 + c);
+    t['A' + c] = static_cast<std::int8_t>(10 + c);
+  }
+  return t;
+}();
+
+}  // namespace detail
+
 inline bool is_space(char c) {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+  const auto u = static_cast<unsigned char>(c);
+  return u <= ' ' && ((detail::kSpaceMask >> u) & 1u) != 0;
 }
 
 inline void skip_ws(std::string_view& s) {
@@ -61,17 +90,17 @@ inline bool scan_lit(std::string_view& s, std::string_view lit) {
   return true;
 }
 
-/// Unsigned decimal; needs at least one digit. Skips leading whitespace.
-/// Fails on overflow.
+/// Unsigned decimal; needs at least one digit. Skips leading whitespace
+/// (kept skipped even on failure). Fails on overflow, leaving `out` alone.
 inline bool scan_u64(std::string_view& s, std::uint64_t& out) {
   skip_ws(s);
   std::size_t i = 0;
   std::uint64_t v = 0;
-  while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-    const auto digit = static_cast<std::uint64_t>(s[i] - '0');
-    if (v > (~std::uint64_t{0} - digit) / 10) return false;
-    v = v * 10 + digit;
-    ++i;
+  for (; i < s.size(); ++i) {
+    const unsigned digit = static_cast<unsigned char>(s[i]) - unsigned{'0'};
+    if (digit > 9) break;
+    if (__builtin_mul_overflow(v, 10u, &v) || __builtin_add_overflow(v, digit, &v))
+      return false;
   }
   if (i == 0) return false;
   s.remove_prefix(i);
@@ -79,35 +108,36 @@ inline bool scan_u64(std::string_view& s, std::uint64_t& out) {
   return true;
 }
 
+/// Hex digit value of `c`, or -1.
 inline int hex_value(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
+  return detail::kHexValue[static_cast<unsigned char>(c)];
 }
 
-/// Unsigned hex with optional 0x/0X prefix; needs at least one digit.
-/// `max_digits` (0 = unlimited) bounds the digits consumed, mirroring
-/// sscanf's %8x field width for the crc trailer. Fails on overflow.
+/// Unsigned hex with optional 0x/0X prefix; needs at least one digit. A
+/// bare "0x" parses as 0 and leaves the "x". `max_digits` (0 = unlimited)
+/// bounds the digits consumed, mirroring sscanf's %8x field width for the
+/// crc trailer. Fails on overflow. Leading whitespace stays skipped even on
+/// failure; `out` is written only on success.
 inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
                        std::size_t max_digits = 0) {
   skip_ws(s);
-  std::string_view t = s;
-  if (t.size() >= 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X') &&
-      hex_value(t.size() > 2 ? t[2] : '\0') >= 0) {
-    t.remove_prefix(2);
-  }
+  std::size_t p = 0;
+  if (s.size() >= 3 && s[0] == '0' && (s[1] | 0x20) == 'x' /* x or X */ &&
+      hex_value(s[2]) >= 0)
+    p = 2;
+  const std::size_t avail = s.size() - p;
+  const std::size_t limit =
+      max_digits == 0 || max_digits > avail ? avail : max_digits;
   std::size_t i = 0;
   std::uint64_t v = 0;
-  while (i < t.size() && hex_value(t[i]) >= 0 &&
-         (max_digits == 0 || i < max_digits)) {
-    if (v >> 60 != 0) return false;
-    v = (v << 4) | static_cast<std::uint64_t>(hex_value(t[i]));
-    ++i;
+  for (; i < limit; ++i) {
+    const int digit = hex_value(s[p + i]);
+    if (digit < 0) break;
+    if (__builtin_mul_overflow(v, 16u, &v)) return false;
+    v |= static_cast<unsigned>(digit);
   }
   if (i == 0) return false;
-  t.remove_prefix(i);
-  s = t;
+  s.remove_prefix(p + i);
   out = v;
   return true;
 }
