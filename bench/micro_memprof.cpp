@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "bench/harness.hpp"
+#include "core/object_map.hpp"
 #include "memprof/agent.hpp"
-#include "memprof/object_map.hpp"
 #include "memprof/report.hpp"
 #include "memprof/resolve.hpp"
 #include "service/client.hpp"
@@ -56,8 +56,8 @@ bench::BenchRecord make_record(const std::string& name, int iterations,
 
 /// A representative partial map: one epoch's worth of allocations and
 /// moves for a busy VM, with the site dictionary and a death tail.
-memprof::ObjectMapFile representative_map() {
-  memprof::ObjectMapFile file;
+core::ObjectMapFile representative_map() {
+  core::ObjectMapFile file;
   file.epoch = 17;
   support::Xoshiro256 rng(0x0b9ec7);
   hw::Address cursor = 0x6200'0000;
@@ -145,7 +145,7 @@ bool run() {
   std::vector<bench::BenchRecord> records;
 
   // --- Object-map format round trip, per map. ---
-  const memprof::ObjectMapFile map = representative_map();
+  const core::ObjectMapFile map = representative_map();
   std::string blob;
   {
     const auto start = std::chrono::steady_clock::now();
@@ -159,7 +159,7 @@ bool run() {
     std::uint64_t parsed = 0;
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < map_iters; ++i) {
-      const auto file = memprof::ObjectMapFile::parse(blob);
+      const auto file = core::ObjectMapFile::parse(blob);
       if (file) parsed += file->objects.size();
     }
     const double secs = seconds_since(start);
@@ -175,8 +175,8 @@ bool run() {
     std::uint64_t salvaged = 0;
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < map_iters; ++i) {
-      const memprof::ObjectMapFile::Recovery r =
-          memprof::ObjectMapFile::salvage(torn, map.epoch);
+      const core::ObjectMapFile::Recovery r =
+          core::ObjectMapFile::salvage(torn, map.epoch);
       salvaged += r.file.objects.size();
     }
     const double secs = seconds_since(start);
@@ -195,7 +195,7 @@ bool run() {
     support::Xoshiro256 rng(0x9e50);
     constexpr std::uint64_t kEpochs = 24;
     for (std::uint64_t e = 0; e < kEpochs; ++e) {
-      memprof::ObjectMapFile f;
+      core::ObjectMapFile f;
       f.epoch = e;
       hw::Address cursor = 0x6200'0000 + (e % 2) * 0x80'0000;
       for (std::uint64_t i = 0; i < 384; ++i) {

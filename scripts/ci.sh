@@ -3,7 +3,7 @@
 #
 # 1. Configure + build the default (RelWithDebInfo) tree.
 # 2. Run the whole ctest suite — this includes the `faults`, `telemetry`,
-#    `resolve`, `service`, `store`, `fleet` and `memprof` labels — and then
+#    `resolve`, `service`, `store`, `fleet`, `memprof` and `fuzz` labels — and then
 #    each of those labels once more by name, so a label that silently lost
 #    its tests fails the pipeline.
 # 3. Smoke-run the resolution, service, store, fleet and memprof benchmarks
@@ -12,7 +12,8 @@
 #    BENCH_memprof.json behind.
 # 4. Rebuild one sanitizer configuration (VIPROF_SANITIZE=thread by default;
 #    set VIPROF_SANITIZE=address to switch) and run the concurrency-sensitive
-#    labelled suites under it.
+#    labelled suites under it, plus the `fuzz` mutation suite (ASan under
+#    VIPROF_SANITIZE=address).
 #
 # Usage: scripts/ci.sh [build-dir-prefix]     (default: build-ci)
 set -euo pipefail
@@ -43,6 +44,7 @@ run_label "$PREFIX" service
 run_label "$PREFIX" store
 run_label "$PREFIX" fleet
 run_label "$PREFIX" memprof
+run_label "$PREFIX" fuzz
 
 echo "=== [2/4] benchmark smoke (BENCH_resolve/service/store/fleet/memprof.json) ==="
 (cd "$PREFIX" &&
@@ -82,5 +84,6 @@ run_label "$SAN_DIR" service
 run_label "$SAN_DIR" store
 run_label "$SAN_DIR" fleet
 run_label "$SAN_DIR" memprof
+run_label "$SAN_DIR" fuzz
 
 echo "ci.sh: all green"

@@ -5,7 +5,7 @@
 
 #include "support/check.hpp"
 #include "support/format.hpp"
-#include "support/str_scan.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -54,9 +54,7 @@ std::string CodeMapFile::serialize() const {
     out += e.symbol;
     out += '\n';
   }
-  char trailer[32];
-  std::snprintf(trailer, sizeof trailer, "crc %08x\n", support::fnv1a(out));
-  out += trailer;
+  support::append_crc_trailer(out);
   return out;
 }
 
@@ -73,70 +71,28 @@ CodeMapFile::Recovery CodeMapFile::salvage(const std::string& contents,
                                            std::uint64_t epoch_hint) {
   Recovery r;
   r.file.epoch = epoch_hint;
-  r.file.truncated = true;  // until proven intact
-
-  support::LineCursor cursor(contents);
-  std::string_view line;
-
-  // Header: "epoch N entries M". A header that is the *whole* file (no
-  // trailing newline) is still readable — the epoch is trustworthy even
-  // though the file as a whole cannot be.
-  const bool header_unterminated = !cursor.next(line);
-  if (header_unterminated) {
-    if (cursor.tail().empty()) return r;  // empty file
-    line = cursor.tail();
-  }
-  {
-    std::uint64_t epoch = 0, expected = 0;
-    if (!parse_header_line(line, epoch, expected)) {
-      return r;  // header unreadable: epoch_hint stands, nothing salvageable
-    }
-    r.header_ok = true;
-    r.file.epoch = epoch;
-    r.entries_expected = expected;
-  }
-  if (header_unterminated) return r;
-
-  bool marked_truncated = false;
-  bool saw_crc = false;
-  std::uint32_t crc_read = 0;
-  std::size_t crc_covers = 0;  // bytes of `contents` the trailer checksums
-
-  std::size_t consumed = line.size() + 1;
-  bool damaged = false;
-  while (cursor.next(line)) {
-    if (line == "truncated") {
-      marked_truncated = true;
-      consumed += line.size() + 1;
-      continue;
-    }
-    if (support::scan_crc_line(line, crc_read)) {
-      saw_crc = true;
-      crc_covers = consumed;
-      consumed += line.size() + 1;
-      break;  // trailer is the last line; anything after it is damage
-    }
-    CodeMapEntry e;
-    if (!parse_entry_line(line, e)) {
-      damaged = true;
-      break;  // stop at the first bad entry: everything after is suspect
-    }
-    r.file.entries.push_back(std::move(e));
-    consumed += line.size() + 1;
-  }
-  if (!damaged && !saw_crc && !cursor.tail().empty()) {
-    // Unterminated final line: a tear mid-line can leave a prefix that
-    // still parses — e.g. a chopped symbol name — so nothing short of a
-    // newline-terminated line is trusted.
-    damaged = true;
-  }
-
-  const bool crc_ok =
-      saw_crc && crc_covers <= contents.size() &&
-      support::fnv1a(contents.data(), crc_covers) == crc_read;
-  r.intact = !damaged && crc_ok && r.file.entries.size() == r.entries_expected &&
-             consumed >= contents.size();
-  r.file.truncated = marked_truncated || !r.intact;
+  // An unreadable header leaves epoch_hint standing and nothing salvageable.
+  const support::FramedWalk w = support::walk_framed_file(
+      contents,
+      [&r](std::string_view line) {
+        std::uint64_t epoch = 0, expected = 0;
+        if (!parse_header_line(line, epoch, expected)) return false;
+        r.file.epoch = epoch;
+        r.entries_expected = expected;
+        return true;
+      },
+      [&r](std::string_view line) {
+        // An entry past the declared count is damage too: the header is
+        // what loss is counted against.
+        CodeMapEntry e;
+        if (r.file.entries.size() == r.entries_expected || !parse_entry_line(line, e))
+          return false;
+        r.file.entries.push_back(std::move(e));
+        return true;
+      });
+  r.header_ok = w.header_ok;
+  r.intact = w.intact && r.file.entries.size() == r.entries_expected;
+  r.file.truncated = w.truncated || !r.intact;
   return r;
 }
 
@@ -150,14 +106,7 @@ std::string CodeMapFile::path_for(const std::string& dir, hw::Pid pid,
 }
 
 std::optional<std::uint64_t> CodeMapFile::epoch_from_path(const std::string& path) {
-  const auto dot = path.rfind("map.");
-  if (dot == std::string::npos) return std::nullopt;
-  const std::string digits = path.substr(dot + 4);
-  if (digits.empty()) return std::nullopt;
-  unsigned long long epoch = 0;
-  char extra = 0;
-  if (std::sscanf(digits.c_str(), "%llu%c", &epoch, &extra) != 1) return std::nullopt;
-  return epoch;
+  return support::scan_name_number(path, "map.");
 }
 
 CodeMapIndex::CodeMapIndex(CodeMapIndex&& other) noexcept {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/code_map.hpp"
+#include "core/object_map.hpp"
 #include "core/sample_log.hpp"
 #include "hw/event.hpp"
 #include "support/check.hpp"
@@ -37,6 +38,13 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
   support::Counter& ctr_maps_truncated = telemetry.counter("fsck.maps.truncated");
   support::Counter& ctr_map_entries = telemetry.counter("fsck.maps.entries_salvaged");
   support::Counter& ctr_dead_maps = telemetry.counter("fsck.maps.unrecoverable");
+  support::Counter& ctr_omaps_intact = telemetry.counter("fsck.omaps.intact");
+  support::Counter& ctr_omaps_truncated = telemetry.counter("fsck.omaps.truncated");
+  support::Counter& ctr_objects_salvaged = telemetry.counter("fsck.omaps.objects_salvaged");
+  support::Counter& ctr_objects_lost = telemetry.counter("fsck.omaps.objects_lost");
+  support::Counter& ctr_deaths_salvaged = telemetry.counter("fsck.omaps.deaths_salvaged");
+  support::Counter& ctr_deaths_lost = telemetry.counter("fsck.omaps.deaths_lost");
+  support::Counter& ctr_dead_omaps = telemetry.counter("fsck.omaps.unrecoverable");
 
   // --- Sample logs: one file per event, verified record by record ---------
   std::optional<SampleLogWriter> rewriter;
@@ -104,6 +112,50 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
     if (opts.write_recovery) out->write(path, rec.file.serialize());
   }
 
+  // --- Epoch object maps: declared counts + checksum trailer ---------------
+  for (const std::string& path : in.list("")) {
+    if (basename_of(path).rfind("omap.", 0) != 0) continue;
+    const auto contents = in.read(path);
+    const auto epoch_hint = ObjectMapFile::epoch_from_path(path);
+    const ObjectMapFile::Recovery rec =
+        ObjectMapFile::salvage(*contents, epoch_hint.value_or(0));
+    if (rec.intact) {
+      ++report.omaps_intact;
+      continue;  // copied verbatim below
+    }
+    ++report.omaps_truncated;
+    report.corrupt = true;
+    if (!rec.header_ok) {
+      // Nothing verifiable, not even the declared counts: the epoch is a
+      // total loss and only the file name says it existed.
+      ++report.dead_omaps;
+      if (opts.verbose)
+        report.details += path + " CORRUPT: no readable header (epoch " +
+                          u64(rec.file.epoch) + " from file name)\n";
+    } else {
+      const std::uint64_t obj_got = rec.file.objects.size();
+      const std::uint64_t dead_got = rec.file.dead.size();
+      report.objects_salvaged += obj_got;
+      report.objects_lost += rec.objects_expected - obj_got;
+      report.deaths_salvaged += dead_got;
+      report.deaths_lost += rec.dead_expected - dead_got;
+      if (obj_got == 0 && dead_got == 0 &&
+          (rec.objects_expected > 0 || rec.dead_expected > 0)) {
+        ++report.dead_omaps;
+      }
+      if (opts.verbose) {
+        report.details += path + " CORRUPT: salvaged " + u64(obj_got) + " of " +
+                          u64(rec.objects_expected) + " object(s), " + u64(dead_got) +
+                          " of " + u64(rec.dead_expected) + " death(s) (epoch " +
+                          u64(rec.file.epoch) + ")\n";
+      }
+    }
+    // The salvaged prefix keeps its truncated marker through the round
+    // trip, so resolution against the recovery tree still refuses to walk
+    // past this epoch.
+    if (opts.write_recovery) out->write(path, rec.file.serialize());
+  }
+
   // --- Everything else (manifest, RVM.map, reports) copies verbatim -------
   if (opts.write_recovery) {
     for (const std::string& path : in.list("")) {
@@ -115,7 +167,8 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
   }
 
   report.verdict = !report.corrupt ? FsckVerdict::kClean
-                   : (report.dead_logs != 0 || report.dead_maps != 0)
+                   : (report.dead_logs != 0 || report.dead_maps != 0 ||
+                      report.dead_omaps != 0)
                        ? FsckVerdict::kUnrecoverable
                        : FsckVerdict::kSalvaged;
 
@@ -129,6 +182,13 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
   ctr_maps_truncated.inc(report.maps_truncated);
   ctr_map_entries.inc(report.map_entries_salvaged);
   ctr_dead_maps.inc(report.dead_maps);
+  ctr_omaps_intact.inc(report.omaps_intact);
+  ctr_omaps_truncated.inc(report.omaps_truncated);
+  ctr_objects_salvaged.inc(report.objects_salvaged);
+  ctr_objects_lost.inc(report.objects_lost);
+  ctr_deaths_salvaged.inc(report.deaths_salvaged);
+  ctr_deaths_lost.inc(report.deaths_lost);
+  ctr_dead_omaps.inc(report.dead_omaps);
   telemetry.gauge("fsck.verdict").set(static_cast<double>(report.verdict));
   report.metrics = telemetry.snapshot();
 
@@ -141,6 +201,12 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
                    u64(report.maps_intact) + " map(s) intact, " +
                    u64(report.maps_truncated) + " truncated (" +
                    u64(report.map_entries_salvaged) + " entries salvaged)";
+  if (report.omaps_intact + report.omaps_truncated > 0) {
+    report.summary += "; " + u64(report.omaps_intact) + " object map(s) intact, " +
+                      u64(report.omaps_truncated) + " truncated (" +
+                      u64(report.objects_salvaged) + " object(s) salvaged, " +
+                      u64(report.objects_lost) + " lost)";
+  }
   return report;
 }
 

@@ -1,17 +1,19 @@
 // Integrity scan of an exported session tree — the library behind
 // viprof_fsck (the e2fsck analogue for a sample tree).
 //
-// Scans every per-event sample log (record framing: sequence numbers +
-// checksums) and every epoch code map (entry count + checksum trailer),
-// reports findings through the self-telemetry registry (fsck.* counters,
-// DESIGN.md §8) and classifies the whole tree:
+// Scans three file kinds: every per-event sample log (record framing:
+// sequence numbers + checksums), every epoch code map and every epoch
+// object map (declared counts + checksum trailer). It reports findings
+// through the self-telemetry registry (fsck.* counters, DESIGN.md §8) and
+// classifies the whole tree:
 //
 //   kClean         — every artifact verified end to end;
 //   kSalvaged      — damage found, but every damaged artifact yielded at
 //                    least part of its content (degraded, usable);
 //   kUnrecoverable — some damaged artifact yielded nothing usable (a sample
 //                    log with no verifiable record, a map with no
-//                    salvageable entry).
+//                    salvageable entry, an object map with no readable
+//                    header or nothing salvaged of what it declared).
 //
 // The verdict values double as the viprof_fsck exit codes; usage errors
 // exit with kFsckExitUsage.
@@ -45,8 +47,8 @@ inline constexpr int kFsckExitUsage = 3;
 struct FsckOptions {
   std::string samples_dir = "samples";
   /// Emit the recoverable subset into `out` (sample logs re-framed from
-  /// their verified records, damaged maps rewritten as their salvaged
-  /// prefix, everything else copied verbatim).
+  /// their verified records, code maps re-serialised, damaged object maps
+  /// rewritten as their salvaged prefix, everything else copied verbatim).
   bool write_recovery = false;
   /// Per-file findings appended to FsckReport::details.
   bool verbose = true;
@@ -70,6 +72,17 @@ struct FsckReport {
   std::uint64_t maps_truncated = 0;
   std::uint64_t map_entries_salvaged = 0;
   std::uint64_t dead_maps = 0;  // truncated maps with zero salvaged entries
+
+  // Epoch object maps. Over damaged maps with a readable header the loss is
+  // exact: objects_salvaged + objects_lost == the headers' declared object
+  // counts (what the writing agent acked), and likewise for deaths.
+  std::uint64_t omaps_intact = 0;
+  std::uint64_t omaps_truncated = 0;
+  std::uint64_t objects_salvaged = 0;
+  std::uint64_t objects_lost = 0;
+  std::uint64_t deaths_salvaged = 0;
+  std::uint64_t deaths_lost = 0;
+  std::uint64_t dead_omaps = 0;  // damaged object maps that yielded nothing
 
   std::string details;  // per-file findings (verbose mode)
   std::string summary;  // one-line verdict summary

@@ -3,8 +3,28 @@
 #include "core/rvm_map.hpp"
 #include "support/check.hpp"
 #include "support/format.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::core {
+
+std::optional<SampleDomain> domain_from_string(std::string_view name) {
+  using D = SampleDomain;
+  for (D d : {D::kHypervisor, D::kKernel, D::kImage, D::kBoot, D::kJit, D::kAnon,
+              D::kObject, D::kUnknown}) {
+    if (name == to_string(d)) return d;
+  }
+  return std::nullopt;
+}
+
+bool scan_domain_counts(std::string_view& s, std::optional<SampleDomain>& domain,
+                        std::uint64_t (&counts)[hw::kEventKindCount]) {
+  std::string_view name;
+  if (!support::scan_token(s, name)) return false;
+  for (std::uint64_t& c : counts)
+    if (!support::scan_u64(s, c)) return false;
+  domain = domain_from_string(name);
+  return true;
+}
 
 namespace {
 

@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -50,6 +52,16 @@ inline const char* to_string(SampleDomain d) {
   }
   return "?";
 }
+
+/// The domain whose to_string() is `name`, or nullopt.
+std::optional<SampleDomain> domain_from_string(std::string_view name);
+
+/// Scans "<domain> <c0> .. <cN>" (a domain token, then one count per event
+/// kind: how the store segments and the service snapshot write a profile
+/// row) off the front of `s`. False when a field is missing or malformed;
+/// a well-formed but unknown domain name leaves `domain` nullopt.
+bool scan_domain_counts(std::string_view& s, std::optional<SampleDomain>& domain,
+                        std::uint64_t (&counts)[hw::kEventKindCount]);
 
 struct Resolution {
   std::string image;

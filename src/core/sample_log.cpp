@@ -3,8 +3,7 @@
 #include <charconv>
 
 #include "support/arena.hpp"
-#include "support/hash.hpp"
-#include "support/str_scan.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -19,22 +18,13 @@ bool scan_hex_field(std::string_view& text, std::uint64_t& out) {
   return support::scan_hex64(text, out);
 }
 
-/// Verifies and decodes one line (terminator stripped). The crc must be
-/// exactly 8 hex digits after the last space and must match the body before
-/// any field is trusted; the body must hold exactly seven fields.
+/// Verifies and decodes one line (terminator stripped): the line frame must
+/// verify before any field is trusted, and the body must hold exactly seven
+/// fields.
 bool decode_sample_line(std::string_view line, std::uint64_t& seq, LoggedSample& out) {
-  if (line.size() < 10) return false;
-  const std::size_t crc_at = line.size() - 8;
-  if (line[crc_at - 1] != ' ') return false;
-  std::uint32_t crc = 0;
-  for (std::size_t i = crc_at; i < line.size(); ++i) {
-    const int digit = support::hex_value(line[i]);
-    if (digit < 0) return false;
-    crc = crc << 4 | static_cast<std::uint32_t>(digit);
-  }
-  std::string_view body = line.substr(0, crc_at - 1);
-  return support::fnv1a(body.data(), body.size()) == crc &&
-         scan_sample_fields(body, seq, out) && support::at_end(body);
+  std::string_view body;
+  return support::unframe_line(line, body) && scan_sample_fields(body, seq, out) &&
+         support::at_end(body);
 }
 
 }  // namespace
@@ -54,9 +44,7 @@ std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& s,
   field(s.pid, 10);
   field(s.epoch, 10);
   field(s.cycle, 10);
-  const std::uint32_t crc = support::fnv1a(buf, static_cast<std::size_t>(p - buf - 1));
-  for (int shift = 28; shift >= 0; shift -= 4)
-    *p++ = "0123456789abcdef"[crc >> shift & 0xf];
+  p = support::put_crc(p, support::fnv1a(buf, static_cast<std::size_t>(p - buf - 1)));
   *p++ = '\n';
   return {buf, static_cast<std::size_t>(p - buf)};
 }

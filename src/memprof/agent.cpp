@@ -98,7 +98,7 @@ hw::Cycles MemProfAgent::on_epoch_end(std::uint64_t epoch, bool final_epoch) {
 
 hw::Cycles MemProfAgent::write_map(std::uint64_t epoch) {
   VIPROF_CHECK(heap_ != nullptr);
-  ObjectMapFile file;
+  core::ObjectMapFile file;
   file.epoch = epoch;
   file.sites = sites_;
   file.objects.reserve(pending_.size());
@@ -113,7 +113,7 @@ hw::Cycles MemProfAgent::write_map(std::uint64_t epoch) {
   }
   file.dead = pending_dead_;
 
-  const std::string path = ObjectMapFile::path_for(config_.map_dir, pid_, epoch);
+  const std::string path = core::ObjectMapFile::path_for(config_.map_dir, pid_, epoch);
   const std::string blob = file.serialize();
   hw::Cycles cost = config_.map_write_base +
                     config_.map_write_per_entry *

@@ -21,8 +21,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/object_map.hpp"
 #include "jvm/hooks.hpp"
-#include "memprof/object_map.hpp"
 #include "os/machine.hpp"
 #include "support/fault.hpp"
 #include "support/telemetry.hpp"
@@ -99,9 +99,9 @@ class MemProfAgent : public jvm::VmEventListener {
   std::vector<jvm::ObjId> pending_;
   std::unordered_set<jvm::ObjId> pending_set_;
   // Deaths flagged by the previous collection, for the next map.
-  std::vector<ObjectDeath> pending_dead_;
+  std::vector<core::ObjectDeath> pending_dead_;
   // The full site dictionary; every map carries it (sites are few).
-  std::vector<SiteName> sites_;
+  std::vector<core::SiteName> sites_;
 
   // Self-telemetry handles (memprof.* namespace, DESIGN.md §8/§15).
   support::Counter* tele_allocs_ = nullptr;

@@ -16,9 +16,10 @@ ObjectReport build_object_report(const os::Vfs& vfs, const std::string& sample_d
   std::map<hw::Pid, core::CodeMapIndex> indexes;
   for (const core::VmRegistration& reg : regs) {
     if (reg.obj_map_dir.empty()) continue;
-    ObjectIndexLoad load = load_object_index(vfs, reg.obj_map_dir, reg.pid);
-    for (ObjectMapFile& file : load.files)
-      out.sites.ingest("", reg.pid, std::make_shared<const ObjectMapFile>(std::move(file)));
+    core::ObjectIndexLoad load = core::load_object_index(vfs, reg.obj_map_dir, reg.pid);
+    for (core::ObjectMapFile& file : load.files)
+      out.sites.ingest("", reg.pid,
+                       std::make_shared<const core::ObjectMapFile>(std::move(file)));
     indexes.emplace(reg.pid, std::move(load.index));
   }
 
@@ -62,7 +63,7 @@ std::string render_memprof(const SiteTable& sites, const core::Profile& profile,
   std::vector<Row> rows;
   rows.reserve(by_site.size());
   for (const auto& [site, agg] : by_site) {
-    const core::ProfileRow* pr = profile.find(kObjectImage, site_symbol(site));
+    const core::ProfileRow* pr = profile.find(kObjectImage, core::site_symbol(site));
     rows.push_back({site, pr ? pr->count(hw::EventKind::kObjDmiss) : 0, &agg});
   }
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {

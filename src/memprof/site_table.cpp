@@ -15,7 +15,7 @@ void add_counts(SiteStats& to, const SiteStats& from) {
 
 SiteStats& SiteTable::site(hw::Pid pid, std::uint32_t idx) {
   SiteStats& s = sites_[{pid, idx}];
-  if (s.name.empty()) s.name = site_symbol(idx);
+  if (s.name.empty()) s.name = core::site_symbol(idx);
   return s;
 }
 
@@ -25,28 +25,28 @@ void SiteTable::adopt_name(hw::Pid pid, std::uint32_t idx, const std::string& na
   // intact map carries the same dictionary, and across sessions that
   // share a pid the winner is the same no matter which scope folds
   // first — fold order never shows in the rendered bytes.
-  if (s.name == site_symbol(idx) || name < s.name) s.name = name;
+  if (s.name == core::site_symbol(idx) || name < s.name) s.name = name;
 }
 
 void SiteTable::index(Partition& part) {
   if (part.indexed) return;
   for (const auto& map : part.maps) {
-    for (const ObjectMapEntry& e : map->objects) part.seen_alloc.insert(e.obj_id);
-    for (const ObjectDeath& d : map->dead) part.seen_dead.insert(d.obj_id);
+    for (const core::ObjectMapEntry& e : map->objects) part.seen_alloc.insert(e.obj_id);
+    for (const core::ObjectDeath& d : map->dead) part.seen_dead.insert(d.obj_id);
   }
   part.indexed = true;
 }
 
-void SiteTable::charge(Partition& part, hw::Pid pid, const ObjectMapFile& file) {
+void SiteTable::charge(Partition& part, hw::Pid pid, const core::ObjectMapFile& file) {
   // Accumulate per site first: one table lookup per site, not per object.
   std::map<std::uint32_t, SiteStats> delta;
-  for (const ObjectMapEntry& e : file.objects) {
+  for (const core::ObjectMapEntry& e : file.objects) {
     if (!part.seen_alloc.insert(e.obj_id).second) continue;
     SiteStats& d = delta[e.site];
     ++d.alloc_objects;
     d.alloc_bytes += e.size;
   }
-  for (const ObjectDeath& dead : file.dead) {
+  for (const core::ObjectDeath& dead : file.dead) {
     if (!part.seen_dead.insert(dead.obj_id).second) continue;
     SiteStats& d = delta[dead.site];
     ++d.dead_objects;
@@ -59,10 +59,10 @@ void SiteTable::charge(Partition& part, hw::Pid pid, const ObjectMapFile& file) 
 }
 
 void SiteTable::ingest(const std::string& scope, hw::Pid pid,
-                       std::shared_ptr<const ObjectMapFile> file) {
+                       std::shared_ptr<const core::ObjectMapFile> file) {
   ++maps_ingested_;
   if (file->truncated) ++maps_truncated_;
-  for (const SiteName& sn : file->sites) adopt_name(pid, sn.site, sn.name);
+  for (const core::SiteName& sn : file->sites) adopt_name(pid, sn.site, sn.name);
   Partition& part = partitions_[{scope, pid}];
   index(part);
   charge(part, pid, *file);
@@ -79,7 +79,7 @@ void SiteTable::merge(const SiteTable& other) {
   maps_truncated_ += other.maps_truncated_;
   for (const auto& [key, theirs] : other.sites_) {
     // A fallback name carries no dictionary knowledge; the site still exists.
-    if (theirs.name == site_symbol(key.second))
+    if (theirs.name == core::site_symbol(key.second))
       site(key.first, key.second);
     else
       adopt_name(key.first, key.second, theirs.name);

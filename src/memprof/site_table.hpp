@@ -25,8 +25,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/object_map.hpp"
 #include "hw/types.hpp"
-#include "memprof/object_map.hpp"
 
 namespace viprof::memprof {
 
@@ -57,13 +57,13 @@ class SiteTable {
   /// dedup against each other (and must total the same no matter which
   /// folds first). The table keeps `file` alive as a read-only reference.
   void ingest(const std::string& scope, hw::Pid pid,
-              std::shared_ptr<const ObjectMapFile> file);
-  void ingest(const std::string& scope, hw::Pid pid, const ObjectMapFile& file) {
-    ingest(scope, pid, std::make_shared<const ObjectMapFile>(file));
+              std::shared_ptr<const core::ObjectMapFile> file);
+  void ingest(const std::string& scope, hw::Pid pid, const core::ObjectMapFile& file) {
+    ingest(scope, pid, std::make_shared<const core::ObjectMapFile>(file));
   }
 
   /// Single-session fold (the offline report path): empty scope.
-  void ingest(hw::Pid pid, const ObjectMapFile& file) { ingest("", pid, file); }
+  void ingest(hw::Pid pid, const core::ObjectMapFile& file) { ingest("", pid, file); }
 
   /// Adds `other` into this table: the result equals one table that
   /// ingested every map of both, in any order, with map counts summed per
@@ -85,7 +85,7 @@ class SiteTable {
 
  private:
   struct Partition {
-    std::vector<std::shared_ptr<const ObjectMapFile>> maps;  // every map folded
+    std::vector<std::shared_ptr<const core::ObjectMapFile>> maps;  // every map folded
     std::map<std::uint32_t, SiteStats> charges;  // this partition's share (no names)
     // obj_id seen-sets. A partition adopted by merge() arrives without
     // them; they are replayed from `maps` before its next per-object fold.
@@ -98,7 +98,7 @@ class SiteTable {
   static void index(Partition& part);
   /// Charges `file`'s first sightings and first deaths to `part` and to the
   /// table-wide per-site totals.
-  void charge(Partition& part, hw::Pid pid, const ObjectMapFile& file);
+  void charge(Partition& part, hw::Pid pid, const core::ObjectMapFile& file);
 
   std::map<std::pair<hw::Pid, std::uint32_t>, SiteStats> sites_;
   std::map<std::pair<std::string, hw::Pid>, Partition> partitions_;

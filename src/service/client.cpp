@@ -5,8 +5,8 @@
 
 #include "core/archive.hpp"
 #include "core/code_map.hpp"
+#include "core/object_map.hpp"
 #include "core/sample_log.hpp"
-#include "memprof/object_map.hpp"
 #include "support/str_scan.hpp"
 
 namespace viprof::service {
@@ -135,7 +135,7 @@ bool ReplayClient::run() {
             vm.pending_maps.emplace_back(*epoch, path);
       if (!reg->obj_map_dir.empty())
         for (const std::string& path : world_.list(reg->obj_map_dir + pid_dir))
-          if (const auto epoch = memprof::ObjectMapFile::epoch_from_path(path))
+          if (const auto epoch = core::ObjectMapFile::epoch_from_path(path))
             vm.pending_maps.emplace_back(*epoch, path);
       std::sort(vm.pending_maps.begin(), vm.pending_maps.end());
       vms_.push_back(std::move(vm));

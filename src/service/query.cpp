@@ -1,25 +1,13 @@
 #include "service/query.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-
 #include "support/format.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::service {
 
 namespace {
 
 constexpr const char* kHeader = "viprof-snapshot v1";
-
-std::optional<core::SampleDomain> domain_from(const std::string& name) {
-  using D = core::SampleDomain;
-  for (D d : {D::kHypervisor, D::kKernel, D::kImage, D::kBoot, D::kJit, D::kAnon,
-              D::kObject, D::kUnknown}) {
-    if (name == core::to_string(d)) return d;
-  }
-  return std::nullopt;
-}
 
 void append_counts_and_names(std::string& out, const core::ProfileRow& row) {
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
@@ -29,32 +17,22 @@ void append_counts_and_names(std::string& out, const core::ProfileRow& row) {
 
 /// "<domain> c0 .. cN\t<image>\t<symbol>" (one count per event kind) → one
 /// add() per event with count.
-bool parse_row_into(const std::string& fields, core::Profile& profile) {
+bool parse_row_into(std::string_view fields, core::Profile& profile) {
   const std::size_t tab1 = fields.find('\t');
-  if (tab1 == std::string::npos) return false;
+  if (tab1 == std::string_view::npos) return false;
   const std::size_t tab2 = fields.find('\t', tab1 + 1);
-  if (tab2 == std::string::npos) return false;
+  if (tab2 == std::string_view::npos) return false;
 
+  std::string_view head = fields.substr(0, tab1);
+  std::optional<core::SampleDomain> domain;
   std::uint64_t counts[hw::kEventKindCount] = {};
-  char domain_buf[16] = {};
-  const std::string head = fields.substr(0, tab1);
-  int consumed = 0;
-  if (std::sscanf(head.c_str(), "%15s%n", domain_buf, &consumed) != 1) return false;
-  const char* p = head.c_str() + consumed;
-  for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
-    char* endp = nullptr;
-    const unsigned long long v = std::strtoull(p, &endp, 10);
-    if (endp == p) return false;  // fewer counts than event kinds: damage
-    counts[e] = v;
-    p = endp;
-  }
-
-  const auto domain = domain_from(domain_buf);
-  if (!domain) return false;
+  if (!core::scan_domain_counts(head, domain, counts) || !support::at_end(head) ||
+      !domain)
+    return false;
 
   core::Resolution res;
-  res.image = fields.substr(tab1 + 1, tab2 - tab1 - 1);
-  res.symbol = fields.substr(tab2 + 1);
+  res.image = std::string(fields.substr(tab1 + 1, tab2 - tab1 - 1));
+  res.symbol = std::string(fields.substr(tab2 + 1));
   res.domain = *domain;
   bool added = false;
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {
@@ -85,56 +63,31 @@ std::string ServiceSnapshot::serialize() const {
     }
     out += "end\n";
   }
-  char crc[16];
-  std::snprintf(crc, sizeof crc, "crc %08x\n", support::fnv1a(out));
-  out += crc;
+  support::append_crc_trailer(out);
   return out;
 }
 
 std::optional<ServiceSnapshot> ServiceSnapshot::parse(const std::string& text) {
-  // Split off and verify the trailer first: everything before the final
-  // "crc " line is checksummed.
-  const std::size_t crc_at = text.rfind("crc ");
-  if (crc_at == std::string::npos || (crc_at != 0 && text[crc_at - 1] != '\n'))
-    return std::nullopt;
-  unsigned crc_read = 0;
-  if (std::sscanf(text.c_str() + crc_at + 4, "%8x", &crc_read) != 1) return std::nullopt;
-  if (support::fnv1a(text.data(), crc_at) != crc_read) return std::nullopt;
-
   ServiceSnapshot snap;
   SessionSnapshot* current = nullptr;
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < crc_at) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos || nl > crc_at) nl = crc_at;
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kHeader) return std::nullopt;
-      saw_header = true;
-    } else if (line.rfind("session ", 0) == 0) {
-      snap.sessions.push_back(SessionSnapshot{});
-      current = &snap.sessions.back();
-      current->id = line.substr(8);
-    } else if (line == "end") {
-      current = nullptr;
-    } else if (line.rfind("row ", 0) == 0) {
-      if (current == nullptr) return std::nullopt;
-      if (!parse_row_into(line.substr(4), current->profile)) return std::nullopt;
-    } else if (line.rfind("erow ", 0) == 0) {
-      if (current == nullptr) return std::nullopt;
-      char* end = nullptr;
-      const unsigned long long epoch = std::strtoull(line.c_str() + 5, &end, 10);
-      if (end == nullptr || *end != ' ') return std::nullopt;
-      const std::string rest(end + 1);
-      if (!parse_row_into(rest, current->epochs[epoch])) return std::nullopt;
-    } else {
-      return std::nullopt;
+  const auto on_line = [&snap, &current](std::string_view line) {
+    if (support::scan_lit(line, "session ")) {
+      current = &snap.sessions.emplace_back();
+      current->id = std::string(line);
+      return true;
     }
-  }
-  if (!saw_header) return std::nullopt;
+    if (line == "end") {
+      current = nullptr;
+      return true;
+    }
+    if (support::scan_lit(line, "row "))
+      return current != nullptr && parse_row_into(line, current->profile);
+    std::uint64_t epoch = 0;
+    return support::scan_lit(line, "erow ") && current != nullptr &&
+           support::scan_u64(line, epoch) && support::scan_lit(line, " ") &&
+           parse_row_into(line, current->epochs[epoch]);
+  };
+  if (!support::for_each_framed_line(text, kHeader, on_line)) return std::nullopt;
   return snap;
 }
 

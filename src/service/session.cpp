@@ -4,7 +4,7 @@
 #include <optional>
 
 #include "core/code_map.hpp"
-#include "memprof/object_map.hpp"
+#include "core/object_map.hpp"
 
 namespace viprof::service {
 
@@ -93,13 +93,13 @@ os::Vfs ServerSession::world() const {
 void ServerSession::store_file(const std::string& path, std::string bytes) {
   const std::uint64_t t0 = support::monotonic_ns();
   const auto omap = object_map_key(path);
-  std::shared_ptr<const memprof::ObjectMapFile> map;
+  std::shared_ptr<const core::ObjectMapFile> map;
   if (omap) {
     // The file-name epoch is the salvage hint, exactly as load_object_index
     // uses it, so the kept map equals what a full reload would parse.
-    const auto hint = memprof::ObjectMapFile::epoch_from_path(path);
-    map = std::make_shared<const memprof::ObjectMapFile>(
-        memprof::ObjectMapFile::salvage(bytes, hint.value_or(0)).file);
+    const auto hint = core::ObjectMapFile::epoch_from_path(path);
+    map = std::make_shared<const core::ObjectMapFile>(
+        core::ObjectMapFile::salvage(bytes, hint.value_or(0)).file);
   }
   {
     std::lock_guard<std::mutex> lock(world_mu_);
@@ -123,7 +123,7 @@ void ServerSession::store_file(const std::string& path, std::string bytes) {
 }
 
 void ServerSession::fold_object_map(const PartitionKey& key, const std::string& path,
-                                    std::shared_ptr<const memprof::ObjectMapFile> map) {
+                                    std::shared_ptr<const core::ObjectMapFile> map) {
   bool refold = false;
   {
     std::lock_guard<support::TracedMutex> lock(sites_mu_);
@@ -204,7 +204,7 @@ void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
 
 core::CodeMapIndex ServerSession::object_index(const std::string& dir,
                                                hw::Pid pid) const {
-  std::vector<std::shared_ptr<const memprof::ObjectMapFile>> maps;
+  std::vector<std::shared_ptr<const core::ObjectMapFile>> maps;
   {
     std::lock_guard<support::TracedMutex> lock(sites_mu_);
     const auto it = object_parts_.find({dir, pid});

@@ -173,7 +173,7 @@ class ServerSession {
 
   /// Epoch index over the object maps streamed so far under (dir, pid),
   /// projected from the kept salvaged maps — the same index
-  /// memprof::load_object_index builds from the world, without a re-parse.
+  /// core::load_object_index builds from the world, without a re-parse.
   core::CodeMapIndex object_index(const std::string& dir, hw::Pid pid) const;
 
   /// Everything applied since the previous take_flush(): the increment the
@@ -240,13 +240,13 @@ class ServerSession {
   /// The object maps of one (obj_dir, pid): salvaged once on arrival and
   /// kept by path (the world's listing order), plus their folded sites.
   struct ObjectPartition {
-    std::map<std::string, std::shared_ptr<const memprof::ObjectMapFile>> maps;
+    std::map<std::string, std::shared_ptr<const core::ObjectMapFile>> maps;
     memprof::SiteTable sites;
   };
   using PartitionKey = std::pair<std::string, hw::Pid>;  // (obj_dir, pid)
 
   void fold_object_map(const PartitionKey& key, const std::string& path,
-                       std::shared_ptr<const memprof::ObjectMapFile> map);
+                       std::shared_ptr<const core::ObjectMapFile> map);
 
   // ---- streamed world (world_mu_)
   mutable std::mutex world_mu_;

@@ -1,15 +1,27 @@
 #include "store/manifest.hpp"
 
-#include <cstdio>
-
-#include "support/format.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::store {
 
 namespace {
+
 constexpr const char* kHeader = "viprof-store-manifest v1";
 constexpr const char* kFleetHeader = "viprof-fleet-manifest v1";
+
+/// Consumes "<key> " off the front of `line`.
+bool keyed(std::string_view& line, std::string_view key) {
+  return line.size() > key.size() && line[key.size()] == ' ' &&
+         support::scan_lit(line, key);
 }
+
+/// Exactly the given unsigned fields, whitespace-separated, nothing after.
+template <typename... Fields>
+bool scan_fields(std::string_view line, Fields&... fields) {
+  return (support::scan_u64(line, fields) && ...) && support::at_end(line);
+}
+
+}  // namespace
 
 std::string Manifest::serialize() const {
   std::string out = std::string(kHeader) + "\n";
@@ -26,71 +38,38 @@ std::string Manifest::serialize() const {
            "\n";
   }
   for (const std::string& t : tombstones) out += "tombstone " + t + "\n";
-  char crc[16];
-  std::snprintf(crc, sizeof crc, "crc %08x\n", support::fnv1a(out));
-  out += crc;
+  support::append_crc_trailer(out);
   return out;
 }
 
 std::optional<Manifest> Manifest::parse(const std::string& text) {
-  const std::size_t crc_at = text.rfind("crc ");
-  if (crc_at == std::string::npos || (crc_at != 0 && text[crc_at - 1] != '\n'))
-    return std::nullopt;
-  unsigned crc_read = 0;
-  if (std::sscanf(text.c_str() + crc_at + 4, "%8x", &crc_read) != 1)
-    return std::nullopt;
-  if (support::fnv1a(text.data(), crc_at) != crc_read) return std::nullopt;
-
   Manifest m;
-  bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos < crc_at) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos || nl > crc_at) nl = crc_at;
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kHeader) return std::nullopt;
-      saw_header = true;
-    } else if (line.rfind("gen ", 0) == 0) {
-      m.generation = std::strtoull(line.c_str() + 4, nullptr, 10);
-    } else if (line.rfind("next-seq ", 0) == 0) {
-      m.next_seq = std::strtoull(line.c_str() + 9, nullptr, 10);
-    } else if (line.rfind("next-segment ", 0) == 0) {
-      m.next_segment = std::strtoull(line.c_str() + 13, nullptr, 10);
-    } else if (line.rfind("dropped ", 0) == 0) {
-      unsigned long long i = 0, r = 0, s = 0;
-      if (std::sscanf(line.c_str() + 8, "%llu %llu %llu", &i, &r, &s) != 3)
-        return std::nullopt;
-      m.dropped_intervals = i;
-      m.dropped_rows = r;
-      m.dropped_segments = s;
-    } else if (line.rfind("segment ", 0) == 0) {
+  const auto on_line = [&m](std::string_view line) {
+    if (keyed(line, "gen")) return scan_fields(line, m.generation);
+    if (keyed(line, "next-seq")) return scan_fields(line, m.next_seq);
+    if (keyed(line, "next-segment")) return scan_fields(line, m.next_segment);
+    if (keyed(line, "dropped"))
+      return scan_fields(line, m.dropped_intervals, m.dropped_rows, m.dropped_segments);
+    if (keyed(line, "segment")) {
       const std::size_t tab = line.find('\t');
-      if (tab == std::string::npos) return std::nullopt;
-      unsigned long long id, sealed, ivs, rows, tlo, thi, slo, shi;
-      if (std::sscanf(line.c_str() + 8, "%llu %llu %llu %llu %llu %llu %llu %llu",
-                      &id, &sealed, &ivs, &rows, &tlo, &thi, &slo, &shi) != 8)
-        return std::nullopt;
+      if (tab == std::string_view::npos) return false;
       ManifestSegment seg;
-      seg.name = line.substr(tab + 1);
-      seg.id = id;
+      std::uint64_t sealed = 0;
+      if (!scan_fields(line.substr(0, tab), seg.id, sealed, seg.intervals, seg.rows,
+                       seg.tick_lo, seg.tick_hi, seg.seq_lo, seg.seq_hi))
+        return false;
       seg.sealed = sealed != 0;
-      seg.intervals = ivs;
-      seg.rows = rows;
-      seg.tick_lo = tlo;
-      seg.tick_hi = thi;
-      seg.seq_lo = slo;
-      seg.seq_hi = shi;
+      seg.name = std::string(line.substr(tab + 1));
       m.segments.push_back(std::move(seg));
-    } else if (line.rfind("tombstone ", 0) == 0) {
-      m.tombstones.push_back(line.substr(10));
-    } else {
-      return std::nullopt;
+      return true;
     }
-  }
-  if (!saw_header) return std::nullopt;
+    if (keyed(line, "tombstone")) {
+      m.tombstones.emplace_back(line.substr(1));
+      return true;
+    }
+    return false;
+  };
+  if (!support::for_each_framed_line(text, kHeader, on_line)) return std::nullopt;
   return m;
 }
 
@@ -122,89 +101,44 @@ std::string FleetManifest::serialize() const {
            std::to_string(s.sessions) + " " + std::to_string(s.records) + "\t" +
            s.name + "\t" + s.root + "\n";
   }
-  char crc[16];
-  std::snprintf(crc, sizeof crc, "crc %08x\n", support::fnv1a(out));
-  out += crc;
+  support::append_crc_trailer(out);
   return out;
 }
 
 std::optional<FleetManifest> FleetManifest::parse(const std::string& text) {
-  const std::size_t crc_at = text.rfind("crc ");
-  if (crc_at == std::string::npos || (crc_at != 0 && text[crc_at - 1] != '\n'))
-    return std::nullopt;
-  unsigned crc_read = 0;
-  if (std::sscanf(text.c_str() + crc_at + 4, "%8x", &crc_read) != 1)
-    return std::nullopt;
-  if (support::fnv1a(text.data(), crc_at) != crc_read) return std::nullopt;
-
   FleetManifest m;
-  bool saw_header = false;
-  std::size_t pos = 0;
-  while (pos < crc_at) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos || nl > crc_at) nl = crc_at;
-    const std::string line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    if (line.empty()) continue;
-    if (!saw_header) {
-      if (line != kFleetHeader) return std::nullopt;
-      saw_header = true;
-    } else if (line.rfind("gen ", 0) == 0) {
-      m.generation = std::strtoull(line.c_str() + 4, nullptr, 10);
-    } else if (line.rfind("acked ", 0) == 0) {
-      unsigned long long s = 0, r = 0;
-      if (std::sscanf(line.c_str() + 6, "%llu %llu", &s, &r) != 2)
-        return std::nullopt;
-      m.ledger.acked_sessions = s;
-      m.ledger.acked_records = r;
-    } else if (line.rfind("stored ", 0) == 0) {
-      m.ledger.stored_records = std::strtoull(line.c_str() + 7, nullptr, 10);
-    } else if (line.rfind("lost ", 0) == 0) {
-      unsigned long long w = 0, q = 0, dr = 0, ds = 0;
-      if (std::sscanf(line.c_str() + 5, "%llu %llu %llu %llu", &w, &q, &dr, &ds) != 4)
-        return std::nullopt;
-      m.ledger.lost_wire = w;
-      m.ledger.lost_queue = q;
-      m.ledger.lost_dead_records = dr;
-      m.ledger.lost_dead_sessions = ds;
-    } else if (line.rfind("failover ", 0) == 0) {
-      unsigned long long s = 0, r = 0;
-      if (std::sscanf(line.c_str() + 9, "%llu %llu", &s, &r) != 2)
-        return std::nullopt;
-      m.ledger.failover_sessions = s;
-      m.ledger.failover_records = r;
-    } else if (line.rfind("refused ", 0) == 0) {
-      m.ledger.refused_sessions = std::strtoull(line.c_str() + 8, nullptr, 10);
-    } else if (line.rfind("retried ", 0) == 0) {
-      unsigned long long s = 0, g = 0, c = 0;
-      if (std::sscanf(line.c_str() + 8, "%llu %llu %llu", &s, &g, &c) != 3)
-        return std::nullopt;
-      m.ledger.retried_sends = s;
-      m.ledger.retried_giveups = g;
-      m.ledger.circuit_opens = c;
-    } else if (line.rfind("rebalances ", 0) == 0) {
-      m.ledger.rebalances = std::strtoull(line.c_str() + 11, nullptr, 10);
-    } else if (line.rfind("shard ", 0) == 0) {
+  FleetLedger& l = m.ledger;
+  const auto on_line = [&m, &l](std::string_view line) {
+    if (keyed(line, "gen")) return scan_fields(line, m.generation);
+    if (keyed(line, "acked")) return scan_fields(line, l.acked_sessions, l.acked_records);
+    if (keyed(line, "stored")) return scan_fields(line, l.stored_records);
+    if (keyed(line, "lost"))
+      return scan_fields(line, l.lost_wire, l.lost_queue, l.lost_dead_records,
+                         l.lost_dead_sessions);
+    if (keyed(line, "failover"))
+      return scan_fields(line, l.failover_sessions, l.failover_records);
+    if (keyed(line, "refused")) return scan_fields(line, l.refused_sessions);
+    if (keyed(line, "retried"))
+      return scan_fields(line, l.retried_sends, l.retried_giveups, l.circuit_opens);
+    if (keyed(line, "rebalances")) return scan_fields(line, l.rebalances);
+    if (keyed(line, "shard")) {
       const std::size_t tab1 = line.find('\t');
-      if (tab1 == std::string::npos) return std::nullopt;
+      if (tab1 == std::string_view::npos) return false;
       const std::size_t tab2 = line.find('\t', tab1 + 1);
-      if (tab2 == std::string::npos) return std::nullopt;
-      unsigned long long alive = 0, sessions = 0, records = 0;
-      if (std::sscanf(line.c_str() + 6, "%llu %llu %llu", &alive, &sessions,
-                      &records) != 3)
-        return std::nullopt;
+      if (tab2 == std::string_view::npos) return false;
       FleetShard shard;
+      std::uint64_t alive = 0;
+      if (!scan_fields(line.substr(0, tab1), alive, shard.sessions, shard.records))
+        return false;
       shard.alive = alive != 0;
-      shard.sessions = sessions;
-      shard.records = records;
-      shard.name = line.substr(tab1 + 1, tab2 - tab1 - 1);
-      shard.root = line.substr(tab2 + 1);
+      shard.name = std::string(line.substr(tab1 + 1, tab2 - tab1 - 1));
+      shard.root = std::string(line.substr(tab2 + 1));
       m.shards.push_back(std::move(shard));
-    } else {
-      return std::nullopt;
+      return true;
     }
-  }
-  if (!saw_header) return std::nullopt;
+    return false;
+  };
+  if (!support::for_each_framed_line(text, kFleetHeader, on_line)) return std::nullopt;
   return m;
 }
 

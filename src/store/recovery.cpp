@@ -7,10 +7,10 @@
 // minus salvage) and framing-derived where it is not (the active segment:
 // declared row counts of dropped intervals).
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "store/profile_store.hpp"
+#include "support/str_scan.hpp"
 #include "support/telemetry.hpp"
 
 namespace viprof::store {
@@ -21,10 +21,9 @@ std::uint64_t clamped_sub(std::uint64_t a, std::uint64_t b) {
   return a > b ? a - b : 0;
 }
 
-std::uint64_t id_from_name(const std::string& rel) {
-  unsigned long long id = 0;
-  std::sscanf(rel.c_str(), "segments/seg-%llu.vseg", &id);
-  return id;
+/// The id in a "segments/seg-<id>.vseg" name, or nullopt for any other name.
+std::optional<std::uint64_t> id_from_name(const std::string& rel) {
+  return support::scan_name_number(rel, "segments/seg-", ".vseg");
 }
 
 }  // namespace
@@ -107,6 +106,7 @@ void ProfileStore::scan(ScanState& st) const {
       if (mtext) note("MANIFEST", "corrupt, rebuilt from segment scan");
       else note("MANIFEST", "missing, rebuilt from segment scan");
       rec.details += "MANIFEST: cumulative retention-drop bins lost in rebuild\n";
+      std::vector<std::size_t> unnumbered;  // st.loaded slots still needing an id
       for (const std::string& full : files) {
         const auto text = vfs_.read(full);
         SegmentSalvage sv = read_segment(*text);
@@ -122,7 +122,12 @@ void ProfileStore::scan(ScanState& st) const {
         }
         ManifestSegment meta;
         meta.name = rel;
-        meta.id = sv.header_ok ? sv.segment_id : id_from_name(rel);
+        const auto id = sv.header_ok ? sv.segment_id : id_from_name(rel);
+        if (!id) {
+          note(rel, "no segment id in its header or name; numbered after the rest");
+          unnumbered.push_back(st.loaded.size());
+        }
+        meta.id = id.value_or(0);
         if (!sv.clean())
           note(rel, "salvaged " + std::to_string(sv.intervals.size()) +
                         " interval(s), dropped " +
@@ -130,6 +135,7 @@ void ProfileStore::scan(ScanState& st) const {
         st.rewrite.insert(rel);
         load_salvaged(std::move(sv), std::move(meta));
       }
+      for (const std::size_t i : unnumbered) st.loaded[i].meta.id = ++max_id;
       rec.verdict = st.loaded.empty() ? core::FsckVerdict::kUnrecoverable
                                       : core::FsckVerdict::kSalvaged;
     }

@@ -1,32 +1,15 @@
 #include "store/segment.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
-#include "support/format.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::store {
-
-namespace {
-
-std::optional<core::SampleDomain> domain_from(const char* name) {
-  using D = core::SampleDomain;
-  for (D d : {D::kHypervisor, D::kKernel, D::kImage, D::kBoot, D::kJit, D::kAnon,
-              D::kObject, D::kUnknown}) {
-    if (std::strcmp(name, core::to_string(d)) == 0) return d;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 SegmentWriter::SegmentWriter(std::uint64_t segment_id) : segment_id_(segment_id) {}
 
 std::string SegmentWriter::frame(const std::string& body) {
-  char crc[16];
-  std::snprintf(crc, sizeof crc, " %08x\n", support::fnv1a(body));
-  return body + crc;
+  std::string out;
+  support::append_framed_line(out, body);
+  return out;
 }
 
 std::string SegmentWriter::header() {
@@ -115,29 +98,21 @@ SegmentSalvage read_segment(const std::string& contents) {
   std::uint64_t last_seq = 0;
   bool any_seq = false;
 
-  std::size_t pos = 0;
-  while (pos < contents.size()) {
-    std::size_t nl = contents.find('\n', pos);
-    const bool unterminated = nl == std::string::npos;
-    if (unterminated) nl = contents.size();
-    const std::string line = contents.substr(pos, nl - pos);
-    pos = nl + 1;
+  // A line whose frame and sequence number verified but whose payload does
+  // not parse: counted as discarded, its sequence number still taken.
+  const auto reject = [&out] {
+    ++out.lines_discarded;
+    --out.lines_valid;
+  };
+
+  support::LineCursor cursor(contents);
+  std::string_view line;
+  while (cursor.next(line)) {
     if (line.empty()) continue;
-
-    // Verify the frame: `body SP crc8hex` (an unterminated tail is torn).
-    const std::size_t sp = line.rfind(' ');
-    unsigned crc_read = 0;
-    if (unterminated || sp == std::string::npos || line.size() - sp - 1 != 8 ||
-        std::sscanf(line.c_str() + sp + 1, "%8x", &crc_read) != 1 ||
-        support::fnv1a(line.data(), sp) != crc_read) {
-      ++out.lines_discarded;
-      continue;
-    }
-    const std::string body = line.substr(0, sp);
-
-    char* cur = nullptr;
-    const std::uint64_t seq = std::strtoull(body.c_str(), &cur, 10);
-    if (cur == body.c_str() || *cur != ' ') {
+    std::string_view body;
+    std::uint64_t seq = 0;
+    if (!support::unframe_line(line, body) || !support::scan_u64(body, seq) ||
+        body.empty() || body.front() != ' ') {
       ++out.lines_discarded;
       continue;
     }
@@ -146,53 +121,58 @@ SegmentSalvage read_segment(const std::string& contents) {
         ++out.duplicate_lines;
         continue;
       }
-      out.gap_lines += seq - last_seq - 1;
+      if (seq > last_seq + 1) {
+        out.gap_lines += seq - last_seq - 1;
+        // Lines went missing before the open interval saw all its rows (they
+        // follow its record in sequence): rows from here on may belong to a
+        // later interval, so it must not commit.
+        if (pending.rows_seen < pending.declared_rows) pending.broken = true;
+      }
     }
     last_seq = seq;
     any_seq = true;
     ++out.lines_valid;
 
-    const char type = cur[1];
-    if (type == '\0') {
-      ++out.lines_discarded;
-      --out.lines_valid;
+    if (body.size() < 2) {
+      reject();
       continue;
     }
-    const char* rest = cur + 2;  // " <payload>" or end of body
-    if (*rest == ' ') ++rest;
+    const char type = body[1];
+    std::string_view rest = body.substr(2);  // " <payload>" or nothing
+    if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
 
     if (type == 'H') {
-      unsigned long long id = 0;
-      if (std::sscanf(rest, "viprof-segment v1 %llu", &id) == 1) {
+      std::uint64_t id = 0;
+      if (support::scan_lit(rest, "viprof-segment v1") && support::scan_u64(rest, id) &&
+          support::at_end(rest)) {
         out.header_ok = true;
         out.segment_id = id;
       } else {
-        ++out.lines_discarded;
-        --out.lines_valid;
+        reject();
       }
     } else if (type == 'D') {
-      char* end = nullptr;
-      const std::uint64_t id = std::strtoull(rest, &end, 10);
-      if (end == rest || *end != '\t') {
-        ++out.lines_discarded;
-        --out.lines_valid;
+      std::uint64_t id = 0;
+      if (!support::scan_u64(rest, id) || rest.empty() || rest.front() != '\t') {
+        reject();
         continue;
       }
-      dict[id] = std::string(end + 1);
+      dict[id] = std::string(rest.substr(1));
     } else if (type == 'I') {
       finalize(pending, out);
-      unsigned long long tlo, thi, elo, ehi, pid, fseq, rows;
-      const char* tab = std::strchr(rest, '\t');
-      if (tab == nullptr ||
-          std::sscanf(rest, "%llu %llu %llu %llu %llu %llu %llu", &tlo, &thi, &elo,
-                      &ehi, &pid, &fseq, &rows) != 7) {
-        ++out.lines_discarded;
-        --out.lines_valid;
+      const std::size_t tab = rest.find('\t');
+      std::string_view head = rest.substr(0, tab);
+      std::uint64_t tlo, thi, elo, ehi, pid, fseq, rows;
+      if (tab == std::string_view::npos || !support::scan_u64(head, tlo) ||
+          !support::scan_u64(head, thi) || !support::scan_u64(head, elo) ||
+          !support::scan_u64(head, ehi) || !support::scan_u64(head, pid) ||
+          !support::scan_u64(head, fseq) || !support::scan_u64(head, rows) ||
+          !support::at_end(head)) {
+        reject();
         continue;
       }
       pending.open = true;
       pending.declared_rows = rows;
-      pending.iv.session = std::string(tab + 1);
+      pending.iv.session = std::string(rest.substr(tab + 1));
       pending.iv.tick_lo = tlo;
       pending.iv.tick_hi = thi;
       pending.iv.epoch_lo = elo;
@@ -205,35 +185,16 @@ SegmentSalvage read_segment(const std::string& contents) {
         pending.open = true;
         pending.orphan = true;
       }
-      char domain_buf[16] = {};
-      unsigned long long c[hw::kEventKindCount] = {};
-      unsigned long long img = 0, sym = 0;
-      // One count column per event kind, then the two dictionary ids —
-      // parsed with a cursor so the column count tracks kEventKindCount.
-      bool row_ok = false;
-      int consumed = 0;
-      if (std::sscanf(rest, "%15s%n", domain_buf, &consumed) == 1) {
-        const char* p = rest + consumed;
-        row_ok = true;
-        for (std::size_t e = 0; e < hw::kEventKindCount && row_ok; ++e) {
-          char* endp = nullptr;
-          c[e] = std::strtoull(p, &endp, 10);
-          if (endp == p) row_ok = false;
-          p = endp;
-        }
-        if (row_ok &&
-            std::sscanf(p, "%llu %llu%n", &img, &sym, &consumed) != 2) {
-          row_ok = false;
-        }
-      }
-      if (!row_ok) {
-        ++out.lines_discarded;
-        --out.lines_valid;
+      std::optional<core::SampleDomain> domain;
+      std::uint64_t c[hw::kEventKindCount] = {};
+      std::uint64_t img = 0, sym = 0;
+      if (!core::scan_domain_counts(rest, domain, c) || !support::scan_u64(rest, img) ||
+          !support::scan_u64(rest, sym) || !support::at_end(rest)) {
+        reject();
         continue;
       }
       ++pending.rows_seen;
       if (pending.orphan || pending.broken) continue;
-      const auto domain = domain_from(domain_buf);
       const auto img_it = dict.find(img);
       const auto sym_it = dict.find(sym);
       if (!domain || img_it == dict.end() || sym_it == dict.end()) {
@@ -250,19 +211,19 @@ SegmentSalvage read_segment(const std::string& contents) {
       }
     } else if (type == 'S') {
       finalize(pending, out);
-      unsigned long long n = 0;
-      if (std::sscanf(rest, "%llu", &n) == 1) {
+      std::uint64_t n = 0;
+      if (support::scan_u64(rest, n) && support::at_end(rest)) {
         out.sealed = true;
         out.seal_declared = n;
       } else {
-        ++out.lines_discarded;
-        --out.lines_valid;
+        reject();
       }
     } else {
-      ++out.lines_discarded;
-      --out.lines_valid;
+      reject();
     }
   }
+  // An unterminated tail is a torn write: never trusted, always counted.
+  if (!cursor.tail().empty()) ++out.lines_discarded;
   finalize(pending, out);
   return out;
 }

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace viprof::support {
@@ -115,8 +116,8 @@ inline int hex_value(char c) {
 
 /// Unsigned hex with optional 0x/0X prefix; needs at least one digit. A
 /// bare "0x" parses as 0 and leaves the "x". `max_digits` (0 = unlimited)
-/// bounds the digits consumed, mirroring sscanf's %8x field width for the
-/// crc trailer. Fails on overflow. Leading whitespace stays skipped even on
+/// bounds the digits consumed, mirroring sscanf's field width (%8x).
+/// Fails on overflow. Leading whitespace stays skipped even on
 /// failure; `out` is written only on success.
 inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
                        std::size_t max_digits = 0) {
@@ -142,15 +143,6 @@ inline bool scan_hex64(std::string_view& s, std::uint64_t& out,
   return true;
 }
 
-/// A file's "crc XXXXXXXX" trailer line (at most 8 hex digits), nothing after.
-inline bool scan_crc_line(std::string_view line, std::uint32_t& crc) {
-  std::uint64_t value = 0;
-  if (!scan_lit(line, "crc") || !scan_hex64(line, value, 8) || !at_end(line))
-    return false;
-  crc = static_cast<std::uint32_t>(value);
-  return true;
-}
-
 /// Whitespace-delimited token (non-empty). Skips leading whitespace.
 inline bool scan_token(std::string_view& s, std::string_view& out) {
   skip_ws(s);
@@ -160,6 +152,20 @@ inline bool scan_token(std::string_view& s, std::string_view& out) {
   out = s.substr(0, i);
   s.remove_prefix(i);
   return true;
+}
+
+/// The decimal number after the last `prefix` in a file name, when
+/// `suffix` is all that follows it: "jit/7/map.00000012" with "map." gives
+/// 12. nullopt when the prefix is absent or anything else surrounds the digits.
+inline std::optional<std::uint64_t> scan_name_number(std::string_view name,
+                                                     std::string_view prefix,
+                                                     std::string_view suffix = {}) {
+  const std::size_t at = name.rfind(prefix);
+  if (at == std::string_view::npos) return std::nullopt;
+  std::string_view rest = name.substr(at + prefix.size());
+  std::uint64_t value = 0;
+  if (!scan_u64(rest, value) || rest != suffix) return std::nullopt;
+  return value;
 }
 
 }  // namespace viprof::support

@@ -1,0 +1,438 @@
+// Seeded mutation suite for every crc-framed text format (DESIGN.md §7):
+// code maps, object maps, the store and fleet manifests, the service
+// snapshot (whole-file trailer) and store segments (per-line frame).
+//
+// Each format's writer output is mutated by support::Xoshiro256 — a flipped
+// byte, a truncation, a run of lines spliced elsewhere, a run of lines
+// duplicated — and every mutant is checked for four things:
+//
+//   * nothing crashes (run it under VIPROF_SANITIZE=address);
+//   * a strict parse never accepts input whose crc does not verify, judged
+//     by an independent snprintf("%08x") oracle;
+//   * serialize(parse(x)) == x for every accepted x. The accept set takes
+//     crc digits of either case and writers emit lower case, so the
+//     comparison is against x with its crc digits lower-cased;
+//   * salvage counts close: salvaged + lost == declared, never more
+//     salvaged than the file declared, and for store segments (whose
+//     declared counts live in the manifest) every salvaged interval is one
+//     the writer wrote.
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/code_map.hpp"
+#include "core/fsck.hpp"
+#include "core/object_map.hpp"
+#include "service/query.hpp"
+#include "store/manifest.hpp"
+#include "store/profile_store.hpp"
+#include "store/segment.hpp"
+#include "support/hash.hpp"
+#include "support/rng.hpp"
+
+namespace viprof {
+namespace {
+
+constexpr std::uint64_t kSeeds = 8;
+constexpr int kMutantsPerSeed = 1000;
+
+// --- Mutations -------------------------------------------------------------
+
+/// Lines of `text`, each keeping its '\n' (the last may lack one).
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> out;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t end = text.find('\n', pos);
+    end = end == std::string::npos ? text.size() : end + 1;
+    out.push_back(text.substr(pos, end - pos));
+    pos = end;
+  }
+  return out;
+}
+
+/// The first line with its '\n', or "" when there is no complete line.
+std::string first_line(const std::string& text) {
+  return text.substr(0, text.find('\n') + 1);
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& l : lines) out += l;
+  return out;
+}
+
+/// One seeded mutation: flip a byte, truncate, splice a run of lines to
+/// another place, or duplicate a run of lines.
+std::string mutate_once(const std::string& text, support::Xoshiro256& rng) {
+  if (text.empty()) return text;
+  std::string out = text;
+  switch (rng.below(4)) {
+    case 0:  // flip: XOR one byte with a non-zero mask
+      out[rng.below(out.size())] ^= static_cast<char>(1 + rng.below(255));
+      return out;
+    case 1:  // truncate
+      return out.substr(0, rng.below(out.size()));
+    default: {
+      std::vector<std::string> lines = lines_of(text);
+      const std::size_t from = rng.below(lines.size());
+      const std::size_t len = 1 + rng.below(std::min<std::size_t>(4, lines.size() - from));
+      const std::vector<std::string> run(lines.begin() + from, lines.begin() + from + len);
+      if (rng.below(2) == 0) lines.erase(lines.begin() + from, lines.begin() + from + len);
+      const std::size_t to = rng.below(lines.size() + 1);
+      lines.insert(lines.begin() + to, run.begin(), run.end());
+      return joined(lines);
+    }
+  }
+}
+
+std::string mutate(const std::string& text, support::Xoshiro256& rng) {
+  std::string out = text;
+  for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) out = mutate_once(out, rng);
+  return out;
+}
+
+// --- Oracles ---------------------------------------------------------------
+
+std::string lower(std::string s) {
+  for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  return s;
+}
+
+constexpr std::size_t kTrailerBytes = 13;  // "crc " + 8 digits + '\n'
+
+/// The last line is "crc " plus the snprintf("%08x") of FNV-1a over every
+/// byte before it (digits of either case), and it ends the text.
+bool trailer_verifies(const std::string& x) {
+  if (x.size() < kTrailerBytes) return false;
+  const std::size_t at = x.size() - kTrailerBytes;
+  if (at != 0 && x[at - 1] != '\n') return false;
+  char want[kTrailerBytes + 1];
+  std::snprintf(want, sizeof want, "crc %08x\n", support::fnv1a(x.data(), at));
+  return x.compare(at, 4, "crc ") == 0 && lower(x.substr(at)) == want;
+}
+
+/// `x` with its trailer's crc digits lower-cased.
+std::string canonical_trailer(const std::string& x) {
+  const std::size_t at = x.size() - kTrailerBytes;
+  return x.substr(0, at) + lower(x.substr(at));
+}
+
+/// One segment line (terminator stripped) is "body SP" plus the
+/// snprintf("%08x") of FNV-1a over body (digits of either case).
+bool line_frame_verifies(const std::string& line) {
+  if (line.size() < 10 || line[line.size() - 9] != ' ') return false;
+  char want[9];
+  std::snprintf(want, sizeof want, "%08x",
+                support::fnv1a(line.data(), line.size() - 9));
+  return lower(line.substr(line.size() - 8)) == want;
+}
+
+/// Whole-file formats: a strict parse accepts only what the oracle
+/// verifies, and re-serialises what it accepts byte for byte.
+template <typename File>
+void check_strict(const std::string& x, const std::string& where) {
+  const auto parsed = File::parse(x);
+  if (!parsed) return;
+  ASSERT_TRUE(trailer_verifies(x)) << where << " accepted:\n" << x;
+  EXPECT_EQ(parsed->serialize(), canonical_trailer(x)) << where;
+}
+
+template <typename File, typename Make>
+void fuzz_strict(const char* format, Make&& make) {
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed * 0x9e37 + 1);
+    const std::string base = make(rng).serialize();
+    ASSERT_TRUE(File::parse(base).has_value()) << format << " seed " << seed;
+    check_strict<File>(base, format);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string where =
+          std::string(format) + " seed " + std::to_string(seed) + " mutant " +
+          std::to_string(i);
+      check_strict<File>(mutate(base, rng), where);
+    }
+  }
+}
+
+// --- Generators ------------------------------------------------------------
+
+std::string token(support::Xoshiro256& rng, const char* stem) {
+  return std::string(stem) + std::to_string(rng.below(1000));
+}
+
+core::CodeMapFile random_code_map(support::Xoshiro256& rng) {
+  core::CodeMapFile file;
+  file.epoch = rng.below(50);
+  file.truncated = rng.below(8) == 0;
+  for (std::uint64_t n = rng.below(10); n > 0; --n)
+    file.entries.push_back({rng.below(1ull << 40), 1 + rng.below(4096),
+                            token(rng, "app.K.m")});
+  return file;
+}
+
+core::ObjectMapFile random_object_map(support::Xoshiro256& rng) {
+  core::ObjectMapFile file;
+  file.epoch = rng.below(50);
+  file.truncated = rng.below(8) == 0;
+  for (std::uint32_t s = 0, n = static_cast<std::uint32_t>(rng.below(4)); s < n; ++s)
+    file.sites.push_back({s, token(rng, "Alloc.site")});
+  for (std::uint64_t n = rng.below(10); n > 0; --n)
+    file.objects.push_back({rng.below(1ull << 40), 16 + rng.below(512), rng.below(1u << 20),
+                            static_cast<std::uint32_t>(rng.below(4))});
+  for (std::uint64_t n = rng.below(5); n > 0; --n)
+    file.dead.push_back({rng.below(1u << 20), 16 + rng.below(512),
+                         static_cast<std::uint32_t>(rng.below(4))});
+  return file;
+}
+
+store::Manifest random_manifest(support::Xoshiro256& rng) {
+  store::Manifest m;
+  m.generation = rng.below(100);
+  m.next_seq = rng.below(10000);
+  m.next_segment = rng.below(100);
+  m.dropped_intervals = rng.below(10);
+  m.dropped_rows = rng.below(100);
+  m.dropped_segments = rng.below(3);
+  for (std::uint64_t id = 0, n = rng.below(4); id < n; ++id) {
+    store::ManifestSegment s;
+    s.id = id;
+    s.name = "segments/seg-00000" + std::to_string(id) + ".vseg";
+    s.sealed = rng.below(2) == 0;
+    s.intervals = rng.below(20);
+    s.rows = rng.below(200);
+    s.tick_lo = rng.below(100);
+    s.tick_hi = s.tick_lo + rng.below(100);
+    s.seq_lo = rng.below(100);
+    s.seq_hi = s.seq_lo + rng.below(100);
+    m.segments.push_back(s);
+  }
+  for (std::uint64_t n = rng.below(3); n > 0; --n)
+    m.tombstones.push_back(token(rng, "segments/seg-old"));
+  return m;
+}
+
+store::FleetManifest random_fleet_manifest(support::Xoshiro256& rng) {
+  store::FleetManifest m;
+  m.generation = rng.below(100);
+  store::FleetLedger& l = m.ledger;
+  for (std::uint64_t* field :
+       {&l.acked_sessions, &l.acked_records, &l.stored_records, &l.lost_wire,
+        &l.lost_queue, &l.lost_dead_records, &l.lost_dead_sessions, &l.failover_sessions,
+        &l.failover_records, &l.refused_sessions, &l.retried_sends, &l.retried_giveups,
+        &l.circuit_opens, &l.rebalances})
+    *field = rng.below(1000);
+  for (std::uint64_t i = 0, n = rng.below(4); i < n; ++i) {
+    store::FleetShard s;
+    s.name = "shard-" + std::to_string(i);
+    s.root = store::partition_root(s.name);
+    s.alive = rng.below(4) != 0;
+    s.sessions = rng.below(10);
+    s.records = rng.below(10000);
+    m.shards.push_back(s);
+  }
+  return m;
+}
+
+constexpr core::SampleDomain kDomains[] = {core::SampleDomain::kKernel,
+                                           core::SampleDomain::kImage,
+                                           core::SampleDomain::kJit,
+                                           core::SampleDomain::kObject};
+
+/// Row `key` of a generated profile: distinct keys, distinct rows.
+core::Resolution row_resolution(std::uint64_t key) {
+  core::Resolution r;
+  r.image = "img" + std::to_string(key % 3);
+  r.symbol = "sym" + std::to_string(key);
+  r.domain = kDomains[key % 4];
+  return r;
+}
+
+core::Profile random_profile(support::Xoshiro256& rng, std::uint64_t rows) {
+  core::Profile p;
+  for (std::uint64_t k = 0; k < rows; ++k)
+    p.add(hw::kAllEventKinds[rng.below(hw::kEventKindCount)], row_resolution(k),
+          1 + rng.below(500));
+  return p;
+}
+
+service::ServiceSnapshot random_snapshot(support::Xoshiro256& rng) {
+  service::ServiceSnapshot snap;
+  for (std::uint64_t i = 0, n = 1 + rng.below(3); i < n; ++i) {
+    service::SessionSnapshot s;
+    s.id = "sess-" + std::to_string(i);
+    s.profile = random_profile(rng, rng.below(5));
+    for (std::uint64_t e = rng.below(3); e > 0; --e)
+      s.epochs[rng.below(10)] = random_profile(rng, 1 + rng.below(3));
+    snap.sessions.push_back(std::move(s));
+  }
+  return snap;
+}
+
+// --- Whole-file trailer formats -------------------------------------------
+
+TEST(FramedFuzz, StrictParsesAcceptOnlyVerifiedCanonicalFiles) {
+  fuzz_strict<core::CodeMapFile>("code map", random_code_map);
+  fuzz_strict<core::ObjectMapFile>("object map", random_object_map);
+  fuzz_strict<store::Manifest>("store manifest", random_manifest);
+  fuzz_strict<store::FleetManifest>("fleet manifest", random_fleet_manifest);
+  fuzz_strict<service::ServiceSnapshot>("service snapshot", random_snapshot);
+}
+
+TEST(FramedFuzz, CodeMapSalvageNeverExceedsWhatTheHeaderDeclared) {
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 11);
+    const core::CodeMapFile original = random_code_map(rng);
+    const std::string base = original.serialize();
+    const std::string header = first_line(base);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string x = mutate(base, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " +
+                                std::to_string(i) + ":\n" + x;
+      const core::CodeMapFile::Recovery r = core::CodeMapFile::salvage(x, original.epoch);
+      EXPECT_EQ(r.intact, core::CodeMapFile::parse(x).has_value()) << where;
+      EXPECT_TRUE(r.intact || r.file.truncated) << where;
+      if (!r.header_ok) {
+        EXPECT_TRUE(r.file.entries.empty()) << where;
+        continue;
+      }
+      // salvaged + lost == declared, with nothing lost below zero.
+      EXPECT_LE(r.file.entries.size(), r.entries_expected) << where;
+      if (first_line(x) == header) {
+        EXPECT_EQ(r.entries_expected, original.entries.size()) << where;
+      }
+    }
+  }
+}
+
+TEST(FramedFuzz, ObjectMapFsckLossClosesAgainstTheDeclaredCounts) {
+  const std::string path = core::ObjectMapFile::path_for("obj_maps", 7, 3);
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 23);
+    core::ObjectMapFile original = random_object_map(rng);
+    original.epoch = 3;
+    const std::string base = original.serialize();
+    const std::string header = first_line(base);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string x = mutate(base, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " +
+                                std::to_string(i) + ":\n" + x;
+      const core::ObjectMapFile::Recovery r = core::ObjectMapFile::salvage(x, 3);
+      EXPECT_EQ(r.intact, core::ObjectMapFile::parse(x).has_value()) << where;
+      if (r.header_ok) {
+        EXPECT_LE(r.file.objects.size(), r.objects_expected) << where;
+        EXPECT_LE(r.file.dead.size(), r.dead_expected) << where;
+      } else {
+        EXPECT_TRUE(r.file.objects.empty() && r.file.dead.empty()) << where;
+      }
+
+      // The tree-level books: with the header intact, a damaged map's
+      // salvaged + lost equals what the writer declared.
+      os::Vfs tree;
+      tree.write(path, x);
+      support::Telemetry telemetry;
+      const core::FsckReport report = core::fsck_tree(tree, nullptr, telemetry);
+      EXPECT_EQ(report.omaps_intact + report.omaps_truncated, 1u) << where;
+      EXPECT_EQ(report.omaps_intact == 1, r.intact) << where;
+      if (!r.intact && first_line(x) == header) {
+        EXPECT_EQ(report.objects_salvaged + report.objects_lost, original.objects.size())
+            << where;
+        EXPECT_EQ(report.deaths_salvaged + report.deaths_lost, original.dead.size())
+            << where;
+      }
+    }
+  }
+}
+
+// --- Store segments: per-line frame ----------------------------------------
+
+store::IntervalProfile random_interval(support::Xoshiro256& rng, std::uint64_t tick) {
+  store::IntervalProfile iv;
+  iv.session = "vm-" + std::to_string(rng.below(2));
+  iv.pid = 40 + rng.below(2);
+  iv.tick_lo = iv.tick_hi = tick;
+  iv.epoch_lo = rng.below(5);
+  iv.epoch_hi = iv.epoch_lo + rng.below(3);
+  iv.profile = random_profile(rng, 1 + rng.below(4));
+  return iv;
+}
+
+/// A fresh writer's encoding of one interval: equal for equal intervals.
+std::string fingerprint(const store::IntervalProfile& iv) {
+  return store::SegmentWriter(0).encode_interval(iv);
+}
+
+/// The bytes a writer emits for what a clean read found.
+std::string reencode(const store::SegmentSalvage& sv) {
+  store::SegmentWriter w(sv.segment_id);
+  std::string out = w.header();
+  for (const store::IntervalProfile& iv : sv.intervals) out += w.encode_interval(iv);
+  if (sv.sealed) out += w.encode_seal(sv.intervals.size());
+  return out;
+}
+
+TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
+  store::StoreConfig config;
+  config.seal_after_intervals = 3;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 37);
+    os::Vfs vfs;
+    {
+      store::ProfileStore st(vfs, config);
+      st.open();
+      for (std::uint64_t t = 0; t < 7; ++t) ASSERT_TRUE(st.ingest(random_interval(rng, t)));
+      ASSERT_TRUE(st.seal_active());
+    }
+    const auto manifest = store::Manifest::parse(*vfs.read(config.root + "/MANIFEST"));
+    ASSERT_TRUE(manifest.has_value());
+    std::uint64_t declared_intervals = 0, declared_rows = 0;
+    for (const store::ManifestSegment& s : manifest->segments) {
+      ASSERT_TRUE(s.sealed);
+      declared_intervals += s.intervals;
+      declared_rows += s.rows;
+    }
+    const std::vector<std::string> segments = vfs.list(config.root + "/segments/");
+    ASSERT_GE(segments.size(), 2u);
+    std::set<std::string> written;
+    for (const std::string& path : segments)
+      for (const store::IntervalProfile& iv :
+           store::read_segment(*vfs.read(path)).intervals)
+        written.insert(fingerprint(iv));
+
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const std::string& path = segments[rng.below(segments.size())];
+      const std::string x = mutate(*vfs.read(path), rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " +
+                                std::to_string(i) + " of " + path + ":\n" + x;
+      const store::SegmentSalvage sv = store::read_segment(x);
+      for (const store::IntervalProfile& iv : sv.intervals)
+        EXPECT_EQ(written.count(fingerprint(iv)), 1u) << where;
+      if (sv.clean() && sv.sealed) {
+        // A clean sealed segment is accepted whole: every line verified (no
+        // torn tail, no bad frame) and it re-encodes to the same bytes. An
+        // unsealed one may end in dictionary lines of an interval whose
+        // record never landed, which no writer output reproduces.
+        ASSERT_TRUE(x.empty() || x.back() == '\n') << where;
+        std::string canonical;
+        for (std::string line : lines_of(x)) {
+          line.pop_back();
+          ASSERT_TRUE(line_frame_verifies(line)) << where << "\nline: " << line;
+          const std::size_t crc_at = line.size() - 8;
+          canonical += line.substr(0, crc_at) + lower(line.substr(crc_at)) + "\n";
+        }
+        EXPECT_EQ(reencode(sv), canonical) << where;
+      }
+
+      os::Vfs damaged = vfs;
+      damaged.write(path, x);
+      const store::StoreRecovery rec = store::ProfileStore(damaged, config).fsck();
+      EXPECT_EQ(rec.intervals_salvaged + rec.intervals_lost, declared_intervals) << where;
+      EXPECT_EQ(rec.rows_salvaged + rec.rows_lost, declared_rows) << where;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace viprof

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/object_map.hpp"
 #include "core/viprof.hpp"
 #include "memprof/agent.hpp"
-#include "memprof/object_map.hpp"
 #include "workloads/generator.hpp"
 
 namespace viprof::memprof {
@@ -68,12 +68,12 @@ AgentRun run_with_agent(const MemProfConfig& mconfig = {}) {
 }
 
 /// Every intact omap under obj_maps/<pid>/, parsed, keyed by epoch.
-std::map<std::uint64_t, ObjectMapFile> read_maps(const os::Vfs& vfs, hw::Pid pid) {
-  std::map<std::uint64_t, ObjectMapFile> out;
+std::map<std::uint64_t, core::ObjectMapFile> read_maps(const os::Vfs& vfs, hw::Pid pid) {
+  std::map<std::uint64_t, core::ObjectMapFile> out;
   for (const std::string& path : vfs.list("obj_maps/" + std::to_string(pid) + "/")) {
     const auto contents = vfs.read(path);
     if (!contents) continue;
-    const auto parsed = ObjectMapFile::parse(*contents);
+    const auto parsed = core::ObjectMapFile::parse(*contents);
     EXPECT_TRUE(parsed.has_value()) << path << " failed strict parse";
     if (parsed) out.emplace(parsed->epoch, *parsed);
   }
@@ -85,7 +85,7 @@ TEST(MemProfAgent, WritesOneIntactMapPerEpochAndAcksExactly) {
   ASSERT_GE(run.result.vm.collections, 2u) << "workload must GC several times";
 
   const hw::Pid pid = run.session->registrations().all().at(0).pid;
-  const std::map<std::uint64_t, ObjectMapFile> maps =
+  const std::map<std::uint64_t, core::ObjectMapFile> maps =
       read_maps(run.machine->vfs(), pid);
   const MemProfStats& stats = run.agent->stats();
 
@@ -129,7 +129,7 @@ TEST(MemProfAgent, WritesOneIntactMapPerEpochAndAcksExactly) {
 TEST(MemProfAgent, DeathsPostdateEverySightingAndSurvivorsMove) {
   AgentRun run = run_with_agent();
   const hw::Pid pid = run.session->registrations().all().at(0).pid;
-  const std::map<std::uint64_t, ObjectMapFile> maps =
+  const std::map<std::uint64_t, core::ObjectMapFile> maps =
       read_maps(run.machine->vfs(), pid);
   ASSERT_GE(maps.size(), 3u);
 
@@ -137,7 +137,7 @@ TEST(MemProfAgent, DeathsPostdateEverySightingAndSurvivorsMove) {
   std::map<std::uint64_t, std::uint64_t> first_seen;
   std::map<std::uint64_t, std::set<hw::Address>> addresses;
   for (const auto& [epoch, file] : maps) {
-    for (const ObjectMapEntry& o : file.objects) {
+    for (const core::ObjectMapEntry& o : file.objects) {
       first_seen.emplace(o.obj_id, epoch);
       addresses[o.obj_id].insert(o.address);
     }
@@ -148,7 +148,7 @@ TEST(MemProfAgent, DeathsPostdateEverySightingAndSurvivorsMove) {
   // map is already on disk.
   std::set<std::uint64_t> dead_ids;
   for (const auto& [epoch, file] : maps) {
-    for (const ObjectDeath& d : file.dead) {
+    for (const core::ObjectDeath& d : file.dead) {
       EXPECT_TRUE(dead_ids.insert(d.obj_id).second)
           << "object " << d.obj_id << " died twice";
       const auto it = first_seen.find(d.obj_id);
@@ -166,9 +166,9 @@ TEST(MemProfAgent, DeathsPostdateEverySightingAndSurvivorsMove) {
 
   // And within any single map, tracked live objects never overlap.
   for (const auto& [epoch, file] : maps) {
-    std::vector<ObjectMapEntry> sorted = file.objects;
+    std::vector<core::ObjectMapEntry> sorted = file.objects;
     std::sort(sorted.begin(), sorted.end(),
-              [](const ObjectMapEntry& a, const ObjectMapEntry& b) {
+              [](const core::ObjectMapEntry& a, const core::ObjectMapEntry& b) {
                 return a.address < b.address;
               });
     for (std::size_t i = 1; i < sorted.size(); ++i) {

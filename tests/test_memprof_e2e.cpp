@@ -14,11 +14,11 @@
 #include <string>
 #include <vector>
 
+#include "core/object_map.hpp"
 #include "core/viprof.hpp"
 #include "fleet/federator.hpp"
 #include "fleet/router.hpp"
 #include "memprof/agent.hpp"
-#include "memprof/object_map.hpp"
 #include "memprof/report.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -106,7 +106,8 @@ void reload_sites(const service::ServerSession& session, SiteTable& sites) {
   const os::Vfs world = session.world();
   for (const core::VmRegistration& reg : session.registrations()) {
     if (reg.obj_map_dir.empty()) continue;
-    for (const ObjectMapFile& file : load_object_index(world, reg.obj_map_dir, reg.pid).files)
+    for (const core::ObjectMapFile& file :
+         core::load_object_index(world, reg.obj_map_dir, reg.pid).files)
       sites.ingest(session.id(), reg.pid, file);
   }
 }
@@ -177,10 +178,10 @@ TEST(MemprofE2E, SessionHasSamplesSpanningGcMoves) {
   std::uint64_t maps = 0;
   for (const std::string& path :
        run.vfs().list("obj_maps/" + std::to_string(pid) + "/")) {
-    const auto parsed = ObjectMapFile::parse(*run.vfs().read(path));
+    const auto parsed = core::ObjectMapFile::parse(*run.vfs().read(path));
     ASSERT_TRUE(parsed.has_value()) << path;
     ++maps;
-    for (const ObjectMapEntry& o : parsed->objects)
+    for (const core::ObjectMapEntry& o : parsed->objects)
       addresses[o.obj_id].insert(o.address);
   }
   ASSERT_GE(maps, 3u);
@@ -361,7 +362,7 @@ TEST(MemprofE2E, ObjectMapsBeforeRegistrationAndForRejectedPids) {
   // A rejected registration (empty heap range) never reports its maps.
   ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kRegisterVm,
                                                "reg 4242 2000 1000 0 0 - - obj_maps")));
-  send_map(ObjectMapFile::path_for("obj_maps", 4242, 0), *run.vfs().read(maps[0]));
+  send_map(core::ObjectMapFile::path_for("obj_maps", 4242, 0), *run.vfs().read(maps[0]));
   EXPECT_EQ(server.query("memprof 25 --session mem-early"), registered);
   EXPECT_EQ(server.query("memprof 25 --session mem-early"),
             reload_memprof(server, "mem-early", 25));

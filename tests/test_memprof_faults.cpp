@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "core/fsck.hpp"
+#include "core/object_map.hpp"
 #include "core/viprof.hpp"
 #include "memprof/agent.hpp"
-#include "memprof/fsck.hpp"
-#include "memprof/object_map.hpp"
 #include "memprof/report.hpp"
 #include "support/fault.hpp"
 #include "workloads/generator.hpp"
@@ -94,7 +94,7 @@ std::map<std::size_t, std::string> attributions(const os::Vfs& vfs,
   std::map<hw::Pid, core::CodeMapIndex> indexes;
   for (const core::VmRegistration& reg : regs)
     if (!reg.obj_map_dir.empty())
-      indexes.emplace(reg.pid, load_object_index(vfs, reg.obj_map_dir, reg.pid).index);
+      indexes.emplace(reg.pid, core::load_object_index(vfs, reg.obj_map_dir, reg.pid).index);
   std::map<std::size_t, std::string> out;
   const auto samples =
       core::SampleLogReader::read(vfs, "samples", hw::EventKind::kObjDmiss);
@@ -102,7 +102,7 @@ std::map<std::size_t, std::string> attributions(const os::Vfs& vfs,
     const auto it = indexes.find(samples[i].pid);
     const core::Resolution res = resolve_object(
         it == indexes.end() ? nullptr : &it->second, samples[i].pc, samples[i].epoch);
-    if (site_from_symbol(res.symbol)) out.emplace(i, res.symbol);
+    if (core::site_from_symbol(res.symbol)) out.emplace(i, res.symbol);
   }
   return out;
 }
@@ -128,11 +128,10 @@ TEST(MemprofFaults, TornMapWriteSalvagesWithExactAccounting) {
   EXPECT_EQ(stats.maps_written, clean.agent->stats().maps_written);
 
   support::Telemetry tele;
-  const ObjectFsckReport fsck =
-      fsck_object_maps(damaged.machine->vfs(), nullptr, tele);
+  const core::FsckReport fsck = core::fsck_tree(damaged.machine->vfs(), nullptr, tele);
   EXPECT_TRUE(fsck.corrupt);
-  EXPECT_EQ(fsck.maps_truncated, 1u);
-  EXPECT_EQ(fsck.dead_maps, 0u);
+  EXPECT_EQ(fsck.omaps_truncated, 1u);
+  EXPECT_EQ(fsck.dead_omaps, 0u);
   EXPECT_GT(fsck.objects_lost, 0u);
   // salvaged + lost == declared == acked: walk the tree and close the books
   // against the agent's own counters.
@@ -140,7 +139,7 @@ TEST(MemprofFaults, TornMapWriteSalvagesWithExactAccounting) {
   const hw::Pid pid = damaged.session->registrations().all().at(0).pid;
   for (const std::string& path :
        damaged.machine->vfs().list("obj_maps/" + std::to_string(pid) + "/")) {
-    const auto parsed = ObjectMapFile::parse(*damaged.machine->vfs().read(path));
+    const auto parsed = core::ObjectMapFile::parse(*damaged.machine->vfs().read(path));
     if (parsed) declared_intact += parsed->objects.size();
   }
   EXPECT_EQ(declared_intact + fsck.objects_salvaged + fsck.objects_lost,
@@ -188,8 +187,8 @@ TEST(MemprofFaults, KilledAgentDegradesLaterEpochsToCountedNoMap) {
   // Maps stop at the kill; the epochs written are exactly the contiguous
   // prefix before it.
   const hw::Pid pid = run.session->registrations().all().at(0).pid;
-  const ObjectIndexLoad load =
-      load_object_index(run.machine->vfs(), "obj_maps", pid);
+  const core::ObjectIndexLoad load =
+      core::load_object_index(run.machine->vfs(), "obj_maps", pid);
   EXPECT_EQ(load.maps_loaded, stats.maps_written);
   const std::uint64_t last_epoch = load.index.max_epoch();
   EXPECT_EQ(last_epoch + 1, stats.maps_written);
@@ -230,24 +229,27 @@ TEST(MemprofFaults, FsckRecoveryRewritesSalvagedPrefixThatStaysHonest) {
   // Recovery pass: copy the tree, rewriting damaged maps as their salvaged
   // prefix with the truncated marker set.
   os::Vfs recovered;
-  for (const std::string& path : damaged.machine->vfs().list("obj_maps"))
-    recovered.write(path, *damaged.machine->vfs().read(path));
+  core::FsckOptions opts;
+  opts.write_recovery = true;
+  opts.verbose = false;
   support::Telemetry tele;
-  const ObjectFsckReport first = fsck_object_maps(damaged.machine->vfs(),
-                                                  &recovered, tele, false);
+  const core::FsckReport first =
+      core::fsck_tree(damaged.machine->vfs(), &recovered, tele, opts);
   EXPECT_TRUE(first.corrupt);
-  EXPECT_EQ(first.maps_truncated, 2u);
+  EXPECT_EQ(first.omaps_truncated, 2u);
 
   // The rewritten tree is clean — but still *marked*: a second scan finds
   // nothing corrupt, yet resolution keeps refusing to walk past the
   // truncated epochs (honesty survives recovery).
-  const ObjectFsckReport second = fsck_object_maps(recovered, nullptr, tele, false);
+  opts.write_recovery = false;
+  const core::FsckReport second = core::fsck_tree(recovered, nullptr, tele, opts);
   EXPECT_FALSE(second.corrupt);
-  EXPECT_EQ(second.maps_intact, first.maps_intact + first.maps_truncated);
+  EXPECT_EQ(second.omaps_intact, first.omaps_intact + first.omaps_truncated);
 
   const hw::Pid pid = damaged.session->registrations().all().at(0).pid;
-  const ObjectIndexLoad before = load_object_index(damaged.machine->vfs(), "obj_maps", pid);
-  const ObjectIndexLoad after = load_object_index(recovered, "obj_maps", pid);
+  const core::ObjectIndexLoad before =
+      core::load_object_index(damaged.machine->vfs(), "obj_maps", pid);
+  const core::ObjectIndexLoad after = core::load_object_index(recovered, "obj_maps", pid);
   EXPECT_EQ(after.maps_truncated, 2u);
   EXPECT_EQ(before.objects_loaded, after.objects_loaded);
   // Same refusals either way: rewriting loses no attribution and adds none.

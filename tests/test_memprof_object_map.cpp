@@ -8,15 +8,15 @@
 #include <string>
 #include <vector>
 
-#include "memprof/object_map.hpp"
+#include "core/object_map.hpp"
 #include "memprof/site_table.hpp"
 #include "os/vfs.hpp"
 
 namespace viprof::memprof {
 namespace {
 
-ObjectMapFile sample_map(std::uint64_t epoch) {
-  ObjectMapFile file;
+core::ObjectMapFile sample_map(std::uint64_t epoch) {
+  core::ObjectMapFile file;
   file.epoch = epoch;
   file.sites = {{0, "Leaky.grow:12"}, {1, "Hot.alloc:3"}, {2, "Cold.fill:77"}};
   file.objects = {
@@ -30,8 +30,8 @@ ObjectMapFile sample_map(std::uint64_t epoch) {
 }
 
 TEST(ObjectMapFile, SerializeParseRoundTrip) {
-  const ObjectMapFile file = sample_map(5);
-  const auto parsed = ObjectMapFile::parse(file.serialize());
+  const core::ObjectMapFile file = sample_map(5);
+  const auto parsed = core::ObjectMapFile::parse(file.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->epoch, 5u);
   EXPECT_FALSE(parsed->truncated);
@@ -50,9 +50,9 @@ TEST(ObjectMapFile, SerializeParseRoundTrip) {
 }
 
 TEST(ObjectMapFile, TruncatedMarkerSurvivesReserialisation) {
-  ObjectMapFile file = sample_map(3);
+  core::ObjectMapFile file = sample_map(3);
   file.truncated = true;  // a salvaged map rewritten by fsck stays honest
-  const auto parsed = ObjectMapFile::parse(file.serialize());
+  const auto parsed = core::ObjectMapFile::parse(file.serialize());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->truncated);
   EXPECT_EQ(parsed->objects.size(), 4u);
@@ -60,14 +60,14 @@ TEST(ObjectMapFile, TruncatedMarkerSurvivesReserialisation) {
 
 TEST(ObjectMapFile, ParseRejectsDamage) {
   std::string blob = sample_map(2).serialize();
-  EXPECT_TRUE(ObjectMapFile::parse(blob).has_value());
+  EXPECT_TRUE(core::ObjectMapFile::parse(blob).has_value());
   // Flip one payload byte: the crc trailer must catch it.
   std::string flipped = blob;
   flipped[blob.size() / 2] ^= 0x20;
-  EXPECT_FALSE(ObjectMapFile::parse(flipped).has_value());
+  EXPECT_FALSE(core::ObjectMapFile::parse(flipped).has_value());
   // Drop the trailer entirely.
-  EXPECT_FALSE(ObjectMapFile::parse(blob.substr(0, blob.rfind("crc "))).has_value());
-  EXPECT_FALSE(ObjectMapFile::parse("").has_value());
+  EXPECT_FALSE(core::ObjectMapFile::parse(blob.substr(0, blob.rfind("crc "))).has_value());
+  EXPECT_FALSE(core::ObjectMapFile::parse("").has_value());
 }
 
 // The §7 torn-write sweep: cut the serialised map at *every* byte length
@@ -76,10 +76,11 @@ TEST(ObjectMapFile, ParseRejectsDamage) {
 // map a counted loss rather than a silent one — and every salvaged entry
 // must byte-match the original prefix (no invented attribution).
 TEST(ObjectMapFile, SalvageSweepAccountsForEveryEntry) {
-  const ObjectMapFile file = sample_map(6);
+  const core::ObjectMapFile file = sample_map(6);
   const std::string blob = file.serialize();
   for (std::size_t cut = 0; cut <= blob.size(); ++cut) {
-    const ObjectMapFile::Recovery r = ObjectMapFile::salvage(blob.substr(0, cut), 6);
+    const core::ObjectMapFile::Recovery r =
+        core::ObjectMapFile::salvage(blob.substr(0, cut), 6);
     if (cut == blob.size()) {
       EXPECT_TRUE(r.intact);
       EXPECT_FALSE(r.file.truncated);
@@ -108,31 +109,32 @@ TEST(ObjectMapFile, SalvageSweepAccountsForEveryEntry) {
 }
 
 TEST(ObjectMapFile, PathRoundTripAndEpochParsing) {
-  const std::string path = ObjectMapFile::path_for("obj_maps", 101, 42);
+  const std::string path = core::ObjectMapFile::path_for("obj_maps", 101, 42);
   EXPECT_EQ(path, "obj_maps/101/omap.00000042");
-  const auto epoch = ObjectMapFile::epoch_from_path(path);
+  const auto epoch = core::ObjectMapFile::epoch_from_path(path);
   ASSERT_TRUE(epoch.has_value());
   EXPECT_EQ(*epoch, 42u);
-  EXPECT_FALSE(ObjectMapFile::epoch_from_path("obj_maps/101/stats").has_value());
-  EXPECT_FALSE(ObjectMapFile::epoch_from_path("obj_maps/101/omap.").has_value());
-  EXPECT_FALSE(ObjectMapFile::epoch_from_path("obj_maps/101/omap.12x").has_value());
+  EXPECT_FALSE(core::ObjectMapFile::epoch_from_path("obj_maps/101/stats").has_value());
+  EXPECT_FALSE(core::ObjectMapFile::epoch_from_path("obj_maps/101/omap.").has_value());
+  EXPECT_FALSE(core::ObjectMapFile::epoch_from_path("obj_maps/101/omap.12x").has_value());
   // Zero padding keeps VFS listings in epoch order.
-  EXPECT_LT(ObjectMapFile::path_for("d", 1, 9), ObjectMapFile::path_for("d", 1, 10));
+  EXPECT_LT(core::ObjectMapFile::path_for("d", 1, 9),
+            core::ObjectMapFile::path_for("d", 1, 10));
 }
 
 TEST(ObjectMapFile, SiteSymbolRoundTrip) {
   for (std::uint32_t site : {0u, 1u, 7u, 65535u}) {
-    const auto parsed = site_from_symbol(site_symbol(site));
+    const auto parsed = core::site_from_symbol(core::site_symbol(site));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, site);
   }
-  EXPECT_FALSE(site_from_symbol("Leaky.grow:12").has_value());
-  EXPECT_FALSE(site_from_symbol("site#").has_value());
-  EXPECT_FALSE(site_from_symbol("site#x7").has_value());
+  EXPECT_FALSE(core::site_from_symbol("Leaky.grow:12").has_value());
+  EXPECT_FALSE(core::site_from_symbol("site#").has_value());
+  EXPECT_FALSE(core::site_from_symbol("site#x7").has_value());
 }
 
 TEST(ObjectMapFile, CodeMapProjectionPreservesRangesAndEpoch) {
-  ObjectMapFile file = sample_map(9);
+  core::ObjectMapFile file = sample_map(9);
   file.truncated = true;
   const core::CodeMapFile code = file.to_code_map();
   EXPECT_EQ(code.epoch, 9u);
@@ -141,18 +143,18 @@ TEST(ObjectMapFile, CodeMapProjectionPreservesRangesAndEpoch) {
   for (std::size_t i = 0; i < file.objects.size(); ++i) {
     EXPECT_EQ(code.entries[i].address, file.objects[i].address);
     EXPECT_EQ(code.entries[i].size, file.objects[i].size);
-    EXPECT_EQ(code.entries[i].symbol, site_symbol(file.objects[i].site));
+    EXPECT_EQ(code.entries[i].symbol, core::site_symbol(file.objects[i].site));
   }
 }
 
 TEST(SiteTable, IngestIsIdempotentPerObject) {
   SiteTable table;
-  const ObjectMapFile map5 = sample_map(5);
+  const core::ObjectMapFile map5 = sample_map(5);
   table.ingest(101, map5);
   table.ingest(101, map5);  // a federated query may see a map twice
 
   // Object 2 moved: it reappears in the next epoch's map at a new address.
-  ObjectMapFile map6;
+  core::ObjectMapFile map6;
   map6.epoch = 6;
   map6.sites = map5.sites;
   map6.objects = {{0x6300'0080, 1024, 2, 1}};
@@ -198,15 +200,15 @@ TEST(SiteTable, IngestIsIdempotentPerObject) {
 
 TEST(SiteTable, DictionaryFallbackNamesLostSites) {
   SiteTable table;
-  ObjectMapFile bare;  // salvaged so early its dictionary lines are gone
+  core::ObjectMapFile bare;  // salvaged so early its dictionary lines are gone
   bare.epoch = 0;
   bare.truncated = true;
   bare.objects = {{0x6200'0000, 64, 1, 4}};
   table.ingest(7, bare);
   EXPECT_EQ(table.maps_truncated(), 1u);
-  EXPECT_EQ(table.name_of(7, 4), site_symbol(4));
+  EXPECT_EQ(table.name_of(7, 4), core::site_symbol(4));
   // A later intact map supplies the real name.
-  ObjectMapFile named;
+  core::ObjectMapFile named;
   named.epoch = 1;
   named.sites = {{4, "Real.name:9"}};
   named.objects = {{0x6300'0000, 64, 1, 4}};
@@ -217,21 +219,21 @@ TEST(SiteTable, DictionaryFallbackNamesLostSites) {
 
 TEST(ObjectIndex, LoadSalvagesDamageAndIndexesTheRest) {
   os::Vfs vfs;
-  const ObjectMapFile m0 = sample_map(0);
-  ObjectMapFile m1 = sample_map(1);
+  const core::ObjectMapFile m0 = sample_map(0);
+  core::ObjectMapFile m1 = sample_map(1);
   m1.objects = {{0x6300'0000, 512, 11, 0}};
   m1.dead.clear();
-  ASSERT_EQ(vfs.write(ObjectMapFile::path_for("obj_maps", 101, 0), m0.serialize()),
+  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 101, 0), m0.serialize()),
             os::IoStatus::kOk);
   const std::string torn = m1.serialize();
-  ASSERT_EQ(vfs.write(ObjectMapFile::path_for("obj_maps", 101, 1),
+  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 101, 1),
                       torn.substr(0, torn.size() - 4)),
             os::IoStatus::kOk);
   // A foreign pid's map must not leak into this index.
-  ASSERT_EQ(vfs.write(ObjectMapFile::path_for("obj_maps", 202, 0), m0.serialize()),
+  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 202, 0), m0.serialize()),
             os::IoStatus::kOk);
 
-  const ObjectIndexLoad load = load_object_index(vfs, "obj_maps", 101);
+  const core::ObjectIndexLoad load = core::load_object_index(vfs, "obj_maps", 101);
   EXPECT_EQ(load.maps_loaded, 2u);
   EXPECT_EQ(load.maps_truncated, 1u);
   EXPECT_EQ(load.objects_loaded,
@@ -242,7 +244,7 @@ TEST(ObjectIndex, LoadSalvagesDamageAndIndexesTheRest) {
   // The index resolves an epoch-0 object through the projected symbol.
   const auto hit = load.index.resolve(0x6200'0080 + 4, 0);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->symbol, site_symbol(1));
+  EXPECT_EQ(hit->symbol, core::site_symbol(1));
 }
 
 }  // namespace

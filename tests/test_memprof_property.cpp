@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/code_map.hpp"
-#include "memprof/object_map.hpp"
+#include "core/object_map.hpp"
 #include "memprof/resolve.hpp"
 #include "memprof/site_table.hpp"
 #include "support/rng.hpp"
@@ -39,7 +39,7 @@ struct LiveObject {
 };
 
 struct Schedule {
-  std::map<std::uint64_t, ObjectMapFile> kept;  // maps that survived, by epoch
+  std::map<std::uint64_t, core::ObjectMapFile> kept;  // maps that survived, by epoch
   core::CodeMapIndex index;
   std::uint64_t max_epoch = 0;
   std::vector<hw::Address> interesting;  // addresses that were ever occupied
@@ -56,7 +56,7 @@ Schedule random_schedule(support::Xoshiro256& rng, std::uint64_t epochs) {
   out.max_epoch = epochs == 0 ? 0 : epochs - 1;
   std::vector<LiveObject> live;
   std::vector<std::uint64_t> pending;  // ids for the next map (alloc or moved)
-  std::vector<ObjectDeath> pending_dead;
+  std::vector<core::ObjectDeath> pending_dead;
   std::uint64_t next_id = 1;
   std::uint64_t mature_cursor = 0;
 
@@ -92,7 +92,7 @@ Schedule random_schedule(support::Xoshiro256& rng, std::uint64_t epochs) {
       pending.push_back(o.id);
     }
 
-    ObjectMapFile file;
+    core::ObjectMapFile file;
     file.epoch = e;
     for (std::uint32_t s = 0; s < 6; ++s)
       file.sites.push_back({s, "alloc.site." + std::to_string(s)});
@@ -115,8 +115,8 @@ Schedule random_schedule(support::Xoshiro256& rng, std::uint64_t epochs) {
     } else if (fate < 40) {
       const std::string blob = file.serialize();
       const std::size_t cut = rng.below(blob.size());
-      const ObjectMapFile::Recovery r =
-          ObjectMapFile::salvage(blob.substr(0, cut), e);
+      const core::ObjectMapFile::Recovery r =
+          core::ObjectMapFile::salvage(blob.substr(0, cut), e);
       out.kept.emplace(e, r.file);
       out.index.add(r.file.to_code_map());
     } else {
@@ -161,8 +161,8 @@ std::string oracle(const Schedule& s, hw::Address addr, std::uint64_t epoch) {
   for (std::uint64_t e = epoch;; --e) {
     const auto it = s.kept.find(e);
     if (it == s.kept.end()) return kUnresolvedObjNoMap;
-    for (const ObjectMapEntry& o : it->second.objects)
-      if (o.contains(addr)) return site_symbol(o.site);
+    for (const core::ObjectMapEntry& o : it->second.objects)
+      if (o.contains(addr)) return core::site_symbol(o.site);
     if (it->second.truncated) return kUnresolvedObjTruncated;
     if (e == 0) return kUnresolvedObjUntracked;
   }
@@ -288,7 +288,7 @@ TEST_P(SiteTableMergeProperty, AnySplitAnyMergeOrderEqualsOneTable) {
   struct Fed {
     std::string scope;
     hw::Pid pid;
-    ObjectMapFile file;
+    core::ObjectMapFile file;
   };
   std::vector<Fed> maps;
   for (const std::string scope : {"sess-a", "sess-b"}) {
@@ -298,7 +298,7 @@ TEST_P(SiteTableMergeProperty, AnySplitAnyMergeOrderEqualsOneTable) {
         Fed fed{scope, pid, file};
         // Per-session names: the lexicographic-min winner must not depend
         // on which table saw which session first.
-        for (SiteName& sn : fed.file.sites) sn.name += "." + scope;
+        for (core::SiteName& sn : fed.file.sites) sn.name += "." + scope;
         maps.push_back(std::move(fed));
       }
     }

@@ -87,6 +87,18 @@ TEST(ServiceSnapshot, RejectsTruncationAndGarbage) {
   EXPECT_FALSE(ServiceSnapshot::parse("crc 00000000\n").has_value());
 }
 
+TEST(ServiceSnapshot, NothingMayFollowTheCrcTrailer) {
+  // Each of these keeps a checksum that matches every byte before the
+  // trailer; only a strict trailer check refuses them.
+  const std::string good = make_snapshot().serialize();
+  const std::string no_nl = good.substr(0, good.size() - 1);
+  ASSERT_TRUE(ServiceSnapshot::parse(good).has_value());
+  for (const std::string& bad :
+       {good + "session gamma\n", good + "x", good + "\n", no_nl + "XYZ\n",
+        no_nl + " 7\n", no_nl + "0\n"})
+    EXPECT_FALSE(ServiceSnapshot::parse(bad).has_value()) << bad;
+}
+
 TEST(ServiceSnapshot, FindAndMerged) {
   const ServiceSnapshot snap = make_snapshot();
   EXPECT_NE(snap.find("alpha"), nullptr);

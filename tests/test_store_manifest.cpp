@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "store/manifest.hpp"
 
@@ -96,6 +97,41 @@ TEST(StoreManifest, DamageIsRejectedWhole) {
 
   EXPECT_FALSE(Manifest::parse("").has_value());
   EXPECT_FALSE(Manifest::parse("not a manifest\n").has_value());
+}
+
+/// Well-formed trailers with something after them: bytes after the trailer
+/// line, and junk after the crc line's eight hex digits. The checksum still
+/// matches every byte before the trailer, so only a strict trailer check
+/// refuses these.
+std::vector<std::string> after_trailer_damage(const std::string& good) {
+  const std::string no_nl = good.substr(0, good.size() - 1);
+  return {good + "tombstone segments/seg-000009.vseg\n", good + "x", good + "\n",
+          no_nl + "XYZ\n", no_nl + " 7\n", no_nl + "0\n"};
+}
+
+TEST(StoreManifest, NothingMayFollowTheCrcTrailer) {
+  const std::string good = make_manifest().serialize();
+  ASSERT_TRUE(Manifest::parse(good).has_value());
+  for (const std::string& bad : after_trailer_damage(good))
+    EXPECT_FALSE(Manifest::parse(bad).has_value()) << bad;
+}
+
+TEST(FleetManifest, NothingMayFollowTheCrcTrailer) {
+  FleetManifest m;
+  m.generation = 4;
+  m.ledger.acked_records = 12;
+  m.ledger.stored_records = 12;
+  FleetShard shard;
+  shard.name = "shard-0";
+  shard.root = partition_root(shard.name);
+  shard.sessions = 2;
+  shard.records = 12;
+  m.shards.push_back(shard);
+  const std::string good = m.serialize();
+  ASSERT_TRUE(FleetManifest::parse(good).has_value());
+  EXPECT_EQ(FleetManifest::parse(good)->serialize(), good);
+  for (const std::string& bad : after_trailer_damage(good))
+    EXPECT_FALSE(FleetManifest::parse(bad).has_value()) << bad;
 }
 
 }  // namespace

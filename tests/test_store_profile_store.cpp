@@ -103,6 +103,40 @@ TEST(ProfileStore, FreshStoreOpensCleanAndRequiresOpen) {
   EXPECT_EQ(st.live_intervals(), 1u);
 }
 
+TEST(ProfileStore, RebuildNumbersASegmentWithNoKnowableIdAfterTheRest) {
+  os::Vfs vfs;
+  {
+    ProfileStore st(vfs, small_config());
+    st.open();
+    for (const IntervalProfile& iv : scenario(8)) ASSERT_TRUE(st.ingest(iv));
+    ASSERT_TRUE(st.seal_active());
+  }
+  // Lose the manifest, then give the first segment a torn header line and
+  // a name with no id in it: a rebuild cannot learn its id, so it is
+  // numbered after every segment whose id is known.
+  const std::vector<std::string> files = vfs.list("store/segments/");
+  ASSERT_EQ(files.size(), 2u);
+  std::string text = *vfs.read(files[0]);
+  text[2] ^= 0x1;  // the H record's type tag: its frame no longer verifies
+  vfs.remove(files[0]);
+  vfs.write("store/segments/stray.vseg", text);
+  vfs.remove("store/MANIFEST");
+
+  ProfileStore st(vfs, small_config());
+  const StoreRecovery rec = st.open();
+  EXPECT_TRUE(rec.manifest_rebuilt);
+  EXPECT_NE(rec.details.find("segments/stray.vseg: no segment id"), std::string::npos)
+      << rec.details;
+  EXPECT_EQ(st.live_intervals(), 8u);
+  const auto manifest = Manifest::parse(*vfs.read("store/MANIFEST"));
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->segments.size(), 2u);
+  const ManifestSegment* stray = manifest->find("segments/stray.vseg");
+  ASSERT_NE(stray, nullptr);
+  for (const ManifestSegment& s : manifest->segments)
+    if (&s != stray) EXPECT_GT(stray->id, s.id);
+}
+
 TEST(ProfileStore, QueriesByteIdenticalAcrossSegmentStatesAndThreads) {
   const std::size_t kIntervals = 22;
   const std::vector<IntervalProfile> ivs = scenario(kIntervals);

@@ -4,10 +4,12 @@
 // counted*, never silently absorbed or fatal.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "store/segment.hpp"
+#include "support/hash.hpp"
 
 namespace viprof::store {
 namespace {
@@ -159,6 +161,38 @@ TEST(StoreSegment, DuplicateAndMissingLinesAreCounted) {
   EXPECT_EQ(with_gap.intervals_dropped, 1u);
 }
 
+TEST(StoreSegment, RowsPastASequenceGapNeverCommitToTheOpenInterval) {
+  SegmentWriter w(7);
+  const std::vector<IntervalProfile> ivs = {make_interval(1, 0), make_interval(2, 1)};
+  const std::string content = whole_segment(w, ivs);
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < content.size();) {
+    const std::size_t nl = content.find('\n', start);
+    lines.push_back(content.substr(start, nl - start + 1));
+    start = nl + 1;
+  }
+  const auto index_of = [&lines](const char* marker, std::size_t from) {
+    for (std::size_t i = from; i < lines.size(); ++i)
+      if (lines[i].find(marker) != std::string::npos) return i;
+    return lines.size();
+  };
+  // Each interval has two rows. Lose the first interval's second row, the
+  // second interval's dictionary and record, and its second row: the first
+  // interval then sees exactly its declared two rows, one of them not its own.
+  const std::size_t iv1 = index_of(" I ", 0);
+  const std::size_t iv2 = index_of(" I ", iv1 + 1);
+  ASSERT_LT(iv2 + 2, lines.size());
+  std::string damaged;
+  for (std::size_t i = 0; i < lines.size(); ++i)
+    if (i <= iv1 + 1 || i == iv2 + 1 || i > iv2 + 2) damaged += lines[i];
+
+  const SegmentSalvage got = read_segment(damaged);
+  EXPECT_GT(got.gap_lines, 0u);
+  EXPECT_EQ(got.intervals_salvaged, 0u);
+  EXPECT_TRUE(got.intervals.empty());
+  EXPECT_EQ(got.intervals_dropped, 1u);
+}
+
 TEST(StoreSegment, GarbageAndEmptyInputsAreRejectedNotFatal) {
   const SegmentSalvage empty = read_segment("");
   EXPECT_FALSE(empty.header_ok);
@@ -168,6 +202,38 @@ TEST(StoreSegment, GarbageAndEmptyInputsAreRejectedNotFatal) {
   EXPECT_FALSE(noise.header_ok);
   EXPECT_FALSE(noise.clean());
   EXPECT_EQ(noise.intervals_salvaged, 0u);
+}
+
+TEST(StoreSegment, CrcFieldTakesOnlyEightHexDigits) {
+  // A line frame's crc is exactly eight hex digits, as in the sample logs.
+  // Search segment ids for a header body whose FNV-1a fits in 24 bits, so
+  // its crc can also be spelled with a 0x prefix or a sign inside the
+  // 8-byte field.
+  std::uint64_t id = 0;
+  const auto header_body = [&id] { return "0 H viprof-segment v1 " + std::to_string(id); };
+  while (support::fnv1a(header_body()) >= (1u << 24)) ++id;
+  const std::string body = header_body();
+  const std::uint32_t crc = support::fnv1a(body);
+  SegmentWriter w(id);
+  ASSERT_EQ(w.header().substr(0, body.size() + 1), body + " ");  // seq 0
+  const std::string seal = w.encode_seal(0);                       // seq 1
+  const auto framed = [&](const char* format) {
+    char field[16];
+    std::snprintf(field, sizeof field, format, crc);
+    return body + " " + field + "\n" + seal;
+  };
+
+  const SegmentSalvage canonical = read_segment(framed("%08x"));
+  EXPECT_TRUE(canonical.clean());
+  EXPECT_TRUE(canonical.header_ok);
+  EXPECT_TRUE(read_segment(framed("%08X")).clean());  // digits of either case
+
+  for (const char* format : {"0x%06x", "0X%06x", "+%07x"}) {
+    const SegmentSalvage got = read_segment(framed(format));
+    EXPECT_FALSE(got.header_ok) << format;
+    EXPECT_EQ(got.lines_discarded, 1u) << format;
+    EXPECT_FALSE(got.clean()) << format;
+  }
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 //   viprof_fsck --in DIR --fleet [--quiet]
 //
 // Thin CLI over core::fsck_tree: scans every per-event sample log (record
-// framing: sequence numbers + checksums) and every epoch code map (entry
-// count + checksum trailer), reports findings through the self-telemetry
+// framing: sequence numbers + checksums) and every epoch code and object
+// map (declared counts + checksum trailer), reports findings through the self-telemetry
 // registry (fsck.* counters; --metrics dumps them), and — with --out —
 // emits the recoverable subset.
 //
@@ -32,7 +32,6 @@
 
 #include "core/fsck.hpp"
 #include "fleet/fsck.hpp"
-#include "memprof/fsck.hpp"
 #include "os/vfs.hpp"
 #include "store/profile_store.hpp"
 #include "support/arg_scan.hpp"
@@ -120,24 +119,10 @@ int main(int argc, char** argv) {
   opts.verbose = !quiet;
   support::Telemetry telemetry;
   const core::FsckReport report = core::fsck_tree(vfs, &out, telemetry, opts);
-  // Object maps ride the same tree (fsck_tree copies them verbatim into the
-  // recovery tree); the memprof pass verifies them and rewrites the damaged
-  // ones as their salvaged prefixes.
-  const memprof::ObjectFsckReport omaps = memprof::fsck_object_maps(
-      vfs, opts.write_recovery ? &out : nullptr, telemetry, !quiet);
-  core::FsckVerdict verdict = report.verdict;
-  if (omaps.corrupt && verdict == core::FsckVerdict::kClean)
-    verdict = core::FsckVerdict::kSalvaged;
-  if (omaps.dead_maps > 0) verdict = core::FsckVerdict::kUnrecoverable;
-
   if (!quiet && !report.details.empty()) std::fputs(report.details.c_str(), stdout);
-  if (!quiet && !omaps.details.empty()) std::fputs(omaps.details.c_str(), stdout);
   if (opts.write_recovery) out.export_to_directory(out_dir);
-  const bool any_omaps = omaps.maps_intact + omaps.maps_truncated > 0;
-  std::printf("%s%s%s%s\n", report.summary.c_str(), any_omaps ? "; " : "",
-              any_omaps ? omaps.summary.c_str() : "",
+  std::printf("%s%s\n", report.summary.c_str(),
               out_dir.empty() ? "" : (", recovery tree written to " + out_dir).c_str());
-  // Snapshot after the object-map pass so fsck.omaps.* shows up too.
-  if (metrics) std::fputs(telemetry.snapshot().render_text("fsck.").c_str(), stdout);
-  return static_cast<int>(verdict);
+  if (metrics) std::fputs(report.metrics.render_text("fsck.").c_str(), stdout);
+  return static_cast<int>(report.verdict);
 }
