@@ -62,7 +62,8 @@ core::ObjectMapFile representative_map() {
   support::Xoshiro256 rng(0x0b9ec7);
   hw::Address cursor = 0x6200'0000;
   for (std::uint32_t s = 0; s < 32; ++s)
-    file.sites.push_back({s, "synthetic.Bench.method" + std::to_string(s) + "@42"});
+    file.sites.push_back(
+        {s, support::Name("synthetic.Bench.method" + std::to_string(s) + "@42")});
   for (std::uint64_t i = 0; i < 512; ++i) {
     const std::uint64_t size = 32 + rng.below(16) * 32;
     file.objects.push_back({cursor, size, 1000 + i,

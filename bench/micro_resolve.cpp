@@ -110,8 +110,9 @@ void BM_CodeMapSerialize(benchmark::State& state) {
   core::CodeMapFile file;
   file.epoch = 5;
   for (int i = 0; i < 512; ++i) {
-    file.entries.push_back({0x6000'0000ull + i * 0x1000, 0x800,
-                            "com.example.Klass" + std::to_string(i) + ".method"});
+    file.entries.push_back(
+        {0x6000'0000ull + i * 0x1000, 0x800,
+         support::Name("com.example.Klass" + std::to_string(i) + ".method")});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(file.serialize());
@@ -123,8 +124,9 @@ void BM_CodeMapParse(benchmark::State& state) {
   core::CodeMapFile file;
   file.epoch = 5;
   for (int i = 0; i < 512; ++i) {
-    file.entries.push_back({0x6000'0000ull + i * 0x1000, 0x800,
-                            "com.example.Klass" + std::to_string(i) + ".method"});
+    file.entries.push_back(
+        {0x6000'0000ull + i * 0x1000, 0x800,
+         support::Name("com.example.Klass" + std::to_string(i) + ".method")});
   }
   const std::string blob = file.serialize();
   for (auto _ : state) {

@@ -54,7 +54,7 @@ hw::Cycles VmAgent::on_vm_start(const jvm::VmStartInfo& info) {
 
 hw::Cycles VmAgent::on_method_compiled(const jvm::MethodInfo& method,
                                        const jvm::CodeObject& code) {
-  signatures_[code.id] = method.qualified_name();
+  signatures_[code.id] = support::Name(method.qualified_name());
   if (pending_set_.insert(code.id).second) pending_.push_back(code.id);
   ++stats_.compiles_logged;
   tele_compiles_->inc();

@@ -119,7 +119,7 @@ class VmAgent : public jvm::VmEventListener {
   // previous collection moved (flag mode) — exactly what a partial map holds.
   std::vector<jvm::CodeId> pending_;
   std::unordered_set<jvm::CodeId> pending_set_;
-  std::unordered_map<jvm::CodeId, std::string> signatures_;
+  std::unordered_map<jvm::CodeId, support::Name> signatures_;
 
   // Self-telemetry handles (agent.* namespace, DESIGN.md §8).
   support::Counter* tele_compiles_ = nullptr;

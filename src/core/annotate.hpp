@@ -53,9 +53,10 @@ Annotation annotate(const std::vector<LoggedSample>& samples, const ResolveFn& r
   out.image = image;
   out.symbol = symbol;
   out.buckets.assign(bucket_count == 0 ? 1 : bucket_count, 0);
+  const support::Name want_image(image), want_symbol(symbol);
   for (const LoggedSample& s : samples) {
     const Resolution res = resolve(s);
-    if (res.image != image || res.symbol != symbol) continue;
+    if (res.image != want_image || res.symbol != want_symbol) continue;
     ++out.total_samples;
     if (res.symbol_size == 0 || s.pc < res.symbol_base ||
         s.pc >= res.symbol_base + res.symbol_size) {

@@ -13,8 +13,6 @@ namespace viprof::core {
 
 namespace {
 
-constexpr const char* kNoSymbols = "(no symbols)";
-
 std::string manifest_path(const std::string& prefix) { return prefix + "/manifest"; }
 
 const char* kind_code(os::ImageKind kind) {
@@ -45,10 +43,14 @@ void write_archive(const os::Machine& machine, const RegistrationTable& table,
   for (std::uint32_t id = 0; id < registry.count(); ++id) {
     const os::Image& img = registry.get(id);
     out += "image " + std::to_string(id) + " " + kind_code(img.kind()) + " " +
-           (img.stripped() ? "1" : "0") + " " + img.name() + "\n";
+           (img.stripped() ? "1" : "0") + " ";
+    out += img.name().view();
+    out += '\n';
     for (const os::Symbol& s : img.symbols().ordered()) {
       out += "sym " + std::to_string(id) + " " + support::hex(s.offset) + " " +
-             std::to_string(s.size) + " " + s.name + "\n";
+             std::to_string(s.size) + " ";
+      out += s.name.view();
+      out += '\n';
     }
   }
   for (const auto& proc : machine.processes()) {
@@ -146,7 +148,7 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
       ls >> pid >> start_hex >> end_hex >> image >> file_offset;
       processes_[pid].vmas.push_back({std::stoull(start_hex, nullptr, 16),
                                       std::stoull(end_hex, nullptr, 16), image,
-                                      file_offset});
+                                      file_offset, support::Name()});
     } else if (tag == "kernel" || tag == "hyp") {
       std::uint32_t image;
       std::string base_hex;
@@ -161,6 +163,11 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
   for (auto& [pid, proc] : processes_) {
     std::sort(proc.vmas.begin(), proc.vmas.end(),
               [](const ArchivedVma& a, const ArchivedVma& b) { return a.start < b.start; });
+    for (ArchivedVma& vma : proc.vmas) {
+      if (vma.image < images_.size() && images_[vma.image].kind == os::ImageKind::kAnon)
+        vma.anon_label = "anon (range:" + support::hex(vma.start) + "-" +
+                         support::hex(vma.end) + ")," + proc.name;
+    }
   }
   if (vm_aware_) {
     for (const VmRegistration& reg : registrations_) {
@@ -168,9 +175,8 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
         if (const auto contents = vfs.read(reg.boot_map_path)) {
           boot_maps_[reg.pid] = parse_rvm_map(*contents);
           const auto slash = reg.boot_map_path.rfind('/');
-          boot_labels_[reg.pid] =
-              slash == std::string::npos ? reg.boot_map_path
-                                         : reg.boot_map_path.substr(slash + 1);
+          boot_labels_[reg.pid] = std::string_view(reg.boot_map_path).substr(
+              slash == std::string::npos ? 0 : slash + 1);
         }
       }
       if (load_jit_maps && !reg.jit_map_dir.empty()) {
@@ -211,30 +217,29 @@ Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid
                                        std::uint64_t epoch,
                                        const JitIndexSource* jit) const {
   VIPROF_CHECK(loaded_);
+  const ResolveNames& names = ResolveNames::get();
   Resolution out;
+  out.symbol = names.no_symbols;
+  // Symbol `sym` of a table whose offset 0 sits at address `base`.
+  const auto attribute = [&out](const std::optional<os::Symbol>& sym, hw::Address base) {
+    if (!sym) return;
+    out.symbol = sym->name;
+    out.symbol_base = base + sym->offset;
+    out.symbol_size = sym->size;
+  };
 
   if (hypervisor_ && (mode == hw::CpuMode::kHypervisor || hypervisor_->contains(pc))) {
     out.domain = SampleDomain::kHypervisor;
     const ArchivedImage& img = images_.at(hypervisor_->image);
     out.image = img.name;
-    const auto sym = img.symbols.find(pc - hypervisor_->base);
-    out.symbol = sym ? sym->name : kNoSymbols;
-    if (sym) {
-      out.symbol_base = hypervisor_->base + sym->offset;
-      out.symbol_size = sym->size;
-    }
+    attribute(img.symbols.find(pc - hypervisor_->base), hypervisor_->base);
     return out;
   }
   if (kernel_ && (mode == hw::CpuMode::kKernel || kernel_->contains(pc))) {
     out.domain = SampleDomain::kKernel;
     const ArchivedImage& img = images_.at(kernel_->image);
     out.image = img.name;
-    const auto sym = img.symbols.find(pc - kernel_->base);
-    out.symbol = sym ? sym->name : kNoSymbols;
-    if (sym) {
-      out.symbol_base = kernel_->base + sym->offset;
-      out.symbol_size = sym->size;
-    }
+    attribute(img.symbols.find(pc - kernel_->base), kernel_->base);
     return out;
   }
 
@@ -242,39 +247,31 @@ Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid
   if (proc_it == processes_.end()) {
     out.domain = SampleDomain::kUnknown;
     out.image = "unknown-pid-" + std::to_string(pid);
-    out.symbol = kNoSymbols;
     return out;
   }
   const ArchivedVma* vma = find_vma(proc_it->second, pc);
   if (vma == nullptr) {
     out.domain = SampleDomain::kUnknown;
-    out.image = "unmapped";
-    out.symbol = kNoSymbols;
+    out.image = names.unmapped;
     return out;
   }
 
   const ArchivedImage& img = images_.at(vma->image);
   const std::uint64_t offset = vma->file_offset + (pc - vma->start);
+  const hw::Address image_base = vma->start - vma->file_offset;
 
   switch (img.kind) {
     case os::ImageKind::kBootImage: {
+      out.domain = SampleDomain::kBoot;
       if (vm_aware_) {
         auto bm = boot_maps_.find(pid);
         if (bm != boot_maps_.end()) {
-          out.domain = SampleDomain::kBoot;
           out.image = boot_labels_.at(pid);
-          const auto sym = bm->second.find(offset);
-          out.symbol = sym ? sym->name : kNoSymbols;
-          if (sym) {
-            out.symbol_base = vma->start - vma->file_offset + sym->offset;
-            out.symbol_size = sym->size;
-          }
+          attribute(bm->second.find(offset), image_base);
           return out;
         }
       }
-      out.domain = SampleDomain::kBoot;
       out.image = img.name;  // opaque blob: RVM.code.image / CLR.native.image
-      out.symbol = kNoSymbols;
       return out;
     }
     case os::ImageKind::kAnon: {
@@ -282,7 +279,7 @@ Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid
         for (const VmRegistration& reg : registrations_) {
           if (reg.pid != pid || !reg.heap_contains(pc)) continue;
           out.domain = SampleDomain::kJit;
-          out.image = "JIT.App";
+          out.image = names.jit_image;
           const CodeMapIndex* index = nullptr;
           if (jit != nullptr) {
             index = jit->index_for(pid, epoch);
@@ -303,37 +300,26 @@ Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid
           }
           switch (lk.miss) {
             case JitLookupMiss::kMissingEpochMap:
-              out.symbol = kUnresolvedMissingMap;
+              out.symbol = names.missing_map;
               break;
             case JitLookupMiss::kTruncatedMap:
-              out.symbol = kUnresolvedTruncatedMap;
+              out.symbol = names.truncated_map;
               break;
             default:
-              out.symbol = kUnknownJit;
+              out.symbol = names.unknown_jit;
               break;
           }
           return out;
         }
       }
       out.domain = SampleDomain::kAnon;
-      out.image = "anon (range:" + support::hex(vma->start) + "-" +
-                  support::hex(vma->end) + ")," + proc_it->second.name;
-      out.symbol = kNoSymbols;
+      out.image = vma->anon_label;
       return out;
     }
     default: {
       out.domain = SampleDomain::kImage;
       out.image = img.name;
-      if (img.stripped) {
-        out.symbol = kNoSymbols;
-        return out;
-      }
-      const auto sym = img.symbols.find(offset);
-      out.symbol = sym ? sym->name : kNoSymbols;
-      if (sym) {
-        out.symbol_base = vma->start - vma->file_offset + sym->offset;
-        out.symbol_size = sym->size;
-      }
+      if (!img.stripped) attribute(img.symbols.find(offset), image_base);
       return out;
     }
   }

@@ -83,7 +83,7 @@ class ArchiveResolver {
 
  private:
   struct ArchivedImage {
-    std::string name;
+    support::Name name;
     os::ImageKind kind = os::ImageKind::kExecutable;
     bool stripped = false;
     os::SymbolTable symbols;
@@ -92,6 +92,7 @@ class ArchiveResolver {
     hw::Address start = 0, end = 0;
     std::uint32_t image = 0;
     std::uint64_t file_offset = 0;
+    support::Name anon_label;  // stock OProfile's "anon (range:...)" image name
   };
   struct ArchivedProcess {
     std::string name;
@@ -114,7 +115,7 @@ class ArchiveResolver {
   std::optional<Range> hypervisor_;
   std::vector<VmRegistration> registrations_;
   std::unordered_map<hw::Pid, os::SymbolTable> boot_maps_;
-  std::unordered_map<hw::Pid, std::string> boot_labels_;
+  std::unordered_map<hw::Pid, support::Name> boot_labels_;
   std::unordered_map<hw::Pid, CodeMapIndex> jit_maps_;
 };
 

@@ -6,29 +6,30 @@
 
 namespace viprof::core {
 
-std::size_t CallGraph::arc_slot(std::uint64_t hash, std::string_view caller_image,
-                                std::string_view caller_symbol,
-                                std::string_view callee_image,
-                                std::string_view callee_symbol,
-                                SampleDomain caller_domain, SampleDomain callee_domain) {
+std::string arc_endpoint(support::Name image, support::Name symbol) {
+  std::string out;
+  out.reserve(image.size() + 1 + symbol.size());
+  out += image.view();
+  out += ':';
+  out += symbol.view();
+  return out;
+}
+
+std::size_t CallGraph::arc_slot(const CallArc& like, std::uint64_t hash) {
   const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
     const CallArc& a = arcs_[i];
-    return a.caller_symbol == caller_symbol && a.callee_symbol == callee_symbol &&
-           a.caller_image == caller_image && a.callee_image == callee_image;
+    return a.caller_symbol == like.caller_symbol &&
+           a.callee_symbol == like.callee_symbol &&
+           a.caller_image == like.caller_image && a.callee_image == like.callee_image;
   });
   if (inserted) {
-    CallArc& arc = arcs_.emplace_back();
-    arc.caller_image = caller_image;
-    arc.caller_symbol = caller_symbol;
-    arc.callee_image = callee_image;
-    arc.callee_symbol = callee_symbol;
-    arc.caller_domain = caller_domain;
-    arc.callee_domain = callee_domain;
+    CallArc& arc = arcs_.emplace_back(like);
+    arc.count = 0;
   } else {
     // The lower domain wins, in any fold order.
     CallArc& arc = arcs_[id];
-    if (caller_domain < arc.caller_domain) arc.caller_domain = caller_domain;
-    if (callee_domain < arc.callee_domain) arc.callee_domain = callee_domain;
+    if (like.caller_domain < arc.caller_domain) arc.caller_domain = like.caller_domain;
+    if (like.callee_domain < arc.callee_domain) arc.callee_domain = like.callee_domain;
   }
   return id;
 }
@@ -42,19 +43,14 @@ void CallGraph::add(const LoggedSample& sample) {
   add_resolved(caller, callee);
 }
 
-void CallGraph::add_resolved(const Resolution& caller, const Resolution& callee) {
-  add_resolved(caller, callee, 1);
-}
-
 void CallGraph::add_resolved(const Resolution& caller, const Resolution& callee,
                              std::uint64_t count) {
-  bump_arc(arc_index(caller, callee), count);
-}
-
-std::size_t CallGraph::arc_index(const Resolution& caller, const Resolution& callee) {
-  return arc_slot(arc_hash(caller.image, caller.symbol, callee.image, callee.symbol),
-                  caller.image, caller.symbol, callee.image, callee.symbol, caller.domain,
-                  callee.domain);
+  const CallArc like{caller.image, caller.symbol, callee.image, callee.symbol,
+                     caller.domain, callee.domain, 0};
+  const std::size_t arc = arc_slot(
+      like, arc_hash(caller.image, caller.symbol, callee.image, callee.symbol));
+  arcs_[arc].count += count;
+  samples_ += count;
 }
 
 void CallGraph::merge(const CallGraph& other) {
@@ -94,8 +90,8 @@ std::string CallGraph::render(std::size_t top_n) const {
   for (const std::uint32_t a : rank(top_n)) {
     const CallArc& arc = arcs_[a];
     table.add_row({std::to_string(arc.count),
-                   arc.caller_image + ":" + arc.caller_symbol, "->",
-                   arc.callee_image + ":" + arc.callee_symbol});
+                   arc_endpoint(arc.caller_image, arc.caller_symbol), "->",
+                   arc_endpoint(arc.callee_image, arc.callee_symbol)});
   }
   return table.render();
 }

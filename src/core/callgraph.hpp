@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/resolver.hpp"
@@ -20,11 +19,12 @@
 
 namespace viprof::core {
 
+/// One (caller -> callee) arc; the four endpoint names are interned ids.
 struct CallArc {
-  std::string caller_image;
-  std::string caller_symbol;
-  std::string callee_image;
-  std::string callee_symbol;
+  support::Name caller_image;
+  support::Name caller_symbol;
+  support::Name callee_image;
+  support::Name callee_symbol;
   SampleDomain caller_domain = SampleDomain::kUnknown;
   SampleDomain callee_domain = SampleDomain::kUnknown;
   std::uint64_t count = 0;
@@ -32,6 +32,9 @@ struct CallArc {
   /// True when caller and callee live in different stack layers.
   bool crosses_layers() const { return caller_domain != callee_domain; }
 };
+
+/// "image:symbol", how every arc table prints one endpoint.
+std::string arc_endpoint(support::Name image, support::Name symbol);
 
 class CallGraph {
  public:
@@ -51,19 +54,9 @@ class CallGraph {
   /// Accounts one already-resolved (caller → callee) pair; works on
   /// resolver-less graphs. Callers skip samples without a caller PC to
   /// match add()'s accounting. The counted overload folds `count` repeats
-  /// of the same pair in one arc lookup.
-  void add_resolved(const Resolution& caller, const Resolution& callee);
+  /// of the same pair in one arc lookup, which hashes four name ids.
   void add_resolved(const Resolution& caller, const Resolution& callee,
-                    std::uint64_t count);
-
-  /// Interning API mirroring Profile::row_index/bump: intern the arc slot
-  /// once, then bump repeats without rehashing the four endpoint names.
-  /// arc_index() + bump_arc() == add_resolved().
-  std::size_t arc_index(const Resolution& caller, const Resolution& callee);
-  void bump_arc(std::size_t arc, std::uint64_t count = 1) {
-    arcs_[arc].count += count;
-    samples_ += count;
-  }
+                    std::uint64_t count = 1);
 
   /// Adds every arc (and the sample count) of `other` into this graph.
   /// Commutative, as Profile::merge: an endpoint that arrives with two
@@ -90,14 +83,9 @@ class CallGraph {
   std::string render(std::size_t top_n) const;
 
  private:
-  std::size_t arc_slot(std::uint64_t hash, std::string_view caller_image,
-                       std::string_view caller_symbol, std::string_view callee_image,
-                       std::string_view callee_symbol, SampleDomain caller_domain,
-                       SampleDomain callee_domain);
-  std::size_t arc_slot(const CallArc& like, std::uint64_t hash) {
-    return arc_slot(hash, like.caller_image, like.caller_symbol, like.callee_image,
-                    like.callee_symbol, like.caller_domain, like.callee_domain);
-  }
+  /// The arc with `like`'s endpoints (hashing to `hash`), appended with a
+  /// zero count if new; an endpoint keeps the lower of its two domains.
+  std::size_t arc_slot(const CallArc& like, std::uint64_t hash);
   /// Arc positions of the first `top_n` arcs in ranked() order.
   std::vector<std::uint32_t> rank(std::size_t top_n) const;
 

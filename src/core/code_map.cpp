@@ -25,7 +25,7 @@ bool parse_entry_line(std::string_view line, CodeMapEntry& entry) {
   }
   entry.address = addr;
   entry.size = size;
-  entry.symbol = std::string(symbol);
+  entry.symbol = symbol;
   return true;
 }
 
@@ -51,7 +51,7 @@ std::string CodeMapFile::serialize() const {
     out += ' ';
     out += std::to_string(e.size);
     out += ' ';
-    out += e.symbol;
+    out += e.symbol.view();
     out += '\n';
   }
   support::append_crc_trailer(out);
@@ -93,6 +93,14 @@ CodeMapFile::Recovery CodeMapFile::salvage(const std::string& contents,
   r.header_ok = w.header_ok;
   r.intact = w.intact && r.file.entries.size() == r.entries_expected;
   r.file.truncated = w.truncated || !r.intact;
+  return r;
+}
+
+CodeMapFile::Recovery CodeMapFile::salvage_file(const std::string& path,
+                                                const std::string& contents) {
+  const auto name_epoch = epoch_from_path(path);
+  Recovery r = salvage(contents, name_epoch.value_or(0));
+  if (!r.intact && name_epoch) r.file.epoch = *name_epoch;
   return r;
 }
 
@@ -143,9 +151,7 @@ CodeMapIndex::LoadStats CodeMapIndex::load(const os::Vfs& vfs, const std::string
     // The file name carries the epoch, so even a fully corrupt file still
     // registers its epoch as truncated — the resolver must know the epoch
     // existed and is unaccounted for.
-    const auto hint = CodeMapFile::epoch_from_path(path);
-    const CodeMapFile::Recovery r =
-        CodeMapFile::salvage(*contents, hint.value_or(0));
+    const CodeMapFile::Recovery r = CodeMapFile::salvage_file(path, *contents);
     ++stats.maps_loaded;
     if (r.file.truncated) {
       ++stats.maps_truncated;

@@ -44,13 +44,14 @@
 
 #include "hw/types.hpp"
 #include "os/vfs.hpp"
+#include "support/interner.hpp"
 
 namespace viprof::core {
 
 struct CodeMapEntry {
   hw::Address address = 0;
   std::uint64_t size = 0;
-  std::string symbol;  // fully qualified method name
+  support::Name symbol;  // fully qualified method name, interned at load
 
   bool contains(hw::Address pc) const { return pc >= address && pc < address + size; }
 };
@@ -75,6 +76,12 @@ struct CodeMapFile {
   /// header itself is unreadable. (Defined after the class: it embeds one.)
   struct Recovery;
   static Recovery salvage(const std::string& contents, std::uint64_t epoch_hint);
+
+  /// salvage() of the file at `path`, which names its epoch. A file that
+  /// does not verify is filed under that file-name epoch even when its
+  /// header reads otherwise: a flipped header digit must not move the
+  /// salvaged entries to another epoch.
+  static Recovery salvage_file(const std::string& path, const std::string& contents);
 
   /// Conventional path for the map of `epoch` under `dir`.
   static std::string path_for(const std::string& dir, hw::Pid pid, std::uint64_t epoch);
@@ -144,7 +151,7 @@ class CodeMapIndex {
   void add(CodeMapFile file);
 
   struct Hit {
-    std::string symbol;
+    support::Name symbol;
     std::uint64_t found_in_epoch = 0;
     std::uint32_t maps_searched = 0;  // 1 = found in the sample's own epoch
     hw::Address address = 0;          // body start (as of that epoch)

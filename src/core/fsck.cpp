@@ -92,9 +92,7 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
   for (const std::string& path : in.list("")) {
     if (basename_of(path).rfind("map.", 0) != 0) continue;
     const auto contents = in.read(path);
-    const auto epoch_hint = CodeMapFile::epoch_from_path(path);
-    const CodeMapFile::Recovery rec =
-        CodeMapFile::salvage(*contents, epoch_hint.value_or(0));
+    const CodeMapFile::Recovery rec = CodeMapFile::salvage_file(path, *contents);
     if (rec.intact) {
       ++report.maps_intact;
     } else {
@@ -116,9 +114,7 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
   for (const std::string& path : in.list("")) {
     if (basename_of(path).rfind("omap.", 0) != 0) continue;
     const auto contents = in.read(path);
-    const auto epoch_hint = ObjectMapFile::epoch_from_path(path);
-    const ObjectMapFile::Recovery rec =
-        ObjectMapFile::salvage(*contents, epoch_hint.value_or(0));
+    const ObjectMapFile::Recovery rec = ObjectMapFile::salvage_file(path, *contents);
     if (rec.intact) {
       ++report.omaps_intact;
       continue;  // copied verbatim below

@@ -1,6 +1,7 @@
 #include "core/object_map.hpp"
 
 #include <cstdio>
+#include <unordered_map>
 
 #include "support/check.hpp"
 #include "support/format.hpp"
@@ -50,7 +51,7 @@ bool parse_site_line(std::string_view line, SiteName& site) {
     return false;
   }
   site.site = static_cast<std::uint32_t>(idx);
-  site.name = std::string(name);
+  site.name = name;
   return true;
 }
 
@@ -75,8 +76,8 @@ std::string site_symbol(std::uint32_t site) {
   return "site#" + std::to_string(site);
 }
 
-std::optional<std::uint32_t> site_from_symbol(const std::string& symbol) {
-  if (symbol.rfind("site#", 0) != 0 || symbol.size() == 5) return std::nullopt;
+std::optional<std::uint32_t> site_from_symbol(std::string_view symbol) {
+  if (!symbol.starts_with("site#") || symbol.size() == 5) return std::nullopt;
   std::uint64_t idx = 0;
   for (std::size_t i = 5; i < symbol.size(); ++i) {
     if (symbol[i] < '0' || symbol[i] > '9') return std::nullopt;
@@ -92,7 +93,9 @@ std::string ObjectMapFile::serialize() const {
                     std::to_string(dead.size()) + "\n";
   if (truncated) out += "truncated\n";
   for (const SiteName& s : sites) {
-    out += "site " + std::to_string(s.site) + " " + s.name + "\n";
+    out += "site " + std::to_string(s.site) + " ";
+    out += s.name.view();
+    out += '\n';
   }
   for (const ObjectMapEntry& e : objects) {
     out += support::hex(e.address);
@@ -162,6 +165,14 @@ ObjectMapFile::Recovery ObjectMapFile::salvage(const std::string& contents,
   return r;
 }
 
+ObjectMapFile::Recovery ObjectMapFile::salvage_file(const std::string& path,
+                                                    const std::string& contents) {
+  const auto name_epoch = epoch_from_path(path);
+  Recovery r = salvage(contents, name_epoch.value_or(0));
+  if (!r.intact && name_epoch) r.file.epoch = *name_epoch;
+  return r;
+}
+
 std::string ObjectMapFile::path_for(const std::string& dir, hw::Pid pid,
                                     std::uint64_t epoch) {
   char buf[64];
@@ -180,12 +191,12 @@ CodeMapFile ObjectMapFile::to_code_map() const {
   out.epoch = epoch;
   out.truncated = truncated;
   out.entries.reserve(objects.size());
+  // One interned "site#<idx>" per distinct site, not one per object.
+  std::unordered_map<std::uint32_t, support::Name> symbols;
   for (const ObjectMapEntry& e : objects) {
-    CodeMapEntry c;
-    c.address = e.address;
-    c.size = e.size;
-    c.symbol = site_symbol(e.site);
-    out.entries.push_back(std::move(c));
+    const auto [it, fresh] = symbols.try_emplace(e.site);
+    if (fresh) it->second = site_symbol(e.site);
+    out.entries.push_back(CodeMapEntry{e.address, e.size, it->second});
   }
   return out;
 }
@@ -200,8 +211,7 @@ ObjectIndexLoad load_object_index(const os::Vfs& vfs, const std::string& dir,
     // The file name carries the epoch, so even a fully corrupt file still
     // registers its epoch as truncated — resolution must know the epoch
     // existed and is unaccounted for.
-    const auto hint = ObjectMapFile::epoch_from_path(path);
-    ObjectMapFile::Recovery r = ObjectMapFile::salvage(*contents, hint.value_or(0));
+    ObjectMapFile::Recovery r = ObjectMapFile::salvage_file(path, *contents);
     ++out.maps_loaded;
     if (r.file.truncated) ++out.maps_truncated;
     out.objects_loaded += r.file.objects.size();

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/code_map.hpp"
@@ -52,7 +53,7 @@ struct ObjectDeath {
 /// (sites are few) so each map is self-contained for reporting.
 struct SiteName {
   std::uint32_t site = 0;
-  std::string name;
+  support::Name name;  // interned at load
 };
 
 /// One epoch's object map: serialisation to/from the VFS file format.
@@ -81,6 +82,10 @@ struct ObjectMapFile {
   struct Recovery;
   static Recovery salvage(const std::string& contents, std::uint64_t epoch_hint);
 
+  /// salvage() of the file at `path`; as CodeMapFile::salvage_file, a file
+  /// that does not verify is filed under its file-name epoch.
+  static Recovery salvage_file(const std::string& path, const std::string& contents);
+
   /// Conventional path for the map of `epoch` under `dir`.
   static std::string path_for(const std::string& dir, hw::Pid pid, std::uint64_t epoch);
 
@@ -106,7 +111,7 @@ struct ObjectMapFile::Recovery {
 std::string site_symbol(std::uint32_t site);
 
 /// Parses a "site#<idx>" symbol back to the site index; nullopt otherwise.
-std::optional<std::uint32_t> site_from_symbol(const std::string& symbol);
+std::optional<std::uint32_t> site_from_symbol(std::string_view symbol);
 
 struct ObjectIndexLoad {
   CodeMapIndex index;

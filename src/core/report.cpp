@@ -18,8 +18,8 @@ const char* event_column_title(hw::EventKind event) {
   return "?";
 }
 
-std::size_t Profile::row_slot(std::uint64_t hash, std::string_view image,
-                              std::string_view symbol, SampleDomain domain) {
+std::size_t Profile::row_slot(std::uint64_t hash, support::Name image,
+                              support::Name symbol, SampleDomain domain) {
   const auto [id, inserted] = index_.intern(hash, [&](std::uint32_t i) {
     return rows_[i].image == image && rows_[i].symbol == symbol;
   });
@@ -34,20 +34,19 @@ std::size_t Profile::row_slot(std::uint64_t hash, std::string_view image,
   return id;
 }
 
-const ProfileRow* Profile::find_hashed(std::uint64_t hash, std::string_view image,
-                                       std::string_view symbol) const {
+const ProfileRow* Profile::find_hashed(std::uint64_t hash, support::Name image,
+                                       support::Name symbol) const {
   const std::uint32_t id = index_.find(hash, [&](std::uint32_t i) {
     return rows_[i].image == image && rows_[i].symbol == symbol;
   });
   return id == RowIndex::kNone ? nullptr : &rows_[id];
 }
 
-std::size_t Profile::row_index(const Resolution& res) {
-  return row_slot(row_hash(res.image, res.symbol), res.image, res.symbol, res.domain);
-}
-
 void Profile::add(hw::EventKind event, const Resolution& res, std::uint64_t count) {
-  bump(row_index(res), event, count);
+  ProfileRow& row =
+      rows_[row_slot(row_hash(res.image, res.symbol), res.image, res.symbol, res.domain)];
+  totals_[hw::event_index(event)] += count;
+  row.counts[hw::event_index(event)] += count;
 }
 
 void Profile::merge(const Profile& other) {
@@ -101,8 +100,15 @@ std::uint64_t Profile::domain_total(SampleDomain domain, hw::EventKind event) co
   return total;
 }
 
-const ProfileRow* Profile::find(std::string_view image, std::string_view symbol) const {
+const ProfileRow* Profile::find(support::Name image, support::Name symbol) const {
   return find_hashed(row_hash(image, symbol), image, symbol);
+}
+
+const ProfileRow* Profile::find(std::string_view image, std::string_view symbol) const {
+  const auto image_name = support::Name::lookup(image);
+  const auto symbol_name = support::Name::lookup(symbol);
+  // A name never interned is in no row.
+  return image_name && symbol_name ? find(*image_name, *symbol_name) : nullptr;
 }
 
 std::string Profile::render(const std::vector<hw::EventKind>& events,
@@ -119,8 +125,8 @@ std::string Profile::render(const std::vector<hw::EventKind>& events,
     const ProfileRow& row = rows_[r];
     std::vector<std::string> cells;
     for (hw::EventKind e : events) cells.push_back(support::fixed(percent(row, e), 4));
-    cells.push_back(row.image);
-    cells.push_back(row.symbol);
+    cells.push_back(row.image.str());
+    cells.push_back(row.symbol.str());
     table.add_row(std::move(cells));
   }
   return table.render();
@@ -166,8 +172,8 @@ std::string render_diff(const Profile& before, const Profile& after,
                 [&](std::size_t a, std::size_t b) { return names(a) < names(b); })) {
     const Mover& mv = movers[m];
     table.add_row({(mv.delta > 0 ? "+" : "") + std::to_string(mv.delta),
-                   std::to_string(mv.from), std::to_string(mv.to), mv.row->image,
-                   mv.row->symbol});
+                   std::to_string(mv.from), std::to_string(mv.to), mv.row->image.str(),
+                   mv.row->symbol.str()});
   }
   return table.render();
 }

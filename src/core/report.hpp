@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/resolver.hpp"
@@ -21,9 +20,11 @@
 
 namespace viprof::core {
 
+/// One (image, symbol) row. The names are interned ids, so a row is a
+/// plain 64-byte value: copying a Profile copies no string.
 struct ProfileRow {
-  std::string image;
-  std::string symbol;
+  support::Name image;
+  support::Name symbol;
   SampleDomain domain = SampleDomain::kUnknown;
   std::uint64_t counts[hw::kEventKindCount] = {};
 
@@ -33,9 +34,10 @@ struct ProfileRow {
 /// Column header the paper uses for each event.
 const char* event_column_title(hw::EventKind event);
 
-/// Aggregation is hash-based: a string-free RowIndex maps (image, symbol)
-/// to a row, so add() is O(1) amortised, and find() and the merge of an
-/// already-present row allocate nothing. Every ranking (ranked(), render(),
+/// Aggregation is hash-based: RowIndex maps the (image, symbol) name ids to
+/// a row, so add() is O(1) amortised and hashes two integers, and find(),
+/// add() and the merge of an already-present row allocate nothing. Every
+/// ranking (ranked(), render(),
 /// render_diff()) is ordered by count descending, ties by (image, symbol)
 /// ascending; render() and render_diff() only partially sort, up to their
 /// top_n. A row that arrives with two domains keeps the lower SampleDomain.
@@ -64,19 +66,11 @@ class Profile {
   /// Sum of counts of `event` over rows in `domain`.
   std::uint64_t domain_total(SampleDomain domain, hw::EventKind event) const;
 
-  /// Row for an exact (image, symbol), if present.
+  /// Row for an exact (image, symbol), if present. The text overload
+  /// looks the names up without interning them: a name never seen finds
+  /// nothing and leaves the interner as it was.
+  const ProfileRow* find(support::Name image, support::Name symbol) const;
   const ProfileRow* find(std::string_view image, std::string_view symbol) const;
-
-  /// Interning API for hot aggregation loops (service ingest, resolve
-  /// shards): intern the row slot once, then bump() repeats without
-  /// hashing the row's names per sample. Indices stay valid across later
-  /// add()s (rows are never removed). bump() maintains totals exactly as
-  /// add() does: row_index() + bump() == add().
-  std::size_t row_index(const Resolution& res);
-  void bump(std::size_t row, hw::EventKind event, std::uint64_t count = 1) {
-    totals_[hw::event_index(event)] += count;
-    rows_[row].counts[hw::event_index(event)] += count;
-  }
 
   /// Fig. 1-style report: one percentage column per event in `events`,
   /// then image and symbol names; top `top_n` rows by the first event.
@@ -95,12 +89,12 @@ class Profile {
   friend std::string render_diff(const Profile&, const Profile&, hw::EventKind,
                                  std::size_t);
 
-  std::size_t row_slot(std::uint64_t hash, std::string_view image,
-                       std::string_view symbol, SampleDomain domain);
+  std::size_t row_slot(std::uint64_t hash, support::Name image, support::Name symbol,
+                       SampleDomain domain);
   /// Row positions of the first `top_n` rows in ranked(primary) order.
   std::vector<std::uint32_t> rank(hw::EventKind primary, std::size_t top_n) const;
-  const ProfileRow* find_hashed(std::uint64_t hash, std::string_view image,
-                                std::string_view symbol) const;
+  const ProfileRow* find_hashed(std::uint64_t hash, support::Name image,
+                                support::Name symbol) const;
 
   std::vector<ProfileRow> rows_;
   /// (image, symbol) -> index into rows_.
@@ -113,52 +107,5 @@ class Profile {
 /// service snapshot diff and the store's window-vs-window queries.
 std::string render_diff(const Profile& before, const Profile& after,
                         hw::EventKind event, std::size_t top_n);
-
-/// Per-batch (or per-shard) memo from a resolution's stable identity —
-/// (domain, pid, sample epoch, symbol_base) — to its interned row index in
-/// one target Profile: repeated symbols are bumped through the cached row
-/// index, skipping Profile::add's per-sample name hashing. Only resolutions
-/// with symbol_size != 0 are memoised: the unresolved degradation bins all
-/// report base 0, so they always take the exact add() path. A memo is valid
-/// for exactly one Profile and one batch; start a fresh one per batch.
-class RowMemo {
- public:
-  void add(Profile& out, hw::EventKind event, hw::Pid pid, std::uint64_t epoch,
-           const Resolution& res, std::uint64_t count = 1) {
-    if (res.symbol_size == 0) {
-      out.add(event, res, count);
-      return;
-    }
-    const Key key{res.symbol_base, epoch, pid, static_cast<std::uint8_t>(res.domain)};
-    const auto [it, inserted] = map_.try_emplace(key, 0);
-    if (inserted) it->second = out.row_index(res);
-    out.bump(it->second, event, count);
-  }
-
-  void clear() { map_.clear(); }
-
- private:
-  struct Key {
-    hw::Address base = 0;
-    std::uint64_t epoch = 0;
-    hw::Pid pid = 0;
-    std::uint8_t domain = 0;
-
-    bool operator==(const Key& o) const {
-      return base == o.base && epoch == o.epoch && pid == o.pid && domain == o.domain;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.base * 0x9e3779b97f4a7c15ull;
-      h ^= (k.epoch + 0x7f4a7c15u) * 0xc2b2ae3d27d4eb4full;
-      h ^= (static_cast<std::uint64_t>(k.pid) << 8 | k.domain) * 0x165667b19e3779f9ull;
-      h ^= h >> 29;
-      return static_cast<std::size_t>(h);
-    }
-  };
-
-  std::unordered_map<Key, std::size_t, KeyHash> map_;
-};
 
 }  // namespace viprof::core

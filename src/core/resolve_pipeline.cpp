@@ -31,11 +31,7 @@ ResolveStats ResolvePipeline::aggregate_profile(
   const std::size_t n = samples.size();
   const std::size_t shards = shard_count(n);
   if (shards <= 1) {
-    // Batched interning even when serial: repeated symbols bump a cached
-    // row index instead of rebuilding the profile key per sample.
-    RowMemo memo;
-    for (const LoggedSample& s : samples)
-      memo.add(out, event, s.pid, s.epoch, fn(s, total));
+    for (const LoggedSample& s : samples) out.add(event, fn(s, total));
     return total;
   }
 
@@ -44,11 +40,7 @@ ResolveStats ResolvePipeline::aggregate_profile(
   pool_->parallel_for(shards, [&](std::size_t k) {
     const std::size_t lo = n * k / shards;
     const std::size_t hi = n * (k + 1) / shards;
-    RowMemo memo;  // one per shard: a memo is valid for one target Profile
-    for (std::size_t i = lo; i < hi; ++i) {
-      const LoggedSample& s = samples[i];
-      memo.add(parts[k], event, s.pid, s.epoch, fn(s, stats[k]));
-    }
+    for (std::size_t i = lo; i < hi; ++i) parts[k].add(event, fn(samples[i], stats[k]));
   });
   // Merges commute (DESIGN.md §9): the shards fold in any order into the
   // same ranking as the serial loop.

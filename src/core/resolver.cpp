@@ -26,12 +26,6 @@ bool scan_domain_counts(std::string_view& s, std::optional<SampleDomain>& domain
   return true;
 }
 
-namespace {
-
-constexpr const char* kNoSymbols = "(no symbols)";
-
-}  // namespace
-
 Resolver::Resolver(const os::Machine& machine, const RegistrationTable& table,
                    bool vm_aware)
     : machine_(&machine), table_(&table), vm_aware_(vm_aware) {
@@ -53,9 +47,8 @@ void Resolver::load() {
       if (const auto contents = machine_->vfs().read(reg.boot_map_path)) {
         boot_maps_[reg.pid] = parse_rvm_map(*contents);
         const auto slash = reg.boot_map_path.rfind('/');
-        boot_labels_[reg.pid] =
-            slash == std::string::npos ? reg.boot_map_path
-                                       : reg.boot_map_path.substr(slash + 1);
+        boot_labels_[reg.pid] = std::string_view(reg.boot_map_path).substr(
+            slash == std::string::npos ? 0 : slash + 1);
       }
     }
     CodeMapIndex index;
@@ -87,31 +80,43 @@ Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
 }
 
 void Resolver::fold(const ResolveStats& stats) const {
-  jit_resolved_.fetch_add(stats.jit_resolved, std::memory_order_relaxed);
-  jit_unresolved_.fetch_add(stats.jit_unresolved, std::memory_order_relaxed);
-  backward_steps_.fetch_add(stats.backward_steps, std::memory_order_relaxed);
-  unresolved_missing_map_.fetch_add(stats.unresolved_missing_map,
-                                    std::memory_order_relaxed);
-  unresolved_truncated_map_.fetch_add(stats.unresolved_truncated_map,
-                                      std::memory_order_relaxed);
+  // Zero tallies are skipped: a one-sample fold touches one or two shared
+  // cache lines, not eleven.
+  const auto add = [](std::atomic<std::uint64_t>& total, support::Counter* tele,
+                      std::uint64_t n) {
+    if (n == 0) return;
+    total.fetch_add(n, std::memory_order_relaxed);
+    if (tele != nullptr) tele->inc(n);
+  };
+  add(jit_resolved_, tele_jit_resolved_, stats.jit_resolved);
+  add(jit_unresolved_, tele_jit_unresolved_, stats.jit_unresolved);
+  add(backward_steps_, nullptr, stats.backward_steps);
+  add(unresolved_missing_map_, tele_missing_map_, stats.unresolved_missing_map);
+  add(unresolved_truncated_map_, tele_truncated_map_, stats.unresolved_truncated_map);
+  for (std::size_t d = 0; d < ResolveStats::kDepthSlots; ++d)
+    tele_walkback_->add(static_cast<double>(d), stats.hits_at_depth[d]);
 }
 
 Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                                 std::uint64_t epoch, ResolveStats& stats) const {
   VIPROF_CHECK(loaded_);
+  const ResolveNames& names = ResolveNames::get();
   Resolution out;
+  out.symbol = names.no_symbols;
+  // Symbol `sym` of a table whose offset 0 sits at address `base`.
+  const auto attribute = [&out](const std::optional<os::Symbol>& sym, hw::Address base) {
+    if (!sym) return;
+    out.symbol = sym->name;
+    out.symbol_base = base + sym->offset;
+    out.symbol_size = sym->size;
+  };
 
   const auto& hyp = machine_->hypervisor();
   if (hyp && (mode == hw::CpuMode::kHypervisor || hyp->contains(pc))) {
     out.domain = SampleDomain::kHypervisor;
     const os::Image& ximg = machine_->registry().get(hyp->image);
     out.image = ximg.name();
-    const auto sym = ximg.symbols().find(pc - hyp->base);
-    out.symbol = sym ? sym->name : kNoSymbols;
-    if (sym) {
-      out.symbol_base = hyp->base + sym->offset;
-      out.symbol_size = sym->size;
-    }
+    attribute(ximg.symbols().find(pc - hyp->base), hyp->base);
     return out;
   }
 
@@ -119,12 +124,8 @@ Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
     out.domain = SampleDomain::kKernel;
     const os::Image& kimg = machine_->registry().get(machine_->kernel().image());
     out.image = kimg.name();
-    const auto sym = kimg.symbols().find(machine_->kernel().offset_of(pc));
-    out.symbol = sym ? sym->name : kNoSymbols;
-    if (sym) {
-      out.symbol_base = machine_->kernel().base() + sym->offset;
-      out.symbol_size = sym->size;
-    }
+    attribute(kimg.symbols().find(machine_->kernel().offset_of(pc)),
+              machine_->kernel().base());
     return out;
   }
 
@@ -133,47 +134,39 @@ Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
   if (proc == nullptr) {
     out.domain = SampleDomain::kUnknown;
     out.image = "unknown-pid-" + std::to_string(pid);
-    out.symbol = kNoSymbols;
     return out;
   }
 
   const auto vma = proc->address_space().find(pc);
   if (!vma) {
     out.domain = SampleDomain::kUnknown;
-    out.image = "unmapped";
-    out.symbol = kNoSymbols;
+    out.image = names.unmapped;
     return out;
   }
 
   const os::Image& img = machine_->registry().get(vma->image);
   const std::uint64_t offset = vma->file_offset + (pc - vma->start);
+  const hw::Address image_base = vma->start - vma->file_offset;
 
   switch (img.kind()) {
     case os::ImageKind::kBootImage: {
+      out.domain = SampleDomain::kBoot;
       if (vm_aware_) {
         auto bm = boot_maps_.find(pid);
         if (bm != boot_maps_.end()) {
-          out.domain = SampleDomain::kBoot;
           out.image = boot_labels_.at(pid);
-          const auto sym = bm->second.find(offset);
-          out.symbol = sym ? sym->name : kNoSymbols;
-          if (sym) {
-            out.symbol_base = vma->start - vma->file_offset + sym->offset;
-            out.symbol_size = sym->size;
-          }
+          attribute(bm->second.find(offset), image_base);
           return out;
         }
       }
-      out.domain = SampleDomain::kBoot;
       out.image = img.name();  // opaque blob: RVM.code.image / CLR.native.image
-      out.symbol = kNoSymbols;
       return out;
     }
     case os::ImageKind::kAnon: {
       if (vm_aware_) {
         if (const VmRegistration* reg = table_->find_heap(pid, pc)) {
           out.domain = SampleDomain::kJit;
-          out.image = "JIT.App";
+          out.image = names.jit_image;
           auto jm = jit_maps_.find(reg->pid);
           const CodeMapIndex::Lookup lk =
               jm != jit_maps_.end() ? jm->second.lookup(pc, epoch)
@@ -186,25 +179,24 @@ Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
             out.symbol_size = lk.hit->size;
             stats.backward_steps += lk.hit->maps_searched;
             ++stats.jit_resolved;
-            tele_jit_resolved_->inc();
-            tele_walkback_->add(static_cast<double>(lk.hit->maps_searched));
+            if (lk.hit->maps_searched < ResolveStats::kDepthSlots)
+              ++stats.hits_at_depth[lk.hit->maps_searched];
+            else
+              tele_walkback_->add(static_cast<double>(lk.hit->maps_searched));
             return out;
           }
           ++stats.jit_unresolved;
-          tele_jit_unresolved_->inc();
           switch (lk.miss) {
             case JitLookupMiss::kMissingEpochMap:
               ++stats.unresolved_missing_map;
-              tele_missing_map_->inc();
-              out.symbol = kUnresolvedMissingMap;
+              out.symbol = names.missing_map;
               break;
             case JitLookupMiss::kTruncatedMap:
               ++stats.unresolved_truncated_map;
-              tele_truncated_map_->inc();
-              out.symbol = kUnresolvedTruncatedMap;
+              out.symbol = names.truncated_map;
               break;
             default:
-              out.symbol = kUnknownJit;
+              out.symbol = names.unknown_jit;
               break;
           }
           return out;
@@ -213,22 +205,12 @@ Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
       out.domain = SampleDomain::kAnon;
       out.image = "anon (range:" + support::hex(vma->start) + "-" +
                   support::hex(vma->end) + ")," + proc->name();
-      out.symbol = kNoSymbols;
       return out;
     }
     default: {
       out.domain = SampleDomain::kImage;
       out.image = img.name();
-      if (img.stripped()) {
-        out.symbol = kNoSymbols;
-        return out;
-      }
-      const auto sym = img.symbols().find(offset);
-      out.symbol = sym ? sym->name : kNoSymbols;
-      if (sym) {
-        out.symbol_base = vma->start - vma->file_offset + sym->offset;
-        out.symbol_size = sym->size;
-      }
+      if (!img.stripped()) attribute(img.symbols().find(offset), image_base);
       return out;
     }
   }

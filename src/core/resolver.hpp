@@ -24,6 +24,7 @@
 #include "core/registration.hpp"
 #include "core/sample_log.hpp"
 #include "os/machine.hpp"
+#include "support/interner.hpp"
 #include "support/telemetry.hpp"
 
 namespace viprof::core {
@@ -63,9 +64,11 @@ std::optional<SampleDomain> domain_from_string(std::string_view name);
 bool scan_domain_counts(std::string_view& s, std::optional<SampleDomain>& domain,
                         std::uint64_t (&counts)[hw::kEventKindCount]);
 
+/// One resolved sample. Names are interned ids (support/interner.hpp), so a
+/// Resolution is a 32-byte value that copies no string.
 struct Resolution {
-  std::string image;
-  std::string symbol;
+  support::Name image;
+  support::Name symbol;
   SampleDomain domain = SampleDomain::kUnknown;
   std::uint32_t maps_searched = 0;  // JIT hits: backward-search depth
 
@@ -78,13 +81,20 @@ struct Resolution {
 
 /// Resolution outcome tallies. The parallel pipeline gives each shard its
 /// own ResolveStats and folds them into the resolver afterwards, so worker
-/// threads never contend on shared counters.
+/// threads never contend on shared counters, telemetry included.
 struct ResolveStats {
+  /// Slots of the walk-depth tally below.
+  static constexpr std::size_t kDepthSlots = 16;
+
   std::uint64_t jit_resolved = 0;
   std::uint64_t jit_unresolved = 0;
   std::uint64_t backward_steps = 0;
   std::uint64_t unresolved_missing_map = 0;
   std::uint64_t unresolved_truncated_map = 0;
+  /// JIT hits by backward-walk depth (maps searched), for the
+  /// resolver.walkback.depth histogram. A hit as deep as kDepthSlots or
+  /// deeper is rare and goes straight to the histogram instead.
+  std::uint64_t hits_at_depth[kDepthSlots] = {};
 
   void merge(const ResolveStats& o) {
     jit_resolved += o.jit_resolved;
@@ -92,15 +102,17 @@ struct ResolveStats {
     backward_steps += o.backward_steps;
     unresolved_missing_map += o.unresolved_missing_map;
     unresolved_truncated_map += o.unresolved_truncated_map;
+    for (std::size_t d = 0; d < kDepthSlots; ++d) hits_at_depth[d] += o.hits_at_depth[d];
   }
 };
 
 /// Thread-safety contract (DESIGN.md §9): after load(), the stats-taking
 /// resolve()/resolve_pc() overloads are safe to call from any number of
 /// threads concurrently — they mutate nothing but the caller's ResolveStats
-/// and the (atomic/mutexed) telemetry handles. The stats-less overloads and
-/// fold() are also thread-safe; the tallies behind the accessors are
-/// atomics. load() itself is exclusive.
+/// (and, for a walk deeper than its depth slots, the mutexed walk-depth
+/// histogram). The stats-less overloads and fold() are also thread-safe;
+/// the tallies behind the accessors are atomics, and fold() publishes the
+/// resolver.* telemetry. load() itself is exclusive.
 class Resolver {
  public:
   /// `vm_aware` selects VIProf behaviour; false reproduces stock OProfile.
@@ -144,7 +156,8 @@ class Resolver {
   Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                         std::uint64_t epoch, ResolveStats& stats) const;
 
-  /// Adds shard tallies into the internal counters.
+  /// Adds shard tallies into the internal counters and the resolver.*
+  /// telemetry.
   void fold(const ResolveStats& stats) const;
 
   const CodeMapIndex* code_maps(hw::Pid pid) const;
@@ -177,7 +190,7 @@ class Resolver {
   // Per registered VM: parsed boot map (+ its display label) and the
   // epoch code-map index.
   std::unordered_map<hw::Pid, os::SymbolTable> boot_maps_;
-  std::unordered_map<hw::Pid, std::string> boot_labels_;
+  std::unordered_map<hw::Pid, support::Name> boot_labels_;
   std::unordered_map<hw::Pid, CodeMapIndex> jit_maps_;
 
   mutable std::atomic<std::uint64_t> jit_resolved_{0};
@@ -203,5 +216,22 @@ class Resolver {
 inline constexpr const char* kUnresolvedMissingMap = "unresolved.missing_map";
 inline constexpr const char* kUnresolvedTruncatedMap = "unresolved.truncated_map";
 inline constexpr const char* kUnknownJit = "(unknown JIT code)";
+inline constexpr const char* kNoSymbols = "(no symbols)";
+inline constexpr const char* kJitImage = "JIT.App";
+
+/// The fixed names both resolvers report, interned once per process.
+struct ResolveNames {
+  support::Name no_symbols{kNoSymbols};
+  support::Name jit_image{kJitImage};
+  support::Name unmapped{"unmapped"};
+  support::Name missing_map{kUnresolvedMissingMap};
+  support::Name truncated_map{kUnresolvedTruncatedMap};
+  support::Name unknown_jit{kUnknownJit};
+
+  static const ResolveNames& get() {
+    static const ResolveNames names;
+    return names;
+  }
+};
 
 }  // namespace viprof::core

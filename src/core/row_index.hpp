@@ -1,38 +1,39 @@
 // One string-free row index for every profile fold (DESIGN.md §9).
 //
 // Profile and CallGraph keep their rows in a vector; RowIndex maps a row's
-// names to its position in that vector without ever building a key
-// string. It is an open-addressing table of uint32 row ids plus one cached
-// 64-bit hash per row. Equality is decided by the owning container — the
-// caller passes a predicate that compares its own row `id` against the
-// probe's names — so a lookup hit allocates nothing, and a fold of one
-// container into another reuses the source row's cached hash instead of
-// rehashing its names.
+// interned name ids to its position in that vector. It is an
+// open-addressing table of uint32 row ids plus one cached 64-bit hash per
+// row. Equality is decided by the owning container — the caller passes a
+// predicate that compares its own row `id` against the probe's name ids —
+// so a lookup hashes and compares integers only and a hit allocates
+// nothing, and a fold of one container into another reuses the source
+// row's cached hash.
 //
 // rank_top() is the one ranking helper every top-N table goes through. Its
-// order depends on the rows' counts and names only, never on where a row
-// sits in the vector, so folds may run in any order.
+// order depends on the rows' counts and name *text* only, never on where a
+// row sits in the vector or on id values, so folds may run in any order
+// and names may be interned in any order.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "support/hash.hpp"
+#include "support/interner.hpp"
 
 namespace viprof::core {
 
-/// Hash of a profile row's identity, (image, symbol).
-inline std::uint64_t row_hash(std::string_view image, std::string_view symbol) {
-  const std::hash<std::string_view> h;
-  return support::fmix64(h(image) * 0x9e3779b97f4a7c15ull ^ h(symbol));
+/// Hash of a profile row's identity, (image, symbol). It hashes ids, so it
+/// places rows in the table only; nothing ordered or printed depends on it.
+inline std::uint64_t row_hash(support::Name image, support::Name symbol) {
+  return support::fmix64(std::uint64_t{image.id()} << 32 | symbol.id());
 }
 
 /// Hash of a call arc's identity, its caller and callee rows (ordered).
-inline std::uint64_t arc_hash(std::string_view caller_image, std::string_view caller_symbol,
-                              std::string_view callee_image, std::string_view callee_symbol) {
+inline std::uint64_t arc_hash(support::Name caller_image, support::Name caller_symbol,
+                              support::Name callee_image, support::Name callee_symbol) {
   return support::fmix64(row_hash(caller_image, caller_symbol) * 0xc2b2ae3d27d4eb4full ^
                          row_hash(callee_image, callee_symbol));
 }

@@ -20,7 +20,7 @@ os::SymbolTable parse_rvm_map(const std::string& contents) {
     // truncated, not rejected — a boot map is trusted input, unlike the
     // checksummed epoch maps.
     if (name.size() > 511) name = name.substr(0, 511);
-    table.add(std::string(name), offset, size);
+    table.add(name, offset, size);
   };
   support::LineCursor cursor(contents);
   std::string_view line;

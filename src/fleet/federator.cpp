@@ -8,6 +8,7 @@
 #include "hw/event.hpp"
 #include "memprof/report.hpp"
 #include "support/format.hpp"
+#include "support/interner.hpp"
 #include "support/traced_mutex.hpp"
 
 namespace viprof::fleet {
@@ -185,6 +186,7 @@ std::string Federator::render_diff(const std::string& before_session,
 }
 
 std::string Federator::stats(bool as_json) const {
+  support::publish_interner_gauges(router_->telemetry());
   if (as_json) {
     std::string out = "{\"fleet\":" + router_->telemetry().snapshot().to_json();
     out += ",\"shards\":{";

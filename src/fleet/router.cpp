@@ -4,6 +4,7 @@
 
 #include "service/client.hpp"
 #include "support/check.hpp"
+#include "support/interner.hpp"
 #include "support/traced_mutex.hpp"
 
 namespace viprof::fleet {
@@ -368,6 +369,7 @@ std::size_t Router::export_telemetry() {
     publish(s->name + "/metrics.json", t.snapshot().to_json());
     publish(s->name + "/trace.json", t.spans().to_chrome_json(1000.0));
   }
+  support::publish_interner_gauges(telemetry_);
   publish("fleet/metrics.json", telemetry_.snapshot().to_json());
   publish("fleet/trace.json", telemetry_.spans().to_chrome_json(1000.0));
   return written;

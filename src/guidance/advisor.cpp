@@ -19,19 +19,20 @@ Advice Advisor::analyze(const core::Profile& profile, hw::EventKind event) const
 
   for (const core::ProfileRow& row : profile.ranked(event)) {
     const double row_frac = static_cast<double>(row.count(event)) / total;
+    const std::string_view symbol = row.symbol;
     if (row.domain == core::SampleDomain::kJit &&
         row_frac >= config_.hot_method_threshold &&
         advice.hot_methods.size() < config_.max_methods &&
-        row.symbol.find('(') == std::string::npos) {  // skip "(unknown ...)"
-      advice.hot_methods.push_back({row.symbol, row_frac});
+        symbol.find('(') == std::string_view::npos) {  // skip "(unknown ...)"
+      advice.hot_methods.push_back({std::string(symbol), row_frac});
     }
     if (row.domain == core::SampleDomain::kKernel &&
         row_frac >= config_.kernel_threshold &&
         advice.kernel_hotspots.size() < config_.max_kernel &&
-        row.symbol.find('(') == std::string::npos) {
+        symbol.find('(') == std::string_view::npos) {
       // The profiler's own kernel half is not a specialisation target.
-      if (row.symbol.rfind("oprofile", 0) != 0) {
-        advice.kernel_hotspots.push_back({row.symbol, row_frac});
+      if (!symbol.starts_with("oprofile")) {
+        advice.kernel_hotspots.push_back({std::string(symbol), row_frac});
       }
     }
   }

@@ -44,7 +44,7 @@ hw::Cycles MemProfAgent::on_vm_start(const jvm::VmStartInfo& info) {
 }
 
 hw::Cycles MemProfAgent::on_alloc_site(std::uint32_t site, const std::string& name) {
-  sites_.push_back({site, name});
+  sites_.push_back({site, support::Name(name)});
   ++stats_.sites_announced;
   stats_.cost_cycles += config_.site_hook_cost;
   return config_.site_hook_cost;

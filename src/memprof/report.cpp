@@ -62,8 +62,12 @@ std::string render_memprof(const SiteTable& sites, const core::Profile& profile,
   };
   std::vector<Row> rows;
   rows.reserve(by_site.size());
+  // Names are looked up, never interned: a name no row carries has no id.
+  const auto object_image = support::Name::lookup(kObjectImage);
   for (const auto& [site, agg] : by_site) {
-    const core::ProfileRow* pr = profile.find(kObjectImage, core::site_symbol(site));
+    const auto symbol = object_image ? support::Name::lookup(core::site_symbol(site))
+                                     : std::nullopt;
+    const core::ProfileRow* pr = symbol ? profile.find(*object_image, *symbol) : nullptr;
     rows.push_back({site, pr ? pr->count(hw::EventKind::kObjDmiss) : 0, &agg});
   }
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {

@@ -4,9 +4,16 @@ namespace viprof::memprof {
 
 core::Resolution resolve_object(const core::CodeMapIndex* index, hw::Address addr,
                                 std::uint64_t epoch, ObjectResolveStats* stats) {
+  // The fixed names object rows report, interned once per process.
+  static const struct {
+    support::Name image{kObjectImage};
+    support::Name no_map{kUnresolvedObjNoMap};
+    support::Name truncated{kUnresolvedObjTruncated};
+    support::Name untracked{kUnresolvedObjUntracked};
+  } names;
   core::Resolution out;
   out.domain = core::SampleDomain::kObject;
-  out.image = kObjectImage;
+  out.image = names.image;
 
   const core::CodeMapIndex::Lookup lk =
       index != nullptr
@@ -28,15 +35,15 @@ core::Resolution resolve_object(const core::CodeMapIndex* index, hw::Address add
     case core::JitLookupMiss::kMissingEpochMap:
     case core::JitLookupMiss::kNoMaps:
       if (stats != nullptr) ++stats->no_map;
-      out.symbol = kUnresolvedObjNoMap;
+      out.symbol = names.no_map;
       break;
     case core::JitLookupMiss::kTruncatedMap:
       if (stats != nullptr) ++stats->truncated_map;
-      out.symbol = kUnresolvedObjTruncated;
+      out.symbol = names.truncated;
       break;
     default:
       if (stats != nullptr) ++stats->untracked;
-      out.symbol = kUnresolvedObjUntracked;
+      out.symbol = names.untracked;
       break;
   }
   return out;

@@ -19,7 +19,7 @@ SiteStats& SiteTable::site(hw::Pid pid, std::uint32_t idx) {
   return s;
 }
 
-void SiteTable::adopt_name(hw::Pid pid, std::uint32_t idx, const std::string& name) {
+void SiteTable::adopt_name(hw::Pid pid, std::uint32_t idx, std::string_view name) {
   SiteStats& s = site(pid, idx);
   // Lexicographic-min among dictionary names: within a session every
   // intact map carries the same dictionary, and across sessions that

@@ -94,7 +94,7 @@ class SiteTable {
   };
 
   SiteStats& site(hw::Pid pid, std::uint32_t site);
-  void adopt_name(hw::Pid pid, std::uint32_t site, const std::string& name);
+  void adopt_name(hw::Pid pid, std::uint32_t site, std::string_view name);
   static void index(Partition& part);
   /// Charges `file`'s first sightings and first deaths to `part` and to the
   /// table-wide per-site totals.

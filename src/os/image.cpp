@@ -4,10 +4,10 @@
 
 namespace viprof::os {
 
-Image& ImageRegistry::create(std::string name, ImageKind kind, std::uint64_t size,
+Image& ImageRegistry::create(std::string_view name, ImageKind kind, std::uint64_t size,
                              bool stripped) {
   const auto id = static_cast<ImageId>(images_.size());
-  images_.push_back(std::make_unique<Image>(id, std::move(name), kind, size, stripped));
+  images_.push_back(std::make_unique<Image>(id, name, kind, size, stripped));
   return *images_.back();
 }
 
@@ -21,7 +21,7 @@ const Image& ImageRegistry::get(ImageId id) const {
   return *images_[id];
 }
 
-const Image* ImageRegistry::find_by_name(const std::string& name) const {
+const Image* ImageRegistry::find_by_name(std::string_view name) const {
   for (const auto& img : images_)
     if (img->name() == name) return img.get();
   return nullptr;

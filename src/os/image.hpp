@@ -10,10 +10,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "os/symbol_table.hpp"
+#include "support/interner.hpp"
 
 namespace viprof::os {
 
@@ -41,12 +42,12 @@ inline const char* to_string(ImageKind kind) {
 
 class Image {
  public:
-  Image(ImageId id, std::string name, ImageKind kind, std::uint64_t size,
+  Image(ImageId id, std::string_view name, ImageKind kind, std::uint64_t size,
         bool stripped = false)
-      : id_(id), name_(std::move(name)), kind_(kind), size_(size), stripped_(stripped) {}
+      : id_(id), name_(name), kind_(kind), size_(size), stripped_(stripped) {}
 
   ImageId id() const { return id_; }
-  const std::string& name() const { return name_; }
+  support::Name name() const { return name_; }
   ImageKind kind() const { return kind_; }
   std::uint64_t size() const { return size_; }
 
@@ -59,7 +60,7 @@ class Image {
 
  private:
   ImageId id_;
-  std::string name_;
+  support::Name name_;
   ImageKind kind_;
   std::uint64_t size_;
   bool stripped_;
@@ -68,12 +69,12 @@ class Image {
 
 class ImageRegistry {
  public:
-  Image& create(std::string name, ImageKind kind, std::uint64_t size,
+  Image& create(std::string_view name, ImageKind kind, std::uint64_t size,
                 bool stripped = false);
 
   Image& get(ImageId id);
   const Image& get(ImageId id) const;
-  const Image* find_by_name(const std::string& name) const;
+  const Image* find_by_name(std::string_view name) const;
   std::size_t count() const { return images_.size(); }
 
  private:

@@ -18,8 +18,8 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
   return *this;
 }
 
-void SymbolTable::add(std::string name, std::uint64_t offset, std::uint64_t size) {
-  symbols_.push_back(Symbol{std::move(name), offset, size});
+void SymbolTable::add(std::string_view name, std::uint64_t offset, std::uint64_t size) {
+  symbols_.push_back(Symbol{support::Name(name), offset, size});
   sorted_.store(false, std::memory_order_release);
 }
 

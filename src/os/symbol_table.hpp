@@ -6,13 +6,15 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
+#include <string_view>
 #include <vector>
+
+#include "support/interner.hpp"
 
 namespace viprof::os {
 
 struct Symbol {
-  std::string name;
+  support::Name name;  // interned once, when the table is built
   std::uint64_t offset = 0;  // from image base
   std::uint64_t size = 0;
 };
@@ -29,7 +31,7 @@ class SymbolTable {
   SymbolTable& operator=(const SymbolTable&) = delete;
 
   /// Adds a symbol; offsets may arrive unordered, the table sorts lazily.
-  void add(std::string name, std::uint64_t offset, std::uint64_t size);
+  void add(std::string_view name, std::uint64_t offset, std::uint64_t size);
 
   /// Symbol covering `offset`, if any. Symbols must not overlap (checked
   /// at first lookup after mutation).

@@ -12,7 +12,11 @@ constexpr const char* kHeader = "viprof-snapshot v1";
 void append_counts_and_names(std::string& out, const core::ProfileRow& row) {
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
     out += " " + std::to_string(row.counts[e]);
-  out += "\t" + row.image + "\t" + row.symbol + "\n";
+  out += '\t';
+  out += row.image.view();
+  out += '\t';
+  out += row.symbol.view();
+  out += '\n';
 }
 
 /// "<domain> c0 .. cN\t<image>\t<symbol>" (one count per event kind) → one
@@ -31,8 +35,8 @@ bool parse_row_into(std::string_view fields, core::Profile& profile) {
     return false;
 
   core::Resolution res;
-  res.image = std::string(fields.substr(tab1 + 1, tab2 - tab1 - 1));
-  res.symbol = std::string(fields.substr(tab2 + 1));
+  res.image = fields.substr(tab1 + 1, tab2 - tab1 - 1);
+  res.symbol = fields.substr(tab2 + 1);
   res.domain = *domain;
   bool added = false;
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e) {

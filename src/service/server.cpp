@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
-#include <tuple>
 
 #include "core/code_map.hpp"
 #include "memprof/report.hpp"
@@ -12,6 +11,7 @@
 #include "service/query.hpp"
 #include "store/profile_store.hpp"
 #include "support/format.hpp"
+#include "support/interner.hpp"
 
 namespace viprof::service {
 
@@ -39,6 +39,26 @@ class PinnedJitSource final : public core::JitIndexSource {
   }
 
   std::map<hw::Pid, CodeMapCache::IndexPtr> pins_;
+};
+
+/// The batch's per-epoch partial for a sample's epoch. Samples arrive in
+/// epoch runs, so the map is searched once per run, not once per sample.
+class EpochCursor {
+ public:
+  explicit EpochCursor(BatchResult& result) : result_(result) {}
+
+  core::Profile& at(std::uint64_t epoch) {
+    if (current_ == nullptr || epoch != epoch_) {
+      epoch_ = epoch;
+      current_ = &result_.epoch_partial[epoch];
+    }
+    return *current_;
+  }
+
+ private:
+  BatchResult& result_;
+  core::Profile* current_ = nullptr;
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace
@@ -338,21 +358,12 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
                      [session, dir, pid = pid]() { return session->object_index(dir, pid); });
     }
     const std::uint64_t resolve_t0 = support::monotonic_ns();
-    core::RowMemo combined_memo;
-    std::map<std::uint64_t, core::RowMemo> epoch_memos;
-    core::Profile* epoch_profile = nullptr;
-    core::RowMemo* epoch_memo = nullptr;
-    std::uint64_t memo_epoch = ~0ull;
+    EpochCursor epochs(result);
     for (const core::LoggedSample& sample : batch.samples) {
       const core::Resolution res = memprof::resolve_object(
           obj.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
-      combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
-      if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
-        memo_epoch = sample.epoch;
-        epoch_profile = &result.epoch_partial[sample.epoch];
-        epoch_memo = &epoch_memos[sample.epoch];
-      }
-      epoch_memo->add(*epoch_profile, batch.event, sample.pid, sample.epoch, res);
+      result.partial.add(batch.event, res);
+      epochs.at(sample.epoch).add(batch.event, res);
     }
     telemetry_.spans().record("service.batch.resolve", "service", resolve_t0,
                               support::monotonic_ns(), batch.apply_seq,
@@ -382,50 +393,17 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   }
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
-  // Batched interning (DESIGN.md §14): repeated symbols inside one batch
-  // bump cached row/arc indices; the partials' tables see one name hash
-  // and lookup per distinct row, not one per sample.
-  core::RowMemo combined_memo;
-  std::map<std::uint64_t, core::RowMemo> epoch_memos;
-  core::Profile* epoch_profile = nullptr;
-  core::RowMemo* epoch_memo = nullptr;
-  std::uint64_t memo_epoch = ~0ull;
-  // resolve_pc over a pinned index generation is deterministic per
-  // (pc, pid, epoch), and callers repeat heavily within a batch.
-  std::map<std::tuple<hw::Address, hw::Pid, std::uint64_t>, core::Resolution>
-      caller_memo;
-  std::map<std::tuple<hw::Address, hw::Pid, std::uint64_t, hw::Address, std::uint8_t>,
-           std::size_t>
-      arc_memo;
+  // Resolutions carry interned name ids (DESIGN.md §14): each row or arc
+  // lookup hashes integers, so no per-batch memo sits in front of it.
+  EpochCursor epochs(result);
   for (const core::LoggedSample& sample : batch.samples) {
     const core::Resolution res = resolver->resolve(sample, &jit);
-    combined_memo.add(result.partial, batch.event, sample.pid, sample.epoch, res);
-    if (epoch_profile == nullptr || sample.epoch != memo_epoch) {
-      memo_epoch = sample.epoch;
-      epoch_profile = &result.epoch_partial[sample.epoch];
-      epoch_memo = &epoch_memos[sample.epoch];
-    }
-    epoch_memo->add(*epoch_profile, batch.event, sample.pid, sample.epoch, res);
+    result.partial.add(batch.event, res);
+    epochs.at(sample.epoch).add(batch.event, res);
     if (sample.caller_pc != 0) {
-      const auto caller_key =
-          std::make_tuple(sample.caller_pc, sample.pid, sample.epoch);
-      auto [cit, caller_new] = caller_memo.try_emplace(caller_key);
-      if (caller_new)
-        cit->second = resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
-                                           sample.pid, sample.epoch, &jit);
-      const core::Resolution& caller = cit->second;
-      if (res.symbol_size != 0) {
-        const auto arc_key =
-            std::make_tuple(sample.caller_pc, sample.pid, sample.epoch,
-                            res.symbol_base, static_cast<std::uint8_t>(res.domain));
-        auto [ait, arc_new] = arc_memo.try_emplace(arc_key, 0);
-        if (arc_new) ait->second = result.arcs.arc_index(caller, res);
-        result.arcs.bump_arc(ait->second);
-      } else {
-        // Unresolved bins share symbol_base 0 across distinct names — not
-        // memoisable by identity, same rule as RowMemo.
-        result.arcs.add_resolved(caller, res);
-      }
+      result.arcs.add_resolved(resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
+                                                    sample.pid, sample.epoch, &jit),
+                               res);
     }
   }
   const std::uint64_t resolve_t1 = support::monotonic_ns();
@@ -570,8 +548,8 @@ std::string ProfileServer::query(const std::string& text) {
       for (const core::CallArc& arc : s->ranked_arcs()) {
         if (emitted >= top) break;
         table.add_row({std::to_string(arc.count),
-                       arc.caller_image + ":" + arc.caller_symbol, "->",
-                       arc.callee_image + ":" + arc.callee_symbol});
+                       core::arc_endpoint(arc.caller_image, arc.caller_symbol), "->",
+                       core::arc_endpoint(arc.callee_image, arc.callee_symbol)});
         ++emitted;
       }
     }
@@ -603,6 +581,7 @@ std::string ProfileServer::query(const std::string& text) {
     bool as_json = false;
     while (in >> word)
       if (word == "--json") as_json = true;
+    support::publish_interner_gauges(telemetry_);
     const support::TelemetrySnapshot snap = telemetry_.snapshot();
     return as_json ? snap.to_json() : snap.render_text();
   }
@@ -635,6 +614,7 @@ bool ProfileServer::export_state(const std::string& dir, std::size_t top) {
     out.write(id + "/profile.txt", session_report(id, top, kReportEvents));
   }
   out.write("service.snap", snapshot());
+  support::publish_interner_gauges(telemetry_);
   out.write("metrics.json", telemetry_.snapshot().to_json());
   out.write("trace.json", telemetry_.spans().to_chrome_json(1000.0));
   out.export_to_directory(dir);

@@ -95,11 +95,10 @@ void ServerSession::store_file(const std::string& path, std::string bytes) {
   const auto omap = object_map_key(path);
   std::shared_ptr<const core::ObjectMapFile> map;
   if (omap) {
-    // The file-name epoch is the salvage hint, exactly as load_object_index
-    // uses it, so the kept map equals what a full reload would parse.
-    const auto hint = core::ObjectMapFile::epoch_from_path(path);
+    // Salvaged by file name, exactly as load_object_index does, so the kept
+    // map equals what a full reload would parse.
     map = std::make_shared<const core::ObjectMapFile>(
-        core::ObjectMapFile::salvage(bytes, hint.value_or(0)).file);
+        core::ObjectMapFile::salvage_file(path, bytes).file);
   }
   {
     std::lock_guard<std::mutex> lock(world_mu_);

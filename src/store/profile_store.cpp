@@ -416,9 +416,13 @@ std::string ProfileStore::render_series(const WindowSpec& w, const std::string& 
   for (const IntervalProfile* iv : ivs)
     ticks[{iv->tick_lo, iv->tick_hi}].merge(iv->profile);
 
+  // Looked up once, never interned: a name no row carries counts 0 throughout.
+  const auto image_name = support::Name::lookup(image);
+  const auto symbol_name = support::Name::lookup(symbol);
   support::TextTable table({"Tick", "Count", "Total", "%"});
   for (const auto& [span, profile] : ticks) {
-    const core::ProfileRow* row = profile.find(image, symbol);
+    const core::ProfileRow* row =
+        image_name && symbol_name ? profile.find(*image_name, *symbol_name) : nullptr;
     const std::uint64_t count = row != nullptr ? row->count(event) : 0;
     const std::uint64_t total = profile.total(event);
     const double pct =

@@ -17,12 +17,14 @@ std::string SegmentWriter::header() {
                std::to_string(segment_id_));
 }
 
-std::uint64_t SegmentWriter::intern(const std::string& s, std::string& out) {
-  const auto [it, inserted] = dict_.try_emplace(s, next_dict_id_);
+std::uint64_t SegmentWriter::intern(support::Name name, std::string& out) {
+  const auto [it, inserted] = dict_.try_emplace(name, next_dict_id_);
   if (inserted) {
     ++next_dict_id_;
-    out += frame(std::to_string(next_seq_++) + " D " + std::to_string(it->second) +
-                 "\t" + s);
+    std::string body = std::to_string(next_seq_++) + " D " + std::to_string(it->second);
+    body += '\t';
+    body += name.view();
+    out += frame(body);
   }
   return it->second;
 }
@@ -93,7 +95,7 @@ void finalize(PendingInterval& p, SegmentSalvage& out) {
 
 SegmentSalvage read_segment(const std::string& contents) {
   SegmentSalvage out;
-  std::unordered_map<std::uint64_t, std::string> dict;
+  std::unordered_map<std::uint64_t, support::Name> dict;
   PendingInterval pending;
   std::uint64_t last_seq = 0;
   bool any_seq = false;
@@ -156,7 +158,7 @@ SegmentSalvage read_segment(const std::string& contents) {
         reject();
         continue;
       }
-      dict[id] = std::string(rest.substr(1));
+      dict[id] = rest.substr(1);
     } else if (type == 'I') {
       finalize(pending, out);
       const std::size_t tab = rest.find('\t');

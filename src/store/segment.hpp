@@ -48,12 +48,14 @@ class SegmentWriter {
 
  private:
   std::string frame(const std::string& body);
-  std::uint64_t intern(const std::string& s, std::string& out);
+  std::uint64_t intern(support::Name name, std::string& out);
 
   std::uint64_t segment_id_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_dict_id_ = 0;
-  std::unordered_map<std::string, std::uint64_t> dict_;
+  /// Process-wide name -> this segment's dictionary id, numbered in
+  /// first-use order (never in interner-id order).
+  std::unordered_map<support::Name, std::uint64_t> dict_;
 };
 
 /// Everything a read of one segment file yields: the committed intervals

@@ -263,13 +263,14 @@ std::uint32_t this_thread_ordinal() {
 LatencyHistogram::LatencyHistogram(double lo, double width, std::size_t buckets)
     : hist_(lo, width, buckets) {}
 
-void LatencyHistogram::add(double value) {
+void LatencyHistogram::add(double value, std::uint64_t count) {
+  if (count == 0) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (count_ == 0 || value < min_) min_ = value;
   if (count_ == 0 || value > max_) max_ = value;
-  ++count_;
-  sum_ += value;
-  hist_.add(value);
+  count_ += count;
+  sum_ += value * static_cast<double>(count);
+  hist_.add(value, count);
 }
 
 double LatencyHistogram::percentile_locked(double q) const {

@@ -83,7 +83,8 @@ class LatencyHistogram {
  public:
   LatencyHistogram(double lo, double width, std::size_t buckets);
 
-  void add(double value);
+  /// Records `value` `count` times.
+  void add(double value, std::uint64_t count = 1);
   HistogramSummary summary() const;
 
  private:

@@ -68,10 +68,11 @@ TEST(ClrFlavor, ViprofResolvesClrInternalsAndJit) {
   for (const auto& row : profile.rows()) {
     if (row.domain != core::SampleDomain::kBoot) continue;
     EXPECT_EQ(row.image, "CLR.map");
-    if (row.symbol.find("mscorwks!") == 0 || row.symbol.find("clrjit!") == 0) {
+    const std::string_view symbol = row.symbol;
+    if (symbol.find("mscorwks!") == 0 || symbol.find("clrjit!") == 0) {
       clr_internal = true;
     }
-    EXPECT_EQ(row.symbol.find("com.ibm.jikesrvm"), std::string::npos);
+    EXPECT_EQ(symbol.find("com.ibm.jikesrvm"), std::string::npos);
   }
   EXPECT_TRUE(clr_internal);
 }
@@ -82,8 +83,8 @@ TEST(ClrFlavor, StockOprofileSeesOpaqueClrImage) {
   bool opaque = false, anon = false;
   for (const auto& row : profile.rows()) {
     if (row.image == "CLR.native.image" && row.symbol == "(no symbols)") opaque = true;
-    if (row.image.find("anon (range:0x") == 0 &&
-        row.image.find("clrhost") != std::string::npos) {
+    if (row.image.view().find("anon (range:0x") == 0 &&
+        row.image.view().find("clrhost") != std::string::npos) {
       anon = true;
     }
   }

@@ -47,8 +47,9 @@ CodeMapIndex four_epoch_index(std::uint64_t per_epoch) {
     file.truncated = e == 2;
     const std::uint64_t stride = 0x100 + 0x40 * e;
     for (std::uint64_t i = 0; i < per_epoch; ++i) {
-      file.entries.push_back({0x7000'0000 + i * stride, 0xc0 + 0x10 * e,
-                              "m" + std::to_string(e) + "_" + std::to_string(i)});
+      file.entries.push_back(
+          {0x7000'0000 + i * stride, 0xc0 + 0x10 * e,
+           support::Name("m" + std::to_string(e) + "_" + std::to_string(i))});
     }
     index.add(std::move(file));
   }

@@ -102,7 +102,7 @@ TEST(Annotate, EndToEndJitMethodStableAcrossMoves) {
   const Profile profile = session.build_profile({kTime});
   std::string hot_symbol;
   for (const ProfileRow& row : profile.ranked(kTime)) {
-    if (row.domain == SampleDomain::kJit && row.symbol[0] != '(') {
+    if (row.domain == SampleDomain::kJit && row.symbol.view()[0] != '(') {
       hot_symbol = row.symbol;
       break;
     }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/code_map.hpp"
+#include "core/object_map.hpp"
 
 namespace viprof::core {
 namespace {
@@ -9,7 +10,8 @@ CodeMapFile map_of(std::uint64_t epoch,
                    std::vector<std::tuple<hw::Address, std::uint64_t, std::string>> rows) {
   CodeMapFile file;
   file.epoch = epoch;
-  for (auto& [addr, size, sym] : rows) file.entries.push_back({addr, size, sym});
+  for (auto& [addr, size, sym] : rows)
+    file.entries.push_back({addr, size, support::Name(sym)});
   return file;
 }
 
@@ -282,6 +284,84 @@ TEST(CodeMapIndex, EntriesSortedEvenIfWrittenUnsorted) {
   EXPECT_EQ(index.resolve(0x1000, 0)->symbol, "a");
   EXPECT_EQ(index.resolve(0x2050, 0)->symbol, "b");
   EXPECT_EQ(index.resolve(0x3050, 0)->symbol, "c");
+}
+
+// A damaged map whose header epoch lost a digit to bit rot must file its
+// salvaged entries under the epoch its file name carries, marked
+// truncated; an intact map is unaffected. Both map formats.
+TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
+  const hw::Pid pid = 7;
+  os::Vfs vfs;
+  // Code maps: epoch 12 written with "epoch 13" in its header; epoch 11 intact.
+  const CodeMapFile intact = map_of(11, {{0x1000, 0x100, "app.K.old"}});
+  const CodeMapFile damaged =
+      map_of(12, {{0x2000, 0x100, "app.K.a"}, {0x3000, 0x100, "app.K.b"}});
+  std::string bytes = damaged.serialize();
+  ASSERT_EQ(bytes.compare(0, 9, "epoch 12 "), 0);
+  bytes[7] = '3';
+  const std::string path = CodeMapFile::path_for("jit_maps", pid, 12);
+  const std::string intact_path = CodeMapFile::path_for("jit_maps", pid, 11);
+  vfs.write(path, bytes);
+  vfs.write(intact_path, intact.serialize());
+
+  const CodeMapFile::Recovery r = CodeMapFile::salvage_file(path, bytes);
+  EXPECT_FALSE(r.intact);
+  EXPECT_TRUE(r.header_ok);
+  EXPECT_EQ(r.file.epoch, 12u);
+  EXPECT_TRUE(r.file.truncated);
+  EXPECT_EQ(r.file.entries.size(), 2u);
+  const CodeMapFile::Recovery ok =
+      CodeMapFile::salvage_file(intact_path, intact.serialize());
+  EXPECT_TRUE(ok.intact);
+  EXPECT_EQ(ok.file.serialize(), intact.serialize());
+
+  CodeMapIndex index;
+  index.load(vfs, "jit_maps", pid);
+  EXPECT_EQ(index.map_count(), 2u);
+  EXPECT_EQ(index.max_epoch(), 12u);
+  EXPECT_TRUE(index.epoch_truncated(12));
+  EXPECT_FALSE(index.epoch_truncated(11));
+  const CodeMapIndex::Lookup hit = index.lookup(0x2040, 12);
+  ASSERT_TRUE(hit.hit.has_value());
+  EXPECT_EQ(hit.hit->symbol, "app.K.a");
+  EXPECT_EQ(hit.hit->found_in_epoch, 12u);
+  EXPECT_EQ(index.lookup(0x2040, 13).miss, JitLookupMiss::kMissingEpochMap);
+  EXPECT_TRUE(index.lookup(0x1040, 11).hit.has_value());
+
+  // Object maps: epoch 12 written with "omap 13" in its header.
+  ObjectMapFile omap;
+  omap.epoch = 12;
+  omap.sites = {{0, support::Name("Alloc.site:1")}};
+  omap.objects = {{0x6000, 64, 1, 0}, {0x6100, 64, 2, 0}};
+  std::string obytes = omap.serialize();
+  ASSERT_EQ(obytes.compare(0, 8, "omap 12 "), 0);
+  obytes[6] = '3';
+  const std::string opath = ObjectMapFile::path_for("obj_maps", pid, 12);
+  const std::string ointact_path = ObjectMapFile::path_for("obj_maps", pid, 11);
+  ObjectMapFile ointact = omap;
+  ointact.epoch = 11;
+  vfs.write(opath, obytes);
+  vfs.write(ointact_path, ointact.serialize());
+
+  const ObjectMapFile::Recovery orec = ObjectMapFile::salvage_file(opath, obytes);
+  EXPECT_FALSE(orec.intact);
+  EXPECT_EQ(orec.file.epoch, 12u);
+  EXPECT_TRUE(orec.file.truncated);
+  EXPECT_EQ(orec.file.objects.size(), 2u);
+  const ObjectMapFile::Recovery ook =
+      ObjectMapFile::salvage_file(ointact_path, ointact.serialize());
+  EXPECT_TRUE(ook.intact);
+  EXPECT_EQ(ook.file.serialize(), ointact.serialize());
+
+  const ObjectIndexLoad load = load_object_index(vfs, "obj_maps", pid);
+  EXPECT_EQ(load.maps_loaded, 2u);
+  EXPECT_EQ(load.maps_truncated, 1u);
+  EXPECT_EQ(load.index.max_epoch(), 12u);
+  EXPECT_TRUE(load.index.epoch_truncated(12));
+  EXPECT_FALSE(load.index.epoch_truncated(11));
+  const CodeMapIndex::Lookup ohit = load.index.lookup(0x6120, 12);
+  ASSERT_TRUE(ohit.hit.has_value());
+  EXPECT_EQ(ohit.hit->found_in_epoch, 12u);
 }
 
 }  // namespace

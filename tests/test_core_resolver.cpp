@@ -49,11 +49,11 @@ class ResolverTest : public ::testing::Test {
     // Two epochs of JIT code maps: method m at A in epoch 0, moved to B.
     CodeMapFile map0;
     map0.epoch = 0;
-    map0.entries.push_back({heap_base_ + 0x100, 0x80, "app.Klass.hot"});
+    map0.entries.push_back({heap_base_ + 0x100, 0x80, support::Name("app.Klass.hot")});
     machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map0.serialize());
     CodeMapFile map1;
     map1.epoch = 1;
-    map1.entries.push_back({heap_base_ + 0x900, 0x80, "app.Klass.hot"});
+    map1.entries.push_back({heap_base_ + 0x900, 0x80, support::Name("app.Klass.hot")});
     machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 1), map1.serialize());
   }
 
@@ -172,8 +172,8 @@ TEST_F(ResolverTest, StockOprofileReportsAnonRange) {
   Resolver r = make_resolver(false);
   const auto res = r.resolve_pc(heap_base_ + 0x120, hw::CpuMode::kUser, pid_, 0);
   EXPECT_EQ(res.domain, SampleDomain::kAnon);
-  EXPECT_NE(res.image.find("anon (range:0x"), std::string::npos);
-  EXPECT_NE(res.image.find("jikesrvm"), std::string::npos);
+  EXPECT_NE(res.image.view().find("anon (range:0x"), std::string::npos);
+  EXPECT_NE(res.image.view().find("jikesrvm"), std::string::npos);
   EXPECT_EQ(res.symbol, "(no symbols)");
 }
 

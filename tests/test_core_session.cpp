@@ -77,7 +77,7 @@ TEST(Session, ViprofResolvesJitSamples) {
   // JIT samples resolve to actual method names, not the unknown bucket.
   bool found_method = false;
   for (const auto& row : profile.rows()) {
-    if (row.image == "JIT.App" && row.symbol.find("synthetic.sess") == 0) {
+    if (row.image == "JIT.App" && row.symbol.view().find("synthetic.sess") == 0) {
       found_method = true;
     }
   }
@@ -95,7 +95,7 @@ TEST(Session, OprofileLeavesJitAnonymous) {
             0u);
   bool anon_row = false;
   for (const auto& row : profile.rows()) {
-    if (row.image.find("anon (range:0x") == 0) anon_row = true;
+    if (row.image.view().find("anon (range:0x") == 0) anon_row = true;
   }
   EXPECT_TRUE(anon_row);
 }

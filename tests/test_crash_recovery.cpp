@@ -87,7 +87,7 @@ void assert_no_misattribution(FaultRun& run) {
              run.machine->vfs(), run.session->daemon()->sample_dir(), e)) {
       const core::Resolution res = r.resolve(s);
       if (res.domain != core::SampleDomain::kJit) continue;
-      EXPECT_TRUE(res.symbol.find("synthetic.crash") == 0 ||
+      EXPECT_TRUE(res.symbol.view().find("synthetic.crash") == 0 ||
                   res.symbol == core::kUnresolvedMissingMap ||
                   res.symbol == core::kUnresolvedTruncatedMap ||
                   res.symbol == core::kUnknownJit)
@@ -341,7 +341,7 @@ TEST(CrashRecovery, CollidingEpochHintsMergeInsteadOfAborting) {
   vfs.write("jit_maps/9/map.00000003", "@@@ header destroyed by a torn write\n");
   core::CodeMapFile intact;
   intact.epoch = 3;
-  intact.entries.push_back({0x6000, 128, "ghost.A"});
+  intact.entries.push_back({0x6000, 128, support::Name("ghost.A")});
   vfs.write("jit_maps/9/map.3", intact.serialize());
 
   core::CodeMapIndex index;

@@ -82,7 +82,7 @@ TEST(FailureInjection, DroppedEpochMarkersNeverCorruptAttributionForward) {
            run.machine->vfs(), run.session->daemon()->sample_dir(), kTime)) {
     const core::Resolution res = r.resolve(s);
     if (res.domain == core::SampleDomain::kJit) {
-      EXPECT_TRUE(res.symbol.find("synthetic.inj") == 0 ||
+      EXPECT_TRUE(res.symbol.view().find("synthetic.inj") == 0 ||
                   res.symbol == "(unknown JIT code)")
           << res.symbol;
     }

@@ -25,7 +25,7 @@ bool same_hit(const std::optional<CodeMapIndex::Hit>& a,
 
 std::string describe(const std::optional<CodeMapIndex::Hit>& h) {
   if (!h.has_value()) return "(miss)";
-  return h->symbol + " @" + std::to_string(h->address) + "+" +
+  return h->symbol.str() + " @" + std::to_string(h->address) + "+" +
          std::to_string(h->size) + " epoch=" + std::to_string(h->found_in_epoch) +
          " searched=" + std::to_string(h->maps_searched);
 }
@@ -73,7 +73,8 @@ CodeMapFile random_file(support::Xoshiro256& rng, const Population& pop,
   // Occasionally an entry at the very top of the address space, where
   // address + size can wrap: such an entry must cover nothing.
   if (rng.below(100) < 10) {
-    file.entries.push_back({~0ull - rng.below(0x40), 0x100, "wrap_" + tag + std::to_string(e)});
+    const support::Name wrap("wrap_" + tag + std::to_string(e));
+    file.entries.push_back({~0ull - rng.below(0x40), 0x100, wrap});
   }
   return file;
 }
@@ -170,13 +171,13 @@ TEST(FlatIndexTest, AddAfterPrepareInvalidatesTheFlattenedView) {
   CodeMapIndex index;
   CodeMapFile f0;
   f0.epoch = 0;
-  f0.entries.push_back({0x1000, 0x100, "old"});
+  f0.entries.push_back({0x1000, 0x100, support::Name("old")});
   index.add(std::move(f0));
   EXPECT_EQ(index.resolve(0x1040, 5)->symbol, "old");  // builds the flat view
 
   CodeMapFile f3;
   f3.epoch = 3;
-  f3.entries.push_back({0x1000, 0x100, "new"});
+  f3.entries.push_back({0x1000, 0x100, support::Name("new")});
   index.add(std::move(f3));  // must invalidate and rebuild on next query
   EXPECT_EQ(index.resolve(0x1040, 5)->symbol, "new");
   EXPECT_EQ(index.resolve(0x1040, 2)->symbol, "old");
@@ -186,7 +187,7 @@ TEST(FlatIndexTest, MovedIndexKeepsAnswering) {
   CodeMapIndex index;
   CodeMapFile f;
   f.epoch = 2;
-  f.entries.push_back({0x2000, 0x80, "sym"});
+  f.entries.push_back({0x2000, 0x80, support::Name("sym")});
   index.add(std::move(f));
   index.prepare();
 

@@ -16,6 +16,13 @@
 //     salvaged than the file declared, and for store segments (whose
 //     declared counts live in the manifest) every salvaged interval is one
 //     the writer wrote.
+//
+// The service's binary wire framing (service::FrameDecoder) gets the same
+// treatment at the byte level — bit flips, truncations, spliced byte runs
+// and duplicated frames, fed in random chunks — and must never hand out a
+// frame that is not a verified frame of its input, must decode every frame
+// before the first damaged byte, and must account for every input byte as
+// decoded, skipped (torn) or still buffered.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -28,6 +35,7 @@
 #include "core/fsck.hpp"
 #include "core/object_map.hpp"
 #include "service/query.hpp"
+#include "service/wire.hpp"
 #include "store/manifest.hpp"
 #include "store/profile_store.hpp"
 #include "store/segment.hpp"
@@ -169,7 +177,7 @@ core::CodeMapFile random_code_map(support::Xoshiro256& rng) {
   file.truncated = rng.below(8) == 0;
   for (std::uint64_t n = rng.below(10); n > 0; --n)
     file.entries.push_back({rng.below(1ull << 40), 1 + rng.below(4096),
-                            token(rng, "app.K.m")});
+                            support::Name(token(rng, "app.K.m"))});
   return file;
 }
 
@@ -178,7 +186,7 @@ core::ObjectMapFile random_object_map(support::Xoshiro256& rng) {
   file.epoch = rng.below(50);
   file.truncated = rng.below(8) == 0;
   for (std::uint32_t s = 0, n = static_cast<std::uint32_t>(rng.below(4)); s < n; ++s)
-    file.sites.push_back({s, token(rng, "Alloc.site")});
+    file.sites.push_back({s, support::Name(token(rng, "Alloc.site"))});
   for (std::uint64_t n = rng.below(10); n > 0; --n)
     file.objects.push_back({rng.below(1ull << 40), 16 + rng.below(512), rng.below(1u << 20),
                             static_cast<std::uint32_t>(rng.below(4))});
@@ -430,6 +438,138 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
       const store::StoreRecovery rec = store::ProfileStore(damaged, config).fsck();
       EXPECT_EQ(rec.intervals_salvaged + rec.intervals_lost, declared_intervals) << where;
       EXPECT_EQ(rec.rows_salvaged + rec.rows_lost, declared_rows) << where;
+    }
+  }
+}
+
+// --- The service wire: FrameDecoder ----------------------------------------
+
+/// A stream of encoded frames, some traced, with payload bytes drawn from
+/// an alphabet heavy in the magic bytes so resynchronisation is exercised.
+struct FrameStream {
+  std::string bytes;
+  std::vector<std::size_t> ends;  // end offset of each frame in `bytes`
+};
+
+FrameStream random_frame_stream(support::Xoshiro256& rng) {
+  static constexpr char kAlphabet[] = {'V', 'F', '\0', '\n', 'a', 'z', ' ', '\x7f'};
+  FrameStream out;
+  for (std::uint64_t n = 1 + rng.below(12); n > 0; --n) {
+    const auto type = static_cast<service::FrameType>(
+        1 + rng.below(static_cast<std::uint64_t>(service::FrameType::kError)));
+    std::string payload(rng.below(96), ' ');
+    for (char& c : payload) c = kAlphabet[rng.below(sizeof kAlphabet)];
+    const support::TraceContext trace =
+        rng.below(3) == 0 ? support::TraceContext{1 + rng.below(1000), rng.below(50)}
+                          : support::TraceContext{};
+    out.bytes += service::encode_frame(type, payload, trace);
+    out.ends.push_back(out.bytes.size());
+  }
+  return out;
+}
+
+/// One seeded byte-level mutation: flip bits of one byte, truncate, move a
+/// run of bytes elsewhere, or duplicate one whole frame at a frame border.
+std::string mutate_wire_once(const std::string& bytes, const FrameStream& stream,
+                             support::Xoshiro256& rng) {
+  if (bytes.empty()) return bytes;
+  std::string out = bytes;
+  switch (rng.below(4)) {
+    case 0:
+      out[rng.below(out.size())] ^= static_cast<char>(1u << rng.below(8));
+      return out;
+    case 1:
+      return out.substr(0, rng.below(out.size()));
+    case 2: {
+      const std::size_t from = rng.below(out.size());
+      const std::size_t len = 1 + rng.below(std::min<std::size_t>(64, out.size() - from));
+      const std::string run = out.substr(from, len);
+      out.erase(from, len);
+      out.insert(rng.below(out.size() + 1), run);
+      return out;
+    }
+    default: {
+      const std::size_t k = rng.below(stream.ends.size());
+      const std::size_t begin = k == 0 ? 0 : stream.ends[k - 1];
+      const std::string frame = stream.bytes.substr(begin, stream.ends[k] - begin);
+      const std::size_t at = rng.below(stream.ends.size() + 1);
+      out.insert(std::min(out.size(), at == 0 ? 0 : stream.ends[at - 1]), frame);
+      return out;
+    }
+  }
+}
+
+/// The encoded size of a decoded frame.
+std::size_t wire_size(const service::FrameView& f) {
+  return service::kFrameHeaderBytes +
+         (f.trace.valid() ? service::kFrameTraceExtBytes : 0) + f.payload.size() +
+         service::kFrameTrailerBytes;
+}
+
+TEST(FramedFuzz, FrameDecoderYieldsOnlyVerifiedFramesAndCountsEveryByte) {
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 41);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      const FrameStream stream = random_frame_stream(rng);
+      std::string x = stream.bytes;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n)
+        x = mutate_wire_once(x, stream, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " +
+                                std::to_string(i);
+      // Frames wholly before the first damaged byte must all come out.
+      std::size_t damage = 0;
+      while (damage < x.size() && damage < stream.bytes.size() &&
+             x[damage] == stream.bytes[damage])
+        ++damage;
+      std::size_t intact = 0;
+      while (intact < stream.ends.size() && stream.ends[intact] <= damage) ++intact;
+
+      service::FrameDecoder views;
+      service::FrameDecoder copies;
+      std::size_t decoded_bytes = 0;
+      std::size_t frames = 0;
+      for (std::size_t fed = 0; fed < x.size();) {
+        const std::size_t chunk =
+            std::min<std::size_t>(1 + rng.below(48), x.size() - fed);
+        views.feed(x.data() + fed, chunk);
+        copies.feed(x.data() + fed, chunk);
+        fed += chunk;
+        service::FrameView v;
+        while (views.next_view(v)) {
+          // The frame starts after every byte decoded or skipped so far,
+          // and its bytes there must re-encode exactly: a verified frame
+          // of the input, crc included.
+          const std::size_t at = decoded_bytes + views.skipped_bytes();
+          const std::string enc =
+              service::encode_frame(v.type, std::string(v.payload), v.trace);
+          ASSERT_EQ(enc.size(), wire_size(v)) << where;
+          ASSERT_EQ(x.compare(at, enc.size(), enc), 0) << where << " frame " << frames;
+          if (frames < intact) {
+            const std::size_t begin = frames == 0 ? 0 : stream.ends[frames - 1];
+            EXPECT_EQ(at, begin) << where << " frame " << frames;
+          }
+          service::Frame f;
+          ASSERT_TRUE(copies.next(f)) << where;
+          EXPECT_EQ(f.type, v.type) << where;
+          EXPECT_EQ(f.payload, v.payload) << where;
+          EXPECT_EQ(f.trace.trace_id, v.trace.trace_id) << where;
+          decoded_bytes += enc.size();
+          ++frames;
+        }
+        service::Frame extra;
+        EXPECT_FALSE(copies.next(extra)) << where;
+      }
+      EXPECT_GE(frames, intact) << where;
+      // Every byte is decoded, skipped as damage, or still in flight.
+      EXPECT_EQ(decoded_bytes + views.skipped_bytes() + views.buffered_bytes(), x.size())
+          << where;
+      EXPECT_EQ(views.skipped_bytes() == 0, views.torn_frames() == 0) << where;
+      EXPECT_EQ(copies.skipped_bytes(), views.skipped_bytes()) << where;
+      EXPECT_EQ(copies.torn_frames(), views.torn_frames()) << where;
+      if (x == stream.bytes) {
+        EXPECT_EQ(frames, stream.ends.size()) << where;
+        EXPECT_EQ(views.skipped_bytes(), 0u) << where;
+      }
     }
   }
 }

@@ -18,7 +18,9 @@ namespace {
 core::ObjectMapFile sample_map(std::uint64_t epoch) {
   core::ObjectMapFile file;
   file.epoch = epoch;
-  file.sites = {{0, "Leaky.grow:12"}, {1, "Hot.alloc:3"}, {2, "Cold.fill:77"}};
+  file.sites = {{0, support::Name("Leaky.grow:12")},
+                {1, support::Name("Hot.alloc:3")},
+                {2, support::Name("Cold.fill:77")}};
   file.objects = {
       {0x6200'0000, 128, 1, 0},
       {0x6200'0080, 1024, 2, 1},
@@ -210,7 +212,7 @@ TEST(SiteTable, DictionaryFallbackNamesLostSites) {
   // A later intact map supplies the real name.
   core::ObjectMapFile named;
   named.epoch = 1;
-  named.sites = {{4, "Real.name:9"}};
+  named.sites = {{4, support::Name("Real.name:9")}};
   named.objects = {{0x6300'0000, 64, 1, 4}};
   table.ingest(7, named);
   EXPECT_EQ(table.name_of(7, 4), "Real.name:9");

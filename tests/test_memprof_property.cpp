@@ -95,7 +95,7 @@ Schedule random_schedule(support::Xoshiro256& rng, std::uint64_t epochs) {
     core::ObjectMapFile file;
     file.epoch = e;
     for (std::uint32_t s = 0; s < 6; ++s)
-      file.sites.push_back({s, "alloc.site." + std::to_string(s)});
+      file.sites.push_back({s, support::Name("alloc.site." + std::to_string(s))});
     for (const std::uint64_t id : pending) {
       const LiveObject& o = find_live(id);
       file.objects.push_back({o.address, o.size, o.id, o.site});
@@ -298,7 +298,7 @@ TEST_P(SiteTableMergeProperty, AnySplitAnyMergeOrderEqualsOneTable) {
         Fed fed{scope, pid, file};
         // Per-session names: the lexicographic-min winner must not depend
         // on which table saw which session first.
-        for (core::SiteName& sn : fed.file.sites) sn.name += "." + scope;
+        for (core::SiteName& sn : fed.file.sites) sn.name = sn.name.str() + "." + scope;
         maps.push_back(std::move(fed));
       }
     }

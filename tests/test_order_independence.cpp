@@ -5,6 +5,8 @@
 // ServerSession stripe count, apply order, thread interleaving and flush
 // cut points — renders the serial fold's bytes. A row or arc endpoint that
 // arrives with two domains keeps the lowest SampleDomain, in every order.
+// Names are interned ids, so the order in which names were first interned
+// must not show in any byte either.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,9 @@
 #include "core/report.hpp"
 #include "core/resolver.hpp"
 #include "service/session.hpp"
+#include "store/segment.hpp"
+#include "support/framed_text.hpp"
+#include "support/interner.hpp"
 #include "support/rng.hpp"
 
 namespace viprof::core {
@@ -306,17 +311,12 @@ TEST(OrderIndependence, TwoDomainsOnOneRowKeepTheLowest) {
       Resolution rb = make_res(5, db, true);
       const std::string ctx = std::to_string(a) + "," + std::to_string(b);
 
-      // Serial adds in both orders, through add() and through RowMemo.
+      // Serial adds in both orders.
       for (const bool a_first : {true, false}) {
         Profile p;
         p.add(kTime, a_first ? ra : rb);
         p.add(kDmiss, a_first ? rb : ra);
         EXPECT_EQ(p.find(ra.image, ra.symbol)->domain, want) << ctx;
-        Profile memoised;
-        RowMemo memo;
-        memo.add(memoised, kTime, 1, 0, a_first ? ra : rb);
-        memo.add(memoised, kTime, 1, 0, a_first ? rb : ra);
-        EXPECT_EQ(memoised.find(ra.image, ra.symbol)->domain, want) << ctx;
       }
 
       // Merges in both orders, into empty and non-empty targets.
@@ -353,23 +353,95 @@ TEST(OrderIndependence, TwoDomainsOnOneRowKeepTheLowest) {
   }
 }
 
-TEST(RowMemoProperty, MemoisedAddsEqualDirectAdds) {
-  support::Xoshiro256 rng(0x3e3e);
-  Profile direct, memoised;
-  RowMemo memo;
-  for (int i = 0; i < 4000; ++i) {
-    const std::uint64_t id = rng.below(31);
-    const Resolution res = make_res(
-        id, id % 2 == 0 ? SampleDomain::kJit : SampleDomain::kKernel, rng.below(100) < 80);
-    const hw::EventKind event = rng.below(100) < 60 ? kTime : kDmiss;
-    const hw::Pid pid = 40 + id % 3;
-    const std::uint64_t epoch = id % 5;
-    const std::uint64_t count = 1 + rng.below(4);
-    direct.add(event, res, count);
-    memo.add(memoised, event, pid, epoch, res, count);
+// ------------------------------------------------------- the intern order
+
+/// Every occurrence of `from` in `text` replaced by `to`.
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size()))
+    text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(OrderIndependence, ReverseInterningOrderGivesTheSameBytes) {
+  // Two fresh name sets that differ only in a prefix of one length. One is
+  // interned in ascending text order, the other in descending, so their ids
+  // run opposite ways against the text. Fed the same stream, the two must
+  // render the same bytes once the prefix is swapped back.
+  constexpr int kImages = 3, kSymbols = 60;
+  const auto image_text = [](const char* prefix, int i) {
+    return std::string(prefix) + "lib" + std::to_string(i) + ".so";
+  };
+  const auto symbol_text = [](const char* prefix, int i) {
+    return std::string(prefix) + "Klass.m" + std::to_string(i);
+  };
+  const char* kUp = "ordup.";
+  const char* kDown = "orddn.";
+  for (int i = 0; i < kImages; ++i) support::Name(image_text(kUp, i));
+  for (int i = 0; i < kSymbols; ++i) support::Name(symbol_text(kUp, i));
+  for (int i = kSymbols - 1; i >= 0; --i) support::Name(symbol_text(kDown, i));
+  for (int i = kImages - 1; i >= 0; --i) support::Name(image_text(kDown, i));
+  ASSERT_LT(support::Name(symbol_text(kUp, 0)).id(),
+            support::Name(symbol_text(kUp, 1)).id());
+  ASSERT_GT(support::Name(symbol_text(kDown, 0)).id(),
+            support::Name(symbol_text(kDown, 1)).id());
+
+  struct Built {
+    Profile before, after;
+    CallGraph graph;
+    std::string segment;
+  };
+  const auto build = [&](const char* prefix) {
+    support::Xoshiro256 rng(0x1d0);
+    const auto res = [&](SampleDomain domain) {
+      Resolution r;
+      r.image = image_text(prefix, static_cast<int>(rng.below(kImages)));
+      r.symbol = symbol_text(prefix, static_cast<int>(rng.below(kSymbols)));
+      r.domain = domain;
+      return r;
+    };
+    Built b;
+    for (int i = 0; i < 600; ++i) {
+      // Counts 1-2 over a small pool: most rows and arcs tie on count.
+      const Resolution callee = res(SampleDomain::kJit);
+      (i % 2 == 0 ? b.before : b.after).add(rng.below(3) ? kTime : kDmiss, callee,
+                                            1 + rng.below(2));
+      b.graph.add_resolved(res(SampleDomain::kImage), callee, 1 + rng.below(2));
+    }
+    store::IntervalProfile iv;
+    iv.session = "interning";
+    iv.profile = b.after;
+    store::SegmentWriter writer(1);
+    b.segment = writer.header();
+    b.segment += writer.encode_interval(iv);
+    b.segment += writer.encode_seal(1);
+    return b;
+  };
+  const Built up = build(kUp);
+  const Built down = build(kDown);
+  const auto same = [&](const std::string& a, const std::string& b, const char* what) {
+    EXPECT_EQ(replace_all(a, kUp, kDown), b) << what;
+  };
+  for (const std::size_t top : {std::size_t{5}, std::size_t{40}, kAll}) {
+    same(up.after.render(kEvents, top), down.after.render(kEvents, top), "render");
+    same(render_diff(up.before, up.after, kTime, top),
+         render_diff(down.before, down.after, kTime, top), "render_diff");
+    same(up.graph.render(top), down.graph.render(top), "CallGraph::render");
   }
-  expect_same_profile_bytes(memoised, direct, Profile{}, "memo");
-  EXPECT_EQ(memoised.row_count(), direct.row_count());
+  // Segment lines carry a crc over their text, so the prefix swap is
+  // compared on the verified line bodies.
+  const auto bodies = [](const std::string& segment) {
+    std::string out;
+    support::LineCursor cursor(segment);
+    std::string_view line, body;
+    while (cursor.next(line)) {
+      EXPECT_TRUE(support::unframe_line(line, body)) << line;
+      out.append(body).push_back('\n');
+    }
+    return out;
+  };
+  same(bodies(up.segment), bodies(down.segment), "segment");
 }
 
 }  // namespace
@@ -383,13 +455,12 @@ namespace {
 using core::Profile;
 using core::Sample;
 
-/// One batch as a worker hands it to apply(): RowMemo-interned partials,
-/// as ProfileServer builds them.
+/// One batch as a worker hands it to apply(): partials built as
+/// ProfileServer builds them.
 BatchResult batch_result(const std::vector<Sample>& batch) {
   BatchResult r;
-  core::RowMemo memo;
   for (const Sample& s : batch) {
-    memo.add(r.partial, s.event, 1, s.epoch, s.res, s.count);
+    r.partial.add(s.event, s.res, s.count);
     r.epoch_partial[s.epoch].add(s.event, s.res, s.count);
     if (s.has_caller) r.arcs.add_resolved(s.caller, s.res, s.count);
   }

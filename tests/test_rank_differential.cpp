@@ -12,6 +12,7 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -28,11 +29,22 @@ constexpr auto kDmiss = hw::EventKind::kBsqCacheReference;
 
 // ---------------------------------------------------------------- oracles
 
+// The oracles compare name text directly, not through support::Name.
+std::tuple<std::string_view, std::string_view> names(const ProfileRow& r) {
+  return {r.image.view(), r.symbol.view()};
+}
+
+std::tuple<std::string_view, std::string_view, std::string_view, std::string_view> names(
+    const CallArc& a) {
+  return {a.caller_image.view(), a.caller_symbol.view(), a.callee_image.view(),
+          a.callee_symbol.view()};
+}
+
 std::vector<ProfileRow> oracle_ranked(const Profile& p, hw::EventKind primary) {
   std::vector<ProfileRow> out = p.rows();
   std::sort(out.begin(), out.end(), [&](const ProfileRow& a, const ProfileRow& b) {
     if (a.count(primary) != b.count(primary)) return a.count(primary) > b.count(primary);
-    return std::tie(a.image, a.symbol) < std::tie(b.image, b.symbol);
+    return names(a) < names(b);
   });
   return out;
 }
@@ -52,8 +64,8 @@ std::string oracle_render(const Profile& p, const std::vector<hw::EventKind>& ev
     if (emitted >= top_n) break;
     std::vector<std::string> cells;
     for (hw::EventKind e : events) cells.push_back(support::fixed(p.percent(row, e), 4));
-    cells.push_back(row.image);
-    cells.push_back(row.symbol);
+    cells.push_back(row.image.str());
+    cells.push_back(row.symbol.str());
     table.add_row(std::move(cells));
     ++emitted;
   }
@@ -86,7 +98,7 @@ std::string oracle_render_diff(const Profile& before, const Profile& after,
     const std::int64_t ax = x.delta < 0 ? -x.delta : x.delta;
     const std::int64_t ay = y.delta < 0 ? -y.delta : y.delta;
     if (ax != ay) return ax > ay;
-    return std::tie(x.row->image, x.row->symbol) < std::tie(y.row->image, y.row->symbol);
+    return names(*x.row) < names(*y.row);
   });
 
   support::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
@@ -94,8 +106,8 @@ std::string oracle_render_diff(const Profile& before, const Profile& after,
   for (const Mover& m : movers) {
     if (emitted++ >= top_n) break;
     table.add_row({(m.delta > 0 ? "+" : "") + std::to_string(m.delta),
-                   std::to_string(m.from), std::to_string(m.to), m.row->image,
-                   m.row->symbol});
+                   std::to_string(m.from), std::to_string(m.to), m.row->image.str(),
+                   m.row->symbol.str()});
   }
   return table.render();
 }
@@ -104,8 +116,7 @@ std::vector<CallArc> oracle_arcs_ranked(const CallGraph& g) {
   std::vector<CallArc> out = g.arcs();
   std::sort(out.begin(), out.end(), [](const CallArc& a, const CallArc& b) {
     if (a.count != b.count) return a.count > b.count;
-    return std::tie(a.caller_image, a.caller_symbol, a.callee_image, a.callee_symbol) <
-           std::tie(b.caller_image, b.caller_symbol, b.callee_image, b.callee_symbol);
+    return names(a) < names(b);
   });
   return out;
 }
@@ -116,8 +127,8 @@ std::string oracle_callgraph_render(const CallGraph& g, std::size_t top_n) {
   for (const CallArc& arc : oracle_arcs_ranked(g)) {
     if (emitted >= top_n) break;
     table.add_row({std::to_string(arc.count),
-                   arc.caller_image + ":" + arc.caller_symbol, "->",
-                   arc.callee_image + ":" + arc.callee_symbol});
+                   arc.caller_image.str() + ":" + arc.caller_symbol.str(), "->",
+                   arc.callee_image.str() + ":" + arc.callee_symbol.str()});
     ++emitted;
   }
   return table.render();

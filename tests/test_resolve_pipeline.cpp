@@ -154,7 +154,7 @@ class PipelineTest : public ::testing::Test {
       for (std::uint64_t i = 0; i < 24; ++i) {
         const std::uint64_t m = (e * 7 + i * 3) % 64;
         file.entries.push_back({heap_base_ + m * 0x1000 + (e % 2) * 0x100, 0x800,
-                                "app.K.m" + std::to_string(m)});
+                                support::Name("app.K.m" + std::to_string(m))});
       }
       machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, e),
                            file.serialize());

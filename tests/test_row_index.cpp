@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -174,9 +175,9 @@ struct RefProfile {
   std::vector<ProfileRow> rows;
   std::uint64_t totals[hw::kEventKindCount] = {};
 
-  ProfileRow& row(const std::string& image, const std::string& symbol,
-                  SampleDomain domain) {
-    const auto [it, inserted] = index.try_emplace({image, symbol}, rows.size());
+  ProfileRow& row(std::string_view image, std::string_view symbol, SampleDomain domain) {
+    const auto [it, inserted] =
+        index.try_emplace({std::string(image), std::string(symbol)}, rows.size());
     if (inserted) {
       ProfileRow r;
       r.image = image;
@@ -210,8 +211,10 @@ struct RefGraph {
   std::uint64_t samples = 0;
 
   void add(const Resolution& caller, const Resolution& callee, std::uint64_t count) {
-    const auto [it, inserted] = index.try_emplace(
-        {caller.image, caller.symbol, callee.image, callee.symbol}, arcs.size());
+    const auto [it, inserted] =
+        index.try_emplace({std::string(caller.image), std::string(caller.symbol),
+                           std::string(callee.image), std::string(callee.symbol)},
+                          arcs.size());
     if (inserted) {
       CallArc a;
       a.caller_image = caller.image;
@@ -280,12 +283,7 @@ TEST(RowIndexProperty, ProfileMatchesMapReference) {
       } else {
         const Resolution r = random_res(rng);
         const std::uint64_t count = rng.below(3);
-        if (rng.below(2)) {
-          p.add(kTime, r, count);
-        } else {
-          const std::size_t slot = p.row_index(r);
-          p.bump(slot, kTime, count);
-        }
+        p.add(kTime, r, count);
         ref.add(kTime, r, count);
       }
     }

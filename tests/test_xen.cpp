@@ -153,8 +153,8 @@ TEST_F(XenoProfTest, DomainProfilesAreDisjointByApplication) {
   core::Profile p2 = session_->domain_profile(d2_, {kTime});
   bool p1_has_own = false, p1_has_other = false;
   for (const auto& row : p1.rows()) {
-    if (row.symbol.find("synthetic.xg1") == 0) p1_has_own = true;
-    if (row.symbol.find("synthetic.xg2") == 0) p1_has_other = true;
+    if (row.symbol.view().find("synthetic.xg1") == 0) p1_has_own = true;
+    if (row.symbol.view().find("synthetic.xg2") == 0) p1_has_other = true;
   }
   EXPECT_TRUE(p1_has_own);
   EXPECT_FALSE(p1_has_other);
