@@ -11,6 +11,7 @@
 // Set VIPROF_QUICK=1 in the environment to use 4 runs instead of 10.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -168,6 +169,15 @@ inline BenchRecord measure(const workloads::Workload& workload, Arm arm,
 inline double measure_seconds(const workloads::Workload& workload, Arm arm,
                               std::uint64_t period) {
   return measure(workload, arm, period).seconds;
+}
+
+/// The value at index floor(p * n) (clamped to the last) of an ascending
+/// `sorted` sample; 0 when it is empty. The micro benches' query p50/p99.
+inline double percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
+  const std::size_t at = std::min(
+      sorted.size() - 1, static_cast<std::size_t>(p * static_cast<double>(sorted.size())));
+  return sorted[at];
 }
 
 /// Serialises records as the BENCH_*.json schema: one object per measured

@@ -26,14 +26,6 @@ using namespace viprof;
 const std::vector<hw::EventKind> kEvents = {hw::EventKind::kGlobalPowerEvents,
                                             hw::EventKind::kBsqCacheReference};
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t at = std::min(
-      sorted_us.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[at];
-}
-
 bool run() {
   const char* quick = std::getenv("VIPROF_QUICK");
   const bool is_quick = quick != nullptr && quick[0] == '1';
@@ -127,8 +119,8 @@ bool run() {
     latencies_us.push_back(elapsed.count());
   }
   std::sort(latencies_us.begin(), latencies_us.end());
-  const double p50 = percentile(latencies_us, 0.50);
-  const double p99 = percentile(latencies_us, 0.99);
+  const double p50 = bench::percentile(latencies_us, 0.50);
+  const double p99 = bench::percentile(latencies_us, 0.99);
   std::printf("  query 'top 20' x%d  p50 %.1fus  p99 %.1fus\n", query_rounds, p50, p99);
 
   const support::TelemetrySnapshot query_telemetry = server.telemetry().snapshot();

@@ -58,14 +58,6 @@ store::IntervalProfile make_interval(std::uint64_t j, std::uint64_t methods) {
   return iv;
 }
 
-double percentile(std::vector<double>& sorted_us, double p) {
-  if (sorted_us.empty()) return 0.0;
-  const std::size_t at = std::min(
-      sorted_us.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(sorted_us.size())));
-  return sorted_us[at];
-}
-
 store::StoreConfig bench_config() {
   store::StoreConfig config;
   config.seal_after_intervals = 16;
@@ -223,8 +215,8 @@ bool run() {
     latencies_us.push_back(elapsed.count());
   }
   std::sort(latencies_us.begin(), latencies_us.end());
-  const double p50 = percentile(latencies_us, 0.50);
-  const double p99 = percentile(latencies_us, 0.99);
+  const double p50 = bench::percentile(latencies_us, 0.50);
+  const double p99 = bench::percentile(latencies_us, 0.99);
   std::printf("  windowed 'top 20' x%d  p50 %.1fus  p99 %.1fus\n", query_rounds,
               p50, p99);
 

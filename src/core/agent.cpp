@@ -15,8 +15,8 @@ VmAgent::VmAgent(os::Machine& machine, SampleBuffer& buffer, RegistrationTable& 
   tele_map_entries_ = &tele.counter("agent.map_entries");
   tele_maps_dropped_ = &tele.counter("agent.maps_dropped");
   tele_map_errors_ = &tele.counter("agent.map_write_errors");
-  tele_map_cost_ = &tele.histogram("agent.map_write.cost_cycles", 0, 50'000, 32);
-  tele_map_entries_hist_ = &tele.histogram("agent.map_write.entries", 0, 16, 32);
+  tele_map_cost_ = &tele.histogram("agent.map_write.cost_cycles");
+  tele_map_entries_hist_ = &tele.histogram("agent.map_write.entries");
 }
 
 hw::Cycles VmAgent::on_vm_start(const jvm::VmStartInfo& info) {

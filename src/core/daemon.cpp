@@ -41,9 +41,9 @@ Daemon::Daemon(os::Machine& machine, SampleBuffer& buffer, const RegistrationTab
   tele_flush_retries_ = &tele.counter("daemon.flush.retries");
   tele_spill_dropped_ = &tele.counter("daemon.spill.dropped_records");
   tele_crashes_ = &tele.counter("daemon.crashes");
-  tele_backlog_ = &tele.histogram("daemon.drain.backlog", 0, 64, 64);
-  tele_drain_cost_ = &tele.histogram("daemon.drain.cost_cycles", 0, 25'000, 64);
-  tele_flush_cost_ = &tele.histogram("daemon.flush.retry_cycles", 0, 50'000, 32);
+  tele_backlog_ = &tele.histogram("daemon.drain.backlog");
+  tele_drain_cost_ = &tele.histogram("daemon.drain.cost_cycles");
+  tele_flush_cost_ = &tele.histogram("daemon.flush.retry_cycles");
 }
 
 std::optional<os::WorkChunk> Daemon::next_work(hw::Cycles now) {

@@ -34,7 +34,7 @@ Resolver::Resolver(const os::Machine& machine, const RegistrationTable& table,
   tele_jit_unresolved_ = &tele.counter("resolver.jit.unresolved");
   tele_missing_map_ = &tele.counter("resolver.unresolved.missing_map");
   tele_truncated_map_ = &tele.counter("resolver.unresolved.truncated_map");
-  tele_walkback_ = &tele.histogram("resolver.walkback.depth", 0, 1, 32);
+  tele_walkback_ = &tele.histogram("resolver.walkback.depth");
 }
 
 void Resolver::load() {

@@ -16,8 +16,8 @@ MemProfAgent::MemProfAgent(os::Machine& machine, const MemProfConfig& config)
   tele_map_entries_ = &tele.counter("memprof.map_entries");
   tele_maps_dropped_ = &tele.counter("memprof.maps_dropped");
   tele_map_errors_ = &tele.counter("memprof.map_write_errors");
-  tele_map_cost_ = &tele.histogram("memprof.map_write.cost_cycles", 0, 50'000, 32);
-  tele_map_entries_hist_ = &tele.histogram("memprof.map_write.entries", 0, 64, 32);
+  tele_map_cost_ = &tele.histogram("memprof.map_write.cost_cycles");
+  tele_map_entries_hist_ = &tele.histogram("memprof.map_write.entries");
 }
 
 hw::Cycles MemProfAgent::on_vm_start(const jvm::VmStartInfo& info) {

@@ -1,5 +1,8 @@
 #include "service/query.hpp"
 
+#include <algorithm>
+#include <tuple>
+
 #include "support/format.hpp"
 #include "support/framed_text.hpp"
 
@@ -48,21 +51,32 @@ bool parse_row_into(std::string_view fields, core::Profile& profile) {
   return added;
 }
 
+/// `profile`'s rows in (image, symbol) text order: the bytes then do not
+/// depend on the order in which workers applied batches.
+std::vector<const core::ProfileRow*> canonical_rows(const core::Profile& profile) {
+  std::vector<const core::ProfileRow*> rows;
+  for (const core::ProfileRow& row : profile.rows()) rows.push_back(&row);
+  std::sort(rows.begin(), rows.end(), [](const core::ProfileRow* a, const core::ProfileRow* b) {
+    return std::tie(a->image, a->symbol) < std::tie(b->image, b->symbol);
+  });
+  return rows;
+}
+
 }  // namespace
 
 std::string ServiceSnapshot::serialize() const {
   std::string out = std::string(kHeader) + "\n";
   for (const SessionSnapshot& s : sessions) {
     out += "session " + s.id + "\n";
-    for (const core::ProfileRow& row : s.profile.rows()) {
-      out += "row " + std::string(core::to_string(row.domain));
-      append_counts_and_names(out, row);
+    for (const core::ProfileRow* row : canonical_rows(s.profile)) {
+      out += "row " + std::string(core::to_string(row->domain));
+      append_counts_and_names(out, *row);
     }
     for (const auto& [epoch, profile] : s.epochs) {
-      for (const core::ProfileRow& row : profile.rows()) {
+      for (const core::ProfileRow* row : canonical_rows(profile)) {
         out += "erow " + std::to_string(epoch) + " " +
-               std::string(core::to_string(row.domain));
-        append_counts_and_names(out, row);
+               std::string(core::to_string(row->domain));
+        append_counts_and_names(out, *row);
       }
     }
     out += "end\n";

@@ -110,6 +110,12 @@ ProfileServer::ProfileServer(const ServerConfig& config)
       cache_(config.code_map_cache_capacity),
       pool_(config.ingest_threads == 0 ? 1 : config.ingest_threads) {
   telemetry_.gauge("service.ingest_threads").set(static_cast<double>(pool_.size()));
+  tele_frames_ = &telemetry_.counter("service.frames");
+  tele_batches_ = &telemetry_.counter("service.batches");
+  tele_records_ = &telemetry_.counter("service.records");
+  tele_queries_ = &telemetry_.counter("service.queries");
+  tele_batch_records_ = &telemetry_.histogram("service.ingest.batch_records");
+  tele_query_latency_us_ = &telemetry_.histogram("service.query.latency_us");
   // Arm the contention suspects before any traffic (DESIGN.md §13).
   cache_.attach_telemetry(telemetry_);
   pool_.attach_telemetry(telemetry_);
@@ -153,7 +159,7 @@ void ProfileServer::reply(ServerConnection& conn, FrameType type, std::string te
 }
 
 void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
-  telemetry_.counter("service.frames").inc();
+  tele_frames_->inc();
   switch (frame.type) {
     case FrameType::kHello:
       reply(conn, FrameType::kReply, "hello " + std::string(frame.payload));
@@ -230,9 +236,7 @@ void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
       const std::uint64_t t0 = support::monotonic_ns();
       std::string result = query(std::string(frame.payload));
       const std::uint64_t t1 = support::monotonic_ns();
-      telemetry_
-          .histogram("service.query.latency_us", 0.0, 50.0, 64)
-          .add(static_cast<double>(t1 - t0) / 1000.0);
+      tele_query_latency_us_->add(static_cast<double>(t1 - t0) / 1000.0);
       telemetry_.spans().record("service.query", "service", t0, t1,
                                 support::SpanTracer::kNoArg, frame.trace.trace_id);
       reply(conn, FrameType::kReply, std::move(result));
@@ -310,9 +314,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     session->records_dropped_.fetch_add(record_count, std::memory_order_relaxed);
   }
   if (enqueued) {
-    telemetry_.counter("service.batches").inc();
-    telemetry_.histogram("service.ingest.batch_records", 0.0, 64.0, 32)
-        .add(static_cast<double>(record_count));
+    tele_batches_->inc();
+    tele_batch_records_->add(static_cast<double>(record_count));
     pool_.submit([this, session] { process_one(session); });
   } else {
     telemetry_.counter("service.batches.dropped").inc();
@@ -368,7 +371,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     telemetry_.spans().record("service.batch.resolve", "service", resolve_t0,
                               support::monotonic_ns(), batch.apply_seq,
                               session->trace());
-    telemetry_.counter("service.records").inc(result.records);
+    tele_records_->inc(result.records);
     session->apply(batch.apply_seq, std::move(result));
     recycle_arena(std::move(batch.arena));
     cache_.publish(telemetry_);
@@ -409,7 +412,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   const std::uint64_t resolve_t1 = support::monotonic_ns();
   telemetry_.spans().record("service.batch.resolve", "service", resolve_t0, resolve_t1,
                             batch.apply_seq, session->trace());
-  telemetry_.counter("service.records").inc(result.records);
+  tele_records_->inc(result.records);
   session->apply(batch.apply_seq, std::move(result));
   telemetry_.spans().record("service.batch.apply", "service", resolve_t1,
                             support::monotonic_ns(), batch.apply_seq, session->trace());
@@ -460,7 +463,7 @@ std::string ProfileServer::session_report(const std::string& id, std::size_t top
 }
 
 std::string ProfileServer::query(const std::string& text) {
-  telemetry_.counter("service.queries").inc();
+  tele_queries_->inc();
   std::istringstream in(text);
   std::string verb;
   in >> verb;

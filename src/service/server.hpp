@@ -185,6 +185,13 @@ class ProfileServer {
 
   ServerConfig config_;
   support::Telemetry telemetry_;
+  // Hot-path metrics, registered once: no name lookup per frame or query.
+  support::Counter* tele_frames_ = nullptr;
+  support::Counter* tele_batches_ = nullptr;
+  support::Counter* tele_records_ = nullptr;
+  support::Counter* tele_queries_ = nullptr;
+  support::LatencyHistogram* tele_batch_records_ = nullptr;
+  support::LatencyHistogram* tele_query_latency_us_ = nullptr;
   CodeMapCache cache_;
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<support::Arena>> arena_pool_;

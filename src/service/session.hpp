@@ -114,10 +114,10 @@ class ServerSession {
       sites_mu_.attach(*telemetry);
       for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
       queue_.instrument(&telemetry->gauge("service.queue.depth"),
-                        &telemetry->histogram("service.queue.depth_hist", 0.0, 1.0, 64));
+                        &telemetry->histogram("service.queue.depth_hist"));
       maps_folded_ = &telemetry->counter("service.memprof.maps_folded");
       refolds_ = &telemetry->counter("service.memprof.refolds");
-      fold_us_ = &telemetry->histogram("service.memprof.fold_us", 0.0, 250.0, 64);
+      fold_us_ = &telemetry->histogram("service.memprof.fold_us");
     }
   }
 

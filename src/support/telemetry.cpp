@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <set>
 
 #include "support/check.hpp"
 #include "support/format.hpp"
@@ -22,7 +25,7 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
-  std::string str;
+  std::string str;  // a string's text, or a number's token as written
   std::vector<JsonValue> items;
   std::vector<std::pair<std::string, JsonValue>> members;
 
@@ -133,12 +136,12 @@ class JsonParser {
             text_[pos_] == '-')) {
       ++pos_;
     }
-    if (pos_ == start) return false;
-    try {
-      out.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
+    // The whole token must be one finite number: "1-2" or "1e999" is damage.
+    const auto [end, ec] = std::from_chars(first, last, out.number);
+    if (ec != std::errc() || end != last) return false;
+    out.str.assign(first, last);
     out.kind = JsonValue::Kind::kNumber;
     return true;
   }
@@ -195,16 +198,13 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Compact double rendering that std::stod round-trips well enough for
-/// snapshots; integers print without a trailing ".000000".
+/// Shortest text that reads back as the same double, so a snapshot's sums
+/// and a trace's timestamps survive any number of write/read round trips.
 std::string json_number(double v) {
-  if (std::isnan(v) || std::isinf(v)) return "0";
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    return std::to_string(static_cast<long long>(v));
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
+  return ec == std::errc() ? std::string(buf, end) : "0";
 }
 
 double number_or(const JsonValue* v, double fallback) {
@@ -213,6 +213,61 @@ double number_or(const JsonValue* v, double fallback) {
 
 std::string string_or(const JsonValue* v, const std::string& fallback) {
   return (v != nullptr && v->kind == JsonValue::Kind::kString) ? v->str : fallback;
+}
+
+/// A count field: a plain decimal integer that fits 64 bits, read from the
+/// token itself. A negative, fractional, exponent-form or out-of-range
+/// number (which a cast from the double would turn into undefined
+/// behaviour or a wrong value) is nullopt.
+std::optional<std::uint64_t> u64_of(const JsonValue* v) {
+  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return std::nullopt;
+  std::uint64_t out = 0;
+  const char* last = v->str.data() + v->str.size();
+  const auto [end, ec] = std::from_chars(v->str.data(), last, out);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return out;
+}
+
+/// An optional integer field of `obj`: absent leaves `out` as it is;
+/// present, it must be a u64_of() no larger than `limit`.
+bool read_uint(const JsonValue& obj, const char* key, std::uint64_t limit,
+               std::uint64_t& out) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return true;
+  const std::optional<std::uint64_t> n = u64_of(v);
+  if (!n || *n > limit) return false;
+  out = *n;
+  return true;
+}
+
+/// One histogram as to_json writes it. Rejects anything a live histogram
+/// could not have produced: buckets out of the layout, out of order, empty
+/// or not summing to `count`; min above max; an empty histogram with a
+/// non-zero field.
+std::optional<HistogramSummary> histogram_of(const JsonValue& v) {
+  const std::optional<std::uint64_t> count = u64_of(v.find("count"));
+  const JsonValue* buckets = v.find("buckets");
+  if (!count || buckets == nullptr || buckets->kind != JsonValue::Kind::kArray)
+    return std::nullopt;
+  HistogramSummary h;
+  for (auto [key, field] : {std::pair{"sum", &h.sum}, {"min", &h.min}, {"max", &h.max}}) {
+    const JsonValue* f = v.find(key);
+    if (f == nullptr || f->kind != JsonValue::Kind::kNumber) return std::nullopt;
+    *field = f->number;
+  }
+  for (const JsonValue& b : buckets->items) {
+    const std::optional<std::uint64_t> index = u64_of(b.items.size() == 2 ? &b.items[0] : nullptr);
+    const std::optional<std::uint64_t> n = u64_of(b.items.size() == 2 ? &b.items[1] : nullptr);
+    if (!index || !n || *index >= HistogramLayout::kBuckets || *n == 0 || *n > *count - h.count ||
+        (!h.buckets.empty() && *index <= h.buckets.back().index))
+      return std::nullopt;
+    h.count += *n;
+    h.buckets.push_back({static_cast<std::uint32_t>(*index), *n});
+  }
+  if (h.count != *count) return std::nullopt;
+  if (h.count == 0 ? (h.sum != 0 || h.min != 0 || h.max != 0) : !(h.min <= h.max))
+    return std::nullopt;
+  return h;
 }
 
 /// Re-serialises a parsed value compactly. Used to carry trace-event args
@@ -245,6 +300,32 @@ std::string json_serialize(const JsonValue& v) {
   return "null";
 }
 
+/// Appends `table` to `out` (blank-line separated) unless it has no rows.
+void append_table(std::string& out, const TextTable& table) {
+  if (table.row_count() == 0) return;
+  if (!out.empty()) out += '\n';
+  out += table.render();
+}
+
+/// The names in either of two metric maps, sorted.
+template <typename Map>
+std::set<std::string> names_of(const Map& a, const Map& b) {
+  std::set<std::string> out;
+  for (const auto& kv : a) out.insert(kv.first);
+  for (const auto& kv : b) out.insert(kv.first);
+  return out;
+}
+
+/// The registry slot for `name`, created on first use.
+template <typename Metric>
+Metric& registered(std::mutex& mu, std::map<std::string, std::unique_ptr<Metric>>& metrics,
+                   const std::string& name) {
+  std::lock_guard<std::mutex> lock(mu);
+  auto& slot = metrics[name];
+  if (!slot) slot = std::make_unique<Metric>();
+  return *slot;
+}
+
 }  // namespace
 
 bool json_well_formed(const std::string& text) {
@@ -258,42 +339,42 @@ std::uint32_t this_thread_ordinal() {
   return ordinal;
 }
 
-// --- LatencyHistogram -------------------------------------------------------
+// --- Histograms -------------------------------------------------------------
 
-LatencyHistogram::LatencyHistogram(double lo, double width, std::size_t buckets)
-    : hist_(lo, width, buckets) {}
-
-void LatencyHistogram::add(double value, std::uint64_t count) {
-  if (count == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (count_ == 0 || value < min_) min_ = value;
-  if (count_ == 0 || value > max_) max_ = value;
-  count_ += count;
-  sum_ += value * static_cast<double>(count);
-  hist_.add(value, count);
+std::uint32_t HistogramLayout::bucket_of(double value) {
+  constexpr double kLow = 1.0 / static_cast<double>(1ull << -kMinExp);
+  constexpr double kHigh = static_cast<double>(1ull << kMaxExp);
+  if (!(value >= kLow)) return 0;  // below the range, zero, negative
+  if (value >= kHigh) return kBuckets - 1;
+  // A positive normal double's bits, shifted, are its biased exponent
+  // followed by its top kSubBits mantissa bits: exactly the bucket number.
+  constexpr std::uint64_t kFirst = static_cast<std::uint64_t>(kMinExp + 1023) << kSubBits;
+  return static_cast<std::uint32_t>((std::bit_cast<std::uint64_t>(value) >> (52 - kSubBits)) -
+                                    kFirst) + 1;
 }
 
-double LatencyHistogram::percentile_locked(double q) const {
-  if (count_ == 0) return 0.0;
-  if (count_ == 1) return min_;  // the one sample, regardless of bucketing
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-th sample, 1-based: at least one sample must be covered,
-  // so q == 0 degenerates to the minimum instead of the bucket floor.
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_))));
-  std::uint64_t acc = hist_.underflow();
-  if (acc >= target) return min_;
-  for (std::size_t i = 0; i < hist_.bucket_count(); ++i) {
-    acc += hist_.bucket(i);
-    if (acc >= target) {
-      const double mid =
-          hist_.lo() + (static_cast<double>(i) + 0.5) * hist_.bucket_width();
-      // Clamp the midpoint estimate to the exact observed range so narrow
-      // distributions never report values no sample could have taken.
-      return std::clamp(mid, min_, max_);
-    }
+double HistogramLayout::value_of(std::uint32_t bucket) {
+  if (bucket == 0) return 0.0;
+  if (bucket >= kBuckets - 1) return std::numeric_limits<double>::infinity();
+  const std::uint32_t j = bucket - 1;
+  const double sub = static_cast<double>(j & ((1u << kSubBits) - 1));
+  return std::ldexp(1.0 + (sub + 0.5) / (1u << kSubBits),
+                    kMinExp + static_cast<int>(j >> kSubBits));
+}
+
+double HistogramSummary::percentile(double q) const {
+  if (count == 0) return 0.0;
+  // Rank of the q-th value, 1-based: at least one value must be covered,
+  // so q == 0 reports the minimum.
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(
+             std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count))));
+  std::uint64_t seen = 0;
+  for (const HistogramBucket& b : buckets) {
+    seen += b.count;
+    if (seen >= rank) return std::min(std::max(HistogramLayout::value_of(b.index), min), max);
   }
-  return max_;  // target mass lives in the overflow bucket: saturate at max
+  return max;
 }
 
 HistogramSummary HistogramSummary::merged(const HistogramSummary& a,
@@ -305,24 +386,51 @@ HistogramSummary HistogramSummary::merged(const HistogramSummary& a,
   out.sum = a.sum + b.sum;
   out.min = std::min(a.min, b.min);
   out.max = std::max(a.max, b.max);
-  const double wa = static_cast<double>(a.count) / static_cast<double>(out.count);
-  const double wb = 1.0 - wa;
-  out.p50 = std::clamp(a.p50 * wa + b.p50 * wb, out.min, out.max);
-  out.p90 = std::clamp(a.p90 * wa + b.p90 * wb, out.min, out.max);
-  out.p99 = std::clamp(a.p99 * wa + b.p99 * wb, out.min, out.max);
+  // Both inputs are sorted by index: merge them, then add up the indices
+  // both had.
+  out.buckets = a.buckets;
+  out.buckets.insert(out.buckets.end(), b.buckets.begin(), b.buckets.end());
+  std::inplace_merge(out.buckets.begin(), out.buckets.begin() + a.buckets.size(),
+                     out.buckets.end(), [](const HistogramBucket& x, const HistogramBucket& y) {
+                       return x.index < y.index;
+                     });
+  std::size_t kept = 0;
+  for (const HistogramBucket& bucket : out.buckets) {
+    if (kept > 0 && out.buckets[kept - 1].index == bucket.index) {
+      out.buckets[kept - 1].count += bucket.count;
+    } else {
+      out.buckets[kept++] = bucket;
+    }
+  }
+  out.buckets.resize(kept);
   return out;
 }
 
+void LatencyHistogram::add(double value, std::uint64_t count) {
+  if (count == 0 || std::isnan(value)) return;
+  double seen = min_.load(std::memory_order_relaxed);
+  while (value < seen && !min_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (value > seen && !max_.compare_exchange_weak(seen, value, std::memory_order_relaxed)) {
+  }
+  sum_.fetch_add(value * static_cast<double>(count), std::memory_order_relaxed);
+  // Release: a reader that sees this count also sees the min/max/sum above.
+  buckets_[HistogramLayout::bucket_of(value)].fetch_add(count, std::memory_order_release);
+}
+
 HistogramSummary LatencyHistogram::summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
   HistogramSummary s;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  s.p50 = percentile_locked(0.50);
-  s.p90 = percentile_locked(0.90);
-  s.p99 = percentile_locked(0.99);
+  for (std::uint32_t i = 0; i < HistogramLayout::kBuckets; ++i) {
+    const std::uint64_t n = buckets_[i].load(std::memory_order_acquire);
+    if (n == 0) continue;
+    s.buckets.push_back({i, n});
+    s.count += n;
+  }
+  if (s.count == 0) return s;
+  s.sum = sum_.load(std::memory_order_relaxed);
+  s.min = min_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -336,35 +444,19 @@ SpanTracer::SpanTracer(std::size_t capacity) {
 void SpanTracer::record(const char* name, const char* cat, std::uint64_t begin_cycle,
                         std::uint64_t end_cycle, std::uint64_t arg,
                         std::uint64_t trace) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
-  Span span;
-  span.name = name;
-  span.cat = cat;
-  span.begin_cycle = begin_cycle;
-  span.end_cycle = end_cycle < begin_cycle ? begin_cycle : end_cycle;
-  span.arg = arg;
-  span.trace = trace;
-  span.tid = this_thread_ordinal();
-  span.instant = false;
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_ % ring_.size()] = span;  // overwrites the oldest whole span
-  ++next_;
+  push(Span{name, cat, begin_cycle, std::max(begin_cycle, end_cycle), arg, trace, 0, false});
 }
 
 void SpanTracer::instant(const char* name, const char* cat, std::uint64_t at_cycle,
                          std::uint64_t arg, std::uint64_t trace) {
+  push(Span{name, cat, at_cycle, at_cycle, arg, trace, 0, true});
+}
+
+void SpanTracer::push(Span span) {
   if (!enabled_.load(std::memory_order_relaxed)) return;
-  Span span;
-  span.name = name;
-  span.cat = cat;
-  span.begin_cycle = at_cycle;
-  span.end_cycle = at_cycle;
-  span.arg = arg;
-  span.trace = trace;
   span.tid = this_thread_ordinal();
-  span.instant = true;
   std::lock_guard<std::mutex> lock(mu_);
-  ring_[next_ % ring_.size()] = span;
+  ring_[next_ % ring_.size()] = span;  // overwrites the oldest whole span
   ++next_;
 }
 
@@ -431,26 +523,10 @@ std::string SpanTracer::to_chrome_json(double cycles_per_us, int pid) const {
 
 // --- Telemetry registry -----------------------------------------------------
 
-Counter& Telemetry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Telemetry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-LatencyHistogram& Telemetry::histogram(const std::string& name, double lo, double width,
-                                       std::size_t buckets) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<LatencyHistogram>(lo, width, buckets);
-  return *slot;
+Counter& Telemetry::counter(const std::string& name) { return registered(mu_, counters_, name); }
+Gauge& Telemetry::gauge(const std::string& name) { return registered(mu_, gauges_, name); }
+LatencyHistogram& Telemetry::histogram(const std::string& name) {
+  return registered(mu_, histograms_, name);
 }
 
 TelemetrySnapshot Telemetry::snapshot() const {
@@ -471,35 +547,35 @@ TelemetrySnapshot Telemetry::snapshot() const {
 // --- TelemetrySnapshot ------------------------------------------------------
 
 std::string TelemetrySnapshot::to_json() const {
-  std::string out = "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, v] : counters) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"gauges\": {";
-  first = true;
-  for (const auto& [name, v] : gauges) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_number(v);
-  }
-  out += first ? "},\n" : "\n  },\n";
-  out += "  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + json_escape(name) + "\": {\"count\": " + std::to_string(h.count) +
-           ", \"sum\": " + json_number(h.sum) + ", \"min\": " + json_number(h.min) +
-           ", \"max\": " + json_number(h.max) + ", \"p50\": " + json_number(h.p50) +
-           ", \"p90\": " + json_number(h.p90) + ", \"p99\": " + json_number(h.p99) + "}";
-  }
-  out += first ? "}\n" : "\n  }\n";
-  out += "}\n";
-  return out;
+  std::string out = "{\n";
+  const auto section = [&out](const char* title, const auto& metrics, const auto& text,
+                              const char* end) {
+    out += std::string("  \"") + title + "\": {";
+    bool first = true;
+    for (const auto& [name, v] : metrics) {
+      out += first ? "\n" : ",\n";
+      first = false;
+      out += "    \"" + json_escape(name) + "\": " + text(v);
+    }
+    out += (first ? "}" : "\n  }") + std::string(end);
+  };
+  section("counters", counters, [](std::uint64_t v) { return std::to_string(v); }, ",\n");
+  section("gauges", gauges, json_number, ",\n");
+  // p50/p90/p99 are for readers of the file; from_json derives them from
+  // the buckets again.
+  section("histograms", histograms, [](const HistogramSummary& h) {
+    std::string text = "{\"count\": " + std::to_string(h.count) + ", \"sum\": " +
+                       json_number(h.sum) + ", \"min\": " + json_number(h.min) +
+                       ", \"max\": " + json_number(h.max) + ", \"p50\": " +
+                       json_number(h.p50()) + ", \"p90\": " + json_number(h.p90()) +
+                       ", \"p99\": " + json_number(h.p99()) + ", \"buckets\": [";
+    for (const HistogramBucket& b : h.buckets) {
+      if (&b != &h.buckets.front()) text += ", ";
+      text += "[" + std::to_string(b.index) + ", " + std::to_string(b.count) + "]";
+    }
+    return text + "]}";
+  }, "\n");
+  return out + "}\n";
 }
 
 std::optional<TelemetrySnapshot> TelemetrySnapshot::from_json(const std::string& json) {
@@ -509,8 +585,9 @@ std::optional<TelemetrySnapshot> TelemetrySnapshot::from_json(const std::string&
   if (const JsonValue* counters = root->find("counters");
       counters != nullptr && counters->kind == JsonValue::Kind::kObject) {
     for (const auto& [name, v] : counters->members) {
-      if (v.kind != JsonValue::Kind::kNumber) return std::nullopt;
-      snap.counters[name] = static_cast<std::uint64_t>(v.number);
+      const std::optional<std::uint64_t> n = u64_of(&v);
+      if (!n) return std::nullopt;
+      snap.counters[name] = *n;
     }
   }
   if (const JsonValue* gauges = root->find("gauges");
@@ -523,16 +600,9 @@ std::optional<TelemetrySnapshot> TelemetrySnapshot::from_json(const std::string&
   if (const JsonValue* hists = root->find("histograms");
       hists != nullptr && hists->kind == JsonValue::Kind::kObject) {
     for (const auto& [name, v] : hists->members) {
-      if (v.kind != JsonValue::Kind::kObject) return std::nullopt;
-      HistogramSummary h;
-      h.count = static_cast<std::uint64_t>(number_or(v.find("count"), 0));
-      h.sum = number_or(v.find("sum"), 0);
-      h.min = number_or(v.find("min"), 0);
-      h.max = number_or(v.find("max"), 0);
-      h.p50 = number_or(v.find("p50"), 0);
-      h.p90 = number_or(v.find("p90"), 0);
-      h.p99 = number_or(v.find("p99"), 0);
-      snap.histograms[name] = h;
+      std::optional<HistogramSummary> h = histogram_of(v);
+      if (!h) return std::nullopt;
+      snap.histograms[name] = std::move(*h);
     }
   }
   return snap;
@@ -548,29 +618,23 @@ std::string TelemetrySnapshot::render_text(const std::string& prefix) const {
     for (const auto& [name, v] : counters) {
       if (matches(name)) table.add_row({name, std::to_string(v)});
     }
-    if (table.row_count() > 0) out += table.render();
+    append_table(out, table);
   }
   {
     TextTable table({"gauge", "value"});
     for (const auto& [name, v] : gauges) {
       if (matches(name)) table.add_row({name, fixed(v, 3)});
     }
-    if (table.row_count() > 0) {
-      if (!out.empty()) out += '\n';
-      out += table.render();
-    }
+    append_table(out, table);
   }
   {
     TextTable table({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
     for (const auto& [name, h] : histograms) {
       if (!matches(name)) continue;
-      table.add_row({name, std::to_string(h.count), fixed(h.mean(), 1), fixed(h.p50, 1),
-                     fixed(h.p90, 1), fixed(h.p99, 1), fixed(h.max, 1)});
+      table.add_row({name, std::to_string(h.count), fixed(h.mean(), 1), fixed(h.p50(), 1),
+                     fixed(h.p90(), 1), fixed(h.p99(), 1), fixed(h.max, 1)});
     }
-    if (table.row_count() > 0) {
-      if (!out.empty()) out += '\n';
-      out += table.render();
-    }
+    append_table(out, table);
   }
   return out;
 }
@@ -580,11 +644,7 @@ std::string TelemetrySnapshot::render_diff(const TelemetrySnapshot& before,
   std::string out;
   {
     TextTable table({"counter", "before", "after", "delta"});
-    std::map<std::string, std::uint64_t> names;  // union, deterministic order
-    for (const auto& [n, v] : before.counters) names.emplace(n, 0);
-    for (const auto& [n, v] : after.counters) names.emplace(n, 0);
-    for (const auto& [name, unused] : names) {
-      (void)unused;
+    for (const std::string& name : names_of(before.counters, after.counters)) {
       const std::uint64_t b = before.counter(name);
       const std::uint64_t a = after.counter(name);
       if (a == b) continue;
@@ -592,33 +652,22 @@ std::string TelemetrySnapshot::render_diff(const TelemetrySnapshot& before,
       table.add_row({name, std::to_string(b), std::to_string(a),
                      (delta >= 0 ? "+" : "") + std::to_string(delta)});
     }
-    if (table.row_count() > 0) out += table.render();
+    append_table(out, table);
   }
   {
     TextTable table({"gauge", "before", "after", "delta"});
-    std::map<std::string, double> names;
-    for (const auto& [n, v] : before.gauges) names.emplace(n, 0);
-    for (const auto& [n, v] : after.gauges) names.emplace(n, 0);
-    for (const auto& [name, unused] : names) {
-      (void)unused;
+    for (const std::string& name : names_of(before.gauges, after.gauges)) {
       const double b = before.gauge(name);
       const double a = after.gauge(name);
       if (a == b) continue;
       table.add_row({name, fixed(b, 3), fixed(a, 3),
                      (a - b >= 0 ? "+" : "") + fixed(a - b, 3)});
     }
-    if (table.row_count() > 0) {
-      if (!out.empty()) out += '\n';
-      out += table.render();
-    }
+    append_table(out, table);
   }
   {
     TextTable table({"histogram", "count delta", "mean before", "mean after"});
-    std::map<std::string, int> names;
-    for (const auto& [n, v] : before.histograms) names.emplace(n, 0);
-    for (const auto& [n, v] : after.histograms) names.emplace(n, 0);
-    for (const auto& [name, unused] : names) {
-      (void)unused;
+    for (const std::string& name : names_of(before.histograms, after.histograms)) {
       auto bit = before.histograms.find(name);
       auto ait = after.histograms.find(name);
       const HistogramSummary b = bit == before.histograms.end() ? HistogramSummary{} : bit->second;
@@ -628,10 +677,7 @@ std::string TelemetrySnapshot::render_diff(const TelemetrySnapshot& before,
       table.add_row({name, (delta >= 0 ? "+" : "") + std::to_string(delta),
                      fixed(b.mean(), 1), fixed(a.mean(), 1)});
     }
-    if (table.row_count() > 0) {
-      if (!out.empty()) out += '\n';
-      out += table.render();
-    }
+    append_table(out, table);
   }
   return out.empty() ? "(no differences)\n" : out;
 }
@@ -653,8 +699,11 @@ std::optional<ChromeTrace> parse_chrome_trace(const std::string& json) {
     ev.ph = string_or(e.find("ph"), "X");
     ev.ts = number_or(e.find("ts"), 0.0);
     ev.dur = number_or(e.find("dur"), 0.0);
-    ev.pid = static_cast<int>(number_or(e.find("pid"), 1.0));
-    ev.tid = static_cast<std::uint32_t>(number_or(e.find("tid"), 1.0));
+    std::uint64_t pid = 1, tid = 1;
+    if (!read_uint(e, "pid", INT_MAX, pid) || !read_uint(e, "tid", UINT32_MAX, tid))
+      return std::nullopt;
+    ev.pid = static_cast<int>(pid);
+    ev.tid = static_cast<std::uint32_t>(tid);
     if (const JsonValue* args = e.find("args")) ev.args_json = json_serialize(*args);
     out.events.push_back(std::move(ev));
   }

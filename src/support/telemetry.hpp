@@ -12,25 +12,27 @@
 // Metric naming scheme (DESIGN.md §8): `layer.component.metric`, e.g.
 // `daemon.flush.write_errors`, `resolver.walkback.depth`. Counters are
 // monotonic; gauges are last-write-wins; histograms record value
-// distributions with bucket-estimated percentiles.
+// distributions in one fixed log-linear layout (HistogramLayout), so
+// snapshots carry buckets and merge exactly across threads and shards.
 //
-// Concurrency: metric registration takes a mutex; increments on registered
-// handles are lock-free atomics (counters/gauges) or a short uncontended
-// critical section (histograms, span ring). The NMI-path counters rely on
-// this: a handle obtained once is safe to bump from any thread.
+// Concurrency: metric registration takes a mutex; updates on registered
+// handles are lock-free atomics (counters, gauges, histograms); only the
+// span ring takes a short uncontended critical section. The NMI-path
+// counters rely on this: a handle obtained once is safe to bump from any
+// thread.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "support/histogram.hpp"
 
 namespace viprof::support {
 
@@ -55,47 +57,70 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{0};
 };
 
-/// Point-in-time reduction of one latency histogram. Percentiles are
-/// bucket-midpoint estimates (support::Histogram); min/max/sum are exact.
+/// The one histogram layout (DESIGN.md §8): log-linear, HdrHistogram-style.
+/// A value's bucket is its binary exponent plus its top kSubBits mantissa
+/// bits, so each power of two in [2^kMinExp, 2^kMaxExp) has 32 sub-buckets
+/// whose midpoints lie within 1/64 (< 3%) of their values. Bucket 0 takes
+/// everything below the range (zero included), the last everything above.
+struct HistogramLayout {
+  static constexpr int kSubBits = 5;
+  static constexpr int kMinExp = -16;
+  static constexpr int kMaxExp = 48;
+  static constexpr std::uint32_t kBuckets = ((kMaxExp - kMinExp) << kSubBits) + 2;
+
+  static std::uint32_t bucket_of(double value);
+  /// The value a percentile landing in `bucket` reports before clamping:
+  /// the midpoint, 0 for the low end bucket, +inf for the high one.
+  static double value_of(std::uint32_t bucket);
+};
+
+struct HistogramBucket {
+  std::uint32_t index = 0;
+  std::uint64_t count = 0;
+  friend bool operator==(const HistogramBucket&, const HistogramBucket&) = default;
+};
+
+/// Point-in-time copy of one histogram: exact count/sum/min/max plus its
+/// non-empty buckets. Percentiles are always derived from the buckets, so
+/// a summary, a merge of summaries and a summary re-read from JSON all
+/// answer through the same code.
 struct HistogramSummary {
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
+  std::vector<HistogramBucket> buckets;  // ascending index; counts sum to `count`
 
   double mean() const { return count == 0 ? 0.0 : sum / static_cast<double>(count); }
 
-  /// Folds two summaries (e.g. the same lock's histogram from two shards).
-  /// count/sum add and min/max combine exactly; percentiles are count-
-  /// weighted averages — an approximation, clamped to the merged range,
-  /// good enough to *rank* locks (the contention report's job) though not
-  /// to re-derive exact quantiles.
+  /// Value at rank max(1, ceil(q * count)): its bucket's value_of(),
+  /// clamped to [min, max]. 0 for an empty summary.
+  double percentile(double q) const;
+  double p50() const { return percentile(0.50); }
+  double p90() const { return percentile(0.90); }
+  double p99() const { return percentile(0.99); }
+
+  /// Exact fold of two summaries (e.g. one lock's histogram from two
+  /// shards): bucket-wise sum, so its percentiles equal those of one
+  /// histogram that saw both inputs' values.
   static HistogramSummary merged(const HistogramSummary& a, const HistogramSummary& b);
 };
 
-/// Thread-safe distribution tracker over a fixed-bucket support::Histogram.
-/// Exact min/max/sum ride alongside so single-sample and saturating cases
-/// stay meaningful even when the mass lands in the overflow bucket.
+/// Thread-safe distribution tracker in the HistogramLayout. add() is a few
+/// relaxed atomic operations on a dense bucket array — no lock.
 class LatencyHistogram {
  public:
-  LatencyHistogram(double lo, double width, std::size_t buckets);
-
-  /// Records `value` `count` times.
+  /// Records `value` `count` times. NaN is ignored.
   void add(double value, std::uint64_t count = 1);
+  /// Consistent with itself under concurrent adds: `count` is the sum of
+  /// the buckets read, and min/max cover every value counted.
   HistogramSummary summary() const;
 
  private:
-  double percentile_locked(double q) const;  // mu_ must be held
-
-  mutable std::mutex mu_;
-  Histogram hist_;
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
+  std::array<std::atomic<std::uint64_t>, HistogramLayout::kBuckets> buckets_{};
+  std::atomic<double> sum_{0.0};
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Point-in-time copy of a whole registry: what viprof_stat dumps and
@@ -115,6 +140,9 @@ struct TelemetrySnapshot {
   }
 
   std::string to_json() const;
+  /// nullopt on malformed JSON, a count or bucket entry that is not a plain
+  /// decimal integer fitting 64 bits, or a histogram no live one could have
+  /// produced (histogram_of). Percentiles are re-derived from the buckets.
   static std::optional<TelemetrySnapshot> from_json(const std::string& json);
 
   /// viprof_stat-style fixed-width tables; `prefix` filters metric names.
@@ -181,6 +209,8 @@ class SpanTracer {
   std::string to_chrome_json(double cycles_per_us, int pid = 1) const;
 
  private:
+  void push(Span span);  // stamps the tid; drops the span when disabled
+
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{true};
   std::vector<Span> ring_;
@@ -199,10 +229,7 @@ class Telemetry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  /// Bucket parameters apply on first registration; later calls with the
-  /// same name return the existing histogram unchanged.
-  LatencyHistogram& histogram(const std::string& name, double lo, double width,
-                              std::size_t buckets);
+  LatencyHistogram& histogram(const std::string& name);
 
   SpanTracer& spans() { return tracer_; }
   const SpanTracer& spans() const { return tracer_; }
@@ -245,7 +272,8 @@ struct ChromeTrace {
 
 /// Parses a Chrome-trace-format JSON document (as written by
 /// SpanTracer::to_chrome_json or merge_chrome_traces). Returns nullopt on
-/// malformed JSON or a missing traceEvents array.
+/// malformed JSON, a missing traceEvents array, or a pid (tid) that is not a
+/// plain decimal integer no larger than INT_MAX (UINT32_MAX).
 std::optional<ChromeTrace> parse_chrome_trace(const std::string& json);
 
 /// Folds per-shard trace rings into one Chrome trace: input i becomes

@@ -30,8 +30,8 @@ void ThreadPool::attach_telemetry(Telemetry& telemetry) {
   s->tasks = &telemetry.counter("pool.tasks");
   s->threads = &telemetry.gauge("pool.threads");
   s->utilization = &telemetry.gauge("pool.utilization");
-  s->queue_depth = &telemetry.histogram("pool.queue_depth", 0.0, 1.0, 64);
-  s->task_ns = &telemetry.histogram("pool.task_ns", 0.0, 50'000.0, 64);
+  s->queue_depth = &telemetry.histogram("pool.queue_depth");
+  s->task_ns = &telemetry.histogram("pool.task_ns");
   s->threads->set(static_cast<double>(workers_.size()));
   stats_storage_ = std::move(s);
   stats_.store(stats_storage_.get(), std::memory_order_release);

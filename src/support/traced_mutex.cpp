@@ -10,9 +10,7 @@ void LockInstrumentation::attach(Telemetry& telemetry) {
   const std::string base = std::string("lock.") + name_;
   h->acquired = &telemetry.counter(base + ".acquired");
   h->contended = &telemetry.counter(base + ".contended");
-  // 0–128 µs in 2 µs buckets; longer waits saturate into the overflow
-  // bucket, where the summary clamps percentiles to the exact max.
-  h->wait_ns = &telemetry.histogram(base + ".wait_ns", 0.0, 2000.0, 64);
+  h->wait_ns = &telemetry.histogram(base + ".wait_ns");
   h->tracer = &telemetry.spans();
   storage_ = std::move(h);
   handles_.store(storage_.get(), std::memory_order_release);

@@ -17,6 +17,15 @@
 //     declared counts live in the manifest) every salvaged interval is one
 //     the writer wrote.
 //
+// The two JSON readers — TelemetrySnapshot::from_json (metrics.json) and
+// parse_chrome_trace (trace.json) — take flips, truncations, line and byte
+// splices, and number swaps that put negative, fractional, exponent-form
+// and out-of-range numbers where counts and ids belong. Neither may crash
+// (run it under VIPROF_SANITIZE=address), an accepted snapshot's bucket
+// counts must sum to each histogram's count, and writing what was read is
+// a fixed point: to_json(from_json(y)) == y for y = to_json(from_json(x)),
+// and likewise for a trace re-written by merge_chrome_traces.
+//
 // The service's binary wire framing (service::FrameDecoder) gets the same
 // treatment at the byte level — bit flips, truncations, spliced byte runs
 // and duplicated frames, fed in random chunks — and must never hand out a
@@ -26,6 +35,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
+#include <cstring>
+#include <iterator>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -41,6 +53,7 @@
 #include "store/segment.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 
 namespace viprof {
 namespace {
@@ -440,6 +453,143 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
       EXPECT_EQ(rec.rows_salvaged + rec.rows_lost, declared_rows) << where;
     }
   }
+}
+
+// --- The JSON readers: metrics.json and trace.json -------------------------
+
+/// Numbers a count or an id must not take, and some it may.
+constexpr const char* kNumberSwaps[] = {
+    "-1", "-0", "0", "3", "0.5", "1e3", "1e-3", "2147483648", "4294967296",
+    "18446744073709551615", "18446744073709551616", "1e308", "-1e308", "00",
+};
+
+/// One seeded mutation of a JSON text: a flip, truncation or line splice
+/// (mutate_once), a run of up to 32 bytes moved elsewhere, or one number
+/// token swapped for a kNumberSwaps literal.
+std::string mutate_json_once(const std::string& text, support::Xoshiro256& rng) {
+  if (text.empty()) return text;
+  std::string out = text;
+  switch (rng.below(4)) {
+    case 0:
+      return mutate_once(text, rng);
+    case 1: {
+      const std::size_t from = rng.below(out.size());
+      const std::size_t len = 1 + rng.below(std::min<std::size_t>(32, out.size() - from));
+      const std::string run = out.substr(from, len);
+      out.erase(from, len);
+      out.insert(rng.below(out.size() + 1), run);
+      return out;
+    }
+    default: {
+      std::vector<std::size_t> starts;  // number tokens follow ':', ',', '[' or ' '
+      for (std::size_t i = 1; i < out.size(); ++i) {
+        const char p = out[i - 1];
+        if ((std::isdigit(static_cast<unsigned char>(out[i])) || out[i] == '-') &&
+            (p == ':' || p == ',' || p == '[' || p == ' '))
+          starts.push_back(i);
+      }
+      if (starts.empty()) return out;
+      const std::size_t at = starts[rng.below(starts.size())];
+      std::size_t end = at;
+      while (end < out.size() && std::strchr("0123456789.eE+-", out[end]) != nullptr) ++end;
+      out.replace(at, end - at, kNumberSwaps[rng.below(std::size(kNumberSwaps))]);
+      return out;
+    }
+  }
+}
+
+support::TelemetrySnapshot random_telemetry(support::Xoshiro256& rng) {
+  support::TelemetrySnapshot snap;
+  for (std::uint64_t n = rng.below(6); n > 0; --n)
+    snap.counters[token(rng, "ctr.")] =
+        rng.below(4) == 0 ? ~0ull - rng.below(9) : rng.below(1 << 20);
+  for (std::uint64_t n = rng.below(4); n > 0; --n)
+    snap.gauges[token(rng, "gauge.")] = rng.normal(0.0, 1e6) / (1 + rng.below(1000));
+  for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+    support::LatencyHistogram h;
+    for (std::uint64_t k = rng.below(40); k > 0; --k) {
+      const std::uint64_t kind = rng.below(12);
+      const double v = kind == 0   ? 0.0
+                       : kind == 1 ? 1e19
+                                   : std::pow(10.0, -6.0 + 18.0 * rng.uniform());
+      h.add(v, 1 + rng.below(3));
+    }
+    snap.histograms[token(rng, "hist.")] = h.summary();
+  }
+  return snap;
+}
+
+std::string random_trace(support::Xoshiro256& rng) {
+  std::vector<std::pair<std::string, support::ChromeTrace>> shards;
+  for (std::uint64_t s = 1 + rng.below(3); s > 0; --s) {
+    support::SpanTracer tracer(64);
+    for (std::uint64_t n = rng.below(12); n > 0; --n) {
+      const std::uint64_t at = rng.below(1'000'000);
+      const std::uint64_t arg = rng.below(3) == 0 ? support::SpanTracer::kNoArg : rng.below(100);
+      const std::uint64_t trace = rng.below(2) == 0 ? 0 : 1 + rng.below(1ull << 40);
+      if (rng.below(4) == 0) tracer.instant("daemon.crash", "daemon", at, arg, trace);
+      else tracer.record("service.batch.apply", "service", at, at + rng.below(5000), arg, trace);
+    }
+    const auto parsed =
+        support::parse_chrome_trace(tracer.to_chrome_json(1000.0 + rng.below(3000)));
+    shards.emplace_back(token(rng, "shard-"), *parsed);
+  }
+  return support::merge_chrome_traces(shards);
+}
+
+TEST(FramedFuzz, TelemetryJsonRejectsBadCountsAndRereadsAsAFixedPoint) {
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed * 0x51ed + 3);
+    const std::string base = random_telemetry(rng).to_json();
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      std::string x = base;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) x = mutate_json_once(x, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " + std::to_string(i);
+      const auto snap = support::TelemetrySnapshot::from_json(x);
+      if (!snap) continue;
+      ++accepted;
+      for (const auto& [name, h] : snap->histograms) {
+        std::uint64_t in_buckets = 0;
+        for (const support::HistogramBucket& b : h.buckets) {
+          ASSERT_LT(b.index, support::HistogramLayout::kBuckets) << where;
+          in_buckets += b.count;
+        }
+        ASSERT_EQ(in_buckets, h.count) << where << " " << name << ":\n" << x;
+        if (h.count > 0) {
+          EXPECT_GE(h.p50(), h.min) << where;
+          EXPECT_LE(h.p99(), h.max) << where;
+        }
+      }
+      const std::string y = snap->to_json();
+      const auto again = support::TelemetrySnapshot::from_json(y);
+      ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
+      EXPECT_EQ(again->to_json(), y) << where;
+    }
+  }
+  // Number swaps into gauges, sums and extremes keep most files readable.
+  EXPECT_GT(accepted, kSeeds * kMutantsPerSeed / 20);
+}
+
+TEST(FramedFuzz, ChromeTraceRejectsBadIdsAndRewritesAsAFixedPoint) {
+  std::size_t accepted = 0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed * 0x7ace + 5);
+    const std::string base = random_trace(rng);
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      std::string x = base;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) x = mutate_json_once(x, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " + std::to_string(i);
+      const auto trace = support::parse_chrome_trace(x);
+      if (!trace) continue;
+      ++accepted;
+      const std::string y = support::merge_chrome_traces({{"shard", *trace}});
+      const auto again = support::parse_chrome_trace(y);
+      ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
+      EXPECT_EQ(support::merge_chrome_traces({{"shard", *again}}), y) << where;
+    }
+  }
+  EXPECT_GT(accepted, kSeeds * kMutantsPerSeed / 20);
 }
 
 // --- The service wire: FrameDecoder ----------------------------------------

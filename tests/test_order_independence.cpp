@@ -21,6 +21,7 @@
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
 #include "core/resolver.hpp"
+#include "service/query.hpp"
 #include "service/session.hpp"
 #include "store/segment.hpp"
 #include "support/framed_text.hpp"
@@ -548,6 +549,35 @@ TEST(OrderIndependence, SessionAnyStripeCountApplyOrderAndFlushCutsMatchSerial) 
       core::expect_same_profile_bytes(core::reduce_shuffled(std::move(deltas), rng),
                                       serial.profile, Profile{}, ctx + " flushes");
     }
+  }
+}
+
+TEST(OrderIndependence, SnapshotBytesDoNotDependOnApplyOrder) {
+  // ProfileServer::snapshot() serialises each session's merged and
+  // per-epoch profiles; the rows must come out in (image, symbol) order,
+  // not in the order the workers happened to apply batches.
+  support::Xoshiro256 rng(31);
+  const auto batches = core::make_batches(rng, 24, 24);
+  const auto snapshot_bytes = [&](const std::vector<std::size_t>& order,
+                                  std::size_t stripes) {
+    ServerSession session("s", 64, stripes);
+    for (const std::size_t seq : order) session.apply(seq, batch_result(batches[seq]));
+    ServiceSnapshot snap;
+    SessionSnapshot& out = snap.sessions.emplace_back();
+    out.id = session.id();
+    out.profile = session.merged_profile();
+    out.epochs = session.epoch_profiles();
+    return snap.serialize();
+  };
+  std::vector<std::size_t> order(batches.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const std::string forward = snapshot_bytes(order, 1);
+  ASSERT_TRUE(ServiceSnapshot::parse(forward).has_value());
+  std::reverse(order.begin(), order.end());
+  EXPECT_EQ(snapshot_bytes(order, 1), forward) << "reversed";
+  for (const std::size_t stripes : {2u, 4u}) {
+    std::shuffle(order.begin(), order.end(), rng);
+    EXPECT_EQ(snapshot_bytes(order, stripes), forward) << "stripes " << stripes;
   }
 }
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -22,9 +24,9 @@ TEST(Telemetry, RegistrationIsIdempotent) {
   a.inc(3);
   EXPECT_EQ(b.value(), 3u);
 
-  LatencyHistogram& h1 = tele.histogram("daemon.drain.backlog", 0, 10, 8);
-  LatencyHistogram& h2 = tele.histogram("daemon.drain.backlog", 99, 99, 1);
-  EXPECT_EQ(&h1, &h2);  // later bucket parameters are ignored
+  LatencyHistogram& h1 = tele.histogram("daemon.drain.backlog");
+  LatencyHistogram& h2 = tele.histogram("daemon.drain.backlog");
+  EXPECT_EQ(&h1, &h2);
 }
 
 TEST(Telemetry, GaugeLastWriteWins) {
@@ -40,7 +42,7 @@ TEST(Telemetry, SnapshotCapturesAllKinds) {
   Telemetry tele;
   tele.counter("a.count").inc(7);
   tele.gauge("b.gauge").set(-1.5);
-  tele.histogram("c.hist", 0, 1, 4).add(2.0);
+  tele.histogram("c.hist").add(2.0);
   const TelemetrySnapshot snap = tele.snapshot();
   EXPECT_EQ(snap.counter("a.count"), 7u);
   EXPECT_DOUBLE_EQ(snap.gauge("b.gauge"), -1.5);
@@ -59,7 +61,7 @@ TEST(Telemetry, ConcurrentCountersAreLossless) {
   auto worker = [&tele](const char* own_metric) {
     Counter& own = tele.counter(own_metric);
     Counter& shared = tele.counter("shared.total");
-    LatencyHistogram& hist = tele.histogram("shared.latency", 0, 100, 16);
+    LatencyHistogram& hist = tele.histogram("shared.latency");
     for (int i = 0; i < kPerThread; ++i) {
       own.inc();
       shared.inc();
@@ -83,16 +85,19 @@ TEST(Telemetry, ConcurrentCountersAreLossless) {
 // --- Histogram percentile edge cases ---------------------------------------
 
 TEST(LatencyHistogramTest, EmptySummaryIsAllZero) {
-  LatencyHistogram h(0, 10, 8);
+  LatencyHistogram h;
   const HistogramSummary s = h.summary();
   EXPECT_EQ(s.count, 0u);
-  EXPECT_DOUBLE_EQ(s.p50, 0.0);
-  EXPECT_DOUBLE_EQ(s.p99, 0.0);
+  EXPECT_TRUE(s.buckets.empty());
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.max, 0.0);
+  EXPECT_DOUBLE_EQ(s.p50(), 0.0);
+  EXPECT_DOUBLE_EQ(s.p99(), 0.0);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
 }
 
 TEST(LatencyHistogramTest, SingleSampleReportsThatSample) {
-  LatencyHistogram h(0, 10, 8);
+  LatencyHistogram h;
   h.add(37.0);
   const HistogramSummary s = h.summary();
   EXPECT_EQ(s.count, 1u);
@@ -100,33 +105,97 @@ TEST(LatencyHistogramTest, SingleSampleReportsThatSample) {
   EXPECT_DOUBLE_EQ(s.max, 37.0);
   // Every percentile of a one-sample distribution is the sample itself, not
   // a bucket midpoint.
-  EXPECT_DOUBLE_EQ(s.p50, 37.0);
-  EXPECT_DOUBLE_EQ(s.p90, 37.0);
-  EXPECT_DOUBLE_EQ(s.p99, 37.0);
+  EXPECT_DOUBLE_EQ(s.p50(), 37.0);
+  EXPECT_DOUBLE_EQ(s.p90(), 37.0);
+  EXPECT_DOUBLE_EQ(s.p99(), 37.0);
 }
 
 TEST(LatencyHistogramTest, SaturatingValuesClampToObservedMax) {
-  LatencyHistogram h(0, 10, 4);  // covers [0, 40); everything else overflows
-  for (int i = 0; i < 100; ++i) h.add(1e9);
+  LatencyHistogram h;  // 1e18 is beyond 2^48: it lands in the high end bucket
+  for (int i = 0; i < 100; ++i) h.add(1e18);
   const HistogramSummary s = h.summary();
   EXPECT_EQ(s.count, 100u);
-  // The whole mass sits in the overflow bucket: percentiles saturate at the
-  // exact max instead of inventing an in-range midpoint.
-  EXPECT_DOUBLE_EQ(s.p50, 1e9);
-  EXPECT_DOUBLE_EQ(s.p99, 1e9);
-  EXPECT_DOUBLE_EQ(s.max, 1e9);
+  ASSERT_EQ(s.buckets.size(), 1u);
+  EXPECT_EQ(s.buckets[0].index, HistogramLayout::kBuckets - 1);
+  // The whole mass sits in the end bucket: percentiles saturate at the
+  // exact max instead of inventing a value.
+  EXPECT_DOUBLE_EQ(s.p50(), 1e18);
+  EXPECT_DOUBLE_EQ(s.p99(), 1e18);
+  EXPECT_DOUBLE_EQ(s.max, 1e18);
+
+  LatencyHistogram low;  // zero and negatives land in the low end bucket
+  low.add(0.0, 5);
+  low.add(-3.0);
+  low.add(1e-9);
+  const HistogramSummary l = low.summary();
+  ASSERT_EQ(l.buckets.size(), 1u);
+  EXPECT_EQ(l.buckets[0].index, 0u);
+  EXPECT_DOUBLE_EQ(l.min, -3.0);
+  EXPECT_DOUBLE_EQ(l.p50(), 0.0);
+  EXPECT_DOUBLE_EQ(l.p99(), 0.0);  // the low end bucket reports 0
+  EXPECT_DOUBLE_EQ(l.percentile(0.0), 0.0);
 }
 
 TEST(LatencyHistogramTest, PercentilesAreMonotoneAndClamped) {
-  LatencyHistogram h(0, 10, 10);
+  LatencyHistogram h;
   for (int i = 1; i <= 100; ++i) h.add(static_cast<double>(i));
   const HistogramSummary s = h.summary();
-  EXPECT_LE(s.p50, s.p90);
-  EXPECT_LE(s.p90, s.p99);
-  EXPECT_GE(s.p50, s.min);
-  EXPECT_LE(s.p99, s.max);
-  EXPECT_NEAR(s.p50, 50.0, 5.0);  // bucket-midpoint estimate stays close
-  EXPECT_NEAR(s.p90, 90.0, 5.0);
+  EXPECT_LE(s.p50(), s.p90());
+  EXPECT_LE(s.p90(), s.p99());
+  EXPECT_GE(s.p50(), s.min);
+  EXPECT_LE(s.p99(), s.max);
+  // Within 1/64 of the rank-ceil(q*n) value (50, 90, 99).
+  EXPECT_NEAR(s.p50(), 50.0, 50.0 / 64);
+  EXPECT_NEAR(s.p90(), 90.0, 90.0 / 64);
+  EXPECT_NEAR(s.p99(), 99.0, 99.0 / 64);
+  EXPECT_NEAR(s.percentile(0.0), 1.0, 1.0 / 64);  // rank 1
+  EXPECT_DOUBLE_EQ(s.percentile(1.0), 100.0);     // rank n, clamped to the max
+}
+
+TEST(LatencyHistogramTest, WeightedAddEqualsRepeatedAdds) {
+  LatencyHistogram weighted, repeated;
+  weighted.add(0.5, 10);
+  weighted.add(2.5, 5);
+  for (int i = 0; i < 10; ++i) repeated.add(0.5);
+  for (int i = 0; i < 5; ++i) repeated.add(2.5);
+  const HistogramSummary w = weighted.summary();
+  const HistogramSummary r = repeated.summary();
+  EXPECT_EQ(w.count, 15u);
+  EXPECT_EQ(w.buckets, r.buckets);
+  EXPECT_DOUBLE_EQ(w.sum, r.sum);
+  EXPECT_NEAR(w.p50(), 0.5, 0.5 / 64);  // rank 8 of 15 is a 0.5
+  weighted.add(7.0, 0);        // a zero-weight add records nothing
+  weighted.add(std::nan(""));  // and so does NaN
+  EXPECT_EQ(weighted.summary().count, 15u);
+  EXPECT_DOUBLE_EQ(weighted.summary().max, 2.5);
+}
+
+TEST(HistogramLayoutTest, BucketsSplitEachPowerOfTwoIntoThirtyTwo) {
+  using L = HistogramLayout;
+  EXPECT_EQ(L::bucket_of(0.0), 0u);
+  EXPECT_EQ(L::bucket_of(-1.0), 0u);
+  EXPECT_EQ(L::bucket_of(std::ldexp(1.0, L::kMinExp) * (1 - 1e-12)), 0u);
+  EXPECT_EQ(L::bucket_of(std::ldexp(1.0, L::kMinExp)), 1u);
+  EXPECT_EQ(L::bucket_of(std::nextafter(std::ldexp(1.0, L::kMaxExp), 0.0)),
+            L::kBuckets - 2);
+  EXPECT_EQ(L::bucket_of(std::ldexp(1.0, L::kMaxExp)), L::kBuckets - 1);
+  EXPECT_EQ(L::bucket_of(std::numeric_limits<double>::infinity()), L::kBuckets - 1);
+  // Every power of two [2^e, 2^(e+1)) spans exactly 32 buckets.
+  EXPECT_EQ(L::bucket_of(2.0) - L::bucket_of(1.0), 32u);
+  EXPECT_EQ(L::bucket_of(1.0 + 1.0 / 32) - L::bucket_of(1.0), 1u);
+  EXPECT_EQ(L::bucket_of(1.0 + 1.0 / 32 - 1e-12), L::bucket_of(1.0));
+  // Every in-range bucket's value is its midpoint: inside the bucket and
+  // within 1/64 of any value that lands in it.
+  std::uint32_t last = 0;
+  for (double v = std::ldexp(1.0, L::kMinExp); v < std::ldexp(1.0, L::kMaxExp);
+       v *= 1.0037) {
+    const std::uint32_t b = L::bucket_of(v);
+    ASSERT_GE(b, last) << v;  // monotone in the value
+    last = b;
+    EXPECT_EQ(L::bucket_of(L::value_of(b)), b) << v;
+    EXPECT_LE(std::abs(L::value_of(b) - v), v / 64) << v;
+  }
+  EXPECT_EQ(last, L::kBuckets - 2);
 }
 
 // --- Span ring --------------------------------------------------------------
@@ -186,7 +255,7 @@ TEST(TelemetrySnapshotTest, JsonRoundTrip) {
   Telemetry tele;
   tele.counter("daemon.drained").inc(123);
   tele.gauge("profiler.overhead_pct").set(4.875);
-  LatencyHistogram& h = tele.histogram("resolver.walkback.depth", 0, 1, 8);
+  LatencyHistogram& h = tele.histogram("resolver.walkback.depth");
   h.add(0);
   h.add(1);
   h.add(5);
@@ -203,6 +272,10 @@ TEST(TelemetrySnapshotTest, JsonRoundTrip) {
   EXPECT_EQ(hs.count, 3u);
   EXPECT_DOUBLE_EQ(hs.min, 0.0);
   EXPECT_DOUBLE_EQ(hs.max, 5.0);
+  const HistogramSummary& orig = snap.histograms.at("resolver.walkback.depth");
+  EXPECT_EQ(hs.buckets, orig.buckets);
+  EXPECT_DOUBLE_EQ(hs.p50(), orig.p50());
+  EXPECT_EQ(loaded->to_json(), json);  // the written form is a fixed point
 }
 
 TEST(TelemetrySnapshotTest, FromJsonRejectsGarbage) {
@@ -212,6 +285,47 @@ TEST(TelemetrySnapshotTest, FromJsonRejectsGarbage) {
   EXPECT_FALSE(TelemetrySnapshot::from_json("{\"counters\": {\"x\": \"nan\"}}")
                    .has_value());
   EXPECT_FALSE(TelemetrySnapshot::from_json("{} trailing").has_value());
+}
+
+TEST(TelemetrySnapshotTest, FromJsonRejectsCountsACastWouldGetWrong) {
+  const auto counter = [](const std::string& v) {
+    return TelemetrySnapshot::from_json("{\"counters\": {\"x\": " + v + "}}");
+  };
+  ASSERT_TRUE(counter("18446744073709551615").has_value());
+  EXPECT_EQ(counter("18446744073709551615")->counter("x"), ~0ull);  // exact
+  for (const char* bad : {"-1", "1.5", "1e3", "18446744073709551616", "1-2", "1e999"})
+    EXPECT_FALSE(counter(bad).has_value()) << bad;
+
+  const auto hist = [](const std::string& body) {
+    return TelemetrySnapshot::from_json("{\"histograms\": {\"h\": {" + body + "}}}");
+  };
+  const std::string ok = "\"count\": 3, \"sum\": 6, \"min\": 1, \"max\": 3, ";
+  ASSERT_TRUE(hist(ok + "\"buckets\": [[513, 1], [545, 1], [561, 1]]").has_value());
+  EXPECT_DOUBLE_EQ(
+      hist(ok + "\"buckets\": [[513, 1], [545, 1], [561, 1]]")->histograms.at("h").p50(),
+      HistogramLayout::value_of(545));
+  for (const char* bad : {
+           "[[513, 3]]]",                       // (syntax)
+           "[[513, 2]]",                        // buckets sum below count
+           "[[513, 4]]",                        // above count
+           "[[513, 1], [513, 2]]",              // repeated index
+           "[[545, 2], [513, 1]]",              // out of order
+           "[[513, 0], [545, 3]]",              // an empty bucket
+           "[[2050, 3]]",                       // beyond the layout
+           "[[-1, 3]]", "[[513.5, 3]]",         // not an index
+           "[[513, 1.5], [545, 1.5]]",          // fractional counts
+           "[[513, 3, 0]]", "[513, 3]",         // wrong shape
+       })
+    EXPECT_FALSE(hist(ok + "\"buckets\": " + bad).has_value()) << bad;
+  EXPECT_FALSE(hist("\"count\": 3, \"sum\": 6, \"min\": 1, \"max\": 3").has_value());
+  EXPECT_FALSE(hist("\"count\": -3, \"sum\": 6, \"min\": 1, \"max\": 3, "
+                    "\"buckets\": []").has_value());
+  EXPECT_FALSE(hist("\"count\": 1, \"sum\": 6, \"min\": 3, \"max\": 1, "
+                    "\"buckets\": [[513, 1]]").has_value());  // min above max
+  EXPECT_FALSE(hist("\"count\": 0, \"sum\": 6, \"min\": 0, \"max\": 0, "
+                    "\"buckets\": []").has_value());  // an empty one with a sum
+  EXPECT_TRUE(hist("\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0, "
+                   "\"buckets\": []").has_value());
 }
 
 TEST(TelemetrySnapshotTest, RenderTextFiltersByPrefix) {
@@ -249,19 +363,21 @@ TEST(TelemetrySnapshotTest, DiffShowsOnlyChangedMetrics) {
 // --- Summary merging (the contention report's fold) -------------------------
 
 TEST(HistogramSummaryTest, MergedFoldsCountsExactlyAndClampsPercentiles) {
-  LatencyHistogram a(0, 10, 8), b(0, 10, 8);
+  LatencyHistogram a, b, both;
   for (int i = 0; i < 10; ++i) a.add(5.0);
   for (int i = 0; i < 30; ++i) b.add(50.0);
+  both.add(5.0, 10);
+  both.add(50.0, 30);
   const HistogramSummary m = HistogramSummary::merged(a.summary(), b.summary());
   EXPECT_EQ(m.count, 40u);
   EXPECT_DOUBLE_EQ(m.sum, 10 * 5.0 + 30 * 50.0);
   EXPECT_DOUBLE_EQ(m.min, 5.0);   // min/max combine exactly, not estimated
   EXPECT_DOUBLE_EQ(m.max, 50.0);
-  // Count-weighted percentiles: rank quality only, but always in range and
-  // pulled toward the heavier side.
-  EXPECT_GE(m.p50, m.min);
-  EXPECT_LE(m.p99, m.max);
-  EXPECT_GT(m.p50, 5.0);
+  // A bucket-wise sum: the merge is the histogram that saw both inputs.
+  EXPECT_EQ(m.buckets, both.summary().buckets);
+  EXPECT_DOUBLE_EQ(m.p50(), 50.0);  // rank 20 is a 50, clamped to the max
+  EXPECT_NEAR(m.percentile(0.25), 5.0, 5.0 / 64);
+  EXPECT_DOUBLE_EQ(m.p99(), both.summary().p99());
 
   // Merging with an empty summary is the identity.
   const HistogramSummary id = HistogramSummary::merged(a.summary(), HistogramSummary{});
@@ -270,19 +386,19 @@ TEST(HistogramSummaryTest, MergedFoldsCountsExactlyAndClampsPercentiles) {
 }
 
 TEST(LatencyHistogramTest, BucketMidpointNeverEscapesObservedRange) {
-  // Regression for the clamp: all mass in one wide bucket whose midpoint
-  // (500) lies far outside the observed values — the estimate must clamp
-  // to the exact min/max, not report the midpoint.
-  LatencyHistogram h(0, 1000, 4);
+  // Regression for the clamp: all mass in the bucket [7, 7.125), whose
+  // midpoint (7.0625) no sample took — the estimate must clamp to the
+  // exact min/max, not report the midpoint.
+  LatencyHistogram h;
   h.add(7.0);
   h.add(7.0);
   h.add(7.0);
   const HistogramSummary s = h.summary();
   EXPECT_DOUBLE_EQ(s.min, 7.0);
   EXPECT_DOUBLE_EQ(s.max, 7.0);
-  EXPECT_DOUBLE_EQ(s.p50, 7.0);
-  EXPECT_DOUBLE_EQ(s.p90, 7.0);
-  EXPECT_DOUBLE_EQ(s.p99, 7.0);
+  EXPECT_DOUBLE_EQ(s.p50(), 7.0);
+  EXPECT_DOUBLE_EQ(s.p90(), 7.0);
+  EXPECT_DOUBLE_EQ(s.p99(), 7.0);
 }
 
 // --- Chrome trace parse + merge ---------------------------------------------
@@ -316,6 +432,24 @@ TEST(ChromeTraceTest, ParseRejectsNonTraces) {
   const auto empty = parse_chrome_trace("{\"traceEvents\":[]}");
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->events.empty());
+}
+
+TEST(ChromeTraceTest, ParseRejectsIdsACastWouldGetWrong) {
+  const auto event = [](const std::string& fields) {
+    return parse_chrome_trace("{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\"" +
+                              fields + "}]}");
+  };
+  const auto ok = event(",\"pid\":2147483647,\"tid\":4294967295,\"ts\":-1.5");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->events[0].pid, 2147483647);
+  EXPECT_EQ(ok->events[0].tid, 4294967295u);
+  EXPECT_DOUBLE_EQ(ok->events[0].ts, -1.5);  // timestamps may be any number
+  ASSERT_TRUE(event("").has_value());
+  EXPECT_EQ(event("")->events[0].pid, 1);  // absent ids keep the default
+  for (const char* bad : {",\"pid\":-1", ",\"pid\":1.5", ",\"pid\":2147483648",
+                          ",\"pid\":1e3", ",\"tid\":-2", ",\"tid\":4294967296",
+                          ",\"tid\":0.25", ",\"tid\":\"7\"", ",\"pid\":1e999"})
+    EXPECT_FALSE(event(bad).has_value()) << bad;
 }
 
 TEST(ChromeTraceTest, MergeAssignsPidsNamesProcessesAndRebasesTime) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,18 +59,35 @@ TEST(TelemetryStress, DistinctNamesRegisterConcurrently) {
 }
 
 TEST(TelemetryStress, SharedHistogramKeepsEverySample) {
+  // Lock-free adds: after the threads join, the buckets sum to the count
+  // and the count to the number of adds, exactly, and the histogram equals
+  // one that saw the same values from a single thread.
   Telemetry telemetry;
+  const auto value_of = [](int t, int i) {
+    return std::ldexp(1.0 + static_cast<double>(i % 97) / 97.0, (t * kOpsPerThread + i) % 40 - 8);
+  };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&telemetry, t] {
-      LatencyHistogram& hist = telemetry.histogram("stress.hist", 0.0, 10.0, 32);
-      for (int i = 0; i < kOpsPerThread; ++i)
-        hist.add(static_cast<double>((t * kOpsPerThread + i) % 320));
+    threads.emplace_back([&telemetry, &value_of, t] {
+      LatencyHistogram& hist = telemetry.histogram("stress.hist");
+      for (int i = 0; i < kOpsPerThread; ++i) hist.add(value_of(t, i));
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(telemetry.histogram("stress.hist", 0.0, 10.0, 32).summary().count,
-            static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  LatencyHistogram serial;
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kOpsPerThread; ++i) serial.add(value_of(t, i));
+
+  const HistogramSummary s = telemetry.histogram("stress.hist").summary();
+  const HistogramSummary want = serial.summary();
+  std::uint64_t in_buckets = 0;
+  for (const HistogramBucket& b : s.buckets) in_buckets += b.count;
+  EXPECT_EQ(in_buckets, s.count);
+  EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
+  EXPECT_EQ(s.buckets, want.buckets);
+  EXPECT_EQ(s.min, want.min);
+  EXPECT_EQ(s.max, want.max);
+  EXPECT_NEAR(s.sum, want.sum, 1e-9 * want.sum);
 }
 
 TEST(TelemetryStress, MixedWorkloadSnapshotsWhileWriting) {
@@ -83,7 +101,7 @@ TEST(TelemetryStress, MixedWorkloadSnapshotsWhileWriting) {
       while (!stop.load(std::memory_order_relaxed)) {
         telemetry.counter("mixed.ctr").inc();
         telemetry.gauge("mixed.gauge").set(1.0);
-        telemetry.histogram("mixed.hist", 0.0, 1.0, 8).add(0.5);
+        telemetry.histogram("mixed.hist").add(0.5);
       }
     });
   }
@@ -93,6 +111,12 @@ TEST(TelemetryStress, MixedWorkloadSnapshotsWhileWriting) {
     const std::uint64_t now = snap.counter("mixed.ctr");
     EXPECT_GE(now, last);
     last = now;
+    // A histogram read mid-add is still whole: its buckets sum to its count.
+    if (auto it = snap.histograms.find("mixed.hist"); it != snap.histograms.end()) {
+      std::uint64_t in_buckets = 0;
+      for (const HistogramBucket& b : it->second.buckets) in_buckets += b.count;
+      EXPECT_EQ(in_buckets, it->second.count);
+    }
   }
   stop = true;
   for (auto& t : writers) t.join();

@@ -24,9 +24,10 @@
 // <subdir>/trace.json beneath it, sorted.
 //
 // `contention` ranks locks by total wait: every lock.<name>.wait_ns
-// histogram across the inputs is folded with HistogramSummary::merged
-// (count-weighted percentiles — rank quality, not exact re-quantiles) and
-// rendered worst-first with its acquired/contended counters. Directory
+// histogram across the inputs is folded with HistogramSummary::merged (a
+// bucket-wise sum, so the percentiles are those of one histogram that saw
+// every shard's waits) and rendered worst-first with its acquired/contended
+// counters. Directory
 // inputs locate metrics.json the same way trace-merge locates traces.
 //
 // Exit status: 0 on success, 1 when `diff` found differences, 2 on load
@@ -283,8 +284,8 @@ int main(int argc, char** argv) {
       std::snprintf(total, sizeof total, "%.1f", row.wait.sum / 1000.0);
       table.add_row({lock, std::to_string(row.acquired),
                      std::to_string(row.contended), std::to_string(row.wait.count),
-                     total, ns(row.wait.mean()), ns(row.wait.p50), ns(row.wait.p90),
-                     ns(row.wait.p99), ns(row.wait.max)});
+                     total, ns(row.wait.mean()), ns(row.wait.p50()), ns(row.wait.p90()),
+                     ns(row.wait.p99()), ns(row.wait.max)});
     }
     std::fputs(table.render().c_str(), stdout);
     return 0;
