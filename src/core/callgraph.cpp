@@ -6,13 +6,12 @@
 
 namespace viprof::core {
 
-std::string arc_endpoint(support::Name image, support::Name symbol) {
-  std::string out;
-  out.reserve(image.size() + 1 + symbol.size());
-  out += image.view();
-  out += ':';
-  out += symbol.view();
-  return out;
+void add_arc_row(support::TextTable& table, const CallArc& arc) {
+  table.cell(arc.count)
+      .cell(arc.caller_image.view(), ':', arc.caller_symbol.view())
+      .cell("->")
+      .cell(arc.callee_image.view(), ':', arc.callee_symbol.view())
+      .end_row();
 }
 
 std::size_t CallGraph::arc_slot(const CallArc& like, std::uint64_t hash) {
@@ -86,13 +85,9 @@ std::vector<CallArc> CallGraph::cross_layer_arcs() const {
 }
 
 std::string CallGraph::render(std::size_t top_n) const {
-  support::TextTable table({"Samples", "Caller", "->", "Callee"});
-  for (const std::uint32_t a : rank(top_n)) {
-    const CallArc& arc = arcs_[a];
-    table.add_row({std::to_string(arc.count),
-                   arc_endpoint(arc.caller_image, arc.caller_symbol), "->",
-                   arc_endpoint(arc.callee_image, arc.callee_symbol)});
-  }
+  const std::vector<std::uint32_t> ranked = rank(top_n);
+  support::TextTable table({"Samples", "Caller", "->", "Callee"}, ranked.size(), 96);
+  for (const std::uint32_t a : ranked) add_arc_row(table, arcs_[a]);
   return table.render();
 }
 

@@ -17,6 +17,10 @@
 #include "core/sample_log.hpp"
 #include "hw/event.hpp"
 
+namespace viprof::support {
+class TextTable;
+}  // namespace viprof::support
+
 namespace viprof::core {
 
 /// One (caller -> callee) arc; the four endpoint names are interned ids.
@@ -33,8 +37,10 @@ struct CallArc {
   bool crosses_layers() const { return caller_domain != callee_domain; }
 };
 
-/// "image:symbol", how every arc table prints one endpoint.
-std::string arc_endpoint(support::Name image, support::Name symbol);
+/// Appends `arc` as one row of an arc table ("Samples", "Caller", "->",
+/// "Callee"), each endpoint printed as "image:symbol". Every arc table
+/// prints its rows through this.
+void add_arc_row(support::TextTable& table, const CallArc& arc);
 
 class CallGraph {
  public:
@@ -80,15 +86,15 @@ class CallGraph {
     return index_.hash(static_cast<std::uint32_t>(arc));
   }
 
+  /// Arc positions of the first `top_n` arcs in ranked() order.
+  std::vector<std::uint32_t> rank(std::size_t top_n) const;
+
   std::string render(std::size_t top_n) const;
 
  private:
   /// The arc with `like`'s endpoints (hashing to `hash`), appended with a
   /// zero count if new; an endpoint keeps the lower of its two domains.
   std::size_t arc_slot(const CallArc& like, std::uint64_t hash);
-  /// Arc positions of the first `top_n` arcs in ranked() order.
-  std::vector<std::uint32_t> rank(std::size_t top_n) const;
-
   const Resolver* resolver_ = nullptr;
   std::vector<CallArc> arcs_;
   /// The four endpoint names -> index into arcs_.

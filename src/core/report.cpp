@@ -113,21 +113,20 @@ const ProfileRow* Profile::find(std::string_view image, std::string_view symbol)
 
 std::string Profile::render(const std::vector<hw::EventKind>& events,
                             std::size_t top_n) const {
-  std::vector<std::string> headers;
+  const hw::EventKind primary =
+      events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0];
+  const std::vector<std::uint32_t> ranked = rank(primary, top_n);
+
+  std::vector<std::string_view> headers;
+  headers.reserve(events.size() + 2);
   for (hw::EventKind e : events) headers.push_back(event_column_title(e));
   headers.push_back("Image name");
   headers.push_back("Symbol name");
-  support::TextTable table(std::move(headers));
-
-  const hw::EventKind primary =
-      events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0];
-  for (const std::uint32_t r : rank(primary, top_n)) {
+  support::TextTable table(headers, ranked.size(), 64);
+  for (const std::uint32_t r : ranked) {
     const ProfileRow& row = rows_[r];
-    std::vector<std::string> cells;
-    for (hw::EventKind e : events) cells.push_back(support::fixed(percent(row, e), 4));
-    cells.push_back(row.image.str());
-    cells.push_back(row.symbol.str());
-    table.add_row(std::move(cells));
+    for (hw::EventKind e : events) table.cell_fixed(percent(row, e), 4);
+    table.cell(row.image.view()).cell(row.symbol.view()).end_row();
   }
   return table.render();
 }
@@ -171,9 +170,8 @@ std::string render_diff(const Profile& before, const Profile& after,
        rank_top(movers.size(), top_n, magnitude,
                 [&](std::size_t a, std::size_t b) { return names(a) < names(b); })) {
     const Mover& mv = movers[m];
-    table.add_row({(mv.delta > 0 ? "+" : "") + std::to_string(mv.delta),
-                   std::to_string(mv.from), std::to_string(mv.to), mv.row->image.str(),
-                   mv.row->symbol.str()});
+    table.cell_signed(mv.delta).cell(mv.from).cell(mv.to);
+    table.cell(mv.row->image.view()).cell(mv.row->symbol.view()).end_row();
   }
   return table.render();
 }

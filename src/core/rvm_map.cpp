@@ -1,18 +1,29 @@
 #include "core/rvm_map.hpp"
 
+#include <algorithm>
 #include <string_view>
+#include <vector>
 
 #include "support/str_scan.hpp"
 
 namespace viprof::core {
 
 os::SymbolTable parse_rvm_map(const std::string& contents) {
-  os::SymbolTable table;
-  const auto handle = [&table](std::string_view line) {
+  struct Line {
+    std::uint64_t offset;
+    std::uint64_t size;
+    std::string_view name;
+    std::size_t order;  // position in the file
+  };
+  std::vector<Line> lines;
+  const auto handle = [&lines](std::string_view line) {
     std::uint64_t offset = 0;
     std::uint64_t size = 0;
     std::string_view name;
+    // Three whitespace-separated fields; "12 5x name" is junk, not a
+    // five-byte symbol "x".
     if (!support::scan_hex64(line, offset) || !support::scan_u64(line, size) ||
+        line.empty() || !support::is_space(line.front()) ||
         !support::scan_token(line, name)) {
       return;  // not a map line; skipped, like every other malformed line
     }
@@ -20,7 +31,7 @@ os::SymbolTable parse_rvm_map(const std::string& contents) {
     // truncated, not rejected — a boot map is trusted input, unlike the
     // checksummed epoch maps.
     if (name.size() > 511) name = name.substr(0, 511);
-    table.add(name, offset, size);
+    lines.push_back({offset, size, name, lines.size()});
   };
   support::LineCursor cursor(contents);
   std::string_view line;
@@ -28,6 +39,25 @@ os::SymbolTable parse_rvm_map(const std::string& contents) {
   // The boot map has no framing to verify, so a final line without a
   // newline is still a line.
   if (!cursor.tail().empty()) handle(cursor.tail());
+
+  // A symbol table must not overlap (os::SymbolTable checks it at the
+  // first lookup, in an order that does not fix equal offsets), so a
+  // damaged map degrades instead. In offset order, the largest first at
+  // each offset and file order among equals, a symbol is dropped when it
+  // starts where a kept one starts, inside a kept one, or ends past 2^64.
+  std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
+    if (a.offset != b.offset) return a.offset < b.offset;
+    return a.size != b.size ? a.size > b.size : a.order < b.order;
+  });
+  os::SymbolTable table;
+  const Line* kept = nullptr;
+  for (const Line& l : lines) {
+    if (kept != nullptr && (l.offset == kept->offset || l.offset < kept->offset + kept->size))
+      continue;
+    if (l.size > ~std::uint64_t{0} - l.offset) continue;
+    table.add(l.name, l.offset, l.size);
+    kept = &l;
+  }
   return table;
 }
 

@@ -65,8 +65,7 @@ core::Profile gather_merged(const std::vector<store::ProfileStore*>& stores) {
 std::string stored_sessions_table(const std::vector<store::ProfileStore*>& stores) {
   support::TextTable table({"Session", "Records", "Intervals"});
   for (const store::ProfileStore::StoredSession& ss : gather_sessions(stores))
-    table.add_row({ss.session, std::to_string(ss.records),
-                   std::to_string(ss.intervals)});
+    table.cell(ss.session).cell(ss.records).cell(ss.intervals).end_row();
   return table.render();
 }
 
@@ -154,7 +153,7 @@ std::string Federator::render_top(const std::vector<hw::EventKind>& events,
 std::string Federator::sessions_table() const {
   // Scatter to every live shard, gather rows keyed by session id: the map
   // re-sorts into the exact row order a single server's session map walks.
-  std::map<std::string, std::vector<std::string>> rows;
+  std::map<std::string, service::SessionStats> rows;
   for (const std::string& name : router_->shard_names()) {
     if (!router_->alive(name)) continue;
     service::ProfileServer* server = router_->server(name);
@@ -162,19 +161,11 @@ std::string Federator::sessions_table() const {
     for (const std::string& id : server->session_ids()) {
       const std::shared_ptr<service::ServerSession> s = server->session(id);
       if (!s) continue;
-      const service::SessionStats st = s->stats();
-      rows[id] = {id,
-                  std::to_string(st.records_ingested),
-                  std::to_string(st.batches_applied),
-                  std::to_string(st.batches_dropped),
-                  std::to_string(st.torn_frames),
-                  std::to_string(st.registrations),
-                  st.ended ? "ended" : "streaming"};
+      rows[id] = s->stats();
     }
   }
-  support::TextTable table(
-      {"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
-  for (const auto& [id, row] : rows) table.add_row(row);
+  support::TextTable table = service::session_stats_table();
+  for (const auto& [id, st] : rows) service::add_session_row(table, id, st);
   return table.render();
 }
 

@@ -1,6 +1,7 @@
 #include "memprof/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <map>
 #include <memory>
 #include <utility>
@@ -39,80 +40,107 @@ std::string render_memprof(const SiteTable& sites, const core::Profile& profile,
                            std::size_t top_n) {
   // Collapse (pid, site) onto the site index — object rows in the profile
   // are keyed by "site#<idx>" alone, the same way JIT.App rows collapse
-  // method names across VMs. First (lowest-pid) name wins.
+  // method names across VMs. First (lowest-pid) non-empty name wins; names
+  // are the table's own strings, never copied.
   struct Agg {
-    std::string name;
-    std::uint64_t alloc_objects = 0, alloc_bytes = 0;
-    std::uint64_t dead_objects = 0, dead_bytes = 0;
-  };
-  std::map<std::uint32_t, Agg> by_site;
-  for (const auto& [key, stats] : sites.sites()) {
-    Agg& agg = by_site[key.second];
-    if (agg.name.empty()) agg.name = stats.name;
-    agg.alloc_objects += stats.alloc_objects;
-    agg.alloc_bytes += stats.alloc_bytes;
-    agg.dead_objects += stats.dead_objects;
-    agg.dead_bytes += stats.dead_bytes;
-  }
-
-  struct Row {
     std::uint32_t site;
-    std::uint64_t misses;
-    const Agg* agg;
+    hw::Pid pid;
+    const std::string* name;
+    std::uint64_t alloc_objects, alloc_bytes, dead_objects, dead_bytes;
+    std::uint64_t misses = 0;
   };
-  std::vector<Row> rows;
-  rows.reserve(by_site.size());
+  std::vector<Agg> aggs;
+  aggs.reserve(sites.sites().size());
+  for (const auto& [key, stats] : sites.sites())
+    aggs.push_back({key.second, key.first, &stats.name, stats.alloc_objects,
+                    stats.alloc_bytes, stats.dead_objects, stats.dead_bytes});
+  // Each site's pids ascending, so the first non-empty name is the lowest pid's.
+  std::sort(aggs.begin(), aggs.end(), [](const Agg& a, const Agg& b) {
+    return a.site != b.site ? a.site < b.site : a.pid < b.pid;
+  });
+  std::size_t n = 0;
+  for (const Agg& a : aggs) {
+    if (n > 0 && aggs[n - 1].site == a.site) {
+      Agg& agg = aggs[n - 1];
+      if (agg.name->empty()) agg.name = a.name;
+      agg.alloc_objects += a.alloc_objects;
+      agg.alloc_bytes += a.alloc_bytes;
+      agg.dead_objects += a.dead_objects;
+      agg.dead_bytes += a.dead_bytes;
+    } else {
+      aggs[n++] = a;
+    }
+  }
+  aggs.resize(n);
+
   // Names are looked up, never interned: a name no row carries has no id.
   const auto object_image = support::Name::lookup(kObjectImage);
-  for (const auto& [site, agg] : by_site) {
-    const auto symbol = object_image ? support::Name::lookup(core::site_symbol(site))
-                                     : std::nullopt;
-    const core::ProfileRow* pr = symbol ? profile.find(*object_image, *symbol) : nullptr;
-    rows.push_back({site, pr ? pr->count(hw::EventKind::kObjDmiss) : 0, &agg});
+  if (object_image) {
+    char symbol[16] = {'s', 'i', 't', 'e', '#'};  // core::site_symbol, unallocated
+    for (Agg& agg : aggs) {
+      const char* end = std::to_chars(symbol + 5, symbol + sizeof symbol, agg.site).ptr;
+      const auto name = support::Name::lookup(
+          std::string_view(symbol, static_cast<std::size_t>(end - symbol)));
+      const core::ProfileRow* pr = name ? profile.find(*object_image, *name) : nullptr;
+      agg.misses = pr ? pr->count(hw::EventKind::kObjDmiss) : 0;
+    }
   }
-  std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.misses != b.misses) return a.misses > b.misses;
-    if (a.agg->alloc_bytes != b.agg->alloc_bytes)
-      return a.agg->alloc_bytes > b.agg->alloc_bytes;
-    return a.site < b.site;
-  });
+  // Misses desc, bytes allocated desc, site asc: a total order (sites are
+  // distinct), so its first top_n are exactly a full sort's.
+  const std::size_t k = std::min(top_n, aggs.size());
+  std::partial_sort(aggs.begin(), aggs.begin() + static_cast<std::ptrdiff_t>(k), aggs.end(),
+                    [](const Agg& a, const Agg& b) {
+                      if (a.misses != b.misses) return a.misses > b.misses;
+                      if (a.alloc_bytes != b.alloc_bytes) return a.alloc_bytes > b.alloc_bytes;
+                      return a.site < b.site;
+                    });
 
   const std::uint64_t total = profile.total(hw::EventKind::kObjDmiss);
   support::TextTable table({"Dmiss %", "Samples", "Alloc B", "Live B", "Objects",
-                            "Ineff B/miss", "Allocation site"});
-  std::size_t emitted = 0;
-  for (const Row& r : rows) {
-    if (emitted >= top_n) break;
+                            "Ineff B/miss", "Allocation site"},
+                           k, 80);
+  for (std::size_t i = 0; i < k; ++i) {
+    const Agg& r = aggs[i];
     const double pct =
         total == 0 ? 0.0
                    : 100.0 * static_cast<double>(r.misses) / static_cast<double>(total);
     // Saturating: deaths charged from dead lines alone (alloc sighting in a
     // lost map) may exceed the sighted allocations.
     const std::uint64_t live_bytes =
-        r.agg->alloc_bytes > r.agg->dead_bytes ? r.agg->alloc_bytes - r.agg->dead_bytes : 0;
-    const std::uint64_t live_objects = r.agg->alloc_objects > r.agg->dead_objects
-                                           ? r.agg->alloc_objects - r.agg->dead_objects
-                                           : 0;
+        r.alloc_bytes > r.dead_bytes ? r.alloc_bytes - r.dead_bytes : 0;
+    const std::uint64_t live_objects =
+        r.alloc_objects > r.dead_objects ? r.alloc_objects - r.dead_objects : 0;
     // Bytes allocated per observed miss (integer): high = allocated-but-cold.
-    const std::uint64_t ineff = r.agg->alloc_bytes / (1 + r.misses);
-    table.add_row({support::fixed(pct, 4), std::to_string(r.misses),
-                   std::to_string(r.agg->alloc_bytes), std::to_string(live_bytes),
-                   std::to_string(live_objects), std::to_string(ineff), r.agg->name});
-    ++emitted;
+    const std::uint64_t ineff = r.alloc_bytes / (1 + r.misses);
+    table.cell_fixed(pct, 4)
+        .cell(r.misses)
+        .cell(r.alloc_bytes)
+        .cell(live_bytes)
+        .cell(live_objects)
+        .cell(ineff)
+        .cell(*r.name)
+        .end_row();
   }
 
-  std::string out = table.render();
-  out += "\n";
+  std::string out;
+  table.render_to(out);
   const auto bin = [&](const char* symbol) -> std::uint64_t {
     const core::ProfileRow* row = profile.find(kObjectImage, symbol);
     return row ? row->count(hw::EventKind::kObjDmiss) : 0;
   };
-  out += "degradation: no_map " + std::to_string(bin(kUnresolvedObjNoMap)) +
-         ", truncated " + std::to_string(bin(kUnresolvedObjTruncated)) +
-         ", untracked " + std::to_string(bin(kUnresolvedObjUntracked)) + " of " +
-         std::to_string(total) + " samples\n";
-  out += "object maps: " + std::to_string(sites.maps_ingested()) + " ingested, " +
-         std::to_string(sites.maps_truncated()) + " truncated\n";
+  out += "\ndegradation: no_map ";
+  out += std::to_string(bin(kUnresolvedObjNoMap));
+  out += ", truncated ";
+  out += std::to_string(bin(kUnresolvedObjTruncated));
+  out += ", untracked ";
+  out += std::to_string(bin(kUnresolvedObjUntracked));
+  out += " of ";
+  out += std::to_string(total);
+  out += " samples\nobject maps: ";
+  out += std::to_string(sites.maps_ingested());
+  out += " ingested, ";
+  out += std::to_string(sites.maps_truncated());
+  out += " truncated\n";
   return out;
 }
 

@@ -85,7 +85,15 @@ CodeMapCache::IndexPtr CodeMapCache::get(const std::string& session, hw::Pid pid
   return index;
 }
 
-void CodeMapCache::publish(support::Telemetry& telemetry) {
+void CodeMapCache::attach_telemetry(support::Telemetry& telemetry) {
+  mu_.attach(telemetry);
+  tele_hits_ = &telemetry.counter("service.map_cache.hits");
+  tele_misses_ = &telemetry.counter("service.map_cache.misses");
+  tele_evictions_ = &telemetry.counter("service.map_cache.evictions");
+}
+
+void CodeMapCache::publish() {
+  if (tele_hits_ == nullptr) return;
   std::uint64_t dh, dm, de;
   {
     std::lock_guard<std::mutex> lock(publish_mu_);
@@ -96,11 +104,9 @@ void CodeMapCache::publish(support::Telemetry& telemetry) {
     published_misses_ += dm;
     published_evictions_ += de;
   }
-  // counter() registers on first use, so all three appear in a snapshot
-  // (and in `viprof_stat dump`) even when a bin is still zero.
-  telemetry.counter("service.map_cache.hits").inc(dh);
-  telemetry.counter("service.map_cache.misses").inc(dm);
-  telemetry.counter("service.map_cache.evictions").inc(de);
+  tele_hits_->inc(dh);
+  tele_misses_->inc(dm);
+  tele_evictions_->inc(de);
 }
 
 }  // namespace viprof::service

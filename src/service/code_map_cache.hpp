@@ -51,10 +51,12 @@ class CodeMapCache {
   CodeMapCache(const CodeMapCache&) = delete;
   CodeMapCache& operator=(const CodeMapCache&) = delete;
 
-  /// Publishes the writer mutex's contention metrics. Steady-state reads
-  /// never touch it, so lock.service.map_cache.wait_ns now records only
-  /// build/install serialization (DESIGN.md §14).
-  void attach_telemetry(support::Telemetry& telemetry) { mu_.attach(telemetry); }
+  /// Publishes the writer mutex's contention metrics (steady-state reads
+  /// never touch it, so lock.service.map_cache.wait_ns records only
+  /// build/install serialization, DESIGN.md §14) and registers the
+  /// service.map_cache.{hits,misses,evictions} counters publish() feeds,
+  /// so all three show in a snapshot even while still zero.
+  void attach_telemetry(support::Telemetry& telemetry);
 
   /// Index for `pid` of `session` at epoch ceiling `ceiling`; `build` runs
   /// (under the writer lock, so concurrent misses on one key build once)
@@ -62,11 +64,12 @@ class CodeMapCache {
   IndexPtr get(const std::string& session, hw::Pid pid, std::uint64_t ceiling,
                const Builder& build);
 
-  /// Mirrors hit/miss/eviction counts into `telemetry` as monotonic
-  /// counters under service.map_cache.* (each call adds the delta since the
-  /// last publish, so viprof_stat diff works across snapshots); call after
-  /// a batch (cheap: three atomic reads, no cache lock).
-  void publish(support::Telemetry& telemetry);
+  /// Mirrors hit/miss/eviction counts into the attached telemetry's
+  /// service.map_cache.* counters (each call adds the delta since the last
+  /// publish, so viprof_stat diff works across snapshots); call after a
+  /// batch (cheap: three atomic reads, no cache lock, no registry lookup).
+  /// Does nothing before attach_telemetry().
+  void publish();
 
   std::size_t capacity() const { return capacity_; }
   std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
@@ -99,6 +102,10 @@ class CodeMapCache {
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> evictions_{0};
+  // Registered once by attach_telemetry(); publish() adds through them.
+  support::Counter* tele_hits_ = nullptr;
+  support::Counter* tele_misses_ = nullptr;
+  support::Counter* tele_evictions_ = nullptr;
   // Counts already published, so publish() emits exact deltas.
   std::mutex publish_mu_;
   std::uint64_t published_hits_ = 0;

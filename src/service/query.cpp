@@ -131,9 +131,11 @@ core::Profile profile_since(const SessionSnapshot& s, std::uint64_t since) {
 std::string render_sessions(const ServiceSnapshot& snap) {
   support::TextTable table({"Session", "Rows", "Time", "Dmiss"});
   for (const SessionSnapshot& s : snap.sessions) {
-    table.add_row({s.id, std::to_string(s.profile.row_count()),
-                   std::to_string(s.profile.total(hw::EventKind::kGlobalPowerEvents)),
-                   std::to_string(s.profile.total(hw::EventKind::kBsqCacheReference))});
+    table.cell(s.id)
+        .cell(s.profile.row_count())
+        .cell(s.profile.total(hw::EventKind::kGlobalPowerEvents))
+        .cell(s.profile.total(hw::EventKind::kBsqCacheReference))
+        .end_row();
   }
   return table.render();
 }

@@ -374,7 +374,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     tele_records_->inc(result.records);
     session->apply(batch.apply_seq, std::move(result));
     recycle_arena(std::move(batch.arena));
-    cache_.publish(telemetry_);
+    cache_.publish();
     return;
   }
 
@@ -417,7 +417,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   telemetry_.spans().record("service.batch.apply", "service", resolve_t1,
                             support::monotonic_ns(), batch.apply_seq, session->trace());
   recycle_arena(std::move(batch.arena));
-  cache_.publish(telemetry_);
+  cache_.publish();
 }
 
 std::unique_ptr<support::Arena> ProfileServer::rent_arena() {
@@ -480,17 +480,11 @@ std::string ProfileServer::query(const std::string& text) {
   };
 
   if (verb == "sessions") {
-    support::TextTable table(
-        {"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
+    support::TextTable table = session_stats_table();
     for (const std::string& id : session_ids()) {
       std::shared_ptr<ServerSession> s = session(id);
       if (!s) continue;
-      const SessionStats st = s->stats();
-      table.add_row({id, std::to_string(st.records_ingested),
-                     std::to_string(st.batches_applied),
-                     std::to_string(st.batches_dropped), std::to_string(st.torn_frames),
-                     std::to_string(st.registrations),
-                     st.ended ? "ended" : "streaming"});
+      add_session_row(table, id, s->stats());
     }
     return table.render();
   }
@@ -543,18 +537,14 @@ std::string ProfileServer::query(const std::string& text) {
     std::string session_id, event_name;
     scan_options(session_id, event_name, top);
     support::TextTable table({"Samples", "Caller", "->", "Callee"});
-    std::size_t emitted = 0;
     for (const std::string& id : session_ids()) {
+      if (table.row_count() >= top) break;
       if (!session_id.empty() && id != session_id) continue;
       std::shared_ptr<ServerSession> s = session(id);
       if (!s) continue;
-      for (const core::CallArc& arc : s->ranked_arcs()) {
-        if (emitted >= top) break;
-        table.add_row({std::to_string(arc.count),
-                       core::arc_endpoint(arc.caller_image, arc.caller_symbol), "->",
-                       core::arc_endpoint(arc.callee_image, arc.callee_symbol)});
-        ++emitted;
-      }
+      const core::CallGraph graph = s->merged_graph();
+      for (const std::uint32_t a : graph.rank(top - table.row_count()))
+        core::add_arc_row(table, graph.arcs()[a]);
     }
     return table.render();
   }

@@ -8,6 +8,23 @@
 
 namespace viprof::service {
 
+support::TextTable session_stats_table() {
+  return support::TextTable(
+      {"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
+}
+
+void add_session_row(support::TextTable& table, std::string_view id,
+                     const SessionStats& st) {
+  table.cell(id)
+      .cell(st.records_ingested)
+      .cell(st.batches_applied)
+      .cell(st.batches_dropped)
+      .cell(st.torn_frames)
+      .cell(st.registrations)
+      .cell(st.ended ? "ended" : "streaming")
+      .end_row();
+}
+
 namespace {
 
 /// "<dir>/<pid>/map.<epoch>" → pid, from the second-to-last component.
@@ -182,13 +199,13 @@ std::map<std::uint64_t, core::Profile> ServerSession::epoch_profiles() const {
   return out;
 }
 
-std::vector<core::CallArc> ServerSession::ranked_arcs() const {
+core::CallGraph ServerSession::merged_graph() const {
   core::CallGraph merged;
   for (const auto& stripe : stripes_) {
     std::lock_guard<support::TracedMutex> lock(stripe->mu);
     merged.merge(stripe->graph);
   }
-  return merged.ranked();
+  return merged;
 }
 
 void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {

@@ -41,6 +41,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -52,6 +53,7 @@
 #include "memprof/site_table.hpp"
 #include "support/arena.hpp"
 #include "support/bounded_queue.hpp"
+#include "support/format.hpp"
 #include "support/traced_mutex.hpp"
 
 namespace viprof::service {
@@ -93,6 +95,14 @@ struct SessionStats {
   std::uint64_t registrations_rejected = 0;
   bool ended = false;
 };
+
+/// The "sessions" table, headers only: Session, Records, Batches, Dropped,
+/// Torn, VMs, State. The server and the federator both answer with it.
+support::TextTable session_stats_table();
+
+/// Appends session `id`'s row to a session_stats_table().
+void add_session_row(support::TextTable& table, std::string_view id,
+                     const SessionStats& st);
 
 class ProfileServer;
 
@@ -163,8 +173,11 @@ class ServerSession {
   /// Merge of the per-epoch profiles with epoch >= `since`.
   core::Profile profile_since_epoch(std::uint64_t since) const;
 
-  /// Rolling cross-layer call graph, arcs in CallGraph::ranked() order.
-  std::vector<core::CallArc> ranked_arcs() const;
+  /// Rolling cross-layer call graph: every stripe's graph merged.
+  core::CallGraph merged_graph() const;
+
+  /// merged_graph()'s arcs in CallGraph::ranked() order.
+  std::vector<core::CallArc> ranked_arcs() const { return merged_graph().ranked(); }
 
   /// Merges the site partition of every registered VM's object maps into
   /// `sites` (additive across sessions; per-(pid, obj_id) dedup makes

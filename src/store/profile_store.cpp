@@ -1,6 +1,7 @@
 #include "store/profile_store.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <map>
 
@@ -428,12 +429,18 @@ std::string ProfileStore::render_series(const WindowSpec& w, const std::string& 
     const double pct =
         total == 0 ? 0.0
                    : 100.0 * static_cast<double>(count) / static_cast<double>(total);
-    const std::string tick =
-        span.first == span.second
-            ? std::to_string(span.first)
-            : std::to_string(span.first) + "-" + std::to_string(span.second);
-    table.add_row({tick, std::to_string(count), std::to_string(total),
-                   support::fixed(pct, 4)});
+    // "lo", or "lo-hi" for an interval folded over several ticks.
+    char tick[41];
+    char* end = std::to_chars(tick, tick + 20, span.first).ptr;
+    if (span.first != span.second) {
+      *end++ = '-';
+      end = std::to_chars(end, end + 20, span.second).ptr;
+    }
+    table.cell(std::string_view(tick, static_cast<std::size_t>(end - tick)))
+        .cell(count)
+        .cell(total)
+        .cell_fixed(pct, 4)
+        .end_row();
   }
   return table.render();
 }

@@ -10,6 +10,7 @@
 
 #include "support/check.hpp"
 #include "support/format.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::support {
 
@@ -63,6 +64,37 @@ class JsonParser {
     return true;
   }
 
+  /// The four hex digits of a \u escape.
+  bool parse_hex4(std::uint32_t& out) {
+    if (pos_ + 4 > text_.size()) return false;
+    out = 0;
+    for (int i = 0; i < 4; ++i) {
+      const int digit = hex_value(text_[pos_++]);
+      if (digit < 0) return false;
+      out = out << 4 | static_cast<std::uint32_t>(digit);
+    }
+    return true;
+  }
+
+  /// Code point `cp` as UTF-8.
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xc0 | cp >> 6);
+      out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+      out += static_cast<char>(0xe0 | cp >> 12);
+      out += static_cast<char>(0x80 | (cp >> 6 & 0x3f));
+      out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+      out += static_cast<char>(0xf0 | cp >> 18);
+      out += static_cast<char>(0x80 | (cp >> 12 & 0x3f));
+      out += static_cast<char>(0x80 | (cp >> 6 & 0x3f));
+      out += static_cast<char>(0x80 | (cp & 0x3f));
+    }
+  }
+
   bool parse_string(std::string& out) {
     if (!consume('"')) return false;
     out.clear();
@@ -81,11 +113,19 @@ class JsonParser {
           case 'r': out += '\r'; break;
           case 'b': out += '\b'; break;
           case 'f': out += '\f'; break;
-          case 'u': {  // keep the escape verbatim; metric names never use it
-            if (pos_ + 4 > text_.size()) return false;
-            out += "\\u";
-            out.append(text_, pos_, 4);
-            pos_ += 4;
+          case 'u': {
+            std::uint32_t cp = 0;
+            if (!parse_hex4(cp)) return false;
+            if (cp >= 0xdc00 && cp <= 0xdfff) return false;  // lone low surrogate
+            if (cp >= 0xd800 && cp <= 0xdbff) {
+              // A high surrogate must pair with a low one.
+              std::uint32_t low = 0;
+              if (text_.compare(pos_, 2, "\\u") != 0) return false;
+              pos_ += 2;
+              if (!parse_hex4(low) || low < 0xdc00 || low > 0xdfff) return false;
+              cp = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+            }
+            append_utf8(out, cp);
             break;
           }
           default: return false;
@@ -192,7 +232,16 @@ std::string json_escape(const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          // Every other control byte as \u00XX: strict readers reject it raw.
+          static constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[static_cast<unsigned char>(c) >> 4];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
     }
   }
   return out;
@@ -304,7 +353,7 @@ std::string json_serialize(const JsonValue& v) {
 void append_table(std::string& out, const TextTable& table) {
   if (table.row_count() == 0) return;
   if (!out.empty()) out += '\n';
-  out += table.render();
+  table.render_to(out);
 }
 
 /// The names in either of two metric maps, sorted.
@@ -616,14 +665,14 @@ std::string TelemetrySnapshot::render_text(const std::string& prefix) const {
   {
     TextTable table({"counter", "value"});
     for (const auto& [name, v] : counters) {
-      if (matches(name)) table.add_row({name, std::to_string(v)});
+      if (matches(name)) table.cell(name).cell(v).end_row();
     }
     append_table(out, table);
   }
   {
     TextTable table({"gauge", "value"});
     for (const auto& [name, v] : gauges) {
-      if (matches(name)) table.add_row({name, fixed(v, 3)});
+      if (matches(name)) table.cell(name).cell_fixed(v, 3).end_row();
     }
     append_table(out, table);
   }
@@ -631,8 +680,9 @@ std::string TelemetrySnapshot::render_text(const std::string& prefix) const {
     TextTable table({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
     for (const auto& [name, h] : histograms) {
       if (!matches(name)) continue;
-      table.add_row({name, std::to_string(h.count), fixed(h.mean(), 1), fixed(h.p50(), 1),
-                     fixed(h.p90(), 1), fixed(h.p99(), 1), fixed(h.max, 1)});
+      table.cell(name).cell(h.count);
+      for (const double v : {h.mean(), h.p50(), h.p90(), h.p99(), h.max}) table.cell_fixed(v, 1);
+      table.end_row();
     }
     append_table(out, table);
   }
@@ -648,9 +698,8 @@ std::string TelemetrySnapshot::render_diff(const TelemetrySnapshot& before,
       const std::uint64_t b = before.counter(name);
       const std::uint64_t a = after.counter(name);
       if (a == b) continue;
-      const auto delta = static_cast<long long>(a) - static_cast<long long>(b);
-      table.add_row({name, std::to_string(b), std::to_string(a),
-                     (delta >= 0 ? "+" : "") + std::to_string(delta)});
+      table.cell(name).cell(b).cell(a);
+      table.cell_signed(static_cast<std::int64_t>(a) - static_cast<std::int64_t>(b)).end_row();
     }
     append_table(out, table);
   }

@@ -18,13 +18,24 @@
 //     the writer wrote.
 //
 // The two JSON readers — TelemetrySnapshot::from_json (metrics.json) and
-// parse_chrome_trace (trace.json) — take flips, truncations, line and byte
-// splices, and number swaps that put negative, fractional, exponent-form
-// and out-of-range numbers where counts and ids belong. Neither may crash
+// parse_chrome_trace (trace.json) — read names that carry quotes,
+// backslashes, control bytes, NUL and multi-byte UTF-8, and take flips,
+// truncations, line and byte splices, and number swaps that put negative,
+// fractional, exponent-form and out-of-range numbers where counts and ids
+// belong. Neither may crash
 // (run it under VIPROF_SANITIZE=address), an accepted snapshot's bucket
 // counts must sum to each histogram's count, and writing what was read is
 // a fixed point: to_json(from_json(y)) == y for y = to_json(from_json(x)),
-// and likewise for a trace re-written by merge_chrome_traces.
+// and likewise for a trace re-written by merge_chrome_traces; y holds no
+// raw control byte but the writer's own line breaks.
+//
+// The boot-image method map (core::parse_rvm_map) has no frame to verify:
+// it takes bit flips, truncations, NULs, overflowing and 0x-spelled
+// numbers, names past the 511-character cap and a missing final newline.
+// Every symbol it yields must be one a line's three whitespace-separated
+// fields scan to (judged by an independent tokenizer), no name exceeds
+// 511 characters, the table's no-overlap check never fires, and parse ->
+// serialise -> parse is a fixed point.
 //
 // The service's binary wire framing (service::FrameDecoder) gets the same
 // treatment at the byte level — bit flips, truncations, spliced byte runs
@@ -37,6 +48,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <iterator>
 #include <cstdio>
 #include <set>
@@ -46,6 +58,7 @@
 #include "core/code_map.hpp"
 #include "core/fsck.hpp"
 #include "core/object_map.hpp"
+#include "core/rvm_map.hpp"
 #include "service/query.hpp"
 #include "service/wire.hpp"
 #include "store/manifest.hpp"
@@ -498,13 +511,28 @@ std::string mutate_json_once(const std::string& text, support::Xoshiro256& rng) 
   }
 }
 
+/// token(), one time in four with a byte or two that JSON must escape or
+/// carry as UTF-8 appended: quotes, backslashes, short-escape and other
+/// control bytes, NUL, and two-, three- and four-byte UTF-8.
+std::string odd_token(support::Xoshiro256& rng, const char* stem) {
+  static const std::string kOdd[] = {"\"",       "\\",         "/",           "\n",
+                                     "\t",       "\r",          "\b",         "\f",
+                                     "\x01",     "\x1f",        std::string(1, '\0'),
+                                     "caf\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80"};
+  std::string out = token(rng, stem);
+  if (rng.below(4) == 0)
+    for (std::uint64_t n = 1 + rng.below(2); n > 0; --n)
+      out += kOdd[rng.below(std::size(kOdd))];
+  return out;
+}
+
 support::TelemetrySnapshot random_telemetry(support::Xoshiro256& rng) {
   support::TelemetrySnapshot snap;
   for (std::uint64_t n = rng.below(6); n > 0; --n)
-    snap.counters[token(rng, "ctr.")] =
+    snap.counters[odd_token(rng, "ctr.")] =
         rng.below(4) == 0 ? ~0ull - rng.below(9) : rng.below(1 << 20);
   for (std::uint64_t n = rng.below(4); n > 0; --n)
-    snap.gauges[token(rng, "gauge.")] = rng.normal(0.0, 1e6) / (1 + rng.below(1000));
+    snap.gauges[odd_token(rng, "gauge.")] = rng.normal(0.0, 1e6) / (1 + rng.below(1000));
   for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
     support::LatencyHistogram h;
     for (std::uint64_t k = rng.below(40); k > 0; --k) {
@@ -514,9 +542,16 @@ support::TelemetrySnapshot random_telemetry(support::Xoshiro256& rng) {
                                    : std::pow(10.0, -6.0 + 18.0 * rng.uniform());
       h.add(v, 1 + rng.below(3));
     }
-    snap.histograms[token(rng, "hist.")] = h.summary();
+    snap.histograms[odd_token(rng, "hist.")] = h.summary();
   }
   return snap;
+}
+
+/// Writers escape every control byte but their own line breaks.
+bool no_raw_control_bytes(const std::string& json) {
+  for (const char c : json)
+    if (static_cast<unsigned char>(c) < 0x20 && c != '\n') return false;
+  return true;
 }
 
 std::string random_trace(support::Xoshiro256& rng) {
@@ -532,8 +567,21 @@ std::string random_trace(support::Xoshiro256& rng) {
     }
     const auto parsed =
         support::parse_chrome_trace(tracer.to_chrome_json(1000.0 + rng.below(3000)));
-    shards.emplace_back(token(rng, "shard-"), *parsed);
+    shards.emplace_back(odd_token(rng, "shard-"), *parsed);
   }
+  // Events read from another tool's trace: names and categories with
+  // escapes, control bytes and UTF-8.
+  support::ChromeTrace odd;
+  for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+    support::ChromeTraceEvent e;
+    e.name = odd_token(rng, "ev.");
+    e.cat = odd_token(rng, "cat.");
+    e.ph = rng.below(3) == 0 ? "i" : "X";
+    e.ts = static_cast<double>(rng.below(1000));
+    e.dur = e.ph == "X" ? static_cast<double>(rng.below(50)) : 0.0;
+    odd.events.push_back(std::move(e));
+  }
+  shards.emplace_back(odd_token(rng, "tool-"), std::move(odd));
   return support::merge_chrome_traces(shards);
 }
 
@@ -562,6 +610,7 @@ TEST(FramedFuzz, TelemetryJsonRejectsBadCountsAndRereadsAsAFixedPoint) {
         }
       }
       const std::string y = snap->to_json();
+      ASSERT_TRUE(no_raw_control_bytes(y)) << where << ":\n" << y;
       const auto again = support::TelemetrySnapshot::from_json(y);
       ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
       EXPECT_EQ(again->to_json(), y) << where;
@@ -584,12 +633,201 @@ TEST(FramedFuzz, ChromeTraceRejectsBadIdsAndRewritesAsAFixedPoint) {
       if (!trace) continue;
       ++accepted;
       const std::string y = support::merge_chrome_traces({{"shard", *trace}});
+      ASSERT_TRUE(no_raw_control_bytes(y)) << where << ":\n" << y;
       const auto again = support::parse_chrome_trace(y);
       ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
       EXPECT_EQ(support::merge_chrome_traces({{"shard", *again}}), y) << where;
     }
   }
   EXPECT_GT(accepted, kSeeds * kMutantsPerSeed / 20);
+}
+
+// --- The boot-image method map: parse_rvm_map ------------------------------
+
+/// An RVM.map: "offset size name" lines at distinct, non-overlapping
+/// offsets, in shuffled order,
+/// with 0x/0X spellings, upper-case digits, extra trailing fields,
+/// comments and blank lines, names of up to 600 characters, and sometimes
+/// no final newline.
+std::string random_rvm_map(support::Xoshiro256& rng) {
+  std::vector<std::string> lines;
+  std::uint64_t at = rng.below(1 << 12);
+  for (std::uint64_t n = 1 + rng.below(24); n > 0; --n) {
+    const std::uint64_t size = rng.below(6) == 0 ? 0 : 1 + rng.below(512);
+    char hex[24];
+    std::snprintf(hex, sizeof hex, rng.below(2) == 0 ? "%llx" : "%llX",
+                  static_cast<unsigned long long>(at));
+    const std::uint64_t spelling = rng.below(4);
+    std::string line = (spelling == 0 ? "0x" : spelling == 1 ? "0X" : "") + std::string(hex);
+    line += rng.below(4) == 0 ? "\t" : " ";
+    line += std::to_string(size) + " ";
+    const std::uint64_t len_kind = rng.below(10);
+    const std::size_t len = len_kind == 0 ? 511 : len_kind == 1 ? 512 : len_kind == 2 ? 600
+                                                                      : 1 + rng.below(40);
+    std::string name = "Lcom/example/K" + std::to_string(n) + ";.m";
+    while (name.size() < len) name += static_cast<char>('a' + rng.below(26));
+    line += name.substr(0, len);
+    if (rng.below(8) == 0) line += " trailing-field";
+    lines.push_back(line + "\n");
+    at += size + 1 + rng.below(64);
+  }
+  for (std::uint64_t n = rng.below(3); n > 0; --n) lines.push_back("# boot image map\n");
+  if (rng.below(3) == 0) lines.push_back("\n");
+  for (std::size_t i = lines.size(); i > 1; --i) std::swap(lines[i - 1], lines[rng.below(i)]);
+  std::string out = joined(lines);
+  if (rng.below(4) == 0) out.pop_back();  // no final newline
+  return out;
+}
+
+/// One RVM.map-specific mutation on top of mutate_once: a number field
+/// replaced by an overflowing, 0x-spelled, signed or junk-suffixed one, a
+/// NUL put anywhere, a name grown past the 511-character cap, or the
+/// final newline removed.
+std::string mutate_rvm_once(const std::string& text, support::Xoshiro256& rng) {
+  static const char* const kFields[] = {
+      "ffffffffffffffff", "10000000000000000", "18446744073709551615",
+      "18446744073709551616", "0x", "0X0x12", "0x0", "-5", "+5", "5x", "0000000000000000012",
+      "x12", ""};
+  if (text.empty()) return text;
+  std::string out = text;
+  switch (rng.below(6)) {
+    case 0: {  // a field swapped for an odd number spelling
+      std::vector<std::string> lines = lines_of(out);
+      std::string& line = lines[rng.below(lines.size())];
+      const std::size_t sp = line.find(' ');
+      const bool first = rng.below(2) == 0 || sp == std::string::npos;
+      const std::string field = kFields[rng.below(std::size(kFields))];
+      if (first) {
+        line.replace(0, sp == std::string::npos ? 0 : sp, field);
+      } else {
+        const std::size_t end = line.find(' ', sp + 1);
+        line.replace(sp + 1, end == std::string::npos ? 0 : end - sp - 1, field);
+      }
+      return joined(lines);
+    }
+    case 1:  // a NUL anywhere
+      out.insert(rng.below(out.size() + 1), 1, '\0');
+      return out;
+    case 2: {  // a name grown past the cap
+      std::vector<std::string> lines = lines_of(out);
+      std::string& line = lines[rng.below(lines.size())];
+      const bool nl = !line.empty() && line.back() == '\n';
+      if (nl) line.pop_back();
+      line += std::string(rng.below(3) == 0 ? 1 : 200 + rng.below(400), 'q');
+      if (nl) line += '\n';
+      return joined(lines);
+    }
+    case 3:  // no final newline
+      if (out.back() == '\n') out.pop_back();
+      return out;
+    default:
+      return mutate_once(out, rng);
+  }
+}
+
+/// The symbols a map line can stand for, read independently of str_scan:
+/// split on the whitespace bytes, a hex field (one optional 0x/0X, then
+/// hex digits, value below 2^64), a decimal field below 2^64, and a name
+/// token cut to 511 characters.
+struct RvmSymbol {
+  std::uint64_t offset, size;
+  std::string name;
+  auto operator<=>(const RvmSymbol&) const = default;
+};
+
+std::optional<RvmSymbol> oracle_rvm_line(const std::string& line) {
+  const auto space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\v' || c == '\f' || c == '\r';
+  };
+  std::vector<std::string> fields;
+  for (std::size_t i = 0; i < line.size();) {
+    if (space(line[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i;
+    while (j < line.size() && !space(line[j])) ++j;
+    fields.push_back(line.substr(i, j - i));
+    i = j;
+  }
+  if (fields.size() < 3) return std::nullopt;
+  const auto number = [](std::string digits, unsigned base) -> std::optional<std::uint64_t> {
+    if (base == 16 && digits.size() > 2 && digits[0] == '0' && (digits[1] | 0x20) == 'x')
+      digits = digits.substr(2);
+    if (digits.empty()) return std::nullopt;
+    unsigned __int128 v = 0;
+    for (const char c : digits) {
+      const int d = std::isdigit(static_cast<unsigned char>(c)) ? c - '0'
+                    : base == 16 && std::isxdigit(static_cast<unsigned char>(c))
+                        ? 10 + (std::tolower(static_cast<unsigned char>(c)) - 'a')
+                        : -1;
+      if (d < 0) return std::nullopt;
+      v = v * base + static_cast<unsigned>(d);
+      if (v > ~std::uint64_t{0}) return std::nullopt;
+    }
+    return static_cast<std::uint64_t>(v);
+  };
+  const auto offset = number(fields[0], 16);
+  const auto size = number(fields[1], 10);
+  if (!offset || !size) return std::nullopt;
+  return RvmSymbol{*offset, *size, fields[2].substr(0, 511)};
+}
+
+std::set<RvmSymbol> oracle_rvm_symbols(const std::string& text) {
+  std::set<RvmSymbol> out;
+  for (std::string line : lines_of(text)) {
+    if (!line.empty() && line.back() == '\n') line.pop_back();
+    if (const auto sym = oracle_rvm_line(line)) out.insert(*sym);
+  }
+  return out;
+}
+
+std::vector<RvmSymbol> parsed_rvm(const std::string& text) {
+  const os::SymbolTable table = core::parse_rvm_map(text);
+  std::vector<RvmSymbol> out;
+  for (const os::Symbol& s : table.ordered())
+    out.push_back({s.offset, s.size, s.name.str()});
+  return out;
+}
+
+std::string serialize_rvm(const std::vector<RvmSymbol>& symbols) {
+  std::string out;
+  for (const RvmSymbol& s : symbols) {
+    char hex[24];
+    std::snprintf(hex, sizeof hex, "%llx", static_cast<unsigned long long>(s.offset));
+    out += std::string(hex) + " " + std::to_string(s.size) + " " + s.name + "\n";
+  }
+  return out;
+}
+
+TEST(FramedFuzz, RvmMapYieldsOnlyScannedLinesAndReparsesAsAFixedPoint) {
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed * 0x4b1d + 11);
+    const std::string base = random_rvm_map(rng);
+    // The undamaged map yields exactly its lines.
+    const std::vector<RvmSymbol> clean = parsed_rvm(base);
+    EXPECT_EQ(std::set<RvmSymbol>(clean.begin(), clean.end()), oracle_rvm_symbols(base))
+        << "seed " << seed;
+    for (int i = 0; i < kMutantsPerSeed; ++i) {
+      std::string x = base;
+      for (std::uint64_t n = 1 + rng.below(3); n > 0; --n) x = mutate_rvm_once(x, rng);
+      const std::string where = "seed " + std::to_string(seed) + " mutant " + std::to_string(i);
+      // ordered() runs the table's no-overlap check: it must not abort.
+      const std::vector<RvmSymbol> got = parsed_rvm(x);
+      const std::set<RvmSymbol> lines = oracle_rvm_symbols(x);
+      for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_LE(got[k].name.size(), 511u) << where;
+        ASSERT_TRUE(lines.count(got[k])) << where << ": no line scans to " << got[k].name;
+        if (k > 0) {
+          ASSERT_LT(got[k - 1].offset, got[k].offset) << where;
+          ASSERT_LE(got[k - 1].offset + got[k - 1].size, got[k].offset) << where;
+        }
+      }
+      const std::string y = serialize_rvm(got);
+      EXPECT_EQ(parsed_rvm(y), got) << where;
+      EXPECT_EQ(serialize_rvm(parsed_rvm(y)), y) << where;
+    }
+  }
 }
 
 // --- The service wire: FrameDecoder ----------------------------------------

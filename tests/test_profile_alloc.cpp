@@ -2,10 +2,12 @@
 // render: resolving a sample (live and archive resolvers, kernel, image,
 // boot-map and JIT-map hits), a serial aggregate over rows that already
 // exist, a profile lookup, and a fold whose rows all already exist, touch
-// the heap zero times. This binary replaces the global operator new with a
+// the heap zero times, and a top-N render allocates a small constant
+// number of times however many rows the profile holds. This binary replaces the global operator new with a
 // counting one, so it runs alone.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -109,6 +111,25 @@ TEST(ProfileAlloc, MergeOfPresentRowsAllocatesNothing) {
   EXPECT_EQ(target.find("RVM.map", res(0).symbol)->count(kTime), 1u + 3u + 2u);
   EXPECT_EQ(target.total(kDmiss), 200u + 600u + 100u);
   EXPECT_EQ(after - before, 0u) << "heap allocations merging already-present rows";
+}
+
+TEST(ProfileAlloc, RenderAllocatesASmallConstantIndependentOfRowCount) {
+  // A top-20 view writes 20 rows into one buffer: the allocation count
+  // must not grow with the profile, nor with the rows printed.
+  const std::vector<hw::EventKind> events = {kTime, kDmiss};
+  const auto allocations = [&](const Profile& p) {
+    const std::uint64_t before = g_news.load();
+    const std::string text = p.render(events, 20);
+    const std::uint64_t after = g_news.load();
+    EXPECT_EQ(static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')), 21u);
+    return after - before;
+  };
+  const std::uint64_t small = allocations(profile(50, 1));
+  const std::uint64_t large = allocations(profile(5000, 1));
+  EXPECT_LE(large, small) << "Profile::render allocations grow with the row count";
+  // The rank's two index vectors, the header list, the table's cell and
+  // byte buffers, and the rendered text.
+  EXPECT_LE(large, 6u) << "heap allocations in a top-20 Profile::render";
 }
 
 TEST(ProfileAlloc, CallGraphAndStripedFoldsOfPresentRowsAllocateNothing) {

@@ -3,7 +3,9 @@
 // descending, ties by (image, symbol) for profile rows and diff movers and
 // by the four endpoint names for arcs; on seeded profiles and call graphs
 // with heavy count ties, zero counts and before-only diff rows, every
-// top_n from 0 to SIZE_MAX must render byte-equal to them.
+// top_n from 0 to SIZE_MAX must render byte-equal to them. The oracles
+// print through the verbatim pre-to_chars fixed() and TextTable of
+// render_oracle.hpp, so they share no code with the renders they check.
 // merge(Profile&&) must equal merge(const Profile&).
 #include <gtest/gtest.h>
 
@@ -18,7 +20,7 @@
 
 #include "core/callgraph.hpp"
 #include "core/report.hpp"
-#include "support/format.hpp"
+#include "render_oracle.hpp"
 #include "support/rng.hpp"
 
 namespace viprof::core {
@@ -55,7 +57,7 @@ std::string oracle_render(const Profile& p, const std::vector<hw::EventKind>& ev
   for (hw::EventKind e : events) headers.push_back(event_column_title(e));
   headers.push_back("Image name");
   headers.push_back("Symbol name");
-  support::TextTable table(std::move(headers));
+  oracle::TextTable table(std::move(headers));
 
   const auto rows =
       oracle_ranked(p, events.empty() ? hw::EventKind::kGlobalPowerEvents : events[0]);
@@ -63,7 +65,7 @@ std::string oracle_render(const Profile& p, const std::vector<hw::EventKind>& ev
   for (const ProfileRow& row : rows) {
     if (emitted >= top_n) break;
     std::vector<std::string> cells;
-    for (hw::EventKind e : events) cells.push_back(support::fixed(p.percent(row, e), 4));
+    for (hw::EventKind e : events) cells.push_back(oracle::fixed(p.percent(row, e), 4));
     cells.push_back(row.image.str());
     cells.push_back(row.symbol.str());
     table.add_row(std::move(cells));
@@ -101,7 +103,7 @@ std::string oracle_render_diff(const Profile& before, const Profile& after,
     return names(*x.row) < names(*y.row);
   });
 
-  support::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
+  oracle::TextTable table({"Delta", "Before", "After", "Image", "Symbol"});
   std::size_t emitted = 0;
   for (const Mover& m : movers) {
     if (emitted++ >= top_n) break;
@@ -122,7 +124,7 @@ std::vector<CallArc> oracle_arcs_ranked(const CallGraph& g) {
 }
 
 std::string oracle_callgraph_render(const CallGraph& g, std::size_t top_n) {
-  support::TextTable table({"Samples", "Caller", "->", "Callee"});
+  oracle::TextTable table({"Samples", "Caller", "->", "Callee"});
   std::size_t emitted = 0;
   for (const CallArc& arc : oracle_arcs_ranked(g)) {
     if (emitted >= top_n) break;

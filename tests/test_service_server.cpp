@@ -232,6 +232,18 @@ TEST(ProfileServer, CodeMapCacheIsSharedAndBounded) {
             offline_render(scenario->vfs(), kEvents, 20));
 }
 
+TEST(ProfileServer, MapCacheCountersAreRegisteredBeforeAnyBatch) {
+  // The server registers the cache counters once, at construction; every
+  // batch then adds through held pointers. A fresh server lists all three.
+  ProfileServer server(ServerConfig{});
+  const auto snap = server.telemetry().snapshot();
+  for (const char* name :
+       {"service.map_cache.hits", "service.map_cache.misses", "service.map_cache.evictions"}) {
+    ASSERT_EQ(snap.counters.count(name), 1u) << name;
+    EXPECT_EQ(snap.counters.at(name), 0u) << name;
+  }
+}
+
 TEST(ProfileServer, SnapshotRoundTripsThroughQueryModule) {
   auto scenario = record_scenario(small_scenario());
   ProfileServer server;

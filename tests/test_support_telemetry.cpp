@@ -434,6 +434,60 @@ TEST(ChromeTraceTest, ParseRejectsNonTraces) {
   EXPECT_TRUE(empty->events.empty());
 }
 
+TEST(ChromeTraceTest, TraceMergeDecodesUnicodeEscapesAndRoundTrips) {
+  // `viprof_stat trace-merge` of a trace another tool wrote with \u
+  // escapes: "café" as café comes out as the UTF-8 text "café", and
+  // reading and merging that again changes nothing.
+  const auto named = [](const std::string& name) {
+    return parse_chrome_trace("{\"traceEvents\":[{\"name\":\"" + name +
+                              "\",\"ph\":\"X\",\"ts\":1,\"dur\":2}]}");
+  };
+  const auto cafe = named("caf\\u00e9");
+  ASSERT_TRUE(cafe.has_value());
+  EXPECT_EQ(cafe->events[0].name, "caf\xc3\xa9");
+  const std::string merged = merge_chrome_traces({{"shard", *cafe}});
+  EXPECT_TRUE(json_well_formed(merged));
+  EXPECT_NE(merged.find("\"caf\xc3\xa9\""), std::string::npos) << merged;
+  const auto again = parse_chrome_trace(merged);
+  ASSERT_TRUE(again.has_value());
+  bool found = false;
+  for (const ChromeTraceEvent& e : again->events) found |= e.name == "caf\xc3\xa9";
+  EXPECT_TRUE(found);
+  EXPECT_EQ(merge_chrome_traces({{"shard", *again}}), merged);
+
+  // Every code point width, a surrogate pair included.
+  ASSERT_TRUE(named("\\u0041\\u00e9\\u20ac\\ud83d\\ude00").has_value());
+  EXPECT_EQ(named("\\u0041\\u00e9\\u20ac\\ud83d\\ude00")->events[0].name,
+            "A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80");
+  // Lone or mismatched surrogates and short or non-hex escapes are rejected.
+  for (const char* bad : {"\\ud83d", "\\ude00", "\\ud83dx", "\\ud83d\\u0041", "\\ud83d\\ud83d",
+                          "\\u00e", "\\u00zz", "\\u"})
+    EXPECT_FALSE(named(bad).has_value()) << bad;
+}
+
+TEST(ChromeTraceTest, ControlBytesAreWrittenAsUnicodeEscapes) {
+  ChromeTrace trace;
+  ChromeTraceEvent e;
+  e.name = std::string("a\x01" "b\x1f" "c\n\t\r\"\\", 10) + std::string(1, '\0');
+  e.cat = "t";
+  e.ph = "X";
+  trace.events.push_back(e);
+  const std::string merged = merge_chrome_traces({{"shard", trace}});
+  EXPECT_TRUE(json_well_formed(merged));
+  EXPECT_NE(merged.find("a\\u0001b\\u001fc\\n\\t\\r\\\"\\\\\\u0000"), std::string::npos)
+      << merged;
+  // No raw control byte but the writer's own line breaks.
+  EXPECT_EQ(std::count_if(merged.begin(), merged.end(),
+                          [](char c) { return static_cast<unsigned char>(c) < 0x20 && c != '\n'; }),
+            0)
+      << merged;
+  const auto again = parse_chrome_trace(merged);
+  ASSERT_TRUE(again.has_value());
+  bool found = false;
+  for (const ChromeTraceEvent& ev : again->events) found |= ev.name == e.name;
+  EXPECT_TRUE(found);
+}
+
 TEST(ChromeTraceTest, ParseRejectsIdsACastWouldGetWrong) {
   const auto event = [](const std::string& fields) {
     return parse_chrome_trace("{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\"" +

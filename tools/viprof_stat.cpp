@@ -274,18 +274,13 @@ int main(int argc, char** argv) {
     viprof::support::TextTable table({"Lock", "Acquired", "Contended", "Waits",
                                       "Total us", "Mean ns", "p50 ns", "p90 ns",
                                       "p99 ns", "Max ns"});
-    const auto ns = [](double v) {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.0f", v);
-      return std::string(buf);
-    };
     for (const auto& [lock, row] : ranked) {
-      char total[32];
-      std::snprintf(total, sizeof total, "%.1f", row.wait.sum / 1000.0);
-      table.add_row({lock, std::to_string(row.acquired),
-                     std::to_string(row.contended), std::to_string(row.wait.count),
-                     total, ns(row.wait.mean()), ns(row.wait.p50()), ns(row.wait.p90()),
-                     ns(row.wait.p99()), ns(row.wait.max)});
+      table.cell(lock).cell(row.acquired).cell(row.contended).cell(row.wait.count);
+      table.cell_fixed(row.wait.sum / 1000.0, 1);
+      for (const double ns : {row.wait.mean(), row.wait.p50(), row.wait.p90(), row.wait.p99(),
+                              row.wait.max})
+        table.cell_fixed(ns, 0);
+      table.end_row();
     }
     std::fputs(table.render().c_str(), stdout);
     return 0;
