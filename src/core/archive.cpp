@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <map>
 
 #include "core/rvm_map.hpp"
 #include "support/check.hpp"
@@ -26,12 +26,41 @@ const char* kind_code(os::ImageKind kind) {
   return "?";
 }
 
-os::ImageKind kind_from(const std::string& code) {
+std::optional<os::ImageKind> kind_from(std::string_view code) {
   if (code == "exec") return os::ImageKind::kExecutable;
   if (code == "lib") return os::ImageKind::kSharedLib;
   if (code == "kernel") return os::ImageKind::kKernel;
   if (code == "boot") return os::ImageKind::kBootImage;
-  return os::ImageKind::kAnon;
+  if (code == "anon") return os::ImageKind::kAnon;
+  return std::nullopt;
+}
+
+/// Image ids are dense from 0 (write_archive numbers the registry); a
+/// damaged id past this bound must not size the image table.
+constexpr std::uint64_t kMaxImageId = 1u << 16;
+
+/// The fields of a manifest line after its tag, scanned by `format`: d a
+/// decimal and h a hex number (into num, in order), t a token and ? an
+/// optional one, * the free-text rest after one space (into text, in
+/// order). A number must end at whitespace ("5x" is junk), and nothing may
+/// follow the last field unless the format ends in *.
+bool scan_fields(std::string_view line, std::string_view format, std::uint64_t* num,
+                 std::string_view* text) {
+  for (const char f : format) {
+    if (f == '*') {
+      *text = line.empty() ? line : line.substr(1);
+      return true;
+    }
+    if (f == '?') {
+      support::scan_token(line, *text++);
+      continue;
+    }
+    const bool ok = f == 't'   ? support::scan_token(line, *text++)
+                    : f == 'h' ? support::scan_hex64(line, *num++)
+                               : support::scan_u64(line, *num++);
+    if (!ok || (f != 't' && !line.empty() && !support::is_space(line.front()))) return false;
+  }
+  return support::at_end(line);
 }
 
 }  // namespace
@@ -81,22 +110,21 @@ void write_archive(const os::Machine& machine, const RegistrationTable& table,
 }
 
 std::optional<VmRegistration> parse_reg_line(std::string_view line) {
-  std::string_view tag, map_path, jit_dir, obj_dir;
-  std::uint64_t pid = 0;
-  VmRegistration reg;
-  if (!support::scan_token(line, tag) || tag != "reg" || !support::scan_u64(line, pid) ||
-      pid > 0xffffffffu || !support::scan_hex64(line, reg.heap_lo) ||
-      !support::scan_hex64(line, reg.heap_hi) ||
-      !support::scan_hex64(line, reg.boot_base) ||
-      !support::scan_u64(line, reg.boot_size) || !support::scan_token(line, map_path) ||
-      !support::scan_token(line, jit_dir))
+  std::string_view tag, dirs[3];
+  std::uint64_t n[5] = {};
+  if (!support::scan_token(line, tag) || tag != "reg" ||
+      !scan_fields(line, "dhhhdtt?", n, dirs) || n[0] > 0xffffffffu)
     return std::nullopt;
-  support::scan_token(line, obj_dir);
   const auto dir = [](std::string_view d) { return d == "-" ? "" : std::string(d); };
-  reg.pid = static_cast<hw::Pid>(pid);
-  reg.boot_map_path = dir(map_path);
-  reg.jit_map_dir = dir(jit_dir);
-  reg.obj_map_dir = dir(obj_dir);
+  VmRegistration reg;
+  reg.pid = static_cast<hw::Pid>(n[0]);
+  reg.heap_lo = n[1];
+  reg.heap_hi = n[2];
+  reg.boot_base = n[3];
+  reg.boot_size = n[4];
+  reg.boot_map_path = dir(dirs[0]);
+  reg.jit_map_dir = dir(dirs[1]);
+  reg.obj_map_dir = dir(dirs[2]);
   return reg;
 }
 
@@ -105,61 +133,87 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
     : vm_aware_(vm_aware) {
   const auto manifest = vfs.read(manifest_path(prefix));
   VIPROF_CHECK(manifest.has_value());
-  std::istringstream in(*manifest);
-  std::string line;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
+  // Each line is parsed on its own; a malformed one (damage in a manifest
+  // a client streamed, say) is skipped and counted, so the resolver
+  // degrades — samples it would have attributed fall to unmapped or
+  // unknown bins — and never attributes wrongly or throws.
+  std::vector<bool> defined;  // image ids seen on a well-formed image line
+  std::map<std::uint32_t, std::vector<SymbolLine>> sym_lines;  // by image id
+  std::size_t sym_count = 0;
+  std::vector<std::pair<hw::Pid, ArchivedVma>> vma_lines;
+  std::vector<Range> kernel_lines, hyp_lines;
+  const auto parse_line = [&](std::string_view line) {
+    std::string_view rest = line, tag, text[2];
+    std::uint64_t n[5] = {};
+    if (!support::scan_token(rest, tag)) return true;  // blank line
     if (tag == "image") {
-      std::uint32_t id;
-      std::string kind;
-      int stripped;
-      ls >> id >> kind >> stripped;
-      std::string name;
-      std::getline(ls, name);
-      if (!name.empty() && name[0] == ' ') name.erase(0, 1);
-      if (images_.size() <= id) images_.resize(id + 1);
-      images_[id].name = name;
-      images_[id].kind = kind_from(kind);
-      images_[id].stripped = stripped != 0;
-    } else if (tag == "sym") {
-      std::uint32_t id;
-      std::string offset_hex;
-      std::uint64_t size;
-      ls >> id >> offset_hex >> size;
-      std::string name;
-      std::getline(ls, name);
-      if (!name.empty() && name[0] == ' ') name.erase(0, 1);
-      VIPROF_CHECK(id < images_.size());
-      images_[id].symbols.add(name, std::stoull(offset_hex, nullptr, 16), size);
-    } else if (tag == "proc") {
-      hw::Pid pid;
-      ls >> pid;
-      std::string name;
-      std::getline(ls, name);
-      if (!name.empty() && name[0] == ' ') name.erase(0, 1);
-      processes_[pid].name = name;
-    } else if (tag == "vma") {
-      hw::Pid pid;
-      std::string start_hex, end_hex;
-      std::uint32_t image;
-      std::uint64_t file_offset;
-      ls >> pid >> start_hex >> end_hex >> image >> file_offset;
-      processes_[pid].vmas.push_back({std::stoull(start_hex, nullptr, 16),
-                                      std::stoull(end_hex, nullptr, 16), image,
-                                      file_offset, support::Name()});
-    } else if (tag == "kernel" || tag == "hyp") {
-      std::uint32_t image;
-      std::string base_hex;
-      std::uint64_t size;
-      ls >> image >> base_hex >> size;
-      const Range range{image, std::stoull(base_hex, nullptr, 16), size};
-      (tag == "kernel" ? kernel_ : hypervisor_) = range;
-    } else if (const auto reg = parse_reg_line(line)) {
-      registrations_.push_back(*reg);
+      const auto kind = scan_fields(rest, "dtd*", n, text) ? kind_from(text[0]) : std::nullopt;
+      if (!kind || n[0] >= kMaxImageId || n[1] > 1) return false;
+      if (images_.size() <= n[0]) {
+        images_.resize(n[0] + 1);
+        defined.resize(n[0] + 1);
+      }
+      images_[n[0]].name = text[1];
+      images_[n[0]].kind = *kind;
+      images_[n[0]].stripped = n[1] != 0;
+      defined[n[0]] = true;
+      return true;
     }
+    if (tag == "sym") {
+      if (!scan_fields(rest, "dhd*", n, text) || n[0] >= kMaxImageId) return false;
+      sym_lines[static_cast<std::uint32_t>(n[0])].push_back({n[1], n[2], text[0], sym_count++});
+      return true;
+    }
+    if (tag == "proc") {
+      if (!scan_fields(rest, "d*", n, text) || n[0] > 0xffffffffu) return false;
+      processes_[static_cast<hw::Pid>(n[0])].name = text[0];
+      return true;
+    }
+    if (tag == "vma") {
+      if (!scan_fields(rest, "dhhdd", n, text) || n[0] > 0xffffffffu || n[3] >= kMaxImageId)
+        return false;
+      vma_lines.push_back({static_cast<hw::Pid>(n[0]),
+                           {n[1], n[2], static_cast<std::uint32_t>(n[3]), n[4], support::Name()}});
+      return true;
+    }
+    if (tag == "kernel" || tag == "hyp") {
+      if (!scan_fields(rest, "dhd", n, text) || n[0] >= kMaxImageId) return false;
+      (tag == "kernel" ? kernel_lines : hyp_lines)
+          .push_back(Range{static_cast<std::uint32_t>(n[0]), n[1], n[2]});
+      return true;
+    }
+    const auto reg = parse_reg_line(line);
+    if (reg) registrations_.push_back(*reg);
+    return reg.has_value();
+  };
+  support::LineCursor cursor(*manifest);
+  std::string_view line;
+  while (cursor.next(line))
+    if (!parse_line(line)) ++malformed_lines_;
+  if (!cursor.tail().empty() && !parse_line(cursor.tail())) ++malformed_lines_;
+
+  // Everything that names an image must name one an image line defined.
+  const auto is_defined = [&defined](std::uint32_t id) {
+    return id < defined.size() && defined[id];
+  };
+  for (auto& [id, lines] : sym_lines) {
+    if (is_defined(id))
+      images_[id].symbols = build_symbol_table(lines, &malformed_lines_);
+    else
+      malformed_lines_ += lines.size();
   }
+  for (const auto& [pid, vma] : vma_lines) {
+    if (is_defined(vma.image))
+      processes_[pid].vmas.push_back(vma);
+    else
+      ++malformed_lines_;
+  }
+  // The last kernel (hyp) line that names a defined image wins.
+  for (auto [lines, range] : {std::pair{&kernel_lines, &kernel_}, {&hyp_lines, &hypervisor_}})
+    for (const Range& r : *lines) {
+      if (is_defined(r.image)) *range = r;
+      else ++malformed_lines_;
+    }
   for (auto& [pid, proc] : processes_) {
     std::sort(proc.vmas.begin(), proc.vmas.end(),
               [](const ArchivedVma& a, const ArchivedVma& b) { return a.start < b.start; });

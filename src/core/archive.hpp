@@ -56,7 +56,8 @@ class JitIndexSource {
 /// by files (the archive manifest plus the maps referenced from it).
 class ArchiveResolver {
  public:
-  /// Loads the manifest written by write_archive(); `vm_aware` selects
+  /// Loads the manifest written by write_archive() (malformed lines are
+  /// skipped and counted, see malformed_lines()); `vm_aware` selects
   /// VIProf vs stock-OProfile behaviour, as with the live resolver.
   /// `load_jit_maps = false` skips loading the epoch code maps — for
   /// callers that resolve through an external JitIndexSource instead.
@@ -78,6 +79,9 @@ class ArchiveResolver {
   const std::vector<VmRegistration>& registrations() const { return registrations_; }
 
   std::size_t image_count() const { return images_.size(); }
+  /// Manifest lines skipped as malformed (bad fields, an undefined image,
+  /// an overlapping symbol): the resolver answers without them.
+  std::size_t malformed_lines() const { return malformed_lines_; }
   std::size_t process_count() const { return processes_.size(); }
   bool loaded() const { return loaded_; }
 
@@ -109,6 +113,7 @@ class ArchiveResolver {
 
   bool vm_aware_;
   bool loaded_ = false;
+  std::size_t malformed_lines_ = 0;
   std::vector<ArchivedImage> images_;
   std::unordered_map<hw::Pid, ArchivedProcess> processes_;
   std::optional<Range> kernel_;

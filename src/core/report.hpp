@@ -31,6 +31,11 @@ struct ProfileRow {
   std::uint64_t count(hw::EventKind e) const { return counts[hw::event_index(e)]; }
 };
 
+/// The report's event columns, time and Dmiss (paper Fig. 1): what
+/// viprof_report prints and what a query renders without --event.
+inline const std::vector<hw::EventKind> kReportEvents = {
+    hw::EventKind::kGlobalPowerEvents, hw::EventKind::kBsqCacheReference};
+
 /// Column header the paper uses for each event.
 const char* event_column_title(hw::EventKind event);
 

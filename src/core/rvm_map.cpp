@@ -8,14 +8,31 @@
 
 namespace viprof::core {
 
+os::SymbolTable build_symbol_table(std::vector<SymbolLine>& lines, std::size_t* dropped) {
+  // A symbol table must not overlap (os::SymbolTable checks it at the
+  // first lookup, in an order that does not fix equal offsets), so a
+  // damaged map degrades instead.
+  std::sort(lines.begin(), lines.end(), [](const SymbolLine& a, const SymbolLine& b) {
+    if (a.offset != b.offset) return a.offset < b.offset;
+    return a.size != b.size ? a.size > b.size : a.order < b.order;
+  });
+  os::SymbolTable table;
+  const SymbolLine* kept = nullptr;
+  for (const SymbolLine& l : lines) {
+    if ((kept != nullptr &&
+         (l.offset == kept->offset || l.offset < kept->offset + kept->size)) ||
+        l.size > ~std::uint64_t{0} - l.offset) {
+      if (dropped != nullptr) ++*dropped;
+      continue;
+    }
+    table.add(l.name, l.offset, l.size);
+    kept = &l;
+  }
+  return table;
+}
+
 os::SymbolTable parse_rvm_map(const std::string& contents) {
-  struct Line {
-    std::uint64_t offset;
-    std::uint64_t size;
-    std::string_view name;
-    std::size_t order;  // position in the file
-  };
-  std::vector<Line> lines;
+  std::vector<SymbolLine> lines;
   const auto handle = [&lines](std::string_view line) {
     std::uint64_t offset = 0;
     std::uint64_t size = 0;
@@ -40,25 +57,7 @@ os::SymbolTable parse_rvm_map(const std::string& contents) {
   // newline is still a line.
   if (!cursor.tail().empty()) handle(cursor.tail());
 
-  // A symbol table must not overlap (os::SymbolTable checks it at the
-  // first lookup, in an order that does not fix equal offsets), so a
-  // damaged map degrades instead. In offset order, the largest first at
-  // each offset and file order among equals, a symbol is dropped when it
-  // starts where a kept one starts, inside a kept one, or ends past 2^64.
-  std::sort(lines.begin(), lines.end(), [](const Line& a, const Line& b) {
-    if (a.offset != b.offset) return a.offset < b.offset;
-    return a.size != b.size ? a.size > b.size : a.order < b.order;
-  });
-  os::SymbolTable table;
-  const Line* kept = nullptr;
-  for (const Line& l : lines) {
-    if (kept != nullptr && (l.offset == kept->offset || l.offset < kept->offset + kept->size))
-      continue;
-    if (l.size > ~std::uint64_t{0} - l.offset) continue;
-    table.add(l.name, l.offset, l.size);
-    kept = &l;
-  }
-  return table;
+  return build_symbol_table(lines);
 }
 
 }  // namespace viprof::core

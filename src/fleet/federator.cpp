@@ -1,11 +1,9 @@
 #include "fleet/federator.hpp"
 
-#include <functional>
 #include <map>
-#include <sstream>
 #include <utility>
+#include <variant>
 
-#include "hw/event.hpp"
 #include "memprof/report.hpp"
 #include "support/format.hpp"
 #include "support/interner.hpp"
@@ -14,18 +12,6 @@
 namespace viprof::fleet {
 
 namespace {
-
-/// The canonical report events (what viprof_report prints).
-const std::vector<hw::EventKind> kReportEvents = {hw::EventKind::kGlobalPowerEvents,
-                                                  hw::EventKind::kBsqCacheReference};
-
-std::optional<hw::EventKind> event_from(const std::string& name) {
-  for (hw::EventKind e : hw::kAllEventKinds)
-    if (name == hw::to_string(e)) return e;
-  if (name == "time") return hw::EventKind::kGlobalPowerEvents;
-  if (name == "dmiss") return hw::EventKind::kBsqCacheReference;
-  return std::nullopt;
-}
 
 std::vector<store::ProfileStore::StoredSession> gather_sessions(
     const std::vector<store::ProfileStore*>& stores) {
@@ -45,20 +31,15 @@ std::vector<store::ProfileStore::StoredSession> gather_sessions(
   return out;
 }
 
+/// Session `id`'s stored profile, or with `id` empty every session's: one
+/// whole-store window per partition. The fold commutes, so no per-session
+/// order is needed for the single-server bytes.
 core::Profile gather_profile(const std::vector<store::ProfileStore*>& stores,
                              const std::string& id) {
   store::WindowSpec w;
   w.session = id;
   core::Profile out;
   for (store::ProfileStore* s : stores) out.merge(s->window_profile(w));
-  return out;
-}
-
-core::Profile gather_merged(const std::vector<store::ProfileStore*>& stores) {
-  // One whole-store window per partition: the fold commutes, so no
-  // per-session order is needed for the single-server bytes.
-  core::Profile out;
-  for (store::ProfileStore* s : stores) out.merge(s->window_profile(store::WindowSpec{}));
   return out;
 }
 
@@ -69,57 +50,26 @@ std::string stored_sessions_table(const std::vector<store::ProfileStore*>& store
   return table.render();
 }
 
-/// Shared "top"/"diff" verb handling; `sessions_table` builds the
-/// caller-specific "sessions" answer, only when that verb is asked.
-std::string dispatch_query(const std::vector<store::ProfileStore*>& stores,
-                           const std::string& text,
-                           const std::function<std::string()>& sessions_table) {
-  std::istringstream in(text);
-  std::string verb;
-  in >> verb;
-  if (verb == "sessions") return sessions_table();
-  if (verb == "top") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name, word;
-    while (in >> word) {
-      if (word == "--session") in >> session_id;
-      else if (word == "--event") in >> event_name;
-      else if (word == "--top") in >> top;
-    }
-    std::vector<hw::EventKind> events = kReportEvents;
-    if (!event_name.empty()) {
-      const auto e = event_from(event_name);
-      if (!e) return "error: unknown event: " + event_name + "\n";
-      events = {*e};
-    }
-    const core::Profile merged = session_id.empty()
-                                     ? gather_merged(stores)
-                                     : gather_profile(stores, session_id);
-    return merged.render(events, top);
-  }
-  if (verb == "diff") {
-    std::string before, after;
-    in >> before >> after;
-    if (before.empty() || after.empty())
-      return "error: diff needs two session ids\n";
-    std::size_t top = 20;
-    hw::EventKind event = hw::EventKind::kGlobalPowerEvents;
-    std::string word;
-    while (in >> word) {
-      if (word == "--top") in >> top;
-      else if (word == "--event") {
-        std::string event_name;
-        in >> event_name;
-        const auto e = event_from(event_name);
-        if (!e) return "error: unknown event: " + event_name + "\n";
-        event = *e;
-      }
-    }
-    return core::render_diff(gather_profile(stores, before),
-                             gather_profile(stores, after), event, top);
-  }
-  return "error: unknown query: " + text + "\n";
+/// top and diff: folds of the stored partitions, the same on both fleet
+/// front ends. An unknown session folds to an empty profile.
+std::string stored_answer(const std::vector<store::ProfileStore*>& stores,
+                          const service::Query& q) {
+  if (q.verb == service::QueryVerb::kTop)
+    return gather_profile(stores, q.session).render(q.events(), q.top);
+  return core::render_diff(gather_profile(stores, q.before),
+                           gather_profile(stores, q.after), q.diff_event(), q.top);
+}
+
+/// (source, trace.json) pairs folded into one Chrome trace; empty or
+/// unreadable traces are skipped. nullopt when none is left.
+std::optional<std::string> merge_traces(
+    const std::vector<std::pair<std::string, std::string>>& sources) {
+  std::vector<std::pair<std::string, support::ChromeTrace>> inputs;
+  for (const auto& [source, json] : sources)
+    if (auto trace = support::parse_chrome_trace(json))
+      inputs.emplace_back(source, std::move(*trace));
+  if (inputs.empty()) return std::nullopt;
+  return support::merge_chrome_traces(inputs);
 }
 
 }  // namespace
@@ -135,45 +85,6 @@ std::vector<store::ProfileStore*> Federator::partitions() const {
 
 std::vector<store::ProfileStore::StoredSession> Federator::sessions() const {
   return gather_sessions(partitions());
-}
-
-core::Profile Federator::session_profile(const std::string& id) const {
-  return gather_profile(partitions(), id);
-}
-
-core::Profile Federator::merged_profile() const {
-  return gather_merged(partitions());
-}
-
-std::string Federator::render_top(const std::vector<hw::EventKind>& events,
-                                  std::size_t top_n) const {
-  return merged_profile().render(events, top_n);
-}
-
-std::string Federator::sessions_table() const {
-  // Scatter to every live shard, gather rows keyed by session id: the map
-  // re-sorts into the exact row order a single server's session map walks.
-  std::map<std::string, service::SessionStats> rows;
-  for (const std::string& name : router_->shard_names()) {
-    if (!router_->alive(name)) continue;
-    service::ProfileServer* server = router_->server(name);
-    if (server == nullptr) continue;
-    for (const std::string& id : server->session_ids()) {
-      const std::shared_ptr<service::ServerSession> s = server->session(id);
-      if (!s) continue;
-      rows[id] = s->stats();
-    }
-  }
-  support::TextTable table = service::session_stats_table();
-  for (const auto& [id, st] : rows) service::add_session_row(table, id, st);
-  return table.render();
-}
-
-std::string Federator::render_diff(const std::string& before_session,
-                                   const std::string& after_session,
-                                   hw::EventKind event, std::size_t top_n) const {
-  return core::render_diff(session_profile(before_session),
-                           session_profile(after_session), event, top_n);
 }
 
 std::string Federator::stats(bool as_json) const {
@@ -192,71 +103,73 @@ std::string Federator::stats(bool as_json) const {
     out += "}}";
     return out;
   }
-  std::ostringstream out;
-  out << "== fleet ==\n" << router_->telemetry().snapshot().render_text();
+  std::string out = "== fleet ==\n" + router_->telemetry().snapshot().render_text();
   for (const std::string& name : router_->shard_names()) {
     service::ProfileServer* server = router_->server(name);
     if (server == nullptr || !router_->alive(name)) continue;
-    out << "== " << name << " ==\n" << server->telemetry().snapshot().render_text();
+    out += "== " + name + " ==\n" + server->telemetry().snapshot().render_text();
   }
-  return out.str();
+  return out;
 }
 
 std::string Federator::merged_trace() const {
-  std::vector<std::pair<std::string, support::ChromeTrace>> inputs;
-  if (auto t = support::parse_chrome_trace(
-          router_->telemetry().spans().to_chrome_json(1000.0)))
-    inputs.emplace_back("fleet", std::move(*t));
+  std::vector<std::pair<std::string, std::string>> sources = {
+      {"fleet", router_->telemetry().spans().to_chrome_json(1000.0)}};
   for (const std::string& name : router_->shard_names()) {
     service::ProfileServer* server = router_->server(name);
-    if (server == nullptr || !router_->alive(name)) continue;
-    if (auto t = support::parse_chrome_trace(
-            server->telemetry().spans().to_chrome_json(1000.0)))
-      inputs.emplace_back(name, std::move(*t));
+    if (server != nullptr && router_->alive(name))
+      sources.emplace_back(name, server->telemetry().spans().to_chrome_json(1000.0));
   }
-  return support::merge_chrome_traces(inputs);
+  return merge_traces(sources).value_or(support::merge_chrome_traces({}));
 }
 
-std::string Federator::query(const std::string& text) const {
-  const std::uint64_t t0 = support::monotonic_ns();
-  std::istringstream in(text);
-  std::string verb;
-  in >> verb;
-  std::string out;
-  if (verb == "stats") {
-    std::string word;
-    bool as_json = false;
-    while (in >> word)
-      if (word == "--json") as_json = true;
-    out = stats(as_json);
-  } else if (verb == "trace") {
-    out = merged_trace();
-  } else if (verb == "memprof") {
-    // Allocation-site tables need the shards' live session worlds (object
-    // maps are session files, not stored profile rows), so this verb
-    // gathers from alive servers; the merge commutes, so the shard order
-    // never shows in the bytes.
-    std::size_t top = 20;
-    in >> top;
-    std::string word;
-    while (in >> word)
-      if (word == "--top") in >> top;
-    memprof::SiteTable sites;
-    core::Profile merged;
-    for (const std::string& name : router_->shard_names()) {
-      service::ProfileServer* server = router_->server(name);
-      if (server == nullptr) continue;
-      for (const std::string& id : server->session_ids()) {
-        const std::shared_ptr<service::ServerSession> s = server->session(id);
-        if (!s) continue;
-        s->fold_object_sites(sites);
-        merged.merge(s->merged_profile());
+std::string Federator::answer(std::string_view text) const {
+  const auto parsed = service::parse_query(text);
+  if (const auto* error = std::get_if<service::QueryError>(&parsed))
+    return error->message();
+  const service::Query& q = std::get<service::Query>(parsed);
+  switch (q.verb) {
+    case service::QueryVerb::kSessions: {
+      // Live stats from every alive shard (sessions on dead shards died
+      // with the process; their profiles did not — see sessions()), keyed
+      // by id: the map re-sorts into a single server's row order.
+      std::map<std::string, service::SessionStats> rows;
+      for (const std::string& name : router_->shard_names()) {
+        service::ProfileServer* server = router_->server(name);
+        if (server == nullptr || !router_->alive(name)) continue;
+        for (const auto& [id, st] : server->session_stats()) rows[id] = st;
       }
+      return service::render_session_stats(rows);
     }
-    out = memprof::render_memprof(sites, merged, top);
-  } else {
-    out = dispatch_query(partitions(), text, [this] { return sessions_table(); });
+    case service::QueryVerb::kTop:
+    case service::QueryVerb::kDiff: return stored_answer(partitions(), q);
+    case service::QueryVerb::kMemprof: {
+      // Allocation sites need the shards' live session worlds (object maps
+      // are session files, not stored rows); the fold commutes, so the
+      // shard order never shows in the bytes.
+      memprof::SiteTable sites;
+      core::Profile merged;
+      bool matched = false;
+      for (const std::string& name : router_->shard_names())
+        if (service::ProfileServer* server = router_->server(name))
+          matched |= server->fold_memprof(q.session, sites, merged);
+      if (!q.session.empty() && !matched)
+        return "error: no such session: " + q.session + "\n";
+      return memprof::render_memprof(sites, merged, q.top);
+    }
+    case service::QueryVerb::kStats: return stats(q.json);
+    case service::QueryVerb::kTrace: return merged_trace();
+    case service::QueryVerb::kSinceEpoch:
+    case service::QueryVerb::kArcs:
+    case service::QueryVerb::kSnapshot:
+    case service::QueryVerb::kBatch: break;
   }
+  return service::unserved_query(text);
+}
+
+std::string Federator::query(std::string_view text) const {
+  const std::uint64_t t0 = support::monotonic_ns();
+  std::string out = answer(text);
   router_->telemetry().spans().record("fleet.query", "fleet", t0,
                                       support::monotonic_ns());
   return out;
@@ -303,65 +216,47 @@ std::vector<store::ProfileStore::StoredSession> OfflineFleet::sessions() const {
   return gather_sessions(partitions());
 }
 
-core::Profile OfflineFleet::session_profile(const std::string& id) const {
-  return gather_profile(partitions(), id);
-}
-
-core::Profile OfflineFleet::merged_profile() const {
-  return gather_merged(partitions());
-}
-
-std::string OfflineFleet::render_top(const std::vector<hw::EventKind>& events,
-                                     std::size_t top_n) const {
-  return merged_profile().render(events, top_n);
-}
-
-std::string OfflineFleet::render_diff(const std::string& before_session,
-                                      const std::string& after_session,
-                                      hw::EventKind event,
-                                      std::size_t top_n) const {
-  return core::render_diff(session_profile(before_session),
-                           session_profile(after_session), event, top_n);
-}
-
-std::string OfflineFleet::query(const std::string& text) const {
-  std::istringstream in(text);
-  std::string verb;
-  in >> verb;
-  if (verb == "stats") {
-    std::string word;
-    bool as_json = false;
-    while (in >> word)
-      if (word == "--json") as_json = true;
-    bool any = false;
-    std::string json = "{";
-    std::ostringstream sections;
-    for (const ExportedTelemetry& t : telemetry_) {
-      if (t.metrics_json.empty()) continue;
-      if (any) json += ",";
-      any = true;
-      json += "\"" + t.source + "\":" + t.metrics_json;
-      sections << "== " << t.source << " ==\n" << t.metrics_json << "\n";
-    }
-    json += "}";
-    if (!any) return "error: no telemetry exported (run viprof_fleet serve first)\n";
-    // Offline stats are the exported JSON snapshots verbatim — sectioned
-    // for the eye, or one object keyed by source for machines.
-    return as_json ? json : sections.str();
+std::string OfflineFleet::stats(bool as_json) const {
+  // Offline stats are the exported JSON snapshots verbatim — sectioned
+  // for the eye, or one object keyed by source for machines.
+  std::string json = "{", sections;
+  for (const ExportedTelemetry& t : telemetry_) {
+    if (t.metrics_json.empty()) continue;
+    if (!sections.empty()) json += ",";
+    json += "\"" + t.source + "\":" + t.metrics_json;
+    sections += "== " + t.source + " ==\n" + t.metrics_json + "\n";
   }
-  if (verb == "trace") {
-    std::vector<std::pair<std::string, support::ChromeTrace>> inputs;
-    for (const ExportedTelemetry& t : telemetry_) {
-      if (t.trace_json.empty()) continue;
-      if (auto parsed = support::parse_chrome_trace(t.trace_json))
-        inputs.emplace_back(t.source, std::move(*parsed));
-    }
-    if (inputs.empty())
-      return "error: no telemetry exported (run viprof_fleet serve first)\n";
-    return support::merge_chrome_traces(inputs);
+  json += "}";
+  if (sections.empty())
+    return "error: no telemetry exported (run viprof_fleet serve first)\n";
+  return as_json ? json : sections;
+}
+
+std::string OfflineFleet::merged_trace() const {
+  std::vector<std::pair<std::string, std::string>> sources;
+  for (const ExportedTelemetry& t : telemetry_) sources.emplace_back(t.source, t.trace_json);
+  return merge_traces(sources).value_or(
+      "error: no telemetry exported (run viprof_fleet serve first)\n");
+}
+
+std::string OfflineFleet::query(std::string_view text) const {
+  const auto parsed = service::parse_query(text);
+  if (const auto* error = std::get_if<service::QueryError>(&parsed))
+    return error->message();
+  const service::Query& q = std::get<service::Query>(parsed);
+  switch (q.verb) {
+    case service::QueryVerb::kSessions: return stored_sessions_table(partitions());
+    case service::QueryVerb::kTop:
+    case service::QueryVerb::kDiff: return stored_answer(partitions(), q);
+    case service::QueryVerb::kStats: return stats(q.json);
+    case service::QueryVerb::kTrace: return merged_trace();
+    case service::QueryVerb::kSinceEpoch:
+    case service::QueryVerb::kArcs:
+    case service::QueryVerb::kMemprof:
+    case service::QueryVerb::kSnapshot:
+    case service::QueryVerb::kBatch: break;
   }
-  const std::vector<store::ProfileStore*> stores = partitions();
-  return dispatch_query(stores, text, [&stores] { return stored_sessions_table(stores); });
+  return service::unserved_query(text);
 }
 
 }  // namespace viprof::fleet

@@ -17,10 +17,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/report.hpp"
 #include "fleet/router.hpp"
+#include "service/query.hpp"
 #include "store/manifest.hpp"
 #include "store/profile_store.hpp"
 
@@ -33,26 +35,14 @@ class Federator {
   /// All stored sessions fleet-wide, ascending id.
   std::vector<store::ProfileStore::StoredSession> sessions() const;
 
-  /// One session's stored profile, from whichever partition holds it.
-  core::Profile session_profile(const std::string& id) const;
+  /// Serves sessions, top, diff, memprof, stats and trace of the query
+  /// grammar (DESIGN.md §10). top and diff fold the stored partitions;
+  /// sessions, memprof, stats and trace gather from the alive shards.
+  std::string query(std::string_view text) const;
 
-  /// Fold of every stored session — the single server "top" answer.
-  core::Profile merged_profile() const;
-
-  std::string render_top(const std::vector<hw::EventKind>& events,
-                         std::size_t top_n) const;
-
-  /// Live sessions table gathered from every alive shard, rows in
-  /// ascending id order — column-identical to ProfileServer's "sessions"
-  /// query. Sessions on dead shards are absent (their stats died with the
-  /// process; their profiles did not — see sessions()).
-  std::string sessions_table() const;
-
-  /// Regression ranking between two sessions' stored profiles
-  /// (core::render_diff — e.g. yesterday's canary session vs today's).
-  std::string render_diff(const std::string& before_session,
-                          const std::string& after_session, hw::EventKind event,
-                          std::size_t top_n) const;
+ private:
+  std::string answer(std::string_view text) const;
+  std::vector<store::ProfileStore*> partitions() const;
 
   /// Scatter-gather of live telemetry: the router's own registry plus
   /// every alive shard server's, one section per source (text) or one
@@ -65,17 +55,6 @@ class Federator {
   /// shard server's — folded into one Chrome trace via
   /// support::merge_chrome_traces (shard = pid, worker thread = tid).
   std::string merged_trace() const;
-
-  /// Query-string front end, mirroring ProfileServer::query:
-  ///   sessions
-  ///   top N [--event time|dmiss] [--session S]
-  ///   diff BEFORE AFTER [--event E] [--top N]
-  ///   stats [--json]
-  ///   trace
-  std::string query(const std::string& text) const;
-
- private:
-  std::vector<store::ProfileStore*> partitions() const;
 
   Router* router_;
 };
@@ -91,23 +70,20 @@ class OfflineFleet {
   const store::FleetManifest& manifest() const { return manifest_; }
 
   std::vector<store::ProfileStore::StoredSession> sessions() const;
-  core::Profile session_profile(const std::string& id) const;
-  core::Profile merged_profile() const;
-  std::string render_top(const std::vector<hw::EventKind>& events,
-                         std::size_t top_n) const;
-  std::string render_diff(const std::string& before_session,
-                          const std::string& after_session, hw::EventKind event,
-                          std::size_t top_n) const;
-  /// Same verbs as Federator::query; "sessions" renders the
+
+  /// Serves sessions, top, diff, stats and trace (DESIGN.md §10): top and
+  /// diff answer as Federator::query does; "sessions" renders the
   /// stored-session inventory (no live stats offline), while "stats" and
   /// "trace" answer from the telemetry files Router::export_telemetry
   /// published (and are errors when none were exported).
-  std::string query(const std::string& text) const;
+  std::string query(std::string_view text) const;
 
  private:
   OfflineFleet() = default;
 
   std::vector<store::ProfileStore*> partitions() const;
+  std::string stats(bool as_json) const;
+  std::string merged_trace() const;
 
   store::FleetManifest manifest_;
   std::vector<std::unique_ptr<store::ProfileStore>> stores_;

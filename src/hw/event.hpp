@@ -7,6 +7,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 namespace viprof::hw {
 
@@ -36,6 +38,17 @@ inline const char* to_string(EventKind kind) {
     case EventKind::kObjDmiss:          return "DMISS_OBJ";
   }
   return "UNKNOWN_EVENT";
+}
+
+/// Inverse of to_string(), plus the report's short names "time"
+/// (GLOBAL_POWER_EVENTS) and "dmiss" (BSQ_CACHE_REFERENCE). The one
+/// event-name parser: queries, batch headers and tool flags all use it.
+inline std::optional<EventKind> event_from_name(std::string_view name) {
+  if (name == "time") return EventKind::kGlobalPowerEvents;
+  if (name == "dmiss") return EventKind::kBsqCacheReference;
+  for (const EventKind kind : kAllEventKinds)
+    if (name == to_string(kind)) return kind;
+  return std::nullopt;
 }
 
 inline constexpr std::size_t event_index(EventKind kind) {

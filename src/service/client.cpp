@@ -1,7 +1,6 @@
 #include "service/client.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "core/archive.hpp"
 #include "core/code_map.hpp"
@@ -113,15 +112,13 @@ bool ReplayClient::run() {
   if (manifest) {
     // Registrations first (live table), then the manifest itself (the
     // resolver world), then the boot maps it references.
-    std::istringstream in(*manifest);
-    std::string line;
     std::vector<std::string> boot_maps;
-    while (std::getline(in, line)) {
-      if (line.rfind("reg ", 0) != 0) continue;
-      if (!send(FrameType::kRegisterVm, line)) return false;
+    const auto announce = [&](std::string_view line) {
+      if (line.substr(0, 4) != "reg ") return true;
+      if (!send(FrameType::kRegisterVm, std::string(line))) return false;
 
       const auto reg = core::parse_reg_line(line);
-      if (!reg) continue;
+      if (!reg) return true;
       VmInfo vm;
       vm.pid = reg->pid;
       if (!reg->boot_map_path.empty()) boot_maps.push_back(reg->boot_map_path);
@@ -139,7 +136,14 @@ bool ReplayClient::run() {
             vm.pending_maps.emplace_back(*epoch, path);
       std::sort(vm.pending_maps.begin(), vm.pending_maps.end());
       vms_.push_back(std::move(vm));
-    }
+      return true;
+    };
+    support::LineCursor cursor(*manifest);
+    std::string_view line;
+    while (cursor.next(line))
+      if (!announce(line)) return false;
+    // An unterminated last line is still a line of the manifest.
+    if (!cursor.tail().empty() && !announce(cursor.tail())) return false;
     if (!send_file(kManifestPath)) return false;
     for (const std::string& path : boot_maps)
       if (!send_file(path)) return false;

@@ -5,10 +5,75 @@
 
 #include "support/format.hpp"
 #include "support/framed_text.hpp"
+#include "support/str_scan.hpp"
 
 namespace viprof::service {
 
 namespace {
+
+// ------------------------------------------------------------ query grammar
+
+// DESIGN.md §10's grammar table, as data. One letter per argument slot:
+// N rows (Query::top), K a count (Query::n), I a session id (diff's
+// before, then after), E an event, S a session (--session), J --json.
+struct VerbSpec {
+  std::string_view name;
+  QueryVerb verb;
+  std::string_view positionals;
+  std::string_view options;
+};
+
+constexpr VerbSpec kVerbs[] = {
+    {"sessions", QueryVerb::kSessions, "", ""},
+    {"top", QueryVerb::kTop, "N", "SEN"},
+    {"since-epoch", QueryVerb::kSinceEpoch, "K", "SN"},
+    {"arcs", QueryVerb::kArcs, "N", "SN"},
+    {"memprof", QueryVerb::kMemprof, "N", "SN"},
+    {"diff", QueryVerb::kDiff, "II", "EN"},
+    {"snapshot", QueryVerb::kSnapshot, "", ""},
+    {"stats", QueryVerb::kStats, "", "J"},
+    {"trace", QueryVerb::kTrace, "", ""},
+    {"batch", QueryVerb::kBatch, "EK", ""},
+};
+
+char option_slot(std::string_view word) {
+  if (word == "--session") return 'S';
+  if (word == "--event") return 'E';
+  if (word == "--top") return 'N';
+  if (word == "--json") return 'J';
+  return 0;
+}
+
+/// Next word; newlines separate words like any other whitespace.
+bool next_word(std::string_view& s, std::string_view& word) {
+  const auto space = [](char c) { return c == '\n' || support::is_space(c); };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  std::size_t i = 0;
+  while (i < s.size() && !space(s[i])) ++i;
+  word = s.substr(0, i);
+  s.remove_prefix(i);
+  return i != 0;
+}
+
+/// Stores `word` in `slot` of `q`; the error when it does not fit there.
+std::optional<QueryError> fill(Query& q, char slot, std::string_view word) {
+  using Kind = QueryError::Kind;
+  switch (slot) {
+    case 'N':
+    case 'K': {
+      std::string_view rest = word;  // the whole word, plain decimal
+      if (support::scan_u64(rest, slot == 'N' ? q.top : q.n) && rest.empty()) break;
+      return QueryError{Kind::kBadNumber, std::string(word)};
+    }
+    case 'E':
+      q.event = hw::event_from_name(word);
+      if (!q.event) return QueryError{Kind::kUnknownEvent, std::string(word)};
+      break;
+    case 'S': q.session = word; break;
+    default: (q.before.empty() ? q.before : q.after) = word; break;
+  }
+  return std::nullopt;
+}
 
 constexpr const char* kHeader = "viprof-snapshot v1";
 
@@ -63,6 +128,53 @@ std::vector<const core::ProfileRow*> canonical_rows(const core::Profile& profile
 }
 
 }  // namespace
+
+std::string QueryError::message() const {
+  switch (kind) {
+    case Kind::kUnknownVerb: return "error: unknown query: " + text + "\n";
+    case Kind::kMissingNumber: return "error: " + text + " needs a number\n";
+    case Kind::kBadNumber: return "error: not a decimal number: " + text + "\n";
+    case Kind::kMissingOperand:
+      return "error: " + text +
+             (text == "diff" ? " needs two session ids\n" : " needs an event name\n");
+    case Kind::kUnknownOption: return "error: unknown option: " + text + "\n";
+    case Kind::kMissingValue: return "error: " + text + " needs a value\n";
+    case Kind::kUnknownEvent: return "error: unknown event: " + text + "\n";
+  }
+  return "error: " + text + "\n";
+}
+
+std::variant<Query, QueryError> parse_query(std::string_view text) {
+  using Kind = QueryError::Kind;
+  std::string_view rest = text, word;
+  const VerbSpec* spec = nullptr;
+  if (next_word(rest, word))
+    for (const VerbSpec& v : kVerbs)
+      if (v.name == word) spec = &v;
+  if (spec == nullptr) return QueryError{Kind::kUnknownVerb, std::string(text)};
+
+  Query q;
+  q.verb = spec->verb;
+  // Positionals first: a word that looks like an option ends them.
+  for (const char slot : spec->positionals) {
+    std::string_view peek = rest;
+    if (!next_word(peek, word) || word.starts_with("--"))
+      return QueryError{slot == 'N' || slot == 'K' ? Kind::kMissingNumber : Kind::kMissingOperand,
+                        std::string(spec->name)};
+    rest = peek;
+    if (auto error = fill(q, slot, word)) return *error;
+  }
+  while (next_word(rest, word)) {
+    const char slot = option_slot(word);
+    if (slot == 0 || spec->options.find(slot) == std::string_view::npos)
+      return QueryError{Kind::kUnknownOption, std::string(word)};
+    std::string_view value;
+    if (slot == 'J') q.json = true;
+    else if (!next_word(rest, value)) return QueryError{Kind::kMissingValue, std::string(word)};
+    else if (auto error = fill(q, slot, value)) return *error;
+  }
+  return q;
+}
 
 std::string ServiceSnapshot::serialize() const {
   std::string out = std::string(kHeader) + "\n";

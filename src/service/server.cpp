@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 
 #include "core/code_map.hpp"
 #include "memprof/report.hpp"
@@ -16,18 +14,6 @@
 namespace viprof::service {
 
 namespace {
-
-/// The canonical report events (what viprof_report prints).
-const std::vector<hw::EventKind> kReportEvents = {hw::EventKind::kGlobalPowerEvents,
-                                                  hw::EventKind::kBsqCacheReference};
-
-std::optional<hw::EventKind> event_from(const std::string& name) {
-  for (hw::EventKind e : hw::kAllEventKinds)
-    if (name == hw::to_string(e)) return e;
-  if (name == "time") return hw::EventKind::kGlobalPowerEvents;
-  if (name == "dmiss") return hw::EventKind::kBsqCacheReference;
-  return std::nullopt;
-}
 
 /// The per-batch view of the shared code-map cache: shared_ptr pins built
 /// once per batch, so eviction under a running worker is harmless.
@@ -142,11 +128,10 @@ std::shared_ptr<ServerSession> ProfileServer::open_session(const std::string& id
   std::lock_guard<support::TracedSharedMutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
-    const std::size_t stripes =
-        config_.agg_stripes != 0 ? config_.agg_stripes : pool_.size();
+    // One aggregation stripe per ingest thread (DESIGN.md §14).
     it = sessions_
              .emplace(id, std::make_shared<ServerSession>(id, config_.queue_capacity,
-                                                          stripes, &telemetry_))
+                                                          pool_.size(), &telemetry_))
              .first;
     telemetry_.gauge("service.sessions").set(static_cast<double>(sessions_.size()));
   }
@@ -234,7 +219,7 @@ void ProfileServer::dispatch(ServerConnection& conn, const FrameView& frame) {
     }
     case FrameType::kQuery: {
       const std::uint64_t t0 = support::monotonic_ns();
-      std::string result = query(std::string(frame.payload));
+      std::string result = query(frame.payload);
       const std::uint64_t t1 = support::monotonic_ns();
       tele_query_latency_us_->add(static_cast<double>(t1 - t0) / 1000.0);
       telemetry_.spans().record("service.query", "service", t0, t1,
@@ -256,21 +241,23 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     reply(conn, FrameType::kError, "batch: missing header");
     return;
   }
-  char event_name[64] = {};
-  unsigned long long declared = 0;
-  const std::string header(payload.substr(0, nl));
-  if (std::sscanf(header.c_str(), "batch %63s %llu", event_name, &declared) != 2) {
-    reply(conn, FrameType::kError, "batch: bad header: " + header);
+  // The header is "batch <EVENT> <N>" in the query grammar (N, the
+  // declared record count, is informational: the body is what counts).
+  const std::string_view header = payload.substr(0, nl);
+  const auto parsed = parse_query(header);
+  const Query* head = std::get_if<Query>(&parsed);
+  if (head == nullptr || head->verb != QueryVerb::kBatch) {
+    const QueryError* error = std::get_if<QueryError>(&parsed);
+    reply(conn, FrameType::kError,
+          error != nullptr && error->kind == QueryError::Kind::kUnknownEvent
+              ? "batch: unknown event: " + error->text
+              : "batch: bad header: " + std::string(header));
     return;
   }
-  const auto event = event_from(event_name);
-  if (!event) {
-    reply(conn, FrameType::kError, "batch: unknown event: " + std::string(event_name));
-    return;
-  }
+  const hw::EventKind event = *head->event;
 
   Batch batch;
-  batch.event = *event;
+  batch.event = event;
   batch.arena = rent_arena();
   batch.samples = support::ArenaVector<core::LoggedSample>(*batch.arena);
   bool enqueued = false;
@@ -281,7 +268,7 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     // watermark are what make the online aggregate deterministic. The
     // samples decode zero-copy: wire-buffer view in, arena storage out.
     std::lock_guard<support::TracedMutex> lock(session->ingest_mu_);
-    session->parsers_[hw::event_index(*event)].parse_into(payload.substr(nl + 1),
+    session->parsers_[hw::event_index(event)].parse_into(payload.substr(nl + 1),
                                                           batch.samples);
     batch.ceilings = session->ceilings_;
     record_count = batch.samples.size();
@@ -455,6 +442,27 @@ std::shared_ptr<ServerSession> ProfileServer::session(const std::string& id) con
   return it == sessions_.end() ? nullptr : it->second;
 }
 
+std::map<std::string, SessionStats> ProfileServer::session_stats() const {
+  std::map<std::string, SessionStats> rows;
+  for (const std::string& id : session_ids())
+    if (std::shared_ptr<ServerSession> s = session(id)) rows[id] = s->stats();
+  return rows;
+}
+
+bool ProfileServer::fold_memprof(const std::string& id, memprof::SiteTable& sites,
+                                 core::Profile& profile) const {
+  bool matched = false;
+  for (const std::string& sid : session_ids()) {
+    if (!id.empty() && sid != id) continue;
+    std::shared_ptr<ServerSession> s = session(sid);
+    if (!s) continue;
+    matched = true;
+    s->fold_object_sites(sites);
+    profile.merge(s->merged_profile());
+  }
+  return matched || id.empty();
+}
+
 std::string ProfileServer::session_report(const std::string& id, std::size_t top,
                                           const std::vector<hw::EventKind>& events) {
   std::shared_ptr<ServerSession> s = session(id);
@@ -462,127 +470,71 @@ std::string ProfileServer::session_report(const std::string& id, std::size_t top
   return s->merged_profile().render(events, top);
 }
 
-std::string ProfileServer::query(const std::string& text) {
+std::string ProfileServer::query(std::string_view text) {
   tele_queries_->inc();
-  std::istringstream in(text);
-  std::string verb;
-  in >> verb;
-
-  // Shared trailing options.
-  auto scan_options = [&in](std::string& session_id, std::string& event_name,
-                            std::size_t& top) {
-    std::string word;
-    while (in >> word) {
-      if (word == "--session") in >> session_id;
-      else if (word == "--event") in >> event_name;
-      else if (word == "--top") in >> top;
-    }
+  const auto parsed = parse_query(text);
+  if (const QueryError* error = std::get_if<QueryError>(&parsed)) return error->message();
+  const Query& q = std::get<Query>(parsed);
+  const auto no_such_session = [&q] {
+    return "error: no such session: " + q.session + "\n";
   };
 
-  if (verb == "sessions") {
-    support::TextTable table = session_stats_table();
-    for (const std::string& id : session_ids()) {
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
-      add_session_row(table, id, s->stats());
-    }
-    return table.render();
-  }
-  if (verb == "top") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    std::vector<hw::EventKind> events = kReportEvents;
-    if (!event_name.empty()) {
-      const auto e = event_from(event_name);
-      if (!e) return "error: unknown event: " + event_name + "\n";
-      events = {*e};
-    }
-    core::Profile merged;
-    if (session_id.empty()) {
-      for (const std::string& id : session_ids()) {
-        std::shared_ptr<ServerSession> s = session(id);
-        if (s) merged.merge(s->merged_profile());
+  switch (q.verb) {
+    case QueryVerb::kSessions:
+      return render_session_stats(session_stats());
+    case QueryVerb::kTop:
+    case QueryVerb::kSinceEpoch: {
+      const auto profile_of = [&q](const ServerSession& s) {
+        return q.verb == QueryVerb::kTop ? s.merged_profile()
+                                         : s.profile_since_epoch(q.n);
+      };
+      core::Profile merged;
+      if (q.session.empty()) {
+        for (const std::string& id : session_ids()) {
+          std::shared_ptr<ServerSession> s = session(id);
+          if (s) merged.merge(profile_of(*s));
+        }
+      } else {
+        std::shared_ptr<ServerSession> s = session(q.session);
+        if (!s) return no_such_session();
+        merged = profile_of(*s);
       }
-    } else {
-      std::shared_ptr<ServerSession> s = session(session_id);
-      if (!s) return "error: no such session: " + session_id + "\n";
-      merged = s->merged_profile();
+      return merged.render(q.events(), q.top);
     }
-    return merged.render(events, top);
-  }
-  if (verb == "since-epoch") {
-    std::uint64_t since = 0;
-    in >> since;
-    std::size_t top = 20;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    core::Profile merged;
-    if (session_id.empty()) {
+    case QueryVerb::kArcs: {
+      support::TextTable table({"Samples", "Caller", "->", "Callee"});
       for (const std::string& id : session_ids()) {
+        if (table.row_count() >= q.top) break;
+        if (!q.session.empty() && id != q.session) continue;
         std::shared_ptr<ServerSession> s = session(id);
-        if (s) merged.merge(s->profile_since_epoch(since));
+        if (!s) continue;
+        const core::CallGraph graph = s->merged_graph();
+        for (const std::uint32_t a : graph.rank(q.top - table.row_count()))
+          core::add_arc_row(table, graph.arcs()[a]);
       }
-    } else {
-      std::shared_ptr<ServerSession> s = session(session_id);
-      if (!s) return "error: no such session: " + session_id + "\n";
-      merged = s->profile_since_epoch(since);
+      return table.render();
     }
-    return merged.render(kReportEvents, top);
-  }
-  if (verb == "arcs") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    support::TextTable table({"Samples", "Caller", "->", "Callee"});
-    for (const std::string& id : session_ids()) {
-      if (table.row_count() >= top) break;
-      if (!session_id.empty() && id != session_id) continue;
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
-      const core::CallGraph graph = s->merged_graph();
-      for (const std::uint32_t a : graph.rank(top - table.row_count()))
-        core::add_arc_row(table, graph.arcs()[a]);
+    case QueryVerb::kMemprof: {
+      memprof::SiteTable sites;
+      core::Profile merged;
+      if (!fold_memprof(q.session, sites, merged)) return no_such_session();
+      return memprof::render_memprof(sites, merged, q.top);
     }
-    return table.render();
-  }
-  if (verb == "memprof") {
-    std::size_t top = 20;
-    in >> top;
-    std::string session_id, event_name;
-    scan_options(session_id, event_name, top);
-    memprof::SiteTable sites;
-    core::Profile merged;
-    bool matched = false;
-    for (const std::string& id : session_ids()) {
-      if (!session_id.empty() && id != session_id) continue;
-      std::shared_ptr<ServerSession> s = session(id);
-      if (!s) continue;
-      matched = true;
-      s->fold_object_sites(sites);
-      merged.merge(s->merged_profile());
+    case QueryVerb::kSnapshot:
+      return snapshot();
+    case QueryVerb::kStats: {
+      support::publish_interner_gauges(telemetry_);
+      const support::TelemetrySnapshot snap = telemetry_.snapshot();
+      return q.json ? snap.to_json() : snap.render_text();
     }
-    if (!session_id.empty() && !matched)
-      return "error: no such session: " + session_id + "\n";
-    return memprof::render_memprof(sites, merged, top);
+    case QueryVerb::kTrace:
+      // Host-side ring: monotonic_ns timestamps, so 1000 "cycles" per µs.
+      return telemetry_.spans().to_chrome_json(1000.0);
+    case QueryVerb::kDiff:
+    case QueryVerb::kBatch:
+      break;
   }
-  if (verb == "snapshot") return snapshot();
-  if (verb == "stats") {
-    std::string word;
-    bool as_json = false;
-    while (in >> word)
-      if (word == "--json") as_json = true;
-    support::publish_interner_gauges(telemetry_);
-    const support::TelemetrySnapshot snap = telemetry_.snapshot();
-    return as_json ? snap.to_json() : snap.render_text();
-  }
-  if (verb == "trace") {
-    // Host-side ring: monotonic_ns timestamps, so 1000 "cycles" per µs.
-    return telemetry_.spans().to_chrome_json(1000.0);
-  }
-  return "error: unknown query: " + text + "\n";
+  return unserved_query(text);
 }
 
 std::string ProfileServer::snapshot() {
@@ -604,7 +556,7 @@ bool ProfileServer::export_state(const std::string& dir, std::size_t top) {
   if (ids.empty()) return false;
   os::Vfs out;
   for (const std::string& id : ids) {
-    out.write(id + "/profile.txt", session_report(id, top, kReportEvents));
+    out.write(id + "/profile.txt", session_report(id, top, core::kReportEvents));
   }
   out.write("service.snap", snapshot());
   support::publish_interner_gauges(telemetry_);

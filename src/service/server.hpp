@@ -25,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "service/code_map_cache.hpp"
@@ -52,9 +53,6 @@ struct ServerConfig {
   std::size_t queue_capacity = 64;  // batches buffered per session
   OverloadPolicy policy = OverloadPolicy::kBackpressure;
   std::size_t code_map_cache_capacity = 8;
-  /// Aggregation stripes per session (DESIGN.md §14); 0 = one per ingest
-  /// thread. Output is byte-identical at any value.
-  std::size_t agg_stripes = 0;
   support::FaultInjector* fault = nullptr;  // wire + queue fault points
 };
 
@@ -112,16 +110,10 @@ class ProfileServer {
   /// Blocks until every enqueued batch has been resolved and applied.
   void drain();
 
-  /// Online query API; the same strings arrive as kQuery frames.
-  ///   sessions
-  ///   top N [--session S] [--event time|dmiss]
-  ///   since-epoch K [--session S] [--top N]
-  ///   arcs N [--session S]
-  ///   memprof N [--session S] — allocation-site table, O(sites + profile)
-  ///   snapshot
-  ///   stats [--json]       — live telemetry snapshot (text table / JSON)
-  ///   trace                — the server's span ring as Chrome trace JSON
-  std::string query(const std::string& text);
+  /// Online query API; the same strings arrive as kQuery frames. Serves
+  /// sessions, top, since-epoch, arcs, memprof, snapshot, stats and trace
+  /// of the grammar in DESIGN.md §10 (service/query.hpp parses it).
+  std::string query(std::string_view text);
 
   /// viprof-snapshot v1 text over all sessions (see service/query.hpp).
   std::string snapshot();
@@ -158,6 +150,15 @@ class ProfileServer {
 
   std::vector<std::string> session_ids() const;
   std::shared_ptr<ServerSession> session(const std::string& id) const;
+
+  /// Every session's stats by id: the rows of the "sessions" answer.
+  std::map<std::string, SessionStats> session_stats() const;
+
+  /// Folds session `id`'s allocation sites and profile (every session's
+  /// when `id` is empty) into `sites` and `profile`; false when `id` names
+  /// no session here. The memprof answer of the server and the federator.
+  bool fold_memprof(const std::string& id, memprof::SiteTable& sites,
+                    core::Profile& profile) const;
 
   /// Rendered top-`top` report of one session over `events` — the
   /// byte-identity anchor against offline viprof_report.

@@ -8,21 +8,19 @@
 
 namespace viprof::service {
 
-support::TextTable session_stats_table() {
-  return support::TextTable(
-      {"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
-}
-
-void add_session_row(support::TextTable& table, std::string_view id,
-                     const SessionStats& st) {
-  table.cell(id)
-      .cell(st.records_ingested)
-      .cell(st.batches_applied)
-      .cell(st.batches_dropped)
-      .cell(st.torn_frames)
-      .cell(st.registrations)
-      .cell(st.ended ? "ended" : "streaming")
-      .end_row();
+std::string render_session_stats(const std::map<std::string, SessionStats>& rows) {
+  support::TextTable table({"Session", "Records", "Batches", "Dropped", "Torn", "VMs", "State"});
+  for (const auto& [id, st] : rows) {
+    table.cell(id)
+        .cell(st.records_ingested)
+        .cell(st.batches_applied)
+        .cell(st.batches_dropped)
+        .cell(st.torn_frames)
+        .cell(st.registrations)
+        .cell(st.ended ? "ended" : "streaming")
+        .end_row();
+  }
+  return table.render();
 }
 
 namespace {
@@ -165,6 +163,9 @@ const core::ArchiveResolver* ServerSession::resolver() {
   if (!resolver_ && world_.exists("archive/manifest")) {
     resolver_ = std::make_unique<core::ArchiveResolver>(
         world_, "archive", /*vm_aware=*/true, /*load_jit_maps=*/false);
+    if (telemetry_ != nullptr && resolver_->malformed_lines() > 0)
+      telemetry_->counter("service.archive.malformed_lines")
+          .inc(resolver_->malformed_lines());
     resolver_ready_.store(resolver_.get(), std::memory_order_release);
   }
   return resolver_.get();

@@ -96,13 +96,10 @@ struct SessionStats {
   bool ended = false;
 };
 
-/// The "sessions" table, headers only: Session, Records, Batches, Dropped,
-/// Torn, VMs, State. The server and the federator both answer with it.
-support::TextTable session_stats_table();
-
-/// Appends session `id`'s row to a session_stats_table().
-void add_session_row(support::TextTable& table, std::string_view id,
-                     const SessionStats& st);
+/// The "sessions" answer, one row per session in id order: Session,
+/// Records, Batches, Dropped, Torn, VMs, State. The server and the
+/// federator both answer with it.
+std::string render_session_stats(const std::map<std::string, SessionStats>& rows);
 
 class ProfileServer;
 
@@ -114,7 +111,7 @@ class ServerSession {
   /// into one observable registry.
   ServerSession(std::string id, std::size_t queue_capacity, std::size_t stripes = 1,
                 support::Telemetry* telemetry = nullptr)
-      : id_(std::move(id)), queue_(queue_capacity) {
+      : id_(std::move(id)), telemetry_(telemetry), queue_(queue_capacity) {
     if (stripes == 0) stripes = 1;
     stripes_.reserve(stripes);
     for (std::size_t i = 0; i < stripes; ++i)
@@ -164,7 +161,8 @@ class ServerSession {
   /// The session's resolver, built from the streamed archive manifest on
   /// first use (jit maps stay external — workers resolve through the
   /// shared cache), then read lock-free. nullptr until the manifest has
-  /// been streamed.
+  /// been streamed. Malformed manifest lines are skipped and counted in
+  /// service.archive.malformed_lines.
   const core::ArchiveResolver* resolver();
 
   /// Combined rolling profile: every stripe's per-event profiles merged.
@@ -264,6 +262,7 @@ class ServerSession {
   // ---- streamed world (world_mu_)
   mutable std::mutex world_mu_;
   os::Vfs world_;
+  support::Telemetry* telemetry_;  // may be null
   std::unique_ptr<core::ArchiveResolver> resolver_;  // built once, never replaced
   std::atomic<const core::ArchiveResolver*> resolver_ready_{nullptr};
 

@@ -7,6 +7,7 @@
 
 #include "support/fault.hpp"
 #include "support/format.hpp"
+#include "support/str_scan.hpp"
 #include "support/telemetry.hpp"
 #include "support/thread_pool.hpp"
 
@@ -397,6 +398,21 @@ core::Profile ProfileStore::window_profile_locked(const WindowSpec& w) const {
 core::Profile ProfileStore::window_profile(const WindowSpec& w) const {
   std::lock_guard<support::TracedMutex> lock(mu_);
   return window_profile_locked(w);
+}
+
+std::optional<WindowSpec> parse_window(std::string_view spec, std::string session) {
+  // Digits must come first: the scanner would skip leading whitespace.
+  const auto number = [&spec](std::uint64_t& out) {
+    return !spec.empty() && spec.front() >= '0' && spec.front() <= '9' &&
+           support::scan_u64(spec, out);
+  };
+  WindowSpec w;
+  w.session = std::move(session);
+  if (!number(w.tick_lo)) return std::nullopt;
+  w.tick_hi = w.tick_lo;
+  if (support::scan_lit(spec, ":") && !number(w.tick_hi)) return std::nullopt;
+  if (!spec.empty() || w.tick_lo > w.tick_hi) return std::nullopt;
+  return w;
 }
 
 std::string ProfileStore::render_top(const WindowSpec& w,

@@ -29,6 +29,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fsck.hpp"
@@ -90,6 +91,10 @@ struct WindowSpec {
   std::uint64_t tick_hi = ~0ull;
   std::string session;
 };
+
+/// "LO" or "LO:HI" — inclusive ticks, unsigned decimal, LO <= HI, nothing
+/// else — as a window over `session`; nullopt on any other spelling.
+std::optional<WindowSpec> parse_window(std::string_view spec, std::string session = {});
 
 class ProfileStore {
  public:

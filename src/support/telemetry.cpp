@@ -130,6 +130,8 @@ class JsonParser {
           }
           default: return false;
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        return false;  // a raw control byte: strict JSON wants it escaped
       } else {
         out += c;
       }

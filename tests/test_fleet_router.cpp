@@ -149,14 +149,13 @@ TEST(FleetRouter, PerSessionProfilesMatchSingleServerReports) {
 
   Federator federator(router);
   for (const auto& [id, scenario] : sessions) {
-    EXPECT_EQ(federator.session_profile(id).render(kEvents, 15),
+    EXPECT_EQ(federator.query("top 15 --session " + id),
               oracle->session_report(id, 15, kEvents))
         << id;
   }
-  // diff of a session against itself is the null regression — and must
-  // render identically through the partitions.
-  EXPECT_EQ(federator.render_diff("sess-0", "sess-1",
-                                  hw::EventKind::kGlobalPowerEvents, 10),
+  // The regression ranking between two sessions must render identically
+  // through the partitions.
+  EXPECT_EQ(federator.query("diff sess-0 sess-1 --top 10"),
             core::render_diff(oracle->session("sess-0")->merged_profile(),
                               oracle->session("sess-1")->merged_profile(),
                               hw::EventKind::kGlobalPowerEvents, 10));
@@ -181,8 +180,10 @@ TEST(FleetRouter, OfflineFleetAnswersMatchLiveFederator) {
   EXPECT_EQ(offline->query("top 20"), federator.query("top 20"));
   EXPECT_EQ(offline->sessions().size(), sessions.size());
   for (const auto& [id, scenario] : sessions)
-    EXPECT_EQ(offline->session_profile(id).render(kEvents, 15),
-              federator.session_profile(id).render(kEvents, 15));
+    EXPECT_EQ(offline->query("top 15 --session " + id),
+              federator.query("top 15 --session " + id));
+  EXPECT_EQ(offline->query("diff sess-0 sess-2 --event dmiss --top 12"),
+            federator.query("diff sess-0 sess-2 --event dmiss --top 12"));
 
   // A damaged manifest is all-or-nothing.
   os::Vfs damaged = fleet_vfs;

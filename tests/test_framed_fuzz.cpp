@@ -27,7 +27,8 @@
 // counts must sum to each histogram's count, and writing what was read is
 // a fixed point: to_json(from_json(y)) == y for y = to_json(from_json(x)),
 // and likewise for a trace re-written by merge_chrome_traces; y holds no
-// raw control byte but the writer's own line breaks.
+// raw control byte but the writer's own line breaks, and y with a raw
+// control byte put inside one of its strings is refused.
 //
 // The boot-image method map (core::parse_rvm_map) has no frame to verify:
 // it takes bit flips, truncations, NULs, overflowing and 0x-spelled
@@ -37,6 +38,14 @@
 // 511 characters, the table's no-overlap check never fires, and parse ->
 // serialise -> parse is a fixed point.
 //
+// The archive manifest (core::ArchiveResolver) has no frame either, and a
+// server builds it from bytes a client streamed. It takes the flips,
+// truncations and splices above, and may neither throw nor abort while it
+// loads and resolves every recorded sample. Lines made malformed on
+// purpose — junk glued to a number, a sign, a bare 0x, an overflow, a
+// missing field, an image id no image line defines — and spliced in
+// anywhere are each skipped and counted, and change no resolution.
+//
 // The service's binary wire framing (service::FrameDecoder) gets the same
 // treatment at the byte level — bit flips, truncations, spliced byte runs
 // and duplicated frames, fed in random chunks — and must never hand out a
@@ -45,6 +54,7 @@
 // decoded, skipped (torn) or still buffered.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstring>
@@ -55,11 +65,14 @@
 #include <string>
 #include <vector>
 
+#include "core/archive.hpp"
 #include "core/code_map.hpp"
 #include "core/fsck.hpp"
 #include "core/object_map.hpp"
 #include "core/rvm_map.hpp"
+#include "core/sample_log.hpp"
 #include "service/query.hpp"
+#include "service/scenario.hpp"
 #include "service/wire.hpp"
 #include "store/manifest.hpp"
 #include "store/profile_store.hpp"
@@ -554,6 +567,27 @@ bool no_raw_control_bytes(const std::string& json) {
   return true;
 }
 
+/// `json` with one raw byte below 0x20 put just inside one of its strings
+/// (after the opening quote). Strict JSON wants such bytes escaped, so a
+/// reader must refuse the result.
+std::string with_raw_control_byte(const std::string& json, support::Xoshiro256& rng) {
+  std::vector<std::size_t> opening_quotes;
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (in_string && json[i] == '\\') {
+      ++i;  // the escaped byte
+    } else if (json[i] == '"') {
+      if (!in_string) opening_quotes.push_back(i);
+      in_string = !in_string;
+    }
+  }
+  std::string out = json;
+  if (!opening_quotes.empty())
+    out.insert(opening_quotes[rng.below(opening_quotes.size())] + 1, 1,
+               static_cast<char>(rng.below(0x20)));
+  return out;
+}
+
 std::string random_trace(support::Xoshiro256& rng) {
   std::vector<std::pair<std::string, support::ChromeTrace>> shards;
   for (std::uint64_t s = 1 + rng.below(3); s > 0; --s) {
@@ -614,6 +648,9 @@ TEST(FramedFuzz, TelemetryJsonRejectsBadCountsAndRereadsAsAFixedPoint) {
       const auto again = support::TelemetrySnapshot::from_json(y);
       ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
       EXPECT_EQ(again->to_json(), y) << where;
+      support::Xoshiro256 inject(seed * 0x1000 + static_cast<std::uint64_t>(i));
+      const std::string raw = with_raw_control_byte(y, inject);
+      EXPECT_FALSE(support::TelemetrySnapshot::from_json(raw).has_value()) << where << ":\n" << raw;
     }
   }
   // Number swaps into gauges, sums and extremes keep most files readable.
@@ -637,6 +674,9 @@ TEST(FramedFuzz, ChromeTraceRejectsBadIdsAndRewritesAsAFixedPoint) {
       const auto again = support::parse_chrome_trace(y);
       ASSERT_TRUE(again.has_value()) << where << ":\n" << y;
       EXPECT_EQ(support::merge_chrome_traces({{"shard", *again}}), y) << where;
+      support::Xoshiro256 inject(seed * 0x1000 + static_cast<std::uint64_t>(i));
+      const std::string raw = with_raw_control_byte(y, inject);
+      EXPECT_FALSE(support::parse_chrome_trace(raw).has_value()) << where << ":\n" << raw;
     }
   }
   EXPECT_GT(accepted, kSeeds * kMutantsPerSeed / 20);
@@ -826,6 +866,132 @@ TEST(FramedFuzz, RvmMapYieldsOnlyScannedLinesAndReparsesAsAFixedPoint) {
       const std::string y = serialize_rvm(got);
       EXPECT_EQ(parsed_rvm(y), got) << where;
       EXPECT_EQ(serialize_rvm(parsed_rvm(y)), y) << where;
+    }
+  }
+}
+
+// --- The archive manifest: ArchiveResolver ----------------------------------
+
+std::vector<std::string> words(const std::string& line) {
+  std::vector<std::string> out;
+  std::string word;
+  for (const char c : line + " ") {
+    if (c != ' ') {
+      word += c;
+    } else if (!word.empty()) {
+      out.push_back(word);
+      word.clear();
+    }
+  }
+  return out;
+}
+
+/// A malformed copy of manifest line `line` (no newline), or "" when the
+/// line has no field this can break. `images` is the image-table size.
+std::string malformed_line(const std::string& line, std::size_t images,
+                           support::Xoshiro256& rng) {
+  std::vector<std::string> w = words(line);
+  if (w.empty()) return "";
+  const std::string& tag = w[0];
+  // Numeric fields per tag; the image-id field, if any; whether every
+  // field is numeric (so dropping one leaves the line short).
+  std::vector<std::size_t> numeric;
+  std::size_t image_field = 0;
+  bool all_numeric = false;
+  if (tag == "image") {
+    numeric = {1, 3};
+  } else if (tag == "sym") {
+    numeric = {1, 2, 3};
+    image_field = 1;
+  } else if (tag == "proc") {
+    numeric = {1};
+  } else if (tag == "vma") {
+    numeric = {1, 2, 3, 4, 5};
+    image_field = 4;
+    all_numeric = true;
+  } else if (tag == "kernel" || tag == "hyp") {
+    numeric = {1, 2, 3};
+    image_field = 1;
+    all_numeric = true;
+  } else if (tag == "reg") {
+    numeric = {1, 2, 3, 4, 5};
+  }
+  numeric.erase(std::remove_if(numeric.begin(), numeric.end(),
+                               [&w](std::size_t f) { return f >= w.size(); }),
+                numeric.end());
+  if (numeric.empty()) return "";
+  const std::size_t f = numeric[rng.below(numeric.size())];
+  switch (rng.below(image_field != 0 ? 7 : 6)) {
+    case 0: w[f] += "x"; break;
+    case 1: w[f] = "-" + w[f]; break;
+    case 2: w[f] = "0x"; break;
+    case 3: w[f] = "99999999999999999999"; break;
+    case 4: w[f] = "zz"; break;
+    case 5:
+      if (!all_numeric) return malformed_line(line, images, rng);
+      w.erase(w.begin() + static_cast<std::ptrdiff_t>(f));
+      break;
+    default: w[image_field] = std::to_string(images + rng.below(1000)); break;
+  }
+  std::string out;
+  for (std::size_t i = 0; i < w.size(); ++i) out += (i ? " " : "") + w[i];
+  return out;
+}
+
+bool same_resolution(const core::Resolution& a, const core::Resolution& b) {
+  return a.image == b.image && a.symbol == b.symbol && a.domain == b.domain &&
+         a.symbol_base == b.symbol_base && a.symbol_size == b.symbol_size;
+}
+
+TEST(FramedFuzz, ArchiveManifestSkipsAndCountsMalformedLinesAndNeverThrows) {
+  service::ScenarioConfig config;
+  config.vms = 2;
+  config.samples_per_event = 300;
+  config.epochs = 4;
+  config.methods = 32;
+  const auto scenario = service::record_scenario(config);
+  os::Vfs world = scenario->vfs();
+  const std::string base = *world.read("archive/manifest");
+  std::vector<core::LoggedSample> samples;
+  for (const hw::EventKind event : core::kReportEvents) {
+    const auto logged = core::SampleLogReader::read(world, "samples", event);
+    samples.insert(samples.end(), logged.begin(), logged.end());
+  }
+  ASSERT_FALSE(samples.empty());
+  const core::ArchiveResolver clean(world, "archive", true, false);
+  ASSERT_EQ(clean.malformed_lines(), 0u);
+  std::vector<core::Resolution> want;
+  for (const core::LoggedSample& s : samples) want.push_back(clean.resolve(s));
+  const std::vector<std::string> base_lines = lines_of(base);
+
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed * 0xa7c + 17);
+    for (int i = 0; i < kMutantsPerSeed / 10; ++i) {
+      const std::string where = "seed " + std::to_string(seed) + " mutant " + std::to_string(i);
+      // Damage of every kind: loads and resolves without throwing.
+      world.write("archive/manifest", mutate(base, rng));
+      {
+        const core::ArchiveResolver damaged(world, "archive", true, false);
+        for (const core::LoggedSample& s : samples) (void)damaged.resolve(s);
+      }
+
+      // Malformed lines spliced in: skipped, counted, and invisible.
+      std::vector<std::string> lines = base_lines;
+      std::size_t junk = 0;
+      for (std::uint64_t n = 1 + rng.below(6); n > 0; --n) {
+        std::string from = base_lines[rng.below(base_lines.size())];
+        from.pop_back();  // its newline
+        const std::string bad = malformed_line(from, clean.image_count(), rng);
+        if (bad.empty()) continue;
+        lines.insert(lines.begin() + rng.below(lines.size() + 1), bad + "\n");
+        ++junk;
+      }
+      world.write("archive/manifest", joined(lines));
+      const core::ArchiveResolver skipped(world, "archive", true, false);
+      ASSERT_EQ(skipped.malformed_lines(), junk) << where << ":\n" << joined(lines);
+      for (std::size_t k = 0; k < samples.size(); ++k)
+        ASSERT_TRUE(same_resolution(skipped.resolve(samples[k]), want[k]))
+            << where << " sample " << k << ":\n" << joined(lines);
     }
   }
 }

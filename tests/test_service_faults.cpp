@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "core/archive.hpp"
 #include "service/client.hpp"
 #include "service/query.hpp"
 #include "service/scenario.hpp"
@@ -247,7 +248,7 @@ TEST(ServiceFaults, TornStreamSalvageIsStripeAndThreadInvariant) {
   // byte-identically.
   auto scenario = record_scenario(small_scenario());
 
-  auto run = [&](std::size_t threads, std::size_t stripes, SessionStats* stats) {
+  auto run = [&](std::size_t threads, SessionStats* stats) {
     support::FaultInjector fault;
     support::FaultRule rule;
     rule.path_prefix = "wire/invariant";
@@ -259,7 +260,6 @@ TEST(ServiceFaults, TornStreamSalvageIsStripeAndThreadInvariant) {
     ServerConfig config;
     config.fault = &fault;
     config.ingest_threads = threads;
-    config.agg_stripes = stripes;
     ProfileServer server(config);
     {
       auto conn = server.connect("invariant");
@@ -273,8 +273,8 @@ TEST(ServiceFaults, TornStreamSalvageIsStripeAndThreadInvariant) {
   };
 
   SessionStats serial_stats, striped_stats;
-  const std::string serial = run(1, 1, &serial_stats);
-  const std::string striped = run(4, 4, &striped_stats);
+  const std::string serial = run(1, &serial_stats);
+  const std::string striped = run(4, &striped_stats);
 
   EXPECT_EQ(striped, serial);
   EXPECT_EQ(striped_stats.records_ingested, serial_stats.records_ingested);
@@ -289,12 +289,11 @@ TEST(ServiceFaults, ClientKillMidStreamThroughStripedBatchPath) {
   // whether one stripe or four absorbed it.
   auto scenario = record_scenario(small_scenario());
 
-  auto run = [&](std::size_t threads, std::size_t stripes, SessionStats* stats) {
+  auto run = [&](std::size_t threads, SessionStats* stats) {
     support::FaultInjector fault;
     fault.schedule_kill(support::FaultComponent::kClient, 30);  // past batch #1
     ServerConfig config;
     config.ingest_threads = threads;
-    config.agg_stripes = stripes;
     ProfileServer server(config);
     {
       auto conn = server.connect("killed");
@@ -308,8 +307,8 @@ TEST(ServiceFaults, ClientKillMidStreamThroughStripedBatchPath) {
   };
 
   SessionStats serial_stats, striped_stats;
-  const std::string serial = run(1, 1, &serial_stats);
-  const std::string striped = run(4, 4, &striped_stats);
+  const std::string serial = run(1, &serial_stats);
+  const std::string striped = run(4, &striped_stats);
 
   EXPECT_EQ(striped, serial);
   EXPECT_EQ(striped_stats.records_ingested, serial_stats.records_ingested);
@@ -363,6 +362,52 @@ TEST(ServiceFaults, ExportCrashMidPublishLeavesOldSnapshotIntact) {
   EXPECT_FALSE(fs::exists(dir / "service.snap.tmp"));
 
   fs::remove_all(dir);
+}
+
+TEST(ServiceFaults, DamagedArchiveManifestIsSkippedAndCountedNotFatal) {
+  // The server builds its resolver from the manifest a client streamed, on
+  // a pool worker. Lines that do not parse, or name an image no image line
+  // defines, used to throw std::invalid_argument (a hex field "zz") or trip
+  // a check (a symbol of an undefined image) there and take the process
+  // down. Now each is skipped and counted, and since these lines add
+  // nothing the clean manifest has, every answer equals the clean one.
+  const auto scenario = record_scenario(small_scenario());
+  os::Vfs damaged = scenario->vfs();
+  const core::ArchiveResolver clean(damaged, "archive", true, false);
+  ASSERT_EQ(clean.malformed_lines(), 0u);
+  const std::string undefined = std::to_string(clean.image_count() + 3);
+  const std::vector<std::string> bad = {
+      "vma 1 zz 10 0 0",
+      "sym " + undefined + " 10 4 foo",
+      "sym 0 0x10 4x foo",
+      "vma 1 0x10 0x20 " + undefined + " 0",
+      "image 4294967296 exec 0 huge",
+      "image 7 exe 0 bad-kind",
+      "proc -1 negative",
+      "kernel 0 0x10",
+      "hyp " + undefined + " 0x10 16",
+      "reg 1 zz",
+      "no such tag",
+  };
+  std::string manifest = *damaged.read("archive/manifest");
+  for (const std::string& line : bad) manifest += line + "\n";
+  damaged.write("archive/manifest", manifest);
+
+  const auto serve = [](const os::Vfs& world, const std::string& id, ProfileServer& server) {
+    auto conn = server.connect(id);
+    ReplayClient client(world, id, *conn, ReplayOptions{64, nullptr, {}});
+    EXPECT_TRUE(client.run());
+    server.drain();
+  };
+  ProfileServer clean_server, damaged_server;
+  serve(scenario->vfs(), "s", clean_server);
+  serve(damaged, "s", damaged_server);
+
+  EXPECT_EQ(damaged_server.telemetry().snapshot().counter("service.archive.malformed_lines"),
+            bad.size());
+  for (const char* q : {"top 20 --session s", "since-epoch 3", "arcs 10", "memprof 10"})
+    EXPECT_EQ(damaged_server.query(q), clean_server.query(q)) << q;
+  EXPECT_TRUE(damaged_server.session("s")->stats().ended);
 }
 
 }  // namespace

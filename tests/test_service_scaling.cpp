@@ -1,9 +1,9 @@
 // Scaling-path correctness for the striped ingest pipeline (DESIGN.md §14).
 //
 // Two families:
-//  - Stripe sweep: the online-vs-offline byte-identity anchor must hold at
-//    every (ingest threads, aggregation stripes) combination — the stripe
-//    count is an internal throughput knob, never an observable.
+//  - Thread sweep: the online-vs-offline byte-identity anchor must hold at
+//    every ingest thread count, and so at every stripe count the server
+//    gives a session (one per ingest thread) — never an observable.
 //  - Concurrency stress: ingest, online queries, store flushes and RCU
 //    snapshot installs in the shared code-map cache all race on purpose.
 //    These tests exist to run under TSan in the sanitizer CI stage (ctest
@@ -49,19 +49,19 @@ TEST(ServiceScaling, ByteIdentityAtEveryThreadAndStripeCount) {
   const auto scenario = record_scenario(small_scenario());
   const std::string offline = offline_render(scenario->vfs(), kEvents, 30);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const std::size_t stripes :
-         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-      ServerConfig config;
-      config.ingest_threads = threads;
-      config.agg_stripes = stripes;
-      ProfileServer server(config);
-      ASSERT_TRUE(replay(server, *scenario, "sweep"));
-      server.drain();
-      ASSERT_EQ(server.session("sweep")->stripe_count(), stripes);
-      EXPECT_EQ(server.session_report("sweep", 30, kEvents), offline)
-          << "threads=" << threads << " stripes=" << stripes;
-    }
+  // A session has one stripe per ingest thread; stripe counts apart from
+  // the thread count are swept where ServerSession is built directly
+  // (test_order_independence.cpp).
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    ServerConfig config;
+    config.ingest_threads = threads;
+    ProfileServer server(config);
+    ASSERT_TRUE(replay(server, *scenario, "sweep"));
+    server.drain();
+    ASSERT_EQ(server.session("sweep")->stripe_count(), threads);
+    EXPECT_EQ(server.session_report("sweep", 30, kEvents), offline)
+        << "threads=" << threads;
   }
 }
 
@@ -85,7 +85,6 @@ TEST(ServiceScalingStress, ConcurrentIngestQueriesAndFlushes) {
 
   ServerConfig config;
   config.ingest_threads = 4;
-  config.agg_stripes = 4;
   ProfileServer server(config);
 
   std::atomic<bool> done{false};

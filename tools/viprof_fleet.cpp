@@ -1,11 +1,5 @@
 // viprof_fleet — demo / operations front end for the fault-tolerant fleet
-// layer (DESIGN.md §12).
-//
-//   viprof_fleet serve --sessions N --shards K [--kill-at CP] [--batch R]
-//                      [--threads T] [--seed S] [--query "TEXT"]...
-//                      [--export DIR] [--quiet]
-//   viprof_fleet query "TEXT" --fleet DIR
-//   viprof_fleet fsck --fleet DIR [--quiet]
+// layer (DESIGN.md §12); the subcommands are listed in kUsage below.
 //
 // serve records N synthetic sessions (service::record_scenario) and streams
 // them through a fleet::Router over K shards. --kill-at CP schedules a
@@ -17,18 +11,13 @@
 // store partition per shard) to a host directory that `viprof_fleet
 // query`, `viprof_query --fleet`, and `viprof_fsck --fleet` can consume.
 //
-// Query verbs (Federator::query / OfflineFleet::query):
-//   sessions
-//   top N [--event time|dmiss] [--session S]
-//   diff BEFORE AFTER [--event E] [--top N]
-//   stats [--json]
-//   trace
+// Query text: the grammar of DESIGN.md §10, answered by Federator::query
+// (serve --query) and OfflineFleet::query (query).
 //
 // Exit status: serve exits 0 only when the ledger balances exactly AND the
 // fleet fsck verdict is clean; query exits 0/2 (load errors); fsck mirrors
 // the verdict (0/1/2). Usage errors exit 3.
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -37,6 +26,7 @@
 #include "fleet/federator.hpp"
 #include "fleet/fsck.hpp"
 #include "fleet/router.hpp"
+#include "load_or_die.hpp"
 #include "os/vfs.hpp"
 #include "service/scenario.hpp"
 #include "support/arg_scan.hpp"
@@ -57,23 +47,9 @@ constexpr const char* kUsage =
     "  query    answer a federated query over an exported fleet directory\n"
     "  fsck     audit the fleet manifest, partitions, and the exact\n"
     "           degradation ledger (acked == stored + lost)\n"
-    "  query text: sessions | top N [--event time|dmiss] [--session S] |\n"
-    "              diff BEFORE AFTER [--event E] [--top N] |\n"
-    "              stats [--json] | trace\n";
-
-os::Vfs import_fleet_or_die(const std::string& dir) {
-  if (!std::filesystem::is_directory(dir)) {
-    std::fprintf(stderr, "viprof_fleet: %s is not a directory\n", dir.c_str());
-    std::exit(2);
-  }
-  os::Vfs vfs;
-  vfs.import_from_directory(dir);
-  if (vfs.file_count() == 0) {
-    std::fprintf(stderr, "viprof_fleet: nothing under %s\n", dir.c_str());
-    std::exit(2);
-  }
-  return vfs;
-}
+    "  query text: sessions | top N [--event E] [--session S] [--top N] |\n"
+    "              diff BEFORE AFTER [--event E] [--top N] | memprof N (serve) |\n"
+    "              stats [--json] | trace   (grammar: DESIGN.md §10)\n";
 
 int cmd_serve(support::ArgScan& args) {
   std::size_t sessions = 4;
@@ -182,7 +158,8 @@ int cmd_query(support::ArgScan& args) {
   }
   if (fleet_dir.empty()) args.fail();
 
-  os::Vfs vfs = import_fleet_or_die(fleet_dir);
+  os::Vfs vfs;
+  tool::import_or_die("viprof_fleet", vfs, fleet_dir);
   auto fleet = fleet::OfflineFleet::open(vfs);
   if (!fleet) {
     std::fprintf(stderr,
@@ -204,7 +181,8 @@ int cmd_fsck(support::ArgScan& args) {
   }
   if (fleet_dir.empty()) args.fail();
 
-  const os::Vfs vfs = import_fleet_or_die(fleet_dir);
+  os::Vfs vfs;
+  tool::import_or_die("viprof_fleet", vfs, fleet_dir);
   const fleet::FleetFsckReport report = fleet::fsck_fleet(vfs);
   if (!quiet && !report.details.empty()) std::fputs(report.details.c_str(), stdout);
   std::printf("%s\n", report.summary.c_str());

@@ -1,17 +1,7 @@
 // viprof_query — evaluate queries against a service snapshot written by
 // viprof_serve / the server's snapshot frame (the opreport analogue for
-// the continuous-profiling service; DESIGN.md §10).
-//
-//   viprof_query sessions    --snap FILE|DIR
-//   viprof_query sessions    --fleet DIR
-//   viprof_query top N       --snap FILE|DIR [--session S] [--event E]
-//   viprof_query top N       --store DIR [--from T] [--to T] [--session S] [--event E]
-//   viprof_query top N       --fleet DIR [--session S] [--event E]
-//   viprof_query since-epoch K --snap FILE|DIR [--session S] [--top N]
-//   viprof_query diff --before FILE|DIR --after FILE|DIR\n
-//                     [--session S] [--event E] [--top N]
-//   viprof_query diff --store DIR --before LO[:HI] --after LO[:HI]
-//                     [--session S] [--event E] [--top N]
+// the continuous-profiling service; DESIGN.md §10). The command lines are
+// listed in kUsage below.
 //
 // FILE|DIR is a viprof-snapshot v1 file, or a directory containing
 // service.snap (what --export writes). The snapshot carries its own
@@ -24,24 +14,25 @@
 //
 // --fleet DIR answers from an exported fleet namespace (DESIGN.md §12):
 // the crc-guarded fleet manifest plus one store partition per shard, as
-// written by `viprof_fleet serve --export`. Federated answers fold every
-// partition in ascending session-id order, byte-identical to a
-// single-server run over the same sessions.
+// written by `viprof_fleet serve --export`. Every --fleet verb is asked of
+// fleet::OfflineFleet::query. Federated answers fold every partition in
+// ascending session-id order, byte-identical to a single-server run over
+// the same sessions.
+//
+// The verb, its N or K and --session/--event/--top/--json form one query
+// in the service grammar (DESIGN.md §10, parsed by service::parse_query);
+// --snap/--store/--fleet say what it runs over. diff is the exception: its
+// two sides are the --before/--after sources, not session ids.
 //
 // Exit status: 0 ok, 2 load errors (missing/corrupt snapshot or store),
-// 3 usage.
+// 3 usage (a malformed query or window included).
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <variant>
 
 #include "fleet/federator.hpp"
-#include "os/vfs.hpp"
-#include "service/query.hpp"
-#include "store/profile_store.hpp"
-#include "support/arg_scan.hpp"
+#include "load_or_die.hpp"
 
 namespace {
 
@@ -67,95 +58,10 @@ constexpr const char* kUsage =
     "--fleet DIR: an exported fleet namespace (viprof_fleet serve --export).\n"
     "stats/trace answer from the telemetry files the fleet serve exported\n"
     "(per-shard + fleet metrics.json / trace.json).\n"
-    "events: time (GLOBAL_POWER_EVENTS), dmiss (BSQ_CACHE_REFERENCE)\n";
+    "events: time (GLOBAL_POWER_EVENTS), dmiss (BSQ_CACHE_REFERENCE), or a\n"
+    "full event name\n";
 
-service::ServiceSnapshot load_or_die(const std::string& arg) {
-  std::string path = arg;
-  if (std::filesystem::is_directory(path)) path += "/service.snap";
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "viprof_query: cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  auto snap = service::ServiceSnapshot::parse(contents.str());
-  if (!snap) {
-    std::fprintf(stderr, "viprof_query: %s is not a valid service snapshot\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  return *std::move(snap);
-}
-
-/// Imports and opens a store directory; exits 2 when it is missing or
-/// unrecoverable. Recovery repairs stay inside the Vfs — queries never
-/// write to the host directory.
-std::unique_ptr<store::ProfileStore> open_store_or_die(os::Vfs& vfs,
-                                                       const std::string& dir) {
-  if (!std::filesystem::is_directory(dir)) {
-    std::fprintf(stderr, "viprof_query: %s is not a directory\n", dir.c_str());
-    std::exit(2);
-  }
-  vfs.import_from_directory(dir);
-  if (vfs.file_count() == 0) {
-    std::fprintf(stderr, "viprof_query: nothing under %s\n", dir.c_str());
-    std::exit(2);
-  }
-  store::StoreConfig config;
-  config.root = "";  // the host directory is the store root
-  auto st = std::make_unique<store::ProfileStore>(vfs, config);
-  const store::StoreRecovery rec = st->open();
-  if (rec.verdict == core::FsckVerdict::kUnrecoverable) {
-    std::fprintf(stderr, "viprof_query: %s\n", rec.summary.c_str());
-    std::exit(2);
-  }
-  return st;
-}
-
-/// "LO" or "LO:HI" (inclusive ticks) into a store window.
-store::WindowSpec window_or_die(const std::string& spec, const std::string& session,
-                                const char* usage) {
-  store::WindowSpec w;
-  w.session = session;
-  const std::size_t colon = spec.find(':');
-  char* end = nullptr;
-  w.tick_lo = std::strtoull(spec.c_str(), &end, 10);
-  if (end == spec.c_str()) {
-    std::fprintf(stderr, "viprof_query: bad window %s\n%s", spec.c_str(), usage);
-    std::exit(support::kExitUsage);
-  }
-  w.tick_hi = colon == std::string::npos
-                  ? w.tick_lo
-                  : std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-  return w;
-}
-
-/// Imports an exported fleet namespace and opens it read-only; exits 2
-/// when the directory or its crc-guarded manifest is missing or damaged.
-fleet::OfflineFleet open_fleet_or_die(os::Vfs& vfs, const std::string& dir) {
-  if (!std::filesystem::is_directory(dir)) {
-    std::fprintf(stderr, "viprof_query: %s is not a directory\n", dir.c_str());
-    std::exit(2);
-  }
-  vfs.import_from_directory(dir);
-  auto fleet = fleet::OfflineFleet::open(vfs);
-  if (!fleet) {
-    std::fprintf(stderr, "viprof_query: %s has no valid fleet manifest\n",
-                 dir.c_str());
-    std::exit(2);
-  }
-  return *std::move(fleet);
-}
-
-hw::EventKind event_or_die(const std::string& name) {
-  if (name == "time" || name == hw::to_string(hw::EventKind::kGlobalPowerEvents))
-    return hw::EventKind::kGlobalPowerEvents;
-  if (name == "dmiss" || name == hw::to_string(hw::EventKind::kBsqCacheReference))
-    return hw::EventKind::kBsqCacheReference;
-  std::fprintf(stderr, "viprof_query: unknown event %s\n%s", name.c_str(), kUsage);
-  std::exit(support::kExitUsage);
-}
+constexpr const char* kTool = "viprof_query";
 
 }  // namespace
 
@@ -164,19 +70,12 @@ int main(int argc, char** argv) {
   if (!args.next()) args.fail();
   const std::string cmd = args.arg();
 
-  std::uint64_t n = 0;
-  bool has_n = false;
-  if ((cmd == "top" || cmd == "since-epoch") && args.next()) {
-    n = std::strtoull(args.arg(), nullptr, 10);
-    has_n = true;
-  }
-  if ((cmd == "top" || cmd == "since-epoch") && !has_n) args.fail();
+  std::string text = cmd;  // the query, in the service grammar
+  if ((cmd == "top" || cmd == "since-epoch") && args.next()) text += " " + std::string(args.arg());
 
-  std::string snap_arg, before_arg, after_arg, session, event_name, store_dir;
-  std::string fleet_dir;
+  std::string snap_arg, before_arg, after_arg, store_dir, fleet_dir;
+  std::string options;  // --session/--event/--top/--json, as query words
   std::uint64_t from = 0, to = ~0ull;
-  std::size_t top = 20;
-  bool as_json = false;
   while (args.next()) {
     if (args.is("--snap")) snap_arg = args.value();
     else if (args.is("--store")) store_dir = args.value();
@@ -185,24 +84,55 @@ int main(int argc, char** argv) {
     else if (args.is("--after")) after_arg = args.value();
     else if (args.is("--from")) from = args.value_u64();
     else if (args.is("--to")) to = args.value_u64();
-    else if (args.is("--session")) session = args.value();
-    else if (args.is("--event")) event_name = args.value();
-    else if (args.is("--top")) top = args.value_u64();
-    else if (args.is("--json")) as_json = true;
+    else if (args.is("--json")) options += " --json";
+    else if (args.is("--session") || args.is("--event") || args.is("--top")) {
+      options += " " + std::string(args.arg());
+      options += " " + std::string(args.value());
+    }
     else args.fail_unknown();
   }
 
-  const std::vector<hw::EventKind> report_events = {hw::EventKind::kGlobalPowerEvents,
-                                                    hw::EventKind::kBsqCacheReference};
+  // diff's two sides are the --before/--after sources, not session ids;
+  // its options read as top's.
+  const bool diff = cmd == "diff";
+  if (diff) text = "top 20";
+  text += options;
+  const auto parsed = service::parse_query(text);
+  if (const auto* error = std::get_if<service::QueryError>(&parsed)) {
+    std::fprintf(stderr, "viprof_query: %s", error->message().c_str());
+    args.fail();
+  }
+  const service::Query& q = std::get<service::Query>(parsed);
 
-  if (cmd == "stats" || cmd == "trace") {
-    if (fleet_dir.empty()) args.fail();
+  if (diff) {
+    if (before_arg.empty() || after_arg.empty()) args.fail();
+    if (!store_dir.empty()) {
+      os::Vfs vfs;  // queries never write to the host directory
+      tool::import_or_die(kTool, vfs, store_dir);
+      const auto st = tool::open_store_or_die(kTool, vfs);
+      std::printf("%s", st->render_diff(tool::window_or_die(kTool, before_arg, q.session, kUsage),
+                                        tool::window_or_die(kTool, after_arg, q.session, kUsage),
+                                        q.diff_event(), q.top)
+                            .c_str());
+      return 0;
+    }
+    const service::ServiceSnapshot before = tool::load_snapshot_or_die(kTool, before_arg);
+    const service::ServiceSnapshot after = tool::load_snapshot_or_die(kTool, after_arg);
+    std::printf("%s",
+                service::render_diff(before, after, q.session, q.diff_event(), q.top).c_str());
+    return 0;
+  }
+
+  if (!fleet_dir.empty()) {
     os::Vfs vfs;
-    const fleet::OfflineFleet fleet = open_fleet_or_die(vfs, fleet_dir);
-    const std::string q = cmd == "trace" ? "trace"
-                          : as_json      ? "stats --json"
-                                         : "stats";
-    const std::string out = fleet.query(q);
+    tool::import_or_die(kTool, vfs, fleet_dir);
+    const auto fleet = fleet::OfflineFleet::open(vfs);
+    if (!fleet) {
+      std::fprintf(stderr, "viprof_query: %s has no valid fleet manifest\n", fleet_dir.c_str());
+      return 2;
+    }
+    const std::string out = fleet->query(text);
+    if (out == service::unserved_query(text)) args.fail();
     if (out.rfind("error:", 0) == 0) {
       std::fprintf(stderr, "viprof_query: %s", out.c_str());
       return 2;
@@ -211,93 +141,40 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (cmd == "sessions" && !fleet_dir.empty()) {
+  if (q.verb == service::QueryVerb::kTop && !store_dir.empty()) {
     os::Vfs vfs;
-    const fleet::OfflineFleet fleet = open_fleet_or_die(vfs, fleet_dir);
-    std::printf("%s", fleet.query("sessions").c_str());
+    tool::import_or_die(kTool, vfs, store_dir);
+    const auto st = tool::open_store_or_die(kTool, vfs);
+    std::printf("%s", st->render_top({from, to, q.session}, q.events(), q.top).c_str());
     return 0;
   }
 
-  if (cmd == "sessions") {
-    if (snap_arg.empty()) args.fail();
-    std::printf("%s", service::render_sessions(load_or_die(snap_arg)).c_str());
-    return 0;
+  if (snap_arg.empty()) args.fail();
+  const service::ServiceSnapshot snap = tool::load_snapshot_or_die(kTool, snap_arg);
+  core::Profile profile;
+  switch (q.verb) {
+    case service::QueryVerb::kSessions:
+      std::printf("%s", service::render_sessions(snap).c_str());
+      return 0;
+    case service::QueryVerb::kTop:
+      if (q.session.empty()) {
+        profile = snap.merged();
+      } else if (const service::SessionSnapshot* s = snap.find(q.session)) {
+        profile = s->profile;
+      } else {
+        std::fprintf(stderr, "viprof_query: no session %s in snapshot\n",
+                     q.session.c_str());
+        return 2;
+      }
+      break;
+    case service::QueryVerb::kSinceEpoch:
+      for (const service::SessionSnapshot& s : snap.sessions)
+        if (q.session.empty() || s.id == q.session)
+          profile.merge(service::profile_since(s, q.n));
+      break;
+    default:
+      args.fail();
   }
-
-  if (cmd == "top" && !fleet_dir.empty()) {
-    os::Vfs vfs;
-    const fleet::OfflineFleet fleet = open_fleet_or_die(vfs, fleet_dir);
-    std::vector<hw::EventKind> events = report_events;
-    if (!event_name.empty()) events = {event_or_die(event_name)};
-    const core::Profile profile =
-        session.empty() ? fleet.merged_profile() : fleet.session_profile(session);
-    std::printf("%s", profile.render(events, n).c_str());
-    return 0;
-  }
-
-  if (cmd == "top" && !store_dir.empty()) {
-    os::Vfs vfs;
-    auto st = open_store_or_die(vfs, store_dir);
-    std::vector<hw::EventKind> events = report_events;
-    if (!event_name.empty()) events = {event_or_die(event_name)};
-    std::printf("%s", st->render_top({from, to, session}, events, n).c_str());
-    return 0;
-  }
-
-  if (cmd == "top") {
-    if (snap_arg.empty()) args.fail();
-    const service::ServiceSnapshot snap = load_or_die(snap_arg);
-    core::Profile profile;
-    if (session.empty()) {
-      profile = snap.merged();
-    } else if (const service::SessionSnapshot* s = snap.find(session)) {
-      profile = s->profile;
-    } else {
-      std::fprintf(stderr, "viprof_query: no session %s in snapshot\n", session.c_str());
-      return 2;
-    }
-    std::vector<hw::EventKind> events = report_events;
-    if (!event_name.empty()) events = {event_or_die(event_name)};
-    std::printf("%s", profile.render(events, n).c_str());
-    return 0;
-  }
-
-  if (cmd == "since-epoch") {
-    if (snap_arg.empty()) args.fail();
-    const service::ServiceSnapshot snap = load_or_die(snap_arg);
-    core::Profile profile;
-    for (const service::SessionSnapshot& s : snap.sessions) {
-      if (!session.empty() && s.id != session) continue;
-      profile.merge(service::profile_since(s, n));
-    }
-    std::printf("%s", profile.render(report_events, top).c_str());
-    return 0;
-  }
-
-  if (cmd == "diff" && !store_dir.empty()) {
-    if (before_arg.empty() || after_arg.empty()) args.fail();
-    os::Vfs vfs;
-    auto st = open_store_or_die(vfs, store_dir);
-    const hw::EventKind event = event_name.empty()
-                                    ? hw::EventKind::kGlobalPowerEvents
-                                    : event_or_die(event_name);
-    std::printf("%s", st->render_diff(window_or_die(before_arg, session, kUsage),
-                                      window_or_die(after_arg, session, kUsage),
-                                      event, top)
-                          .c_str());
-    return 0;
-  }
-
-  if (cmd == "diff") {
-    if (before_arg.empty() || after_arg.empty()) args.fail();
-    const service::ServiceSnapshot before = load_or_die(before_arg);
-    const service::ServiceSnapshot after = load_or_die(after_arg);
-    const hw::EventKind event = event_name.empty()
-                                    ? hw::EventKind::kGlobalPowerEvents
-                                    : event_or_die(event_name);
-    std::printf("%s", service::render_diff(before, after, session, event, top).c_str());
-    return 0;
-  }
-
-  args.fail();
+  std::printf("%s", profile.render(q.events(), q.top).c_str());
+  return 0;
 }

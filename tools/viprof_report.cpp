@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
   const core::ArchiveResolver resolver(vfs, "archive", vm_aware);
 
   core::Profile profile;
-  const std::vector<hw::EventKind> events = {hw::EventKind::kGlobalPowerEvents,
-                                             hw::EventKind::kBsqCacheReference};
+  const std::vector<hw::EventKind>& events = core::kReportEvents;
   // The ArchiveResolver keeps no outcome tallies; the pipeline's per-shard
   // stats are discarded.
   core::ResolvePipeline pipeline(core::PipelineConfig{threads});

@@ -19,10 +19,12 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "os/vfs.hpp"
 #include "service/client.hpp"
+#include "service/query.hpp"
 #include "service/scenario.hpp"
 #include "service/server.hpp"
 #include "support/arg_scan.hpp"
@@ -45,7 +47,8 @@ constexpr const char* kUsage =
     "  --batch N         sample records per wire batch (default 256)\n"
     "  --query CMD       run a query after ingest (repeatable), e.g.\n"
     "                    'sessions', 'top 10', 'since-epoch 4', 'arcs 5',\n"
-    "                    'stats [--json]', 'trace'\n"
+    "                    'stats [--json]', 'trace' (grammar: DESIGN.md §10;\n"
+    "                    a malformed one exits 3 before any ingest)\n"
     "  --verify-offline  check each online render against viprof_report's\n"
     "                    offline aggregation (exit 1 on any mismatch)\n"
     "  --export DIR      write per-session reports, service.snap and\n"
@@ -83,7 +86,14 @@ int main(int argc, char** argv) {
       else args.fail();
     }
     else if (args.is("--batch")) batch_records = args.value_u64();
-    else if (args.is("--query")) queries.emplace_back(args.value());
+    else if (args.is("--query")) {
+      queries.emplace_back(args.value());
+      const auto parsed = service::parse_query(queries.back());
+      if (const auto* error = std::get_if<service::QueryError>(&parsed)) {
+        std::fprintf(stderr, "viprof_serve: --query %s", error->message().c_str());
+        args.fail();
+      }
+    }
     else if (args.is("--verify-offline")) verify_offline = true;
     else if (args.is("--export")) export_dir = args.value();
     else if (args.is("--top")) top = args.value_u64();
@@ -141,8 +151,7 @@ int main(int argc, char** argv) {
 
   int status = 0;
   if (verify_offline) {
-    const std::vector<hw::EventKind> events = {hw::EventKind::kGlobalPowerEvents,
-                                               hw::EventKind::kBsqCacheReference};
+    const std::vector<hw::EventKind>& events = core::kReportEvents;
     for (const Source& src : sources) {
       const os::Vfs& world = src.world ? *src.world : src.demo_scenario->vfs();
       const std::string online = server.session_report(src.id, top, events);

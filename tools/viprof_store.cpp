@@ -1,16 +1,5 @@
-// viprof_store — the persistent profile store's CLI (DESIGN.md §11).
-//
-//   viprof_store ingest   --snap FILE|DIR --into DIR [--tick-base N]
-//                         [--compact] [--threads N]
-//   viprof_store compact  --store DIR [--threads N]
-//   viprof_store fsck     --store DIR [--repair] [--quiet]
-//   viprof_store top      --store DIR [--from T] [--to T] [--session S]
-//                         [--event E] [--top N]
-//   viprof_store series   --store DIR --image I --symbol SYM [--event E]
-//                         [--from T] [--to T] [--session S]
-//   viprof_store diff     --store DIR --before LO[:HI] --after LO[:HI]
-//                         [--session S] [--event E] [--top N]
-//   viprof_store segments --store DIR
+// viprof_store — the persistent profile store's CLI (DESIGN.md §11); the
+// subcommands are listed in kUsage below.
 //
 // `ingest` converts a service snapshot (viprof_serve --export) into store
 // intervals: each session's per-epoch profile becomes one interval at tick
@@ -24,17 +13,12 @@
 // store verdict itself (core::FsckVerdict convention).
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
-#include "os/vfs.hpp"
-#include "service/query.hpp"
-#include "store/profile_store.hpp"
-#include "support/arg_scan.hpp"
+#include "load_or_die.hpp"
 #include "support/thread_pool.hpp"
 
 namespace {
@@ -59,77 +43,7 @@ constexpr const char* kUsage =
     "events: time (GLOBAL_POWER_EVENTS), dmiss (BSQ_CACHE_REFERENCE), or a\n"
     "full event name\n";
 
-hw::EventKind event_or_die(const std::string& name) {
-  if (name == "time") return hw::EventKind::kGlobalPowerEvents;
-  if (name == "dmiss") return hw::EventKind::kBsqCacheReference;
-  for (const hw::EventKind kind : hw::kAllEventKinds)
-    if (name == hw::to_string(kind)) return kind;
-  std::fprintf(stderr, "viprof_store: unknown event %s\n%s", name.c_str(), kUsage);
-  std::exit(support::kExitUsage);
-}
-
-service::ServiceSnapshot load_snapshot_or_die(const std::string& arg) {
-  std::string path = arg;
-  if (std::filesystem::is_directory(path)) path += "/service.snap";
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "viprof_store: cannot open %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  auto snap = service::ServiceSnapshot::parse(contents.str());
-  if (!snap) {
-    std::fprintf(stderr, "viprof_store: %s is not a valid service snapshot\n",
-                 path.c_str());
-    std::exit(2);
-  }
-  return *std::move(snap);
-}
-
-/// Pulls the host store directory into `vfs`. `required` distinguishes
-/// query/compact subcommands (the store must exist) from ingest (a fresh
-/// directory is fine).
-void import_store(os::Vfs& vfs, const std::string& dir, bool required) {
-  if (std::filesystem::is_directory(dir)) {
-    vfs.import_from_directory(dir);
-  } else if (required) {
-    std::fprintf(stderr, "viprof_store: %s is not a directory\n", dir.c_str());
-    std::exit(2);
-  }
-  if (required && vfs.file_count() == 0) {
-    std::fprintf(stderr, "viprof_store: nothing under %s\n", dir.c_str());
-    std::exit(2);
-  }
-}
-
-/// open() the store, dying on an unrecoverable layout. Recovery repairs
-/// stay in the Vfs; only mutating subcommands sync them back to the host.
-store::StoreRecovery open_or_die(store::ProfileStore& st) {
-  store::StoreRecovery rec = st.open();
-  if (rec.verdict == core::FsckVerdict::kUnrecoverable) {
-    std::fprintf(stderr, "viprof_store: %s\n", rec.summary.c_str());
-    std::exit(2);
-  }
-  return rec;
-}
-
-/// "LO" or "LO:HI" (inclusive ticks) into a window.
-store::WindowSpec window_or_die(const std::string& spec, const std::string& session) {
-  store::WindowSpec w;
-  w.session = session;
-  const std::size_t colon = spec.find(':');
-  char* end = nullptr;
-  w.tick_lo = std::strtoull(spec.c_str(), &end, 10);
-  if (end == spec.c_str()) {
-    std::fprintf(stderr, "viprof_store: bad window %s\n%s", spec.c_str(), kUsage);
-    std::exit(support::kExitUsage);
-  }
-  w.tick_hi = colon == std::string::npos
-                  ? w.tick_lo
-                  : std::strtoull(spec.c_str() + colon + 1, nullptr, 10);
-  return w;
-}
+constexpr const char* kTool = "viprof_store";
 
 }  // namespace
 
@@ -138,11 +52,11 @@ int main(int argc, char** argv) {
   if (!args.next()) args.fail();
   const std::string cmd = args.arg();
 
-  std::string snap_arg, store_dir, session, event_name, image, symbol;
+  std::string snap_arg, store_dir, image, symbol;
   std::string before_spec, after_spec;
+  std::string options;  // --session/--event/--top, as query words
   std::uint64_t tick_base = 0;
   std::uint64_t from = 0, to = ~0ull;
-  std::size_t top = 20;
   std::size_t threads = 1;
   bool compact_after = false, repair = false, quiet = false;
   while (args.next()) {
@@ -155,29 +69,35 @@ int main(int argc, char** argv) {
     else if (args.is("--quiet")) quiet = true;
     else if (args.is("--from")) from = args.value_u64();
     else if (args.is("--to")) to = args.value_u64();
-    else if (args.is("--session")) session = args.value();
-    else if (args.is("--event")) event_name = args.value();
+    else if (args.is("--session") || args.is("--event") || args.is("--top")) {
+      options += " " + std::string(args.arg());
+      options += " " + std::string(args.value());
+    }
     else if (args.is("--image")) image = args.value();
     else if (args.is("--symbol")) symbol = args.value();
     else if (args.is("--before")) before_spec = args.value();
     else if (args.is("--after")) after_spec = args.value();
-    else if (args.is("--top")) top = args.value_u64();
     else if (cmd == "top" && std::isdigit(static_cast<unsigned char>(args.arg()[0])))
-      top = std::strtoull(args.arg(), nullptr, 10);  // `top N`, as viprof_query
+      options += " --top " + std::string(args.arg());  // `top N`, as viprof_query
     else args.fail_unknown();
   }
   if (store_dir.empty()) args.fail();
+  // The options read as a top query's (DESIGN.md §10): rows, session, event.
+  const auto parsed = service::parse_query("top 20" + options);
+  if (const auto* error = std::get_if<service::QueryError>(&parsed)) {
+    std::fprintf(stderr, "viprof_store: %s", error->message().c_str());
+    args.fail();
+  }
+  const service::Query& q = std::get<service::Query>(parsed);
 
-  os::Vfs vfs;
-  store::StoreConfig config;
-  config.root = "";  // the host directory is the store root
+  os::Vfs vfs;  // the host directory is the store root
 
   if (cmd == "ingest") {
     if (snap_arg.empty()) args.fail();
-    const service::ServiceSnapshot snap = load_snapshot_or_die(snap_arg);
-    import_store(vfs, store_dir, /*required=*/false);
-    store::ProfileStore st(vfs, config);
-    open_or_die(st);
+    const service::ServiceSnapshot snap = tool::load_snapshot_or_die(kTool, snap_arg);
+    // Ingest may start a fresh store directory.
+    if (std::filesystem::is_directory(store_dir)) vfs.import_from_directory(store_dir);
+    const auto st = tool::open_store_or_die(kTool, vfs);
     std::uint64_t ingested = 0;
     for (const service::SessionSnapshot& s : snap.sessions) {
       for (const auto& [epoch, profile] : s.epochs) {
@@ -186,40 +106,41 @@ int main(int argc, char** argv) {
         iv.tick_lo = iv.tick_hi = tick_base + epoch;
         iv.epoch_lo = iv.epoch_hi = epoch;
         iv.profile = profile;
-        if (st.ingest(std::move(iv))) ++ingested;
+        if (st->ingest(std::move(iv))) ++ingested;
       }
     }
-    st.seal_active();
+    st->seal_active();
     std::size_t merged = 0;
     if (compact_after) {
       support::ThreadPool pool(threads);
-      merged = st.compact(&pool);
+      merged = st->compact(&pool);
     }
     vfs.sync_to_directory(store_dir);
     std::printf("ingested %llu interval(s) into %s: %zu segment(s), %llu row(s)%s\n",
                 static_cast<unsigned long long>(ingested), store_dir.c_str(),
-                st.segment_count(),
-                static_cast<unsigned long long>(st.live_rows()),
+                st->segment_count(),
+                static_cast<unsigned long long>(st->live_rows()),
                 merged != 0 ? ", compacted" : "");
     return 0;
   }
 
   if (cmd == "compact") {
-    import_store(vfs, store_dir, /*required=*/true);
-    store::ProfileStore st(vfs, config);
-    open_or_die(st);
+    tool::import_or_die(kTool, vfs, store_dir);
+    const auto st = tool::open_store_or_die(kTool, vfs);
     support::ThreadPool pool(threads);
-    const std::size_t outputs = st.compact(&pool);
+    const std::size_t outputs = st->compact(&pool);
     vfs.sync_to_directory(store_dir);
     std::printf("compaction wrote %zu segment(s); %zu live, %llu interval(s), %llu row(s)\n",
-                outputs, st.segment_count(),
-                static_cast<unsigned long long>(st.live_intervals()),
-                static_cast<unsigned long long>(st.live_rows()));
+                outputs, st->segment_count(),
+                static_cast<unsigned long long>(st->live_intervals()),
+                static_cast<unsigned long long>(st->live_rows()));
     return 0;
   }
 
   if (cmd == "fsck") {
-    import_store(vfs, store_dir, /*required=*/true);
+    tool::import_or_die(kTool, vfs, store_dir);
+    store::StoreConfig config;
+    config.root = "";
     store::ProfileStore st(vfs, config);
     const store::StoreRecovery rec = repair ? st.open() : st.fsck();
     if (repair && rec.verdict != core::FsckVerdict::kUnrecoverable)
@@ -233,42 +154,32 @@ int main(int argc, char** argv) {
   }
 
   // Everything below is a read-only query over an opened store.
-  import_store(vfs, store_dir, /*required=*/true);
-  store::ProfileStore st(vfs, config);
-  open_or_die(st);
+  tool::import_or_die(kTool, vfs, store_dir);
+  const auto st = tool::open_store_or_die(kTool, vfs);
 
   if (cmd == "top") {
-    store::WindowSpec w{from, to, session};
-    std::vector<hw::EventKind> events = {hw::EventKind::kGlobalPowerEvents,
-                                         hw::EventKind::kBsqCacheReference};
-    if (!event_name.empty()) events = {event_or_die(event_name)};
-    std::printf("%s", st.render_top(w, events, top).c_str());
+    std::printf("%s", st->render_top({from, to, q.session}, q.events(), q.top).c_str());
     return 0;
   }
 
   if (cmd == "series") {
     if (image.empty() || symbol.empty()) args.fail();
-    store::WindowSpec w{from, to, session};
-    const hw::EventKind event = event_name.empty()
-                                    ? hw::EventKind::kGlobalPowerEvents
-                                    : event_or_die(event_name);
-    std::printf("%s", st.render_series(w, image, symbol, event).c_str());
+    std::printf("%s",
+                st->render_series({from, to, q.session}, image, symbol, q.diff_event()).c_str());
     return 0;
   }
 
   if (cmd == "diff") {
     if (before_spec.empty() || after_spec.empty()) args.fail();
-    const hw::EventKind event = event_name.empty()
-                                    ? hw::EventKind::kGlobalPowerEvents
-                                    : event_or_die(event_name);
-    std::printf("%s", st.render_diff(window_or_die(before_spec, session),
-                                     window_or_die(after_spec, session), event, top)
+    std::printf("%s", st->render_diff(tool::window_or_die(kTool, before_spec, q.session, kUsage),
+                                     tool::window_or_die(kTool, after_spec, q.session, kUsage),
+                                     q.diff_event(), q.top)
                           .c_str());
     return 0;
   }
 
   if (cmd == "segments") {
-    std::printf("%s", st.render_segments().c_str());
+    std::printf("%s", st->render_segments().c_str());
     return 0;
   }
 
