@@ -1,5 +1,6 @@
 #include "core/sample_log.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "support/arena.hpp"
@@ -142,44 +143,137 @@ std::vector<LoggedSample> SampleLogReader::read(const os::Vfs& vfs,
   return read_checked(vfs, dir, event, status);
 }
 
-template <typename Sink>
-void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
-  // Torn or overwritten bytes: resynchronise at the next newline. The
-  // checksum makes accepting a *wrong* record vanishingly unlikely, so
-  // skipping is safe — the damage is counted, never mis-parsed. An
-  // unterminated tail is damage too.
-  const auto discard = [this](std::size_t bytes) {
-    status_.corrupt = true;
-    ++status_.discarded_lines;
-    status_.discarded_bytes += bytes;
-  };
+bool SeqSet::insert_run_slow(std::uint64_t first, std::uint64_t last) {
+  Run* r = runs();
+  // i: the first run starting after `first`; r[i - 1] is the one before it.
+  const std::size_t i = static_cast<std::size_t>(
+      std::upper_bound(r, r + n_, first,
+                       [](std::uint64_t seq, const Run& run) { return seq < run.first; }) -
+      r);
+  if (i > 0 && first <= r[i - 1].last) return false;
+  if (i < n_ && r[i].first <= last) return false;
+  const bool joins_prev = i > 0 && r[i - 1].last + 1 == first;
+  const bool joins_next = i < n_ && r[i].first - 1 == last;
+  distinct_ += last - first + 1;
+  if (joins_prev && joins_next) {
+    r[i - 1].last = r[i].last;
+    std::copy(r + i + 1, r + n_, r + i);
+    --n_;
+  } else if (joins_prev) {
+    r[i - 1].last = last;
+  } else if (joins_next) {
+    r[i].first = first;
+  } else {
+    if (heap_.empty() && n_ == kInline) heap_.assign(inline_, inline_ + kInline);
+    if (!heap_.empty()) {
+      heap_.insert(heap_.begin() + static_cast<std::ptrdiff_t>(i), Run{first, last});
+    } else {
+      std::copy_backward(r + i, r + n_, r + n_ + 1);
+      r[i] = Run{first, last};
+    }
+    ++n_;
+  }
+  if (!heap_.empty()) heap_.resize(n_);
+  return true;
+}
+
+namespace {
+
+/// The one verification loop: torn or overwritten bytes resynchronise at
+/// the next newline. The checksum makes accepting a *wrong* record
+/// vanishingly unlikely, so skipping is safe — the damage is counted, never
+/// mis-parsed. An unterminated tail is damage too.
+template <typename OnRecord>
+void for_each_sample_line(std::string_view text, SampleLineDamage& damage,
+                          OnRecord&& on_record) {
   support::LineCursor lines(text);
   std::string_view line;
   while (lines.next(line)) {
     std::uint64_t seq = 0;
     LoggedSample s;
-    if (!decode_sample_line(line, seq, s)) {
-      discard(line.size() + 1);
-    } else if (seq < next_expected_) {
-      // A replayed batch that had partially landed: drop the duplicate.
-      ++status_.duplicate_records;
+    if (decode_sample_line(line, seq, s)) {
+      on_record(seq, s);
     } else {
-      if (seq > next_expected_) status_.missing_records += seq - next_expected_;
-      next_expected_ = seq + 1;
-      status_.max_seq = seq;
-      out.push_back(s);
-      ++status_.valid;
+      ++damage.lines;
+      damage.bytes += line.size() + 1;
     }
   }
-  if (!lines.tail().empty()) discard(lines.tail().size());
+  if (!lines.tail().empty()) {
+    ++damage.lines;
+    damage.bytes += lines.tail().size();
+  }
+}
 
-  if (status_.corrupt) status_.salvaged = status_.valid;
+}  // namespace
+
+template <typename Sink, typename SeqSink>
+void decode_sample_lines(std::string_view text, Sink& out, SeqSink& seqs,
+                         SampleLineDamage& damage) {
+  for_each_sample_line(text, damage, [&](std::uint64_t seq, const LoggedSample& s) {
+    out.push_back(s);
+    seqs.push_back(seq);
+  });
+}
+
+template void decode_sample_lines(std::string_view, support::ArenaVector<LoggedSample>&,
+                                  support::ArenaVector<std::uint64_t>&, SampleLineDamage&);
+
+template <typename Sink>
+void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
+  for_each_sample_line(text, damage_, [&](std::uint64_t seq, const LoggedSample& s) {
+    if (seen_.insert(seq))
+      out.push_back(s);
+    else
+      ++duplicates_;  // a replayed record that had landed before
+  });
 }
 
 template void SampleStreamParser::parse_into(std::string_view,
                                              std::vector<LoggedSample>&);
 template void SampleStreamParser::parse_into(std::string_view,
                                              support::ArenaVector<LoggedSample>&);
+
+std::size_t SampleStreamParser::admit(std::span<LoggedSample> samples,
+                                      std::span<const std::uint64_t> seqs,
+                                      const SampleLineDamage& damage) {
+  damage_.lines += damage.lines;
+  damage_.bytes += damage.bytes;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < seqs.size();) {
+    std::size_t j = i + 1;  // seqs[i, j) run consecutively
+    while (j < seqs.size() && seqs[j] > seqs[j - 1] && seqs[j] - seqs[j - 1] == 1) ++j;
+    if (seen_.insert_run(seqs[i], seqs[j - 1])) {
+      if (kept != i)
+        std::copy(samples.begin() + static_cast<std::ptrdiff_t>(i),
+                  samples.begin() + static_cast<std::ptrdiff_t>(j),
+                  samples.begin() + static_cast<std::ptrdiff_t>(kept));
+      kept += j - i;
+    } else {
+      for (std::size_t k = i; k < j; ++k) {
+        if (seen_.insert(seqs[k]))
+          samples[kept++] = samples[k];
+        else
+          ++duplicates_;
+      }
+    }
+    i = j;
+  }
+  return kept;
+}
+
+SampleLogReadStatus SampleStreamParser::status() const {
+  SampleLogReadStatus st;
+  st.corrupt = damage_.lines != 0;
+  st.valid = seen_.distinct();
+  st.salvaged = st.corrupt ? st.valid : 0;
+  st.discarded_lines = damage_.lines;
+  st.discarded_bytes = damage_.bytes;
+  st.duplicate_records = duplicates_;
+  st.max_seq = seen_.max();
+  // Every seq up to the highest one seen that never arrived.
+  st.missing_records = st.valid == 0 ? 0 : st.max_seq + 1 - st.valid;
+  return st;
+}
 
 std::vector<LoggedSample> SampleLogReader::read_checked(const os::Vfs& vfs,
                                                         const std::string& dir,

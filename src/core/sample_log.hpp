@@ -9,13 +9,15 @@
 // Crash-consistent framing: every record carries a per-file sequence number
 // and an FNV-1a checksum. A reader never trusts a line it cannot verify —
 // torn or corrupted regions are skipped and *counted* (salvage), sequence
-// gaps reveal records that were dropped or lost in a crash, and duplicate
-// sequence numbers (a re-tried batch that half-landed) are discarded. The
-// writer keeps failed batches in a bounded in-memory spill buffer so a
-// transient write error loses nothing; overflow drops are counted too.
+// numbers never seen reveal records that were dropped or lost in a crash,
+// and a sequence number seen before (a re-tried batch that half-landed) is
+// a discarded duplicate. The writer keeps failed batches in a bounded
+// in-memory spill buffer so a transient write error loses nothing; overflow
+// drops are counted too.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -119,36 +121,103 @@ struct SampleLogReadStatus {
   bool clean() const { return !missing && !corrupt; }
 };
 
+/// The sequence numbers one sample stream has delivered: sorted, disjoint,
+/// non-touching runs of consecutive numbers. Only membership is kept, so the
+/// same records arriving in any order leave the same set, and the dedup rule
+/// "a record counts iff its seq is new" commutes across chunks, readers and
+/// ingest workers. Extending the last run is O(1), and the first two runs
+/// live inline: an in-order stream with one gap never touches the heap.
+class SeqSet {
+ public:
+  /// Adds `seq`; false when it was present already.
+  bool insert(std::uint64_t seq) { return insert_run(seq, seq); }
+
+  /// Adds every seq of [first, last] when none of them is present; else
+  /// changes nothing and returns false.
+  bool insert_run(std::uint64_t first, std::uint64_t last) {
+    if (n_ != 0) {
+      Run& tail = runs()[n_ - 1];
+      if (first > tail.last && first - tail.last == 1) {
+        tail.last = last;
+        distinct_ += last - first + 1;
+        return true;
+      }
+    }
+    return insert_run_slow(first, last);
+  }
+
+  std::uint64_t distinct() const { return distinct_; }
+  /// Highest seq present; 0 when empty.
+  std::uint64_t max() const { return n_ == 0 ? 0 : runs()[n_ - 1].last; }
+  std::size_t run_count() const { return n_; }
+
+ private:
+  struct Run {
+    std::uint64_t first = 0, last = 0;  // inclusive
+  };
+  static constexpr std::size_t kInline = 2;
+
+  Run* runs() { return heap_.empty() ? inline_ : heap_.data(); }
+  const Run* runs() const { return heap_.empty() ? inline_ : heap_.data(); }
+  bool insert_run_slow(std::uint64_t first, std::uint64_t last);
+
+  Run inline_[kInline];
+  std::vector<Run> heap_;  // every run, once there were more than kInline
+  std::size_t n_ = 0;
+  std::uint64_t distinct_ = 0;
+};
+
+/// Lines refused while verifying sample text. Sums, so chunks verified on
+/// any thread, in any order, add up exactly.
+struct SampleLineDamage {
+  std::uint64_t lines = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Verifies every line of `text` against no stream state: a verified
+/// record goes to `out` and its seq to `seqs`; a torn, unframed or
+/// malformed line (an unterminated tail too) is skipped and counted in
+/// `damage`. Instantiated for the service's ArenaVector sinks; pair it with
+/// SampleStreamParser::admit.
+template <typename Sink, typename SeqSink>
+void decode_sample_lines(std::string_view text, Sink& out, SeqSink& seqs,
+                         SampleLineDamage& damage);
+
 /// Incremental parser over the sample-log line format, sharing
 /// read_checked()'s exact verification and sequence accounting. Feed it
 /// chunks of log text — the whole file (read_checked does) or one streamed
 /// wire batch at a time (the profile service does) — and it accumulates
-/// verified samples plus a running SampleLogReadStatus across calls, so a
-/// stream parsed batch-by-batch reports byte-identical salvage/gap/dup
-/// counts to the same bytes read as one file.
+/// verified samples plus a running SampleLogReadStatus across calls. A
+/// record counts iff its seq is new to the stream's SeqSet, so any split of
+/// the same lines into chunks, admitted in any order, reports the same
+/// counts as the bytes read as one file: missing = max_seq + 1 - distinct.
 ///
 /// Each chunk should end on a line boundary; a trailing unterminated line
 /// is treated as damage (counted, discarded), exactly as at end-of-file.
 class SampleStreamParser {
  public:
-  /// Parses every line in `text`, appending verified samples to `out`;
-  /// `Sink` needs push_back(LoggedSample). The file reader and the service's
-  /// arena-backed batch decode share this one code path for verification,
-  /// salvage and sequence accounting. Explicitly instantiated in sample_log.cpp
-  /// for std::vector<LoggedSample> and support::ArenaVector<LoggedSample>.
+  /// Parses every line in `text`, appending verified samples whose seq is
+  /// new to `out`; `Sink` needs push_back(LoggedSample). Explicitly
+  /// instantiated in sample_log.cpp for std::vector<LoggedSample> and
+  /// support::ArenaVector<LoggedSample>.
   template <typename Sink>
   void parse_into(std::string_view text, Sink& out);
 
-  /// Accumulated status. `salvaged` is maintained (= valid when damage was
-  /// seen); `missing` stays false — only file readers can observe it.
-  const SampleLogReadStatus& status() const { return status_; }
+  /// Admits one chunk decode_sample_lines verified elsewhere: keeps, in
+  /// order and compacted to the front of `samples`, the records whose seq
+  /// is new, counts the rest as duplicates and adds `damage`. Returns how
+  /// many were kept. One SeqSet insert per run of consecutive seqs.
+  std::size_t admit(std::span<LoggedSample> samples, std::span<const std::uint64_t> seqs,
+                    const SampleLineDamage& damage);
 
-  /// Next sequence number the stream should carry (dedup watermark).
-  std::uint64_t next_expected() const { return next_expected_; }
+  /// Accumulated status. `salvaged` = valid once damage was seen;
+  /// `missing` stays false — only file readers can observe it.
+  SampleLogReadStatus status() const;
 
  private:
-  SampleLogReadStatus status_;
-  std::uint64_t next_expected_ = 0;
+  SeqSet seen_;
+  SampleLineDamage damage_;
+  std::uint64_t duplicates_ = 0;
 };
 
 class SampleLogReader {

@@ -1,6 +1,7 @@
 #include "fleet/federator.hpp"
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <variant>
 
@@ -50,14 +51,32 @@ std::string stored_sessions_table(const std::vector<store::ProfileStore*>& store
   return table.render();
 }
 
+/// The answer to a `--session` or diff operand no partition holds, as
+/// ProfileServer::query gives it. Looked up only when the session's fold
+/// is empty, so a query over a known session pays nothing for it.
+std::optional<std::string> unknown_session(const std::vector<store::ProfileStore*>& stores,
+                                           const std::string& id, const core::Profile& fold) {
+  if (id.empty() || fold.row_count() != 0) return std::nullopt;
+  for (store::ProfileStore* s : stores)
+    for (const store::ProfileStore::StoredSession& ss : s->sessions())
+      if (ss.session == id) return std::nullopt;
+  return "error: no such session: " + id + "\n";
+}
+
 /// top and diff: folds of the stored partitions, the same on both fleet
-/// front ends. An unknown session folds to an empty profile.
+/// front ends.
 std::string stored_answer(const std::vector<store::ProfileStore*>& stores,
                           const service::Query& q) {
-  if (q.verb == service::QueryVerb::kTop)
-    return gather_profile(stores, q.session).render(q.events(), q.top);
-  return core::render_diff(gather_profile(stores, q.before),
-                           gather_profile(stores, q.after), q.diff_event(), q.top);
+  if (q.verb == service::QueryVerb::kTop) {
+    const core::Profile profile = gather_profile(stores, q.session);
+    if (auto error = unknown_session(stores, q.session, profile)) return *error;
+    return profile.render(q.events(), q.top);
+  }
+  const core::Profile before = gather_profile(stores, q.before);
+  const core::Profile after = gather_profile(stores, q.after);
+  if (auto error = unknown_session(stores, q.before, before)) return *error;
+  if (auto error = unknown_session(stores, q.after, after)) return *error;
+  return core::render_diff(before, after, q.diff_event(), q.top);
 }
 
 /// (source, trace.json) pairs folded into one Chrome trace; empty or

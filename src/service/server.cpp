@@ -47,6 +47,14 @@ class EpochCursor {
   std::uint64_t epoch_ = 0;
 };
 
+/// The calling thread's decode scratch: a batch's samples live here from
+/// parse to apply, so a queued batch holds only its body. Reset per batch.
+support::Arena& scratch_arena() {
+  thread_local support::Arena arena;
+  arena.reset();
+  return arena;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------- connection
@@ -242,7 +250,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     return;
   }
   // The header is "batch <EVENT> <N>" in the query grammar (N, the
-  // declared record count, is informational: the body is what counts).
+  // declared record count, only sizes the queue fault check: the body is
+  // what counts).
   const std::string_view header = payload.substr(0, nl);
   const auto parsed = parse_query(header);
   const Query* head = std::get_if<Query>(&parsed);
@@ -255,61 +264,50 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     return;
   }
   const hw::EventKind event = *head->event;
+  const std::string_view body = payload.substr(nl + 1);
 
-  Batch batch;
-  batch.event = event;
-  batch.arena = rent_arena();
-  batch.samples = support::ArenaVector<core::LoggedSample>(*batch.arena);
-  bool enqueued = false;
-  std::uint64_t record_count = 0;
-  const std::uint64_t parse_t0 = support::monotonic_ns();
-  {
-    // Serial per-session parse: stream order and the per-event sequence
-    // watermark are what make the online aggregate deterministic. The
-    // samples decode zero-copy: wire-buffer view in, arena storage out.
-    std::lock_guard<support::TracedMutex> lock(session->ingest_mu_);
-    session->parsers_[hw::event_index(event)].parse_into(payload.substr(nl + 1),
-                                                          batch.samples);
-    batch.ceilings = session->ceilings_;
-    record_count = batch.samples.size();
-
-    bool forced_overflow = false;
-    if (config_.fault != nullptr) {
-      const auto outcome =
-          config_.fault->on_write("service/queue/" + session->id(), record_count);
-      forced_overflow =
-          outcome.result != support::FaultInjector::WriteOutcome::Result::kOk;
-    }
-    if (!forced_overflow) {
-      batch.apply_seq = session->next_enqueue_seq_;
-      if (config_.policy == OverloadPolicy::kBackpressure)
-        enqueued = session->queue_.push(std::move(batch));
-      else
-        enqueued = session->queue_.try_push(std::move(batch));
-      if (enqueued) ++session->next_enqueue_seq_;
-    }
+  // A forced overflow refuses the batch before it is stamped; the declared
+  // record count N stands in for its size.
+  bool refused = false;
+  if (config_.fault != nullptr) {
+    const auto outcome = config_.fault->on_write("service/queue/" + session->id(), head->n);
+    refused = outcome.result != support::FaultInjector::WriteOutcome::Result::kOk;
   }
-  telemetry_.spans().record("service.batch.parse", "service", parse_t0,
-                            support::monotonic_ns(), support::SpanTracer::kNoArg,
-                            session->trace());
+  bool enqueued = false;
+  if (!refused) {
+    Batch batch;
+    batch.event = event;
+    batch.arena = rent_arena();
+    // The connection thread frames and stamps; a worker parses. The body is
+    // copied into the batch's arena because the wire buffer moves on.
+    char* copy = batch.arena->alloc_array<char>(body.size());
+    std::copy(body.begin(), body.end(), copy);
+    batch.body = std::string_view(copy, body.size());
+    {
+      std::lock_guard<support::TracedMutex> lock(session->ingest_mu_);
+      batch.apply_seq = session->next_enqueue_seq_++;
+      batch.ceilings = session->ceilings_;
+    }
+    enqueued = config_.policy == OverloadPolicy::kBackpressure
+                   ? session->queue_.push(std::move(batch))
+                   : session->queue_.try_push(std::move(batch));
+  }
 
   session->frames_.fetch_add(1, std::memory_order_relaxed);
   if (enqueued) {
     session->batches_enqueued_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    session->batches_dropped_.fetch_add(1, std::memory_order_relaxed);
-    session->records_dropped_.fetch_add(record_count, std::memory_order_relaxed);
-  }
-  if (enqueued) {
     tele_batches_->inc();
-    tele_batch_records_->add(static_cast<double>(record_count));
     pool_.submit([this, session] { process_one(session); });
-  } else {
-    telemetry_.counter("service.batches.dropped").inc();
-    telemetry_.counter("service.records.dropped").inc(record_count);
-    // Dropped before the queue took ownership: the arena comes back here.
-    recycle_arena(std::move(batch.arena));
+    return;
   }
+  // Refused (the rare path): parsed here, in place, so the dropped records
+  // are counted exactly and their seqs are seen — a replay of them counts
+  // as duplicates, as if they had been applied.
+  const std::size_t dropped = session->parse_batch(event, body, scratch_arena()).size();
+  session->batches_dropped_.fetch_add(1, std::memory_order_relaxed);
+  session->records_dropped_.fetch_add(dropped, std::memory_order_relaxed);
+  telemetry_.counter("service.batches.dropped").inc();
+  telemetry_.counter("service.records.dropped").inc(dropped);
 }
 
 void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
@@ -317,8 +315,18 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   if (!item) return;  // closed during shutdown
   Batch& batch = *item;
 
+  // Parsed first, even when nothing can be resolved: the stream's seen set
+  // and read accounting take every batch.
+  const std::uint64_t parse_t0 = support::monotonic_ns();
+  const support::ArenaVector<core::LoggedSample> samples =
+      session->parse_batch(batch.event, batch.body, scratch_arena());
+  recycle_arena(std::move(batch.arena));  // the body is decoded: done with it
+  telemetry_.spans().record("service.batch.parse", "service", parse_t0,
+                            support::monotonic_ns(), batch.apply_seq, session->trace());
+  tele_batch_records_->add(static_cast<double>(samples.size()));
+
   BatchResult result;
-  result.records = batch.samples.size();
+  result.records = samples.size();
 
   const core::ArchiveResolver* resolver = session->resolver();
   if (resolver == nullptr) {
@@ -327,7 +335,6 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     telemetry_.counter("service.batches.unresolvable").inc();
     result.records = 0;
     session->apply(batch.apply_seq, std::move(result));
-    recycle_arena(std::move(batch.arena));
     return;
   }
 
@@ -337,7 +344,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     // ("#obj") so the PC hot path shares nothing with this branch. Objects
     // carry no caller PCs, so there is no arc/caller work here.
     PinnedJitSource obj;
-    for (const auto& [pid, ceiling] : batch.ceilings) {
+    for (const auto& [pid, ceiling] : *batch.ceilings) {
       const core::VmRegistration* reg = nullptr;
       for (const core::VmRegistration& r : resolver->registrations())
         if (r.pid == pid) { reg = &r; break; }
@@ -349,7 +356,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     }
     const std::uint64_t resolve_t0 = support::monotonic_ns();
     EpochCursor epochs(result);
-    for (const core::LoggedSample& sample : batch.samples) {
+    for (const core::LoggedSample& sample : samples) {
       const core::Resolution res = memprof::resolve_object(
           obj.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
       result.partial.add(batch.event, res);
@@ -360,14 +367,13 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
                               session->trace());
     tele_records_->inc(result.records);
     session->apply(batch.apply_seq, std::move(result));
-    recycle_arena(std::move(batch.arena));
     cache_.publish();
     return;
   }
 
   // Pin the code-map index generation each registered VM had at enqueue.
   PinnedJitSource jit;
-  for (const auto& [pid, ceiling] : batch.ceilings) {
+  for (const auto& [pid, ceiling] : *batch.ceilings) {
     const core::VmRegistration* reg = nullptr;
     for (const core::VmRegistration& r : resolver->registrations())
       if (r.pid == pid) { reg = &r; break; }
@@ -386,7 +392,7 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   // Resolutions carry interned name ids (DESIGN.md §14): each row or arc
   // lookup hashes integers, so no per-batch memo sits in front of it.
   EpochCursor epochs(result);
-  for (const core::LoggedSample& sample : batch.samples) {
+  for (const core::LoggedSample& sample : samples) {
     const core::Resolution res = resolver->resolve(sample, &jit);
     result.partial.add(batch.event, res);
     epochs.at(sample.epoch).add(batch.event, res);
@@ -403,7 +409,6 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   session->apply(batch.apply_seq, std::move(result));
   telemetry_.spans().record("service.batch.apply", "service", resolve_t1,
                             support::monotonic_ns(), batch.apply_seq, session->trace());
-  recycle_arena(std::move(batch.arena));
   cache_.publish();
 }
 
@@ -416,7 +421,10 @@ std::unique_ptr<support::Arena> ProfileServer::rent_arena() {
       return arena;
     }
   }
-  return std::make_unique<support::Arena>();
+  // A queued batch holds only its body, so one block fits a 256-line batch
+  // of the longest sample lines: a deep queue costs what its bodies weigh,
+  // not a 64 KiB block each.
+  return std::make_unique<support::Arena>(256 * core::kMaxSampleLine);
 }
 
 void ProfileServer::recycle_arena(std::unique_ptr<support::Arena> arena) {

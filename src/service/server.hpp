@@ -4,20 +4,23 @@
 // concurrent client connections, each streaming one profiling session:
 // archive world files, VM registrations, and checksummed sample batches.
 // Ingest is staged: the receiver (the client's own thread, via the
-// loopback transport) verifies framing, decodes batches zero-copy into a
-// recycled per-batch arena — serially per session, preserving the stream's
-// sample order and sequence-number accounting — and enqueues them on the
-// session's bounded queue; a shared ThreadPool resolves batches
-// concurrently through the RCU-snapshot code-map cache and folds each into
-// one of the session's aggregation stripes in whatever order workers
-// finish. Merges commute and every table ranks in one canonical order
-// (DESIGN.md §14), so the online aggregate renders byte-identical to
-// offline viprof_report over the same logs, at any thread count, stripe
-// count and interleaving (DESIGN.md §10).
+// loopback transport) verifies framing and the batch header, copies the
+// batch body into a recycled per-batch arena, stamps it (apply seq and the
+// session's published epoch ceilings, O(1) under the session's ingest
+// lock) and enqueues it on the session's bounded queue. A shared
+// ThreadPool parses batches concurrently — line verification outside every
+// lock, dedup against the event's seen-sequence set — resolves them through
+// the RCU-snapshot code-map cache and folds each into one of the session's
+// aggregation stripes in whatever order workers finish. Dedup and merges
+// commute and every table ranks in one canonical order (DESIGN.md §14), so
+// the online aggregate renders byte-identical to offline viprof_report
+// over the same logs, at any thread count, stripe count and interleaving
+// (DESIGN.md §10).
 //
 // Overload: with kBackpressure a full queue blocks the sender (slow server
 // slows its clients); with kDropNewest the batch is dropped and *counted*
-// — never silently.
+// — never silently: a refused batch is parsed on the receiver, its records
+// counted as dropped and their seqs marked seen.
 #pragma once
 
 #include <cstdint>
@@ -178,9 +181,10 @@ class ProfileServer {
   std::shared_ptr<ServerSession> open_session(const std::string& id);
   void reply(ServerConnection& conn, FrameType type, std::string text);
 
-  /// Per-batch arena recycling: batches decode into a rented arena and
-  /// return it (reset, blocks kept) after apply, so steady-state ingest
-  /// allocates no per-frame heap storage.
+  /// Per-batch arena recycling: a queued batch's body lives in a rented
+  /// arena, returned (reset, blocks kept) once a worker has decoded it into
+  /// its own scratch arena, so steady-state ingest allocates no per-frame
+  /// heap storage.
   std::unique_ptr<support::Arena> rent_arena();
   void recycle_arena(std::unique_ptr<support::Arena> arena);
 

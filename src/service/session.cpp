@@ -130,8 +130,13 @@ void ServerSession::store_file(const std::string& path, std::string bytes) {
   const auto pid = epoch ? pid_from_map_path(path) : std::nullopt;
   if (epoch && pid) {
     std::lock_guard<support::TracedMutex> lock(ingest_mu_);
-    auto [it, inserted] = ceilings_.try_emplace(*pid, *epoch);
-    if (!inserted && *epoch > it->second) it->second = *epoch;
+    const auto it = ceilings_->find(*pid);
+    if (it == ceilings_->end() || *epoch > it->second) {
+      // Copy-on-write: stamped batches keep the map they were stamped with.
+      auto next = std::make_shared<CeilingMap>(*ceilings_);
+      (*next)[*pid] = *epoch;
+      ceilings_ = std::move(next);
+    }
   }
   files_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -255,6 +260,29 @@ ServerSession::FlushDelta ServerSession::take_flush() {
     delta.epoch_hi = hi;
   }
   return delta;
+}
+
+support::ArenaVector<core::LoggedSample> ServerSession::parse_batch(
+    hw::EventKind event, std::string_view body, support::Arena& arena) {
+  support::ArenaVector<core::LoggedSample> samples(arena);
+  support::ArenaVector<std::uint64_t> seqs(arena);
+  core::SampleLineDamage damage;
+  core::decode_sample_lines(body, samples, seqs, damage);
+  EventStream& stream = streams_[hw::event_index(event)];
+  std::size_t kept = 0;
+  {
+    std::lock_guard<support::TracedMutex> lock(stream.mu);
+    kept = stream.parser.admit({samples.data(), samples.size()},
+                               {seqs.data(), seqs.size()}, damage);
+  }
+  samples.truncate(kept);
+  return samples;
+}
+
+core::SampleLogReadStatus ServerSession::read_status(hw::EventKind event) const {
+  const EventStream& stream = streams_[hw::event_index(event)];
+  std::lock_guard<support::TracedMutex> lock(stream.mu);
+  return stream.parser.status();
 }
 
 void ServerSession::apply(std::uint64_t apply_seq, BatchResult result) {

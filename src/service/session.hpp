@@ -2,16 +2,25 @@
 //
 // A session is one client's world: the files it streamed in (archive
 // manifest, boot maps, epoch code maps) in a private VFS, its registration
-// table, the per-event stream parsers with their sequence watermarks, a
+// table, the per-event stream parsers with their seen-sequence sets, a
 // bounded batch queue toward the ingest workers, and the rolling
 // aggregates. Locks, never nested with each other:
-//   ingest_mu_   — parsers, epoch ceilings, enqueue sequencing (receiver)
+//   ingest_mu_   — the batch stamp: apply seq and the published epoch
+//                  ceilings (receiver; O(1) per batch)
+//   seen locks   — one per event: its parser's seen-sequence set and read
+//                  accounting (workers; the receiver on the drop path)
 //   world_mu_    — the VFS; the resolver's one-time construction (receiver +
 //                  first worker; afterwards workers read it lock-free)
 //   reg_mu_      — the registration table (receiver + queries)
 //   sites_mu_    — object-map partitions: kept salvaged maps and their
 //                  allocation-site tables (receiver, queries, "#obj" loader)
 //   stripe locks — one per aggregation stripe (workers + queries)
+//
+// Sample lines are verified on the ingest workers, outside every lock
+// (DESIGN.md §14); only the dedup against the event's seen-sequence set
+// takes that event's lock, one insert per run of consecutive seqs. A
+// record counts iff its seq is new, so the counts do not depend on which
+// worker admits which batch first (DESIGN.md §10).
 //
 // Object maps are folded once, on arrival (DESIGN.md §15): store_file
 // salvages an omap.<E> file outside every lock, then folds it into the
@@ -58,18 +67,21 @@
 
 namespace viprof::service {
 
-/// One parsed sample batch queued for ingest. `ceilings` snapshots, per
-/// pid, the highest code-map epoch announced before this batch — the
-/// worker resolves against exactly that generation of the map index.
-/// Samples are decoded straight into the batch's arena (one bump-allocated
-/// block chain per batch, recycled by the server after apply) — the wire
-/// payload is never copied into per-frame heap vectors.
+/// Per pid, the highest code-map epoch announced so far.
+using CeilingMap = std::map<hw::Pid, std::uint64_t>;
+
+/// One sample batch queued for ingest, not yet parsed. `ceilings` is the
+/// session's published ceiling map when the batch was stamped — the worker
+/// resolves against exactly that generation of the map index. The body
+/// (the frame's sample lines) is copied once into the batch's arena, a
+/// pooled bump-allocated block chain the server recycles as soon as the
+/// worker has decoded the body: no per-batch heap string.
 struct Batch {
   hw::EventKind event = hw::EventKind::kGlobalPowerEvents;
-  support::ArenaVector<core::LoggedSample> samples;
-  std::unique_ptr<support::Arena> arena;  // owns the samples' storage
+  std::string_view body;                  // lives in `arena`
+  std::unique_ptr<support::Arena> arena;  // owns the body
   std::uint64_t apply_seq = 0;
-  std::map<hw::Pid, std::uint64_t> ceilings;
+  std::shared_ptr<const CeilingMap> ceilings;
 };
 
 /// A worker's resolved batch: partial aggregates interned per batch (one
@@ -118,6 +130,7 @@ class ServerSession {
       stripes_.push_back(std::make_unique<Stripe>());
     if (telemetry != nullptr) {
       ingest_mu_.attach(*telemetry);
+      for (EventStream& stream : streams_) stream.mu.attach(*telemetry);
       sites_mu_.attach(*telemetry);
       for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
       queue_.instrument(&telemetry->gauge("service.queue.depth"),
@@ -205,6 +218,18 @@ class ServerSession {
   /// Copies of the per-epoch profiles (snapshot serialisation).
   std::map<std::uint64_t, core::Profile> epoch_profiles() const;
 
+  /// Verifies `body`'s sample lines into `arena` outside every lock, then
+  /// admits them under the event's seen lock, and returns the records whose
+  /// seq was new to the event's stream. Any thread, any batch order.
+  support::ArenaVector<core::LoggedSample> parse_batch(hw::EventKind event,
+                                                      std::string_view body,
+                                                      support::Arena& arena);
+
+  /// The event stream's read accounting so far: the counts
+  /// core::SampleLogReader reports over the same lines, in any arrival
+  /// order and at any worker count.
+  core::SampleLogReadStatus read_status(hw::EventKind event) const;
+
   /// Merges `result` into stripe (apply_seq % stripes). Called by the
   /// ingest workers under no other lock; any order, any interleaving.
   void apply(std::uint64_t apply_seq, BatchResult result);
@@ -242,11 +267,18 @@ class ServerSession {
   const std::string id_;
   std::atomic<std::uint64_t> trace_id_{0};
 
-  // ---- receiver side (ingest_mu_)
+  // ---- receiver side (ingest_mu_): the batch stamp. store_file replaces
+  // the ceiling map whole, so a stamp copies one pointer.
   mutable support::TracedMutex ingest_mu_{"service.session.ingest"};
-  core::SampleStreamParser parsers_[hw::kEventKindCount];
-  std::map<hw::Pid, std::uint64_t> ceilings_;
+  std::shared_ptr<const CeilingMap> ceilings_ = std::make_shared<const CeilingMap>();
   std::uint64_t next_enqueue_seq_ = 0;
+
+  // ---- per-event stream state (one seen lock each, a leaf lock)
+  struct EventStream {
+    mutable support::TracedMutex mu{"service.session.seen"};
+    core::SampleStreamParser parser;
+  };
+  EventStream streams_[hw::kEventKindCount];
 
   /// The object maps of one (obj_dir, pid): salvaged once on arrival and
   /// kept by path (the world's listing order), plus their folded sites.

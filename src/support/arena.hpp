@@ -7,6 +7,9 @@
 // everything at once when the batch retires — allocation cost amortises to
 // near zero and the allocator lock leaves the hot path.
 //
+// Blocks are not zero-filled, so pages of a block nothing has written to
+// need not become resident.
+//
 // Lifetime rules: individual allocations are never freed; they die
 // together at reset() (or destruction). A reset() invalidates every
 // pointer previously handed out, so an arena must outlive everything
@@ -57,7 +60,7 @@ class Arena {
       }
       const std::size_t want = bytes + align > block_bytes_ ? bytes + align : block_bytes_;
       blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(active_),
-                     Block{std::make_unique<char[]>(want), want});
+                     Block{std::make_unique_for_overwrite<char[]>(want), want});
       ++active_;
       cursor_ = 0;
     }
@@ -123,6 +126,11 @@ class ArenaVector {
   }
 
   void clear() { size_ = 0; }
+
+  /// Keeps the first `size` elements (no-op when already that short).
+  void truncate(std::size_t size) {
+    if (size < size_) size_ = size;
+  }
 
   T* data() { return data_; }
   const T* data() const { return data_; }

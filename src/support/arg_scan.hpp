@@ -6,16 +6,29 @@
 // precedent — 0/1/2 are verdicts there, so usage had to be something else).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace viprof::support {
 
 /// Exit code for malformed command lines, shared by every tool.
 inline constexpr int kExitUsage = 3;
+
+/// A whole token as an unsigned decimal number: digits only, within 64
+/// bits. A sign, a space, an empty token or trailing bytes make it nullopt.
+inline std::optional<std::uint64_t> parse_u64(std::string_view token) {
+  std::uint64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 /// Forward scanner over argv. Typical loop:
 ///
@@ -27,8 +40,9 @@ inline constexpr int kExitUsage = 3;
 ///     else args.fail_unknown();
 ///   }
 ///
-/// value()/value_u64() consume the following argv slot; a missing value or
-/// an unknown flag prints the usage text to stderr and exits kExitUsage.
+/// value()/value_u64() consume the following argv slot; a missing value, a
+/// value_u64() token parse_u64 refuses, or an unknown flag prints the usage
+/// text to stderr and exits kExitUsage.
 class ArgScan {
  public:
   ArgScan(int argc, char** argv, const char* usage_text)
@@ -51,7 +65,16 @@ class ArgScan {
     return argv_[++i_];
   }
 
-  std::uint64_t value_u64() { return std::strtoull(value(), nullptr, 10); }
+  /// The following value as a parse_u64 number; exits kExitUsage otherwise.
+  std::uint64_t value_u64() {
+    const char* text = value();
+    const std::optional<std::uint64_t> number = parse_u64(text);
+    if (!number) {
+      std::fprintf(stderr, "%s needs a number, not '%s'\n", argv_[i_ - 1], text);
+      fail();
+    }
+    return *number;
+  }
 
   /// Bad usage: print the usage text to stderr and exit 3.
   [[noreturn]] void fail() const {

@@ -1,10 +1,11 @@
 // The sample-line codec against the sscanf/snprintf code it replaced.
 //
-// The old parser and writer survive here, verbatim, as oracles. The
-// differential property suite feeds both parsers seeded writer output and
-// seeded mutations of it (truncation at every byte, bit flips, duplicated
-// and swapped lines, torn tails, whitespace padding, signs, 0x prefixes,
-// overlong fields, crc junk) and requires the same samples and the same
+// The old parser (its line checks verbatim, its dedup the seen-sequence
+// rule) and writer survive here as oracles. The differential property
+// suite feeds both parsers seeded writer output and seeded mutations of
+// it (truncation at every byte, bit flips, duplicated and swapped lines,
+// torn tails, whitespace padding, signs, 0x prefixes, overlong fields,
+// crc junk) and requires the same samples and the same
 // SampleLogReadStatus, whole-file and batch by batch. The one permitted
 // difference is the stricter accept set: a line the oracle takes only
 // because sscanf accepts a sign, saturates an overflowing field, reads a
@@ -49,7 +50,9 @@ std::string snprintf_line(std::uint64_t seq, const LoggedSample& s) {
   return buf;
 }
 
-/// SampleStreamParser::parse_into before the codec, verbatim.
+/// SampleStreamParser::parse_into before the codec: its line checks
+/// verbatim, its dedup the seen-sequence rule (a record counts iff its seq
+/// is new) modelled by a std::set.
 class SscanfParser {
  public:
   void parse(std::string_view text, std::vector<LoggedSample>& out) {
@@ -88,14 +91,13 @@ class SscanfParser {
         continue;
       }
 
-      if (seq < next_expected_) {
+      if (!seen_.insert(seq).second) {
         ++status_.duplicate_records;
         pos = nl + 1;
         continue;
       }
-      if (seq > next_expected_) status_.missing_records += seq - next_expected_;
-      next_expected_ = seq + 1;
-      status_.max_seq = seq;
+      status_.max_seq = *seen_.rbegin();
+      status_.missing_records = status_.max_seq + 1 - seen_.size();
 
       LoggedSample s;
       s.pc = pc;
@@ -118,7 +120,7 @@ class SscanfParser {
 
  private:
   SampleLogReadStatus status_;
-  std::uint64_t next_expected_ = 0;
+  std::set<std::uint64_t> seen_;
 };
 
 // --- Helpers ---------------------------------------------------------------

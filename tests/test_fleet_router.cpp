@@ -193,6 +193,34 @@ TEST(FleetRouter, OfflineFleetAnswersMatchLiveFederator) {
   EXPECT_FALSE(OfflineFleet::open(damaged).has_value());
 }
 
+TEST(FleetRouter, UnknownSessionAnswersLikeTheServer) {
+  const auto sessions = record_sessions(2);
+  const auto oracle = single_server(sessions);
+  os::Vfs fleet_vfs;
+  FleetConfig config;
+  config.shards = 2;
+  Router router(fleet_vfs, config);
+  for (const auto& [id, scenario] : sessions)
+    ASSERT_TRUE(router.ingest(scenario->vfs(), id).completed);
+  Federator federator(router);
+  os::Vfs exported = fleet_vfs;
+  auto offline = OfflineFleet::open(exported);
+  ASSERT_TRUE(offline.has_value());
+
+  const std::string nope = "error: no such session: nope\n";
+  EXPECT_EQ(oracle->query("top 5 --session nope"), nope);
+  for (const std::string& q : {std::string("top 5 --session nope"),
+                               std::string("top 5 --event time --session nope"),
+                               std::string("diff nope sess-0"),
+                               std::string("diff sess-0 nope --top 3")}) {
+    EXPECT_EQ(federator.query(q), nope) << q;
+    EXPECT_EQ(offline->query(q), nope) << q;
+  }
+  // A known session is still answered from its fold.
+  EXPECT_EQ(federator.query("top 5 --session sess-1"),
+            oracle->session_report("sess-1", 5, kEvents));
+}
+
 TEST(FleetRouter, JoinAndLeaveRebalanceTheRing) {
   const auto sessions = record_sessions(4);
   os::Vfs fleet_vfs;

@@ -200,6 +200,41 @@ TEST(ServiceFaults, QueueOverflowDropsAreCounted) {
   EXPECT_EQ(snap.counter("service.records.dropped"), stats.records_dropped);
 }
 
+TEST(ServiceFaults, DroppedBatchSeqsAreSeenSoAReplayCountsAsDuplicates) {
+  // A refused batch is parsed on the receiver: its records are counted as
+  // dropped and its seqs marked seen, so replaying the whole stream adds
+  // nothing and counts every record as a duplicate.
+  auto scenario = record_scenario(small_scenario());
+  support::FaultInjector fault;
+  support::FaultRule rule;
+  rule.path_prefix = "service/queue/replayed";
+  rule.kind = support::FaultKind::kWriteError;
+  rule.skip = 2;
+  rule.count = 4;
+  fault.add_rule(rule);
+  ServerConfig config;
+  config.fault = &fault;
+  ProfileServer server(config);
+  for (const char* client_name : {"first", "again"}) {
+    auto conn = server.connect(client_name);
+    ReplayClient client(scenario->vfs(), "replayed", *conn, ReplayOptions{64, nullptr, {}});
+    EXPECT_TRUE(client.run());
+    server.drain();
+  }
+
+  const SessionStats stats = server.session("replayed")->stats();
+  EXPECT_EQ(stats.batches_dropped, 4u);
+  EXPECT_GT(stats.records_dropped, 0u);
+  const std::uint64_t per_event = small_scenario().samples_per_event;
+  EXPECT_EQ(stats.records_ingested + stats.records_dropped, 2u * per_event);
+  for (const hw::EventKind event : core::kReportEvents) {
+    const core::SampleLogReadStatus st = server.session("replayed")->read_status(event);
+    EXPECT_EQ(st.valid, per_event) << hw::to_string(event);
+    EXPECT_EQ(st.duplicate_records, per_event) << hw::to_string(event);
+    EXPECT_EQ(st.missing_records, 0u) << hw::to_string(event);
+  }
+}
+
 // --- Batched zero-copy decode path (DESIGN.md §14) --------------------------
 //
 // The server now decodes through FrameDecoder::next_view and parses sample

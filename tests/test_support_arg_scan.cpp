@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,14 +64,24 @@ TEST(ArgScan, PositionalArgumentsReadableViaArg) {
 }
 
 TEST(ArgScan, ValueU64ParsesUnsignedRange) {
-  Argv a({"tool", "--n", "18446744073709551615", "--zero", "0", "--junk", "xyz"});
+  Argv a({"tool", "--n", "18446744073709551615", "--zero", "0", "--pad", "007"});
   ArgScan args(a.argc(), a.argv(), kUsage);
   ASSERT_TRUE(args.next());
   EXPECT_EQ(args.value_u64(), ~0ull);
   ASSERT_TRUE(args.next());
   EXPECT_EQ(args.value_u64(), 0u);
   ASSERT_TRUE(args.next());
-  EXPECT_EQ(args.value_u64(), 0u);  // strtoull: non-numeric reads as 0
+  EXPECT_EQ(args.value_u64(), 7u);
+  // Non-numeric text is no number.
+  EXPECT_EQ(parse_u64("xyz"), std::nullopt);
+}
+
+TEST(ArgScan, ParseU64TakesTheWholeTokenOnly) {
+  EXPECT_EQ(parse_u64("42"), 42u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~0ull);
+  for (const char* bad : {"", "2x", "x2", "-1", "+1", " 1", "1 ", "0x10", "1.5",
+                          "18446744073709551616", "99999999999999999999999"})
+    EXPECT_EQ(parse_u64(bad), std::nullopt) << "[" << bad << "]";
 }
 
 TEST(ArgScan, ExitUsageConstantMatchesToolConvention) {
@@ -84,6 +95,17 @@ TEST(ArgScanDeathTest, MissingValueExitsUsage) {
   ASSERT_TRUE(args.next());
   EXPECT_EXIT({ (void)args.value(); }, ::testing::ExitedWithCode(kExitUsage),
               "--in needs a value");
+}
+
+TEST(ArgScanDeathTest, MalformedNumberExitsUsage) {
+  for (const char* bad : {"2x", "-1", ""}) {
+    Argv a({"tool", "--threads", bad});
+    ArgScan args(a.argc(), a.argv(), kUsage);
+    ASSERT_TRUE(args.next());
+    EXPECT_EXIT({ (void)args.value_u64(); }, ::testing::ExitedWithCode(kExitUsage),
+                "--threads needs a number")
+        << "[" << bad << "]";
+  }
 }
 
 TEST(ArgScanDeathTest, UnknownFlagExitsUsageWithDiagnostic) {
