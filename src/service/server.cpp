@@ -274,8 +274,8 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
     refused = outcome.result != support::FaultInjector::WriteOutcome::Result::kOk;
   }
   bool enqueued = false;
+  Batch batch;  // a refused push leaves it intact, arena included
   if (!refused) {
-    Batch batch;
     batch.event = event;
     batch.arena = rent_arena();
     // The connection thread frames and stamps; a worker parses. The body is
@@ -302,7 +302,9 @@ void ProfileServer::handle_batch(ServerConnection& conn, std::string_view payloa
   }
   // Refused (the rare path): parsed here, in place, so the dropped records
   // are counted exactly and their seqs are seen — a replay of them counts
-  // as duplicates, as if they had been applied.
+  // as duplicates, as if they had been applied. The body copy goes back to
+  // the pool unread.
+  recycle_arena(std::move(batch.arena));
   const std::size_t dropped = session->parse_batch(event, body, scratch_arena()).size();
   session->batches_dropped_.fetch_add(1, std::memory_order_relaxed);
   session->records_dropped_.fetch_add(dropped, std::memory_order_relaxed);

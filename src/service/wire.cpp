@@ -64,7 +64,7 @@ std::string encode_frame(FrameType type, const std::string& payload,
     append_u64le(out, trace.parent_span);
   }
   out += payload;
-  append_u32le(out, support::fnv1a(out.data(), out.size()));
+  append_u32le(out, support::xxh32(out.data(), out.size()));
   return out;
 }
 
@@ -105,7 +105,7 @@ bool FrameDecoder::next_view(FrameView& out) {
     const std::uint32_t crc_read =
         read_u32le(buffer_.data() + kFrameHeaderBytes + ext + length);
     const std::uint32_t crc_calc =
-        support::fnv1a(buffer_.data(), kFrameHeaderBytes + ext + length);
+        support::xxh32(buffer_.data(), kFrameHeaderBytes + ext + length);
     if (crc_read != crc_calc) {
       // A tear inside the frame body: the header looked fine, the bytes
       // did not. Skip past the bogus magic and rescan — anything that was

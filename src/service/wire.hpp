@@ -2,11 +2,19 @@
 //
 // Clients stream frames to the profile server: session control, VM
 // registrations, code-map files, sample batches and queries. Framing
-// extends the PR 1 crash-consistency discipline from files to the wire —
-// every frame is length-prefixed and FNV-1a-checksummed, and the decoder
-// never trusts bytes it cannot verify: a damaged frame is skipped by
-// resynchronising on the next magic marker, with the tear and the skipped
-// bytes *counted*, exactly as the sample-log reader salvages a torn file.
+// extends the crash-consistency discipline from files to the wire — every
+// frame is length-prefixed and checksummed, and the decoder never trusts
+// bytes it cannot verify: a damaged frame is skipped by resynchronising on
+// the next magic marker, with the tear and the skipped bytes *counted*,
+// exactly as the sample-log reader salvages a torn file.
+//
+// The trailer is XXH32 (seed 0, support::xxh32), not the FNV-1a of the
+// persisted formats: wire frames are never written to disk (both ends run
+// in-process), so the receiver thread pays a word-wise hash instead of a
+// byte-serial one (DESIGN.md §10 has the measured cost). XXH32 keeps
+// FNV-1a's guarantee that any single-byte change alters the checksum.
+// FNV-1a stays on every persisted format (sample logs, maps, segments,
+// manifests, snapshot), byte for byte.
 //
 // Frame layout (little-endian):
 //   offset 0  'V' 'F'        magic
@@ -15,11 +23,10 @@
 //   offset 4  u32 length     payload byte count (extension not included)
 //   offset 8  [u64 trace_id, u64 parent_span]   iff flags bit 0 (16 bytes)
 //   then      payload
-//   then      u32 crc        FNV-1a over header + extension + payload
+//   then      u32 crc        XXH32 over header + extension + payload
 //
-// The flags byte was the always-zero reserved byte through PR 6, so
-// untraced frames are byte-identical to the historical encoding and old
-// captures still decode. Unknown flag bits are treated as damage — a
+// The flags byte was once an always-zero reserved byte, so untraced frames
+// keep that layout. Unknown flag bits are treated as damage — a
 // future extension the decoder does not understand must not half-parse.
 #pragma once
 

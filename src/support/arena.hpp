@@ -51,16 +51,23 @@ class Arena {
           return block.data.get() + at;
         }
       }
-      // Advance into the next recycled block if it fits, else splice in a
-      // fresh one (oversized requests get a dedicated block).
+      // Advance into the next recycled block if it fits. Otherwise a fresh
+      // block (oversized requests get a dedicated one) replaces that
+      // recycled block, which nothing points into this cycle — splicing in
+      // front of it would keep a too-small block for good, and an arena
+      // used once a cycle with growing requests would hoard one per cycle.
       if (active_ < blocks_.size() && blocks_[active_].size >= bytes + align) {
         ++active_;
         cursor_ = 0;
         continue;
       }
       const std::size_t want = bytes + align > block_bytes_ ? bytes + align : block_bytes_;
-      blocks_.insert(blocks_.begin() + static_cast<std::ptrdiff_t>(active_),
-                     Block{std::make_unique_for_overwrite<char[]>(want), want});
+      Block fresh{std::make_unique_for_overwrite<char[]>(want), want};
+      if (active_ < blocks_.size()) {
+        blocks_[active_] = std::move(fresh);
+      } else {
+        blocks_.push_back(std::move(fresh));
+      }
       ++active_;
       cursor_ = 0;
     }

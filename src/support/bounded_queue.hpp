@@ -36,8 +36,10 @@ class BoundedQueue {
   }
 
   /// Blocks until there is room (backpressure) or the queue is closed.
-  /// Returns false only when closed.
-  bool push(T item) {
+  /// Returns false only when closed. `item` is moved from only on success:
+  /// a refused item stays with the caller, who can still reclaim what it
+  /// owns.
+  bool push(T&& item) {
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock, [this] { return items_.size() < capacity_ || closed_; });
     if (closed_) return false;
@@ -47,8 +49,9 @@ class BoundedQueue {
     return true;
   }
 
-  /// Non-blocking: false when full or closed (the caller drops and counts).
-  bool try_push(T item) {
+  /// Non-blocking: false when full or closed (the caller drops and counts;
+  /// as with push(), a refused item is left intact).
+  bool try_push(T&& item) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_ || items_.size() >= capacity_) return false;
     items_.push_back(std::move(item));

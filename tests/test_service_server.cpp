@@ -9,6 +9,7 @@
 #include "service/query.hpp"
 #include "service/scenario.hpp"
 #include "service/server.hpp"
+#include "service/wire.hpp"
 #include "support/hash.hpp"
 
 namespace viprof::service {
@@ -287,21 +288,46 @@ class WireRecorder final : public Transport {
   std::string wire;
 };
 
-std::uint64_t replay_wire_digest(const os::Vfs& world) {
+struct WireDigests {
+  std::uint64_t wire = 0;    // every byte sent, frame trailers included
+  std::uint64_t frames = 0;  // each frame's (type, flags, payload): no trailers
+};
+
+WireDigests replay_wire_digests(const os::Vfs& world) {
   WireRecorder recorder;
   ReplayClient client(world, "s", recorder, ReplayOptions{128, nullptr, {}});
   EXPECT_TRUE(client.run());
-  return support::fnv1a64(recorder.wire);
+  WireDigests digests;
+  digests.wire = support::fnv1a64(recorder.wire);
+  FrameDecoder decoder;
+  decoder.feed(recorder.wire);
+  std::string content;
+  FrameView view;
+  while (decoder.next_view(view)) {
+    content.push_back(static_cast<char>(view.type));
+    content.push_back(view.trace.valid() ? static_cast<char>(kFrameFlagTraced) : '\0');
+    content += std::to_string(view.payload.size());
+    content.push_back(':');
+    content += view.payload;
+  }
+  EXPECT_EQ(decoder.torn_frames(), 0u);
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  digests.frames = support::fnv1a64(content);
+  return digests;
 }
 
 // The replay client's frames are pinned byte for byte: the lines it relays,
-// the batch boundaries and the order in which it announces code maps. The
-// digests were taken from the sscanf/getline client this one replaced.
+// the batch boundaries and the order in which it announces code maps.
+// `frames` digests what the frames carry without their checksum trailers,
+// so it holds across a change of the wire checksum; `wire` pins the whole
+// byte stream, trailers included.
 TEST(ReplayClientWire, FramesAreByteIdenticalForASeededSession) {
   ScenarioConfig config = small_scenario();
   config.seed = 0x3e13;
   auto scenario = record_scenario(config);
-  EXPECT_EQ(replay_wire_digest(scenario->vfs()), 0xb7cd7d471b9e350eull);
+  const WireDigests digests = replay_wire_digests(scenario->vfs());
+  EXPECT_EQ(digests.frames, 0x7ca9b879adc142f8ull);
+  EXPECT_EQ(digests.wire, 0x8eed9c288a7a3dacull);
 }
 
 TEST(ReplayClientWire, TornUnterminatedTailIsRelayedNewlineTerminated) {
@@ -314,7 +340,9 @@ TEST(ReplayClientWire, TornUnterminatedTailIsRelayedNewlineTerminated) {
   log.resize(log.size() - 23);  // the final write tore mid-line
   ASSERT_NE(log.back(), '\n');
   scenario->vfs().write(path, log);
-  EXPECT_EQ(replay_wire_digest(scenario->vfs()), 0xf20efe1c77a2326bull);
+  const WireDigests digests = replay_wire_digests(scenario->vfs());
+  EXPECT_EQ(digests.frames, 0x4ab120e1bc0f6627ull);
+  EXPECT_EQ(digests.wire, 0x7e792fae4dca373bull);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sample_log.hpp"
 #include "service/transport.hpp"
 #include "service/wire.hpp"
 #include "support/fault.hpp"
@@ -368,6 +369,78 @@ TEST(WireTrace, TracedFramesSurviveByteByByteReassembly) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].trace.trace_id, trace.trace_id);
   EXPECT_EQ(frames[1].trace.trace_id, trace.trace_id);
+}
+
+// --- Single-byte damage (the checksum's guarantee) ------------------------
+
+// A batch frame payload as the replay client sends it: the header line, then
+// framed sample lines, about `bytes` long.
+std::string sample_batch_payload(std::size_t bytes) {
+  std::string payload = "batch GLOBAL_POWER_EVENTS 0\n";
+  char buf[core::kMaxSampleLine];
+  for (std::uint64_t seq = 1; payload.size() < bytes; ++seq) {
+    core::LoggedSample sample;
+    sample.pc = 0x7f0000001000ull + seq * 0x9e37;
+    sample.caller_pc = 0x400000ull + seq * 13;
+    sample.pid = static_cast<hw::Pid>(100 + seq % 3);
+    sample.epoch = seq / 40;
+    sample.cycle = seq * 9000;
+    payload += core::format_sample_line(seq, sample, buf);
+  }
+  return payload;
+}
+
+// Every byte of untraced and traced frames, xor-ed with several masks,
+// between an intact frame before and after: the decoder yields only frames
+// whose bytes were encoded (never the damaged one), always the frame before,
+// and the frame after whenever the damage left the length field alone (a
+// grown length rightly waits for bytes that never come).
+TEST(WireProperty, NoSingleByteFlipYieldsAFrameThatWasNotSent) {
+  const std::string lead = encode_frame(FrameType::kHello, "client-before");
+  const std::string tail = encode_frame(FrameType::kReply, "the frame after the damage");
+  const support::TraceContext trace{0x0123456789abcdefull, 77};
+  const std::vector<std::string> payloads = {
+      "", "a", std::string(15, 'q'), std::string(16, 'r'), std::string(17, 's'),
+      sample_batch_payload(12 * 1024)};
+  for (const bool traced : {false, true}) {
+    for (const std::string& payload : payloads) {
+      const std::string frame =
+          traced ? encode_frame(FrameType::kSampleBatch, payload, trace)
+                 : encode_frame(FrameType::kSampleBatch, payload);
+      const std::vector<unsigned> masks =
+          payload.size() > 64 ? std::vector<unsigned>{0x01, 0x80, 0xff}
+                              : std::vector<unsigned>{0x01, 0x02, 0x10, 0x80, 0x5a, 0xa5, 0xff};
+      std::string bytes = lead + frame + tail;
+      for (std::size_t at = 0; at < frame.size(); ++at) {
+        for (const unsigned mask : masks) {
+          char& victim = bytes[lead.size() + at];
+          victim = static_cast<char>(victim ^ mask);
+          FrameDecoder decoder;
+          decoder.feed(bytes);
+          victim = static_cast<char>(victim ^ mask);  // restored for the next case
+          std::vector<std::string> got;
+          FrameView view;
+          while (decoder.next_view(view)) {
+            got.push_back(encode_frame(view.type, std::string(view.payload), view.trace));
+          }
+          const std::string where = (traced ? "traced" : "untraced") + std::string(" payload ") +
+                                    std::to_string(payload.size()) + " byte " +
+                                    std::to_string(at) + " mask " + std::to_string(mask);
+          ASSERT_FALSE(got.empty()) << where;
+          ASSERT_EQ(got.front(), lead) << where;
+          ASSERT_LE(got.size(), 2u) << where;
+          if (got.size() == 2) {
+            ASSERT_EQ(got.back(), tail) << where;
+          }
+          const bool length_field = at >= 4 && at < kFrameHeaderBytes;
+          if (!length_field) {
+            ASSERT_EQ(got.size(), 2u) << where;
+            ASSERT_GE(decoder.torn_frames(), 1u) << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

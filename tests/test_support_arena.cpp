@@ -72,6 +72,47 @@ TEST(Arena, OversizedRequestGetsDedicatedBlock) {
   EXPECT_GE(arena.bytes_reserved(), 64u * 1024);
 }
 
+// The server's batch-body arenas take one allocation a cycle. When a
+// request outgrows the recycled block it must replace that block, not be
+// spliced in front of it: otherwise every new largest body leaves one dead
+// block behind for good.
+TEST(Arena, GrowingOneAllocationCyclesKeepOneBlock) {
+  constexpr std::size_t kBlock = 1024;
+  Arena arena(kBlock);
+  std::size_t largest = 0;
+  for (std::size_t cycle = 1; cycle <= 40; ++cycle) {
+    arena.reset();
+    const std::size_t bytes = cycle * 700;  // every cycle outgrows the last
+    largest = bytes;
+    auto* p = static_cast<char*>(arena.allocate(bytes));
+    std::memset(p, 0x5a, bytes);
+    ASSERT_LE(arena.bytes_reserved(), largest + alignof(std::max_align_t) + kBlock)
+        << "cycle " << cycle;
+  }
+  // A smaller request after the growth reuses the one big block.
+  arena.reset();
+  const std::size_t reserved = arena.bytes_reserved();
+  arena.allocate(100);
+  EXPECT_EQ(arena.bytes_reserved(), reserved);
+}
+
+// Several allocations a cycle: only blocks past the ones this cycle filled
+// are replaced, so earlier allocations stay intact.
+TEST(Arena, ReplacingARecycledBlockKeepsLiveAllocations) {
+  Arena arena(1024);
+  for (int i = 0; i < 4; ++i) arena.allocate(900);  // four one-request blocks
+  arena.reset();
+  auto* a = static_cast<char*>(arena.allocate(900));
+  std::memset(a, 0x11, 900);
+  auto* b = static_cast<char*>(arena.allocate(8000));  // outgrows block 2
+  std::memset(b, 0x22, 8000);
+  auto* c = static_cast<char*>(arena.allocate(900));  // block 3 is recycled
+  std::memset(c, 0x33, 900);
+  for (int i = 0; i < 900; ++i) ASSERT_EQ(a[i], 0x11);
+  for (int i = 0; i < 8000; ++i) ASSERT_EQ(b[i], 0x22);
+  EXPECT_EQ(arena.bytes_allocated(), 900u + 8000u + 900u);
+}
+
 TEST(ArenaVector, GrowthPreservesContents) {
   Arena arena(512);  // small blocks force several regrows
   ArenaVector<std::uint64_t> v(arena);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,26 @@ TEST(BoundedQueue, TryPushRefusesWhenFull) {
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.pop(), 1);
   EXPECT_TRUE(q.try_push(3));
+}
+
+// A refused push must not consume its item: the server hands a refused
+// batch's arena back to its pool, which needs the batch still whole.
+TEST(BoundedQueue, RefusedPushLeavesItemIntact) {
+  BoundedQueue<std::unique_ptr<int>> q(1);
+  auto first = std::make_unique<int>(1);
+  ASSERT_TRUE(q.try_push(std::move(first)));
+  EXPECT_EQ(first, nullptr);  // moved in on success
+
+  auto refused = std::make_unique<int>(2);
+  EXPECT_FALSE(q.try_push(std::move(refused)));  // full
+  ASSERT_NE(refused, nullptr);
+  EXPECT_EQ(*refused, 2);
+
+  q.close();
+  EXPECT_FALSE(q.push(std::move(refused)));  // closed
+  ASSERT_NE(refused, nullptr);
+  EXPECT_EQ(*refused, 2);
+  EXPECT_EQ(*q.pop().value(), 1);
 }
 
 TEST(BoundedQueue, ZeroCapacityClampsToOne) {
@@ -99,7 +120,7 @@ TEST(BoundedQueue, PopForRacingCloseNeverDropsTheLastItem) {
       got = q.pop_for(std::chrono::seconds(10));
       after = q.pop_for(std::chrono::seconds(10));
     });
-    ASSERT_TRUE(q.push(round));
+    ASSERT_TRUE(q.push(int{round}));
     q.close();
     consumer.join();  // bounded by close(), not by the 10 s timeouts
     EXPECT_EQ(got, round);
