@@ -17,7 +17,6 @@
 
 #include "bench/harness.hpp"
 #include "fleet/federator.hpp"
-#include "fleet/fsck.hpp"
 #include "fleet/router.hpp"
 #include "service/client.hpp"
 #include "service/scenario.hpp"
@@ -170,7 +169,7 @@ bool run() {
       if (rep == 0 || elapsed.count() < best_secs) best_secs = elapsed.count();
       failovers = router.ledger().failover_sessions;
 
-      const fleet::FleetFsckReport fsck = fleet::fsck_fleet(fleet_vfs);
+      const fleet::FleetFsckReport fsck = fleet::OfflineFleet::fsck(fleet_vfs);
       if (fsck.verdict != core::FsckVerdict::kClean || !fsck.ledger_balanced) {
         std::fprintf(stderr, "micro_fleet: post-failover fsck: %s\n",
                      fsck.summary.c_str());

@@ -5,8 +5,8 @@
 #
 #   1. `viprof_fleet serve --kill-at N` exits 0 only if its own ledger
 #      balances AND the in-process fsck audit is clean, and
-#   2. the exported namespace is re-audited from disk by `viprof_fsck
-#      --fleet`, the way an operator would after a real crash.
+#   2. the exported namespace is re-audited from disk by `viprof_fleet
+#      fsck --fleet`, the way an operator would after a real crash.
 #
 # Usage: scripts/soak_fleet.sh [build-dir] [rounds]   (default: build 60)
 # Env:   SOAK_SESSIONS (default 3), SOAK_SHARDS (default 3),
@@ -21,13 +21,10 @@ SHARDS="${SOAK_SHARDS:-3}"
 SEED="${SOAK_SEED:-42}"
 
 FLEET_TOOL="$BUILD/tools/viprof_fleet"
-FSCK_TOOL="$BUILD/tools/viprof_fsck"
-for tool in "$FLEET_TOOL" "$FSCK_TOOL"; do
-  if [ ! -x "$tool" ]; then
-    echo "soak_fleet.sh: $tool not built (run cmake --build $BUILD first)" >&2
-    exit 1
-  fi
-done
+if [ ! -x "$FLEET_TOOL" ]; then
+  echo "soak_fleet.sh: $FLEET_TOOL not built (run cmake --build $BUILD first)" >&2
+  exit 1
+fi
 
 WORK="$(mktemp -d "${TMPDIR:-/tmp}/viprof_soak_fleet.XXXXXX")"
 trap 'rm -rf "$WORK"' EXIT
@@ -47,9 +44,9 @@ for ((round = 1; round <= ROUNDS; ++round)); do
     failures=$((failures + 1))
     continue
   fi
-  if ! "$FSCK_TOOL" --in "$export_dir" --fleet --quiet; then
+  if ! "$FLEET_TOOL" fsck --fleet "$export_dir" --quiet; then
     echo "soak_fleet: FAIL round $round (kill-at $kill_at): export fsck" >&2
-    "$FSCK_TOOL" --in "$export_dir" --fleet >&2 || true
+    "$FLEET_TOOL" fsck --fleet "$export_dir" >&2 || true
     failures=$((failures + 1))
   fi
 done

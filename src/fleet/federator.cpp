@@ -217,11 +217,76 @@ std::optional<OfflineFleet> OfflineFleet::open(os::Vfs& fleet) {
     store::StoreConfig sc;
     sc.root = shard.root;
     auto st = std::make_unique<store::ProfileStore>(fleet, sc);
-    st->open();  // recovery: salvages whatever the partition holds
+    out.recoveries_.push_back(st->open());  // salvages what the partition holds
     out.stores_.push_back(std::move(st));
     load_telemetry(shard.name, shard.name);
   }
   return out;
+}
+
+FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
+  FleetFsckReport report;
+  os::Vfs scratch = fleet;
+  const std::optional<OfflineFleet> opened = open(scratch);
+  if (!opened) {
+    report.verdict = core::FsckVerdict::kUnrecoverable;
+    report.summary = fleet.exists(store::kFleetManifestPath)
+                         ? "fleet: manifest corrupt (crc)"
+                         : "fleet: no manifest";
+    return report;
+  }
+  report.ledger = opened->manifest_.ledger;
+  const auto worsen = [&](core::FsckVerdict v) {
+    if (static_cast<int>(v) > static_cast<int>(report.verdict)) report.verdict = v;
+  };
+
+  std::size_t by_verdict[3] = {};  // partitions per FsckVerdict
+  std::uint64_t stored_audit = 0;  // Σ partitions' per-session record counts
+  bool shards_match = true;
+  for (std::size_t i = 0; i < opened->stores_.size(); ++i) {
+    const store::FleetShard& shard = opened->manifest_.shards[i];
+    const core::FsckVerdict v = opened->recoveries_[i].verdict;
+    ++by_verdict[static_cast<int>(v)];
+    worsen(v);
+    const auto held = opened->stores_[i]->sessions();
+    std::uint64_t records = 0;
+    for (const store::ProfileStore::StoredSession& ss : held) records += ss.records;
+    stored_audit += records;
+    const bool match = v == core::FsckVerdict::kClean
+                           ? records == shard.records && held.size() == shard.sessions
+                           : records <= shard.records && held.size() <= shard.sessions;
+    shards_match = shards_match && match;
+    report.details += shard.name + ": " + core::to_string(v) + ", " +
+                      std::to_string(records) + " records (manifest says " +
+                      std::to_string(shard.records) + ")";
+    if (!match)
+      report.details += ", MISMATCH: " + std::to_string(held.size()) +
+                        " sessions (manifest says " + std::to_string(shard.sessions) + ")";
+    report.details += '\n';
+  }
+
+  report.ledger_balanced = report.ledger.balanced();
+  // Fleet-wide, the shelves may come in below the books only once recovery
+  // salvaged rows away (that loss is counted by the partition itself).
+  const bool damaged = report.verdict != core::FsckVerdict::kClean;
+  report.stored_matches =
+      shards_match && (report.ledger.stored_records == stored_audit ||
+                       (damaged && report.ledger.stored_records > stored_audit));
+  if (!report.ledger_balanced || !report.stored_matches)
+    worsen(core::FsckVerdict::kUnrecoverable);
+
+  report.summary =
+      "fleet: " + std::string(core::to_string(report.verdict)) + ", " +
+      std::to_string(opened->stores_.size()) + " partitions (" +
+      std::to_string(by_verdict[0]) + " clean, " + std::to_string(by_verdict[1]) +
+      " salvaged, " + std::to_string(by_verdict[2]) + " unrecoverable), acked " +
+      std::to_string(report.ledger.acked_records) + " == stored " +
+      std::to_string(report.ledger.stored_records) + " + lost " +
+      std::to_string(report.ledger.lost_wire + report.ledger.lost_queue +
+                     report.ledger.lost_dead_records) +
+      (report.ledger_balanced ? " (exact)" : " (IMBALANCED)") +
+      (report.stored_matches ? "" : ", partition audit MISMATCH");
+  return report;
 }
 
 std::vector<store::ProfileStore*> OfflineFleet::partitions() const {

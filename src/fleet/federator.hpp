@@ -10,7 +10,9 @@
 //
 // Federator answers over a live Router; OfflineFleet answers over an
 // exported fleet directory (manifest + partitions), the shape
-// `viprof_fleet query` and `viprof_query --fleet` consume.
+// `viprof_fleet query` and `viprof_query --fleet` consume. OfflineFleet is
+// also the fleet's one integrity audit (`viprof_fleet fsck`): the manifest
+// has no other reader.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "core/fsck.hpp"
 #include "core/report.hpp"
 #include "fleet/router.hpp"
 #include "service/query.hpp"
@@ -59,6 +62,23 @@ class Federator {
   Router* router_;
 };
 
+/// The fleet audit: the books (the manifest's ledger must balance,
+/// acked == stored + lost.*) against the shelves (what each partition holds
+/// against its manifest entry). A partition that recovery found clean must
+/// hold exactly its entry's sessions and records; a damaged one may only
+/// fall below it. Partition damage degrades the verdict to at least
+/// kSalvaged (store recovery counts the loss exactly); a missing or corrupt
+/// manifest, an unopenable partition, or books and shelves that disagree is
+/// kUnrecoverable. The verdict doubles as the exit code (core::FsckVerdict).
+struct FleetFsckReport {
+  core::FsckVerdict verdict = core::FsckVerdict::kClean;
+  store::FleetLedger ledger;     // as recorded by the manifest
+  bool ledger_balanced = false;  // acked == stored + lost.*
+  bool stored_matches = false;   // every partition agrees with its entry and the ledger
+  std::string summary;  // one line
+  std::string details;  // per-partition findings
+};
+
 /// A fleet namespace opened read-only from its files: the crc-guarded
 /// manifest plus one recovered ProfileStore per shard partition.
 class OfflineFleet {
@@ -66,6 +86,10 @@ class OfflineFleet {
   /// nullopt when the manifest is missing or fails its crc — an offline
   /// fleet is all-or-nothing, like the store manifest it imitates.
   static std::optional<OfflineFleet> open(os::Vfs& fleet);
+
+  /// Opens a private copy of `fleet` (recovery rewrites damaged segments)
+  /// and audits it, so it is safe on a live namespace or an export alike.
+  static FleetFsckReport fsck(const os::Vfs& fleet);
 
   const store::FleetManifest& manifest() const { return manifest_; }
 
@@ -86,7 +110,9 @@ class OfflineFleet {
   std::string merged_trace() const;
 
   store::FleetManifest manifest_;
+  /// One per manifest shard, in manifest order.
   std::vector<std::unique_ptr<store::ProfileStore>> stores_;
+  std::vector<store::StoreRecovery> recoveries_;
   /// Exported telemetry, when present: (source, metrics json, trace json),
   /// "fleet" first then shards in manifest order. Missing files load as
   /// empty strings and are skipped at query time.

@@ -103,7 +103,7 @@ struct FleetLedger {
 /// The fleet manifest: the router's crc-guarded record of which shard
 /// partitions exist and the cumulative degradation ledger. Same discipline
 /// as the store Manifest — replaced whole via temp-file + rename, parsed
-/// all-or-nothing — so `viprof_fsck --fleet` either trusts the whole file
+/// all-or-nothing — so `viprof_fleet fsck` either trusts the whole file
 /// or declares the fleet unrecoverable.
 struct FleetManifest {
   std::uint64_t generation = 0;

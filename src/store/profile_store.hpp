@@ -151,7 +151,7 @@ class ProfileStore {
   /// One distinct session's live footprint in this store. `records` is the
   /// sum of the session's profile counts over every event — exactly the
   /// record count the service flushed, which is what the fleet ledger's
-  /// stored side is audited against (viprof_fsck --fleet).
+  /// stored side is audited against (viprof_fleet fsck).
   struct StoredSession {
     std::string session;
     std::uint64_t intervals = 0;

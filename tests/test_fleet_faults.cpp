@@ -2,16 +2,18 @@
 // circuit-break failover to the ring successor, the kill-a-shard sweep
 // across every FaultComponent::kFleet checkpoint (ISSUE 6 acceptance:
 // fsck exits clean and acked == stored + lost, exactly, at every kill
-// point), whole-fleet death, and retry determinism under a fixed seed.
+// point), whole-fleet death, retry determinism under a fixed seed, and the
+// per-shard partition audit.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fleet/federator.hpp"
-#include "fleet/fsck.hpp"
 #include "fleet/router.hpp"
 #include "service/scenario.hpp"
 #include "support/fault.hpp"
@@ -43,7 +45,7 @@ void expect_exact_accounting(const Router& router, const os::Vfs& fleet_vfs) {
             ledger.stored_records + ledger.lost_wire + ledger.lost_queue +
                 ledger.lost_dead_records)
       << "ledger imbalance";
-  const FleetFsckReport fsck = fsck_fleet(fleet_vfs);
+  const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
   EXPECT_EQ(fsck.verdict, core::FsckVerdict::kClean) << fsck.summary;
   EXPECT_TRUE(fsck.ledger_balanced) << fsck.summary;
   EXPECT_TRUE(fsck.stored_matches) << fsck.summary;
@@ -275,6 +277,38 @@ TEST(FleetFaults, RetrySchedulesAreDeterministicUnderFixedSeed) {
   EXPECT_EQ(a.ledger.lost_wire, b.ledger.lost_wire);
   EXPECT_EQ(a.top, b.top);
   EXPECT_EQ(a.manifest, b.manifest);
+}
+
+// The shelves are audited shard by shard, not only in sum: swapping two
+// shards' counts in the manifest (crc redone) keeps the ledger balanced and
+// every fleet-wide total intact, yet no partition holds its entry any more.
+TEST(FleetFaults, SwappedShardCountsFailThePartitionAudit) {
+  const auto sessions = record_sessions(4);
+  os::Vfs fleet_vfs;
+  FleetConfig config;
+  config.shards = 2;
+  Router router(fleet_vfs, config);
+  for (const auto& [id, scenario] : sessions)
+    ASSERT_TRUE(router.ingest(scenario->vfs(), id).completed);
+  expect_exact_accounting(router, fleet_vfs);
+
+  std::optional<store::FleetManifest> manifest =
+      store::FleetManifest::parse(*fleet_vfs.read(store::kFleetManifestPath));
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->shards.size(), 2u);
+  store::FleetShard& a = manifest->shards[0];
+  store::FleetShard& b = manifest->shards[1];
+  ASSERT_NE(a.records, b.records);
+  std::swap(a.records, b.records);
+  std::swap(a.sessions, b.sessions);
+  fleet_vfs.write(store::kFleetManifestPath, manifest->serialize());
+
+  const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
+  EXPECT_EQ(fsck.verdict, core::FsckVerdict::kUnrecoverable) << fsck.summary;
+  EXPECT_TRUE(fsck.ledger_balanced) << fsck.summary;
+  EXPECT_FALSE(fsck.stored_matches) << fsck.summary;
+  EXPECT_NE(fsck.summary.find("partition audit MISMATCH"), std::string::npos)
+      << fsck.summary;
 }
 
 }  // namespace

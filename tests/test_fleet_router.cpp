@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "fleet/federator.hpp"
-#include "fleet/fsck.hpp"
 #include "fleet/ring.hpp"
 #include "fleet/router.hpp"
 #include "service/client.hpp"
@@ -130,7 +129,7 @@ TEST(FleetRouter, FederatedQueriesMatchSingleServerByteForByte) {
     EXPECT_EQ(ledger.acked_sessions, sessions.size());
     EXPECT_TRUE(ledger.balanced());
     EXPECT_EQ(ledger.lost_wire + ledger.lost_queue + ledger.lost_dead_records, 0u);
-    const FleetFsckReport fsck = fsck_fleet(fleet_vfs);
+    const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
     EXPECT_EQ(fsck.verdict, core::FsckVerdict::kClean) << fsck.summary;
     EXPECT_TRUE(fsck.stored_matches);
   }
@@ -258,7 +257,7 @@ TEST(FleetRouter, JoinAndLeaveRebalanceTheRing) {
   EXPECT_TRUE(outcome.completed);
   EXPECT_NE(outcome.shard, departing);
 
-  const FleetFsckReport fsck = fsck_fleet(fleet_vfs);
+  const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
   EXPECT_EQ(fsck.verdict, core::FsckVerdict::kClean) << fsck.summary;
 }
 
@@ -328,7 +327,7 @@ TEST(FleetTrace, ExportedTelemetryAnswersOffline) {
   // fleet + 2 shards, metrics + trace each.
   EXPECT_EQ(router.export_telemetry(), 6u);
   // Telemetry files must not disturb the fsck verdict.
-  const FleetFsckReport fsck = fsck_fleet(fleet_vfs);
+  const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
   EXPECT_EQ(fsck.verdict, core::FsckVerdict::kClean) << fsck.summary;
 
   os::Vfs exported = fleet_vfs;

@@ -124,10 +124,9 @@ TEST(ArgScanDeathTest, FailPrintsTheUsageText) {
 }
 
 TEST(ArgScanDeathTest, ConflictingModeFlagsExitUsage) {
-  // The viprof_fsck migration pattern: --store and --fleet both parse
-  // fine individually, but selecting two layouts at once is a usage
-  // error, routed through the same fail() → exit-3 path as a bad flag.
-  Argv a({"viprof_fsck", "--store", "--fleet"});
+  // Two mode flags that each parse fine, but selecting both at once is a
+  // usage error, routed through the same fail() → exit-3 path as a bad flag.
+  Argv a({"tool", "--store", "--fleet"});
   ArgScan args(a.argc(), a.argv(), kUsage);
   bool store_layout = false;
   bool fleet_layout = false;

@@ -39,17 +39,19 @@ inline service::ServiceSnapshot load_snapshot_or_die(const char* tool,
   return *std::move(snap);
 }
 
-/// Imports host directory `dir` into `vfs`; exits 2 unless it is a
-/// directory holding files.
-inline void import_or_die(const char* tool, os::Vfs& vfs, const std::string& dir) {
+/// Imports host directory `dir` into `vfs`; exits `status` unless it is a
+/// directory holding files: 2, a load error, by default. An fsck passes
+/// core::kFsckExitUsage, since 2 is one of its verdicts.
+inline void import_or_die(const char* tool, os::Vfs& vfs, const std::string& dir,
+                          int status = 2) {
   if (!std::filesystem::is_directory(dir)) {
     std::fprintf(stderr, "%s: %s is not a directory\n", tool, dir.c_str());
-    std::exit(2);
+    std::exit(status);
   }
   vfs.import_from_directory(dir);
   if (vfs.file_count() == 0) {
     std::fprintf(stderr, "%s: nothing under %s\n", tool, dir.c_str());
-    std::exit(2);
+    std::exit(status);
   }
 }
 

@@ -7,16 +7,17 @@
 // being streamed to dies mid-session and the router fails the session over
 // to its ring successor (or counts it into fleet.lost.* when none is
 // left). After ingest the degradation ledger is printed and audited with
-// fsck_fleet; --export writes the whole fleet namespace (manifest + one
-// store partition per shard) to a host directory that `viprof_fleet
-// query`, `viprof_query --fleet`, and `viprof_fsck --fleet` can consume.
+// OfflineFleet::fsck; --export writes the whole fleet namespace (manifest +
+// one store partition per shard) to a host directory that `viprof_fleet
+// query`, `viprof_fleet fsck` and `viprof_query --fleet` can consume.
 //
 // Query text: the grammar of DESIGN.md §10, answered by Federator::query
 // (serve --query) and OfflineFleet::query (query).
 //
 // Exit status: serve exits 0 only when the ledger balances exactly AND the
 // fleet fsck verdict is clean; query exits 0/2 (load errors); fsck mirrors
-// the verdict (0/1/2). Usage errors exit 3.
+// the verdict (0/1/2) and exits 3 for a missing or empty directory. Usage
+// errors exit 3.
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -24,7 +25,6 @@
 #include <vector>
 
 #include "fleet/federator.hpp"
-#include "fleet/fsck.hpp"
 #include "fleet/router.hpp"
 #include "load_or_die.hpp"
 #include "os/vfs.hpp"
@@ -131,7 +131,7 @@ int cmd_serve(support::ArgScan& args) {
     std::printf("== query: %s\n%s", q.c_str(), federator.query(q).c_str());
   }
 
-  const fleet::FleetFsckReport fsck = fleet::fsck_fleet(fleet_vfs);
+  const fleet::FleetFsckReport fsck = fleet::OfflineFleet::fsck(fleet_vfs);
   std::printf("%s\n", fsck.summary.c_str());
 
   if (!export_dir.empty()) {
@@ -182,8 +182,8 @@ int cmd_fsck(support::ArgScan& args) {
   if (fleet_dir.empty()) args.fail();
 
   os::Vfs vfs;
-  tool::import_or_die("viprof_fleet", vfs, fleet_dir);
-  const fleet::FleetFsckReport report = fleet::fsck_fleet(vfs);
+  tool::import_or_die("viprof_fleet", vfs, fleet_dir, core::kFsckExitUsage);
+  const fleet::FleetFsckReport report = fleet::OfflineFleet::fsck(vfs);
   if (!quiet && !report.details.empty()) std::fputs(report.details.c_str(), stdout);
   std::printf("%s\n", report.summary.c_str());
   return static_cast<int>(report.verdict);

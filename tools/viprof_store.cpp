@@ -10,7 +10,8 @@
 //
 // Exit status: 0 ok, 1 semantic findings (fsck: salvaged damage), 2 load
 // errors (missing/corrupt store or snapshot), 3 usage. fsck's code is the
-// store verdict itself (core::FsckVerdict convention).
+// store verdict itself (core::FsckVerdict convention), and 3 for a missing
+// or empty store directory.
 #include <cctype>
 #include <cstdio>
 #include <filesystem>
@@ -138,7 +139,7 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "fsck") {
-    tool::import_or_die(kTool, vfs, store_dir);
+    tool::import_or_die(kTool, vfs, store_dir, core::kFsckExitUsage);
     store::StoreConfig config;
     config.root = "";
     store::ProfileStore st(vfs, config);
