@@ -6,9 +6,12 @@
 //   - resolve.object: one kObjDmiss sample resolved through the flattened
 //     epoch index (the backward walk over moved objects), per sample;
 //   - ingest.obj: a recorded memprof session (allocation sites, moving GC,
-//     DMISS_OBJ stream) replayed into the live server, per record — gated
-//     on the online per-site table staying byte-identical to the offline
-//     report;
+//     DMISS_OBJ stream) replayed into the live server, per replayed record
+//     (every event's, not only the object samples) — gated on the online
+//     per-site table staying byte-identical to the offline report;
+//   - fold.sites: SiteTable::ingest of that session's object maps, per
+//     object-map entry (object and death lines) — the obj_id dedup the
+//     offline report and the server's store_file both run;
 //   - ingest.pc_idle: a PC-only scenario (no object samples at all)
 //     replayed into the same server build. memprof is compiled in but
 //     idle; bench_gate.py holds this number within 5% of baseline, so the
@@ -21,6 +24,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -126,6 +130,8 @@ RecordedMemprof record_memprof_session(std::uint64_t samples_scale) {
   return run;
 }
 
+/// Records the server applied from one replay of `world`; 0 when the
+/// replay disconnected.
 std::uint64_t replay_once(service::ProfileServer& server, const os::Vfs& world,
                           const std::string& id) {
   auto conn = server.connect(id);
@@ -133,7 +139,7 @@ std::uint64_t replay_once(service::ProfileServer& server, const os::Vfs& world,
                                service::ReplayOptions{256, nullptr, {}});
   if (!client.run()) return 0;
   server.drain();
-  return 1;
+  return server.session_stats()[id].records_ingested;
 }
 
 bool run() {
@@ -241,13 +247,14 @@ bool run() {
     const memprof::ObjectReport obj =
         memprof::build_object_report(run.machine->vfs(), "samples", regs);
     const std::string offline = memprof::render_memprof(obj.sites, obj.profile, 25);
-    const std::uint64_t obj_records = obj.samples;
 
     double best_secs = 0.0;
+    std::uint64_t replayed = 0;
     for (int rep = 0; rep < reps; ++rep) {
       service::ProfileServer server;
       const auto start = std::chrono::steady_clock::now();
-      if (!replay_once(server, run.machine->vfs(), "bench-mem")) {
+      replayed = replay_once(server, run.machine->vfs(), "bench-mem");
+      if (replayed == 0) {
         std::fprintf(stderr, "FAIL: memprof replay disconnected\n");
         return false;
       }
@@ -260,11 +267,45 @@ bool run() {
       }
     }
     records.push_back(make_record("ingest.obj", reps, best_secs,
-                                  static_cast<double>(obj_records)));
-    std::printf("  ingest.obj      %8.0f ns/record  (%llu object samples, "
-                "online == offline)\n",
-                records.back().ns_per_op,
-                static_cast<unsigned long long>(obj_records));
+                                  static_cast<double>(replayed)));
+    std::printf("  ingest.obj      %8.0f ns/record  (%llu records, %llu object "
+                "samples, online == offline)\n",
+                records.back().ns_per_op, static_cast<unsigned long long>(replayed),
+                static_cast<unsigned long long>(obj.samples));
+
+    // --- The site fold alone: every object map of the session, salvaged
+    // once, folded into a fresh table per iteration. ---
+    std::vector<std::pair<hw::Pid, std::shared_ptr<const core::ObjectMapFile>>> maps;
+    std::uint64_t entries = 0;
+    for (const core::VmRegistration& reg : regs) {
+      if (reg.obj_map_dir.empty()) continue;
+      core::ObjectIndexLoad load =
+          core::load_object_index(run.machine->vfs(), reg.obj_map_dir, reg.pid);
+      for (core::ObjectMapFile& file : load.files) {
+        entries += file.objects.size() + file.dead.size();
+        maps.emplace_back(reg.pid,
+                          std::make_shared<const core::ObjectMapFile>(std::move(file)));
+      }
+    }
+    memprof::SiteTable check;
+    for (const auto& [pid, omap] : maps) check.ingest("", pid, omap);
+    if (memprof::render_memprof(check, obj.profile, 25) != offline) {
+      std::fprintf(stderr, "FAIL: folded site table differs from the offline report\n");
+      return false;
+    }
+    const int fold_iters = is_quick ? 5 : 20;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < fold_iters; ++i) {
+      memprof::SiteTable table;
+      for (const auto& [pid, omap] : maps) table.ingest("", pid, omap);
+    }
+    const double secs = seconds_since(start);
+    records.push_back(make_record("fold.sites", fold_iters, secs,
+                                  static_cast<double>(fold_iters) *
+                                      static_cast<double>(entries)));
+    std::printf("  fold.sites      %8.1f ns/entry  (%zu maps, %llu entries)\n",
+                records.back().ns_per_op, maps.size(),
+                static_cast<unsigned long long>(entries));
   }
 
   // --- The idle gate: PC-only ingest with memprof compiled in but never

@@ -1,5 +1,6 @@
 #include "core/object_map.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <unordered_map>
 
@@ -131,12 +132,18 @@ ObjectMapFile::Recovery ObjectMapFile::salvage(const std::string& contents,
   // An unreadable header leaves epoch_hint standing and nothing salvageable.
   const support::FramedWalk w = support::walk_framed_file(
       contents,
-      [&r](std::string_view line) {
+      [&r, &contents](std::string_view line) {
         std::uint64_t epoch = 0, objects = 0, dead = 0;
         if (!parse_header_line(line, epoch, objects, dead)) return false;
         r.file.epoch = epoch;
         r.objects_expected = objects;
         r.dead_expected = dead;
+        // Sized from the header, but never past what the file could hold:
+        // "0 0 0 0\n" is the shortest entry line, so a corrupt count cannot
+        // force a large allocation.
+        const std::uint64_t room = contents.size() / 8;
+        r.file.objects.reserve(static_cast<std::size_t>(std::min(objects, room)));
+        r.file.dead.reserve(static_cast<std::size_t>(std::min(dead, room)));
         return true;
       },
       [&r](std::string_view line) {

@@ -7,7 +7,7 @@
 
 #include "memprof/report.hpp"
 #include "support/format.hpp"
-#include "support/interner.hpp"
+#include "support/telemetry.hpp"
 #include "support/traced_mutex.hpp"
 
 namespace viprof::fleet {
@@ -107,14 +107,19 @@ std::vector<store::ProfileStore::StoredSession> Federator::sessions() const {
 }
 
 std::string Federator::stats(bool as_json) const {
-  support::publish_interner_gauges(router_->telemetry());
+  support::publish_process_gauges(router_->telemetry());
+  std::vector<std::pair<std::string, service::ProfileServer*>> alive;
+  for (const std::string& name : router_->shard_names()) {
+    service::ProfileServer* server = router_->server(name);
+    if (server == nullptr || !router_->alive(name)) continue;
+    server->publish_gauges();
+    alive.emplace_back(name, server);
+  }
   if (as_json) {
     std::string out = "{\"fleet\":" + router_->telemetry().snapshot().to_json();
     out += ",\"shards\":{";
     bool first = true;
-    for (const std::string& name : router_->shard_names()) {
-      service::ProfileServer* server = router_->server(name);
-      if (server == nullptr || !router_->alive(name)) continue;
+    for (const auto& [name, server] : alive) {
       if (!first) out += ",";
       first = false;
       out += "\"" + name + "\":" + server->telemetry().snapshot().to_json();
@@ -123,11 +128,8 @@ std::string Federator::stats(bool as_json) const {
     return out;
   }
   std::string out = "== fleet ==\n" + router_->telemetry().snapshot().render_text();
-  for (const std::string& name : router_->shard_names()) {
-    service::ProfileServer* server = router_->server(name);
-    if (server == nullptr || !router_->alive(name)) continue;
+  for (const auto& [name, server] : alive)
     out += "== " + name + " ==\n" + server->telemetry().snapshot().render_text();
-  }
   return out;
 }
 
@@ -230,9 +232,12 @@ FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
   const std::optional<OfflineFleet> opened = open(scratch);
   if (!opened) {
     report.verdict = core::FsckVerdict::kUnrecoverable;
-    report.summary = fleet.exists(store::kFleetManifestPath)
-                         ? "fleet: manifest corrupt (crc)"
-                         : "fleet: no manifest";
+    const std::optional<std::string> bytes = fleet.read(store::kFleetManifestPath);
+    report.wrong_layout = bytes && store::Manifest::parse(*bytes).has_value();
+    if (report.wrong_layout)
+      report.summary = "fleet: wrong layout: MANIFEST is a store manifest";
+    else
+      report.summary = bytes ? "fleet: manifest corrupt (crc)" : "fleet: no manifest";
     return report;
   }
   report.ledger = opened->manifest_.ledger;
@@ -259,6 +264,11 @@ FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
     report.details += shard.name + ": " + core::to_string(v) + ", " +
                       std::to_string(records) + " records (manifest says " +
                       std::to_string(shard.records) + ")";
+    if (match && records < shard.records) {
+      report.unaccounted_records += shard.records - records;
+      report.details += ", " + std::to_string(shard.records - records) +
+                        " record(s) unaccounted";
+    }
     if (!match)
       report.details += ", MISMATCH: " + std::to_string(held.size()) +
                         " sessions (manifest says " + std::to_string(shard.sessions) + ")";
@@ -267,7 +277,7 @@ FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
 
   report.ledger_balanced = report.ledger.balanced();
   // Fleet-wide, the shelves may come in below the books only once recovery
-  // salvaged rows away (that loss is counted by the partition itself).
+  // salvaged rows away; the shortfall is reported as unaccounted above.
   const bool damaged = report.verdict != core::FsckVerdict::kClean;
   report.stored_matches =
       shards_match && (report.ledger.stored_records == stored_audit ||
@@ -275,6 +285,12 @@ FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
   if (!report.ledger_balanced || !report.stored_matches)
     worsen(core::FsckVerdict::kUnrecoverable);
 
+  std::string balance = " (exact)";
+  if (!report.ledger_balanced)
+    balance = " (IMBALANCED)";
+  else if (report.unaccounted_records > 0)
+    balance = ", " + std::to_string(report.unaccounted_records) +
+              " stored record(s) unaccounted";
   report.summary =
       "fleet: " + std::string(core::to_string(report.verdict)) + ", " +
       std::to_string(opened->stores_.size()) + " partitions (" +
@@ -284,8 +300,7 @@ FleetFsckReport OfflineFleet::fsck(const os::Vfs& fleet) {
       std::to_string(report.ledger.stored_records) + " + lost " +
       std::to_string(report.ledger.lost_wire + report.ledger.lost_queue +
                      report.ledger.lost_dead_records) +
-      (report.ledger_balanced ? " (exact)" : " (IMBALANCED)") +
-      (report.stored_matches ? "" : ", partition audit MISMATCH");
+      balance + (report.stored_matches ? "" : ", partition audit MISMATCH");
   return report;
 }
 

@@ -72,9 +72,16 @@ class Federator {
 /// kUnrecoverable. The verdict doubles as the exit code (core::FsckVerdict).
 struct FleetFsckReport {
   core::FsckVerdict verdict = core::FsckVerdict::kClean;
+  /// The namespace is not a fleet at all (a store's MANIFEST sits where the
+  /// fleet manifest would): a usage error, not a verdict.
+  bool wrong_layout = false;
   store::FleetLedger ledger;     // as recorded by the manifest
   bool ledger_balanced = false;  // acked == stored + lost.*
   bool stored_matches = false;   // every partition agrees with its entry and the ledger
+  /// Records the manifest placed in partitions that recovery did not bring
+  /// back. Store recovery counts its loss in intervals and rows, never in
+  /// records, so no counted bin holds them.
+  std::uint64_t unaccounted_records = 0;
   std::string summary;  // one line
   std::string details;  // per-partition findings
 };

@@ -4,7 +4,7 @@
 
 #include "service/client.hpp"
 #include "support/check.hpp"
-#include "support/interner.hpp"
+#include "support/telemetry.hpp"
 #include "support/traced_mutex.hpp"
 
 namespace viprof::fleet {
@@ -365,11 +365,12 @@ std::size_t Router::export_telemetry() {
   };
   for (const auto& s : shards_) {
     if (!s->alive || !s->server) continue;  // a dead process has no registry
+    s->server->publish_gauges();
     support::Telemetry& t = s->server->telemetry();
     publish(s->name + "/metrics.json", t.snapshot().to_json());
     publish(s->name + "/trace.json", t.spans().to_chrome_json(1000.0));
   }
-  support::publish_interner_gauges(telemetry_);
+  support::publish_process_gauges(telemetry_);
   publish("fleet/metrics.json", telemetry_.snapshot().to_json());
   publish("fleet/trace.json", telemetry_.spans().to_chrome_json(1000.0));
   return written;

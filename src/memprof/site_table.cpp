@@ -4,7 +4,7 @@ namespace viprof::memprof {
 
 namespace {
 
-void add_counts(SiteStats& to, const SiteStats& from) {
+void add_counts(SiteCounts& to, const SiteCounts& from) {
   to.alloc_objects += from.alloc_objects;
   to.alloc_bytes += from.alloc_bytes;
   to.dead_objects += from.dead_objects;
@@ -31,7 +31,9 @@ void SiteTable::adopt_name(hw::Pid pid, std::uint32_t idx, std::string_view name
 void SiteTable::index(Partition& part) {
   if (part.indexed) return;
   for (const auto& map : part.maps) {
+    part.seen_alloc.reserve(part.seen_alloc.size() + map->objects.size());
     for (const core::ObjectMapEntry& e : map->objects) part.seen_alloc.insert(e.obj_id);
+    part.seen_dead.reserve(part.seen_dead.size() + map->dead.size());
     for (const core::ObjectDeath& d : map->dead) part.seen_dead.insert(d.obj_id);
   }
   part.indexed = true;
@@ -39,16 +41,18 @@ void SiteTable::index(Partition& part) {
 
 void SiteTable::charge(Partition& part, hw::Pid pid, const core::ObjectMapFile& file) {
   // Accumulate per site first: one table lookup per site, not per object.
-  std::map<std::uint32_t, SiteStats> delta;
+  std::map<std::uint32_t, SiteCounts> delta;
+  part.seen_alloc.reserve(part.seen_alloc.size() + file.objects.size());
   for (const core::ObjectMapEntry& e : file.objects) {
-    if (!part.seen_alloc.insert(e.obj_id).second) continue;
-    SiteStats& d = delta[e.site];
+    if (!part.seen_alloc.insert(e.obj_id)) continue;
+    SiteCounts& d = delta[e.site];
     ++d.alloc_objects;
     d.alloc_bytes += e.size;
   }
+  part.seen_dead.reserve(part.seen_dead.size() + file.dead.size());
   for (const core::ObjectDeath& dead : file.dead) {
-    if (!part.seen_dead.insert(dead.obj_id).second) continue;
-    SiteStats& d = delta[dead.site];
+    if (!part.seen_dead.insert(dead.obj_id)) continue;
+    SiteCounts& d = delta[dead.site];
     ++d.dead_objects;
     d.dead_bytes += dead.size;
   }
@@ -102,6 +106,13 @@ void SiteTable::merge(const SiteTable& other) {
       mine.maps.push_back(map);
     }
   }
+}
+
+std::size_t SiteTable::seen_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& [key, part] : partitions_)
+    bytes += part.seen_alloc.bytes() + part.seen_dead.bytes();
+  return bytes;
 }
 
 const std::string& SiteTable::name_of(hw::Pid pid, std::uint32_t idx) const {

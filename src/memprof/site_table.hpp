@@ -11,31 +11,37 @@
 // per-site rows byte-identical across ingest paths.
 //
 // The dedup state is partitioned by (scope, pid): each partition keeps its
-// own obj_id seen-sets, per-site charges, and shared read-only references
-// to the maps it folded. merge() adopts a partition the target lacks in
-// O(sites) — counts and map references, no per-object work — and falls back
-// to an exact per-object union only when both sides hold the same partition.
+// own obj_id seen-sets (flat support::U64Set tables, no heap node per
+// object), per-site charges, and shared read-only references to the maps
+// it folded. merge() adopts a partition the target lacks in O(sites) —
+// counts and map references, no per-object work — and falls back to an
+// exact per-object union only when both sides hold the same partition.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/object_map.hpp"
 #include "hw/types.hpp"
+#include "support/u64_set.hpp"
 
 namespace viprof::memprof {
 
-struct SiteStats {
-  std::string name;  // lexicographic-min dictionary name; "site#<idx>" fallback
+/// Objects and bytes allocated at a site, and how many of them died.
+struct SiteCounts {
   std::uint64_t alloc_objects = 0;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t dead_objects = 0;
   std::uint64_t dead_bytes = 0;
+};
+
+struct SiteStats : SiteCounts {
+  std::string name;  // lexicographic-min dictionary name; "site#<idx>" fallback
 
   /// Saturating: a death can be charged from a dead line alone when the map
   /// holding the allocation sighting was lost, so dead may exceed alloc.
@@ -83,14 +89,18 @@ class SiteTable {
   std::uint64_t maps_ingested() const { return maps_ingested_; }
   std::uint64_t maps_truncated() const { return maps_truncated_; }
 
+  /// Heap bytes of every partition's obj_id seen-sets: the dedup state,
+  /// which grows with the distinct objects folded.
+  std::size_t seen_bytes() const;
+
  private:
   struct Partition {
     std::vector<std::shared_ptr<const core::ObjectMapFile>> maps;  // every map folded
-    std::map<std::uint32_t, SiteStats> charges;  // this partition's share (no names)
+    std::map<std::uint32_t, SiteCounts> charges;  // this partition's share
     // obj_id seen-sets. A partition adopted by merge() arrives without
     // them; they are replayed from `maps` before its next per-object fold.
     bool indexed = false;
-    std::unordered_set<std::uint64_t> seen_alloc, seen_dead;
+    support::U64Set seen_alloc, seen_dead;
   };
 
   SiteStats& site(hw::Pid pid, std::uint32_t site);

@@ -9,7 +9,7 @@
 #include "service/query.hpp"
 #include "store/profile_store.hpp"
 #include "support/format.hpp"
-#include "support/interner.hpp"
+#include "support/telemetry.hpp"
 
 namespace viprof::service {
 
@@ -533,7 +533,7 @@ std::string ProfileServer::query(std::string_view text) {
     case QueryVerb::kSnapshot:
       return snapshot();
     case QueryVerb::kStats: {
-      support::publish_interner_gauges(telemetry_);
+      publish_gauges();
       const support::TelemetrySnapshot snap = telemetry_.snapshot();
       return q.json ? snap.to_json() : snap.render_text();
     }
@@ -545,6 +545,14 @@ std::string ProfileServer::query(std::string_view text) {
       break;
   }
   return unserved_query(text);
+}
+
+void ProfileServer::publish_gauges() {
+  support::publish_process_gauges(telemetry_);
+  std::size_t site_bytes = 0;
+  for (const std::string& id : session_ids())
+    if (std::shared_ptr<ServerSession> s = session(id)) site_bytes += s->site_bytes();
+  telemetry_.gauge("service.sites.bytes").set(static_cast<double>(site_bytes));
 }
 
 std::string ProfileServer::snapshot() {
@@ -569,7 +577,7 @@ bool ProfileServer::export_state(const std::string& dir, std::size_t top) {
     out.write(id + "/profile.txt", session_report(id, top, core::kReportEvents));
   }
   out.write("service.snap", snapshot());
-  support::publish_interner_gauges(telemetry_);
+  publish_gauges();
   out.write("metrics.json", telemetry_.snapshot().to_json());
   out.write("trace.json", telemetry_.spans().to_chrome_json(1000.0));
   out.export_to_directory(dir);

@@ -168,6 +168,11 @@ class ProfileServer {
   std::string session_report(const std::string& id, std::size_t top,
                              const std::vector<hw::EventKind>& events);
 
+  /// Sets the gauges a `stats` answer and an export read: the process
+  /// ones (support::publish_process_gauges) and `service.sites.bytes`, the
+  /// obj_id dedup state of every session's site tables.
+  void publish_gauges();
+
   support::Telemetry& telemetry() { return telemetry_; }
   CodeMapCache& code_map_cache() { return cache_; }
   const ServerConfig& config() const { return config_; }

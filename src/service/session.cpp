@@ -224,6 +224,13 @@ void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
   }
 }
 
+std::size_t ServerSession::site_bytes() const {
+  std::lock_guard<support::TracedMutex> lock(sites_mu_);
+  std::size_t bytes = 0;
+  for (const auto& [key, part] : object_parts_) bytes += part.sites.seen_bytes();
+  return bytes;
+}
+
 core::CodeMapIndex ServerSession::object_index(const std::string& dir,
                                                hw::Pid pid) const {
   std::vector<std::shared_ptr<const core::ObjectMapFile>> maps;

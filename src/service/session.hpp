@@ -195,6 +195,10 @@ class ServerSession {
   /// re-folds idempotent). O(sites): the maps were folded on arrival.
   void fold_object_sites(memprof::SiteTable& sites) const;
 
+  /// Heap bytes of the obj_id seen-sets of every site partition
+  /// (memprof::SiteTable::seen_bytes).
+  std::size_t site_bytes() const;
+
   /// Epoch index over the object maps streamed so far under (dir, pid),
   /// projected from the kept salvaged maps — the same index
   /// core::load_object_index builds from the world, without a re-parse.

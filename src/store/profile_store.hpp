@@ -79,6 +79,10 @@ struct StoreRecovery {
   std::uint64_t intervals_lost = 0;
   std::uint64_t rows_lost = 0;
   std::uint64_t lines_discarded = 0;
+  /// The active segment listed in the manifest is gone: the manifest never
+  /// holds an active segment's counts, so what it held is lost uncounted
+  /// and intervals_lost/rows_lost are only a lower bound.
+  bool loss_unknown = false;
 
   std::string summary;  // one line, human-readable
   std::string details;  // per-segment findings

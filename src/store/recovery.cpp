@@ -5,7 +5,8 @@
 // segments re-framed, publish a fresh manifest). Loss accounting is exact
 // where the manifest is authoritative (sealed segments: manifest counts
 // minus salvage) and framing-derived where it is not (the active segment:
-// declared row counts of dropped intervals).
+// declared row counts of dropped intervals). A missing active segment
+// leaves neither, so its loss is flagged unknown rather than counted as 0.
 #include <algorithm>
 #include <set>
 
@@ -163,12 +164,18 @@ void ProfileStore::scan(ScanState& st) const {
       const auto text = vfs_.read(path(ms.name));
       if (!text) {
         ++rec.segments_lost;
-        rec.intervals_lost += ms.intervals;
-        rec.rows_lost += ms.rows;
         damage = true;
-        note(ms.name, "file missing; manifest counted " +
-                          std::to_string(ms.intervals) + " interval(s), " +
-                          std::to_string(ms.rows) + " row(s)");
+        if (ms.sealed) {
+          rec.intervals_lost += ms.intervals;
+          rec.rows_lost += ms.rows;
+          note(ms.name, "file missing; manifest counted " +
+                            std::to_string(ms.intervals) + " interval(s), " +
+                            std::to_string(ms.rows) + " row(s)");
+        } else {
+          // The manifest never holds an active segment's counts.
+          rec.loss_unknown = true;
+          note(ms.name, "active segment file missing; loss unknown");
+        }
         continue;
       }
       SegmentSalvage sv = read_segment(*text);
@@ -251,7 +258,8 @@ void ProfileStore::scan(ScanState& st) const {
                 std::to_string(rec.intervals_salvaged) + " interval(s)/" +
                 std::to_string(rec.rows_salvaged) + " row(s) salvaged, " +
                 std::to_string(rec.intervals_lost) + " interval(s)/" +
-                std::to_string(rec.rows_lost) + " row(s) lost, " +
+                std::to_string(rec.rows_lost) + " row(s) lost" +
+                (rec.loss_unknown ? " + unknown (active segment missing), " : ", ") +
                 std::to_string(rec.orphans_removed) + " orphan(s), " +
                 std::to_string(rec.segments_lost) + " segment(s) lost";
 }

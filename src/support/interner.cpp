@@ -3,6 +3,8 @@
 #include <cstring>
 #include <ostream>
 
+#include <malloc.h>
+
 #include "support/check.hpp"
 #include "support/hash.hpp"
 #include "support/telemetry.hpp"
@@ -128,10 +130,13 @@ void NameInterner::publish(std::uint32_t id, const char* data, std::size_t size)
 
 std::ostream& operator<<(std::ostream& os, Name name) { return os << name.view(); }
 
-void publish_interner_gauges(Telemetry& telemetry) {
+void publish_process_gauges(Telemetry& telemetry) {
   const NameInterner& names = NameInterner::global();
   telemetry.gauge("support.interner.names").set(static_cast<double>(names.size()));
   telemetry.gauge("support.interner.bytes").set(static_cast<double>(names.bytes()));
+  const struct mallinfo2 heap = mallinfo2();
+  telemetry.gauge("process.heap_in_use_bytes")
+      .set(static_cast<double>(heap.uordblks + heap.hblkhd));
 }
 
 }  // namespace viprof::support

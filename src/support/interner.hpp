@@ -168,9 +168,12 @@ std::ostream& operator<<(std::ostream& os, Name name);
 
 class Telemetry;
 
-/// Sets the `support.interner.names` and `support.interner.bytes` gauges of
-/// `telemetry` to how far the append-only table has grown.
-void publish_interner_gauges(Telemetry& telemetry);
+/// Sets the process-wide memory gauges of `telemetry`:
+/// `support.interner.names` and `support.interner.bytes`, how far the
+/// append-only table has grown, and `process.heap_in_use_bytes`, the bytes
+/// malloc has handed out and not taken back (mallinfo2: arena chunks in use
+/// plus mmapped blocks).
+void publish_process_gauges(Telemetry& telemetry);
 
 }  // namespace viprof::support
 

@@ -2,8 +2,9 @@
 // circuit-break failover to the ring successor, the kill-a-shard sweep
 // across every FaultComponent::kFleet checkpoint (ISSUE 6 acceptance:
 // fsck exits clean and acked == stored + lost, exactly, at every kill
-// point), whole-fleet death, retry determinism under a fixed seed, and the
-// per-shard partition audit.
+// point), whole-fleet death, retry determinism under a fixed seed, the
+// per-shard partition audit, a deleted active segment, and a store
+// directory audited as a fleet.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -309,6 +310,76 @@ TEST(FleetFaults, SwappedShardCountsFailThePartitionAudit) {
   EXPECT_FALSE(fsck.stored_matches) << fsck.summary;
   EXPECT_NE(fsck.summary.find("partition audit MISMATCH"), std::string::npos)
       << fsck.summary;
+}
+
+// Every partition's records come back or are named. The store manifest
+// never holds the active segment's counts, so when that file is deleted the
+// store flags its loss unknown and the fleet audit reports the partition's
+// whole shortfall as unaccounted — never an "(exact)" balance.
+TEST(FleetFaults, DeletedActiveSegmentIsUnaccountedNotExact) {
+  const auto sessions = record_sessions(3);
+  os::Vfs fleet_vfs;
+  FleetConfig config;
+  config.shards = 2;
+  Router router(fleet_vfs, config);
+  for (const auto& [id, scenario] : sessions)
+    ASSERT_TRUE(router.ingest(scenario->vfs(), id).completed);
+  expect_exact_accounting(router, fleet_vfs);
+
+  const std::optional<store::FleetManifest> manifest =
+      store::FleetManifest::parse(*fleet_vfs.read(store::kFleetManifestPath));
+  ASSERT_TRUE(manifest.has_value());
+  const store::FleetShard* victim = nullptr;
+  for (const store::FleetShard& shard : manifest->shards)
+    if (shard.records > 0 && victim == nullptr) victim = &shard;
+  ASSERT_NE(victim, nullptr);
+  const std::optional<store::Manifest> store_manifest =
+      store::Manifest::parse(*fleet_vfs.read(victim->root + "/MANIFEST"));
+  ASSERT_TRUE(store_manifest.has_value());
+  const std::string segment = "segments/seg-000001.vseg";
+  const store::ManifestSegment* active = store_manifest->find(segment);
+  ASSERT_NE(active, nullptr);
+  ASSERT_FALSE(active->sealed);
+  const std::string segment_path = victim->root + "/" + segment;
+  ASSERT_TRUE(fleet_vfs.exists(segment_path));
+  fleet_vfs.remove(segment_path);
+
+  os::Vfs partition_vfs = fleet_vfs;
+  store::StoreConfig store_config;
+  store_config.root = victim->root;
+  const store::StoreRecovery rec = store::ProfileStore(partition_vfs, store_config).fsck();
+  EXPECT_EQ(rec.verdict, core::FsckVerdict::kSalvaged) << rec.summary;
+  EXPECT_TRUE(rec.loss_unknown) << rec.summary;
+  EXPECT_NE(rec.summary.find("+ unknown"), std::string::npos) << rec.summary;
+
+  const FleetFsckReport fsck = OfflineFleet::fsck(fleet_vfs);
+  EXPECT_EQ(fsck.verdict, core::FsckVerdict::kSalvaged) << fsck.summary;
+  EXPECT_TRUE(fsck.ledger_balanced) << fsck.summary;
+  EXPECT_EQ(fsck.unaccounted_records, victim->records) << fsck.summary;
+  EXPECT_EQ(fsck.summary.find("(exact)"), std::string::npos) << fsck.summary;
+  EXPECT_NE(fsck.summary.find(std::to_string(victim->records) +
+                              " stored record(s) unaccounted"),
+            std::string::npos)
+      << fsck.summary;
+}
+
+// A store's MANIFEST sits where the fleet manifest would: that directory is
+// the wrong layout, not a fleet whose manifest failed its crc.
+TEST(FleetFaults, StoreDirectoryIsTheWrongLayoutNotACorruptFleet) {
+  os::Vfs vfs;
+  store::StoreConfig config;
+  config.root = "";
+  store::ProfileStore(vfs, config).open();
+  ASSERT_TRUE(vfs.exists(store::kFleetManifestPath));
+  const FleetFsckReport as_store = OfflineFleet::fsck(vfs);
+  EXPECT_TRUE(as_store.wrong_layout) << as_store.summary;
+  EXPECT_NE(as_store.summary.find("store manifest"), std::string::npos) << as_store.summary;
+
+  vfs.write(store::kFleetManifestPath, "viprof-fleet-manifest v1\ngen 1\ncrc 00000000\n");
+  const FleetFsckReport corrupt = OfflineFleet::fsck(vfs);
+  EXPECT_FALSE(corrupt.wrong_layout) << corrupt.summary;
+  EXPECT_EQ(corrupt.verdict, core::FsckVerdict::kUnrecoverable);
+  EXPECT_EQ(corrupt.summary, "fleet: manifest corrupt (crc)");
 }
 
 }  // namespace

@@ -242,6 +242,26 @@ TEST(MemprofE2E, OnlineMatchesOfflineAtAnyThreadAndStripeCount) {
             "error: no such session: nope\n");
 }
 
+// `stats` shows the dedup state the site tables hold (the flat obj_id
+// seen-sets) next to the process heap in use (mallinfo2, which does not
+// see a sanitizer's allocator, so only its presence is checked).
+TEST(MemprofE2E, StatsShowSiteSeenSetBytesAndHeapInUse) {
+  const RecordedMemprof run = record_memprof_session(0xbee);
+  service::ProfileServer server;
+  server.query("stats");
+  EXPECT_EQ(server.telemetry().snapshot().gauge("service.sites.bytes"), 0.0);
+
+  replay(server, run, "mem-e2e");
+  server.drain();
+  const std::string stats = server.query("stats");
+  EXPECT_NE(stats.find("service.sites.bytes"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("process.heap_in_use_bytes"), std::string::npos) << stats;
+  const support::TelemetrySnapshot snap = server.telemetry().snapshot();
+  const std::size_t site_bytes = server.session("mem-e2e")->site_bytes();
+  EXPECT_GT(site_bytes, 0u);
+  EXPECT_EQ(snap.gauge("service.sites.bytes"), static_cast<double>(site_bytes));
+}
+
 TEST(MemprofE2E, FederatedMemprofMatchesSingleServerAtAnyShardCount) {
   const RecordedMemprof a = record_memprof_session(0x51);
   const RecordedMemprof b = record_memprof_session(0x52);

@@ -93,7 +93,7 @@ TEST(NameInterner, LongNamesAndManyNamesKeepTheirText) {
 TEST(NameInterner, GaugesShowHowFarTheTableHasGrown) {
   const Name grown("interner.test.GaugesShowHowFarTheTableHasGrown");
   Telemetry telemetry;
-  publish_interner_gauges(telemetry);
+  publish_process_gauges(telemetry);
   const TelemetrySnapshot snap = telemetry.snapshot();
   EXPECT_EQ(snap.gauge("support.interner.names"),
             static_cast<double>(NameInterner::global().size()));

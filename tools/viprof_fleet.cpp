@@ -16,7 +16,8 @@
 //
 // Exit status: serve exits 0 only when the ledger balances exactly AND the
 // fleet fsck verdict is clean; query exits 0/2 (load errors); fsck mirrors
-// the verdict (0/1/2) and exits 3 for a missing or empty directory. Usage
+// the verdict (0/1/2) and exits 3 for a missing or empty directory or a
+// store directory (a store's MANIFEST is not a fleet manifest). Usage
 // errors exit 3.
 #include <cstdio>
 #include <map>
@@ -184,6 +185,11 @@ int cmd_fsck(support::ArgScan& args) {
   os::Vfs vfs;
   tool::import_or_die("viprof_fleet", vfs, fleet_dir, core::kFsckExitUsage);
   const fleet::FleetFsckReport report = fleet::OfflineFleet::fsck(vfs);
+  if (report.wrong_layout) {
+    std::fprintf(stderr, "viprof_fleet: %s: %s (audit it with viprof_store fsck)\n",
+                 fleet_dir.c_str(), report.summary.c_str());
+    return core::kFsckExitUsage;
+  }
   if (!quiet && !report.details.empty()) std::fputs(report.details.c_str(), stdout);
   std::printf("%s\n", report.summary.c_str());
   return static_cast<int>(report.verdict);
