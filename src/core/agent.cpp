@@ -1,20 +1,21 @@
 #include "core/agent.hpp"
 
-#include "support/backoff.hpp"
 #include "support/check.hpp"
 
 namespace viprof::core {
 
 VmAgent::VmAgent(os::Machine& machine, SampleBuffer& buffer, RegistrationTable& table,
                  const AgentConfig& config)
-    : machine_(&machine), buffer_(&buffer), table_(&table), config_(config) {
+    : machine_(&machine),
+      buffer_(&buffer),
+      table_(&table),
+      config_(config),
+      map_writer_(machine.telemetry(), "agent", config.map_retry_cost,
+                  config.map_write_retries) {
   support::Telemetry& tele = machine_->telemetry();
   tele_compiles_ = &tele.counter("agent.compiles_logged");
   tele_moves_ = &tele.counter("agent.moves_flagged");
-  tele_maps_written_ = &tele.counter("agent.maps_written");
   tele_map_entries_ = &tele.counter("agent.map_entries");
-  tele_maps_dropped_ = &tele.counter("agent.maps_dropped");
-  tele_map_errors_ = &tele.counter("agent.map_write_errors");
   tele_map_cost_ = &tele.histogram("agent.map_write.cost_cycles");
   tele_map_entries_hist_ = &tele.histogram("agent.map_write.entries");
 }
@@ -138,53 +139,14 @@ hw::Cycles VmAgent::write_map(std::uint64_t epoch) {
     for (jvm::CodeId id : pending_) emit(id);
   }
   const std::string path = CodeMapFile::path_for(config_.map_dir, pid_, epoch);
-  const std::string blob = file.serialize();
   hw::Cycles cost =
       config_.map_write_base +
       config_.map_write_per_entry * static_cast<hw::Cycles>(file.entries.size());
-
-  os::IoStatus st = machine_->vfs().write(path, blob);
-  if (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
-    ++stats_.map_write_errors;
-    tele_map_errors_->inc();
-    // Shared retry policy (support::Backoff): flat delays (multiplier 1.0),
-    // no jitter — the agent has always retried at a fixed per-attempt cost.
-    support::BackoffConfig policy;
-    policy.initial = config_.map_retry_cost;
-    policy.multiplier = 1.0;
-    policy.max_attempts = config_.map_write_retries;
-    support::Backoff backoff(policy);
-    while (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
-      const auto delay = backoff.next();
-      if (!delay) break;
-      cost += *delay;
-      ++stats_.map_write_retries;
-      st = machine_->vfs().write(path, blob);
-    }
-  }
-  switch (st) {
-    case os::IoStatus::kOk:
-      ++stats_.maps_written;
-      stats_.map_entries_written += file.entries.size();
-      tele_maps_written_->inc();
-      tele_map_entries_->inc(file.entries.size());
-      break;
-    case os::IoStatus::kTorn:
-      // A prefix landed; the checksum trailer is gone, so the reader will
-      // mark the map truncated and salvage the verifiable entries.
-      ++stats_.maps_torn;
-      ++stats_.maps_written;
-      stats_.map_entries_written += file.entries.size();
-      tele_maps_written_->inc();
-      tele_map_entries_->inc(file.entries.size());
-      break;
-    case os::IoStatus::kIoError:
-    case os::IoStatus::kNoSpace:
-      // The epoch closes without a map; its samples will land in the
-      // unresolved.missing_map bin. Counted here, never silent.
-      ++stats_.maps_dropped;
-      tele_maps_dropped_->inc();
-      break;
+  const bool landed =
+      map_writer_.write(machine_->vfs(), path, file.serialize(), stats_, cost);
+  if (landed) {
+    stats_.map_entries_written += file.entries.size();
+    tele_map_entries_->inc(file.entries.size());
   }
   tele_map_cost_->add(static_cast<double>(cost));
   tele_map_entries_hist_->add(static_cast<double>(file.entries.size()));
@@ -203,7 +165,7 @@ hw::Cycles VmAgent::write_map(std::uint64_t epoch) {
 
   stats_.cost_cycles += cost;
 
-  if (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
+  if (!landed) {
     // Keep the code buffer: the entries ride along into the next epoch's
     // map, so the method bodies are not lost forever — only the dropped
     // epoch itself degrades to unresolved.

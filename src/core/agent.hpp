@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/code_map.hpp"
+#include "core/map_write.hpp"
 #include "core/registration.hpp"
 #include "core/sample_buffer.hpp"
 #include "jvm/hooks.hpp"
@@ -65,19 +66,14 @@ struct AgentConfig {
   support::FaultInjector* fault = nullptr;
 };
 
-struct AgentStats {
+/// Map-write outcomes (maps_written, the failure accounting) come from the
+/// MapWriteStats base.
+struct AgentStats : MapWriteStats {
   std::uint64_t compiles_logged = 0;
   std::uint64_t moves_flagged = 0;
   std::uint64_t moves_logged = 0;
-  std::uint64_t maps_written = 0;
   std::uint64_t map_entries_written = 0;
   hw::Cycles cost_cycles = 0;
-
-  // Failure accounting.
-  std::uint64_t map_write_errors = 0;  // rejected writes (before any retry)
-  std::uint64_t map_write_retries = 0;
-  std::uint64_t maps_torn = 0;     // map landed torn (reader will salvage)
-  std::uint64_t maps_dropped = 0;  // all retries failed; epoch has no map
   std::uint64_t killed_epochs = 0; // epoch boundaries after the agent died
 };
 
@@ -108,6 +104,7 @@ class VmAgent : public jvm::VmEventListener {
   SampleBuffer* buffer_;
   RegistrationTable* table_;
   AgentConfig config_;
+  MapWriter map_writer_;  // agent.maps_written / map_write_errors / maps_dropped
   AgentStats stats_;
 
   const jvm::Heap* heap_ = nullptr;
@@ -124,10 +121,7 @@ class VmAgent : public jvm::VmEventListener {
   // Self-telemetry handles (agent.* namespace, DESIGN.md §8).
   support::Counter* tele_compiles_ = nullptr;
   support::Counter* tele_moves_ = nullptr;
-  support::Counter* tele_maps_written_ = nullptr;
   support::Counter* tele_map_entries_ = nullptr;
-  support::Counter* tele_maps_dropped_ = nullptr;
-  support::Counter* tele_map_errors_ = nullptr;
   support::LatencyHistogram* tele_map_cost_ = nullptr;     // cycles per map write
   support::LatencyHistogram* tele_map_entries_hist_ = nullptr;  // entries per map
 };

@@ -214,6 +214,32 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
       if (is_defined(r.image)) *range = r;
       else ++malformed_lines_;
     }
+  finish(vfs, load_jit_maps);
+}
+
+ArchiveResolver::ArchiveResolver(const os::Machine& machine,
+                                 const RegistrationTable& table, bool vm_aware)
+    : vm_aware_(vm_aware), registrations_(table.all()) {
+  const os::ImageRegistry& registry = machine.registry();
+  images_.resize(registry.count());
+  for (std::uint32_t id = 0; id < registry.count(); ++id) {
+    const os::Image& img = registry.get(id);
+    images_[id] = {img.name(), img.kind(), img.stripped(), img.symbols().copy()};
+  }
+  for (const auto& proc : machine.processes()) {
+    ArchivedProcess& out = processes_[proc->pid()];
+    out.name = proc->name();
+    for (const os::Vma& vma : proc->address_space().vmas())
+      out.vmas.push_back({vma.start, vma.end, vma.image, vma.file_offset, {}});
+  }
+  const os::Kernel& kernel = machine.kernel();
+  kernel_ = Range{kernel.image(), kernel.base(), kernel.size()};
+  if (const auto& hyp = machine.hypervisor())
+    hypervisor_ = Range{hyp->image, hyp->base, hyp->size};
+  finish(machine.vfs(), /*load_jit_maps=*/true);
+}
+
+void ArchiveResolver::finish(const os::Vfs& vfs, bool load_jit_maps) {
   for (auto& [pid, proc] : processes_) {
     std::sort(proc.vmas.begin(), proc.vmas.end(),
               [](const ArchivedVma& a, const ArchivedVma& b) { return a.start < b.start; });
@@ -223,24 +249,27 @@ ArchiveResolver::ArchiveResolver(const os::Vfs& vfs, const std::string& prefix,
                          support::hex(vma.end) + ")," + proc.name;
     }
   }
-  if (vm_aware_) {
-    for (const VmRegistration& reg : registrations_) {
-      if (!reg.boot_map_path.empty()) {
-        if (const auto contents = vfs.read(reg.boot_map_path)) {
-          boot_maps_[reg.pid] = parse_rvm_map(*contents);
-          const auto slash = reg.boot_map_path.rfind('/');
-          boot_labels_[reg.pid] = std::string_view(reg.boot_map_path).substr(
-              slash == std::string::npos ? 0 : slash + 1);
-        }
-      }
-      if (load_jit_maps && !reg.jit_map_dir.empty()) {
-        CodeMapIndex index;
-        index.load(vfs, reg.jit_map_dir, reg.pid);
-        jit_maps_[reg.pid] = std::move(index);
+  if (!vm_aware_) return;
+  for (const VmRegistration& reg : registrations_) {
+    if (!reg.boot_map_path.empty()) {
+      if (const auto contents = vfs.read(reg.boot_map_path)) {
+        boot_maps_[reg.pid] = parse_rvm_map(*contents);
+        const auto slash = reg.boot_map_path.rfind('/');
+        boot_labels_[reg.pid] = std::string_view(reg.boot_map_path).substr(
+            slash == std::string::npos ? 0 : slash + 1);
       }
     }
+    if (load_jit_maps && !reg.jit_map_dir.empty()) {
+      CodeMapIndex index;
+      index.load(vfs, reg.jit_map_dir, reg.pid);
+      jit_maps_[reg.pid] = std::move(index);
+    }
   }
-  loaded_ = true;
+}
+
+const CodeMapIndex* ArchiveResolver::code_maps(hw::Pid pid) const {
+  const auto it = jit_maps_.find(pid);
+  return it == jit_maps_.end() ? nullptr : &it->second;
 }
 
 const ArchiveResolver::ArchivedVma* ArchiveResolver::find_vma(
@@ -253,24 +282,9 @@ const ArchiveResolver::ArchivedVma* ArchiveResolver::find_vma(
   return (pc >= it->start && pc < it->end) ? &*it : nullptr;
 }
 
-Resolution ArchiveResolver::resolve(const LoggedSample& s) const {
-  return resolve_pc(s.pc, s.mode, s.pid, s.epoch, nullptr);
-}
-
-Resolution ArchiveResolver::resolve(const LoggedSample& s,
-                                    const JitIndexSource* jit) const {
-  return resolve_pc(s.pc, s.mode, s.pid, s.epoch, jit);
-}
-
-Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
-                                       std::uint64_t epoch) const {
-  return resolve_pc(pc, mode, pid, epoch, nullptr);
-}
-
 Resolution ArchiveResolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                                        std::uint64_t epoch,
                                        const JitIndexSource* jit) const {
-  VIPROF_CHECK(loaded_);
   const ResolveNames& names = ResolveNames::get();
   Resolution out;
   out.symbol = names.no_symbols;

@@ -1,14 +1,17 @@
-// Profile archives: everything post-processing needs, as files.
+// The resolution world and the one attribution tree that runs over it.
 //
 // The real OProfile's post-processing runs *offline*: opreport re-reads the
 // binaries, /proc-style range data and sample files from disk (oparchive
-// bundles them). Our in-process Resolver takes the shortcut of consulting
-// the live Machine; this module removes the shortcut. write_archive()
-// serialises the resolution world — images, symbol tables, per-process
-// VMAs, kernel/hypervisor ranges, VM registrations — into the VFS next to
-// the sample logs and code maps, and ArchiveResolver reproduces the full
-// resolution semantics from those files alone. The test suite asserts
-// bit-identical attribution between the live and the archive resolver.
+// bundles them). write_archive() serialises the resolution world — images,
+// symbol tables, per-process VMAs, kernel/hypervisor ranges, VM
+// registrations — into the VFS next to the sample logs and code maps.
+//
+// ArchiveResolver holds that world in memory and implements the paper's
+// post-processing decision tree (Sections 3.2-3.3) over it, once. The world
+// has two fillers: the archive manifest (viprof_report, the service) and a
+// capture of a live Machine + RegistrationTable (core::Resolver::load()).
+// Both then load the boot maps and epoch code maps through one shared step.
+// The test suite asserts bit-identical attribution between the two fills.
 #pragma once
 
 #include <cstdint>
@@ -52,38 +55,43 @@ class JitIndexSource {
   virtual const CodeMapIndex* index_for(hw::Pid pid, std::uint64_t epoch) const = 0;
 };
 
-/// Offline resolver: same attribution rules as core::Resolver, driven only
-/// by files (the archive manifest plus the maps referenced from it).
+/// The attribution tree over an in-memory resolution world. Thread-safe
+/// for concurrent resolve calls: after construction nothing mutates.
 class ArchiveResolver {
  public:
-  /// Loads the manifest written by write_archive() (malformed lines are
-  /// skipped and counted, see malformed_lines()); `vm_aware` selects
-  /// VIProf vs stock-OProfile behaviour, as with the live resolver.
+  /// Fills the world from the manifest written by write_archive()
+  /// (malformed lines are skipped and counted, see malformed_lines());
+  /// `vm_aware` selects VIProf vs stock-OProfile behaviour.
   /// `load_jit_maps = false` skips loading the epoch code maps — for
   /// callers that resolve through an external JitIndexSource instead.
   ArchiveResolver(const os::Vfs& vfs, const std::string& prefix, bool vm_aware,
                   bool load_jit_maps = true);
 
-  Resolution resolve(const LoggedSample& sample) const;
-  Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
-                        std::uint64_t epoch) const;
+  /// Fills the world by capturing `machine` and `table` as they stand (the
+  /// boot and code maps are read from the machine's VFS). The capture
+  /// holds no reference to either.
+  ArchiveResolver(const os::Machine& machine, const RegistrationTable& table,
+                  bool vm_aware);
 
-  /// As above, but JIT-heap PCs resolve through `jit` instead of the
-  /// internally loaded maps; nullptr falls back to the internal maps.
-  /// Byte-identical to the plain overloads when `jit` serves the same
-  /// index contents.
-  Resolution resolve(const LoggedSample& sample, const JitIndexSource* jit) const;
-  Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
-                        std::uint64_t epoch, const JitIndexSource* jit) const;
+  /// The attribution tree. JIT-heap PCs resolve through `jit` when given,
+  /// else through the internally loaded maps; the two are byte-identical
+  /// when `jit` serves the same index contents.
+  Resolution resolve(const LoggedSample& s, const JitIndexSource* jit = nullptr) const {
+    return resolve_pc(s.pc, s.mode, s.pid, s.epoch, jit);
+  }
+  Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid, std::uint64_t epoch,
+                        const JitIndexSource* jit = nullptr) const;
 
   const std::vector<VmRegistration>& registrations() const { return registrations_; }
+
+  /// The epoch code-map index loaded for `pid`, or nullptr.
+  const CodeMapIndex* code_maps(hw::Pid pid) const;
 
   std::size_t image_count() const { return images_.size(); }
   /// Manifest lines skipped as malformed (bad fields, an undefined image,
   /// an overlapping symbol): the resolver answers without them.
   std::size_t malformed_lines() const { return malformed_lines_; }
   std::size_t process_count() const { return processes_.size(); }
-  bool loaded() const { return loaded_; }
 
  private:
   struct ArchivedImage {
@@ -110,9 +118,12 @@ class ArchiveResolver {
   };
 
   const ArchivedVma* find_vma(const ArchivedProcess& proc, hw::Address pc) const;
+  /// The step both fillers end with: sorts the VMAs, labels the anonymous
+  /// ones, and (VIProf view) loads each registration's boot map and epoch
+  /// code maps from `vfs`.
+  void finish(const os::Vfs& vfs, bool load_jit_maps);
 
   bool vm_aware_;
-  bool loaded_ = false;
   std::size_t malformed_lines_ = 0;
   std::vector<ArchivedImage> images_;
   std::unordered_map<hw::Pid, ArchivedProcess> processes_;

@@ -1,8 +1,7 @@
 #include "core/resolver.hpp"
 
-#include "core/rvm_map.hpp"
+#include "core/archive.hpp"
 #include "support/check.hpp"
-#include "support/format.hpp"
 #include "support/str_scan.hpp"
 
 namespace viprof::core {
@@ -37,38 +36,32 @@ Resolver::Resolver(const os::Machine& machine, const RegistrationTable& table,
   tele_walkback_ = &tele.histogram("resolver.walkback.depth");
 }
 
+Resolver::~Resolver() = default;
+
+Resolver::Resolver(Resolver&& other) noexcept
+    : machine_(other.machine_),
+      table_(other.table_),
+      vm_aware_(other.vm_aware_),
+      world_(std::move(other.world_)),
+      jit_resolved_(other.jit_resolved_.load(std::memory_order_relaxed)),
+      jit_unresolved_(other.jit_unresolved_.load(std::memory_order_relaxed)),
+      backward_steps_(other.backward_steps_.load(std::memory_order_relaxed)),
+      unresolved_missing_map_(
+          other.unresolved_missing_map_.load(std::memory_order_relaxed)),
+      unresolved_truncated_map_(
+          other.unresolved_truncated_map_.load(std::memory_order_relaxed)),
+      tele_jit_resolved_(other.tele_jit_resolved_),
+      tele_jit_unresolved_(other.tele_jit_unresolved_),
+      tele_missing_map_(other.tele_missing_map_),
+      tele_truncated_map_(other.tele_truncated_map_),
+      tele_walkback_(other.tele_walkback_) {}
+
 void Resolver::load() {
-  if (!vm_aware_) {
-    loaded_ = true;
-    return;
-  }
-  for (const VmRegistration& reg : table_->all()) {
-    if (!reg.boot_map_path.empty()) {
-      if (const auto contents = machine_->vfs().read(reg.boot_map_path)) {
-        boot_maps_[reg.pid] = parse_rvm_map(*contents);
-        const auto slash = reg.boot_map_path.rfind('/');
-        boot_labels_[reg.pid] = std::string_view(reg.boot_map_path).substr(
-            slash == std::string::npos ? 0 : slash + 1);
-      }
-    }
-    CodeMapIndex index;
-    index.load(machine_->vfs(), reg.jit_map_dir, reg.pid);
-    jit_maps_[reg.pid] = std::move(index);
-  }
-  loaded_ = true;
+  world_ = std::make_unique<const ArchiveResolver>(*machine_, *table_, vm_aware_);
 }
 
 const CodeMapIndex* Resolver::code_maps(hw::Pid pid) const {
-  auto it = jit_maps_.find(pid);
-  return it == jit_maps_.end() ? nullptr : &it->second;
-}
-
-Resolution Resolver::resolve(const LoggedSample& s) const {
-  return resolve_pc(s.pc, s.mode, s.pid, s.epoch);
-}
-
-Resolution Resolver::resolve(const LoggedSample& s, ResolveStats& stats) const {
-  return resolve_pc(s.pc, s.mode, s.pid, s.epoch, stats);
+  return world_ != nullptr ? world_->code_maps(pid) : nullptr;
 }
 
 Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
@@ -99,121 +92,25 @@ void Resolver::fold(const ResolveStats& stats) const {
 
 Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                                 std::uint64_t epoch, ResolveStats& stats) const {
-  VIPROF_CHECK(loaded_);
+  VIPROF_CHECK(world_ != nullptr);
+  Resolution out = world_->resolve_pc(pc, mode, pid, epoch);
+  if (out.domain != SampleDomain::kJit) return out;
+  // The tree tells a JIT hit by its walk depth (the sample's own epoch map
+  // counts as one) and a miss by its interned bin name.
+  if (out.maps_searched != 0) {
+    stats.backward_steps += out.maps_searched;
+    ++stats.jit_resolved;
+    if (out.maps_searched < ResolveStats::kDepthSlots)
+      ++stats.hits_at_depth[out.maps_searched];
+    else
+      tele_walkback_->add(static_cast<double>(out.maps_searched));
+    return out;
+  }
+  ++stats.jit_unresolved;
   const ResolveNames& names = ResolveNames::get();
-  Resolution out;
-  out.symbol = names.no_symbols;
-  // Symbol `sym` of a table whose offset 0 sits at address `base`.
-  const auto attribute = [&out](const std::optional<os::Symbol>& sym, hw::Address base) {
-    if (!sym) return;
-    out.symbol = sym->name;
-    out.symbol_base = base + sym->offset;
-    out.symbol_size = sym->size;
-  };
-
-  const auto& hyp = machine_->hypervisor();
-  if (hyp && (mode == hw::CpuMode::kHypervisor || hyp->contains(pc))) {
-    out.domain = SampleDomain::kHypervisor;
-    const os::Image& ximg = machine_->registry().get(hyp->image);
-    out.image = ximg.name();
-    attribute(ximg.symbols().find(pc - hyp->base), hyp->base);
-    return out;
-  }
-
-  if (mode == hw::CpuMode::kKernel || machine_->kernel().contains(pc)) {
-    out.domain = SampleDomain::kKernel;
-    const os::Image& kimg = machine_->registry().get(machine_->kernel().image());
-    out.image = kimg.name();
-    attribute(kimg.symbols().find(machine_->kernel().offset_of(pc)),
-              machine_->kernel().base());
-    return out;
-  }
-
-  // Resolver runs offline but reads the same process maps the daemon saw.
-  const os::Process* proc = machine_->find_process(pid);
-  if (proc == nullptr) {
-    out.domain = SampleDomain::kUnknown;
-    out.image = "unknown-pid-" + std::to_string(pid);
-    return out;
-  }
-
-  const auto vma = proc->address_space().find(pc);
-  if (!vma) {
-    out.domain = SampleDomain::kUnknown;
-    out.image = names.unmapped;
-    return out;
-  }
-
-  const os::Image& img = machine_->registry().get(vma->image);
-  const std::uint64_t offset = vma->file_offset + (pc - vma->start);
-  const hw::Address image_base = vma->start - vma->file_offset;
-
-  switch (img.kind()) {
-    case os::ImageKind::kBootImage: {
-      out.domain = SampleDomain::kBoot;
-      if (vm_aware_) {
-        auto bm = boot_maps_.find(pid);
-        if (bm != boot_maps_.end()) {
-          out.image = boot_labels_.at(pid);
-          attribute(bm->second.find(offset), image_base);
-          return out;
-        }
-      }
-      out.image = img.name();  // opaque blob: RVM.code.image / CLR.native.image
-      return out;
-    }
-    case os::ImageKind::kAnon: {
-      if (vm_aware_) {
-        if (const VmRegistration* reg = table_->find_heap(pid, pc)) {
-          out.domain = SampleDomain::kJit;
-          out.image = names.jit_image;
-          auto jm = jit_maps_.find(reg->pid);
-          const CodeMapIndex::Lookup lk =
-              jm != jit_maps_.end() ? jm->second.lookup(pc, epoch)
-                                    : CodeMapIndex::Lookup{std::nullopt,
-                                                           JitLookupMiss::kNoMaps};
-          if (lk.hit) {
-            out.symbol = lk.hit->symbol;
-            out.maps_searched = lk.hit->maps_searched;
-            out.symbol_base = lk.hit->address;
-            out.symbol_size = lk.hit->size;
-            stats.backward_steps += lk.hit->maps_searched;
-            ++stats.jit_resolved;
-            if (lk.hit->maps_searched < ResolveStats::kDepthSlots)
-              ++stats.hits_at_depth[lk.hit->maps_searched];
-            else
-              tele_walkback_->add(static_cast<double>(lk.hit->maps_searched));
-            return out;
-          }
-          ++stats.jit_unresolved;
-          switch (lk.miss) {
-            case JitLookupMiss::kMissingEpochMap:
-              ++stats.unresolved_missing_map;
-              out.symbol = names.missing_map;
-              break;
-            case JitLookupMiss::kTruncatedMap:
-              ++stats.unresolved_truncated_map;
-              out.symbol = names.truncated_map;
-              break;
-            default:
-              out.symbol = names.unknown_jit;
-              break;
-          }
-          return out;
-        }
-      }
-      out.domain = SampleDomain::kAnon;
-      out.image = "anon (range:" + support::hex(vma->start) + "-" +
-                  support::hex(vma->end) + ")," + proc->name();
-      return out;
-    }
-    default: {
-      out.domain = SampleDomain::kImage;
-      out.image = img.name();
-      if (!img.stripped()) attribute(img.symbols().find(offset), image_base);
-      return out;
-    }
-  }
+  if (out.symbol == names.missing_map) ++stats.unresolved_missing_map;
+  else if (out.symbol == names.truncated_map) ++stats.unresolved_truncated_map;
+  return out;
 }
 
 }  // namespace viprof::core

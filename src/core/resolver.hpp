@@ -1,4 +1,4 @@
-// Offline sample resolution — VIProf's modified OProfile post-processing
+// Sample resolution — VIProf's modified OProfile post-processing
 // (paper Sections 3.2-3.3).
 //
 // Turns a logged (pc, mode, pid, epoch) into (image, symbol):
@@ -10,14 +10,20 @@
 //   * registered-heap PCs resolve through the epoch code maps with the
 //     paper's backward search (this epoch's map, else the one before, ...);
 //     stock OProfile reports "anon (range:...)".
+//
+// The decision tree itself lives in ArchiveResolver (core/archive.hpp).
+// Resolver is the in-process front end: load() captures the live Machine
+// and RegistrationTable into an ArchiveResolver world, and every resolve
+// runs the shared tree over that capture, tallying the JIT outcomes it
+// returns.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/code_map.hpp"
@@ -106,53 +112,44 @@ struct ResolveStats {
   }
 };
 
+class ArchiveResolver;
+
 /// Thread-safety contract (DESIGN.md §9): after load(), the stats-taking
 /// resolve()/resolve_pc() overloads are safe to call from any number of
-/// threads concurrently — they mutate nothing but the caller's ResolveStats
-/// (and, for a walk deeper than its depth slots, the mutexed walk-depth
-/// histogram). The stats-less overloads and fold() are also thread-safe;
-/// the tallies behind the accessors are atomics, and fold() publishes the
-/// resolver.* telemetry. load() itself is exclusive.
+/// threads concurrently — the shared tree mutates nothing, and the front
+/// end mutates nothing but the caller's ResolveStats (and, for a walk
+/// deeper than its depth slots, the mutexed walk-depth histogram). The
+/// stats-less overloads and fold() are also thread-safe; the tallies behind
+/// the accessors are atomics, and fold() publishes the resolver.*
+/// telemetry. load() itself is exclusive.
 class Resolver {
  public:
   /// `vm_aware` selects VIProf behaviour; false reproduces stock OProfile.
   Resolver(const os::Machine& machine, const RegistrationTable& table, bool vm_aware);
+  ~Resolver();
 
   /// Movable (the atomic tallies transfer by value); moves are exclusive,
   /// like any mutation under the thread-safety contract above.
-  Resolver(Resolver&& other) noexcept
-      : machine_(other.machine_),
-        table_(other.table_),
-        vm_aware_(other.vm_aware_),
-        loaded_(other.loaded_),
-        boot_maps_(std::move(other.boot_maps_)),
-        boot_labels_(std::move(other.boot_labels_)),
-        jit_maps_(std::move(other.jit_maps_)),
-        jit_resolved_(other.jit_resolved_.load(std::memory_order_relaxed)),
-        jit_unresolved_(other.jit_unresolved_.load(std::memory_order_relaxed)),
-        backward_steps_(other.backward_steps_.load(std::memory_order_relaxed)),
-        unresolved_missing_map_(
-            other.unresolved_missing_map_.load(std::memory_order_relaxed)),
-        unresolved_truncated_map_(
-            other.unresolved_truncated_map_.load(std::memory_order_relaxed)),
-        tele_jit_resolved_(other.tele_jit_resolved_),
-        tele_jit_unresolved_(other.tele_jit_unresolved_),
-        tele_missing_map_(other.tele_missing_map_),
-        tele_truncated_map_(other.tele_truncated_map_),
-        tele_walkback_(other.tele_walkback_) {}
+  Resolver(Resolver&& other) noexcept;
 
-  /// Reads RVM.map and all epoch code maps from the VFS. Must be called
-  /// before resolve(); safe to call with no registrations.
+  /// Captures the machine's images, processes, kernel/hypervisor ranges
+  /// and registrations, and reads RVM.map and all epoch code maps from the
+  /// VFS. Must be called before resolve(), once the run is over: later
+  /// changes to the machine are not seen. Safe with no registrations.
   void load();
 
-  Resolution resolve(const LoggedSample& sample) const;
+  Resolution resolve(const LoggedSample& s) const {
+    return resolve_pc(s.pc, s.mode, s.pid, s.epoch);
+  }
   Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                         std::uint64_t epoch) const;
 
   /// Pure-with-respect-to-the-resolver variants: outcome tallies go into
   /// `stats` instead of the internal counters. Callers that want the
   /// accessors below to reflect their work fold() the stats back in.
-  Resolution resolve(const LoggedSample& sample, ResolveStats& stats) const;
+  Resolution resolve(const LoggedSample& s, ResolveStats& stats) const {
+    return resolve_pc(s.pc, s.mode, s.pid, s.epoch, stats);
+  }
   Resolution resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
                         std::uint64_t epoch, ResolveStats& stats) const;
 
@@ -185,13 +182,7 @@ class Resolver {
   const os::Machine* machine_;
   const RegistrationTable* table_;
   bool vm_aware_;
-  bool loaded_ = false;
-
-  // Per registered VM: parsed boot map (+ its display label) and the
-  // epoch code-map index.
-  std::unordered_map<hw::Pid, os::SymbolTable> boot_maps_;
-  std::unordered_map<hw::Pid, support::Name> boot_labels_;
-  std::unordered_map<hw::Pid, CodeMapIndex> jit_maps_;
+  std::unique_ptr<const ArchiveResolver> world_;  // set by load()
 
   mutable std::atomic<std::uint64_t> jit_resolved_{0};
   mutable std::atomic<std::uint64_t> jit_unresolved_{0};
@@ -219,7 +210,7 @@ inline constexpr const char* kUnknownJit = "(unknown JIT code)";
 inline constexpr const char* kNoSymbols = "(no symbols)";
 inline constexpr const char* kJitImage = "JIT.App";
 
-/// The fixed names both resolvers report, interned once per process.
+/// The fixed names the attribution tree reports, interned once per process.
 struct ResolveNames {
   support::Name no_symbols{kNoSymbols};
   support::Name jit_image{kJitImage};

@@ -1,5 +1,5 @@
-// Jikes-style boot-image method map ("RVM.map") parsing, shared by the
-// live Resolver and the offline ArchiveResolver.
+// Jikes-style boot-image method map ("RVM.map") parsing, for the
+// attribution tree's shared map-loading step (core/archive.hpp).
 //
 // Each line is "offset-hex size-dec symbol" (whitespace-separated; more
 // fields after the symbol are ignored); anything else (comments, blank

@@ -1,21 +1,20 @@
 #include "memprof/agent.hpp"
 
 #include "jvm/heap.hpp"
-#include "support/backoff.hpp"
 #include "support/check.hpp"
 
 namespace viprof::memprof {
 
 MemProfAgent::MemProfAgent(os::Machine& machine, const MemProfConfig& config)
-    : machine_(&machine), config_(config) {
+    : machine_(&machine),
+      config_(config),
+      map_writer_(machine.telemetry(), "memprof", config.map_retry_cost,
+                  config.map_write_retries) {
   support::Telemetry& tele = machine_->telemetry();
   tele_allocs_ = &tele.counter("memprof.allocs_logged");
   tele_moves_ = &tele.counter("memprof.moves_flagged");
   tele_deads_ = &tele.counter("memprof.deads_flagged");
-  tele_maps_written_ = &tele.counter("memprof.maps_written");
   tele_map_entries_ = &tele.counter("memprof.map_entries");
-  tele_maps_dropped_ = &tele.counter("memprof.maps_dropped");
-  tele_map_errors_ = &tele.counter("memprof.map_write_errors");
   tele_map_cost_ = &tele.histogram("memprof.map_write.cost_cycles");
   tele_map_entries_hist_ = &tele.histogram("memprof.map_write.entries");
 }
@@ -114,47 +113,15 @@ hw::Cycles MemProfAgent::write_map(std::uint64_t epoch) {
   file.dead = pending_dead_;
 
   const std::string path = core::ObjectMapFile::path_for(config_.map_dir, pid_, epoch);
-  const std::string blob = file.serialize();
   hw::Cycles cost = config_.map_write_base +
                     config_.map_write_per_entry *
                         static_cast<hw::Cycles>(file.objects.size() + file.dead.size());
-
-  os::IoStatus st = machine_->vfs().write(path, blob);
-  if (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
-    ++stats_.map_write_errors;
-    tele_map_errors_->inc();
-    support::BackoffConfig policy;
-    policy.initial = config_.map_retry_cost;
-    policy.multiplier = 1.0;
-    policy.max_attempts = config_.map_write_retries;
-    support::Backoff backoff(policy);
-    while (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
-      const auto delay = backoff.next();
-      if (!delay) break;
-      cost += *delay;
-      ++stats_.map_write_retries;
-      st = machine_->vfs().write(path, blob);
-    }
-  }
-  switch (st) {
-    case os::IoStatus::kOk:
-    case os::IoStatus::kTorn:
-      // Torn: a prefix landed; the reader salvages and marks the map
-      // truncated, and resolution refuses to walk past it.
-      if (st == os::IoStatus::kTorn) ++stats_.maps_torn;
-      ++stats_.maps_written;
-      stats_.map_entries_written += file.objects.size();
-      stats_.map_deaths_written += file.dead.size();
-      tele_maps_written_->inc();
-      tele_map_entries_->inc(file.objects.size());
-      break;
-    case os::IoStatus::kIoError:
-    case os::IoStatus::kNoSpace:
-      // The epoch closes without an object map; its samples land in
-      // unresolved.obj.no_map. Counted here, never silent.
-      ++stats_.maps_dropped;
-      tele_maps_dropped_->inc();
-      break;
+  const bool landed =
+      map_writer_.write(machine_->vfs(), path, file.serialize(), stats_, cost);
+  if (landed) {
+    stats_.map_entries_written += file.objects.size();
+    stats_.map_deaths_written += file.dead.size();
+    tele_map_entries_->inc(file.objects.size());
   }
   tele_map_cost_->add(static_cast<double>(cost));
   tele_map_entries_hist_->add(static_cast<double>(file.objects.size()));
@@ -163,7 +130,7 @@ hw::Cycles MemProfAgent::write_map(std::uint64_t epoch) {
                                        epoch);
   stats_.cost_cycles += cost;
 
-  if (st == os::IoStatus::kIoError || st == os::IoStatus::kNoSpace) {
+  if (!landed) {
     // Keep the buffers: the entries ride into the next epoch's map, so the
     // objects are not lost forever — only the dropped epoch degrades.
     return cost;

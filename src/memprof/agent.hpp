@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/map_write.hpp"
 #include "core/object_map.hpp"
 #include "jvm/hooks.hpp"
 #include "os/machine.hpp"
@@ -48,21 +49,16 @@ struct MemProfConfig {
   support::FaultInjector* fault = nullptr;
 };
 
-struct MemProfStats {
+/// Map-write outcomes (maps_written, the failure accounting) come from the
+/// core::MapWriteStats base.
+struct MemProfStats : core::MapWriteStats {
   std::uint64_t sites_announced = 0;
   std::uint64_t allocs_logged = 0;
   std::uint64_t moves_flagged = 0;
   std::uint64_t deads_flagged = 0;
-  std::uint64_t maps_written = 0;
   std::uint64_t map_entries_written = 0;
   std::uint64_t map_deaths_written = 0;
   hw::Cycles cost_cycles = 0;
-
-  // Failure accounting.
-  std::uint64_t map_write_errors = 0;
-  std::uint64_t map_write_retries = 0;
-  std::uint64_t maps_torn = 0;
-  std::uint64_t maps_dropped = 0;
   std::uint64_t killed_epochs = 0;
 };
 
@@ -87,6 +83,7 @@ class MemProfAgent : public jvm::VmEventListener {
 
   os::Machine* machine_;
   MemProfConfig config_;
+  core::MapWriter map_writer_;  // memprof.maps_written / map_write_errors / maps_dropped
   MemProfStats stats_;
 
   const jvm::Heap* heap_ = nullptr;
@@ -107,10 +104,7 @@ class MemProfAgent : public jvm::VmEventListener {
   support::Counter* tele_allocs_ = nullptr;
   support::Counter* tele_moves_ = nullptr;
   support::Counter* tele_deads_ = nullptr;
-  support::Counter* tele_maps_written_ = nullptr;
   support::Counter* tele_map_entries_ = nullptr;
-  support::Counter* tele_maps_dropped_ = nullptr;
-  support::Counter* tele_map_errors_ = nullptr;
   support::LatencyHistogram* tele_map_cost_ = nullptr;
   support::LatencyHistogram* tele_map_entries_hist_ = nullptr;
 };

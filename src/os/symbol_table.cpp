@@ -18,6 +18,12 @@ SymbolTable& SymbolTable::operator=(SymbolTable&& other) noexcept {
   return *this;
 }
 
+SymbolTable SymbolTable::copy() const {
+  SymbolTable out;
+  out.symbols_ = ordered();  // sorted, as a fresh table's flag says
+  return out;
+}
+
 void SymbolTable::add(std::string_view name, std::uint64_t offset, std::uint64_t size) {
   symbols_.push_back(Symbol{support::Name(name), offset, size});
   sorted_.store(false, std::memory_order_release);

@@ -30,6 +30,10 @@ class SymbolTable {
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
+  /// An independent table with the same symbols (the table owns a mutex,
+  /// so copies are explicit).
+  SymbolTable copy() const;
+
   /// Adds a symbol; offsets may arrive unordered, the table sorts lazily.
   void add(std::string_view name, std::uint64_t offset, std::uint64_t size);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "core/code_map.hpp"
 #include "memprof/report.hpp"
@@ -26,6 +27,28 @@ class PinnedJitSource final : public core::JitIndexSource {
 
   std::map<hw::Pid, CodeMapCache::IndexPtr> pins_;
 };
+
+/// Pins, for every VM the batch's ceilings name, the index cached under
+/// `key` at that ceiling for the map directory the registration's `dir`
+/// field names (jit_map_dir or obj_map_dir); a miss builds it with
+/// `build(dir, pid)`. VMs with no registration or no such directory get no
+/// pin.
+PinnedJitSource pin_indexes(
+    CodeMapCache& cache, const std::string& key, const CeilingMap& ceilings,
+    const core::ArchiveResolver& resolver, std::string core::VmRegistration::*dir,
+    const std::function<core::CodeMapIndex(const std::string&, hw::Pid)>& build) {
+  PinnedJitSource pinned;
+  for (const auto& [pid, ceiling] : ceilings) {
+    const core::VmRegistration* reg = nullptr;
+    for (const core::VmRegistration& r : resolver.registrations())
+      if (r.pid == pid) { reg = &r; break; }
+    if (reg == nullptr || (reg->*dir).empty()) continue;
+    const std::string& map_dir = reg->*dir;
+    pinned.pins_[pid] = cache.get(key, pid, ceiling,
+                                  [&build, &map_dir, pid = pid] { return build(map_dir, pid); });
+  }
+  return pinned;
+}
 
 /// The batch's per-epoch partial for a sample's epoch. Samples arrive in
 /// epoch runs, so the map is searched once per run, not once per sample.
@@ -345,17 +368,12 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     // the same epoch ceiling the batch carried — a separate cache keyspace
     // ("#obj") so the PC hot path shares nothing with this branch. Objects
     // carry no caller PCs, so there is no arc/caller work here.
-    PinnedJitSource obj;
-    for (const auto& [pid, ceiling] : *batch.ceilings) {
-      const core::VmRegistration* reg = nullptr;
-      for (const core::VmRegistration& r : resolver->registrations())
-        if (r.pid == pid) { reg = &r; break; }
-      if (reg == nullptr || reg->obj_map_dir.empty()) continue;
-      const std::string dir = reg->obj_map_dir;
-      obj.pins_[pid] =
-          cache_.get(session->id() + "#obj", pid, ceiling,
-                     [session, dir, pid = pid]() { return session->object_index(dir, pid); });
-    }
+    const PinnedJitSource obj = pin_indexes(
+        cache_, session->id() + "#obj", *batch.ceilings, *resolver,
+        &core::VmRegistration::obj_map_dir,
+        [&session](const std::string& dir, hw::Pid pid) {
+          return session->object_index(dir, pid);
+        });
     const std::uint64_t resolve_t0 = support::monotonic_ns();
     EpochCursor epochs(result);
     for (const core::LoggedSample& sample : samples) {
@@ -374,21 +392,15 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
   }
 
   // Pin the code-map index generation each registered VM had at enqueue.
-  PinnedJitSource jit;
-  for (const auto& [pid, ceiling] : *batch.ceilings) {
-    const core::VmRegistration* reg = nullptr;
-    for (const core::VmRegistration& r : resolver->registrations())
-      if (r.pid == pid) { reg = &r; break; }
-    if (reg == nullptr || reg->jit_map_dir.empty()) continue;
-    const std::string dir = reg->jit_map_dir;
-    jit.pins_[pid] = cache_.get(
-        session->id(), pid, ceiling, [session, dir, pid = pid]() {
-          std::lock_guard<std::mutex> lock(session->world_mu_);
-          core::CodeMapIndex index;
-          index.load(session->world_, dir, pid);
-          return index;
-        });
-  }
+  const PinnedJitSource jit = pin_indexes(
+      cache_, session->id(), *batch.ceilings, *resolver,
+      &core::VmRegistration::jit_map_dir,
+      [&session](const std::string& dir, hw::Pid pid) {
+        std::lock_guard<std::mutex> lock(session->world_mu_);
+        core::CodeMapIndex index;
+        index.load(session->world_, dir, pid);
+        return index;
+      });
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
   // Resolutions carry interned name ids (DESIGN.md §14): each row or arc

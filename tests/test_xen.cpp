@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "core/archive.hpp"
 #include "workloads/generator.hpp"
 #include "xen/scheduler.hpp"
 #include "xen/xenoprof.hpp"
@@ -190,6 +191,35 @@ TEST_F(XenoProfTest, DomainProfileIncludesItsHypervisorTime) {
   // that domain's profile as xen-syms rows.
   core::Profile p1 = session_->domain_profile(d1_, {kTime});
   EXPECT_GT(p1.domain_total(core::SampleDomain::kHypervisor, kTime), 0u);
+}
+
+TEST_F(XenoProfTest, ArchiveResolverMatchesLiveResolverThroughTheHypervisor) {
+  // Both fillers of the resolution world — the archive manifest (with its
+  // hyp line) and the live machine — must attribute every logged sample of
+  // a two-guest run identically, ring -1 samples included.
+  session_->export_archive("archive");
+  const core::ArchiveResolver offline(machine_->vfs(), "archive", /*vm_aware=*/true);
+  core::Resolver& live = session_->resolver();
+  std::uint64_t compared = 0, hypervisor = 0, jit = 0;
+  for (hw::EventKind event : hw::kAllEventKinds) {
+    for (const core::LoggedSample& s : core::SampleLogReader::read(
+             machine_->vfs(), core::DaemonConfig{}.sample_dir, event)) {
+      const core::Resolution a = live.resolve(s);
+      const core::Resolution b = offline.resolve(s);
+      ASSERT_EQ(a.image, b.image) << "pc=" << s.pc;
+      ASSERT_EQ(a.symbol, b.symbol) << "pc=" << s.pc;
+      ASSERT_EQ(a.domain, b.domain) << "pc=" << s.pc;
+      ASSERT_EQ(a.maps_searched, b.maps_searched) << "pc=" << s.pc;
+      ASSERT_EQ(a.symbol_base, b.symbol_base) << "pc=" << s.pc;
+      ASSERT_EQ(a.symbol_size, b.symbol_size) << "pc=" << s.pc;
+      ++compared;
+      if (b.domain == core::SampleDomain::kHypervisor) ++hypervisor;
+      if (b.domain == core::SampleDomain::kJit) ++jit;
+    }
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(hypervisor, 0u);
+  EXPECT_GT(jit, 0u);
 }
 
 }  // namespace
