@@ -153,10 +153,12 @@ bool run() {
 
   // --- Object-map format round trip, per map. ---
   const core::ObjectMapFile map = representative_map();
+  constexpr hw::Pid kPid = 7;
+  const support::FrameHash hash = core::ObjectMapFile::frame_hash(kPid, map.epoch);
   std::string blob;
   {
     const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < map_iters; ++i) blob = map.serialize();
+    for (int i = 0; i < map_iters; ++i) blob = map.serialize(kPid);
     const double secs = seconds_since(start);
     records.push_back(make_record("omap.serialize", map_iters, secs, map_iters));
     std::printf("  omap.serialize  %8.0f ns/map  (%zu objects)\n",
@@ -166,7 +168,7 @@ bool run() {
     std::uint64_t parsed = 0;
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < map_iters; ++i) {
-      const auto file = core::ObjectMapFile::parse(blob);
+      const auto file = core::ObjectMapFile::parse(blob, hash);
       if (file) parsed += file->objects.size();
     }
     const double secs = seconds_since(start);
@@ -183,7 +185,7 @@ bool run() {
     const auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < map_iters; ++i) {
       const core::ObjectMapFile::Recovery r =
-          core::ObjectMapFile::salvage(torn, map.epoch);
+          core::ObjectMapFile::salvage(torn, hash, map.epoch);
       salvaged += r.file.objects.size();
     }
     const double secs = seconds_since(start);

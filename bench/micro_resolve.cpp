@@ -106,6 +106,9 @@ void BM_CodeMapResolveMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_CodeMapResolveMiss)->Arg(4)->Arg(32)->Arg(256);
 
+/// The pid the map format benches key their maps by.
+constexpr hw::Pid kPid = 7;
+
 void BM_CodeMapSerialize(benchmark::State& state) {
   core::CodeMapFile file;
   file.epoch = 5;
@@ -115,7 +118,7 @@ void BM_CodeMapSerialize(benchmark::State& state) {
          support::Name("com.example.Klass" + std::to_string(i) + ".method")});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(file.serialize());
+    benchmark::DoNotOptimize(file.serialize(kPid));
   }
 }
 BENCHMARK(BM_CodeMapSerialize);
@@ -128,9 +131,10 @@ void BM_CodeMapParse(benchmark::State& state) {
         {0x6000'0000ull + i * 0x1000, 0x800,
          support::Name("com.example.Klass" + std::to_string(i) + ".method")});
   }
-  const std::string blob = file.serialize();
+  const std::string blob = file.serialize(kPid);
+  const support::FrameHash hash = core::CodeMapFile::frame_hash(kPid, file.epoch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::CodeMapFile::parse(blob));
+    benchmark::DoNotOptimize(core::CodeMapFile::parse(blob, hash));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * blob.size()));
 }
@@ -234,7 +238,7 @@ void BM_SampleLogParse(benchmark::State& state) {
     support::ArenaVector<core::LoggedSample> out(arena);
     out.reserve(kLines);
     core::SampleStreamParser parser;
-    parser.parse_into(blob, out);
+    parser.parse_into(blob, core::sample_line_hash(hw::EventKind::kGlobalPowerEvents), out);
     benchmark::DoNotOptimize(out.data());
     arena.reset();
   }
@@ -356,7 +360,7 @@ std::unique_ptr<E2eScenario> build_scenario(std::size_t sample_count) {
       file.entries.push_back(std::move(entry));
     }
     sc->machine.vfs().write(core::CodeMapFile::path_for("jit_maps", sc->pid, e),
-                            file.serialize());
+                            file.serialize(sc->pid));
   }
 
   // Log the samples through the real writer/reader so the measured input

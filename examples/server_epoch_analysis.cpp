@@ -67,9 +67,10 @@ int main() {
     for (const std::string& path : machine.vfs().list("jit_maps")) {
       const auto contents = machine.vfs().read(path);
       if (!contents) continue;
-      const auto parsed = core::CodeMapFile::parse(*contents);
-      if (!parsed || parsed->epoch != epoch) continue;
-      for (const core::CodeMapEntry& e : parsed->entries) {
+      const core::CodeMapFile::Recovery parsed =
+          core::CodeMapFile::salvage_file(path, *contents);
+      if (!parsed.intact || parsed.file.epoch != epoch) continue;
+      for (const core::CodeMapEntry& e : parsed.file.entries) {
         if (e.symbol == hot) {
           std::printf("  epoch %2llu: body at %#llx (%llu bytes)\n",
                       static_cast<unsigned long long>(epoch),

@@ -143,7 +143,7 @@ hw::Cycles VmAgent::write_map(std::uint64_t epoch) {
       config_.map_write_base +
       config_.map_write_per_entry * static_cast<hw::Cycles>(file.entries.size());
   const bool landed =
-      map_writer_.write(machine_->vfs(), path, file.serialize(), stats_, cost);
+      map_writer_.write(machine_->vfs(), path, file.serialize(pid_), stats_, cost);
   if (landed) {
     stats_.map_entries_written += file.entries.size();
     tele_map_entries_->inc(file.entries.size());

@@ -23,7 +23,7 @@
 
 #include "core/code_map.hpp"
 #include "core/registration.hpp"
-#include "core/resolver.hpp"
+#include "core/resolution.hpp"
 #include "core/sample_log.hpp"
 #include "os/machine.hpp"
 

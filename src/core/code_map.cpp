@@ -5,7 +5,6 @@
 
 #include "support/check.hpp"
 #include "support/format.hpp"
-#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -29,6 +28,10 @@ bool parse_entry_line(std::string_view line, CodeMapEntry& entry) {
   return true;
 }
 
+std::string header_line(std::uint64_t epoch, std::size_t entries) {
+  return "epoch " + std::to_string(epoch) + " entries " + std::to_string(entries);
+}
+
 // Header "epoch N entries M" with nothing after M.
 bool parse_header_line(std::string_view line, std::uint64_t& epoch,
                        std::uint64_t& expected) {
@@ -42,9 +45,12 @@ bool parse_header_line(std::string_view line, std::uint64_t& epoch,
 
 }  // namespace
 
-std::string CodeMapFile::serialize() const {
-  std::string out = "epoch " + std::to_string(epoch) + " entries " +
-                    std::to_string(entries.size()) + "\n";
+support::FrameHash CodeMapFile::frame_hash(hw::Pid pid, std::uint64_t epoch) {
+  return support::FrameHash::v2(support::frame_key(support::FrameKind::kCodeMap, pid, epoch));
+}
+
+std::string CodeMapFile::serialize(hw::Pid pid) const {
+  std::string out = header_line(epoch, entries.size()) + "\n";
   if (truncated) out += "truncated\n";
   for (const CodeMapEntry& e : entries) {
     out += support::hex(e.address);
@@ -54,26 +60,28 @@ std::string CodeMapFile::serialize() const {
     out += e.symbol.view();
     out += '\n';
   }
-  support::append_crc_trailer(out);
+  support::append_crc_trailer(out, frame_hash(pid, epoch));
   return out;
 }
 
-std::optional<CodeMapFile> CodeMapFile::parse(const std::string& contents) {
+std::optional<CodeMapFile> CodeMapFile::parse(const std::string& contents,
+                                              support::FrameHash hash) {
   // Strict parse accepts only fully verified files. A `truncated` marker
   // written by fsck is fine: the rewritten file carries its own header
   // count and crc, so it verifies as intact while keeping the flag.
-  const Recovery r = salvage(contents, 0);
+  const Recovery r = salvage(contents, hash, 0);
   if (!r.intact) return std::nullopt;
   return r.file;
 }
 
 CodeMapFile::Recovery CodeMapFile::salvage(const std::string& contents,
+                                           support::FrameHash hash,
                                            std::uint64_t epoch_hint) {
   Recovery r;
   r.file.epoch = epoch_hint;
   // An unreadable header leaves epoch_hint standing and nothing salvageable.
   const support::FramedWalk w = support::walk_framed_file(
-      contents,
+      contents, hash,
       [&r](std::string_view line) {
         std::uint64_t epoch = 0, expected = 0;
         if (!parse_header_line(line, epoch, expected)) return false;
@@ -93,15 +101,33 @@ CodeMapFile::Recovery CodeMapFile::salvage(const std::string& contents,
   r.header_ok = w.header_ok;
   r.intact = w.intact && r.file.entries.size() == r.entries_expected;
   r.file.truncated = w.truncated || !r.intact;
+  r.refused = !support::walked_items_usable(contents, w, hash,
+                                            header_line(epoch_hint, r.entries_expected));
   return r;
 }
 
 CodeMapFile::Recovery CodeMapFile::salvage_file(const std::string& path,
                                                 const std::string& contents) {
   const auto name_epoch = epoch_from_path(path);
-  Recovery r = salvage(contents, name_epoch.value_or(0));
+  const std::uint64_t epoch = name_epoch.value_or(0);
+  Recovery r = salvage(contents, frame_hash(pid_from_map_path(path).value_or(0), epoch), epoch);
   if (!r.intact && name_epoch) r.file.epoch = *name_epoch;
+  if (r.refused) r.file.entries.clear();
   return r;
+}
+
+std::optional<hw::Pid> pid_from_map_path(std::string_view path) {
+  const std::size_t last = path.rfind('/');
+  if (last == std::string_view::npos || last == 0) return std::nullopt;
+  const std::size_t prev = path.rfind('/', last - 1);
+  const std::size_t begin = prev == std::string_view::npos ? 0 : prev + 1;
+  if (begin >= last) return std::nullopt;
+  hw::Pid pid = 0;
+  for (std::size_t i = begin; i < last; ++i) {
+    if (path[i] < '0' || path[i] > '9') return std::nullopt;
+    pid = pid * 10 + static_cast<hw::Pid>(path[i] - '0');
+  }
+  return pid;
 }
 
 std::string CodeMapFile::path_for(const std::string& dir, hw::Pid pid,

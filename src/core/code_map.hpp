@@ -9,12 +9,15 @@
 // moved — method to occupy that address space".
 //
 // Crash consistency: the file format carries an entry count in the header
-// and an FNV-1a checksum trailer. A map that lost its tail (the VM died
-// mid-write, the disk tore the page) is detected, a verified prefix of its
-// entries is salvaged, and the map is marked *truncated*. The backward
-// search refuses to step past a missing or truncated map it cannot decide
-// on — such samples become explicit `unresolved.*` outcomes instead of
-// being silently attributed to a stale neighbour.
+// and a checksum trailer keyed by (pid, epoch), which the reader takes from
+// the map's path (framed-text v2). A map that lost its tail (the VM died
+// mid-write, the disk tore the page) is detected, a parsing prefix of its
+// entries is salvaged, and the map is marked *truncated*; a whole map whose
+// trailer fails under its path's key (copied from another pid or epoch, or
+// a v1 map) keeps no entries. The backward search refuses to step past a
+// missing or truncated map it cannot decide on — such samples become
+// explicit `unresolved.*` outcomes instead of being silently attributed to
+// a stale neighbour.
 //
 // Query cost (DESIGN.md §9): the literal per-sample backward walk is
 // O(epochs · log entries). The index therefore flattens the maps once per
@@ -44,6 +47,7 @@
 
 #include "hw/types.hpp"
 #include "os/vfs.hpp"
+#include "support/framed_text.hpp"
 #include "support/interner.hpp"
 
 namespace viprof::core {
@@ -65,22 +69,32 @@ struct CodeMapFile {
   bool truncated = false;
   std::vector<CodeMapEntry> entries;
 
-  std::string serialize() const;
+  /// The frame hash of the map at path_for(dir, pid, epoch).
+  static support::FrameHash frame_hash(hw::Pid pid, std::uint64_t epoch);
 
-  /// Strict parse: header, declared entry count and checksum trailer must
-  /// all verify. nullopt on any damage (use salvage() to recover).
-  static std::optional<CodeMapFile> parse(const std::string& contents);
+  /// The file bytes of this map as `pid`'s (framed under frame_hash(pid, epoch)).
+  std::string serialize(hw::Pid pid) const;
 
-  /// Tolerant parse for damaged files: recovers the longest verifiable
-  /// prefix of entries. `epoch_hint` (from the file name) is used when the
-  /// header itself is unreadable. (Defined after the class: it embeds one.)
+  /// Strict parse: header, declared entry count and checksum trailer (under
+  /// `hash`) must all verify. nullopt on any damage (use salvage() to
+  /// recover).
+  static std::optional<CodeMapFile> parse(const std::string& contents,
+                                          support::FrameHash hash);
+
+  /// Tolerant parse for damaged files: recovers the longest parsing prefix
+  /// of entries, and says whether anything vouches for them (`refused`).
+  /// `epoch_hint` (from the file name) is used when the header itself is
+  /// unreadable. (Defined after the class: it embeds one.)
   struct Recovery;
-  static Recovery salvage(const std::string& contents, std::uint64_t epoch_hint);
+  static Recovery salvage(const std::string& contents, support::FrameHash hash,
+                          std::uint64_t epoch_hint);
 
-  /// salvage() of the file at `path`, which names its epoch. A file that
-  /// does not verify is filed under that file-name epoch even when its
-  /// header reads otherwise: a flipped header digit must not move the
-  /// salvaged entries to another epoch.
+  /// salvage() of the file at `path`, under the key its pid and epoch give,
+  /// keeping no entry of a refused file: another pid's or epoch's map, a v1
+  /// map, or one flipped where no line parse sees it, is damage that must
+  /// never be attributed. A file that does not verify is filed under that
+  /// file-name epoch even when its header reads otherwise: a flipped header
+  /// digit must not move the salvaged entries to another epoch.
   static Recovery salvage_file(const std::string& path, const std::string& contents);
 
   /// Conventional path for the map of `epoch` under `dir`.
@@ -90,9 +104,17 @@ struct CodeMapFile {
   static std::optional<std::uint64_t> epoch_from_path(const std::string& path);
 };
 
+/// "<dir>/<pid>/<name>" → pid, from the second-to-last path component (code
+/// and object maps alike), or nullopt.
+std::optional<hw::Pid> pid_from_map_path(std::string_view path);
+
 struct CodeMapFile::Recovery {
   bool intact = false;     // full parse with matching count and checksum
   bool header_ok = false;  // the epoch header line was readable
+  /// A whole file (its trailer line reached) whose trailer fails under the
+  /// key, even with the header the file name vouches for: its entries
+  /// parse, but nothing says they are this map's (support::walked_items_usable).
+  bool refused = false;
   std::uint64_t entries_expected = 0;  // from the header; 0 if unreadable
   CodeMapFile file;                    // truncated flag set when !intact
 };

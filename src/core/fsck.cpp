@@ -21,6 +21,9 @@ std::string basename_of(const std::string& path) {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
+/// The pid a map's path keys it by (0 when the path names none, as salvage_file reads it).
+hw::Pid pid_of(const std::string& path) { return pid_from_map_path(path).value_or(0); }
+
 }  // namespace
 
 FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& telemetry,
@@ -107,7 +110,7 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
                           (rec.header_ok ? ")" : ", epoch from file name)") + '\n';
       }
     }
-    if (opts.write_recovery) out->write(path, rec.file.serialize());
+    if (opts.write_recovery) out->write(path, rec.file.serialize(pid_of(path)));
   }
 
   // --- Epoch object maps: declared counts + checksum trailer ---------------
@@ -149,7 +152,7 @@ FsckReport fsck_tree(const os::Vfs& in, os::Vfs* out, support::Telemetry& teleme
     // The salvaged prefix keeps its truncated marker through the round
     // trip, so resolution against the recovery tree still refuses to walk
     // past this epoch.
-    if (opts.write_recovery) out->write(path, rec.file.serialize());
+    if (opts.write_recovery) out->write(path, rec.file.serialize(pid_of(path)));
   }
 
   // --- Everything else (manifest, RVM.map, reports) copies verbatim -------

@@ -6,7 +6,6 @@
 
 #include "support/check.hpp"
 #include "support/format.hpp"
-#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -56,6 +55,11 @@ bool parse_site_line(std::string_view line, SiteName& site) {
   return true;
 }
 
+std::string header_line(std::uint64_t epoch, std::uint64_t objects, std::uint64_t dead) {
+  return "omap " + std::to_string(epoch) + " objects " + std::to_string(objects) +
+         " dead " + std::to_string(dead);
+}
+
 // "omap <epoch> objects <N> dead <D>" with nothing after D.
 bool parse_header_line(std::string_view line, std::uint64_t& epoch,
                        std::uint64_t& objects, std::uint64_t& dead) {
@@ -88,10 +92,13 @@ std::optional<std::uint32_t> site_from_symbol(std::string_view symbol) {
   return static_cast<std::uint32_t>(idx);
 }
 
-std::string ObjectMapFile::serialize() const {
-  std::string out = "omap " + std::to_string(epoch) + " objects " +
-                    std::to_string(objects.size()) + " dead " +
-                    std::to_string(dead.size()) + "\n";
+support::FrameHash ObjectMapFile::frame_hash(hw::Pid pid, std::uint64_t epoch) {
+  return support::FrameHash::v2(
+      support::frame_key(support::FrameKind::kObjectMap, pid, epoch));
+}
+
+std::string ObjectMapFile::serialize(hw::Pid pid) const {
+  std::string out = header_line(epoch, objects.size(), dead.size()) + "\n";
   if (truncated) out += "truncated\n";
   for (const SiteName& s : sites) {
     out += "site " + std::to_string(s.site) + " ";
@@ -112,26 +119,28 @@ std::string ObjectMapFile::serialize() const {
     out += "dead " + std::to_string(d.obj_id) + " " + std::to_string(d.size) +
            " " + std::to_string(d.site) + "\n";
   }
-  support::append_crc_trailer(out);
+  support::append_crc_trailer(out, frame_hash(pid, epoch));
   return out;
 }
 
-std::optional<ObjectMapFile> ObjectMapFile::parse(const std::string& contents) {
+std::optional<ObjectMapFile> ObjectMapFile::parse(const std::string& contents,
+                                                  support::FrameHash hash) {
   // Strict parse accepts only fully verified files. A `truncated` marker
   // written by fsck is fine: the rewritten file carries its own header
   // counts and crc, so it verifies as intact while keeping the flag.
-  const Recovery r = salvage(contents, 0);
+  const Recovery r = salvage(contents, hash, 0);
   if (!r.intact) return std::nullopt;
   return r.file;
 }
 
 ObjectMapFile::Recovery ObjectMapFile::salvage(const std::string& contents,
+                                               support::FrameHash hash,
                                                std::uint64_t epoch_hint) {
   Recovery r;
   r.file.epoch = epoch_hint;
   // An unreadable header leaves epoch_hint standing and nothing salvageable.
   const support::FramedWalk w = support::walk_framed_file(
-      contents,
+      contents, hash,
       [&r, &contents](std::string_view line) {
         std::uint64_t epoch = 0, objects = 0, dead = 0;
         if (!parse_header_line(line, epoch, objects, dead)) return false;
@@ -169,14 +178,22 @@ ObjectMapFile::Recovery ObjectMapFile::salvage(const std::string& contents,
   r.intact = w.intact && r.file.objects.size() == r.objects_expected &&
              r.file.dead.size() == r.dead_expected;
   r.file.truncated = w.truncated || !r.intact;
+  r.refused = !support::walked_items_usable(
+      contents, w, hash, header_line(epoch_hint, r.objects_expected, r.dead_expected));
   return r;
 }
 
 ObjectMapFile::Recovery ObjectMapFile::salvage_file(const std::string& path,
                                                     const std::string& contents) {
   const auto name_epoch = epoch_from_path(path);
-  Recovery r = salvage(contents, name_epoch.value_or(0));
+  const std::uint64_t epoch = name_epoch.value_or(0);
+  Recovery r = salvage(contents, frame_hash(pid_from_map_path(path).value_or(0), epoch), epoch);
   if (!r.intact && name_epoch) r.file.epoch = *name_epoch;
+  if (r.refused) {
+    r.file.sites.clear();
+    r.file.objects.clear();
+    r.file.dead.clear();
+  }
   return r;
 }
 

@@ -10,8 +10,8 @@
 // map whose entry covers the address is authoritative.
 //
 // Crash consistency mirrors CodeMapFile byte-for-byte in spirit: declared
-// entry counts in the header, an FNV-1a checksum trailer, salvage of the
-// longest verifiable prefix, and a `truncated` marker that resolution
+// entry counts in the header, a checksum trailer keyed by (pid, epoch),
+// salvage of the longest parsing prefix, and a `truncated` marker that resolution
 // refuses to step past. Rather than re-implementing the flattened epoch
 // index, to_code_map() projects an object map onto a CodeMapFile (symbol =
 // "site#<idx>") so a plain CodeMapIndex — with its walkback oracle
@@ -63,7 +63,7 @@ struct SiteName {
 ///   site <idx> <name>\n           (dictionary; any number of lines)
 ///   <hex-addr> <size> <obj_id> <site>\n    (N object lines)
 ///   dead <obj_id> <size> <site>\n          (D dead lines)
-///   crc <%08x>\n                  (FNV-1a of all preceding bytes)
+///   crc <%08x>\n                  (of all preceding bytes, keyed by (pid, epoch))
 struct ObjectMapFile {
   std::uint64_t epoch = 0;
   bool truncated = false;  // salvaged prefix of a damaged file
@@ -71,18 +71,27 @@ struct ObjectMapFile {
   std::vector<ObjectMapEntry> objects;
   std::vector<ObjectDeath> dead;
 
-  std::string serialize() const;
+  /// The frame hash of the map at path_for(dir, pid, epoch).
+  static support::FrameHash frame_hash(hw::Pid pid, std::uint64_t epoch);
 
-  /// Strict parse: header, declared counts and checksum must all verify.
-  static std::optional<ObjectMapFile> parse(const std::string& contents);
+  /// The file bytes of this map as `pid`'s (framed under frame_hash(pid, epoch)).
+  std::string serialize(hw::Pid pid) const;
 
-  /// Tolerant parse: recovers the longest verifiable prefix, stopping at
-  /// the first malformed line (everything after is suspect). (Defined after
-  /// the class: it embeds one.)
+  /// Strict parse: header, declared counts and checksum (under `hash`)
+  /// must all verify.
+  static std::optional<ObjectMapFile> parse(const std::string& contents,
+                                            support::FrameHash hash);
+
+  /// Tolerant parse: recovers the longest parsing prefix, stopping at the
+  /// first malformed line (everything after is suspect), and says whether
+  /// anything vouches for it, as CodeMapFile::salvage. (Defined after the
+  /// class: it embeds one.)
   struct Recovery;
-  static Recovery salvage(const std::string& contents, std::uint64_t epoch_hint);
+  static Recovery salvage(const std::string& contents, support::FrameHash hash,
+                          std::uint64_t epoch_hint);
 
-  /// salvage() of the file at `path`; as CodeMapFile::salvage_file, a file
+  /// salvage() of the file at `path`, under the key its pid and epoch give;
+  /// as CodeMapFile::salvage_file, a refused file keeps nothing and a file
   /// that does not verify is filed under its file-name epoch.
   static Recovery salvage_file(const std::string& path, const std::string& contents);
 
@@ -102,6 +111,7 @@ struct ObjectMapFile {
 struct ObjectMapFile::Recovery {
   bool intact = false;     // full parse with matching counts and checksum
   bool header_ok = false;  // declared counts readable (exact-loss accounting)
+  bool refused = false;    // as CodeMapFile::Recovery::refused
   std::uint64_t objects_expected = 0;
   std::uint64_t dead_expected = 0;
   ObjectMapFile file;  // truncated flag set when !intact

@@ -1,7 +1,5 @@
 #include "core/resolver.hpp"
 
-#include "core/archive.hpp"
-#include "support/check.hpp"
 #include "support/str_scan.hpp"
 
 namespace viprof::core {
@@ -90,27 +88,11 @@ void Resolver::fold(const ResolveStats& stats) const {
     tele_walkback_->add(static_cast<double>(d), stats.hits_at_depth[d]);
 }
 
-Resolution Resolver::resolve_pc(hw::Address pc, hw::CpuMode mode, hw::Pid pid,
-                                std::uint64_t epoch, ResolveStats& stats) const {
-  VIPROF_CHECK(world_ != nullptr);
-  Resolution out = world_->resolve_pc(pc, mode, pid, epoch);
-  if (out.domain != SampleDomain::kJit) return out;
-  // The tree tells a JIT hit by its walk depth (the sample's own epoch map
-  // counts as one) and a miss by its interned bin name.
-  if (out.maps_searched != 0) {
-    stats.backward_steps += out.maps_searched;
-    ++stats.jit_resolved;
-    if (out.maps_searched < ResolveStats::kDepthSlots)
-      ++stats.hits_at_depth[out.maps_searched];
-    else
-      tele_walkback_->add(static_cast<double>(out.maps_searched));
-    return out;
-  }
+void Resolver::tally_jit_miss(const Resolution& out, ResolveStats& stats) {
   ++stats.jit_unresolved;
   const ResolveNames& names = ResolveNames::get();
   if (out.symbol == names.missing_map) ++stats.unresolved_missing_map;
   else if (out.symbol == names.truncated_map) ++stats.unresolved_truncated_map;
-  return out;
 }
 
 }  // namespace viprof::core

@@ -1,10 +1,10 @@
 #include "core/sample_log.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 
 #include "support/arena.hpp"
-#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -22,16 +22,27 @@ bool scan_hex_field(std::string_view& text, std::uint64_t& out) {
 /// Verifies and decodes one line (terminator stripped): the line frame must
 /// verify before any field is trusted, and the body must hold exactly seven
 /// fields.
-bool decode_sample_line(std::string_view line, std::uint64_t& seq, LoggedSample& out) {
+bool decode_sample_line(std::string_view line, support::FrameHash hash, std::uint64_t& seq,
+                        LoggedSample& out) {
   std::string_view body;
-  return support::unframe_line(line, body) && scan_sample_fields(body, seq, out) &&
+  return support::unframe_line(line, hash, body) && scan_sample_fields(body, seq, out) &&
          support::at_end(body);
 }
 
 }  // namespace
 
+support::FrameHash sample_line_hash(hw::EventKind event) {
+  static const std::array<support::FrameHash, hw::kEventKindCount> kHashes = [] {
+    std::array<support::FrameHash, hw::kEventKindCount> hashes;
+    for (std::size_t i = 0; i < hw::kEventKindCount; ++i)
+      hashes[i] = support::FrameHash::v2(support::frame_key(support::FrameKind::kSampleLog, i));
+    return hashes;
+  }();
+  return kHashes[hw::event_index(event)];
+}
+
 std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& s,
-                                    char (&buf)[kMaxSampleLine]) {
+                                    support::FrameHash hash, char (&buf)[kMaxSampleLine]) {
   char* p = buf;
   const auto field = [&p, &buf](std::uint64_t value, int base) {
     p = std::to_chars(p, buf + kMaxSampleLine, value, base).ptr;
@@ -45,7 +56,7 @@ std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& s,
   field(s.pid, 10);
   field(s.epoch, 10);
   field(s.cycle, 10);
-  p = support::put_crc(p, support::fnv1a(buf, static_cast<std::size_t>(p - buf - 1)));
+  p = support::put_crc(p, hash(buf, static_cast<std::size_t>(p - buf - 1)));
   *p++ = '\n';
   return {buf, static_cast<std::size_t>(p - buf)};
 }
@@ -73,7 +84,7 @@ std::string SampleLogWriter::path_for(const std::string& dir, hw::EventKind even
 void SampleLogWriter::append(hw::EventKind event, const LoggedSample& s) {
   const std::size_t i = hw::event_index(event);
   char buf[kMaxSampleLine];
-  pending_[i] += format_sample_line(next_seq_[i]++, s, buf);
+  pending_[i] += format_sample_line(next_seq_[i]++, s, sample_line_hash(event), buf);
   ++pending_records_[i];
   ++written_[i];
 }
@@ -184,14 +195,14 @@ namespace {
 /// vanishingly unlikely, so skipping is safe — the damage is counted, never
 /// mis-parsed. An unterminated tail is damage too.
 template <typename OnRecord>
-void for_each_sample_line(std::string_view text, SampleLineDamage& damage,
-                          OnRecord&& on_record) {
+void for_each_sample_line(std::string_view text, support::FrameHash hash,
+                          SampleLineDamage& damage, OnRecord&& on_record) {
   support::LineCursor lines(text);
   std::string_view line;
   while (lines.next(line)) {
     std::uint64_t seq = 0;
     LoggedSample s;
-    if (decode_sample_line(line, seq, s)) {
+    if (decode_sample_line(line, hash, seq, s)) {
       on_record(seq, s);
     } else {
       ++damage.lines;
@@ -207,20 +218,22 @@ void for_each_sample_line(std::string_view text, SampleLineDamage& damage,
 }  // namespace
 
 template <typename Sink, typename SeqSink>
-void decode_sample_lines(std::string_view text, Sink& out, SeqSink& seqs,
-                         SampleLineDamage& damage) {
-  for_each_sample_line(text, damage, [&](std::uint64_t seq, const LoggedSample& s) {
+void decode_sample_lines(std::string_view text, support::FrameHash hash, Sink& out,
+                         SeqSink& seqs, SampleLineDamage& damage) {
+  for_each_sample_line(text, hash, damage, [&](std::uint64_t seq, const LoggedSample& s) {
     out.push_back(s);
     seqs.push_back(seq);
   });
 }
 
-template void decode_sample_lines(std::string_view, support::ArenaVector<LoggedSample>&,
+template void decode_sample_lines(std::string_view, support::FrameHash,
+                                  support::ArenaVector<LoggedSample>&,
                                   support::ArenaVector<std::uint64_t>&, SampleLineDamage&);
 
 template <typename Sink>
-void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
-  for_each_sample_line(text, damage_, [&](std::uint64_t seq, const LoggedSample& s) {
+void SampleStreamParser::parse_into(std::string_view text, support::FrameHash hash,
+                                    Sink& out) {
+  for_each_sample_line(text, hash, damage_, [&](std::uint64_t seq, const LoggedSample& s) {
     if (seen_.insert(seq))
       out.push_back(s);
     else
@@ -228,9 +241,9 @@ void SampleStreamParser::parse_into(std::string_view text, Sink& out) {
   });
 }
 
-template void SampleStreamParser::parse_into(std::string_view,
+template void SampleStreamParser::parse_into(std::string_view, support::FrameHash,
                                              std::vector<LoggedSample>&);
-template void SampleStreamParser::parse_into(std::string_view,
+template void SampleStreamParser::parse_into(std::string_view, support::FrameHash,
                                              support::ArenaVector<LoggedSample>&);
 
 std::size_t SampleStreamParser::admit(std::span<LoggedSample> samples,
@@ -287,7 +300,7 @@ std::vector<LoggedSample> SampleLogReader::read_checked(const os::Vfs& vfs,
     return out;
   }
   SampleStreamParser parser;
-  parser.parse_into(*contents, out);
+  parser.parse_into(*contents, sample_line_hash(event), out);
   status = parser.status();
   return out;
 }

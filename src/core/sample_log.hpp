@@ -7,7 +7,10 @@
 // analysis stage" design.
 //
 // Crash-consistent framing: every record carries a per-file sequence number
-// and an FNV-1a checksum. A reader never trusts a line it cannot verify —
+// and a checksum keyed by its event (framed-text v2, sample_line_hash), so a
+// line copied into another event's log, or into a streamed batch whose
+// header names another event, fails like a torn one. A reader never trusts
+// a line it cannot verify —
 // torn or corrupted regions are skipped and *counted* (salvage), sequence
 // numbers never seen reveal records that were dropped or lost in a crash,
 // and a sequence number seen before (a re-tried batch that half-landed) is
@@ -25,6 +28,7 @@
 #include "hw/event.hpp"
 #include "hw/types.hpp"
 #include "os/vfs.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::core {
 
@@ -39,13 +43,18 @@ struct LoggedSample {
 
 /// The sample-line codec, the one place that knows the line grammar
 ///   "<seq> <pc:hex> <caller:hex> <mode:u|k|h> <pid> <epoch> <cycle> <crc:%08x>\n"
-/// where <crc> is FNV-1a over everything before its separating space. No
-/// call allocates; kMaxSampleLine bounds one line.
+/// where <crc> is the line's FrameHash over everything before its
+/// separating space. No call allocates; kMaxSampleLine bounds one line.
 inline constexpr std::size_t kMaxSampleLine = 128;
 
-/// Writes one framed line into `buf`; returns it as a view into `buf`.
+/// The frame hash of `event`'s sample lines: v2, keyed by the event, which
+/// a reader takes from the file name or the batch header.
+support::FrameHash sample_line_hash(hw::EventKind event);
+
+/// Writes one line framed under `hash` into `buf`; returns it as a view
+/// into `buf`.
 std::string_view format_sample_line(std::uint64_t seq, const LoggedSample& sample,
-                                    char (&buf)[kMaxSampleLine]);
+                                    support::FrameHash hash, char (&buf)[kMaxSampleLine]);
 
 /// Scans the seven fields off the front of `text` and advances past them,
 /// skipping whitespace before each; what follows is the caller's to judge.
@@ -174,14 +183,14 @@ struct SampleLineDamage {
   std::uint64_t bytes = 0;
 };
 
-/// Verifies every line of `text` against no stream state: a verified
-/// record goes to `out` and its seq to `seqs`; a torn, unframed or
-/// malformed line (an unterminated tail too) is skipped and counted in
-/// `damage`. Instantiated for the service's ArenaVector sinks; pair it with
-/// SampleStreamParser::admit.
+/// Verifies every line of `text` under `hash` against no stream state: a
+/// verified record goes to `out` and its seq to `seqs`; a torn, unframed,
+/// foreign-keyed or malformed line (an unterminated tail too) is skipped
+/// and counted in `damage`. Instantiated for the service's ArenaVector
+/// sinks; pair it with SampleStreamParser::admit.
 template <typename Sink, typename SeqSink>
-void decode_sample_lines(std::string_view text, Sink& out, SeqSink& seqs,
-                         SampleLineDamage& damage);
+void decode_sample_lines(std::string_view text, support::FrameHash hash, Sink& out,
+                         SeqSink& seqs, SampleLineDamage& damage);
 
 /// Incremental parser over the sample-log line format, sharing
 /// read_checked()'s exact verification and sequence accounting. Feed it
@@ -196,12 +205,12 @@ void decode_sample_lines(std::string_view text, Sink& out, SeqSink& seqs,
 /// is treated as damage (counted, discarded), exactly as at end-of-file.
 class SampleStreamParser {
  public:
-  /// Parses every line in `text`, appending verified samples whose seq is
-  /// new to `out`; `Sink` needs push_back(LoggedSample). Explicitly
-  /// instantiated in sample_log.cpp for std::vector<LoggedSample> and
-  /// support::ArenaVector<LoggedSample>.
+  /// Parses every line in `text`, verified under `hash`, appending
+  /// verified samples whose seq is new to `out`; `Sink` needs
+  /// push_back(LoggedSample). Explicitly instantiated in sample_log.cpp for
+  /// std::vector<LoggedSample> and support::ArenaVector<LoggedSample>.
   template <typename Sink>
-  void parse_into(std::string_view text, Sink& out);
+  void parse_into(std::string_view text, support::FrameHash hash, Sink& out);
 
   /// Admits one chunk decode_sample_lines verified elsewhere: keeps, in
   /// order and compacted to the front of `samples`, the records whose seq

@@ -117,7 +117,7 @@ hw::Cycles MemProfAgent::write_map(std::uint64_t epoch) {
                     config_.map_write_per_entry *
                         static_cast<hw::Cycles>(file.objects.size() + file.dead.size());
   const bool landed =
-      map_writer_.write(machine_->vfs(), path, file.serialize(), stats_, cost);
+      map_writer_.write(machine_->vfs(), path, file.serialize(pid_), stats_, cost);
   if (landed) {
     stats_.map_entries_written += file.objects.size();
     stats_.map_deaths_written += file.dead.size();

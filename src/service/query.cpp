@@ -75,7 +75,11 @@ std::optional<QueryError> fill(Query& q, char slot, std::string_view word) {
   return std::nullopt;
 }
 
-constexpr const char* kHeader = "viprof-snapshot v1";
+constexpr const char* kHeader = "viprof-snapshot v2";
+
+support::FrameHash snapshot_hash() {
+  return support::FrameHash::v2(support::frame_key(support::FrameKind::kSnapshot));
+}
 
 void append_counts_and_names(std::string& out, const core::ProfileRow& row) {
   for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
@@ -193,7 +197,7 @@ std::string ServiceSnapshot::serialize() const {
     }
     out += "end\n";
   }
-  support::append_crc_trailer(out);
+  support::append_crc_trailer(out, snapshot_hash());
   return out;
 }
 
@@ -217,7 +221,8 @@ std::optional<ServiceSnapshot> ServiceSnapshot::parse(const std::string& text) {
            support::scan_u64(line, epoch) && support::scan_lit(line, " ") &&
            parse_row_into(line, current->epochs[epoch]);
   };
-  if (!support::for_each_framed_line(text, kHeader, on_line)) return std::nullopt;
+  if (!support::for_each_framed_line(text, {{kHeader, snapshot_hash()}}, on_line))
+    return std::nullopt;
   return snap;
 }
 

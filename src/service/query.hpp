@@ -6,13 +6,13 @@
 // serves which verb: DESIGN.md §10).
 //
 // The server can freeze its rolling aggregates into a line-based text
-// snapshot ("viprof-snapshot v1") that viprof_query evaluates later —
+// snapshot ("viprof-snapshot v2") that viprof_query evaluates later —
 // sessions, top-N, since-epoch and diffs between two snapshots — without
-// the server running. The format is row-per-line with an FNV-1a trailer
+// the server running. The format is row-per-line with a v2 crc trailer
 // (never trust unverified bytes), and field separation is tab for the name
 // fields because image names contain spaces ("anon (range:...)").
 //
-//   viprof-snapshot v1
+//   viprof-snapshot v2
 //   session <id>
 //   row <domain> <c0> <c1> <c2> <c3> <c4>\t<image>\t<symbol>
 //   erow <epoch> <domain> <c0..c4>\t<image>\t<symbol>

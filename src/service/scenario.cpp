@@ -64,7 +64,7 @@ std::unique_ptr<RecordedScenario> record_scenario(const ScenarioConfig& config) 
         file.entries.push_back(std::move(entry));
       }
       sc->machine.vfs().write(core::CodeMapFile::path_for("jit_maps", proc.pid(), e),
-                              file.serialize());
+                              file.serialize(proc.pid()));
     }
   }
 

@@ -118,7 +118,7 @@ class ProfileServer {
   /// of the grammar in DESIGN.md §10 (service/query.hpp parses it).
   std::string query(std::string_view text);
 
-  /// viprof-snapshot v1 text over all sessions (see service/query.hpp).
+  /// viprof-snapshot v2 text over all sessions (see service/query.hpp).
   std::string snapshot();
 
   /// Writes <dir>/<session>/profile.txt, <dir>/service.snap,

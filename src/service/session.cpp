@@ -25,28 +25,13 @@ std::string render_session_stats(const std::map<std::string, SessionStats>& rows
 
 namespace {
 
-/// "<dir>/<pid>/map.<epoch>" → pid, from the second-to-last component.
-std::optional<hw::Pid> pid_from_map_path(const std::string& path) {
-  const std::size_t last = path.rfind('/');
-  if (last == std::string::npos || last == 0) return std::nullopt;
-  const std::size_t prev = path.rfind('/', last - 1);
-  const std::size_t begin = prev == std::string::npos ? 0 : prev + 1;
-  if (begin >= last) return std::nullopt;
-  hw::Pid pid = 0;
-  for (std::size_t i = begin; i < last; ++i) {
-    if (path[i] < '0' || path[i] > '9') return std::nullopt;
-    pid = pid * 10 + static_cast<hw::Pid>(path[i] - '0');
-  }
-  return pid;
-}
-
 /// "<dir>/<pid>/omap.<E>" → (dir, pid): exactly the partition whose
 /// load_object_index(dir, pid) listing the file falls in.
 std::optional<std::pair<std::string, hw::Pid>> object_map_key(const std::string& path) {
   const std::size_t last = path.rfind('/');
   if (last == std::string::npos || path.compare(last + 1, 5, "omap.") != 0)
     return std::nullopt;
-  const auto pid = pid_from_map_path(path);
+  const auto pid = core::pid_from_map_path(path);
   const std::size_t prev = last == 0 ? std::string::npos : path.rfind('/', last - 1);
   if (!pid || prev == std::string::npos ||
       path.compare(prev + 1, last - prev - 1, std::to_string(*pid)) != 0)
@@ -127,7 +112,7 @@ void ServerSession::store_file(const std::string& path, std::string bytes) {
       fold_us_->add(static_cast<double>(support::monotonic_ns() - t0) / 1000.0);
   }
   const auto epoch = core::CodeMapFile::epoch_from_path(path);
-  const auto pid = epoch ? pid_from_map_path(path) : std::nullopt;
+  const auto pid = epoch ? core::pid_from_map_path(path) : std::nullopt;
   if (epoch && pid) {
     std::lock_guard<support::TracedMutex> lock(ingest_mu_);
     const auto it = ceilings_->find(*pid);
@@ -274,7 +259,9 @@ support::ArenaVector<core::LoggedSample> ServerSession::parse_batch(
   support::ArenaVector<core::LoggedSample> samples(arena);
   support::ArenaVector<std::uint64_t> seqs(arena);
   core::SampleLineDamage damage;
-  core::decode_sample_lines(body, samples, seqs, damage);
+  // Keyed by the event the batch header names: a line of another event's
+  // log fails its frame and is counted as damage.
+  core::decode_sample_lines(body, core::sample_line_hash(event), samples, seqs, damage);
   EventStream& stream = streams_[hw::event_index(event)];
   std::size_t kept = 0;
   {

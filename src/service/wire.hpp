@@ -8,13 +8,13 @@
 // the next magic marker, with the tear and the skipped bytes *counted*,
 // exactly as the sample-log reader salvages a torn file.
 //
-// The trailer is XXH32 (seed 0, support::xxh32), not the FNV-1a of the
-// persisted formats: wire frames are never written to disk (both ends run
-// in-process), so the receiver thread pays a word-wise hash instead of a
-// byte-serial one (DESIGN.md §10 has the measured cost). XXH32 keeps
-// FNV-1a's guarantee that any single-byte change alters the checksum.
-// FNV-1a stays on every persisted format (sample logs, maps, segments,
-// manifests, snapshot), byte for byte.
+// The trailer is XXH32 (support::xxh32) at seed 0: the persisted formats
+// key their XXH32 by the file (framed-text v2), but wire frames are never
+// written to disk (both ends run in-process) and carry their own type, so
+// the wire needs no key and its frames stay byte-identical across that
+// change. A word-wise hash instead of FNV-1a's byte-serial one is what the
+// receiver thread pays (DESIGN.md §10 has the measured cost); any
+// single-byte change still alters the checksum.
 //
 // Frame layout (little-endian):
 //   offset 0  'V' 'F'        magic

@@ -6,8 +6,20 @@ namespace viprof::store {
 
 namespace {
 
-constexpr const char* kHeader = "viprof-store-manifest v1";
-constexpr const char* kFleetHeader = "viprof-fleet-manifest v1";
+// Every write is v2. Each manifest reads its v1 form too: an older build's
+// store or fleet may still be on disk.
+constexpr const char* kHeader = "viprof-store-manifest v2";
+constexpr const char* kHeaderV1 = "viprof-store-manifest v1";
+constexpr const char* kFleetHeader = "viprof-fleet-manifest v2";
+constexpr const char* kFleetHeaderV1 = "viprof-fleet-manifest v1";
+
+support::FrameHash manifest_hash() {
+  return support::FrameHash::v2(support::frame_key(support::FrameKind::kStoreManifest));
+}
+
+support::FrameHash fleet_manifest_hash() {
+  return support::FrameHash::v2(support::frame_key(support::FrameKind::kFleetManifest));
+}
 
 /// Consumes "<key> " off the front of `line`.
 bool keyed(std::string_view& line, std::string_view key) {
@@ -38,7 +50,7 @@ std::string Manifest::serialize() const {
            "\n";
   }
   for (const std::string& t : tombstones) out += "tombstone " + t + "\n";
-  support::append_crc_trailer(out);
+  support::append_crc_trailer(out, manifest_hash());
   return out;
 }
 
@@ -69,7 +81,10 @@ std::optional<Manifest> Manifest::parse(const std::string& text) {
     }
     return false;
   };
-  if (!support::for_each_framed_line(text, kHeader, on_line)) return std::nullopt;
+  if (!support::for_each_framed_line(
+          text, {{kHeader, manifest_hash()}, {kHeaderV1, support::FrameHash::v1()}},
+          on_line))
+    return std::nullopt;
   return m;
 }
 
@@ -101,7 +116,7 @@ std::string FleetManifest::serialize() const {
            std::to_string(s.sessions) + " " + std::to_string(s.records) + "\t" +
            s.name + "\t" + s.root + "\n";
   }
-  support::append_crc_trailer(out);
+  support::append_crc_trailer(out, fleet_manifest_hash());
   return out;
 }
 
@@ -138,7 +153,11 @@ std::optional<FleetManifest> FleetManifest::parse(const std::string& text) {
     }
     return false;
   };
-  if (!support::for_each_framed_line(text, kFleetHeader, on_line)) return std::nullopt;
+  if (!support::for_each_framed_line(
+          text,
+          {{kFleetHeader, fleet_manifest_hash()}, {kFleetHeaderV1, support::FrameHash::v1()}},
+          on_line))
+    return std::nullopt;
   return m;
 }
 

@@ -110,11 +110,11 @@ void ProfileStore::scan(ScanState& st) const {
       std::vector<std::size_t> unnumbered;  // st.loaded slots still needing an id
       for (const std::string& full : files) {
         const auto text = vfs_.read(full);
-        SegmentSalvage sv = read_segment(*text);
+        const std::string rel = rel_of(full);
+        SegmentSalvage sv = read_segment(*text, id_from_name(rel));
         rec.lines_discarded += sv.lines_discarded;
         rec.intervals_lost += sv.intervals_dropped;
         rec.rows_lost += sv.rows_dropped;
-        const std::string rel = rel_of(full);
         if (sv.intervals.empty()) {
           ++rec.segments_lost;
           st.remove.push_back(full);
@@ -178,7 +178,7 @@ void ProfileStore::scan(ScanState& st) const {
         }
         continue;
       }
-      SegmentSalvage sv = read_segment(*text);
+      SegmentSalvage sv = read_segment(*text, ms.id);
       rec.lines_discarded += sv.lines_discarded;
       if (ms.sealed) {
         // Manifest counts are authoritative: exact loss.
@@ -228,7 +228,7 @@ void ProfileStore::scan(ScanState& st) const {
       st.remove.push_back(full);
       damage = true;
       const auto text = vfs_.read(full);
-      SegmentSalvage sv = read_segment(*text);
+      SegmentSalvage sv = read_segment(*text, id_from_name(rel));
       if (sv.sealed) {
         // Compaction output that never got adopted; its inputs are still
         // live in this generation, so discarding it loses nothing.

@@ -1,19 +1,28 @@
 #include "store/segment.hpp"
 
-#include "support/framed_text.hpp"
-
 namespace viprof::store {
 
-SegmentWriter::SegmentWriter(std::uint64_t segment_id) : segment_id_(segment_id) {}
+namespace {
+
+constexpr std::string_view kMagic = "viprof-segment v";
+
+}  // namespace
+
+support::FrameHash segment_frame_hash(std::uint64_t id) {
+  return support::FrameHash::v2(support::frame_key(support::FrameKind::kSegment, id));
+}
+
+SegmentWriter::SegmentWriter(std::uint64_t segment_id)
+    : segment_id_(segment_id), hash_(segment_frame_hash(segment_id)) {}
 
 std::string SegmentWriter::frame(const std::string& body) {
   std::string out;
-  support::append_framed_line(out, body);
+  support::append_framed_line(out, body, hash_);
   return out;
 }
 
 std::string SegmentWriter::header() {
-  return frame(std::to_string(next_seq_++) + " H viprof-segment v1 " +
+  return frame(std::to_string(next_seq_++) + " H " + std::string(kMagic) + "2 " +
                std::to_string(segment_id_));
 }
 
@@ -48,9 +57,14 @@ std::string SegmentWriter::encode_interval(const IntervalProfile& iv) {
   for (const core::ProfileRow& row : iv.profile.rows()) {
     std::string body = std::to_string(next_seq_++) + " R " +
                        core::to_string(row.domain);
-    for (std::size_t e = 0; e < hw::kEventKindCount; ++e)
-      body += " " + std::to_string(row.counts[e]);
-    body += " " + std::to_string(ids[i].first) + " " + std::to_string(ids[i].second);
+    for (const std::uint64_t field : row.counts) {
+      body += ' ';
+      body += std::to_string(field);
+    }
+    for (const std::uint64_t field : {ids[i].first, ids[i].second}) {
+      body += ' ';
+      body += std::to_string(field);
+    }
     out += frame(body);
     ++i;
   }
@@ -91,10 +105,38 @@ void finalize(PendingInterval& p, SegmentSalvage& out) {
   p = PendingInterval{};
 }
 
+/// The hash every line of `contents` is read under: v2 keyed by `id`, or
+/// v1, whichever the first line that verifies under either was framed
+/// with (the header, unless it is damaged). With no id known, the id the
+/// first line names is used unverified: only lines that verify under it
+/// count.
+support::FrameHash choose_hash(const std::string& contents,
+                               std::optional<std::uint64_t> id) {
+  support::LineCursor cursor(contents);
+  std::string_view line, body;
+  if (!id) {
+    std::string_view head = std::string_view(contents).substr(0, contents.find('\n'));
+    const std::size_t at = head.find(kMagic);
+    std::uint64_t version = 0, named = 0;
+    head.remove_prefix(at == std::string_view::npos ? head.size() : at + kMagic.size());
+    if (support::scan_u64(head, version) && support::scan_u64(head, named)) id = named;
+  }
+  const support::FrameHash v2 = segment_frame_hash(id.value_or(0));
+  while (cursor.next(line)) {
+    if (support::unframe_line(line, v2, body)) return v2;
+    if (support::unframe_line(line, support::FrameHash::v1(), body))
+      return support::FrameHash::v1();
+  }
+  return v2;
+}
+
 }  // namespace
 
-SegmentSalvage read_segment(const std::string& contents) {
+SegmentSalvage read_segment(const std::string& contents,
+                            std::optional<std::uint64_t> segment_id) {
   SegmentSalvage out;
+  const support::FrameHash hash = choose_hash(contents, segment_id);
+  const std::string_view version = hash.version == support::FrameHash::Version::kV1 ? "1" : "2";
   std::unordered_map<std::uint64_t, support::Name> dict;
   PendingInterval pending;
   std::uint64_t last_seq = 0;
@@ -113,7 +155,7 @@ SegmentSalvage read_segment(const std::string& contents) {
     if (line.empty()) continue;
     std::string_view body;
     std::uint64_t seq = 0;
-    if (!support::unframe_line(line, body) || !support::scan_u64(body, seq) ||
+    if (!support::unframe_line(line, hash, body) || !support::scan_u64(body, seq) ||
         body.empty() || body.front() != ' ') {
       ++out.lines_discarded;
       continue;
@@ -144,11 +186,11 @@ SegmentSalvage read_segment(const std::string& contents) {
     if (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
 
     if (type == 'H') {
-      std::uint64_t id = 0;
-      if (support::scan_lit(rest, "viprof-segment v1") && support::scan_u64(rest, id) &&
-          support::at_end(rest)) {
+      std::uint64_t header_id = 0;
+      if (support::scan_lit(rest, kMagic) && support::scan_lit(rest, version) &&
+          support::scan_u64(rest, header_id) && support::at_end(rest)) {
         out.header_ok = true;
-        out.segment_id = id;
+        out.segment_id = header_id;
       } else {
         reject();
       }

@@ -4,9 +4,13 @@
 // discipline (sample_log.hpp): every line is `body SP crc8hex`, lines carry
 // strictly increasing sequence numbers, and a reader verifies each line
 // independently — a torn tail or flipped bit costs exactly the damaged
-// lines, never the file. Record types:
+// lines, never the file. The crc is framed-text v2, keyed by the segment
+// id the reader takes from the manifest entry or the file name, so a line
+// spliced in from another segment fails like a torn one. A v1 segment
+// (unkeyed FNV-1a, from an older build) still reads: its header says so.
+// Record types:
 //
-//   <seq> H viprof-segment v1 <segment_id>          file header (seq 0)
+//   <seq> H viprof-segment v2 <segment_id>          file header (seq 0)
 //   <seq> D <id>\t<string>                          dictionary entry
 //   <seq> I <tlo> <thi> <elo> <ehi> <pid> <fseq> <rows>\t<session>
 //   <seq> R <domain> <c0>..<c4> <img_id> <sym_id>   one profile row
@@ -21,11 +25,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "store/interval.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::store {
 
@@ -51,6 +57,7 @@ class SegmentWriter {
   std::uint64_t intern(support::Name name, std::string& out);
 
   std::uint64_t segment_id_;
+  support::FrameHash hash_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_dict_id_ = 0;
   /// Process-wide name -> this segment's dictionary id, numbered in
@@ -86,7 +93,16 @@ struct SegmentSalvage {
   }
 };
 
+/// The frame hash of segment `id`'s lines.
+support::FrameHash segment_frame_hash(std::uint64_t id);
+
 /// Verifies and decodes a segment file, skipping and counting damage.
-SegmentSalvage read_segment(const std::string& contents);
+/// `segment_id` is the segment the caller expects (from the manifest or the
+/// file name) and keys every v2 line. With no id known, the id the header
+/// line names is used, unverified, as the key: only lines that verify under
+/// it count. The file reads as v1 when its first verifying line (the
+/// header, unless that is damaged) is a v1 frame.
+SegmentSalvage read_segment(const std::string& contents,
+                            std::optional<std::uint64_t> segment_id);
 
 }  // namespace viprof::store

@@ -1,13 +1,14 @@
 // The one home for the project's non-cryptographic hash primitives.
 //
-// Every persisted framed format (sample logs, code maps, object maps, store
-// segments, manifests, the service snapshot) checksums with 32-bit FNV-1a,
-// and the fleet ring / trace-context layers key on 64-bit FNV-1a —
-// historically each site carried its own copy of the constants. They live
-// here exactly once so framed-file byte-identity cannot drift when one copy
-// is "fixed"; tests/test_support_hash pins every constant below. FNV-1a is
-// kept only for those persisted bytes: the in-process wire frame trailer,
-// which is never written to disk, uses the word-wise xxh32() instead.
+// Every crc-framed text format (sample logs, code maps, object maps, store
+// segments, manifests, the service snapshot) checksums with the word-wise
+// xxh32(), seeded with a per-file key (framed_text.hpp, format v2), and so
+// does the wire frame trailer (seed 0). 32-bit FNV-1a is kept only for the
+// v1 readers of the files an older build may have left on disk (store
+// segments and manifests). The fleet ring / trace-context layers key on
+// 64-bit FNV-1a. Each constant lives here exactly once so framed-file
+// byte-identity cannot drift when one copy is "fixed";
+// tests/test_support_hash pins every constant below.
 #pragma once
 
 #include <bit>
@@ -18,10 +19,10 @@
 
 namespace viprof::support {
 
-/// FNV-1a 32-bit hash; the record/file checksum used by the crash-consistent
-/// sample-log, code-map and object-map framing. Not cryptographic — it only
-/// has to catch torn writes and bit rot, like the crc fields in real trace
-/// formats.
+/// FNV-1a 32-bit hash; the line/file checksum of framed-text format v1,
+/// which only the store's segment and manifest readers still accept. Not
+/// cryptographic — it only has to catch torn writes and bit rot, like the
+/// crc fields in real trace formats.
 inline std::uint32_t fnv1a(const char* data, std::size_t size) {
   std::uint32_t h = 0x811c9dc5u;
   for (std::size_t i = 0; i < size; ++i) {
@@ -33,15 +34,17 @@ inline std::uint32_t fnv1a(const char* data, std::size_t size) {
 
 inline std::uint32_t fnv1a(const std::string& s) { return fnv1a(s.data(), s.size()); }
 
-/// XXH32 (seed 0), from the published xxHash algorithm: four 32-bit lanes
-/// over 16-byte stripes, then 4-byte and 1-byte tail steps and the
-/// avalanche. The wire frame checksum (service/wire.cpp). Like FNV-1a it
-/// detects every single-byte change: each lane round, tail step and
-/// avalanche step is a bijection of the state (odd multipliers, rotations,
-/// xor-shifts), so two inputs of one length that differ in one byte never
-/// collide. It reads a word where FNV-1a reads a byte: 0.21–0.23 ns/B
-/// against 1.67–1.70 ns/B over an 11.8 KB frame (4-vCPU Xeon, g++ 12 -O2).
-inline std::uint32_t xxh32(const char* data, std::size_t size) {
+/// XXH32, from the published xxHash algorithm: four 32-bit lanes over
+/// 16-byte stripes (started from the seed), then 4-byte and 1-byte tail
+/// steps and the avalanche. The wire frame checksum (service/wire.cpp, seed
+/// 0) and, seeded with a per-file key, the checksum of framed-text format
+/// v2. Like FNV-1a it detects every single-byte change: each lane round,
+/// tail step and avalanche step is a bijection of the state (odd
+/// multipliers, rotations, xor-shifts), so two inputs of one length that
+/// differ in one byte never collide under one seed. It reads a word where
+/// FNV-1a reads a byte: 0.21–0.23 ns/B against 1.67–1.70 ns/B over an
+/// 11.8 KB frame (4-vCPU Xeon, g++ 12 -O2).
+inline std::uint32_t xxh32(const char* data, std::size_t size, std::uint32_t seed = 0) {
   constexpr std::uint32_t kP1 = 0x9e3779b1u;
   constexpr std::uint32_t kP2 = 0x85ebca77u;
   constexpr std::uint32_t kP3 = 0xc2b2ae3du;
@@ -62,10 +65,10 @@ inline std::uint32_t xxh32(const char* data, std::size_t size) {
   const char* const end = data + size;
   std::uint32_t h;
   if (size >= 16) {
-    std::uint32_t v1 = kP1 + kP2;
-    std::uint32_t v2 = kP2;
-    std::uint32_t v3 = 0;
-    std::uint32_t v4 = 0u - kP1;
+    std::uint32_t v1 = seed + kP1 + kP2;
+    std::uint32_t v2 = seed + kP2;
+    std::uint32_t v3 = seed;
+    std::uint32_t v4 = seed - kP1;
     for (const char* const limit = end - 16; p <= limit; p += 16) {
       v1 = round(v1, read32(p));
       v2 = round(v2, read32(p + 4));
@@ -74,7 +77,7 @@ inline std::uint32_t xxh32(const char* data, std::size_t size) {
     }
     h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
   } else {
-    h = kP5;
+    h = seed + kP5;
   }
   h += static_cast<std::uint32_t>(size);
   for (; end - p >= 4; p += 4) h = std::rotl(h + read32(p) * kP3, 17) * kP4;

@@ -111,7 +111,7 @@ TEST_F(AgentTest, PendingClearedAfterWrite) {
   const auto contents =
       machine_.vfs().read(CodeMapFile::path_for(config_.map_dir, pid_, 1));
   ASSERT_TRUE(contents.has_value());
-  const auto parsed = CodeMapFile::parse(*contents);
+  const auto parsed = CodeMapFile::parse(*contents, CodeMapFile::frame_hash(pid_, 1));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->entries.empty());
 }
@@ -164,8 +164,9 @@ TEST_F(AgentTest, DuplicateEventsDedupedWithinEpoch) {
   agent_->on_method_moved(method(1), code.address, code);
   agent_->on_method_moved(method(1), code.address, code);
   agent_->on_epoch_end(0, false);
-  const auto parsed = CodeMapFile::parse(
-      *machine_.vfs().read(CodeMapFile::path_for(config_.map_dir, pid_, 0)));
+  const auto parsed =
+      CodeMapFile::parse(*machine_.vfs().read(CodeMapFile::path_for(config_.map_dir, pid_, 0)),
+                         CodeMapFile::frame_hash(pid_, 0));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->entries.size(), 1u);
 }

@@ -31,7 +31,7 @@ class CallGraphTest : public ::testing::Test {
     CodeMapFile map0;
     map0.epoch = 0;
     map0.entries.push_back({heap_base_ + 0x100, 0x100, support::Name("app.Hot.loop")});
-    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map0.serialize());
+    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map0.serialize(pid_));
 
     resolver_ = std::make_unique<Resolver>(machine_, table_, true);
     resolver_->load();

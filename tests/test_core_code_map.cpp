@@ -6,6 +6,12 @@
 namespace viprof::core {
 namespace {
 
+/// Every map here is kPid's unless a test says otherwise.
+constexpr hw::Pid kPid = 42;
+
+/// The frame hash of kPid's map of `epoch`.
+support::FrameHash key(std::uint64_t epoch) { return CodeMapFile::frame_hash(kPid, epoch); }
+
 CodeMapFile map_of(std::uint64_t epoch,
                    std::vector<std::tuple<hw::Address, std::uint64_t, std::string>> rows) {
   CodeMapFile file;
@@ -18,7 +24,7 @@ CodeMapFile map_of(std::uint64_t epoch,
 TEST(CodeMapFile, SerializeParseRoundTrip) {
   const CodeMapFile original =
       map_of(3, {{0x1000, 256, "a.b.c"}, {0x2000, 512, "d.e.f"}});
-  const auto parsed = CodeMapFile::parse(original.serialize());
+  const auto parsed = CodeMapFile::parse(original.serialize(kPid), key(3));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->epoch, 3u);
   ASSERT_EQ(parsed->entries.size(), 2u);
@@ -29,20 +35,20 @@ TEST(CodeMapFile, SerializeParseRoundTrip) {
 }
 
 TEST(CodeMapFile, EmptyMapRoundTrips) {
-  const auto parsed = CodeMapFile::parse(map_of(9, {}).serialize());
+  const auto parsed = CodeMapFile::parse(map_of(9, {}).serialize(kPid), key(9));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->epoch, 9u);
   EXPECT_TRUE(parsed->entries.empty());
 }
 
 TEST(CodeMapFile, MalformedHeaderRejected) {
-  EXPECT_FALSE(CodeMapFile::parse("").has_value());
-  EXPECT_FALSE(CodeMapFile::parse("bogus 3\n").has_value());
-  EXPECT_FALSE(CodeMapFile::parse("epoch notanumber\n").has_value());
+  EXPECT_FALSE(CodeMapFile::parse("", key(0)).has_value());
+  EXPECT_FALSE(CodeMapFile::parse("bogus 3\n", key(3)).has_value());
+  EXPECT_FALSE(CodeMapFile::parse("epoch notanumber\n", key(0)).has_value());
 }
 
 TEST(CodeMapFile, MalformedEntryRejected) {
-  EXPECT_FALSE(CodeMapFile::parse("epoch 1\n0x10\n").has_value());
+  EXPECT_FALSE(CodeMapFile::parse("epoch 1\n0x10\n", key(1)).has_value());
 }
 
 TEST(CodeMapFile, PathOrdersByEpoch) {
@@ -114,12 +120,12 @@ TEST(CodeMapIndex, SparseEpochsSkipped) {
 TEST(CodeMapIndex, LoadFromVfs) {
   os::Vfs vfs;
   vfs.write(CodeMapFile::path_for("jit_maps", 42, 0),
-            map_of(0, {{0x1000, 100, "a"}}).serialize());
+            map_of(0, {{0x1000, 100, "a"}}).serialize(42));
   vfs.write(CodeMapFile::path_for("jit_maps", 42, 1),
-            map_of(1, {{0x2000, 100, "b"}}).serialize());
+            map_of(1, {{0x2000, 100, "b"}}).serialize(42));
   // Another pid's maps must not leak in.
   vfs.write(CodeMapFile::path_for("jit_maps", 43, 0),
-            map_of(0, {{0x3000, 100, "c"}}).serialize());
+            map_of(0, {{0x3000, 100, "c"}}).serialize(43));
   CodeMapIndex index;
   index.load(vfs, "jit_maps", 42);
   EXPECT_EQ(index.map_count(), 2u);
@@ -133,11 +139,11 @@ TEST(CodeMapIndex, LoadFromVfs) {
 TEST(CodeMapFile, TornFileRejectedByStrictParseButSalvaged) {
   const CodeMapFile original = map_of(
       5, {{0x1000, 100, "a"}, {0x2000, 100, "b"}, {0x3000, 100, "c"}});
-  std::string torn = original.serialize();
+  std::string torn = original.serialize(kPid);
   torn.resize(torn.size() / 2);  // lose the tail: entries + crc trailer
 
-  EXPECT_FALSE(CodeMapFile::parse(torn).has_value());
-  const auto r = CodeMapFile::salvage(torn, 99);
+  EXPECT_FALSE(CodeMapFile::parse(torn, key(5)).has_value());
+  const auto r = CodeMapFile::salvage(torn, key(5), 99);
   EXPECT_FALSE(r.intact);
   EXPECT_TRUE(r.header_ok);
   EXPECT_EQ(r.file.epoch, 5u);  // header survived: hint not needed
@@ -148,7 +154,7 @@ TEST(CodeMapFile, TornFileRejectedByStrictParseButSalvaged) {
 }
 
 TEST(CodeMapFile, HeaderlessDamageFallsBackToEpochHint) {
-  const auto r = CodeMapFile::salvage("garbage\nmore garbage\n", 7);
+  const auto r = CodeMapFile::salvage("garbage\nmore garbage\n", key(7), 7);
   EXPECT_FALSE(r.intact);
   EXPECT_FALSE(r.header_ok);
   EXPECT_EQ(r.file.epoch, 7u);
@@ -158,7 +164,7 @@ TEST(CodeMapFile, HeaderlessDamageFallsBackToEpochHint) {
 
 TEST(CodeMapFile, IntactFileSurvivesSalvageUnchanged) {
   const CodeMapFile original = map_of(2, {{0x1000, 100, "a"}});
-  const auto r = CodeMapFile::salvage(original.serialize(), 0);
+  const auto r = CodeMapFile::salvage(original.serialize(kPid), key(2), 0);
   EXPECT_TRUE(r.intact);
   EXPECT_FALSE(r.file.truncated);
   EXPECT_EQ(r.file.entries.size(), 1u);
@@ -169,7 +175,7 @@ TEST(CodeMapFile, TruncatedMarkerRoundTripsThroughReserialization) {
   // recovered tree stays honest about what it lost.
   CodeMapFile file = map_of(4, {{0x1000, 100, "a"}});
   file.truncated = true;
-  const auto parsed = CodeMapFile::parse(file.serialize());
+  const auto parsed = CodeMapFile::parse(file.serialize(kPid), key(4));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->truncated);
   CodeMapIndex index;
@@ -181,15 +187,15 @@ TEST(CodeMapFile, StrictParseRejectsCrcMismatchWithFullEntryCount) {
   // One changed byte in a symbol keeps every line well-formed and the
   // entry count exact; only the crc trailer can tell.
   std::string bytes =
-      map_of(6, {{0x1000, 100, "a.b.c"}, {0x2000, 100, "d.e.f"}}).serialize();
+      map_of(6, {{0x1000, 100, "a.b.c"}, {0x2000, 100, "d.e.f"}}).serialize(kPid);
   const std::size_t at = bytes.find("a.b.c");
   ASSERT_NE(at, std::string::npos);
   bytes[at] = 'z';
 
-  const auto r = CodeMapFile::salvage(bytes, 0);
+  const auto r = CodeMapFile::salvage(bytes, key(6), 0);
   EXPECT_FALSE(r.intact);
   EXPECT_EQ(r.file.entries.size(), r.entries_expected);
-  EXPECT_FALSE(CodeMapFile::parse(bytes).has_value());
+  EXPECT_FALSE(CodeMapFile::parse(bytes, key(6)).has_value());
 }
 
 TEST(CodeMapFile, FsckRewrittenTruncatedMapParses) {
@@ -197,15 +203,15 @@ TEST(CodeMapFile, FsckRewrittenTruncatedMapParses) {
   // count and crc over the kept entries, plus the `truncated` marker.
   const CodeMapFile original = map_of(
       8, {{0x1000, 100, "a"}, {0x2000, 100, "b"}, {0x3000, 100, "c"}});
-  std::string torn = original.serialize();
+  std::string torn = original.serialize(kPid);
   torn.resize(torn.find("0x3000"));
-  const auto r = CodeMapFile::salvage(torn, 0);
+  const auto r = CodeMapFile::salvage(torn, key(8), 0);
   ASSERT_FALSE(r.intact);
   ASSERT_EQ(r.file.entries.size(), 2u);
 
-  const std::string rewritten = r.file.serialize();
-  EXPECT_TRUE(CodeMapFile::salvage(rewritten, 0).intact);
-  const auto parsed = CodeMapFile::parse(rewritten);
+  const std::string rewritten = r.file.serialize(kPid);
+  EXPECT_TRUE(CodeMapFile::salvage(rewritten, key(8), 0).intact);
+  const auto parsed = CodeMapFile::parse(rewritten, key(8));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->truncated);
   ASSERT_EQ(parsed->entries.size(), 2u);
@@ -223,9 +229,9 @@ TEST(CodeMapFile, EpochFromPath) {
 TEST(CodeMapIndex, LoadSalvagesDamagedFilesAndCountsThem) {
   os::Vfs vfs;
   vfs.write(CodeMapFile::path_for("jit_maps", 42, 0),
-            map_of(0, {{0x1000, 100, "a"}}).serialize());
+            map_of(0, {{0x1000, 100, "a"}}).serialize(42));
   std::string torn =
-      map_of(1, {{0x2000, 100, "b"}, {0x3000, 100, "c"}}).serialize();
+      map_of(1, {{0x2000, 100, "b"}, {0x3000, 100, "c"}}).serialize(42);
   torn.resize(torn.size() - 18);  // lose the crc trailer and part of "c"
   vfs.write(CodeMapFile::path_for("jit_maps", 42, 1), torn);
 
@@ -296,13 +302,13 @@ TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
   const CodeMapFile intact = map_of(11, {{0x1000, 0x100, "app.K.old"}});
   const CodeMapFile damaged =
       map_of(12, {{0x2000, 0x100, "app.K.a"}, {0x3000, 0x100, "app.K.b"}});
-  std::string bytes = damaged.serialize();
+  std::string bytes = damaged.serialize(pid);
   ASSERT_EQ(bytes.compare(0, 9, "epoch 12 "), 0);
   bytes[7] = '3';
   const std::string path = CodeMapFile::path_for("jit_maps", pid, 12);
   const std::string intact_path = CodeMapFile::path_for("jit_maps", pid, 11);
   vfs.write(path, bytes);
-  vfs.write(intact_path, intact.serialize());
+  vfs.write(intact_path, intact.serialize(pid));
 
   const CodeMapFile::Recovery r = CodeMapFile::salvage_file(path, bytes);
   EXPECT_FALSE(r.intact);
@@ -311,9 +317,9 @@ TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
   EXPECT_TRUE(r.file.truncated);
   EXPECT_EQ(r.file.entries.size(), 2u);
   const CodeMapFile::Recovery ok =
-      CodeMapFile::salvage_file(intact_path, intact.serialize());
+      CodeMapFile::salvage_file(intact_path, intact.serialize(pid));
   EXPECT_TRUE(ok.intact);
-  EXPECT_EQ(ok.file.serialize(), intact.serialize());
+  EXPECT_EQ(ok.file.serialize(pid), intact.serialize(pid));
 
   CodeMapIndex index;
   index.load(vfs, "jit_maps", pid);
@@ -333,7 +339,7 @@ TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
   omap.epoch = 12;
   omap.sites = {{0, support::Name("Alloc.site:1")}};
   omap.objects = {{0x6000, 64, 1, 0}, {0x6100, 64, 2, 0}};
-  std::string obytes = omap.serialize();
+  std::string obytes = omap.serialize(pid);
   ASSERT_EQ(obytes.compare(0, 8, "omap 12 "), 0);
   obytes[6] = '3';
   const std::string opath = ObjectMapFile::path_for("obj_maps", pid, 12);
@@ -341,7 +347,7 @@ TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
   ObjectMapFile ointact = omap;
   ointact.epoch = 11;
   vfs.write(opath, obytes);
-  vfs.write(ointact_path, ointact.serialize());
+  vfs.write(ointact_path, ointact.serialize(pid));
 
   const ObjectMapFile::Recovery orec = ObjectMapFile::salvage_file(opath, obytes);
   EXPECT_FALSE(orec.intact);
@@ -349,9 +355,9 @@ TEST(MapSalvage, FlippedHeaderEpochDigitFilesUnderTheFileNameEpoch) {
   EXPECT_TRUE(orec.file.truncated);
   EXPECT_EQ(orec.file.objects.size(), 2u);
   const ObjectMapFile::Recovery ook =
-      ObjectMapFile::salvage_file(ointact_path, ointact.serialize());
+      ObjectMapFile::salvage_file(ointact_path, ointact.serialize(pid));
   EXPECT_TRUE(ook.intact);
-  EXPECT_EQ(ook.file.serialize(), ointact.serialize());
+  EXPECT_EQ(ook.file.serialize(pid), ointact.serialize(pid));
 
   const ObjectIndexLoad load = load_object_index(vfs, "obj_maps", pid);
   EXPECT_EQ(load.maps_loaded, 2u);

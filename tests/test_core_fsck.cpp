@@ -38,7 +38,7 @@ void write_map(os::Vfs& vfs, std::uint64_t epoch, bool truncate_bytes) {
     e.symbol = "App.m" + std::to_string(i);
     file.entries.push_back(e);
   }
-  std::string blob = file.serialize();
+  std::string blob = file.serialize(101);
   if (truncate_bytes) blob.resize(blob.size() / 2);  // lose trailer + tail entries
   vfs.write(CodeMapFile::path_for("jit_maps", 101, epoch), blob);
 }

@@ -50,11 +50,11 @@ class ResolverTest : public ::testing::Test {
     CodeMapFile map0;
     map0.epoch = 0;
     map0.entries.push_back({heap_base_ + 0x100, 0x80, support::Name("app.Klass.hot")});
-    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map0.serialize());
+    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map0.serialize(pid_));
     CodeMapFile map1;
     map1.epoch = 1;
     map1.entries.push_back({heap_base_ + 0x900, 0x80, support::Name("app.Klass.hot")});
-    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 1), map1.serialize());
+    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 1), map1.serialize(pid_));
   }
 
   Resolver make_resolver(bool vm_aware) {

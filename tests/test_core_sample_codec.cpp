@@ -30,8 +30,20 @@ namespace {
 
 // --- Oracles: the code the codec replaced ---------------------------------
 
+/// Every line here is in kEvent's log unless a test says otherwise.
+constexpr hw::EventKind kEvent = hw::EventKind::kGlobalPowerEvents;
+
+/// The v2 line crc: XXH32 seeded with the event's key.
+std::uint32_t oracle_crc(const char* data, std::size_t size, hw::EventKind event = kEvent) {
+  return support::xxh32(
+      data, size, support::frame_key(support::FrameKind::kSampleLog, hw::event_index(event)));
+}
+
+std::uint32_t oracle_crc(const std::string& s) { return oracle_crc(s.data(), s.size()); }
+
 /// SampleLogWriter::append's line before the codec: two snprintf calls.
-std::string snprintf_line(std::uint64_t seq, const LoggedSample& s) {
+std::string snprintf_line(std::uint64_t seq, const LoggedSample& s,
+                          hw::EventKind event = kEvent) {
   char buf[192];
   const int body = std::snprintf(
       buf, sizeof buf, "%llu %llx %llx %c %u %llu %llu",
@@ -44,7 +56,7 @@ std::string snprintf_line(std::uint64_t seq, const LoggedSample& s) {
       s.pid,
       static_cast<unsigned long long>(s.epoch),
       static_cast<unsigned long long>(s.cycle));
-  const std::uint32_t crc = support::fnv1a(buf, static_cast<std::size_t>(body));
+  const std::uint32_t crc = oracle_crc(buf, static_cast<std::size_t>(body), event);
   std::snprintf(buf + body, sizeof buf - static_cast<std::size_t>(body), " %08x\n",
                 crc);
   return buf;
@@ -78,7 +90,7 @@ class SscanfParser {
           ok = std::sscanf(body.c_str(), "%llu %llx %llx %c %u %llu %llu %c", &seq,
                            &pc, &caller, &mode, &pid, &epoch, &cycle, &extra) == 7 &&
                std::sscanf(crc_text.c_str(), "%8x", &crc_read) == 1 &&
-               support::fnv1a(body) == crc_read;
+               oracle_crc(body) == crc_read;
         }
       }
 
@@ -198,7 +210,7 @@ std::vector<std::string> writer_corpus(std::uint64_t seed, std::size_t lines) {
 /// Frames `body` with its own crc: what a writer would emit for that text.
 std::string signed_line(const std::string& body) {
   char crc[16];
-  std::snprintf(crc, sizeof crc, " %08x\n", support::fnv1a(body));
+  std::snprintf(crc, sizeof crc, " %08x\n", oracle_crc(body));
   return body + crc;
 }
 
@@ -230,7 +242,7 @@ std::string concat(const std::vector<std::string>& lines) {
 std::vector<LoggedSample> parse_new(std::string_view text, SampleLogReadStatus& status) {
   SampleStreamParser parser;
   std::vector<LoggedSample> out;
-  parser.parse_into(text, out);
+  parser.parse_into(text, sample_line_hash(kEvent), out);
   status = parser.status();
   return out;
 }
@@ -307,7 +319,8 @@ void check_equivalent(const std::string& text, const std::set<std::string>& stri
       to = nl == std::string::npos ? text.size() : nl + 1;
     }
     support::ArenaVector<LoggedSample> batch(arena);
-    codec.parse_into(std::string_view(text).substr(from, to - from), batch);
+    codec.parse_into(std::string_view(text).substr(from, to - from), sample_line_hash(kEvent),
+                     batch);
     codec_out.insert(codec_out.end(), batch.begin(), batch.end());
     oracle.parse(std::string_view(normalised).substr(from, to - from), oracle_out);
     const std::string at = where + " batch ending at byte " + std::to_string(to);
@@ -407,11 +420,11 @@ class Mutator {
         const bool six = rng_.below(4) == 0;  // room for a 0x prefix
         const std::uint32_t limit = six ? 0x1000000u : 0x10000000u;
         std::string body = join(f);
-        for (std::uint64_t c = 0; support::fnv1a(body) >= limit; ++c) {
+        for (std::uint64_t c = 0; oracle_crc(body) >= limit; ++c) {
           f[6] = std::to_string(c);
           body = join(f);
         }
-        const std::uint32_t crc = support::fnv1a(body);
+        const std::uint32_t crc = oracle_crc(body);
         char digits[16];
         std::string trailer;
         if (six) {
@@ -506,7 +519,8 @@ TEST(SampleCodec, FormatIsByteIdenticalToSnprintf) {
         s.cycle = v;
         for (const std::uint64_t seq : {std::uint64_t{0}, v, kU64Max}) {
           char buf[kMaxSampleLine];
-          ASSERT_EQ(format_sample_line(seq, s, buf), snprintf_line(seq, s));
+          ASSERT_EQ(format_sample_line(seq, s, sample_line_hash(kEvent), buf),
+                    snprintf_line(seq, s));
           ++checked;
         }
       }
@@ -523,7 +537,7 @@ TEST(SampleCodec, WriterOutputIsByteIdenticalToSnprintf) {
   for (std::uint64_t seq = 0; seq < 500; ++seq) {
     const LoggedSample s = random_sample(rng);
     writer.append(hw::EventKind::kBsqCacheReference, s);
-    expected += snprintf_line(seq, s);
+    expected += snprintf_line(seq, s, hw::EventKind::kBsqCacheReference);
   }
   writer.flush();
   EXPECT_EQ(*vfs.read(SampleLogWriter::path_for("s", hw::EventKind::kBsqCacheReference)),
@@ -536,7 +550,7 @@ TEST(SampleCodec, LongestLineFits) {
   s.pid = static_cast<hw::Pid>(kU32Max);
   s.mode = hw::CpuMode::kHypervisor;
   char buf[kMaxSampleLine];
-  const std::string_view line = format_sample_line(kU64Max, s, buf);
+  const std::string_view line = format_sample_line(kU64Max, s, sample_line_hash(kEvent), buf);
   EXPECT_LT(line.size(), kMaxSampleLine);
   EXPECT_EQ(line, snprintf_line(kU64Max, s));
 }
@@ -547,7 +561,7 @@ TEST(SampleCodec, ScanFieldsIgnoresTrailingTokens) {
   s.pid = 77;
   s.epoch = 9;
   char buf[kMaxSampleLine];
-  std::string_view line = format_sample_line(5, s, buf);
+  std::string_view line = format_sample_line(5, s, sample_line_hash(kEvent), buf);
   std::uint64_t seq = 0;
   LoggedSample out;
   ASSERT_TRUE(scan_sample_fields(line, seq, out));

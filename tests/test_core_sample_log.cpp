@@ -266,7 +266,7 @@ std::vector<std::string> log_lines(int n) {
 
 SampleLogReadStatus parse_text(const std::string& text, std::vector<LoggedSample>& out) {
   SampleStreamParser parser;
-  parser.parse_into(text, out);
+  parser.parse_into(text, sample_line_hash(kEv), out);
   return parser.status();
 }
 
@@ -406,7 +406,7 @@ TEST(SampleLog, AdmittedChunksInAnyOrderMatchOneRead) {
       support::ArenaVector<LoggedSample> samples(arena);
       support::ArenaVector<std::uint64_t> seqs(arena);
       SampleLineDamage damage;
-      decode_sample_lines(chunk, samples, seqs, damage);
+      decode_sample_lines(chunk, sample_line_hash(kEv), samples, seqs, damage);
       const std::size_t kept = stream.admit({samples.data(), samples.size()},
                                             {seqs.data(), seqs.size()}, damage);
       for (std::size_t k = 0; k < kept; ++k) got_pcs.insert(samples[k].pc);

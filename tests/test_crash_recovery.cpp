@@ -342,7 +342,7 @@ TEST(CrashRecovery, CollidingEpochHintsMergeInsteadOfAborting) {
   core::CodeMapFile intact;
   intact.epoch = 3;
   intact.entries.push_back({0x6000, 128, support::Name("ghost.A")});
-  vfs.write("jit_maps/9/map.3", intact.serialize());
+  vfs.write("jit_maps/9/map.3", intact.serialize(9));
 
   core::CodeMapIndex index;
   const auto stats = index.load(vfs, "jit_maps", 9);

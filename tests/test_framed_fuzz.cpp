@@ -17,6 +17,12 @@
 //     declared counts live in the manifest) every salvaged interval is one
 //     the writer wrote.
 //
+// Cross-file splices (FramedSplice.*): lines of one store segment put into
+// another, sample lines of one event put into another event's log and into
+// a server batch whose header names another event, and a code or object map
+// copied to another pid's or epoch's path. Every v2 frame is keyed by the
+// file it belongs to, so each splice is counted damage, never resolved.
+//
 // The two JSON readers — TelemetrySnapshot::from_json (metrics.json) and
 // parse_chrome_trace (trace.json) — read names that carry quotes,
 // backslashes, control bytes, NUL and multi-byte UTF-8, and take flips,
@@ -72,11 +78,14 @@
 #include "core/rvm_map.hpp"
 #include "core/sample_log.hpp"
 #include "service/query.hpp"
+#include "service/client.hpp"
 #include "service/scenario.hpp"
+#include "service/server.hpp"
 #include "service/wire.hpp"
 #include "store/manifest.hpp"
 #include "store/profile_store.hpp"
 #include "store/segment.hpp"
+#include "support/framed_text.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 #include "support/telemetry.hpp"
@@ -151,14 +160,15 @@ std::string lower(std::string s) {
 
 constexpr std::size_t kTrailerBytes = 13;  // "crc " + 8 digits + '\n'
 
-/// The last line is "crc " plus the snprintf("%08x") of FNV-1a over every
-/// byte before it (digits of either case), and it ends the text.
-bool trailer_verifies(const std::string& x) {
+/// The last line is "crc " plus the snprintf("%08x") of the v2 checksum
+/// (XXH32 under `seed`) over every byte before it (digits of either case),
+/// and it ends the text.
+bool trailer_verifies(const std::string& x, std::uint32_t seed) {
   if (x.size() < kTrailerBytes) return false;
   const std::size_t at = x.size() - kTrailerBytes;
   if (at != 0 && x[at - 1] != '\n') return false;
   char want[kTrailerBytes + 1];
-  std::snprintf(want, sizeof want, "crc %08x\n", support::fnv1a(x.data(), at));
+  std::snprintf(want, sizeof want, "crc %08x\n", support::xxh32(x.data(), at, seed));
   return x.compare(at, 4, "crc ") == 0 && lower(x.substr(at)) == want;
 }
 
@@ -169,37 +179,91 @@ std::string canonical_trailer(const std::string& x) {
 }
 
 /// One segment line (terminator stripped) is "body SP" plus the
-/// snprintf("%08x") of FNV-1a over body (digits of either case).
-bool line_frame_verifies(const std::string& line) {
+/// snprintf("%08x") of the v2 checksum (XXH32 under `seed`) over body
+/// (digits of either case).
+bool line_frame_verifies(const std::string& line, std::uint32_t seed) {
   if (line.size() < 10 || line[line.size() - 9] != ' ') return false;
   char want[9];
   std::snprintf(want, sizeof want, "%08x",
-                support::fnv1a(line.data(), line.size() - 9));
+                support::xxh32(line.data(), line.size() - 9, seed));
   return lower(line.substr(line.size() - 8)) == want;
 }
+
+/// The pid every map here is framed for (its path's pid).
+constexpr hw::Pid kMapPid = 7;
+
+/// How the fuzz writes and strictly reads one whole-file format, and the
+/// v2 key the oracle checks its trailer under. `file` is the one written:
+/// a map's key comes from its path, which names the written epoch.
+template <typename File>
+struct Framing;
+
+template <>
+struct Framing<core::CodeMapFile> {
+  static std::string write(const core::CodeMapFile& f) { return f.serialize(kMapPid); }
+  static auto read(const std::string& x, const core::CodeMapFile& file) {
+    return core::CodeMapFile::parse(x, core::CodeMapFile::frame_hash(kMapPid, file.epoch));
+  }
+  static std::uint32_t seed(const core::CodeMapFile& file) {
+    return support::frame_key(support::FrameKind::kCodeMap, kMapPid, file.epoch);
+  }
+};
+
+template <>
+struct Framing<core::ObjectMapFile> {
+  static std::string write(const core::ObjectMapFile& f) { return f.serialize(kMapPid); }
+  static auto read(const std::string& x, const core::ObjectMapFile& file) {
+    return core::ObjectMapFile::parse(x,
+                                      core::ObjectMapFile::frame_hash(kMapPid, file.epoch));
+  }
+  static std::uint32_t seed(const core::ObjectMapFile& file) {
+    return support::frame_key(support::FrameKind::kObjectMap, kMapPid, file.epoch);
+  }
+};
+
+/// The formats with one fixed key per kind.
+template <typename File, support::FrameKind kKind>
+struct FixedKeyFraming {
+  static std::string write(const File& f) { return f.serialize(); }
+  static auto read(const std::string& x, const File&) { return File::parse(x); }
+  static std::uint32_t seed(const File&) { return support::frame_key(kKind); }
+};
+
+template <>
+struct Framing<store::Manifest>
+    : FixedKeyFraming<store::Manifest, support::FrameKind::kStoreManifest> {};
+template <>
+struct Framing<store::FleetManifest>
+    : FixedKeyFraming<store::FleetManifest, support::FrameKind::kFleetManifest> {};
+template <>
+struct Framing<service::ServiceSnapshot>
+    : FixedKeyFraming<service::ServiceSnapshot, support::FrameKind::kSnapshot> {};
 
 /// Whole-file formats: a strict parse accepts only what the oracle
 /// verifies, and re-serialises what it accepts byte for byte.
 template <typename File>
-void check_strict(const std::string& x, const std::string& where) {
-  const auto parsed = File::parse(x);
+void check_strict(const std::string& x, const File& written, const std::string& where) {
+  const auto parsed = Framing<File>::read(x, written);
   if (!parsed) return;
-  ASSERT_TRUE(trailer_verifies(x)) << where << " accepted:\n" << x;
-  EXPECT_EQ(parsed->serialize(), canonical_trailer(x)) << where;
+  ASSERT_TRUE(trailer_verifies(x, Framing<File>::seed(written))) << where << " accepted:\n"
+                                                                 << x;
+  EXPECT_EQ(Framing<File>::write(*parsed), canonical_trailer(x)) << where;
 }
 
 template <typename File, typename Make>
 void fuzz_strict(const char* format, Make&& make) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     support::Xoshiro256 rng(seed * 0x9e37 + 1);
-    const std::string base = make(rng).serialize();
-    ASSERT_TRUE(File::parse(base).has_value()) << format << " seed " << seed;
-    check_strict<File>(base, format);
+    const File written = make(rng);
+    const std::string base = Framing<File>::write(written);
+    ASSERT_TRUE(Framing<File>::read(base, written).has_value())
+        << format << " seed " << seed;
+    check_strict<File>(base, written, format);
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const std::string where =
           std::string(format) + " seed " + std::to_string(seed) + " mutant " +
           std::to_string(i);
-      check_strict<File>(mutate(base, rng), where);
+      check_strict<File>(mutate(base, rng), written, where);
     }
   }
 }
@@ -332,14 +396,16 @@ TEST(FramedFuzz, CodeMapSalvageNeverExceedsWhatTheHeaderDeclared) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     support::Xoshiro256 rng(seed + 11);
     const core::CodeMapFile original = random_code_map(rng);
-    const std::string base = original.serialize();
+    const std::string base = original.serialize(kMapPid);
+    const support::FrameHash hash = core::CodeMapFile::frame_hash(kMapPid, original.epoch);
     const std::string header = first_line(base);
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const std::string x = mutate(base, rng);
       const std::string where = "seed " + std::to_string(seed) + " mutant " +
                                 std::to_string(i) + ":\n" + x;
-      const core::CodeMapFile::Recovery r = core::CodeMapFile::salvage(x, original.epoch);
-      EXPECT_EQ(r.intact, core::CodeMapFile::parse(x).has_value()) << where;
+      const core::CodeMapFile::Recovery r =
+          core::CodeMapFile::salvage(x, hash, original.epoch);
+      EXPECT_EQ(r.intact, core::CodeMapFile::parse(x, hash).has_value()) << where;
       EXPECT_TRUE(r.intact || r.file.truncated) << where;
       if (!r.header_ok) {
         EXPECT_TRUE(r.file.entries.empty()) << where;
@@ -355,19 +421,20 @@ TEST(FramedFuzz, CodeMapSalvageNeverExceedsWhatTheHeaderDeclared) {
 }
 
 TEST(FramedFuzz, ObjectMapFsckLossClosesAgainstTheDeclaredCounts) {
-  const std::string path = core::ObjectMapFile::path_for("obj_maps", 7, 3);
+  const std::string path = core::ObjectMapFile::path_for("obj_maps", kMapPid, 3);
+  const support::FrameHash hash = core::ObjectMapFile::frame_hash(kMapPid, 3);
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     support::Xoshiro256 rng(seed + 23);
     core::ObjectMapFile original = random_object_map(rng);
     original.epoch = 3;
-    const std::string base = original.serialize();
+    const std::string base = original.serialize(kMapPid);
     const std::string header = first_line(base);
     for (int i = 0; i < kMutantsPerSeed; ++i) {
       const std::string x = mutate(base, rng);
       const std::string where = "seed " + std::to_string(seed) + " mutant " +
                                 std::to_string(i) + ":\n" + x;
-      const core::ObjectMapFile::Recovery r = core::ObjectMapFile::salvage(x, 3);
-      EXPECT_EQ(r.intact, core::ObjectMapFile::parse(x).has_value()) << where;
+      const core::ObjectMapFile::Recovery r = core::ObjectMapFile::salvage(x, hash, 3);
+      EXPECT_EQ(r.intact, core::ObjectMapFile::parse(x, hash).has_value()) << where;
       if (r.header_ok) {
         EXPECT_LE(r.file.objects.size(), r.objects_expected) << where;
         EXPECT_LE(r.file.dead.size(), r.dead_expected) << where;
@@ -411,6 +478,11 @@ std::string fingerprint(const store::IntervalProfile& iv) {
   return store::SegmentWriter(0).encode_interval(iv);
 }
 
+/// The id a segment's file name carries: the key its lines are framed under.
+std::uint64_t segment_id(const std::string& path) {
+  return *support::scan_name_number(path, "segments/seg-", ".vseg");
+}
+
 /// The bytes a writer emits for what a clean read found.
 std::string reencode(const store::SegmentSalvage& sv) {
   store::SegmentWriter w(sv.segment_id);
@@ -445,7 +517,7 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
     std::set<std::string> written;
     for (const std::string& path : segments)
       for (const store::IntervalProfile& iv :
-           store::read_segment(*vfs.read(path)).intervals)
+           store::read_segment(*vfs.read(path), segment_id(path)).intervals)
         written.insert(fingerprint(iv));
 
     for (int i = 0; i < kMutantsPerSeed; ++i) {
@@ -453,7 +525,8 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
       const std::string x = mutate(*vfs.read(path), rng);
       const std::string where = "seed " + std::to_string(seed) + " mutant " +
                                 std::to_string(i) + " of " + path + ":\n" + x;
-      const store::SegmentSalvage sv = store::read_segment(x);
+      const std::uint64_t id = segment_id(path);
+      const store::SegmentSalvage sv = store::read_segment(x, id);
       for (const store::IntervalProfile& iv : sv.intervals)
         EXPECT_EQ(written.count(fingerprint(iv)), 1u) << where;
       if (sv.clean() && sv.sealed) {
@@ -465,7 +538,9 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
         std::string canonical;
         for (std::string line : lines_of(x)) {
           line.pop_back();
-          ASSERT_TRUE(line_frame_verifies(line)) << where << "\nline: " << line;
+          ASSERT_TRUE(line_frame_verifies(
+              line, support::frame_key(support::FrameKind::kSegment, id)))
+              << where << "\nline: " << line;
           const std::size_t crc_at = line.size() - 8;
           canonical += line.substr(0, crc_at) + lower(line.substr(crc_at)) + "\n";
         }
@@ -478,6 +553,246 @@ TEST(FramedFuzz, SegmentSalvageVerifiesEveryLineAndClosesAgainstTheManifest) {
       EXPECT_EQ(rec.intervals_salvaged + rec.intervals_lost, declared_intervals) << where;
       EXPECT_EQ(rec.rows_salvaged + rec.rows_lost, declared_rows) << where;
     }
+  }
+}
+
+// --- Cross-file splices: every v2 key names its file ------------------------
+//
+// A line or a whole file copied from another file of the same kind is
+// well-formed and carried a valid crc where it was written. Under v2 its
+// crc is keyed by the file it came from (segment id; event; pid and epoch),
+// so in its new place it is damage: counted, and never resolved.
+
+/// `text` with `run` inserted at line boundary `at` (0 = before the first).
+std::string insert_lines(const std::string& text, const std::vector<std::string>& run,
+                         std::size_t at) {
+  std::vector<std::string> lines = lines_of(text);
+  lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(std::min(at, lines.size())),
+               run.begin(), run.end());
+  return joined(lines);
+}
+
+/// 1-4 consecutive lines of `lines`, from a seeded start.
+std::vector<std::string> line_run(const std::vector<std::string>& lines,
+                                  support::Xoshiro256& rng) {
+  const std::size_t from = rng.below(lines.size());
+  const std::size_t len = 1 + rng.below(std::min<std::size_t>(4, lines.size() - from));
+  return {lines.begin() + static_cast<std::ptrdiff_t>(from),
+          lines.begin() + static_cast<std::ptrdiff_t>(from + len)};
+}
+
+TEST(FramedSplice, SegmentLinesFromAnotherSegmentAreDiscardedNeverResolved) {
+  store::StoreConfig config;
+  config.seal_after_intervals = 3;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 41);
+    os::Vfs vfs;
+    {
+      store::ProfileStore st(vfs, config);
+      st.open();
+      for (std::uint64_t t = 0; t < 7; ++t) ASSERT_TRUE(st.ingest(random_interval(rng, t)));
+      ASSERT_TRUE(st.seal_active());
+    }
+    const std::vector<std::string> segments = vfs.list(config.root + "/segments/");
+    ASSERT_GE(segments.size(), 2u);
+    const std::string& from = segments[0];
+    const std::string& into = segments[1];
+    const std::vector<std::string> donor = lines_of(*vfs.read(from));
+    const std::string clean_text = *vfs.read(into);
+    const store::SegmentSalvage clean = store::read_segment(clean_text, segment_id(into));
+    ASSERT_TRUE(clean.clean());
+
+    for (int i = 0; i < 100; ++i) {
+      const std::vector<std::string> run = line_run(donor, rng);
+      const std::string x =
+          insert_lines(clean_text, run, rng.below(lines_of(clean_text).size() + 1));
+      const std::string where = "seed " + std::to_string(seed) + " splice " +
+                                std::to_string(i) + " into " + into + ":\n" + x;
+      // Every spliced line is a bad frame; the segment's own lines read as
+      // if the splice were not there.
+      const store::SegmentSalvage sv = store::read_segment(x, segment_id(into));
+      EXPECT_EQ(sv.lines_discarded, run.size()) << where;
+      EXPECT_EQ(sv.lines_valid, clean.lines_valid) << where;
+      EXPECT_EQ(sv.duplicate_lines + sv.gap_lines + sv.intervals_dropped, 0u) << where;
+      ASSERT_EQ(sv.intervals.size(), clean.intervals.size()) << where;
+      for (std::size_t k = 0; k < sv.intervals.size(); ++k)
+        EXPECT_EQ(fingerprint(sv.intervals[k]), fingerprint(clean.intervals[k])) << where;
+
+      os::Vfs damaged = vfs;
+      damaged.write(into, x);
+      const store::StoreRecovery rec = store::ProfileStore(damaged, config).fsck();
+      EXPECT_EQ(rec.verdict, core::FsckVerdict::kSalvaged) << where;
+      EXPECT_EQ(rec.lines_discarded, run.size()) << where;
+      EXPECT_EQ(rec.intervals_lost + rec.rows_lost, 0u) << where;
+    }
+  }
+}
+
+TEST(FramedSplice, SampleLinesOfOneEventNeverCountForAnother) {
+  service::ScenarioConfig config;
+  config.vms = 1;
+  config.samples_per_event = 300;
+  config.epochs = 4;
+  config.methods = 32;
+  const auto scenario = service::record_scenario(config);
+  const os::Vfs& vfs = scenario->vfs();
+  constexpr hw::EventKind kFrom = hw::EventKind::kGlobalPowerEvents;
+  constexpr hw::EventKind kInto = hw::EventKind::kBsqCacheReference;
+  const std::string into_path = core::SampleLogWriter::path_for("samples", kInto);
+  const std::vector<std::string> donor =
+      lines_of(*vfs.read(core::SampleLogWriter::path_for("samples", kFrom)));
+  const std::string clean_text = *vfs.read(into_path);
+  core::SampleLogReadStatus clean;
+  const std::vector<core::LoggedSample> want =
+      core::SampleLogReader::read_checked(vfs, "samples", kInto, clean);
+  ASSERT_TRUE(clean.clean());
+  ASSERT_FALSE(want.empty());
+
+  // Into the other event's log.
+  support::Xoshiro256 rng(0x5b11ce);
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<std::string> run = line_run(donor, rng);
+    const std::string x =
+        insert_lines(clean_text, run, rng.below(lines_of(clean_text).size() + 1));
+    os::Vfs damaged = vfs;
+    damaged.write(into_path, x);
+    core::SampleLogReadStatus st;
+    const std::vector<core::LoggedSample> got =
+        core::SampleLogReader::read_checked(damaged, "samples", kInto, st);
+    const std::string where = "splice " + std::to_string(i);
+    EXPECT_EQ(st.discarded_lines, run.size()) << where;
+    EXPECT_EQ(st.valid, clean.valid) << where;
+    EXPECT_EQ(st.duplicate_records + st.missing_records, 0u) << where;
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t k = 0; k < got.size(); ++k)
+      EXPECT_TRUE(got[k].pc == want[k].pc && got[k].cycle == want[k].cycle) << where;
+  }
+
+  // Into a server batch whose header names the other event: the worker
+  // verifies the lines under the event the header names.
+  service::ProfileServer server;
+  {
+    auto conn = server.connect("recorder");
+    service::ReplayClient client(vfs, "s", *conn, service::ReplayOptions{64, nullptr, {}});
+    ASSERT_TRUE(client.run());
+    server.drain();
+  }
+  const core::SampleLogReadStatus before = server.session("s")->read_status(kInto);
+  const std::uint64_t ingested = server.session("s")->stats().records_ingested;
+  const std::string top = server.query("top 20 --session s");
+  const std::vector<std::string> run(donor.begin(), donor.begin() + 10);
+  {
+    auto conn = server.connect("splicer");
+    ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kHello, "s")));
+    ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, "s")));
+    ASSERT_TRUE(conn->send(service::encode_frame(
+        service::FrameType::kSampleBatch,
+        "batch " + std::string(hw::to_string(kInto)) + " 10\n" + joined(run))));
+    ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kEndStream, "")));
+    server.drain();
+  }
+  const core::SampleLogReadStatus after = server.session("s")->read_status(kInto);
+  EXPECT_EQ(after.discarded_lines, before.discarded_lines + run.size());
+  EXPECT_EQ(after.valid, before.valid);
+  EXPECT_EQ(after.duplicate_records, before.duplicate_records);
+  EXPECT_EQ(server.session("s")->stats().records_ingested, ingested);
+  EXPECT_EQ(server.query("top 20 --session s"), top);
+}
+
+// Two VMs' epoch code maps: one of A's copied over B's map of the same
+// epoch, and one of B's copied over B's map of another epoch.
+TEST(FramedSplice, CodeMapCopiedToAnotherPidOrEpochIsTruncatedNeverResolved) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    service::ScenarioConfig config;
+    config.vms = 2;
+    config.samples_per_event = 50;
+    config.epochs = 6;
+    config.methods = 48;
+    config.seed = seed;
+    const auto scenario = service::record_scenario(config);
+    const os::Vfs& vfs = scenario->vfs();
+    const hw::Pid a = scenario->pids.at(0), b = scenario->pids.at(1);
+    const std::uint64_t e = 1 + seed % 4, other = e + 1;
+    const std::string where = "seed " + std::to_string(seed);
+
+    struct Splice {
+      const char* what;
+      std::string from, into;
+    };
+    for (const Splice& splice :
+         {Splice{"pid", core::CodeMapFile::path_for("jit_maps", a, e),
+                 core::CodeMapFile::path_for("jit_maps", b, e)},
+          Splice{"epoch", core::CodeMapFile::path_for("jit_maps", b, other),
+                 core::CodeMapFile::path_for("jit_maps", b, e)}}) {
+      const std::string bytes = *vfs.read(splice.from);
+      const core::CodeMapFile::Recovery source =
+          core::CodeMapFile::salvage_file(splice.from, bytes);
+      ASSERT_TRUE(source.intact) << where;
+      ASSERT_FALSE(source.file.entries.empty()) << where;
+      os::Vfs damaged = vfs;
+      damaged.write(splice.into, bytes);
+
+      const core::CodeMapFile::Recovery r = core::CodeMapFile::salvage_file(splice.into, bytes);
+      EXPECT_FALSE(r.intact) << where << " " << splice.what;
+      EXPECT_TRUE(r.refused) << where << " " << splice.what;
+      EXPECT_EQ(r.file.epoch, e) << where << " " << splice.what;
+      EXPECT_TRUE(r.file.entries.empty()) << where << " " << splice.what;
+
+      core::CodeMapIndex index;
+      const core::CodeMapIndex::LoadStats stats = index.load(damaged, "jit_maps", b);
+      EXPECT_EQ(stats.maps_truncated, 1u) << where << " " << splice.what;
+      EXPECT_TRUE(index.epoch_truncated(e)) << where << " " << splice.what;
+      EXPECT_EQ(index.map_count(), config.epochs) << where << " " << splice.what;
+      for (const core::CodeMapEntry& entry : source.file.entries)
+        EXPECT_EQ(index.lookup(entry.address, e).miss, core::JitLookupMiss::kTruncatedMap)
+            << where << " " << splice.what << " " << entry.symbol.view();
+
+      support::Telemetry telemetry;
+      const core::FsckReport report = core::fsck_tree(damaged, nullptr, telemetry);
+      EXPECT_EQ(report.maps_truncated, 1u) << where << " " << splice.what;
+      EXPECT_EQ(report.map_entries_salvaged, 0u) << where << " " << splice.what;
+      EXPECT_EQ(report.verdict, core::FsckVerdict::kUnrecoverable) << where << " " << splice.what;
+    }
+  }
+}
+
+TEST(FramedSplice, ObjectMapCopiedToAnotherPidIsTruncatedNeverResolved) {
+  constexpr hw::Pid kA = 11, kB = 12;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    support::Xoshiro256 rng(seed + 53);
+    os::Vfs vfs;
+    std::vector<core::ObjectMapFile> a_maps;
+    for (std::uint64_t e = 0; e < 4; ++e) {
+      for (const hw::Pid pid : {kA, kB}) {
+        core::ObjectMapFile map = random_object_map(rng);
+        map.epoch = e;
+        map.truncated = false;
+        // Disjoint heaps, so a hit on one of A's objects is A's map speaking.
+        for (core::ObjectMapEntry& o : map.objects) o.address += pid == kA ? 1ull << 44 : 0;
+        vfs.write(core::ObjectMapFile::path_for("obj_maps", pid, e), map.serialize(pid));
+        if (pid == kA) a_maps.push_back(map);
+      }
+    }
+    const std::uint64_t e = rng.below(4);
+    const std::string where = "seed " + std::to_string(seed) + " epoch " + std::to_string(e);
+    os::Vfs damaged = vfs;
+    damaged.write(core::ObjectMapFile::path_for("obj_maps", kB, e),
+                  *vfs.read(core::ObjectMapFile::path_for("obj_maps", kA, e)));
+
+    const core::ObjectIndexLoad load = core::load_object_index(damaged, "obj_maps", kB);
+    EXPECT_EQ(load.maps_truncated, 1u) << where;
+    EXPECT_TRUE(load.index.epoch_truncated(e)) << where;
+    EXPECT_TRUE(load.files.at(e).objects.empty() && load.files.at(e).sites.empty()) << where;
+    for (const core::ObjectMapEntry& o : a_maps[e].objects)
+      EXPECT_EQ(load.index.lookup(o.address, e).miss, core::JitLookupMiss::kTruncatedMap)
+          << where;
+
+    support::Telemetry telemetry;
+    const core::FsckReport report = core::fsck_tree(damaged, nullptr, telemetry);
+    EXPECT_EQ(report.omaps_truncated, 1u) << where;
+    EXPECT_EQ(report.objects_salvaged, 0u) << where;
+    EXPECT_EQ(report.objects_lost, a_maps[e].objects.size()) << where;
+    EXPECT_NE(report.verdict, core::FsckVerdict::kClean) << where;
   }
 }
 

@@ -73,7 +73,9 @@ std::map<std::uint64_t, core::ObjectMapFile> read_maps(const os::Vfs& vfs, hw::P
   for (const std::string& path : vfs.list("obj_maps/" + std::to_string(pid) + "/")) {
     const auto contents = vfs.read(path);
     if (!contents) continue;
-    const auto parsed = core::ObjectMapFile::parse(*contents);
+    const auto parsed = core::ObjectMapFile::parse(
+        *contents,
+        core::ObjectMapFile::frame_hash(pid, *core::ObjectMapFile::epoch_from_path(path)));
     EXPECT_TRUE(parsed.has_value()) << path << " failed strict parse";
     if (parsed) out.emplace(parsed->epoch, *parsed);
   }

@@ -178,7 +178,9 @@ TEST(MemprofE2E, SessionHasSamplesSpanningGcMoves) {
   std::uint64_t maps = 0;
   for (const std::string& path :
        run.vfs().list("obj_maps/" + std::to_string(pid) + "/")) {
-    const auto parsed = core::ObjectMapFile::parse(*run.vfs().read(path));
+    const auto parsed = core::ObjectMapFile::parse(
+        *run.vfs().read(path),
+        core::ObjectMapFile::frame_hash(pid, *core::ObjectMapFile::epoch_from_path(path)));
     ASSERT_TRUE(parsed.has_value()) << path;
     ++maps;
     for (const core::ObjectMapEntry& o : parsed->objects)

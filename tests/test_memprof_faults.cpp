@@ -139,7 +139,9 @@ TEST(MemprofFaults, TornMapWriteSalvagesWithExactAccounting) {
   const hw::Pid pid = damaged.session->registrations().all().at(0).pid;
   for (const std::string& path :
        damaged.machine->vfs().list("obj_maps/" + std::to_string(pid) + "/")) {
-    const auto parsed = core::ObjectMapFile::parse(*damaged.machine->vfs().read(path));
+    const auto parsed = core::ObjectMapFile::parse(
+        *damaged.machine->vfs().read(path),
+        core::ObjectMapFile::frame_hash(pid, *core::ObjectMapFile::epoch_from_path(path)));
     if (parsed) declared_intact += parsed->objects.size();
   }
   EXPECT_EQ(declared_intact + fsck.objects_salvaged + fsck.objects_lost,

@@ -31,9 +31,17 @@ core::ObjectMapFile sample_map(std::uint64_t epoch) {
   return file;
 }
 
+/// Every map here is kPid's unless a test says otherwise.
+constexpr hw::Pid kPid = 101;
+
+/// The frame hash of kPid's map of `epoch`.
+support::FrameHash key(std::uint64_t epoch) {
+  return core::ObjectMapFile::frame_hash(kPid, epoch);
+}
+
 TEST(ObjectMapFile, SerializeParseRoundTrip) {
   const core::ObjectMapFile file = sample_map(5);
-  const auto parsed = core::ObjectMapFile::parse(file.serialize());
+  const auto parsed = core::ObjectMapFile::parse(file.serialize(kPid), key(5));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->epoch, 5u);
   EXPECT_FALSE(parsed->truncated);
@@ -54,22 +62,23 @@ TEST(ObjectMapFile, SerializeParseRoundTrip) {
 TEST(ObjectMapFile, TruncatedMarkerSurvivesReserialisation) {
   core::ObjectMapFile file = sample_map(3);
   file.truncated = true;  // a salvaged map rewritten by fsck stays honest
-  const auto parsed = core::ObjectMapFile::parse(file.serialize());
+  const auto parsed = core::ObjectMapFile::parse(file.serialize(kPid), key(3));
   ASSERT_TRUE(parsed.has_value());
   EXPECT_TRUE(parsed->truncated);
   EXPECT_EQ(parsed->objects.size(), 4u);
 }
 
 TEST(ObjectMapFile, ParseRejectsDamage) {
-  std::string blob = sample_map(2).serialize();
-  EXPECT_TRUE(core::ObjectMapFile::parse(blob).has_value());
+  std::string blob = sample_map(2).serialize(kPid);
+  EXPECT_TRUE(core::ObjectMapFile::parse(blob, key(2)).has_value());
   // Flip one payload byte: the crc trailer must catch it.
   std::string flipped = blob;
   flipped[blob.size() / 2] ^= 0x20;
-  EXPECT_FALSE(core::ObjectMapFile::parse(flipped).has_value());
+  EXPECT_FALSE(core::ObjectMapFile::parse(flipped, key(2)).has_value());
   // Drop the trailer entirely.
-  EXPECT_FALSE(core::ObjectMapFile::parse(blob.substr(0, blob.rfind("crc "))).has_value());
-  EXPECT_FALSE(core::ObjectMapFile::parse("").has_value());
+  EXPECT_FALSE(
+      core::ObjectMapFile::parse(blob.substr(0, blob.rfind("crc ")), key(2)).has_value());
+  EXPECT_FALSE(core::ObjectMapFile::parse("", key(2)).has_value());
 }
 
 // The §7 torn-write sweep: cut the serialised map at *every* byte length
@@ -79,10 +88,10 @@ TEST(ObjectMapFile, ParseRejectsDamage) {
 // must byte-match the original prefix (no invented attribution).
 TEST(ObjectMapFile, SalvageSweepAccountsForEveryEntry) {
   const core::ObjectMapFile file = sample_map(6);
-  const std::string blob = file.serialize();
+  const std::string blob = file.serialize(kPid);
   for (std::size_t cut = 0; cut <= blob.size(); ++cut) {
     const core::ObjectMapFile::Recovery r =
-        core::ObjectMapFile::salvage(blob.substr(0, cut), 6);
+        core::ObjectMapFile::salvage(blob.substr(0, cut), key(6), 6);
     if (cut == blob.size()) {
       EXPECT_TRUE(r.intact);
       EXPECT_FALSE(r.file.truncated);
@@ -225,14 +234,14 @@ TEST(ObjectIndex, LoadSalvagesDamageAndIndexesTheRest) {
   core::ObjectMapFile m1 = sample_map(1);
   m1.objects = {{0x6300'0000, 512, 11, 0}};
   m1.dead.clear();
-  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 101, 0), m0.serialize()),
+  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 101, 0), m0.serialize(101)),
             os::IoStatus::kOk);
-  const std::string torn = m1.serialize();
+  const std::string torn = m1.serialize(101);
   ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 101, 1),
                       torn.substr(0, torn.size() - 4)),
             os::IoStatus::kOk);
   // A foreign pid's map must not leak into this index.
-  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 202, 0), m0.serialize()),
+  ASSERT_EQ(vfs.write(core::ObjectMapFile::path_for("obj_maps", 202, 0), m0.serialize(202)),
             os::IoStatus::kOk);
 
   const core::ObjectIndexLoad load = core::load_object_index(vfs, "obj_maps", 101);

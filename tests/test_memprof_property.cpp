@@ -113,10 +113,10 @@ Schedule random_schedule(support::Xoshiro256& rng, std::uint64_t epochs) {
     if (fate < 20) {
       // Lost: the epoch has no map at all.
     } else if (fate < 40) {
-      const std::string blob = file.serialize();
+      const std::string blob = file.serialize(0);
       const std::size_t cut = rng.below(blob.size());
-      const core::ObjectMapFile::Recovery r =
-          core::ObjectMapFile::salvage(blob.substr(0, cut), e);
+      const core::ObjectMapFile::Recovery r = core::ObjectMapFile::salvage(
+          blob.substr(0, cut), core::ObjectMapFile::frame_hash(0, e), e);
       out.kept.emplace(e, r.file);
       out.index.add(r.file.to_code_map());
     } else {

@@ -437,7 +437,7 @@ TEST(OrderIndependence, ReverseInterningOrderGivesTheSameBytes) {
     support::LineCursor cursor(segment);
     std::string_view line, body;
     while (cursor.next(line)) {
-      EXPECT_TRUE(support::unframe_line(line, body)) << line;
+      EXPECT_TRUE(support::unframe_line(line, store::segment_frame_hash(1), body)) << line;
       out.append(body).push_back('\n');
     }
     return out;

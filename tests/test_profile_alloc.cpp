@@ -186,7 +186,7 @@ class ResolveAllocTest : public ::testing::Test {
     map.entries.push_back(
         {heap_base_ + 0x100, 0x80,
          support::Name("com.example.workload.Parser.process(Ljava/lang/String;)V")});
-    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map.serialize());
+    machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, 0), map.serialize(pid_));
     write_archive(machine_, table_, machine_.vfs(), "archive");
   }
 

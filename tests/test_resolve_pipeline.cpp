@@ -157,7 +157,7 @@ class PipelineTest : public ::testing::Test {
                                 support::Name("app.K.m" + std::to_string(m))});
       }
       machine_.vfs().write(CodeMapFile::path_for("jit_maps", pid_, e),
-                           file.serialize());
+                           file.serialize(pid_));
     }
 
     support::Xoshiro256 rng(42);

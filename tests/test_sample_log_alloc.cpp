@@ -54,7 +54,7 @@ TEST(SampleLogAlloc, ParseIntoPreReservedArenaVectorAllocatesNothing) {
   SampleStreamParser parser;
 
   const std::uint64_t before = g_news.load();
-  parser.parse_into(text, batch);
+  parser.parse_into(text, sample_line_hash(hw::EventKind::kGlobalPowerEvents), batch);
   const std::uint64_t after = g_news.load();
 
   ASSERT_EQ(batch.size(), 256u);
@@ -72,7 +72,7 @@ TEST(SampleLogAlloc, DamagedBatchAllocatesNothingEither) {
   SampleStreamParser parser;
 
   const std::uint64_t before = g_news.load();
-  parser.parse_into(text, batch);
+  parser.parse_into(text, sample_line_hash(hw::EventKind::kGlobalPowerEvents), batch);
   const std::uint64_t after = g_news.load();
 
   EXPECT_EQ(batch.size(), 254u);

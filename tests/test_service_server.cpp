@@ -11,6 +11,7 @@
 #include "service/server.hpp"
 #include "service/wire.hpp"
 #include "support/hash.hpp"
+#include "v1_framing.hpp"
 
 namespace viprof::service {
 namespace {
@@ -320,14 +321,20 @@ WireDigests replay_wire_digests(const os::Vfs& world) {
 // the batch boundaries and the order in which it announces code maps.
 // `frames` digests what the frames carry without their checksum trailers,
 // so it holds across a change of the wire checksum; `wire` pins the whole
-// byte stream, trailers included.
+// byte stream, trailers included. The session's files are framed-text v2;
+// rewritten as v1 (tests/v1_framing.hpp) they relay exactly the digests a
+// v1 session pinned, so the v2 pins differ from those only in the crc
+// fields of the relayed sample lines and maps.
 TEST(ReplayClientWire, FramesAreByteIdenticalForASeededSession) {
   ScenarioConfig config = small_scenario();
   config.seed = 0x3e13;
   auto scenario = record_scenario(config);
   const WireDigests digests = replay_wire_digests(scenario->vfs());
-  EXPECT_EQ(digests.frames, 0x7ca9b879adc142f8ull);
-  EXPECT_EQ(digests.wire, 0x8eed9c288a7a3dacull);
+  EXPECT_EQ(digests.frames, 0x170139124eb897e1ull);
+  EXPECT_EQ(digests.wire, 0x948c7c8709885b93ull);
+  const WireDigests v1 = replay_wire_digests(v1::to_v1(scenario->vfs()));
+  EXPECT_EQ(v1.frames, 0x7ca9b879adc142f8ull);
+  EXPECT_EQ(v1.wire, 0x8eed9c288a7a3dacull);
 }
 
 TEST(ReplayClientWire, TornUnterminatedTailIsRelayedNewlineTerminated) {
@@ -341,8 +348,11 @@ TEST(ReplayClientWire, TornUnterminatedTailIsRelayedNewlineTerminated) {
   ASSERT_NE(log.back(), '\n');
   scenario->vfs().write(path, log);
   const WireDigests digests = replay_wire_digests(scenario->vfs());
-  EXPECT_EQ(digests.frames, 0x4ab120e1bc0f6627ull);
-  EXPECT_EQ(digests.wire, 0x7e792fae4dca373bull);
+  EXPECT_EQ(digests.frames, 0xdb1f8fae95db4e6full);
+  EXPECT_EQ(digests.wire, 0x4d77e9ca13a528a4ull);
+  const WireDigests v1 = replay_wire_digests(v1::to_v1(scenario->vfs()));
+  EXPECT_EQ(v1.frames, 0x4ab120e1bc0f6627ull);
+  EXPECT_EQ(v1.wire, 0x7e792fae4dca373bull);
 }
 
 }  // namespace

@@ -385,7 +385,8 @@ std::string sample_batch_payload(std::size_t bytes) {
     sample.pid = static_cast<hw::Pid>(100 + seq % 3);
     sample.epoch = seq / 40;
     sample.cycle = seq * 9000;
-    payload += core::format_sample_line(seq, sample, buf);
+    payload += core::format_sample_line(
+        seq, sample, core::sample_line_hash(hw::EventKind::kGlobalPowerEvents), buf);
   }
   return payload;
 }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "store/segment.hpp"
-#include "support/hash.hpp"
+#include "support/framed_text.hpp"
 
 namespace viprof::store {
 namespace {
@@ -52,7 +52,7 @@ std::string whole_segment(SegmentWriter& w, const std::vector<IntervalProfile>& 
 TEST(StoreSegment, RoundTripIsLossless) {
   SegmentWriter w(7);
   const std::vector<IntervalProfile> ivs = {make_interval(3, 0), make_interval(4, 1)};
-  const SegmentSalvage got = read_segment(whole_segment(w, ivs));
+  const SegmentSalvage got = read_segment(whole_segment(w, ivs), 7);
 
   EXPECT_TRUE(got.clean());
   EXPECT_TRUE(got.header_ok);
@@ -87,7 +87,7 @@ TEST(StoreSegment, UnsealedSegmentStillSalvages) {
   SegmentWriter w(2);
   std::string content = w.header();  // sequenced: header takes seq 0
   content += w.encode_interval(make_interval(1, 0));
-  const SegmentSalvage got = read_segment(content);
+  const SegmentSalvage got = read_segment(content, 2);
   EXPECT_TRUE(got.clean());
   EXPECT_FALSE(got.sealed);
   EXPECT_EQ(got.intervals_salvaged, 1u);
@@ -99,7 +99,7 @@ TEST(StoreSegment, TornTailIsDiscardedAndCounted) {
   std::string content = whole_segment(w, ivs);
   content.resize(content.size() - 5);  // tear mid-line (the seal record)
 
-  const SegmentSalvage got = read_segment(content);
+  const SegmentSalvage got = read_segment(content, 3);
   EXPECT_FALSE(got.clean());
   EXPECT_FALSE(got.sealed);  // the seal record was the torn line
   EXPECT_GE(got.lines_discarded, 1u);
@@ -117,7 +117,7 @@ TEST(StoreSegment, CorruptLineDropsItsIntervalWithRowAccounting) {
   ASSERT_NE(r, std::string::npos);
   content[r + 3] = content[r + 3] == '0' ? '1' : '0';
 
-  const SegmentSalvage got = read_segment(content);
+  const SegmentSalvage got = read_segment(content, 4);
   EXPECT_FALSE(got.clean());
   EXPECT_GE(got.lines_discarded, 1u);
   // One interval fully intact, the damaged one dropped with its rows.
@@ -146,7 +146,7 @@ TEST(StoreSegment, DuplicateAndMissingLinesAreCounted) {
     dup += lines[i];
     if (i == 2) dup += lines[2];
   }
-  const SegmentSalvage with_dup = read_segment(dup);
+  const SegmentSalvage with_dup = read_segment(dup, 5);
   EXPECT_EQ(with_dup.duplicate_lines, 1u);
   EXPECT_EQ(with_dup.intervals_salvaged, 1u);
 
@@ -155,7 +155,7 @@ TEST(StoreSegment, DuplicateAndMissingLinesAreCounted) {
   std::string gap;
   for (std::size_t i = 0; i < lines.size(); ++i)
     if (i != 3) gap += lines[i];
-  const SegmentSalvage with_gap = read_segment(gap);
+  const SegmentSalvage with_gap = read_segment(gap, 5);
   EXPECT_FALSE(with_gap.clean());
   EXPECT_GE(with_gap.gap_lines, 1u);
   EXPECT_EQ(with_gap.intervals_dropped, 1u);
@@ -186,7 +186,7 @@ TEST(StoreSegment, RowsPastASequenceGapNeverCommitToTheOpenInterval) {
   for (std::size_t i = 0; i < lines.size(); ++i)
     if (i <= iv1 + 1 || i == iv2 + 1 || i > iv2 + 2) damaged += lines[i];
 
-  const SegmentSalvage got = read_segment(damaged);
+  const SegmentSalvage got = read_segment(damaged, 7);
   EXPECT_GT(got.gap_lines, 0u);
   EXPECT_EQ(got.intervals_salvaged, 0u);
   EXPECT_TRUE(got.intervals.empty());
@@ -194,11 +194,11 @@ TEST(StoreSegment, RowsPastASequenceGapNeverCommitToTheOpenInterval) {
 }
 
 TEST(StoreSegment, GarbageAndEmptyInputsAreRejectedNotFatal) {
-  const SegmentSalvage empty = read_segment("");
+  const SegmentSalvage empty = read_segment("", 0);
   EXPECT_FALSE(empty.header_ok);
   EXPECT_EQ(empty.intervals_salvaged, 0u);
 
-  const SegmentSalvage noise = read_segment("this is not a segment\nat all\n");
+  const SegmentSalvage noise = read_segment("this is not a segment\nat all\n", 0);
   EXPECT_FALSE(noise.header_ok);
   EXPECT_FALSE(noise.clean());
   EXPECT_EQ(noise.intervals_salvaged, 0u);
@@ -206,14 +206,18 @@ TEST(StoreSegment, GarbageAndEmptyInputsAreRejectedNotFatal) {
 
 TEST(StoreSegment, CrcFieldTakesOnlyEightHexDigits) {
   // A line frame's crc is exactly eight hex digits, as in the sample logs.
-  // Search segment ids for a header body whose FNV-1a fits in 24 bits, so
-  // its crc can also be spelled with a 0x prefix or a sign inside the
-  // 8-byte field.
+  // Search segment ids for a header body whose v2 crc (XXH32 under the
+  // id's key) fits in 24 bits, so it can also be spelled with a 0x prefix
+  // or a sign inside the 8-byte field.
   std::uint64_t id = 0;
-  const auto header_body = [&id] { return "0 H viprof-segment v1 " + std::to_string(id); };
-  while (support::fnv1a(header_body()) >= (1u << 24)) ++id;
+  const auto header_body = [&id] { return "0 H viprof-segment v2 " + std::to_string(id); };
+  const auto v2_crc = [&id](const std::string& body) {
+    return support::xxh32(body.data(), body.size(),
+                          support::frame_key(support::FrameKind::kSegment, id));
+  };
+  while (v2_crc(header_body()) >= (1u << 24)) ++id;
   const std::string body = header_body();
-  const std::uint32_t crc = support::fnv1a(body);
+  const std::uint32_t crc = v2_crc(body);
   SegmentWriter w(id);
   ASSERT_EQ(w.header().substr(0, body.size() + 1), body + " ");  // seq 0
   const std::string seal = w.encode_seal(0);                       // seq 1
@@ -223,13 +227,13 @@ TEST(StoreSegment, CrcFieldTakesOnlyEightHexDigits) {
     return body + " " + field + "\n" + seal;
   };
 
-  const SegmentSalvage canonical = read_segment(framed("%08x"));
+  const SegmentSalvage canonical = read_segment(framed("%08x"), id);
   EXPECT_TRUE(canonical.clean());
   EXPECT_TRUE(canonical.header_ok);
-  EXPECT_TRUE(read_segment(framed("%08X")).clean());  // digits of either case
+  EXPECT_TRUE(read_segment(framed("%08X"), id).clean());  // digits of either case
 
   for (const char* format : {"0x%06x", "0X%06x", "+%07x"}) {
-    const SegmentSalvage got = read_segment(framed(format));
+    const SegmentSalvage got = read_segment(framed(format), id);
     EXPECT_FALSE(got.header_ok) << format;
     EXPECT_EQ(got.lines_discarded, 1u) << format;
     EXPECT_FALSE(got.clean()) << format;

@@ -1,11 +1,13 @@
 // Pins the hash primitives in support/hash.hpp to their canonical constants
 // and reference digests. Every framed on-disk format (sample logs, code
-// maps, object maps, store segments, manifests) and the fleet ring / trace
-// minting key on these functions: if any constant drifts, previously
-// written files stop verifying and byte-identity anchors break silently.
-// This test makes that drift loud. The wire frame checksum, xxh32, is
-// checked against the published vectors and a byte-at-a-time transcription
-// of the algorithm at every length across its stripe and tail boundaries.
+// maps, object maps, store segments, manifests), the wire frame trailer and
+// the fleet ring / trace minting key on these functions: if any constant
+// drifts, previously written files stop verifying and byte-identity anchors
+// break silently. This test makes that drift loud. xxh32, the v2 frame
+// checksum (seeded) and the wire checksum (seed 0), is checked against the
+// published vectors and a byte-at-a-time transcription of the algorithm at
+// every length across its stripe and tail boundaries, at several seeds;
+// fnv1a, the v1 checksum, against its own vectors.
 #include "support/hash.hpp"
 
 #include <gtest/gtest.h>
@@ -69,13 +71,15 @@ TEST(SupportHash, Xxh32PublishedVectors) {
   EXPECT_EQ(xxh32("a"), 0x550d7456u);
   EXPECT_EQ(xxh32("abc"), 0x32d153ffu);
   EXPECT_EQ(xxh32("Nobody inspects the spammish repetition"), 0xe2293b2fu);
+  // The published seeded vector (seed = PRIME32_1).
+  EXPECT_EQ(support::xxh32("", 0, 0x9E3779B1u), 0x36B78AE7u);
 }
 
-// XXH32 (seed 0) transcribed from the specification one byte at a time:
+// XXH32 transcribed from the specification one byte at a time:
 // each 32-bit word is assembled little-endian from single bytes, so the
 // kernel's memcpy word loads, stripe loop and tails have an independent
 // reference.
-std::uint32_t xxh32_bytewise(const unsigned char* p, std::size_t n) {
+std::uint32_t xxh32_bytewise(const unsigned char* p, std::size_t n, std::uint32_t seed) {
   const std::uint32_t p1 = 2654435761u, p2 = 2246822519u, p3 = 3266489917u,
                       p4 = 668265263u, p5 = 374761393u;
   const auto rotl = [](std::uint32_t x, int r) { return (x << r) | (x >> (32 - r)); };
@@ -86,7 +90,7 @@ std::uint32_t xxh32_bytewise(const unsigned char* p, std::size_t n) {
   std::size_t i = 0;
   std::uint32_t h = 0;
   if (n >= 16) {
-    std::uint32_t acc[4] = {p1 + p2, p2, 0, 0 - p1};
+    std::uint32_t acc[4] = {seed + p1 + p2, seed + p2, seed, seed - p1};
     while (i + 16 <= n) {
       for (int lane = 0; lane < 4; ++lane) {
         acc[lane] += word(p + i) * p2;
@@ -96,7 +100,7 @@ std::uint32_t xxh32_bytewise(const unsigned char* p, std::size_t n) {
     }
     h = rotl(acc[0], 1) + rotl(acc[1], 7) + rotl(acc[2], 12) + rotl(acc[3], 18);
   } else {
-    h = p5;
+    h = seed + p5;
   }
   h += static_cast<std::uint32_t>(n);
   while (i + 4 <= n) {
@@ -120,17 +124,20 @@ std::uint32_t xxh32_bytewise(const unsigned char* p, std::size_t n) {
 TEST(SupportHash, Xxh32MatchesBytewiseTranscriptionAtEveryLength) {
   // Lengths 0..70 cross the 16-byte stripe and every 4-byte / 1-byte tail
   // boundary; bytes above 0x7f catch sign-extension slips. Each length is
-  // also hashed at an odd offset, so the word loads run unaligned.
+  // also hashed at an odd offset, so the word loads run unaligned, and at
+  // seeds that wrap the lane starts.
   std::string buf(71 + 3, '\0');
   for (std::size_t i = 0; i < buf.size(); ++i) {
     buf[i] = static_cast<char>(i * 151 + 7);
   }
-  for (std::size_t offset : {0u, 1u, 3u}) {
-    for (std::size_t n = 0; n <= 70; ++n) {
-      const char* p = buf.data() + offset;
-      EXPECT_EQ(support::xxh32(p, n),
-                xxh32_bytewise(reinterpret_cast<const unsigned char*>(p), n))
-          << "length " << n << " offset " << offset;
+  for (const std::uint32_t seed : {0u, 1u, 0x9E3779B1u, 0x61C88647u, 0xffffffffu}) {
+    for (std::size_t offset : {0u, 1u, 3u}) {
+      for (std::size_t n = 0; n <= 70; ++n) {
+        const char* p = buf.data() + offset;
+        EXPECT_EQ(support::xxh32(p, n, seed),
+                  xxh32_bytewise(reinterpret_cast<const unsigned char*>(p), n, seed))
+            << "length " << n << " offset " << offset << " seed " << seed;
+      }
     }
   }
 }

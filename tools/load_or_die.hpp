@@ -18,7 +18,7 @@
 
 namespace viprof::tool {
 
-/// A viprof-snapshot v1 file, or DIR/service.snap; exits 2 when it is
+/// A viprof-snapshot v2 file, or DIR/service.snap; exits 2 when it is
 /// missing or fails its checksum.
 inline service::ServiceSnapshot load_snapshot_or_die(const char* tool,
                                                      const std::string& arg) {

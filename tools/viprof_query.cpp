@@ -3,9 +3,9 @@
 // the continuous-profiling service; DESIGN.md §10). The command lines are
 // listed in kUsage below.
 //
-// FILE|DIR is a viprof-snapshot v1 file, or a directory containing
+// FILE|DIR is a viprof-snapshot v2 file, or a directory containing
 // service.snap (what --export writes). The snapshot carries its own
-// FNV-1a trailer; a damaged file is rejected, never half-parsed.
+// crc trailer; a damaged file is rejected, never half-parsed.
 //
 // --store DIR answers the same questions from a persistent profile store
 // (DESIGN.md §11) instead of a single snapshot: top folds every interval
@@ -52,7 +52,7 @@ constexpr const char* kUsage =
     "                         [--session S] [--event E] [--top N]\n"
     "       viprof_query stats --fleet DIR [--json]\n"
     "       viprof_query trace --fleet DIR\n"
-    "FILE|DIR: a viprof-snapshot v1 file, or a directory holding\n"
+    "FILE|DIR: a viprof-snapshot v2 file, or a directory holding\n"
     "service.snap (as written by viprof_serve --export).\n"
     "--store DIR: a persistent profile store; windows are inclusive ticks.\n"
     "--fleet DIR: an exported fleet namespace (viprof_fleet serve --export).\n"

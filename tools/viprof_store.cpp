@@ -38,7 +38,7 @@ constexpr const char* kUsage =
     "       viprof_store diff     --store DIR --before LO[:HI] --after LO[:HI]\n"
     "                             [--session S] [--event E] [--top N]\n"
     "       viprof_store segments --store DIR\n"
-    "--snap takes a viprof-snapshot v1 file or a directory holding\n"
+    "--snap takes a viprof-snapshot v2 file or a directory holding\n"
     "service.snap; each session epoch becomes one interval at tick\n"
     "tick-base + epoch. Windows are inclusive ticks.\n"
     "events: time (GLOBAL_POWER_EVENTS), dmiss (BSQ_CACHE_REFERENCE), or a\n"
