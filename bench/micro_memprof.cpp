@@ -3,6 +3,8 @@
 // Measures the pieces the memprof subsystem adds to the pipeline:
 //   - omap.serialize / omap.parse / omap.salvage: the epoch object-map
 //     format round trip and the torn-write salvage sweep, per map;
+//   - omap.salvage_file: salvage of an intact map keyed by its path, the
+//     call the server makes once for every object map that arrives;
 //   - resolve.object: one kObjDmiss sample resolved through the flattened
 //     epoch index (the backward walk over moved objects), per sample;
 //   - ingest.obj: a recorded memprof session (allocation sites, moving GC,
@@ -195,6 +197,23 @@ bool run() {
     }
     records.push_back(make_record("omap.salvage", map_iters, secs, map_iters));
     std::printf("  omap.salvage    %8.0f ns/map  (torn at 2/3)\n",
+                records.back().ns_per_op);
+  }
+  {
+    // What the server's store_file runs on every arriving object map: an
+    // intact file, keyed by its path, read through its trailer.
+    const std::string path = core::ObjectMapFile::path_for("obj_maps", kPid, map.epoch);
+    std::uint64_t salvaged = 0;
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < map_iters; ++i)
+      salvaged += core::ObjectMapFile::salvage_file(path, blob).file.objects.size();
+    const double secs = seconds_since(start);
+    if (salvaged != static_cast<std::uint64_t>(map_iters) * map.objects.size()) {
+      std::fprintf(stderr, "FAIL: salvage_file dropped entries of an intact map\n");
+      return false;
+    }
+    records.push_back(make_record("omap.salvage_file", map_iters, secs, map_iters));
+    std::printf("  omap.salvage_file %6.0f ns/map  (intact, keyed by path)\n",
                 records.back().ns_per_op);
   }
 

@@ -41,10 +41,11 @@ std::optional<VmRegistration> parse_reg_line(std::string_view line);
 
 /// Pluggable provider of epoch code-map indexes, consulted on the JIT
 /// resolution path in place of the resolver's internally loaded maps. The
-/// continuous-profiling service supplies one per ingest batch: its indexes
-/// live in a shared LRU cache keyed by (vm, epoch-ceiling) and are pinned
-/// for the batch's lifetime, so a load-everything-up-front resolver would
-/// be both stale (maps keep streaming in) and unbounded.
+/// continuous-profiling service supplies one per ingest batch: each index
+/// is flattened from the maps the session parsed on arrival, cached per
+/// (vm, epoch-ceiling) and pinned for the batch's lifetime, because the
+/// maps keep streaming in after a load-everything-up-front resolver is
+/// built.
 ///
 /// index_for() may return nullptr (no maps known for that pid yet); the
 /// caller then takes the same path as an empty internal index, binning the

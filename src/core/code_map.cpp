@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "support/check.hpp"
 #include "support/format.hpp"
@@ -121,13 +122,18 @@ std::optional<hw::Pid> pid_from_map_path(std::string_view path) {
   if (last == std::string_view::npos || last == 0) return std::nullopt;
   const std::size_t prev = path.rfind('/', last - 1);
   const std::size_t begin = prev == std::string_view::npos ? 0 : prev + 1;
-  if (begin >= last) return std::nullopt;
-  hw::Pid pid = 0;
-  for (std::size_t i = begin; i < last; ++i) {
-    if (path[i] < '0' || path[i] > '9') return std::nullopt;
-    pid = pid * 10 + static_cast<hw::Pid>(path[i] - '0');
+  const std::string_view digits = path.substr(begin, last - begin);
+  // Only the spelling std::to_string gives ("12", never "012" or a value
+  // past 32 bits): path_for writes it, and a reload of the pid lists it.
+  if (digits.empty() || digits.size() > 10 || (digits[0] == '0' && digits.size() > 1))
+    return std::nullopt;
+  std::uint64_t pid = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    pid = pid * 10 + static_cast<std::uint64_t>(c - '0');
   }
-  return pid;
+  if (pid > std::numeric_limits<hw::Pid>::max()) return std::nullopt;
+  return static_cast<hw::Pid>(pid);
 }
 
 std::string CodeMapFile::path_for(const std::string& dir, hw::Pid pid,
@@ -140,7 +146,7 @@ std::string CodeMapFile::path_for(const std::string& dir, hw::Pid pid,
 }
 
 std::optional<std::uint64_t> CodeMapFile::epoch_from_path(const std::string& path) {
-  return support::scan_name_number(path, "map.");
+  return support::scan_basename_number(path, "map.");
 }
 
 CodeMapIndex::CodeMapIndex(CodeMapIndex&& other) noexcept {

@@ -100,12 +100,14 @@ struct CodeMapFile {
   /// Conventional path for the map of `epoch` under `dir`.
   static std::string path_for(const std::string& dir, hw::Pid pid, std::uint64_t epoch);
 
-  /// Epoch encoded in a path_for-style file name, or nullopt.
+  /// Epoch encoded in a path_for-style file name ("map.<E>", never an
+  /// object map's "omap.<E>"), or nullopt.
   static std::optional<std::uint64_t> epoch_from_path(const std::string& path);
 };
 
 /// "<dir>/<pid>/<name>" → pid, from the second-to-last path component (code
-/// and object maps alike), or nullopt.
+/// and object maps alike), or nullopt. The component must be the pid as
+/// path_for spells it: no leading zero, no value past 32 bits.
 std::optional<hw::Pid> pid_from_map_path(std::string_view path);
 
 struct CodeMapFile::Recovery {

@@ -207,7 +207,7 @@ std::string ObjectMapFile::path_for(const std::string& dir, hw::Pid pid,
 }
 
 std::optional<std::uint64_t> ObjectMapFile::epoch_from_path(const std::string& path) {
-  return support::scan_name_number(path, "omap.");
+  return support::scan_basename_number(path, "omap.");
 }
 
 CodeMapFile ObjectMapFile::to_code_map() const {

@@ -98,7 +98,7 @@ struct ObjectMapFile {
   /// Conventional path for the map of `epoch` under `dir`.
   static std::string path_for(const std::string& dir, hw::Pid pid, std::uint64_t epoch);
 
-  /// Epoch encoded in a path_for-style file name, or nullopt.
+  /// Epoch encoded in a path_for-style file name ("omap.<E>"), or nullopt.
   static std::optional<std::uint64_t> epoch_from_path(const std::string& path);
 
   /// Projection onto the code-map model: each object becomes an address

@@ -1,28 +1,19 @@
 // Shared cache of prepared CodeMapIndex instances, RCU-style.
 //
-// Ingest workers resolve sample batches against the epoch code maps known
-// at the batch's enqueue time. Rebuilding an index per batch would be
-// O(maps) every few hundred samples; keeping every (vm, epoch-ceiling)
-// generation forever would grow without bound on an always-on server.
+// Ingest workers resolve each batch against one index per (session, pid,
+// epoch ceiling). A miss builds it by flattening the session's map shelves,
+// which hold every map parsed once on arrival; the cache keeps `capacity`
+// generations, so an always-on server neither rebuilds per batch nor grows
+// without bound.
 //
-// Through PR 7 this was an LRU map under one mutex, and the TracedMutex
-// evidence showed workers queueing on it for what is overwhelmingly a
-// read-only lookup. The read path is now lock-free: the table lives in an
-// immutable snapshot behind a std::atomic<const Table*>, hits count
-// themselves in `readers_`, load the snapshot, find their entry and return
-// the pin without ever taking `service.map_cache`. Writers (misses) still
-// serialize on the mutex — concurrent misses on one key build once, as
-// before — and install an updated copy-on-write snapshot with a single
-// atomic store. The replaced table is retired, and retired tables are freed
-// under the writer mutex once the reader count is seen at zero (every
-// reader that could hold one has left; later readers load the new
-// pointer). Plain atomics and mutexes only, so ThreadSanitizer models the
-// whole protocol — unlike libstdc++'s std::atomic<std::shared_ptr>, whose
-// lock bit in the pointer word it cannot see. Entries are shared between
-// snapshot generations, so a swap costs one map copy of shared_ptrs, never
-// an index rebuild. Eviction is least-recently-used by an atomic access
-// tick that hits bump wait-free; a pin handed out keeps its index alive
-// across any later eviction.
+// Hits are lock-free: a reader counts itself in `readers_`, loads the
+// immutable snapshot behind a std::atomic<const Table*>, finds its entry,
+// bumps its LRU tick and leaves with a pin. Misses serialize on
+// `service.map_cache` (concurrent misses on one key build once), install a
+// copy-on-write successor with one atomic store and retire the old table,
+// freed under the mutex once `readers_` is seen at zero. Entries are shared
+// between generations, and a pin keeps its index alive past any eviction.
+// Plain atomics and a mutex only, so ThreadSanitizer models the protocol.
 #pragma once
 
 #include <atomic>

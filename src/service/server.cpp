@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 
-#include "core/code_map.hpp"
 #include "memprof/report.hpp"
 #include "memprof/resolve.hpp"
 #include "service/query.hpp"
@@ -28,24 +26,27 @@ class PinnedJitSource final : public core::JitIndexSource {
   std::map<hw::Pid, CodeMapCache::IndexPtr> pins_;
 };
 
-/// Pins, for every VM the batch's ceilings name, the index cached under
-/// `key` at that ceiling for the map directory the registration's `dir`
-/// field names (jit_map_dir or obj_map_dir); a miss builds it with
-/// `build(dir, pid)`. VMs with no registration or no such directory get no
-/// pin.
-PinnedJitSource pin_indexes(
-    CodeMapCache& cache, const std::string& key, const CeilingMap& ceilings,
-    const core::ArchiveResolver& resolver, std::string core::VmRegistration::*dir,
-    const std::function<core::CodeMapIndex(const std::string&, hw::Pid)>& build) {
+/// Pins, for every VM the batch's ceilings name, the index cached at that
+/// ceiling over the session's `kind` maps of the directory its registration
+/// names (jit_map_dir, or obj_map_dir under the "#obj" key); a miss
+/// flattens the session's shelf. VMs with no registration or no such
+/// directory get no pin.
+PinnedJitSource pin_indexes(CodeMapCache& cache, const ServerSession& session, MapKind kind,
+                            const CeilingMap& ceilings,
+                            const core::ArchiveResolver& resolver) {
+  const bool objects = kind == MapKind::kObject;
+  const std::string key = objects ? session.id() + "#obj" : session.id();
   PinnedJitSource pinned;
   for (const auto& [pid, ceiling] : ceilings) {
     const core::VmRegistration* reg = nullptr;
     for (const core::VmRegistration& r : resolver.registrations())
       if (r.pid == pid) { reg = &r; break; }
-    if (reg == nullptr || (reg->*dir).empty()) continue;
-    const std::string& map_dir = reg->*dir;
-    pinned.pins_[pid] = cache.get(key, pid, ceiling,
-                                  [&build, &map_dir, pid = pid] { return build(map_dir, pid); });
+    if (reg == nullptr) continue;
+    const std::string& dir = objects ? reg->obj_map_dir : reg->jit_map_dir;
+    if (dir.empty()) continue;
+    pinned.pins_[pid] = cache.get(key, pid, ceiling, [&session, kind, &dir, pid = pid] {
+      return session.map_index(kind, dir, pid);
+    });
   }
   return pinned;
 }
@@ -135,6 +136,9 @@ ProfileServer::ProfileServer(const ServerConfig& config)
   tele_query_latency_us_ = &telemetry_.histogram("service.query.latency_us");
   // Arm the contention suspects before any traffic (DESIGN.md §13).
   cache_.attach_telemetry(telemetry_);
+  // Every streamed map byte is parsed once, on arrival (DESIGN.md §14).
+  telemetry_.counter("service.maps.bytes_received");
+  telemetry_.counter("service.maps.bytes_parsed");
   pool_.attach_telemetry(telemetry_);
   sessions_mu_.attach(telemetry_);
 }
@@ -363,56 +367,28 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
     return;
   }
 
-  if (batch.event == hw::EventKind::kObjDmiss) {
-    // Object samples resolve against per-pid *object*-map indexes, pinned at
-    // the same epoch ceiling the batch carried — a separate cache keyspace
-    // ("#obj") so the PC hot path shares nothing with this branch. Objects
-    // carry no caller PCs, so there is no arc/caller work here.
-    const PinnedJitSource obj = pin_indexes(
-        cache_, session->id() + "#obj", *batch.ceilings, *resolver,
-        &core::VmRegistration::obj_map_dir,
-        [&session](const std::string& dir, hw::Pid pid) {
-          return session->object_index(dir, pid);
-        });
-    const std::uint64_t resolve_t0 = support::monotonic_ns();
-    EpochCursor epochs(result);
-    for (const core::LoggedSample& sample : samples) {
-      const core::Resolution res = memprof::resolve_object(
-          obj.index_for(sample.pid, sample.epoch), sample.pc, sample.epoch);
-      result.partial.add(batch.event, res);
-      epochs.at(sample.epoch).add(batch.event, res);
-    }
-    telemetry_.spans().record("service.batch.resolve", "service", resolve_t0,
-                              support::monotonic_ns(), batch.apply_seq,
-                              session->trace());
-    tele_records_->inc(result.records);
-    session->apply(batch.apply_seq, std::move(result));
-    cache_.publish();
-    return;
-  }
-
-  // Pin the code-map index generation each registered VM had at enqueue.
-  const PinnedJitSource jit = pin_indexes(
-      cache_, session->id(), *batch.ceilings, *resolver,
-      &core::VmRegistration::jit_map_dir,
-      [&session](const std::string& dir, hw::Pid pid) {
-        std::lock_guard<std::mutex> lock(session->world_mu_);
-        core::CodeMapIndex index;
-        index.load(session->world_, dir, pid);
-        return index;
-      });
+  // Pin the map index generation each registered VM had at enqueue. Object
+  // samples resolve against the object maps' indexes, a separate cache
+  // keyspace ("#obj"), and carry no caller PCs.
+  const bool objects = batch.event == hw::EventKind::kObjDmiss;
+  const PinnedJitSource maps = pin_indexes(cache_, *session,
+                                           objects ? MapKind::kObject : MapKind::kCode,
+                                           *batch.ceilings, *resolver);
 
   const std::uint64_t resolve_t0 = support::monotonic_ns();
   // Resolutions carry interned name ids (DESIGN.md §14): each row or arc
   // lookup hashes integers, so no per-batch memo sits in front of it.
   EpochCursor epochs(result);
   for (const core::LoggedSample& sample : samples) {
-    const core::Resolution res = resolver->resolve(sample, &jit);
+    const core::Resolution res =
+        objects ? memprof::resolve_object(maps.index_for(sample.pid, sample.epoch), sample.pc,
+                                          sample.epoch)
+                : resolver->resolve(sample, &maps);
     result.partial.add(batch.event, res);
     epochs.at(sample.epoch).add(batch.event, res);
-    if (sample.caller_pc != 0) {
+    if (!objects && sample.caller_pc != 0) {
       result.arcs.add_resolved(resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
-                                                    sample.pid, sample.epoch, &jit),
+                                                    sample.pid, sample.epoch, &maps),
                                res);
     }
   }

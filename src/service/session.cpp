@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <optional>
 
-#include "core/code_map.hpp"
-#include "core/object_map.hpp"
-
 namespace viprof::service {
 
 std::string render_session_stats(const std::map<std::string, SessionStats>& rows) {
@@ -25,18 +22,23 @@ std::string render_session_stats(const std::map<std::string, SessionStats>& rows
 
 namespace {
 
-/// "<dir>/<pid>/omap.<E>" → (dir, pid): exactly the partition whose
-/// load_object_index(dir, pid) listing the file falls in.
-std::optional<std::pair<std::string, hw::Pid>> object_map_key(const std::string& path) {
-  const std::size_t last = path.rfind('/');
-  if (last == std::string::npos || path.compare(last + 1, 5, "omap.") != 0)
-    return std::nullopt;
+/// The kind a map file name carries ("map.<E>", "omap.<E>"), or nullopt.
+std::optional<MapKind> map_kind(std::string_view path) {
+  const std::string_view name = path.substr(path.rfind('/') + 1);
+  if (name.starts_with("map.")) return MapKind::kCode;
+  if (name.starts_with("omap.")) return MapKind::kObject;
+  return std::nullopt;
+}
+
+/// The shelf a `kind` map "<dir>/<pid>/<name>" belongs on: (kind, dir,
+/// pid) for exactly the (dir, pid) whose reload lists the file.
+std::optional<std::tuple<MapKind, std::string, hw::Pid>> shelf_of(MapKind kind,
+                                                                  const std::string& path) {
   const auto pid = core::pid_from_map_path(path);
-  const std::size_t prev = last == 0 ? std::string::npos : path.rfind('/', last - 1);
-  if (!pid || prev == std::string::npos ||
-      path.compare(prev + 1, last - prev - 1, std::to_string(*pid)) != 0)
-    return std::nullopt;
-  return std::make_pair(path.substr(0, prev), *pid);
+  if (!pid) return std::nullopt;
+  const std::size_t prev = path.rfind('/', path.rfind('/') - 1);
+  if (prev == std::string::npos) return std::nullopt;
+  return std::make_tuple(kind, path.substr(0, prev), *pid);
 }
 
 }  // namespace
@@ -92,58 +94,67 @@ os::Vfs ServerSession::world() const {
 
 void ServerSession::store_file(const std::string& path, std::string bytes) {
   const std::uint64_t t0 = support::monotonic_ns();
-  const auto omap = object_map_key(path);
-  std::shared_ptr<const core::ObjectMapFile> map;
-  if (omap) {
-    // Salvaged by file name, exactly as load_object_index does, so the kept
-    // map equals what a full reload would parse.
-    map = std::make_shared<const core::ObjectMapFile>(
+  files_.fetch_add(1, std::memory_order_relaxed);
+  const auto kind = map_kind(path);
+  const auto shelf = kind ? shelf_of(*kind, path) : std::nullopt;
+  if (kind && map_bytes_received_ != nullptr) map_bytes_received_->inc(bytes.size());
+  // Salvaged by file name outside every lock, exactly as a reload does, so
+  // the kept map equals what a reload would parse.
+  KeptMap kept;
+  if (shelf && *kind == MapKind::kCode) {
+    kept.code = std::make_shared<const core::CodeMapFile>(
+        core::CodeMapFile::salvage_file(path, bytes).file);
+  } else if (shelf) {
+    kept.object = std::make_shared<const core::ObjectMapFile>(
         core::ObjectMapFile::salvage_file(path, bytes).file);
+    kept.code = std::make_shared<const core::CodeMapFile>(kept.object->to_code_map());
   }
+  if (shelf && map_bytes_parsed_ != nullptr) map_bytes_parsed_->inc(bytes.size());
   {
     std::lock_guard<std::mutex> lock(world_mu_);
     world_.write(path, std::move(bytes));
   }
-  // Folded before the ceiling moves: a batch pinned at this epoch finds
-  // the map among the kept ones.
-  if (omap) {
-    fold_object_map(*omap, path, std::move(map));
-    if (fold_us_ != nullptr)
-      fold_us_->add(static_cast<double>(support::monotonic_ns() - t0) / 1000.0);
+  if (!shelf) return;
+  // Shelved before the ceiling moves: a batch stamped at this epoch finds
+  // the map on its shelf.
+  shelve(*shelf, path, std::move(kept));
+  if (*kind == MapKind::kObject && fold_us_ != nullptr)
+    fold_us_->add(static_cast<double>(support::monotonic_ns() - t0) / 1000.0);
+  // Both kinds move the pid's ceiling: a batch of epoch E needs the code
+  // and the object map of E.
+  const hw::Pid pid = std::get<2>(*shelf);
+  const auto epoch = *kind == MapKind::kCode ? core::CodeMapFile::epoch_from_path(path)
+                                             : core::ObjectMapFile::epoch_from_path(path);
+  if (!epoch) return;
+  std::lock_guard<support::TracedMutex> lock(ingest_mu_);
+  const auto it = ceilings_->find(pid);
+  if (it == ceilings_->end() || *epoch > it->second) {
+    // Copy-on-write: stamped batches keep the map they were stamped with.
+    auto next = std::make_shared<CeilingMap>(*ceilings_);
+    (*next)[pid] = *epoch;
+    ceilings_ = std::move(next);
   }
-  const auto epoch = core::CodeMapFile::epoch_from_path(path);
-  const auto pid = epoch ? core::pid_from_map_path(path) : std::nullopt;
-  if (epoch && pid) {
-    std::lock_guard<support::TracedMutex> lock(ingest_mu_);
-    const auto it = ceilings_->find(*pid);
-    if (it == ceilings_->end() || *epoch > it->second) {
-      // Copy-on-write: stamped batches keep the map they were stamped with.
-      auto next = std::make_shared<CeilingMap>(*ceilings_);
-      (*next)[*pid] = *epoch;
-      ceilings_ = std::move(next);
-    }
-  }
-  files_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServerSession::fold_object_map(const PartitionKey& key, const std::string& path,
-                                    std::shared_ptr<const core::ObjectMapFile> map) {
+void ServerSession::shelve(const ShelfKey& key, const std::string& path, KeptMap kept) {
+  const hw::Pid pid = std::get<2>(key);
   bool refold = false;
   {
-    std::lock_guard<support::TracedMutex> lock(sites_mu_);
-    ObjectPartition& part = object_parts_[key];
-    if (part.maps.insert_or_assign(path, map).second) {
-      part.sites.ingest(id_, key.second, std::move(map));
-    } else {
+    std::lock_guard<support::TracedMutex> lock(shelf_mu_);
+    MapShelf& shelf = shelves_[key];
+    const bool fresh = shelf.maps.insert_or_assign(path, kept).second;
+    if (kept.object && fresh) {
+      shelf.sites.ingest(id_, pid, kept.object);
+    } else if (kept.object) {
       // Re-streamed path: the old map's charges cannot be taken back out
-      // of the fold, so rebuild the partition from the kept maps.
+      // of the fold, so rebuild the table from the kept maps.
       memprof::SiteTable rebuilt;
-      for (const auto& [kept_path, kept] : part.maps) rebuilt.ingest(id_, key.second, kept);
-      part.sites = std::move(rebuilt);
+      for (const auto& [kept_path, map] : shelf.maps) rebuilt.ingest(id_, pid, map.object);
+      shelf.sites = std::move(rebuilt);
       refold = true;
     }
   }
-  if (maps_folded_ != nullptr) maps_folded_->inc();
+  if (kept.object && maps_folded_ != nullptr) maps_folded_->inc();
   if (refold && refolds_ != nullptr) refolds_->inc();
 }
 
@@ -201,33 +212,32 @@ core::CallGraph ServerSession::merged_graph() const {
 
 void ServerSession::fold_object_sites(memprof::SiteTable& sites) const {
   const std::vector<core::VmRegistration> regs = registrations();
-  std::lock_guard<support::TracedMutex> lock(sites_mu_);
+  std::lock_guard<support::TracedMutex> lock(shelf_mu_);
   for (const core::VmRegistration& reg : regs) {
     if (reg.obj_map_dir.empty()) continue;
-    const auto it = object_parts_.find({reg.obj_map_dir, reg.pid});
-    if (it != object_parts_.end()) sites.merge(it->second.sites);
+    const auto it = shelves_.find({MapKind::kObject, reg.obj_map_dir, reg.pid});
+    if (it != shelves_.end()) sites.merge(it->second.sites);
   }
 }
 
 std::size_t ServerSession::site_bytes() const {
-  std::lock_guard<support::TracedMutex> lock(sites_mu_);
+  std::lock_guard<support::TracedMutex> lock(shelf_mu_);
   std::size_t bytes = 0;
-  for (const auto& [key, part] : object_parts_) bytes += part.sites.seen_bytes();
+  for (const auto& [key, shelf] : shelves_) bytes += shelf.sites.seen_bytes();
   return bytes;
 }
 
-core::CodeMapIndex ServerSession::object_index(const std::string& dir,
-                                               hw::Pid pid) const {
-  std::vector<std::shared_ptr<const core::ObjectMapFile>> maps;
+core::CodeMapIndex ServerSession::map_index(MapKind kind, const std::string& dir,
+                                            hw::Pid pid) const {
+  std::vector<std::shared_ptr<const core::CodeMapFile>> maps;
   {
-    std::lock_guard<support::TracedMutex> lock(sites_mu_);
-    const auto it = object_parts_.find({dir, pid});
-    if (it != object_parts_.end())
-      for (const auto& [path, map] : it->second.maps) maps.push_back(map);
+    std::lock_guard<support::TracedMutex> lock(shelf_mu_);
+    const auto it = shelves_.find({kind, dir, pid});
+    if (it != shelves_.end())
+      for (const auto& [path, kept] : it->second.maps) maps.push_back(kept.code);
   }
   core::CodeMapIndex index;
-  for (const auto& map : maps) index.add(map->to_code_map());
-  index.prepare();
+  for (const auto& map : maps) index.add(*map);
   return index;
 }
 

@@ -1,19 +1,19 @@
 // Server-side state of one streamed profiling session.
 //
 // A session is one client's world: the files it streamed in (archive
-// manifest, boot maps, epoch code maps) in a private VFS, its registration
-// table, the per-event stream parsers with their seen-sequence sets, a
-// bounded batch queue toward the ingest workers, and the rolling
-// aggregates. Locks, never nested with each other:
+// manifest, boot maps, epoch maps) in a private VFS, the maps parsed on
+// their shelves, its registration table, the per-event stream parsers with
+// their seen-sequence sets, a bounded batch queue toward the ingest
+// workers, and the rolling aggregates. Locks, never nested with each other:
 //   ingest_mu_   — the batch stamp: apply seq and the published epoch
 //                  ceilings (receiver; O(1) per batch)
 //   seen locks   — one per event: its parser's seen-sequence set and read
 //                  accounting (workers; the receiver on the drop path)
 //   world_mu_    — the VFS; the resolver's one-time construction (receiver +
-//                  first worker; afterwards workers read it lock-free)
+//                  the first worker to need it; then read lock-free)
 //   reg_mu_      — the registration table (receiver + queries)
-//   sites_mu_    — object-map partitions: kept salvaged maps and their
-//                  allocation-site tables (receiver, queries, "#obj" loader)
+//   shelf_mu_    — the map shelves: every map parsed, and the object
+//                  shelves' site tables (receiver, queries, index builds)
 //   stripe locks — one per aggregation stripe (workers + queries)
 //
 // Sample lines are verified on the ingest workers, outside every lock
@@ -22,12 +22,11 @@
 // record counts iff its seq is new, so the counts do not depend on which
 // worker admits which batch first (DESIGN.md §10).
 //
-// Object maps are folded once, on arrival (DESIGN.md §15): store_file
-// salvages an omap.<E> file outside every lock, then folds it into the
-// SiteTable of its (obj_dir, pid) partition under sites_mu_. A `memprof`
-// query merges the registered partitions — no parse, no world_mu_ — and
-// the "#obj" index loader projects the kept maps instead of re-reading the
-// world.
+// Every map is parsed once, on arrival (DESIGN.md §14): store_file
+// salvages it outside every lock onto the shelf of its (kind, dir, pid),
+// folding an object map into that shelf's SiteTable too (§15). Index
+// builds (map_index) and `memprof` queries read the shelves; neither
+// parses text or takes world_mu_.
 //
 // Aggregation is striped (DESIGN.md §14): a batch lands on stripe
 // (apply_seq % stripes) and merges into that stripe's plain Profile and
@@ -51,11 +50,13 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/archive.hpp"
 #include "core/callgraph.hpp"
+#include "core/object_map.hpp"
 #include "core/registration.hpp"
 #include "core/report.hpp"
 #include "core/sample_log.hpp"
@@ -67,8 +68,11 @@
 
 namespace viprof::service {
 
-/// Per pid, the highest code-map epoch announced so far.
+/// Per pid, the highest map epoch announced so far.
 using CeilingMap = std::map<hw::Pid, std::uint64_t>;
+
+/// The two epoch-map kinds a session shelves: "map.<E>" and "omap.<E>".
+enum class MapKind : std::uint8_t { kCode, kObject };
 
 /// One sample batch queued for ingest, not yet parsed. `ceilings` is the
 /// session's published ceiling map when the batch was stamped — the worker
@@ -131,13 +135,15 @@ class ServerSession {
     if (telemetry != nullptr) {
       ingest_mu_.attach(*telemetry);
       for (EventStream& stream : streams_) stream.mu.attach(*telemetry);
-      sites_mu_.attach(*telemetry);
+      shelf_mu_.attach(*telemetry);
       for (auto& stripe : stripes_) stripe->mu.attach(*telemetry);
       queue_.instrument(&telemetry->gauge("service.queue.depth"),
                         &telemetry->histogram("service.queue.depth_hist"));
       maps_folded_ = &telemetry->counter("service.memprof.maps_folded");
       refolds_ = &telemetry->counter("service.memprof.refolds");
       fold_us_ = &telemetry->histogram("service.memprof.fold_us");
+      map_bytes_received_ = &telemetry->counter("service.maps.bytes_received");
+      map_bytes_parsed_ = &telemetry->counter("service.maps.bytes_parsed");
     }
   }
 
@@ -159,11 +165,17 @@ class ServerSession {
   bool deregister_vm(hw::Pid pid);
   std::uint64_t registration_version() const;
 
-  /// Stores a streamed file in the session world; code-map paths bump the
-  /// owning pid's epoch ceiling. An object map (`<dir>/<pid>/omap.<E>`) is
-  /// salvaged here, once, and folded into its (dir, pid) site partition;
-  /// re-streaming a path rebuilds that partition from the kept maps.
+  /// Stores a streamed file in the session world. A map (`<dir>/<pid>/map.<E>`
+  /// or `omap.<E>`) is salvaged here, once, and shelved before it moves the
+  /// pid's epoch ceiling; re-streaming an object map's path rebuilds its
+  /// shelf's site table from the kept maps.
   void store_file(const std::string& path, std::string bytes);
+
+  /// The published epoch ceilings: per pid, the highest map epoch stored.
+  std::shared_ptr<const CeilingMap> ceilings() const {
+    std::lock_guard<support::TracedMutex> lock(ingest_mu_);
+    return ceilings_;
+  }
 
   /// Accepted VM registrations, in table order.
   std::vector<core::VmRegistration> registrations() const;
@@ -172,9 +184,9 @@ class ServerSession {
   os::Vfs world() const;
 
   /// The session's resolver, built from the streamed archive manifest on
-  /// first use (jit maps stay external — workers resolve through the
-  /// shared cache), then read lock-free. nullptr until the manifest has
-  /// been streamed. Malformed manifest lines are skipped and counted in
+  /// first use (epoch maps resolve through the code-map cache instead),
+  /// then read lock-free. nullptr until the manifest has been streamed.
+  /// Malformed manifest lines are skipped and counted in
   /// service.archive.malformed_lines.
   const core::ArchiveResolver* resolver();
 
@@ -190,19 +202,19 @@ class ServerSession {
   /// merged_graph()'s arcs in CallGraph::ranked() order.
   std::vector<core::CallArc> ranked_arcs() const { return merged_graph().ranked(); }
 
-  /// Merges the site partition of every registered VM's object maps into
+  /// Merges the site table of every registered VM's object shelf into
   /// `sites` (additive across sessions; per-(pid, obj_id) dedup makes
   /// re-folds idempotent). O(sites): the maps were folded on arrival.
   void fold_object_sites(memprof::SiteTable& sites) const;
 
-  /// Heap bytes of the obj_id seen-sets of every site partition
+  /// Heap bytes of the obj_id seen-sets of every object shelf
   /// (memprof::SiteTable::seen_bytes).
   std::size_t site_bytes() const;
 
-  /// Epoch index over the object maps streamed so far under (dir, pid),
-  /// projected from the kept salvaged maps — the same index
+  /// Epoch index over the `kind` maps streamed so far under
+  /// (dir, pid), flattened from the shelf: the index CodeMapIndex::load or
   /// core::load_object_index builds from the world, without a re-parse.
-  core::CodeMapIndex object_index(const std::string& dir, hw::Pid pid) const;
+  core::CodeMapIndex map_index(MapKind kind, const std::string& dir, hw::Pid pid) const;
 
   /// Everything applied since the previous take_flush(): the increment the
   /// persistent profile store ingests as one interval (DESIGN.md §11).
@@ -284,16 +296,21 @@ class ServerSession {
   };
   EventStream streams_[hw::kEventKindCount];
 
-  /// The object maps of one (obj_dir, pid): salvaged once on arrival and
-  /// kept by path (the world's listing order), plus their folded sites.
-  struct ObjectPartition {
-    std::map<std::string, std::shared_ptr<const core::ObjectMapFile>> maps;
+  /// One map as parsed on arrival: a code map as salvaged, an object map
+  /// as its to_code_map() projection beside the salvaged file.
+  struct KeptMap {
+    std::shared_ptr<const core::CodeMapFile> code;
+    std::shared_ptr<const core::ObjectMapFile> object;  // null for a code map
+  };
+  /// The maps of one kind, dir and pid, by path (the order a reload lists
+  /// them in); an object shelf also folds its maps into `sites`.
+  struct MapShelf {
+    std::map<std::string, KeptMap> maps;
     memprof::SiteTable sites;
   };
-  using PartitionKey = std::pair<std::string, hw::Pid>;  // (obj_dir, pid)
+  using ShelfKey = std::tuple<MapKind, std::string, hw::Pid>;  // (kind, dir, pid)
 
-  void fold_object_map(const PartitionKey& key, const std::string& path,
-                       std::shared_ptr<const core::ObjectMapFile> map);
+  void shelve(const ShelfKey& key, const std::string& path, KeptMap kept);
 
   // ---- streamed world (world_mu_)
   mutable std::mutex world_mu_;
@@ -306,12 +323,14 @@ class ServerSession {
   mutable std::mutex reg_mu_;
   core::RegistrationTable table_;
 
-  // ---- object-map site partitions (sites_mu_, a leaf lock)
-  mutable support::TracedMutex sites_mu_{"service.session.sites"};
-  std::map<PartitionKey, ObjectPartition> object_parts_;
+  // ---- map shelves (shelf_mu_, a leaf lock)
+  mutable support::TracedMutex shelf_mu_{"service.session.sites"};
+  std::map<ShelfKey, MapShelf> shelves_;
   support::Counter* maps_folded_ = nullptr;  // null without telemetry
   support::Counter* refolds_ = nullptr;
   support::LatencyHistogram* fold_us_ = nullptr;
+  support::Counter* map_bytes_received_ = nullptr;
+  support::Counter* map_bytes_parsed_ = nullptr;
 
   // ---- ingest queue (self-locked)
   support::BoundedQueue<Batch> queue_;

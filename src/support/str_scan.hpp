@@ -168,4 +168,17 @@ inline std::optional<std::uint64_t> scan_name_number(std::string_view name,
   return value;
 }
 
+/// The decimal number a path's last component spells after exactly
+/// `prefix`: "jit/7/map.00000012" with "map." gives 12, while
+/// "jit/7/omap.00000012" gives nullopt (the component must start with it).
+inline std::optional<std::uint64_t> scan_basename_number(std::string_view path,
+                                                         std::string_view prefix) {
+  const std::size_t slash = path.rfind('/');
+  std::string_view rest = slash == std::string_view::npos ? path : path.substr(slash + 1);
+  if (!scan_lit(rest, prefix)) return std::nullopt;
+  std::uint64_t value = 0;
+  if (!scan_u64(rest, value) || !rest.empty()) return std::nullopt;
+  return value;
+}
+
 }  // namespace viprof::support

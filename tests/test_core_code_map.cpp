@@ -226,6 +226,50 @@ TEST(CodeMapFile, EpochFromPath) {
   EXPECT_FALSE(CodeMapFile::epoch_from_path("map.notanumber").has_value());
 }
 
+// Each kind reads only its own basename prefix: the "map." inside "omap."
+// is not a code map's epoch, and "map." must start the last component.
+TEST(CodeMapFile, EpochFromPathIsKindExact) {
+  const std::string omap = ObjectMapFile::path_for("obj_maps", 42, 5);
+  EXPECT_FALSE(CodeMapFile::epoch_from_path(omap).has_value());
+  EXPECT_EQ(ObjectMapFile::epoch_from_path(omap), 5u);
+  EXPECT_FALSE(ObjectMapFile::epoch_from_path(CodeMapFile::path_for("jit_maps", 42, 5))
+                   .has_value());
+  EXPECT_FALSE(CodeMapFile::epoch_from_path("jit_maps/42/xmap.00000005").has_value());
+  EXPECT_FALSE(CodeMapFile::epoch_from_path("jit_maps/map.00000005/x").has_value());
+  EXPECT_FALSE(CodeMapFile::epoch_from_path("jit_maps/42/map.00000005.tmp").has_value());
+  EXPECT_EQ(CodeMapFile::epoch_from_path("map.dir/42/map.00000005"), 5u);
+}
+
+// A pid component is read only in the spelling path_for writes: the map
+// of "jit_maps/012/..." or of a pid past 32 bits is no pid's map.
+TEST(CodeMapFile, PidFromMapPathIsCanonical) {
+  EXPECT_EQ(pid_from_map_path(CodeMapFile::path_for("jit_maps", 12, 1)), 12u);
+  EXPECT_EQ(pid_from_map_path(ObjectMapFile::path_for("obj_maps", 12, 1)), 12u);
+  EXPECT_EQ(pid_from_map_path("jit_maps/0/map.00000001"), 0u);
+  EXPECT_EQ(pid_from_map_path("12/map.00000001"), 12u);
+  EXPECT_EQ(pid_from_map_path("jit_maps/4294967295/map.00000001"), 4294967295u);
+  EXPECT_EQ(CodeMapFile::path_for("jit_maps", 4294967295u, 1),
+            "jit_maps/4294967295/map.00000001");
+
+  for (const char* path : {"jit_maps/012/map.00000001", "jit_maps/00/map.00000001",
+                           "jit_maps/4294967296/map.00000001",
+                           "jit_maps/4294967308/map.00000001",
+                           "jit_maps/99999999999999999999/map.00000001",
+                           "jit_maps/+12/map.00000001", "jit_maps/1 2/map.00000001",
+                           "jit_maps//map.00000001", "map.00000001", "/map.00000001"})
+    EXPECT_FALSE(pid_from_map_path(path).has_value()) << path;
+}
+
+// A map under a non-canonical pid spelling is listed by no reload, so its
+// salvage is keyed as pid 0's: another pid's bytes there keep nothing.
+TEST(CodeMapFile, SalvageFileUnderNonCanonicalPidKeepsNothing) {
+  const std::string bytes = map_of(1, {{0x1000, 16, "a"}}).serialize(12);
+  EXPECT_TRUE(CodeMapFile::salvage_file("jit_maps/12/map.00000001", bytes).intact);
+  const CodeMapFile::Recovery r = CodeMapFile::salvage_file("jit_maps/012/map.00000001", bytes);
+  EXPECT_FALSE(r.intact);
+  EXPECT_TRUE(r.file.entries.empty());
+}
+
 TEST(CodeMapIndex, LoadSalvagesDamagedFilesAndCountsThem) {
   os::Vfs vfs;
   vfs.write(CodeMapFile::path_for("jit_maps", 42, 0),

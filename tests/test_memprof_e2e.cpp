@@ -97,6 +97,10 @@ void replay(service::ProfileServer& server, const RecordedMemprof& run,
   service::ReplayClient client(run.vfs(), id, *conn,
                                service::ReplayOptions{128, nullptr, {}});
   ASSERT_TRUE(client.run());
+  // Every streamed map byte was parsed, once, on arrival.
+  const auto snap = server.telemetry().snapshot();
+  EXPECT_EQ(snap.counter("service.maps.bytes_parsed"),
+            snap.counter("service.maps.bytes_received"));
 }
 
 /// The full-reload fold, kept as the oracle for fold-at-arrival: re-salvage

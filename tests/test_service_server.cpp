@@ -4,6 +4,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/object_map.hpp"
 #include "core/sample_log.hpp"
 #include "service/client.hpp"
 #include "service/query.hpp"
@@ -33,6 +34,14 @@ void replay(ProfileServer& server, const os::Vfs& world, const std::string& id,
   auto conn = server.connect(id);
   ReplayClient client(world, id, *conn, ReplayOptions{batch_records, nullptr, {}});
   ASSERT_TRUE(client.run());
+  // Every streamed map byte was parsed, once, on arrival.
+  const auto snap = server.telemetry().snapshot();
+  EXPECT_EQ(snap.counter("service.maps.bytes_parsed"),
+            snap.counter("service.maps.bytes_received"));
+}
+
+std::uint64_t counter(ProfileServer& server, const std::string& name) {
+  return server.telemetry().snapshot().counter(name);
 }
 
 // The correctness anchor: the online rolling aggregate must render
@@ -244,6 +253,81 @@ TEST(ProfileServer, MapCacheCountersAreRegisteredBeforeAnyBatch) {
     ASSERT_EQ(snap.counters.count(name), 1u) << name;
     EXPECT_EQ(snap.counters.at(name), 0u) << name;
   }
+}
+
+// Parse once (DESIGN.md §14): the map bytes parsed equal the map bytes
+// received after a replay, and a re-streamed map is parsed again, once.
+TEST(ProfileServer, EveryStreamedMapByteIsParsedOnce) {
+  auto scenario = record_scenario(small_scenario());
+  ProfileServer server;
+  EXPECT_EQ(server.telemetry().snapshot().counters.count("service.maps.bytes_parsed"), 1u);
+  replay(server, scenario->vfs(), "s");
+  server.drain();
+
+  std::uint64_t map_bytes = 0;
+  std::string first_map;
+  for (const std::string& path : server.session("s")->world().list("")) {
+    if (!core::CodeMapFile::epoch_from_path(path) && !core::ObjectMapFile::epoch_from_path(path))
+      continue;
+    if (first_map.empty()) first_map = path;
+    map_bytes += server.session("s")->world().read(path)->size();
+  }
+  ASSERT_FALSE(first_map.empty());
+  EXPECT_EQ(counter(server, "service.maps.bytes_received"), map_bytes);
+  EXPECT_EQ(counter(server, "service.maps.bytes_parsed"), map_bytes);
+
+  auto conn = server.connect("again");
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kOpenSession, "s")));
+  const std::string bytes = *scenario->vfs().read(first_map);
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kFile, first_map + "\n" + bytes)));
+  EXPECT_EQ(counter(server, "service.maps.bytes_received"), map_bytes + bytes.size());
+  EXPECT_EQ(counter(server, "service.maps.bytes_parsed"), map_bytes + bytes.size());
+  EXPECT_EQ(server.session_report("s", 20, kEvents),
+            offline_render(scenario->vfs(), kEvents, 20));
+}
+
+// A map belongs to a pid only under the spelling path_for writes: a
+// streamed "jit_maps/012/map.<E>", a pid past 32 bits or a path with no
+// directory moves no ceiling and joins no shelf — no reload of pid 12
+// lists it — though its bytes count as received map bytes. Code and
+// object maps both move the ceiling.
+TEST(ProfileServer, NonCanonicalMapPathMovesNoCeilingAndJoinsNoShelf) {
+  ProfileServer server;
+  auto conn = server.connect("c");
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kOpenSession, "s")));
+  const auto send_file = [&conn](const std::string& path, const std::string& bytes) {
+    ASSERT_TRUE(conn->send(encode_frame(FrameType::kFile, path + "\n" + bytes)));
+  };
+  core::CodeMapFile map;
+  map.epoch = 7;
+  map.entries.push_back({0x1000, 64, support::Name("a.b.c")});
+  const std::string bytes = map.serialize(12);
+
+  const std::vector<std::string> strays = {"jit_maps/012/map.00000007",
+                                           "jit_maps/4294967308/map.00000007",
+                                           "12/map.00000007"};
+  for (const std::string& path : strays) send_file(path, bytes);
+  send_file("jit_maps/12/xmap.00000007", bytes);  // no map kind at all
+  const std::shared_ptr<ServerSession> session = server.session("s");
+  EXPECT_TRUE(session->ceilings()->empty());
+  EXPECT_EQ(session->map_index(MapKind::kCode, "jit_maps", 12).map_count(), 0u);
+  EXPECT_EQ(session->world().file_count(), strays.size() + 1);
+  EXPECT_EQ(counter(server, "service.maps.bytes_received"), strays.size() * bytes.size());
+  EXPECT_EQ(counter(server, "service.maps.bytes_parsed"), 0u);
+
+  send_file("jit_maps/12/map.00000007", bytes);
+  EXPECT_EQ(session->ceilings()->at(12), 7u);
+  const core::CodeMapIndex index = session->map_index(MapKind::kCode, "jit_maps", 12);
+  EXPECT_EQ(index.map_count(), 1u);
+  EXPECT_EQ(index.lookup(0x1010, 7).hit->symbol, "a.b.c");
+  EXPECT_EQ(counter(server, "service.maps.bytes_parsed"), bytes.size());
+
+  core::ObjectMapFile omap;
+  omap.epoch = 9;
+  send_file(core::ObjectMapFile::path_for("obj_maps", 12, 9), omap.serialize(12));
+  EXPECT_EQ(session->ceilings()->at(12), 9u);
+  EXPECT_EQ(session->map_index(MapKind::kObject, "obj_maps", 12).map_count(), 1u);
+  EXPECT_EQ(session->map_index(MapKind::kCode, "obj_maps", 12).map_count(), 0u);
 }
 
 TEST(ProfileServer, SnapshotRoundTripsThroughQueryModule) {
