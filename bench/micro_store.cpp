@@ -1,9 +1,11 @@
 // Persistent-store microbench: ingest throughput into segment files,
 // compaction throughput at 1/2/4 compactor threads, and historical query
-// latency (p50/p99) against a fully-compacted store. Before anything is
-// measured the store's answers are checked byte-identical to the offline
-// canonical fold — before and after compaction, at every thread count — so
-// a bench run that got the wrong answer fast is a failure, not a result.
+// latency (p50/p99) against a fully-compacted store, for one session's
+// window and for an all-session window that straddles segment fences.
+// Before anything is measured the store's answers are checked
+// byte-identical to the offline canonical fold — before and after
+// compaction, at every thread count, and for each timed window — so a
+// bench run that got the wrong answer fast is a failure, not a result.
 //
 // Emits BENCH_store.json (harness schema). VIPROF_QUICK=1 shrinks the
 // interval population for CI smoke runs.
@@ -200,36 +202,69 @@ bool run() {
   while (st.compact(&pool) > 0) {
   }
 
+  // Two windows: one session's (mostly covered segment fences), and every
+  // session's over a range whose edges cut through segment fences, so the
+  // fold mixes whole pre-folds with raw edge scans. Each is checked against
+  // the canonical fold before it is timed.
   const store::WindowSpec window{intervals / 24, intervals / 8, "vm-1"};
-  std::vector<double> latencies_us;
-  latencies_us.reserve(static_cast<std::size_t>(query_rounds));
-  for (int i = 0; i < query_rounds; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const std::string out = st.render_top(window, kEvents, 20);
-    const std::chrono::duration<double, std::micro> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (out.empty()) {
-      std::fprintf(stderr, "FAIL: windowed query rendered nothing\n");
+  const store::WindowSpec window_all{intervals / 48 + 1, intervals * 7 / 48 + 1, ""};
+  struct Timed {
+    const char* name;
+    const store::WindowSpec* window;
+  };
+  for (const Timed& timed : {Timed{"query.window", &window}, Timed{"query.window_all", &window_all}}) {
+    const store::WindowSpec& w = *timed.window;
+    core::Profile folded;
+    for (std::uint64_t j = 0; j < intervals; ++j) {
+      const store::IntervalProfile iv = make_interval(j, methods);
+      if (iv.tick_lo >= w.tick_lo && iv.tick_hi <= w.tick_hi &&
+          (w.session.empty() || iv.session == w.session))
+        folded.merge(iv.profile);
+    }
+    const support::TelemetrySnapshot before = registry.snapshot();
+    if (st.render_top(w, kEvents, 20) != folded.render(kEvents, 20)) {
+      std::fprintf(stderr, "FAIL: %s query differs from the canonical fold\n", timed.name);
       return false;
     }
-    latencies_us.push_back(elapsed.count());
-  }
-  std::sort(latencies_us.begin(), latencies_us.end());
-  const double p50 = bench::percentile(latencies_us, 0.50);
-  const double p99 = bench::percentile(latencies_us, 0.99);
-  std::printf("  windowed 'top 20' x%d  p50 %.1fus  p99 %.1fus\n", query_rounds,
-              p50, p99);
+    const support::TelemetrySnapshot after = registry.snapshot();
+    const std::uint64_t prefolds = after.counter("store.query.prefolds") -
+                                   before.counter("store.query.prefolds");
+    const std::uint64_t scanned = after.counter("store.query.intervals_scanned") -
+                                  before.counter("store.query.intervals_scanned");
+    if (&w == &window_all && (prefolds == 0 || scanned == 0)) {
+      std::fprintf(stderr, "FAIL: %s does not straddle a segment fence\n", timed.name);
+      return false;
+    }
 
-  const support::TelemetrySnapshot query_telemetry = registry.snapshot();
-  for (const auto& [name, us] : {std::pair<const char*, double>{"query.window.p50", p50},
-                                 {"query.window.p99", p99}}) {
-    bench::BenchRecord record;
-    record.name = name;
-    record.iterations = query_rounds;
-    record.seconds = us * 1e-6;
-    record.ns_per_op = us * 1e3;
-    record.telemetry = query_telemetry;
-    records.push_back(std::move(record));
+    std::vector<double> latencies_us;
+    latencies_us.reserve(static_cast<std::size_t>(query_rounds));
+    for (int i = 0; i < query_rounds; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const std::string answer = st.render_top(w, kEvents, 20);
+      const std::chrono::duration<double, std::micro> elapsed =
+          std::chrono::steady_clock::now() - start;
+      if (answer.empty()) return false;
+      latencies_us.push_back(elapsed.count());
+    }
+    const support::TelemetrySnapshot query_telemetry = registry.snapshot();
+    std::sort(latencies_us.begin(), latencies_us.end());
+    const double p50 = bench::percentile(latencies_us, 0.50);
+    const double p99 = bench::percentile(latencies_us, 0.99);
+    std::printf("  %-16s 'top 20' x%d  p50 %.1fus  p99 %.1fus  (%llu pre-folds, "
+                "%llu intervals scanned per query)\n",
+                timed.name, query_rounds, p50, p99,
+                static_cast<unsigned long long>(prefolds),
+                static_cast<unsigned long long>(scanned));
+    for (const auto& [suffix, us] : {std::pair<const char*, double>{".p50", p50},
+                                     {".p99", p99}}) {
+      bench::BenchRecord record;
+      record.name = std::string(timed.name) + suffix;
+      record.iterations = query_rounds;
+      record.seconds = us * 1e-6;
+      record.ns_per_op = us * 1e3;
+      record.telemetry = query_telemetry;
+      records.push_back(std::move(record));
+    }
   }
 
   bench::write_bench_json("store", records);

@@ -27,6 +27,35 @@ bool in_window(const IntervalProfile& iv, const WindowSpec& w) {
   return w.session.empty() || iv.session == w.session;
 }
 
+/// Fence checks: an interval matches a window only when fully contained,
+/// so a window that misses a fence matches none of the intervals under it
+/// and one that covers the fence matches all of them.
+bool overlaps(std::uint64_t lo, std::uint64_t hi, const WindowSpec& w) {
+  return lo <= w.tick_hi && w.tick_lo <= hi;
+}
+
+bool covers(const WindowSpec& w, std::uint64_t lo, std::uint64_t hi) {
+  return w.tick_lo <= lo && hi <= w.tick_hi;
+}
+
+void widen(std::uint64_t& lo, std::uint64_t& hi, std::uint64_t with_lo,
+           std::uint64_t with_hi) {
+  lo = std::min(lo, with_lo);
+  hi = std::max(hi, with_hi);
+}
+
+/// `folds`' entry for `session` (kept sorted by session), created empty.
+template <typename Fold>
+Fold& fold_for(std::vector<Fold>& folds, const std::string& session) {
+  const auto it = std::lower_bound(
+      folds.begin(), folds.end(), session,
+      [](const Fold& f, const std::string& s) { return f.session < s; });
+  if (it != folds.end() && it->session == session) return *it;
+  Fold fresh;
+  fresh.session = session;
+  return *folds.insert(it, std::move(fresh));
+}
+
 }  // namespace
 
 ProfileStore::ProfileStore(os::Vfs& vfs, StoreConfig config)
@@ -46,7 +75,55 @@ ProfileStore::ProfileStore(os::Vfs& vfs, StoreConfig config)
     ctr_dropped_intervals_ = &t->counter("store.retained.dropped_intervals");
     ctr_dropped_rows_ = &t->counter("store.retained.dropped_rows");
     ctr_dropped_segments_ = &t->counter("store.retained.dropped_segments");
+    ctr_query_prefolds_ = &t->counter("store.query.prefolds");
+    ctr_query_scanned_ = &t->counter("store.query.intervals_scanned");
+    gauge_prefold_rows_ = &t->gauge("store.prefold.rows");
   }
+}
+
+ProfileStore::Prefold ProfileStore::build_prefold(
+    const std::vector<IntervalProfile>& intervals) {
+  Prefold t;
+  for (std::uint32_t i = 0; i < intervals.size(); ++i) {
+    const IntervalProfile& iv = intervals[i];
+    SessionFold& f = fold_for(t.sessions, iv.session);
+    f.profile.merge(iv.profile);
+    widen(f.tick_lo, f.tick_hi, iv.tick_lo, iv.tick_hi);
+    f.members.push_back(i);
+  }
+  for (const SessionFold& f : t.sessions) {
+    t.all.merge(f.profile);
+    widen(t.tick_lo, t.tick_hi, f.tick_lo, f.tick_hi);
+  }
+  return t;
+}
+
+ProfileStore::Prefold ProfileStore::merge_prefolds(
+    const LoadedSegment* first, const LoadedSegment* last,
+    const std::vector<IntervalProfile>& intervals) {
+  Prefold t;
+  for (const LoadedSegment* s = first; s != last; ++s) {
+    t.all.merge(s->tier.all);
+    widen(t.tick_lo, t.tick_hi, s->tier.tick_lo, s->tier.tick_hi);
+    for (const SessionFold& in : s->tier.sessions) {
+      SessionFold& f = fold_for(t.sessions, in.session);
+      f.profile.merge(in.profile);
+      widen(f.tick_lo, f.tick_hi, in.tick_lo, in.tick_hi);
+    }
+  }
+  for (std::uint32_t i = 0; i < intervals.size(); ++i)
+    fold_for(t.sessions, intervals[i].session).members.push_back(i);
+  return t;
+}
+
+void ProfileStore::publish_prefold_rows_locked() {
+  if (gauge_prefold_rows_ == nullptr) return;
+  std::uint64_t rows = 0;
+  for (const LoadedSegment& s : sealed_) {
+    rows += s.tier.all.row_count();
+    for (const SessionFold& f : s.tier.sessions) rows += f.profile.row_count();
+  }
+  gauge_prefold_rows_->set(static_cast<double>(rows));
 }
 
 std::string ProfileStore::path(const std::string& rel) const {
@@ -183,8 +260,10 @@ bool ProfileStore::seal_active_locked() {
   }
   if (check_kill()) return false;  // crash after seal record, before manifest
   active_->meta.sealed = true;
+  active_->tier = build_prefold(active_->intervals);
   sealed_.push_back(std::move(*active_));
   active_.reset();
+  publish_prefold_rows_locked();
   if (ctr_seals_ != nullptr) ctr_seals_->inc();
   swap_manifest();
   if (killed_) return false;
@@ -215,6 +294,7 @@ void ProfileStore::enforce_retention_locked() {
     tombstones_.push_back(meta.name);
   }
   sealed_.erase(sealed_.begin(), sealed_.begin() + static_cast<std::ptrdiff_t>(drop));
+  publish_prefold_rows_locked();
   if (!swap_manifest()) {
     tombstones_.clear();
     return;
@@ -307,6 +387,9 @@ std::size_t ProfileStore::compact(support::ThreadPool* pool) {
       first = false;
     }
     j.content += w.encode_seal(merged.size());
+    // The output's tier from the inputs' (fewer rows than the intervals);
+    // the inputs are read-only here, so jobs stay independent.
+    j.out.tier = merge_prefolds(sealed_.data() + j.begin, sealed_.data() + j.end, merged);
     j.out.intervals = std::move(merged);
   };
   if (pool != nullptr) {
@@ -353,6 +436,7 @@ std::size_t ProfileStore::compact(support::ThreadPool* pool) {
     }
   }
   sealed_ = std::move(next);
+  publish_prefold_rows_locked();
   if (!swap_manifest()) {
     tombstones_.clear();
     if (killed_) return 0;
@@ -377,21 +461,42 @@ std::size_t ProfileStore::compact(support::ThreadPool* pool) {
 
 // ---------------------------------------------------------------- queries
 
-void ProfileStore::collect_window_locked(
-    const WindowSpec& w, std::vector<const IntervalProfile*>& out) const {
-  for (const LoadedSegment& s : sealed_)
-    for (const IntervalProfile& iv : s.intervals)
-      if (in_window(iv, w)) out.push_back(&iv);
-  if (active_)
-    for (const IntervalProfile& iv : active_->intervals)
-      if (in_window(iv, w)) out.push_back(&iv);
-}
-
 core::Profile ProfileStore::window_profile_locked(const WindowSpec& w) const {
-  std::vector<const IntervalProfile*> ivs;
-  collect_window_locked(w, ivs);
   core::Profile out;
-  for (const IntervalProfile* iv : ivs) out.merge(iv->profile);
+  std::uint64_t prefolds = 0, scanned = 0;
+  const auto scan = [&](const IntervalProfile& iv) {
+    if (!in_window(iv, w)) return;
+    out.merge(iv.profile);
+    ++scanned;
+  };
+  const auto take = [&](const LoadedSegment& s, const SessionFold& f) {
+    if (!overlaps(f.tick_lo, f.tick_hi, w)) return;
+    if (covers(w, f.tick_lo, f.tick_hi)) {
+      out.merge(f.profile);
+      ++prefolds;
+      return;
+    }
+    for (const std::uint32_t i : f.members) scan(s.intervals[i]);
+  };
+  for (const LoadedSegment& s : sealed_) {
+    const Prefold& t = s.tier;
+    if (!overlaps(t.tick_lo, t.tick_hi, w)) continue;
+    if (w.session.empty()) {
+      if (covers(w, t.tick_lo, t.tick_hi)) {
+        out.merge(t.all);
+        ++prefolds;
+        continue;
+      }
+      for (const SessionFold& f : t.sessions) take(s, f);
+      continue;
+    }
+    for (const SessionFold& f : t.sessions)
+      if (f.session == w.session) take(s, f);
+  }
+  if (active_)
+    for (const IntervalProfile& iv : active_->intervals) scan(iv);
+  if (ctr_query_prefolds_ != nullptr) ctr_query_prefolds_->inc(prefolds);
+  if (ctr_query_scanned_ != nullptr) ctr_query_scanned_->inc(scanned);
   return out;
 }
 
@@ -426,22 +531,30 @@ std::string ProfileStore::render_series(const WindowSpec& w, const std::string& 
                                         const std::string& symbol,
                                         hw::EventKind event) const {
   std::lock_guard<support::TracedMutex> lock(mu_);
-  std::vector<const IntervalProfile*> ivs;
-  collect_window_locked(w, ivs);
-  // Per-tick folds; the map keeps the output in ascending tick order.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, core::Profile> ticks;
-  for (const IntervalProfile* iv : ivs)
-    ticks[{iv->tick_lo, iv->tick_hi}].merge(iv->profile);
-
-  // Looked up once, never interned: a name no row carries counts 0 throughout.
+  // Per-tick sums of the row's count and of the event total: the fold is a
+  // sum, so no per-tick profile is built. The map keeps ascending tick order.
+  // Names are looked up once, never interned: a name no row carries counts 0.
   const auto image_name = support::Name::lookup(image);
   const auto symbol_name = support::Name::lookup(symbol);
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::pair<std::uint64_t, std::uint64_t>>
+      ticks;
+  const auto add = [&](const IntervalProfile& iv) {
+    if (!in_window(iv, w)) return;
+    auto& [count, total] = ticks[{iv.tick_lo, iv.tick_hi}];
+    if (image_name && symbol_name)
+      if (const core::ProfileRow* row = iv.profile.find(*image_name, *symbol_name))
+        count += row->count(event);
+    total += iv.profile.total(event);
+  };
+  for (const LoadedSegment& s : sealed_)
+    if (overlaps(s.tier.tick_lo, s.tier.tick_hi, w))
+      for (const IntervalProfile& iv : s.intervals) add(iv);
+  if (active_)
+    for (const IntervalProfile& iv : active_->intervals) add(iv);
+
   support::TextTable table({"Tick", "Count", "Total", "%"});
-  for (const auto& [span, profile] : ticks) {
-    const core::ProfileRow* row =
-        image_name && symbol_name ? profile.find(*image_name, *symbol_name) : nullptr;
-    const std::uint64_t count = row != nullptr ? row->count(event) : 0;
-    const std::uint64_t total = profile.total(event);
+  for (const auto& [span, sums] : ticks) {
+    const auto [count, total] = sums;
     const double pct =
         total == 0 ? 0.0
                    : 100.0 * static_cast<double>(count) / static_cast<double>(total);
@@ -486,17 +599,18 @@ std::string ProfileStore::render_segments() const {
 std::vector<ProfileStore::StoredSession> ProfileStore::sessions() const {
   std::lock_guard<support::TracedMutex> lock(mu_);
   std::map<std::string, StoredSession> by_id;
-  const auto fold = [&](const IntervalProfile& iv) {
-    StoredSession& s = by_id[iv.session];
-    s.session = iv.session;
-    ++s.intervals;
-    for (const hw::EventKind event : hw::kAllEventKinds)
-      s.records += iv.profile.total(event);
+  const auto fold = [&](const std::string& session, std::uint64_t intervals,
+                        const core::Profile& profile) {
+    StoredSession& s = by_id[session];
+    s.session = session;
+    s.intervals += intervals;
+    for (const hw::EventKind event : hw::kAllEventKinds) s.records += profile.total(event);
   };
   for (const LoadedSegment& s : sealed_)
-    for (const IntervalProfile& iv : s.intervals) fold(iv);
+    for (const SessionFold& f : s.tier.sessions)
+      fold(f.session, f.members.size(), f.profile);
   if (active_)
-    for (const IntervalProfile& iv : active_->intervals) fold(iv);
+    for (const IntervalProfile& iv : active_->intervals) fold(iv.session, 1, iv.profile);
   std::vector<StoredSession> out;
   out.reserve(by_id.size());
   for (auto& [id, s] : by_id) out.push_back(std::move(s));

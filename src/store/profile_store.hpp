@@ -22,7 +22,16 @@
 // commutative (interval.hpp), so a window query renders byte-identical
 // whether its intervals sit in the unsealed segment, sealed segments, or
 // compacted ones — the determinism anchor asserted by the `store` ctest
-// label.
+// label. Every sealed segment also carries a derived query tier: its
+// intervals pre-folded whole and per session, each under the tick fence
+// of the intervals it folds. It is built once when the segment joins the
+// sealed set (at seal, inside each compaction job from the inputs' tiers,
+// and at open from the salvaged intervals) and never persisted. A window
+// fold skips a segment whose fence it misses, takes a pre-fold whose fence
+// it covers, and scans raw intervals only for a straddled session fence
+// and for the active segment. A pre-fold folds exactly the intervals
+// under its fence, so a window covering the fence matches every one of
+// them, and by commutativity the answer is the flat fold's bytes.
 #pragma once
 
 #include <cstdint>
@@ -171,10 +180,34 @@ class ProfileStore {
   const StoreConfig& config() const { return config_; }
 
  private:
+  /// One session's intervals in a sealed segment, folded, under the fence
+  /// [tick_lo, tick_hi] their tick ranges span.
+  struct SessionFold {
+    std::string session;
+    std::uint64_t tick_lo = ~0ull, tick_hi = 0;
+    core::Profile profile;
+    /// The folded intervals' positions in the segment, for straddle scans.
+    std::vector<std::uint32_t> members;
+  };
+  /// A sealed segment's query tier: per-session folds (sorted by session)
+  /// and their fold over the whole segment, under the union fence. Derived
+  /// from the intervals the segment holds, never from manifest counts.
+  struct Prefold {
+    std::uint64_t tick_lo = ~0ull, tick_hi = 0;
+    core::Profile all;
+    std::vector<SessionFold> sessions;
+  };
   struct LoadedSegment {
     ManifestSegment meta;
     std::vector<IntervalProfile> intervals;
+    Prefold tier;  // empty until the segment joins sealed_
   };
+
+  static Prefold build_prefold(const std::vector<IntervalProfile>& intervals);
+  /// The tier of a compaction output: the inputs' tiers merged, members
+  /// indexed into the output's `intervals`.
+  static Prefold merge_prefolds(const LoadedSegment* first, const LoadedSegment* last,
+                                const std::vector<IntervalProfile>& intervals);
 
   // All helpers assume mu_ is held.
   std::string path(const std::string& rel) const;
@@ -184,8 +217,7 @@ class ProfileStore {
   bool start_active_locked();
   bool seal_active_locked();
   void enforce_retention_locked();
-  void collect_window_locked(const WindowSpec& w,
-                             std::vector<const IntervalProfile*>& out) const;
+  void publish_prefold_rows_locked();
   core::Profile window_profile_locked(const WindowSpec& w) const;
   /// Read-only recovery analysis shared by open() and fsck(); defined in
   /// recovery.cpp.
@@ -229,6 +261,9 @@ class ProfileStore {
   support::Counter* ctr_dropped_intervals_ = nullptr;
   support::Counter* ctr_dropped_rows_ = nullptr;
   support::Counter* ctr_dropped_segments_ = nullptr;
+  support::Counter* ctr_query_prefolds_ = nullptr;
+  support::Counter* ctr_query_scanned_ = nullptr;
+  support::Gauge* gauge_prefold_rows_ = nullptr;
 };
 
 }  // namespace viprof::store

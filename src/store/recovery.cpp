@@ -278,6 +278,10 @@ StoreRecovery ProfileStore::open() {
 
   for (const std::string& p : st.remove) vfs_.remove(p);
   sealed_ = std::move(st.loaded);
+  // The query tier is derived, never persisted: rebuilt from what salvage
+  // kept, so its fences are those of the intervals actually held.
+  for (LoadedSegment& s : sealed_) s.tier = build_prefold(s.intervals);
+  publish_prefold_rows_locked();
   active_.reset();
   tombstones_.clear();
   generation_ = st.generation;
