@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.hpp"
@@ -68,6 +70,26 @@ store::StoreConfig bench_config() {
   return config;
 }
 
+/// The [lo, hi] tick span of every sealed segment, in store order, read
+/// from the store's segment inventory (render_segments: a header line, then
+/// one row per segment whose fifth column is "LO-HI").
+std::vector<std::pair<std::uint64_t, std::uint64_t>> sealed_tick_spans(
+    const store::ProfileStore& st) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  std::istringstream rows(st.render_segments());
+  std::string line;
+  std::getline(rows, line);  // header
+  while (std::getline(rows, line)) {
+    std::istringstream cells(line);
+    std::string name, state, intervals, row_count, ticks;
+    cells >> name >> state >> intervals >> row_count >> ticks;
+    unsigned long long lo = 0, hi = 0;
+    if (state == "sealed" && std::sscanf(ticks.c_str(), "%llu-%llu", &lo, &hi) == 2)
+      spans.emplace_back(lo, hi);
+  }
+  return spans;
+}
+
 bool run() {
   const char* quick = std::getenv("VIPROF_QUICK");
   const bool is_quick = quick != nullptr && quick[0] == '1';
@@ -75,7 +97,8 @@ bool run() {
   const std::uint64_t intervals = is_quick ? 600 : 6'000;
   const std::uint64_t methods = 256;
   const int reps = is_quick ? 2 : 3;
-  const int query_rounds = is_quick ? 300 : 2'000;
+  // Enough rounds that at least 10 samples lie beyond each p99.
+  const int query_rounds = is_quick ? 1'200 : 2'000;
 
   std::printf("-- profile store ingest + compaction + query bench "
               "(%llu intervals) --\n",
@@ -202,11 +225,19 @@ bool run() {
   while (st.compact(&pool) > 0) {
   }
 
-  // Two windows: one session's (mostly covered segment fences), and every
-  // session's over a range whose edges cut through segment fences, so the
-  // fold mixes whole pre-folds with raw edge scans. Each is checked against
-  // the canonical fold before it is timed.
-  const store::WindowSpec window{intervals / 24, intervals / 8, "vm-1"};
+  // Two windows: one session's, whose upper edge reaches at least the end
+  // of the first sealed segment starting inside it (read from the built
+  // store: the layout is the compactor's), so it covers that segment's
+  // session fence; and every session's over a range whose edges cut
+  // through segment fences, so the fold mixes whole pre-folds with raw
+  // edge scans. Each is checked against the canonical fold, and for the
+  // pre-folds (window_all: and scans) it must take, before it is timed.
+  store::WindowSpec window{intervals / 24, intervals / 8, "vm-1"};
+  for (const auto& [lo, hi] : sealed_tick_spans(st)) {
+    if (lo < window.tick_lo) continue;
+    window.tick_hi = std::max(window.tick_hi, hi);
+    break;
+  }
   const store::WindowSpec window_all{intervals / 48 + 1, intervals * 7 / 48 + 1, ""};
   struct Timed {
     const char* name;
@@ -231,7 +262,11 @@ bool run() {
                                    before.counter("store.query.prefolds");
     const std::uint64_t scanned = after.counter("store.query.intervals_scanned") -
                                   before.counter("store.query.intervals_scanned");
-    if (&w == &window_all && (prefolds == 0 || scanned == 0)) {
+    if (prefolds == 0) {
+      std::fprintf(stderr, "FAIL: %s covers no segment fence\n", timed.name);
+      return false;
+    }
+    if (&w == &window_all && scanned == 0) {
       std::fprintf(stderr, "FAIL: %s does not straddle a segment fence\n", timed.name);
       return false;
     }

@@ -10,7 +10,7 @@
 //
 // Federator answers over a live Router; OfflineFleet answers over an
 // exported fleet directory (manifest + partitions), the shape
-// `viprof_fleet query` and `viprof_query --fleet` consume. OfflineFleet is
+// `viprof_fleet query` consumes. OfflineFleet is
 // also the fleet's one integrity audit (`viprof_fleet fsck`): the manifest
 // has no other reader.
 #pragma once

@@ -126,7 +126,7 @@ class Router {
   /// file is written temp + rename, same discipline as the manifests, and
   /// fleet fsck ignores them. `viprof_stat trace-merge` folds the trace
   /// files into one fleet-wide Chrome trace; OfflineFleet serves them to
-  /// `viprof_query stats/trace --fleet`. Returns files written.
+  /// `viprof_fleet query "stats|trace"`. Returns files written.
   std::size_t export_telemetry();
 
   const store::FleetLedger& ledger() const { return ledger_; }

@@ -145,7 +145,7 @@ ProfileServer::ProfileServer(const ServerConfig& config)
 
 ProfileServer::~ProfileServer() {
   // Unblock any receiver stuck in backpressure, then let the pool join.
-  std::lock_guard<support::TracedSharedMutex> lock(sessions_mu_);
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
   for (auto& [id, session] : sessions_) session->queue_.close();
 }
 
@@ -160,7 +160,7 @@ std::unique_ptr<ServerConnection> ProfileServer::connect(const std::string& clie
 }
 
 std::shared_ptr<ServerSession> ProfileServer::open_session(const std::string& id) {
-  std::lock_guard<support::TracedSharedMutex> lock(sessions_mu_);
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) {
     // One aggregation stripe per ingest thread (DESIGN.md §14).
@@ -426,8 +426,16 @@ void ProfileServer::recycle_arena(std::unique_ptr<support::Arena> arena) {
 
 void ProfileServer::drain() { pool_.wait_idle(); }
 
+std::vector<std::shared_ptr<ServerSession>> ProfileServer::session_list() const {
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
+  std::vector<std::shared_ptr<ServerSession>> out;
+  out.reserve(sessions_.size());
+  for (const auto& [id, session] : sessions_) out.push_back(session);
+  return out;
+}
+
 std::vector<std::string> ProfileServer::session_ids() const {
-  std::shared_lock<support::TracedSharedMutex> lock(sessions_mu_);
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
   std::vector<std::string> ids;
   ids.reserve(sessions_.size());
   for (const auto& [id, session] : sessions_) ids.push_back(id);
@@ -435,25 +443,22 @@ std::vector<std::string> ProfileServer::session_ids() const {
 }
 
 std::shared_ptr<ServerSession> ProfileServer::session(const std::string& id) const {
-  std::shared_lock<support::TracedSharedMutex> lock(sessions_mu_);
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   return it == sessions_.end() ? nullptr : it->second;
 }
 
 std::map<std::string, SessionStats> ProfileServer::session_stats() const {
   std::map<std::string, SessionStats> rows;
-  for (const std::string& id : session_ids())
-    if (std::shared_ptr<ServerSession> s = session(id)) rows[id] = s->stats();
+  for (const auto& s : session_list()) rows[s->id()] = s->stats();
   return rows;
 }
 
 bool ProfileServer::fold_memprof(const std::string& id, memprof::SiteTable& sites,
                                  core::Profile& profile) const {
   bool matched = false;
-  for (const std::string& sid : session_ids()) {
-    if (!id.empty() && sid != id) continue;
-    std::shared_ptr<ServerSession> s = session(sid);
-    if (!s) continue;
+  for (const auto& s : session_list()) {
+    if (!id.empty() && s->id() != id) continue;
     matched = true;
     s->fold_object_sites(sites);
     profile.merge(s->merged_profile());
@@ -488,10 +493,7 @@ std::string ProfileServer::query(std::string_view text) {
       };
       core::Profile merged;
       if (q.session.empty()) {
-        for (const std::string& id : session_ids()) {
-          std::shared_ptr<ServerSession> s = session(id);
-          if (s) merged.merge(profile_of(*s));
-        }
+        for (const auto& s : session_list()) merged.merge(profile_of(*s));
       } else {
         std::shared_ptr<ServerSession> s = session(q.session);
         if (!s) return no_such_session();
@@ -501,11 +503,9 @@ std::string ProfileServer::query(std::string_view text) {
     }
     case QueryVerb::kArcs: {
       support::TextTable table({"Samples", "Caller", "->", "Callee"});
-      for (const std::string& id : session_ids()) {
+      for (const auto& s : session_list()) {
         if (table.row_count() >= q.top) break;
-        if (!q.session.empty() && id != q.session) continue;
-        std::shared_ptr<ServerSession> s = session(id);
-        if (!s) continue;
+        if (!q.session.empty() && s->id() != q.session) continue;
         const core::CallGraph graph = s->merged_graph();
         for (const std::uint32_t a : graph.rank(q.top - table.row_count()))
           core::add_arc_row(table, graph.arcs()[a]);
@@ -538,18 +538,15 @@ std::string ProfileServer::query(std::string_view text) {
 void ProfileServer::publish_gauges() {
   support::publish_process_gauges(telemetry_);
   std::size_t site_bytes = 0;
-  for (const std::string& id : session_ids())
-    if (std::shared_ptr<ServerSession> s = session(id)) site_bytes += s->site_bytes();
+  for (const auto& s : session_list()) site_bytes += s->site_bytes();
   telemetry_.gauge("service.sites.bytes").set(static_cast<double>(site_bytes));
 }
 
 std::string ProfileServer::snapshot() {
   ServiceSnapshot snap;
-  for (const std::string& id : session_ids()) {
-    std::shared_ptr<ServerSession> s = session(id);
-    if (!s) continue;
+  for (const auto& s : session_list()) {
     SessionSnapshot out;
-    out.id = id;
+    out.id = s->id();
     out.profile = s->merged_profile();
     out.epochs = s->epoch_profiles();
     snap.sessions.push_back(std::move(out));
@@ -558,12 +555,11 @@ std::string ProfileServer::snapshot() {
 }
 
 bool ProfileServer::export_state(const std::string& dir, std::size_t top) {
-  const std::vector<std::string> ids = session_ids();
-  if (ids.empty()) return false;
+  const std::vector<std::shared_ptr<ServerSession>> sessions = session_list();
+  if (sessions.empty()) return false;
   os::Vfs out;
-  for (const std::string& id : ids) {
-    out.write(id + "/profile.txt", session_report(id, top, core::kReportEvents));
-  }
+  for (const auto& s : sessions)
+    out.write(s->id() + "/profile.txt", s->merged_profile().render(core::kReportEvents, top));
   out.write("service.snap", snapshot());
   publish_gauges();
   out.write("metrics.json", telemetry_.snapshot().to_json());
@@ -575,8 +571,7 @@ bool ProfileServer::export_state(const std::string& dir, std::size_t top) {
 std::size_t ProfileServer::flush_to_store(store::ProfileStore& store,
                                           std::uint64_t tick) {
   std::size_t ingested = 0;
-  for (const std::string& id : session_ids())
-    ingested += flush_session_to_store(id, store, tick);
+  for (const auto& s : session_list()) ingested += flush_session(*s, store, tick);
   telemetry_.counter("service.store.flushes").inc();
   return ingested;
 }
@@ -585,12 +580,16 @@ std::size_t ProfileServer::flush_session_to_store(const std::string& id,
                                                   store::ProfileStore& store,
                                                   std::uint64_t tick) {
   std::shared_ptr<ServerSession> s = session(id);
-  if (!s) return 0;
+  return s ? flush_session(*s, store, tick) : 0;
+}
+
+std::size_t ProfileServer::flush_session(ServerSession& s, store::ProfileStore& store,
+                                         std::uint64_t tick) {
   const std::uint64_t t0 = support::monotonic_ns();
-  ServerSession::FlushDelta delta = s->take_flush();
+  ServerSession::FlushDelta delta = s.take_flush();
   if (!delta.any) return 0;
   store::IntervalProfile iv;
-  iv.session = id;
+  iv.session = s.id();
   iv.tick_lo = iv.tick_hi = tick;
   iv.epoch_lo = delta.epoch_lo;
   iv.epoch_hi = delta.epoch_hi;
@@ -598,12 +597,12 @@ std::size_t ProfileServer::flush_session_to_store(const std::string& id,
   if (!store.ingest(std::move(iv))) return 0;
   telemetry_.counter("service.store.intervals").inc();
   telemetry_.spans().record("service.flush", "service", t0, support::monotonic_ns(),
-                            tick, s->trace());
+                            tick, s.trace());
   return 1;
 }
 
 bool ProfileServer::drop_session(const std::string& id) {
-  std::lock_guard<support::TracedSharedMutex> lock(sessions_mu_);
+  std::lock_guard<support::TracedMutex> lock(sessions_mu_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
   // Connections still holding the shared_ptr keep it alive until they are

@@ -184,6 +184,10 @@ class ProfileServer {
   void handle_batch(ServerConnection& conn, std::string_view payload);
   void process_one(std::shared_ptr<ServerSession> session);
   std::shared_ptr<ServerSession> open_session(const std::string& id);
+  /// Every session in id order, copied under one hold of sessions_mu_.
+  std::vector<std::shared_ptr<ServerSession>> session_list() const;
+  /// flush_session_to_store's body for a session already looked up.
+  std::size_t flush_session(ServerSession& s, store::ProfileStore& store, std::uint64_t tick);
   void reply(ServerConnection& conn, FrameType type, std::string text);
 
   /// Per-batch arena recycling: a queued batch's body lives in a rented
@@ -205,9 +209,9 @@ class ProfileServer {
   CodeMapCache cache_;
   std::mutex arena_mu_;
   std::vector<std::unique_ptr<support::Arena>> arena_pool_;
-  // Reader-heavy (every query and flush walks the session table) and a
-  // contention suspect: shared for lookups, exclusive for open/drop.
-  mutable support::TracedSharedMutex sessions_mu_{"service.sessions"};
+  // A contention suspect: held for a lookup, an open or drop, and for the
+  // one copy of the table (session_list) each query, flush and export walks.
+  mutable support::TracedMutex sessions_mu_{"service.sessions"};
   std::map<std::string, std::shared_ptr<ServerSession>> sessions_;
   // The pool is declared last so its destructor (which joins workers that
   // may still touch sessions/cache/telemetry) runs first.

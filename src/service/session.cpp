@@ -72,11 +72,6 @@ core::RegisterStatus ServerSession::register_vm(const core::VmRegistration& reg)
   return status;
 }
 
-bool ServerSession::deregister_vm(hw::Pid pid) {
-  std::lock_guard<std::mutex> lock(reg_mu_);
-  return table_.remove(pid);
-}
-
 std::uint64_t ServerSession::registration_version() const {
   std::lock_guard<std::mutex> lock(reg_mu_);
   return table_.version();

@@ -162,7 +162,6 @@ class ServerSession {
 
   /// Registered VMs (wire kRegisterVm frames), with hardening semantics.
   core::RegisterStatus register_vm(const core::VmRegistration& reg);
-  bool deregister_vm(hw::Pid pid);
   std::uint64_t registration_version() const;
 
   /// Stores a streamed file in the session world. A map (`<dir>/<pid>/map.<E>`

@@ -8,10 +8,10 @@
 // session. A merged Chrome trace can then line up "the same session" across
 // shard processes.
 //
-// TracedMutex / TracedSharedMutex wrap std::mutex / std::shared_mutex with
-// the contention methodology the kernel-tracing literature prescribes: the
-// *uncontended* path must stay almost free (one try_lock plus one relaxed
-// counter bump), and only genuine waits pay for measurement. A contended
+// TracedMutex wraps std::mutex with the contention methodology the
+// kernel-tracing literature prescribes: the *uncontended* path must stay
+// almost free (one try_lock plus one relaxed counter bump), and only
+// genuine waits pay for measurement. A contended
 // acquisition records the wait into a per-named-lock histogram
 // (`lock.<name>.wait_ns`) and emits two spans into the owning Telemetry's
 // ring: the waiter's `cat:"lock.wait"` span and — on release — the
@@ -29,7 +29,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string_view>
 
 #include "support/hash.hpp"
@@ -75,7 +74,7 @@ struct LockTelemetry {
 };
 
 namespace detail {
-/// Shared attach/record logic for both traced lock flavours.
+/// TracedMutex's attach/record logic.
 class LockInstrumentation {
  public:
   explicit LockInstrumentation(const char* name) : name_(name) {}
@@ -160,84 +159,6 @@ class TracedMutex {
   detail::LockInstrumentation instr_;
   std::uint64_t hold_begin_ = 0;  // guarded by mu_
   bool contended_hold_ = false;   // guarded by mu_
-};
-
-/// std::shared_mutex with the same accounting. Exclusive holds record
-/// holder spans exactly like TracedMutex; shared holds do not (many run
-/// concurrently — there is no single "the holder"), but shared *waits*
-/// still land in the wait histogram and the span ring.
-class TracedSharedMutex {
- public:
-  explicit TracedSharedMutex(const char* name) : instr_(name) {}
-
-  TracedSharedMutex(const TracedSharedMutex&) = delete;
-  TracedSharedMutex& operator=(const TracedSharedMutex&) = delete;
-
-  void attach(Telemetry& telemetry) { instr_.attach(telemetry); }
-  const char* name() const { return instr_.name(); }
-
-  void lock() {
-    LockTelemetry* h = instr_.handles();
-    if (h == nullptr) {
-      mu_.lock();
-      return;
-    }
-    if (mu_.try_lock()) {
-      instr_.count_fast(h);
-      return;
-    }
-    const std::uint64_t t0 = monotonic_ns();
-    mu_.lock();
-    const std::uint64_t t1 = monotonic_ns();
-    instr_.count_wait(h, t0, t1);
-    hold_begin_ = t1;
-    contended_hold_ = true;
-  }
-
-  bool try_lock() {
-    if (!mu_.try_lock()) return false;
-    if (LockTelemetry* h = instr_.handles()) instr_.count_fast(h);
-    return true;
-  }
-
-  void unlock() {
-    LockTelemetry* h = instr_.handles();
-    const bool contended = contended_hold_;
-    const std::uint64_t begin = hold_begin_;
-    contended_hold_ = false;
-    mu_.unlock();
-    if (h != nullptr && contended) instr_.record_hold(h, begin, monotonic_ns());
-  }
-
-  void lock_shared() {
-    LockTelemetry* h = instr_.handles();
-    if (h == nullptr) {
-      mu_.lock_shared();
-      return;
-    }
-    if (mu_.try_lock_shared()) {
-      instr_.count_fast(h);
-      return;
-    }
-    const std::uint64_t t0 = monotonic_ns();
-    mu_.lock_shared();
-    const std::uint64_t t1 = monotonic_ns();
-    instr_.count_wait(h, t0, t1);
-  }
-
-  bool try_lock_shared() {
-    if (!mu_.try_lock_shared()) return false;
-    if (LockTelemetry* h = instr_.handles()) instr_.count_fast(h);
-    return true;
-  }
-
-  void unlock_shared() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-  detail::LockInstrumentation instr_;
-  std::uint64_t hold_begin_ = 0;  // guarded by exclusive mu_
-  bool contended_hold_ = false;   // guarded by exclusive mu_
 };
 
 }  // namespace viprof::support

@@ -144,8 +144,8 @@ TEST(ArgScanDeathTest, ConflictingModeFlagsExitUsage) {
 }
 
 TEST(ArgScanDeathTest, StatsVerbWithoutFleetDirExitsUsage) {
-  // The viprof_query observability verbs: `stats`/`trace` only answer over
-  // an exported fleet namespace, so omitting --fleet is a usage error.
+  // A verb that only answers over a directory it was not given (here
+  // `stats` over an exported fleet namespace, no --fleet) is a usage error.
   Argv a({"viprof_query", "stats", "--json"});
   ArgScan args(a.argc(), a.argv(), kUsage);
   const auto parse = [&] {

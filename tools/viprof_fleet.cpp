@@ -9,20 +9,25 @@
 // left). After ingest the degradation ledger is printed and audited with
 // OfflineFleet::fsck; --export writes the whole fleet namespace (manifest +
 // one store partition per shard) to a host directory that `viprof_fleet
-// query`, `viprof_fleet fsck` and `viprof_query --fleet` can consume.
+// query` and `viprof_fleet fsck` consume.
 //
 // Query text: the grammar of DESIGN.md §10, answered by Federator::query
-// (serve --query) and OfflineFleet::query (query).
+// (serve --query) and OfflineFleet::query (query). `query` is the one
+// query front end for an exported fleet: viprof_query reads snapshots
+// only, viprof_store stores only.
 //
 // Exit status: serve exits 0 only when the ledger balances exactly AND the
-// fleet fsck verdict is clean; query exits 0/2 (load errors); fsck mirrors
-// the verdict (0/1/2) and exits 3 for a missing or empty directory or a
-// store directory (a store's MANIFEST is not a fleet manifest). Usage
-// errors exit 3.
+// fleet fsck verdict is clean; query exits 0, 2 on a load error or an
+// `error:` answer (an unknown session; printed to stderr), and 3 on a
+// malformed query or one an offline fleet does not serve (memprof, arcs,
+// ...); fsck mirrors the verdict (0/1/2) and exits 3 for a missing or
+// empty directory or a store directory (a store's MANIFEST is not a fleet
+// manifest). Usage errors exit 3.
 #include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "fleet/federator.hpp"
@@ -138,7 +143,7 @@ int cmd_serve(support::ArgScan& args) {
   if (!export_dir.empty()) {
     // Telemetry rides along with the namespace: per-shard + fleet
     // metrics.json / trace.json, so the exported directory answers
-    // `viprof_query stats/trace --fleet` and feeds
+    // `viprof_fleet query stats|trace` and feeds
     // `viprof_stat trace-merge` / `viprof_stat contention`.
     router.export_telemetry();
     fleet_vfs.export_to_directory(export_dir);
@@ -158,6 +163,12 @@ int cmd_query(support::ArgScan& args) {
     else args.fail_unknown();
   }
   if (fleet_dir.empty()) args.fail();
+  // A malformed query is usage, found before anything is read.
+  const auto parsed = service::parse_query(text);
+  if (const auto* error = std::get_if<service::QueryError>(&parsed)) {
+    std::fprintf(stderr, "viprof_fleet: %s", error->message().c_str());
+    args.fail();
+  }
 
   os::Vfs vfs;
   tool::import_or_die("viprof_fleet", vfs, fleet_dir);
@@ -168,7 +179,13 @@ int cmd_query(support::ArgScan& args) {
                  fleet_dir.c_str());
     return 2;
   }
-  std::printf("%s", fleet->query(text).c_str());
+  const std::string out = fleet->query(text);
+  if (out.rfind("error:", 0) == 0) {
+    std::fprintf(stderr, "viprof_fleet: %s", out.c_str());
+    if (out == service::unserved_query(text)) args.fail();
+    return 2;
+  }
+  std::printf("%s", out.c_str());
   return 0;
 }
 

@@ -6,14 +6,18 @@
 // tick-base + epoch, the batch is sealed, and — with --compact — merged.
 // The store directory round-trips through os::Vfs, so every mutation is
 // written back with the same atomic temp+rename publish the store itself
-// uses; query subcommands never modify the host directory.
+// uses; query subcommands never modify the host directory. top, diff,
+// series and segments are the one query front end for a store.
 //
 // Exit status: 0 ok, 1 semantic findings (fsck: salvaged damage), 2 load
-// errors (missing/corrupt store or snapshot), 3 usage. fsck's code is the
-// store verdict itself (core::FsckVerdict convention), and 3 for a missing
-// or empty store directory.
+// errors (missing/corrupt store or snapshot) and a --session no stored
+// interval carries (`error: no such session: S` on stderr, the server's
+// answer), 3 usage. fsck's code is the store verdict itself
+// (core::FsckVerdict convention), and 3 for a missing or empty store
+// directory.
 #include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <variant>
@@ -45,6 +49,18 @@ constexpr const char* kUsage =
     "full event name\n";
 
 constexpr const char* kTool = "viprof_store";
+
+/// Exits 2 with the server's answer when `session` is set but no stored
+/// interval carries it. Asked only of an empty fold, as the fleet asks
+/// (fleet/federator.cpp): a fold with rows proves the session is stored.
+void session_or_die(const store::ProfileStore& st, const std::string& session,
+                    const core::Profile& fold) {
+  if (session.empty() || fold.row_count() != 0) return;
+  for (const store::ProfileStore::StoredSession& s : st.sessions())
+    if (s.session == session) return;
+  std::fprintf(stderr, "%s: error: no such session: %s\n", kTool, session.c_str());
+  std::exit(2);
+}
 
 }  // namespace
 
@@ -159,12 +175,16 @@ int main(int argc, char** argv) {
   const auto st = tool::open_store_or_die(kTool, vfs);
 
   if (cmd == "top") {
-    std::printf("%s", st->render_top({from, to, q.session}, q.events(), q.top).c_str());
+    const core::Profile fold = st->window_profile({from, to, q.session});
+    session_or_die(*st, q.session, fold);
+    std::printf("%s", fold.render(q.events(), q.top).c_str());
     return 0;
   }
 
   if (cmd == "series") {
     if (image.empty() || symbol.empty()) args.fail();
+    // A series folds no profile: an empty one sends it to the session check.
+    session_or_die(*st, q.session, core::Profile{});
     std::printf("%s",
                 st->render_series({from, to, q.session}, image, symbol, q.diff_event()).c_str());
     return 0;
@@ -172,10 +192,12 @@ int main(int argc, char** argv) {
 
   if (cmd == "diff") {
     if (before_spec.empty() || after_spec.empty()) args.fail();
-    std::printf("%s", st->render_diff(tool::window_or_die(kTool, before_spec, q.session, kUsage),
-                                     tool::window_or_die(kTool, after_spec, q.session, kUsage),
-                                     q.diff_event(), q.top)
-                          .c_str());
+    const core::Profile before =
+        st->window_profile(tool::window_or_die(kTool, before_spec, q.session, kUsage));
+    const core::Profile after =
+        st->window_profile(tool::window_or_die(kTool, after_spec, q.session, kUsage));
+    session_or_die(*st, q.session, before);  // one session on both sides
+    std::printf("%s", core::render_diff(before, after, q.diff_event(), q.top).c_str());
     return 0;
   }
 
