@@ -154,7 +154,7 @@ bool ReplayClient::run() {
 
   // Trailing maps no sample forced out (e.g. the final epoch's object map,
   // which may carry only death records) still belong to the session: flush
-  // them so the server's world matches the recorded one exactly.
+  // them so the server holds every map the recorded session holds.
   for (VmInfo& vm : vms_)
     for (const auto& [epoch, path] : vm.pending_maps)
       if (!send_file(path)) return false;

@@ -384,7 +384,6 @@ void ProfileServer::process_one(std::shared_ptr<ServerSession> session) {
         objects ? memprof::resolve_object(maps.index_for(sample.pid, sample.epoch), sample.pc,
                                           sample.epoch)
                 : resolver->resolve(sample, &maps);
-    result.partial.add(batch.event, res);
     epochs.at(sample.epoch).add(batch.event, res);
     if (!objects && sample.caller_pc != 0) {
       result.arcs.add_resolved(resolver->resolve_pc(sample.caller_pc, hw::CpuMode::kUser,
@@ -547,8 +546,10 @@ std::string ProfileServer::snapshot() {
   for (const auto& s : session_list()) {
     SessionSnapshot out;
     out.id = s->id();
-    out.profile = s->merged_profile();
+    // One read of the stripes: the profile is the fold of the epochs copied,
+    // so the row lines agree with the erow lines even while ingest runs.
     out.epochs = s->epoch_profiles();
+    out.profile = profile_since(out, 0);
     snap.sessions.push_back(std::move(out));
   }
   return snap.serialize();

@@ -82,34 +82,32 @@ std::vector<core::VmRegistration> ServerSession::registrations() const {
   return table_.all();
 }
 
-os::Vfs ServerSession::world() const {
-  std::lock_guard<std::mutex> lock(world_mu_);
-  return world_;
-}
-
 void ServerSession::store_file(const std::string& path, std::string bytes) {
   const std::uint64_t t0 = support::monotonic_ns();
   files_.fetch_add(1, std::memory_order_relaxed);
   const auto kind = map_kind(path);
-  const auto shelf = kind ? shelf_of(*kind, path) : std::nullopt;
-  if (kind && map_bytes_received_ != nullptr) map_bytes_received_->inc(bytes.size());
+  if (!kind) {
+    // The world holds only what the archive resolver reads: a map lives on
+    // its shelf, and a stray map spelling has no reader at all.
+    std::lock_guard<std::mutex> lock(world_mu_);
+    world_.write(path, std::move(bytes));
+    return;
+  }
+  if (map_bytes_received_ != nullptr) map_bytes_received_->inc(bytes.size());
+  const auto shelf = shelf_of(*kind, path);
+  if (!shelf) return;
   // Salvaged by file name outside every lock, exactly as a reload does, so
   // the kept map equals what a reload would parse.
   KeptMap kept;
-  if (shelf && *kind == MapKind::kCode) {
+  if (*kind == MapKind::kCode) {
     kept.code = std::make_shared<const core::CodeMapFile>(
         core::CodeMapFile::salvage_file(path, bytes).file);
-  } else if (shelf) {
+  } else {
     kept.object = std::make_shared<const core::ObjectMapFile>(
         core::ObjectMapFile::salvage_file(path, bytes).file);
     kept.code = std::make_shared<const core::CodeMapFile>(kept.object->to_code_map());
   }
-  if (shelf && map_bytes_parsed_ != nullptr) map_bytes_parsed_->inc(bytes.size());
-  {
-    std::lock_guard<std::mutex> lock(world_mu_);
-    world_.write(path, std::move(bytes));
-  }
-  if (!shelf) return;
+  if (map_bytes_parsed_ != nullptr) map_bytes_parsed_->inc(bytes.size());
   // Shelved before the ceiling moves: a batch stamped at this epoch finds
   // the map on its shelf.
   shelve(*shelf, path, std::move(kept));
@@ -165,15 +163,6 @@ const core::ArchiveResolver* ServerSession::resolver() {
     resolver_ready_.store(resolver_.get(), std::memory_order_release);
   }
   return resolver_.get();
-}
-
-core::Profile ServerSession::merged_profile() const {
-  core::Profile merged;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<support::TracedMutex> lock(stripe->mu);
-    merged.merge(stripe->profile);
-  }
-  return merged;
 }
 
 core::Profile ServerSession::profile_since_epoch(std::uint64_t since) const {
@@ -246,12 +235,11 @@ ServerSession::FlushDelta ServerSession::take_flush() {
     lo = std::min(lo, stripe->pending_epoch_lo);
     hi = std::max(hi, stripe->pending_epoch_hi);
     delta.records += stripe->pending_records;
-    delta.any = delta.any || stripe->pending_any;
     stripe->pending_epoch_lo = ~0ull;
     stripe->pending_epoch_hi = 0;
     stripe->pending_records = 0;
-    stripe->pending_any = false;
   }
+  delta.any = delta.profile.row_count() != 0;
   if (lo <= hi) {
     delta.epoch_lo = lo;
     delta.epoch_hi = hi;
@@ -288,12 +276,10 @@ void ServerSession::apply(std::uint64_t apply_seq, BatchResult result) {
   Stripe& stripe = *stripes_[apply_seq % stripes_.size()];
   {
     std::lock_guard<support::TracedMutex> lock(stripe.mu);
-    stripe.profile.merge(result.partial);
-    if (result.partial.row_count() != 0) stripe.pending_any = true;
-    stripe.pending.merge(std::move(result.partial));
     stripe.pending_records += result.records;
     for (auto& [epoch, partial] : result.epoch_partial) {
-      stripe.epoch_profiles[epoch].merge(std::move(partial));
+      stripe.epoch_profiles[epoch].merge(partial);
+      stripe.pending.merge(std::move(partial));
       stripe.pending_epoch_lo = std::min(stripe.pending_epoch_lo, epoch);
       stripe.pending_epoch_hi = std::max(stripe.pending_epoch_hi, epoch);
     }

@@ -1,10 +1,11 @@
 // Server-side state of one streamed profiling session.
 //
-// A session is one client's world: the files it streamed in (archive
-// manifest, boot maps, epoch maps) in a private VFS, the maps parsed on
-// their shelves, its registration table, the per-event stream parsers with
-// their seen-sequence sets, a bounded batch queue toward the ingest
-// workers, and the rolling aggregates. Locks, never nested with each other:
+// A session is one client's world: the streamed files with no map name
+// (archive manifest, boot maps) in a private VFS, the epoch maps parsed on
+// their shelves and kept nowhere else, its registration table, the
+// per-event stream parsers with their seen-sequence sets, a bounded batch
+// queue toward the ingest workers, and the rolling aggregates. Locks, never
+// nested with each other:
 //   ingest_mu_   — the batch stamp: apply seq and the published epoch
 //                  ceilings (receiver; O(1) per batch)
 //   seen locks   — one per event: its parser's seen-sequence set and read
@@ -29,15 +30,16 @@
 // parses text or takes world_mu_.
 //
 // Aggregation is striped (DESIGN.md §14): a batch lands on stripe
-// (apply_seq % stripes) and merges into that stripe's plain Profile and
-// CallGraph under the stripe's own lock, so concurrent workers only
-// collide when their sequence numbers share a stripe. There is no reorder
-// buffer and no apply-order requirement: merges are commutative sums and
-// every table ranks in one canonical order (count, then names), so queries
-// just merge the stripes. The online answer stays byte-identical to
-// offline viprof_report at any thread count, stripe count and worker
-// interleaving. Every stripe lock shares the TracedMutex name
-// "service.session.agg", so contention evidence reads on one key.
+// (apply_seq % stripes) and merges into that stripe's per-epoch profiles,
+// pending flush profile and CallGraph under the stripe's own lock, so
+// concurrent workers only collide when their sequence numbers share a
+// stripe. The whole-session profile is the fold of the per-epoch ones.
+// There is no reorder buffer and no apply-order requirement: merges are
+// commutative sums and every table ranks in one canonical order (count,
+// then names), so queries just merge the stripes. The online answer stays
+// byte-identical to offline viprof_report at any thread count, stripe
+// count and worker interleaving. Every stripe lock shares the TracedMutex
+// name "service.session.agg", so contention evidence reads on one key.
 //
 // Counters (SessionStats) are plain atomics: stats() composes a snapshot
 // without stopping ingest.
@@ -88,11 +90,10 @@ struct Batch {
   std::shared_ptr<const CeilingMap> ceilings;
 };
 
-/// A worker's resolved batch: partial aggregates interned per batch (one
-/// shared-table fold per distinct row, not per sample) and handed to
+/// A worker's resolved batch: one partial profile per epoch (each sample is
+/// added to its epoch's partial only) and the batch's arcs, handed to
 /// apply() in any order.
 struct BatchResult {
-  core::Profile partial;
   std::map<std::uint64_t, core::Profile> epoch_partial;
   core::CallGraph arcs;  // resolver-less partial graph
   std::uint64_t records = 0;
@@ -164,10 +165,12 @@ class ServerSession {
   core::RegisterStatus register_vm(const core::VmRegistration& reg);
   std::uint64_t registration_version() const;
 
-  /// Stores a streamed file in the session world. A map (`<dir>/<pid>/map.<E>`
-  /// or `omap.<E>`) is salvaged here, once, and shelved before it moves the
-  /// pid's epoch ceiling; re-streaming an object map's path rebuilds its
-  /// shelf's site table from the kept maps.
+  /// Stores a streamed file. A file with a map name (`map.<E>`, `omap.<E>`)
+  /// never enters the session world: a map under `<dir>/<pid>/` is salvaged
+  /// here, once, and shelved before it moves the pid's epoch ceiling
+  /// (re-streaming an object map's path rebuilds its shelf's site table from
+  /// the kept maps); one under any other spelling has no reader and is
+  /// counted as received only. Every other file is written to the world.
   void store_file(const std::string& path, std::string bytes);
 
   /// The published epoch ceilings: per pid, the highest map epoch stored.
@@ -179,9 +182,6 @@ class ServerSession {
   /// Accepted VM registrations, in table order.
   std::vector<core::VmRegistration> registrations() const;
 
-  /// Copy of the streamed world (the full-reload path's input).
-  os::Vfs world() const;
-
   /// The session's resolver, built from the streamed archive manifest on
   /// first use (epoch maps resolve through the code-map cache instead),
   /// then read lock-free. nullptr until the manifest has been streamed.
@@ -189,10 +189,10 @@ class ServerSession {
   /// service.archive.malformed_lines.
   const core::ArchiveResolver* resolver();
 
-  /// Combined rolling profile: every stripe's per-event profiles merged.
-  core::Profile merged_profile() const;
+  /// Combined rolling profile: profile_since_epoch(0).
+  core::Profile merged_profile() const { return profile_since_epoch(0); }
 
-  /// Merge of the per-epoch profiles with epoch >= `since`.
+  /// Merge of every stripe's per-epoch profiles with epoch >= `since`.
   core::Profile profile_since_epoch(std::uint64_t since) const;
 
   /// Rolling cross-layer call graph: every stripe's graph merged.
@@ -221,7 +221,7 @@ class ServerSession {
     core::Profile profile;  // every event's delta, merged
     std::uint64_t epoch_lo = 0, epoch_hi = 0;  // epochs seen in the delta
     std::uint64_t records = 0;
-    bool any = false;
+    bool any = false;  // the delta holds a row
   };
 
   /// Returns and clears the accumulated delta. A batch folds into exactly
@@ -265,18 +265,16 @@ class ServerSession {
  private:
   friend class ProfileServer;
 
-  /// One aggregation stripe: the rolling aggregates plus the pending
-  /// flush delta, under the stripe's own lock.
+  /// One aggregation stripe: the per-epoch profiles, the call graph and
+  /// the pending flush delta, under the stripe's own lock.
   struct Stripe {
     mutable support::TracedMutex mu{"service.session.agg"};
-    core::Profile profile;
     std::map<std::uint64_t, core::Profile> epoch_profiles;
     core::CallGraph graph;
     // Flush accumulation since the last take_flush().
     core::Profile pending;
     std::uint64_t pending_epoch_lo = ~0ull, pending_epoch_hi = 0;  // lo>hi: none
     std::uint64_t pending_records = 0;
-    bool pending_any = false;
   };
 
   const std::string id_;
@@ -311,7 +309,7 @@ class ServerSession {
 
   void shelve(const ShelfKey& key, const std::string& path, KeptMap kept);
 
-  // ---- streamed world (world_mu_)
+  // ---- streamed non-map files (world_mu_)
   mutable std::mutex world_mu_;
   os::Vfs world_;
   support::Telemetry* telemetry_;  // may be null

@@ -22,6 +22,7 @@
 #include "memprof/report.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
+#include "stream_tap.hpp"
 #include "workloads/generator.hpp"
 
 namespace viprof::memprof {
@@ -91,10 +92,14 @@ std::string offline_memprof(const RecordedMemprof& run, std::size_t top) {
   return render_memprof(obj.sites, obj.profile, top);
 }
 
+/// Replays `run` as session `id`; every file streamed is also written to
+/// `streamed` when given.
 void replay(service::ProfileServer& server, const RecordedMemprof& run,
-            const std::string& id) {
+            const std::string& id, os::Vfs* streamed = nullptr) {
   auto conn = server.connect(id);
-  service::ReplayClient client(run.vfs(), id, *conn,
+  os::Vfs ignored;
+  service::StreamTap tap(*conn, streamed != nullptr ? *streamed : ignored);
+  service::ReplayClient client(run.vfs(), id, tap,
                                service::ReplayOptions{128, nullptr, {}});
   ASSERT_TRUE(client.run());
   // Every streamed map byte was parsed, once, on arrival.
@@ -104,23 +109,23 @@ void replay(service::ProfileServer& server, const RecordedMemprof& run,
 }
 
 /// The full-reload fold, kept as the oracle for fold-at-arrival: re-salvage
-/// every object map of every registered VM from the session's streamed
-/// world as it stands right now.
-void reload_sites(const service::ServerSession& session, SiteTable& sites) {
-  const os::Vfs world = session.world();
+/// every object map of every registered VM from `streamed`, the test's own
+/// copy of the files streamed to the session so far.
+void reload_sites(const service::ServerSession& session, const os::Vfs& streamed,
+                  SiteTable& sites) {
   for (const core::VmRegistration& reg : session.registrations()) {
     if (reg.obj_map_dir.empty()) continue;
     for (const core::ObjectMapFile& file :
-         core::load_object_index(world, reg.obj_map_dir, reg.pid).files)
+         core::load_object_index(streamed, reg.obj_map_dir, reg.pid).files)
       sites.ingest(session.id(), reg.pid, file);
   }
 }
 
 std::string reload_memprof(service::ProfileServer& server, const std::string& id,
-                           std::size_t top) {
+                           const os::Vfs& streamed, std::size_t top) {
   const std::shared_ptr<service::ServerSession> session = server.session(id);
   SiteTable sites;
-  reload_sites(*session, sites);
+  reload_sites(*session, streamed, sites);
   return render_memprof(sites, session->merged_profile(), top);
 }
 
@@ -292,8 +297,8 @@ TEST(MemprofE2E, FederatedMemprofMatchesSingleServerAtAnyShardCount) {
 }
 
 // Fold at arrival (DESIGN.md §15): after every single frame of the stream,
-// the incrementally folded answer equals a full reload of the server's
-// world at that moment, and each streamed object map is folded once.
+// the incrementally folded answer equals a full reload of the files
+// streamed so far, and each streamed object map is folded once.
 TEST(MemprofE2E, FoldAtArrivalMatchesFullReloadAfterEveryFrame) {
   const RecordedMemprof run = record_memprof_session(0xf01d);
   FrameRecorder recorded;
@@ -303,13 +308,15 @@ TEST(MemprofE2E, FoldAtArrivalMatchesFullReloadAfterEveryFrame) {
 
   service::ProfileServer server;
   auto conn = server.connect("mem-frames");
+  os::Vfs streamed;
+  service::StreamTap tap(*conn, streamed);
   std::size_t checked = 0;
   for (const std::string& frame : recorded.frames) {
-    ASSERT_TRUE(conn->send(frame));
+    ASSERT_TRUE(tap.send(frame));
     if (!server.session("mem-frames")) continue;  // hello / before open
     server.drain();
     ASSERT_EQ(server.query("memprof 20 --session mem-frames"),
-              reload_memprof(server, "mem-frames", 20))
+              reload_memprof(server, "mem-frames", streamed, 20))
         << "after frame " << checked;
     ++checked;
   }
@@ -327,17 +334,19 @@ TEST(MemprofE2E, FoldAtArrivalMatchesFullReloadAfterEveryFrame) {
 TEST(MemprofE2E, RestreamedObjectMapRebuildsItsPartition) {
   const RecordedMemprof run = record_memprof_session(0xbee);
   service::ProfileServer server;
-  replay(server, run, "mem-re");
+  os::Vfs streamed;
+  replay(server, run, "mem-re", &streamed);
   server.drain();
   const std::string before = server.query("memprof 25 --session mem-re");
-  ASSERT_EQ(before, reload_memprof(server, "mem-re", 25));
+  ASSERT_EQ(before, reload_memprof(server, "mem-re", streamed, 25));
   const std::vector<std::string> maps = object_map_paths(run);
   ASSERT_GE(maps.size(), 2u);
 
   auto conn = server.connect("mem-re-again");
-  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, "mem-re")));
+  service::StreamTap tap(*conn, streamed);
+  ASSERT_TRUE(tap.send(service::encode_frame(service::FrameType::kOpenSession, "mem-re")));
   const auto restream = [&](const std::string& path, const std::string& bytes) {
-    ASSERT_TRUE(conn->send(
+    ASSERT_TRUE(tap.send(
         service::encode_frame(service::FrameType::kFile, path + "\n" + bytes)));
   };
 
@@ -350,7 +359,7 @@ TEST(MemprofE2E, RestreamedObjectMapRebuildsItsPartition) {
   const std::string bytes = *run.vfs().read(maps[1]);
   restream(maps[1], bytes.substr(0, bytes.size() / 2));
   const std::string after = server.query("memprof 25 --session mem-re");
-  EXPECT_EQ(after, reload_memprof(server, "mem-re", 25));
+  EXPECT_EQ(after, reload_memprof(server, "mem-re", streamed, 25));
   EXPECT_NE(after.find(std::to_string(maps.size()) + " ingested, 1 truncated"),
             std::string::npos)
       << after;
@@ -363,22 +372,24 @@ TEST(MemprofE2E, ObjectMapsBeforeRegistrationAndForRejectedPids) {
   const std::vector<std::string> maps = object_map_paths(run);
   service::ProfileServer server;
   auto conn = server.connect("mem-early");
-  ASSERT_TRUE(conn->send(service::encode_frame(service::FrameType::kOpenSession, "mem-early")));
+  os::Vfs streamed;
+  service::StreamTap tap(*conn, streamed);
+  ASSERT_TRUE(tap.send(service::encode_frame(service::FrameType::kOpenSession, "mem-early")));
   const auto send_map = [&](const std::string& path, const std::string& bytes) {
-    ASSERT_TRUE(conn->send(
+    ASSERT_TRUE(tap.send(
         service::encode_frame(service::FrameType::kFile, path + "\n" + bytes)));
   };
 
   // Maps that arrive before their VM registers are folded, not reported.
   for (const std::string& path : maps) send_map(path, *run.vfs().read(path));
   const std::string unregistered = server.query("memprof 25 --session mem-early");
-  EXPECT_EQ(unregistered, reload_memprof(server, "mem-early", 25));
+  EXPECT_EQ(unregistered, reload_memprof(server, "mem-early", streamed, 25));
   EXPECT_NE(unregistered.find("object maps: 0 ingested"), std::string::npos);
 
   ASSERT_TRUE(conn->send(
       service::encode_frame(service::FrameType::kRegisterVm, manifest_reg_line(run))));
   const std::string registered = server.query("memprof 25 --session mem-early");
-  EXPECT_EQ(registered, reload_memprof(server, "mem-early", 25));
+  EXPECT_EQ(registered, reload_memprof(server, "mem-early", streamed, 25));
   EXPECT_NE(registered.find("object maps: " + std::to_string(maps.size()) + " ingested"),
             std::string::npos)
       << registered;
@@ -389,14 +400,14 @@ TEST(MemprofE2E, ObjectMapsBeforeRegistrationAndForRejectedPids) {
   send_map(core::ObjectMapFile::path_for("obj_maps", 4242, 0), *run.vfs().read(maps[0]));
   EXPECT_EQ(server.query("memprof 25 --session mem-early"), registered);
   EXPECT_EQ(server.query("memprof 25 --session mem-early"),
-            reload_memprof(server, "mem-early", 25));
+            reload_memprof(server, "mem-early", streamed, 25));
   EXPECT_EQ(counter(server, "service.memprof.maps_folded"), maps.size() + 1);
 }
 
 // The federator seeing one session through two shards: its partitions meet
 // in one table and union per object, so every site row equals the single
 // server's, while the map footer sums per fold — exactly what a full reload
-// over both shards' worlds renders.
+// of what both shards were streamed renders.
 TEST(MemprofE2E, FederatedMemprofUnionsOneSessionAliveOnTwoShards) {
   const RecordedMemprof a = record_memprof_session(0x51);
   const RecordedMemprof b = record_memprof_session(0x52);
@@ -432,7 +443,9 @@ TEST(MemprofE2E, FederatedMemprofUnionsOneSessionAliveOnTwoShards) {
   for (const std::string& name : router.shard_names()) {
     service::ProfileServer* server = router.server(name);
     for (const std::string& id : server->session_ids()) {
-      reload_sites(*server->session(id), sites);
+      // Every file either shard was streamed for a session came from its
+      // recorded world: the router replays all of it, the twin a's maps.
+      reload_sites(*server->session(id), id == "mem-a" ? a.vfs() : b.vfs(), sites);
       merged.merge(server->session(id)->merged_profile());
     }
   }

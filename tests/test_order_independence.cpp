@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <string>
 #include <thread>
@@ -22,7 +23,9 @@
 #include "core/report.hpp"
 #include "core/resolver.hpp"
 #include "service/query.hpp"
+#include "service/server.hpp"
 #include "service/session.hpp"
+#include "service/wire.hpp"
 #include "store/segment.hpp"
 #include "support/framed_text.hpp"
 #include "support/interner.hpp"
@@ -461,7 +464,6 @@ using core::Sample;
 BatchResult batch_result(const std::vector<Sample>& batch) {
   BatchResult r;
   for (const Sample& s : batch) {
-    r.partial.add(s.event, s.res, s.count);
     r.epoch_partial[s.epoch].add(s.event, s.res, s.count);
     if (s.has_caller) r.arcs.add_resolved(s.caller, s.res, s.count);
   }
@@ -530,18 +532,36 @@ TEST(OrderIndependence, SessionAnyStripeCountApplyOrderAndFlushCutsMatchSerial) 
       std::shuffle(order.begin(), order.end(), rng);
 
       // Flush at random cut points between applies, as the flusher races
-      // the workers; every batch must land in exactly one delta.
+      // the workers; every batch must land in exactly one delta. A delta's
+      // epoch range spans the epochs applied since the previous cut, and it
+      // has rows exactly when some row was applied since then: cuts back to
+      // back and batches that resolved nothing (no rows) apply none.
       std::vector<Profile> deltas;
       std::uint64_t flushed_records = 0;
+      std::uint64_t lo = ~0ull, hi = 0;  // epochs applied since the cut; lo>hi: none
       const auto flush = [&] {
         ServerSession::FlushDelta d = session.take_flush();
         flushed_records += d.records;
+        const bool applied = lo <= hi;
+        EXPECT_EQ(d.any, applied) << ctx;
+        using Range = std::pair<std::uint64_t, std::uint64_t>;
+        EXPECT_EQ(Range(d.epoch_lo, d.epoch_hi), applied ? Range(lo, hi) : Range(0, 0))
+            << ctx;
+        lo = ~0ull;
+        hi = 0;
         if (d.any) deltas.push_back(std::move(d.profile));
       };
       for (const std::size_t seq : order) {
         session.apply(seq, batch_result(batches[seq]));
+        for (const Sample& s : batches[seq]) {
+          lo = std::min(lo, s.epoch);
+          hi = std::max(hi, s.epoch);
+        }
         if (rng.below(5) == 0) flush();
+        if (rng.below(8) == 0) session.apply(seq, BatchResult{});
+        if (rng.below(8) == 0) flush();
       }
+      flush();
       flush();
 
       expect_session_matches(session, serial, ctx);
@@ -579,6 +599,47 @@ TEST(OrderIndependence, SnapshotBytesDoNotDependOnApplyOrder) {
     std::shuffle(order.begin(), order.end(), rng);
     EXPECT_EQ(snapshot_bytes(order, stripes), forward) << "stripes " << stripes;
   }
+}
+
+// ProfileServer::snapshot() reads each session's stripes once: the profile
+// it writes is the fold of the epoch profiles it copied, so a snapshot taken
+// while batches land has row lines equal to the fold of its erow lines.
+TEST(OrderIndependence, SnapshotDuringApplyFoldsItsOwnEpochs) {
+  support::Xoshiro256 rng(53);
+  const auto batches = core::make_batches(rng, 64, 16);
+  ServerConfig config;
+  config.ingest_threads = 4;  // four stripes
+  ProfileServer server(config);
+  auto conn = server.connect("c");
+  ASSERT_TRUE(conn->send(encode_frame(FrameType::kOpenSession, "s")));
+  const std::shared_ptr<ServerSession> session = server.session("s");
+  ASSERT_NE(session, nullptr);
+
+  // Two appliers keep landing batches until every snapshot is taken.
+  std::atomic<bool> stop{false};
+  const auto apply_from = [&](std::size_t first) {
+    for (std::size_t seq = first; !stop.load(std::memory_order_acquire); seq += 2)
+      session->apply(seq, batch_result(batches[seq % batches.size()]));
+  };
+  std::thread even(apply_from, 0), odd(apply_from, 1);
+  while (session->ingested_records() == 0) std::this_thread::yield();
+  for (int i = 0; i < 100; ++i) {
+    const std::string text = server.snapshot();
+    const auto snap = ServiceSnapshot::parse(text);
+    if (!snap) {
+      ADD_FAILURE() << "snapshot " << i << " does not parse:\n" << text;
+      break;
+    }
+    ServiceSnapshot folded = *snap;
+    for (SessionSnapshot& s : folded.sessions) s.profile = profile_since(s, 0);
+    if (folded.serialize() != text) {
+      ADD_FAILURE() << "snapshot " << i << " has rows that are not the fold of its epochs";
+      break;
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  even.join();
+  odd.join();
 }
 
 TEST(OrderIndependence, ConcurrentApplyMatchesSerial) {

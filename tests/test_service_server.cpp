@@ -11,6 +11,7 @@
 #include "service/scenario.hpp"
 #include "service/server.hpp"
 #include "service/wire.hpp"
+#include "stream_tap.hpp"
 #include "support/hash.hpp"
 #include "v1_framing.hpp"
 
@@ -29,10 +30,14 @@ ScenarioConfig small_scenario() {
   return config;
 }
 
+/// Replays `world` as session `id`; every file streamed is also written to
+/// `streamed` when given.
 void replay(ProfileServer& server, const os::Vfs& world, const std::string& id,
-            std::size_t batch_records = 128) {
+            std::size_t batch_records = 128, os::Vfs* streamed = nullptr) {
   auto conn = server.connect(id);
-  ReplayClient client(world, id, *conn, ReplayOptions{batch_records, nullptr, {}});
+  os::Vfs ignored;
+  StreamTap tap(*conn, streamed != nullptr ? *streamed : ignored);
+  ReplayClient client(world, id, tap, ReplayOptions{batch_records, nullptr, {}});
   ASSERT_TRUE(client.run());
   // Every streamed map byte was parsed, once, on arrival.
   const auto snap = server.telemetry().snapshot();
@@ -261,16 +266,17 @@ TEST(ProfileServer, EveryStreamedMapByteIsParsedOnce) {
   auto scenario = record_scenario(small_scenario());
   ProfileServer server;
   EXPECT_EQ(server.telemetry().snapshot().counters.count("service.maps.bytes_parsed"), 1u);
-  replay(server, scenario->vfs(), "s");
+  os::Vfs streamed;
+  replay(server, scenario->vfs(), "s", 128, &streamed);
   server.drain();
 
   std::uint64_t map_bytes = 0;
   std::string first_map;
-  for (const std::string& path : server.session("s")->world().list("")) {
+  for (const std::string& path : streamed.list("")) {
     if (!core::CodeMapFile::epoch_from_path(path) && !core::ObjectMapFile::epoch_from_path(path))
       continue;
     if (first_map.empty()) first_map = path;
-    map_bytes += server.session("s")->world().read(path)->size();
+    map_bytes += streamed.read(path)->size();
   }
   ASSERT_FALSE(first_map.empty());
   EXPECT_EQ(counter(server, "service.maps.bytes_received"), map_bytes);
@@ -289,8 +295,8 @@ TEST(ProfileServer, EveryStreamedMapByteIsParsedOnce) {
 // A map belongs to a pid only under the spelling path_for writes: a
 // streamed "jit_maps/012/map.<E>", a pid past 32 bits or a path with no
 // directory moves no ceiling and joins no shelf — no reload of pid 12
-// lists it — though its bytes count as received map bytes. Code and
-// object maps both move the ceiling.
+// lists it, and nothing keeps it — though its bytes count as received map
+// bytes. Code and object maps both move the ceiling.
 TEST(ProfileServer, NonCanonicalMapPathMovesNoCeilingAndJoinsNoShelf) {
   ProfileServer server;
   auto conn = server.connect("c");
@@ -311,7 +317,7 @@ TEST(ProfileServer, NonCanonicalMapPathMovesNoCeilingAndJoinsNoShelf) {
   const std::shared_ptr<ServerSession> session = server.session("s");
   EXPECT_TRUE(session->ceilings()->empty());
   EXPECT_EQ(session->map_index(MapKind::kCode, "jit_maps", 12).map_count(), 0u);
-  EXPECT_EQ(session->world().file_count(), strays.size() + 1);
+  EXPECT_EQ(session->stats().files, strays.size() + 1);
   EXPECT_EQ(counter(server, "service.maps.bytes_received"), strays.size() * bytes.size());
   EXPECT_EQ(counter(server, "service.maps.bytes_parsed"), 0u);
 

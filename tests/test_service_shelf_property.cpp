@@ -4,9 +4,11 @@
 // epoch, a re-streamed path, strays under a non-canonical pid — after every
 // stored file the index ServerSession::map_index flattens from a shelf
 // answers every lookup as lookup_walkback does over a fresh reload
-// (CodeMapIndex::load, core::load_object_index) of ServerSession::world(),
-// at every epoch up to the pid's published ceiling. The ceiling is the
-// highest file-name epoch of either kind stored for the pid.
+// (CodeMapIndex::load, core::load_object_index) of the files streamed so
+// far, at every epoch up to the pid's published ceiling. The session keeps
+// maps only on their shelves, so the test keeps its own copy of the bytes.
+// The ceiling is the highest file-name epoch of either kind stored for the
+// pid.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -164,10 +166,11 @@ TEST(MapShelfProperty, AnyArrivalOrderMatchesAFreshReloadAtEveryCeiling) {
     support::Xoshiro256 rng(0x5e1f + seed * 7919);
     const std::vector<Arrival> stream = random_stream(rng);
     ServerSession session("shelf", 4);
+    os::Vfs world;  // the oracle's copy of every streamed file
     for (std::size_t i = 0; i < stream.size(); ++i) {
       session.store_file(stream[i].path, stream[i].bytes);
+      world.write(stream[i].path, stream[i].bytes);
       const std::shared_ptr<const CeilingMap> ceilings = session.ceilings();
-      const os::Vfs world = session.world();
       for (const hw::Pid pid : kPids) {
         const auto want = expected_ceiling(stream, i, pid);
         const auto it = ceilings->find(pid);

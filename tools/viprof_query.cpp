@@ -77,10 +77,19 @@ int main(int argc, char** argv) {
   }
   const service::Query& q = std::get<service::Query>(parsed);
 
+  const auto no_session = [&q] {
+    std::fprintf(stderr, "viprof_query: no session %s in snapshot\n", q.session.c_str());
+    return 2;
+  };
+
   if (diff) {
     if (before_arg.empty() || after_arg.empty()) args.fail();
     const service::ServiceSnapshot before = tool::load_snapshot_or_die(kTool, before_arg);
     const service::ServiceSnapshot after = tool::load_snapshot_or_die(kTool, after_arg);
+    // A session may be new or gone on one side, but not absent from both.
+    if (!q.session.empty() && before.find(q.session) == nullptr &&
+        after.find(q.session) == nullptr)
+      return no_session();
     std::printf("%s",
                 service::render_diff(before, after, q.session, q.diff_event(), q.top).c_str());
     return 0;
@@ -88,29 +97,18 @@ int main(int argc, char** argv) {
 
   if (snap_arg.empty()) args.fail();
   const service::ServiceSnapshot snap = tool::load_snapshot_or_die(kTool, snap_arg);
+  if (q.verb == service::QueryVerb::kSessions) {
+    std::printf("%s", service::render_sessions(snap).c_str());
+    return 0;
+  }
+  if (q.verb != service::QueryVerb::kTop && q.verb != service::QueryVerb::kSinceEpoch)
+    args.fail();
+  if (!q.session.empty() && snap.find(q.session) == nullptr) return no_session();
   core::Profile profile;
-  switch (q.verb) {
-    case service::QueryVerb::kSessions:
-      std::printf("%s", service::render_sessions(snap).c_str());
-      return 0;
-    case service::QueryVerb::kTop:
-      if (q.session.empty()) {
-        profile = snap.merged();
-      } else if (const service::SessionSnapshot* s = snap.find(q.session)) {
-        profile = s->profile;
-      } else {
-        std::fprintf(stderr, "viprof_query: no session %s in snapshot\n",
-                     q.session.c_str());
-        return 2;
-      }
-      break;
-    case service::QueryVerb::kSinceEpoch:
-      for (const service::SessionSnapshot& s : snap.sessions)
-        if (q.session.empty() || s.id == q.session)
-          profile.merge(service::profile_since(s, q.n));
-      break;
-    default:
-      args.fail();
+  for (const service::SessionSnapshot& s : snap.sessions) {
+    if (!q.session.empty() && s.id != q.session) continue;
+    profile.merge(q.verb == service::QueryVerb::kTop ? s.profile
+                                                      : service::profile_since(s, q.n));
   }
   std::printf("%s", profile.render(q.events(), q.top).c_str());
   return 0;
