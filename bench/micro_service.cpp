@@ -6,6 +6,11 @@
 //
 // Emits BENCH_service.json (harness schema). VIPROF_QUICK=1 shrinks the
 // recorded scenario for CI smoke runs.
+//
+// `ingest.tN` times the replay plus drain() on a server with N ingest
+// workers. drain() runs queued batches on the calling thread too, so the
+// backlog left after the last frame clears on N workers plus the draining
+// caller: t1 is not a one-thread run.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>

@@ -6,10 +6,11 @@
 // one shared fleet Vfs (`<shard>/store`), and the router publishes a
 // crc-guarded fleet manifest after every terminal session. Sessions are
 // streamed one at a time (the shard-internal ThreadPool still ingests
-// concurrently; commutative merges keep the result byte-identical at
-// any width), which makes the failure path fully deterministic: the
-// Backoff jitter draws, the fleet kill checkpoints, and therefore the
-// fleet.retried.* counters replay exactly from the seed.
+// concurrently, and the router's drain runs queued batches beside it;
+// commutative merges keep the result byte-identical at any width), which
+// makes the failure path fully deterministic: the Backoff jitter draws,
+// the fleet kill checkpoints, and therefore the fleet.retried.* counters
+// replay exactly from the seed.
 //
 // Failure model, in escalation order:
 //   - transient send fault ("fleet/send/<shard>" FaultInjector path):

@@ -8,7 +8,8 @@
 // batch body into a recycled per-batch arena, stamps it (apply seq and the
 // session's published epoch ceilings, O(1) under the session's ingest
 // lock) and enqueues it on the session's bounded queue. A shared
-// ThreadPool parses batches concurrently — line verification outside every
+// ThreadPool (plus whichever thread is in drain()) parses batches
+// concurrently — line verification outside every
 // lock, dedup against the event's seen-sequence set — resolves them through
 // the RCU-snapshot code-map cache and folds each into one of the session's
 // aggregation stripes in whatever order workers finish. Dedup and merges
@@ -110,7 +111,9 @@ class ProfileServer {
   /// "wire/<client_name>").
   std::unique_ptr<ServerConnection> connect(const std::string& client_name);
 
-  /// Blocks until every enqueued batch has been resolved and applied.
+  /// Returns once every enqueued batch has been resolved and applied. The
+  /// calling thread processes queued batches itself beside the ingest
+  /// workers, then waits for the batches still on a worker.
   void drain();
 
   /// Online query API; the same strings arrive as kQuery frames. Serves

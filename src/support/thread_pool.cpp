@@ -28,6 +28,7 @@ void ThreadPool::attach_telemetry(Telemetry& telemetry) {
   mu_.attach(telemetry);
   auto s = std::make_unique<PoolTelemetry>();
   s->tasks = &telemetry.counter("pool.tasks");
+  s->helped = &telemetry.counter("pool.tasks.helped");
   s->threads = &telemetry.gauge("pool.threads");
   s->utilization = &telemetry.gauge("pool.utilization");
   s->queue_depth = &telemetry.histogram("pool.queue_depth");
@@ -73,8 +74,25 @@ void ThreadPool::submit_many(std::vector<std::function<void()>> tasks) {
 }
 
 void ThreadPool::wait_idle() {
+  // A waiter would only sleep while the workers clear the queue, so it
+  // clears it beside them, then waits out their in-flight tasks. Callers
+  // need "every submitted task is done", never "done on a worker", and
+  // every task is independent of the thread it runs on.
   std::unique_lock<TracedMutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  while (!queue_.empty()) {
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop();
+    ++helping_;
+    PoolTelemetry* stats = stats_.load(std::memory_order_acquire);
+    lock.unlock();
+    run_task(task, stats);
+    if (stats != nullptr) stats->helped->inc();
+    lock.lock();
+    --helping_;
+    // A second waiter may be asleep on this task alone.
+    if (idle_locked()) idle_cv_.notify_all();
+  }
+  idle_cv_.wait(lock, [this] { return idle_locked(); });
 }
 
 void ThreadPool::parallel_for(std::size_t count,
@@ -115,12 +133,7 @@ void ThreadPool::worker_loop() {
     }
     lock.unlock();
 
-    const std::uint64_t t0 = stats != nullptr ? monotonic_ns() : 0;
-    task();
-    task = nullptr;  // release captures before re-locking
-    if (stats != nullptr) {
-      stats->task_ns->add(static_cast<double>(monotonic_ns() - t0));
-    }
+    run_task(task, stats);
 
     lock.lock();
     --active_;
@@ -128,7 +141,16 @@ void ThreadPool::worker_loop() {
       stats->utilization->set(static_cast<double>(active_) /
                               static_cast<double>(workers_.size()));
     }
-    if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
+    if (idle_locked()) idle_cv_.notify_all();
+  }
+}
+
+void ThreadPool::run_task(std::function<void()>& task, PoolTelemetry* stats) {
+  const std::uint64_t t0 = stats != nullptr ? monotonic_ns() : 0;
+  task();
+  task = nullptr;  // release captures before re-locking
+  if (stats != nullptr) {
+    stats->task_ns->add(static_cast<double>(monotonic_ns() - t0));
   }
 }
 

@@ -1,9 +1,9 @@
-// Parallel resolution pipeline (DESIGN.md §9): the worker pool itself,
-// hash-aggregated Profile/CallGraph merging, and the pipeline's central
-// promise — byte-identical output for any thread count.
+// Parallel resolution pipeline (DESIGN.md §9): hash-aggregated
+// Profile/CallGraph merging, and the pipeline's central promise —
+// byte-identical output for any thread count. The pool itself is covered
+// by test_support_thread_pool.cpp.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,45 +13,9 @@
 #include "jvm/boot_image.hpp"
 #include "os/loader.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace viprof::core {
 namespace {
-
-// --- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  support::ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::vector<std::atomic<int>> hits(257);
-  for (auto& h : hits) h.store(0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForDegenerateCounts) {
-  support::ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::size_t) { calls.fetch_add(1); });
-  EXPECT_EQ(calls.load(), 0);
-  pool.parallel_for(1, [&](std::size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitAndWaitIdle) {
-  support::ThreadPool pool(3);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 64);
-  // The pool is reusable after wait_idle.
-  pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 65);
-}
 
 // --- Profile / CallGraph merge ----------------------------------------------
 
